@@ -35,7 +35,6 @@
 #include "support/BenchHistory.h"
 #include "support/Histogram.h"
 #include "support/MetricsSink.h"
-#include "support/SimdDispatch.h"
 #include "support/TablePrinter.h"
 #include "support/Timer.h"
 #include "workload/Mutator.h"
@@ -91,9 +90,8 @@ double bestOf(BodyFn &&Body, unsigned MinReps = 2,
 /// \p BaseEntriesOut feed the history record's key metrics.
 int runNWayStudy(unsigned NumMutants, std::string &Json, double &SpeedupOut,
                  uint64_t &BaseEntriesOut) {
-  std::printf("== 1-vs-N variational study (%u mutants, SIMD tier: %s) "
-              "==\n\n",
-              NumMutants, simdTierName(activeSimdTier()));
+  std::printf("== 1-vs-N variational study (%u mutants) ==\n\n",
+              NumMutants);
 
   RunOptions Run, Unused;
   rhinoInputs(0, Run, Unused);
@@ -172,15 +170,15 @@ int runNWayStudy(unsigned NumMutants, std::string &Json, double &SpeedupOut,
       "\"pairwise_seconds\": %.6f, \"nway_seconds\": %.6f, "
       "\"speedup\": %.3f, \"compare_ops\": %llu, "
       "\"ops_identical\": %s, \"reports_identical\": %s, "
-      "\"agreeing\": %zu, \"clusters\": %zu, \"simd_tier\": \"%s\"}",
+      "\"agreeing\": %zu, \"clusters\": %zu}",
       Mutants.size(), Set->Base.size(), PairwiseSeconds, NWaySeconds,
       Speedup, static_cast<unsigned long long>(PairwiseTotalOps),
       Exit ? "false" : "true", Exit ? "false" : "true", NWay.NumAgreeing,
-      NWay.Clusters.size(), simdTierName(activeSimdTier()));
+      NWay.Clusters.size());
   Json += Buf;
 
   // One instrumented nway run for the rprism-metrics-v1 block: the nway.*
-  // counters, diff.simd_tier gauge, and stage spans CI asserts on.
+  // counters and stage spans CI asserts on.
   Telemetry::get().reset();
   Telemetry::get().setEnabled(true);
   uint64_t StartNanos = Telemetry::nowNanos();

@@ -213,12 +213,11 @@ void appendJson(std::string &Json, unsigned OuterIters,
 
 /// Writes both traces in one on-disk format, reloads them into one fresh
 /// interner, and re-diffs: the report and compare-op totals must be
-/// identical to the in-memory reference. \p Label is "v1"/"v2"/"v3"/
-/// "v3-noindex"/"v4" ("v3-noindex" writes current-format files *without*
-/// the optional view-index sections — the compatibility shape older
-/// writers produce; "v4" writes the segmented layout with small segments
-/// so the reload crosses many segment boundaries). Returns the JSON
-/// fragment.
+/// identical to the in-memory reference. \p Label is "v3"/"v3-noindex"/
+/// "v4" ("v3-noindex" writes v3 files *without* the optional view-index
+/// sections — the compatibility shape older writers produce; "v4" writes
+/// the segmented layout with small segments so the reload crosses many
+/// segment boundaries). Returns the JSON fragment.
 std::string checkFormatDeterminism(const TracePair &Pair,
                                    const std::string &RefRender,
                                    uint64_t RefOps, const char *Label,
@@ -232,12 +231,9 @@ std::string checkFormatDeterminism(const TracePair &Pair,
   else if (Name == "v3-noindex")
     Wrote = writeTrace(Pair.Left, LPath, /*WithViewIndex=*/false) &&
             writeTrace(Pair.Right, RPath, /*WithViewIndex=*/false);
-  else if (Name == "v4")
+  else
     Wrote = writeTraceSegmented(Pair.Left, LPath, /*SegmentEntries=*/256) &&
             writeTraceSegmented(Pair.Right, RPath, /*SegmentEntries=*/256);
-  else
-    Wrote = writeTraceLegacy(Pair.Left, LPath, Name == "v1" ? 1 : 2) &&
-            writeTraceLegacy(Pair.Right, RPath, Name == "v1" ? 1 : 2);
   bool ReportIdentical = false, OpsIdentical = false;
   if (Wrote) {
     auto Shared = std::make_shared<StringInterner>();
@@ -435,7 +431,7 @@ int main(int Argc, char **Argv) {
     DiffResult Ref = viewsDiff(Pair.Left, Pair.Right, RefOptions);
     std::string RefRender = Ref.render(50, 12);
     bool FormatFirst = true;
-    for (const char *Label : {"v1", "v2", "v3", "v3-noindex", "v4"}) {
+    for (const char *Label : {"v3", "v3-noindex", "v4"}) {
       FormatJson += checkFormatDeterminism(Pair, RefRender,
                                            Ref.Stats.CompareOps, Label,
                                            FormatFirst, Exit);

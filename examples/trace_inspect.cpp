@@ -8,9 +8,10 @@
 /// \file
 /// RPRISM collects traces online and analyzes them offline: "once a trace
 /// segment has finished executing, all trace data is offloaded to disk"
-/// (§5). This example runs a program, writes the trace in segments,
-/// reloads it into a fresh interner, verifies the round trip, and dumps a
-/// readable excerpt. Differencing works identically on reloaded traces.
+/// (§5). This example runs a program, writes the trace as a segmented (v4)
+/// file, reloads it into a fresh interner, verifies the round trip, and
+/// dumps a readable excerpt. Differencing works identically on reloaded
+/// traces.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,25 +59,23 @@ int main() {
   RunResult Run = runProgram(*Prog, Options);
   std::printf("traced %zu entries\n", Run.ExecTrace.size());
 
-  // Offload in segments of 64 entries (tracing-memory bound in RPRISM).
-  const char *Base = "/tmp/rprism_trace_inspect";
-  unsigned Segments = writeTraceSegments(Run.ExecTrace, Base, 64);
-  if (Segments == 0) {
-    std::fprintf(stderr, "error: could not write trace segments\n");
+  // Offload in segments of 64 entries, all in one file.
+  const char *Path = "/tmp/rprism_trace_inspect.rpt";
+  if (!writeTraceSegmented(Run.ExecTrace, Path, 64)) {
+    std::fprintf(stderr, "error: could not write %s\n", Path);
     return 1;
   }
-  std::printf("offloaded as %u segment file(s) under %s.seg*\n", Segments,
-              Base);
 
   // Offline reload, into a *fresh* interner (as a separate analysis
   // process would).
   Expected<Trace> Reloaded =
-      readTraceSegments(Base, Segments, std::make_shared<StringInterner>());
+      readTrace(Path, std::make_shared<StringInterner>());
   if (!Reloaded) {
     std::fprintf(stderr, "error: %s\n", Reloaded.error().render().c_str());
     return 1;
   }
-  std::printf("reloaded %zu entries\n", Reloaded->size());
+  std::printf("reloaded %zu entries from %zu segment(s) of %s\n",
+              Reloaded->size(), Reloaded->Segments.size(), Path);
 
   // The round trip is lossless up to event equality: a views diff of the
   // live trace against the reloaded one finds nothing.

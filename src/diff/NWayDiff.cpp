@@ -2,7 +2,7 @@
 
 #include "diff/NWayDiff.h"
 
-#include "support/SimdDispatch.h"
+#include "support/LaneScan.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -71,7 +71,7 @@ std::vector<uint64_t> gatherLane(const Trace &T, const View &V) {
 }
 
 /// Lane-level agreement scan of one mutant: checks every correlated
-/// thread-view pair's lanes with the dispatched kernels. Sets
+/// thread-view pair's lanes with the lane kernels. Sets
 /// \p Identical when every pair (and every thread view, both sides)
 /// verifies bit-identical; returns the first divergence otherwise.
 std::optional<LaneDivergence>
@@ -93,8 +93,8 @@ scanLanes(const ViewWeb &BaseWeb, const BaselineLanes &Lanes,
     const View &RV = MutWeb.view(R);
     std::vector<uint64_t> MutLane = gatherLane(MT, RV);
     size_t Common = std::min(BaseLane->size(), MutLane.size());
-    // Run-boundary verify: one whole-lane equality scan at the widest
-    // dispatched tier answers the common case (mutant thread untouched).
+    // Run-boundary verify: one whole-lane equality scan answers the
+    // common case (mutant thread untouched).
     if (BaseLane->size() == MutLane.size() &&
         lanesEqual(BaseLane->data(), MutLane.data(), Common))
       continue;

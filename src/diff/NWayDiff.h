@@ -17,8 +17,7 @@
 ///
 /// Determinism contract: each mutant's DiffResult is byte-identical (same
 /// rendered report, same compare-op total) to the pairwise
-/// `viewsDiff(Base, Mutant)` — the shared state is pure amortization, and
-/// the lane kernels return the same boundaries at every SIMD tier.
+/// `viewsDiff(Base, Mutant)` — the shared state is pure amortization.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,7 +37,7 @@ namespace rprism {
 /// Lane-level divergence of one mutant against the baseline: the first
 /// position (within a correlated thread-view pair) where the fingerprint
 /// lanes differ, and the length of the maximal all-differing run there.
-/// Found with the dispatched laneMatchRun / laneMismatchRun kernels; a
+/// Found with the laneMatchRun / laneMismatchRun kernels; a
 /// coarse, memory-bandwidth-speed signal that fronts the semantic diff
 /// (anchored reorderings can make lanes differ where the views-based
 /// semantics finds similarity — the DiffResult stays authoritative).

@@ -3,7 +3,7 @@
 #include "diff/ViewsDiff.h"
 
 #include "diff/Lcs.h"
-#include "support/SimdDispatch.h"
+#include "support/LaneScan.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "support/Timer.h"
@@ -18,17 +18,6 @@
 using namespace rprism;
 
 namespace {
-
-/// Length of the equal prefix of A[0..Max) and B[0..Max) over two dense
-/// fingerprint lanes. The kernel itself lives in support/SimdDispatch:
-/// XOR-OR blocks at the widest tier the host supports (AVX2 32-byte, SSE2
-/// 16-byte, or the original scalar 8x64-bit loop), selected once per
-/// process by CPUID and forced scalar under RPRISM_NO_SIMD. Every tier
-/// returns the identical boundary — the lanes are contiguous (gathered per
-/// view pair), so this streams at memory bandwidth either way.
-size_t matchRun(const uint64_t *A, const uint64_t *B, size_t Max) {
-  return laneMatchRun(A, B, Max);
-}
 
 /// Index-aligned segments of the two traces whose fingerprint + tid lanes
 /// carry equal digests — available when both traces loaded from intact
@@ -462,7 +451,7 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
         // entries of that segment without scanning the lanes — the digest
         // already certifies the fingerprints agree per eid. The eid memcmp
         // is the cheap certificate that the two views advance in lockstep
-        // through the segment. matchRun below extends the same run past
+        // through the segment. laneMatchRun below extends the same run past
         // the certified region, so the run count and compare-op totals
         // are exactly what the pure lane scan produces.
         while (K < Max) {
@@ -483,7 +472,7 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
           ++SegSkips;
         }
       }
-      K += matchRun(LLaneData + I + K, RLaneData + J + K, Max - K);
+      K += laneMatchRun(LLaneData + I + K, RLaneData + J + K, Max - K);
       if (K != 0) {
         ++RunSkips;
         Ops.Count += K;
@@ -749,10 +738,6 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
     Telemetry::counterAdd("trace.segments_skipped", TotalSegSkips);
     if (TotalSharedHits)
       Telemetry::counterAdd("lane.shared_hit", TotalSharedHits);
-    // Which kernel tier the lock-step scans dispatched to (0 scalar,
-    // 1 sse2, 2 avx2). A gauge — host capability, not algorithmic work.
-    Telemetry::gaugeMax("diff.simd_tier",
-                        static_cast<double>(activeSimdTier()));
     Telemetry::gaugeMax("diff.peak_bytes",
                         static_cast<double>(Result.Stats.PeakBytes));
     for (const DiffSequence &Seq : Result.Sequences)

@@ -48,9 +48,8 @@ struct ThreadExec {
   bool Done = false;
 };
 
-/// True when RPRISM_NO_THREADED_DISPATCH is set to anything but "" or "0"
-/// (same convention as RPRISM_NO_SIMD). Read per run so tests can compare
-/// the tiers in-process.
+/// True when RPRISM_NO_THREADED_DISPATCH is set to anything but "" or "0".
+/// Read per run so tests can compare the tiers in-process.
 bool threadedDispatchDisabled() {
   const char *Env = std::getenv("RPRISM_NO_THREADED_DISPATCH");
   return Env && *Env && std::strcmp(Env, "0") != 0;

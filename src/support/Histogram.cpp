@@ -32,10 +32,18 @@ void Histogram::print(std::ostream &OS, const std::string &Title) const {
   size_t LabelWidth = 0;
   for (const auto &L : Labels)
     LabelWidth = L.size() > LabelWidth ? L.size() : LabelWidth;
+  uint64_t Largest = 0;
+  for (unsigned C : Counts)
+    Largest = C > Largest ? C : Largest;
   for (size_t I = 0; I != Counts.size(); ++I) {
+    uint64_t Bar = Counts[I];
+    if (Largest > MaxBarWidth && Bar != 0) {
+      Bar = (Bar * MaxBarWidth + Largest / 2) / Largest;
+      Bar = Bar ? Bar : 1;
+    }
     OS << "  " << Labels[I]
        << std::string(LabelWidth - Labels[I].size(), ' ') << " | "
-       << Counts[I] << ' ' << std::string(Counts[I], '#') << '\n';
+       << Counts[I] << ' ' << std::string(Bar, '#') << '\n';
   }
 }
 

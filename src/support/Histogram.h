@@ -55,7 +55,13 @@ public:
   /// release builds skip the merge instead of corrupting counts.
   bool merge(const Histogram &Other);
 
-  /// Prints "label: count  ###" ASCII-bar rows.
+  /// Widest bar print() draws, in '#' characters.
+  static constexpr unsigned MaxBarWidth = 60;
+
+  /// Prints "label | count ###" ASCII-bar rows. Bars are one '#' per count
+  /// while every count fits in MaxBarWidth; otherwise they are scaled so
+  /// the largest bucket is MaxBarWidth wide (a non-empty bucket keeps at
+  /// least one '#'). The exact count is always printed.
   void print(std::ostream &OS, const std::string &Title) const;
 
 private:

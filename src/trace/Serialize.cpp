@@ -33,11 +33,7 @@ namespace {
 
 constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
 // Version history:
-//   1 — seed format: one sequential field stream per entry.
-//   2 — TraceEntry carries an equality fingerprint. Fingerprints hash
-//       interner-local symbol ids, so under v1/v2 they are derived data:
-//       not written to disk, recomputed after the file's string table has
-//       been re-interned on load. Layout unchanged from v1.
+//   1, 2 — retired per-entry stream formats; refused as trace.version.
 //   3 — sectioned columnar layout (see Serialize.h): header + section
 //       table + 8-byte-aligned column payloads written verbatim, with
 //       per-section FNV-1a checksums. Fingerprints *are* stored (their own
@@ -55,8 +51,6 @@ constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
 //       seal segments while still appending (the side tables only grow).
 constexpr uint32_t TraceVersion = 3;
 constexpr uint32_t SegTraceVersion = 4;
-constexpr uint32_t MinTraceVersion = 1;
-constexpr uint32_t MaxLegacyVersion = 2;
 
 /// Header flag bit: the file carries a fingerprint column.
 constexpr uint32_t FlagHasFingerprints = 1u << 0;
@@ -134,13 +128,8 @@ public:
 
   bool ok() const { return File && !Error; }
 
-  void u8(uint8_t V) { raw(&V, 1); }
   void u32(uint32_t V) { raw(&V, sizeof(V)); }
   void u64(uint64_t V) { raw(&V, sizeof(V)); }
-  void str(const std::string &S) {
-    u32(static_cast<uint32_t>(S.size()));
-    raw(S.data(), S.size());
-  }
   void raw(const void *Data, size_t Size) {
     if (!File || Error)
       return;
@@ -184,11 +173,6 @@ public:
   bool ok() const { return !Error; }
   bool atEnd() const { return Remaining == 0; }
 
-  uint8_t u8() {
-    uint8_t V = 0;
-    raw(&V, 1);
-    return V;
-  }
   uint32_t u32() {
     uint32_t V = 0;
     raw(&V, sizeof(V));
@@ -227,198 +211,6 @@ private:
   bool Error = false;
 };
 
-// --- Legacy v1/v2 stream format -----------------------------------------
-
-void writeObjRepr(Writer &W, const ObjRepr &Obj) {
-  W.u32(Obj.Loc);
-  W.u32(Obj.ClassName.Id);
-  W.u32(Obj.CreationSeq);
-  W.u64(Obj.ValueHash);
-  W.u8(Obj.HasRepr ? 1 : 0);
-}
-
-ObjRepr readObjRepr(ByteCursor &R, const std::vector<Symbol> &Map) {
-  ObjRepr Obj;
-  Obj.Loc = R.u32();
-  uint32_t Sym = R.u32();
-  Obj.ClassName = Sym < Map.size() ? Map[Sym] : Symbol{};
-  Obj.CreationSeq = R.u32();
-  Obj.ValueHash = R.u64();
-  Obj.HasRepr = R.u8() != 0 ? 1 : 0;
-  return Obj;
-}
-
-void writeValueRepr(Writer &W, const ValueRepr &Value) {
-  W.u8(static_cast<uint8_t>(Value.Kind));
-  W.u64(Value.Hash);
-  W.u32(Value.Text.Id);
-}
-
-ValueRepr readValueRepr(ByteCursor &R, const std::vector<Symbol> &Map) {
-  ValueRepr Value;
-  Value.Kind = static_cast<ReprKind>(R.u8());
-  Value.Hash = R.u64();
-  uint32_t Sym = R.u32();
-  Value.Text = Sym < Map.size() ? Map[Sym] : Symbol{};
-  return Value;
-}
-
-bool writeTraceLegacyImpl(const Trace &T, const std::string &Path,
-                          uint32_t Version) {
-  Writer W(Path);
-  W.u32(TraceMagic);
-  W.u32(Version);
-  W.str(T.Name);
-
-  // Full string table. Traces share interners in-process, so the table can
-  // contain strings from sibling traces; that only costs bytes.
-  W.u32(static_cast<uint32_t>(T.Strings->size()));
-  for (uint32_t I = 0; I != T.Strings->size(); ++I)
-    W.str(T.Strings->text(Symbol{I}));
-
-  W.u32(static_cast<uint32_t>(T.Threads.size()));
-  for (const ThreadInfo &Thread : T.Threads) {
-    W.u32(Thread.Tid);
-    W.u32(Thread.ParentTid);
-    W.u32(Thread.EntryMethod.Id);
-    W.u64(Thread.AncestryHash);
-    W.u32(static_cast<uint32_t>(Thread.SpawnStack.size()));
-    for (Symbol Sym : Thread.SpawnStack)
-      W.u32(Sym.Id);
-  }
-
-  W.u32(static_cast<uint32_t>(T.ArgPool.size()));
-  for (const ValueRepr &Value : T.ArgPool)
-    writeValueRepr(W, Value);
-
-  uint32_t NumEntries = static_cast<uint32_t>(T.size());
-  W.u32(NumEntries);
-  for (uint32_t I = 0; I != NumEntries; ++I) {
-    W.u32(I); // Eid (== index in the columnar layout).
-    W.u32(T.Tids[I]);
-    W.u32(T.Methods[I].Id);
-    writeObjRepr(W, T.Selfs[I]);
-    W.u8(T.Kinds[I]);
-    W.u32(T.Names[I].Id);
-    writeObjRepr(W, T.Targets[I]);
-    writeValueRepr(W, T.Values[I]);
-    W.u32(T.ArgsBegins[I]);
-    W.u32(T.ArgsEnds[I]);
-    W.u32(T.ChildTids[I]);
-    W.u32(T.Provs[I]);
-  }
-  return W.ok();
-}
-
-/// Reads the body of a v1/v2 file (the cursor is positioned after magic
-/// and version). In salvage mode the valid entry prefix parsed before any
-/// damage is returned instead of an error; the side tables (strings,
-/// threads, arg pool) precede the entries in this format, so damage there
-/// leaves nothing to salvage.
-Expected<Trace> readTraceLegacy(ByteCursor &R, const std::string &Path,
-                                std::shared_ptr<StringInterner> Strings,
-                                const ReadOptions &Options) {
-  Trace T;
-  T.Strings = std::move(Strings);
-  T.Name = R.str();
-
-  // Re-intern the file's string table; Map translates file symbol ids.
-  // The declared count is untrusted: grow incrementally under R.ok()
-  // instead of preallocating (a tampered count must not become a huge
-  // allocation).
-  uint32_t NumStrings = R.u32();
-  std::vector<Symbol> Map;
-  for (uint32_t I = 0; I != NumStrings && R.ok(); ++I) {
-    std::string S = R.str();
-    if (R.ok())
-      Map.push_back(T.Strings->intern(S));
-  }
-  auto MapSym = [&Map](uint32_t Id) {
-    return Id < Map.size() ? Map[Id] : Symbol{};
-  };
-
-  uint32_t NumThreads = R.u32();
-  for (uint32_t I = 0; I != NumThreads && R.ok(); ++I) {
-    ThreadInfo Thread;
-    Thread.Tid = R.u32();
-    Thread.ParentTid = R.u32();
-    Thread.EntryMethod = MapSym(R.u32());
-    Thread.AncestryHash = R.u64();
-    uint32_t StackSize = R.u32();
-    for (uint32_t J = 0; J != StackSize && R.ok(); ++J)
-      Thread.SpawnStack.push_back(MapSym(R.u32()));
-    if (R.ok())
-      T.Threads.push_back(std::move(Thread));
-  }
-
-  uint32_t PoolSize = R.u32();
-  for (uint32_t I = 0; I != PoolSize && R.ok(); ++I) {
-    ValueRepr Value = readValueRepr(R, Map);
-    if (R.ok())
-      T.ArgPool.push_back(Value);
-  }
-  if (!R.ok())
-    return TraceError::truncated(Path);
-
-  uint32_t NumEntries = R.u32();
-  bool Damaged = false;
-  for (uint32_t I = 0; I != NumEntries && R.ok(); ++I) {
-    TraceEntry Entry;
-    Entry.Eid = R.u32(); // Stored eid is the entry's index; discarded.
-    Entry.Tid = R.u32();
-    Entry.Method = MapSym(R.u32());
-    Entry.Self = readObjRepr(R, Map);
-    uint8_t Kind = R.u8();
-    if (Kind > MaxEventKind) {
-      if (Options.Salvage) {
-        Damaged = true;
-        break;
-      }
-      return TraceError::corruptSection(Path, "event-kind");
-    }
-    Entry.Ev.Kind = static_cast<EventKind>(Kind);
-    Entry.Ev.Name = MapSym(R.u32());
-    Entry.Ev.Target = readObjRepr(R, Map);
-    Entry.Ev.Value = readValueRepr(R, Map);
-    Entry.Ev.ArgsBegin = R.u32();
-    Entry.Ev.ArgsEnd = R.u32();
-    Entry.Ev.ChildTid = R.u32();
-    Entry.Prov = R.u32();
-    if (!R.ok()) {
-      Damaged = true;
-      break;
-    }
-    if (Entry.Ev.ArgsBegin > Entry.Ev.ArgsEnd ||
-        Entry.Ev.ArgsEnd > T.ArgPool.size()) {
-      if (Options.Salvage) {
-        Damaged = true;
-        break;
-      }
-      return TraceError::corruptSection(Path, "argument-slice");
-    }
-    T.append(Entry);
-  }
-  Damaged |= !R.ok();
-
-  if (Damaged && !Options.Salvage)
-    return TraceError::truncated(Path);
-  if (Damaged) {
-    Telemetry::counterAdd("robust.salvage.used");
-    Telemetry::counterAdd("robust.salvage.recovered_entries", T.size());
-    uint64_t Dropped = NumEntries > T.size() ? NumEntries - T.size() : 0;
-    Telemetry::counterAdd("robust.salvage.dropped_entries", Dropped);
-    if (Options.Report) {
-      Options.Report->Salvaged = true;
-      Options.Report->EntriesRecovered = T.size();
-      Options.Report->EntriesDropped = Dropped;
-    }
-  }
-  // Fingerprints hash symbol ids, which re-interning just remapped;
-  // recompute so loaded traces hit the =e fast path.
-  T.computeFingerprints();
-  return T;
-}
-
 // --- v3 sectioned columnar format ----------------------------------------
 
 /// One payload the v3 writer emits: raw bytes, possibly a view into a
@@ -429,19 +221,18 @@ struct SectionOut {
   uint64_t Length;
 };
 
-bool writeTraceV3Impl(const Trace &T, const std::string &Path, size_t Begin,
-                      size_t End, bool WithViewIndex) {
-  size_t N = End - Begin;
+bool writeTraceV3Impl(const Trace &T, const std::string &Path,
+                      bool WithViewIndex) {
+  size_t N = T.size();
   bool WithFps = T.HasFingerprints && T.Fps.size() == T.size();
 
-  // View-index sections are whole-trace only: the index partitions eids
-  // of the full entry range, so segment sub-ranges never carry one. A
-  // trace that already holds a current index (loaded from an indexed file)
-  // is written back verbatim; otherwise the partitioning is computed here,
-  // at save time — this is the cost the indexed load path amortizes away.
+  // A trace that already holds a current view index (loaded from an
+  // indexed file) is written back verbatim; otherwise the partitioning is
+  // computed here, at save time — this is the cost the indexed load path
+  // amortizes away.
   ViewIndex LocalIdx;
   const ViewIndex *Idx = nullptr;
-  if (WithViewIndex && Begin == 0 && End == T.size()) {
+  if (WithViewIndex) {
     if (T.ViewIdx.Present) {
       Idx = &T.ViewIdx;
     } else {
@@ -483,20 +274,20 @@ bool writeTraceV3Impl(const Trace &T, const std::string &Path, size_t Begin,
       {SecStrings, StringsBuf.Out.data(), StringsBuf.Out.size()},
       {SecThreads, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()},
       {SecArgPool, T.ArgPool.data(), T.ArgPool.byteSize()},
-      {SecTid, T.Tids.data() + Begin, N * sizeof(uint32_t)},
-      {SecMethod, T.Methods.data() + Begin, N * sizeof(Symbol)},
-      {SecSelf, T.Selfs.data() + Begin, N * sizeof(ObjRepr)},
-      {SecKind, T.Kinds.data() + Begin, N * sizeof(uint8_t)},
-      {SecEvName, T.Names.data() + Begin, N * sizeof(Symbol)},
-      {SecTarget, T.Targets.data() + Begin, N * sizeof(ObjRepr)},
-      {SecValue, T.Values.data() + Begin, N * sizeof(ValueRepr)},
-      {SecArgsBegin, T.ArgsBegins.data() + Begin, N * sizeof(uint32_t)},
-      {SecArgsEnd, T.ArgsEnds.data() + Begin, N * sizeof(uint32_t)},
-      {SecChildTid, T.ChildTids.data() + Begin, N * sizeof(uint32_t)},
-      {SecProv, T.Provs.data() + Begin, N * sizeof(uint32_t)},
+      {SecTid, T.Tids.data(), N * sizeof(uint32_t)},
+      {SecMethod, T.Methods.data(), N * sizeof(Symbol)},
+      {SecSelf, T.Selfs.data(), N * sizeof(ObjRepr)},
+      {SecKind, T.Kinds.data(), N * sizeof(uint8_t)},
+      {SecEvName, T.Names.data(), N * sizeof(Symbol)},
+      {SecTarget, T.Targets.data(), N * sizeof(ObjRepr)},
+      {SecValue, T.Values.data(), N * sizeof(ValueRepr)},
+      {SecArgsBegin, T.ArgsBegins.data(), N * sizeof(uint32_t)},
+      {SecArgsEnd, T.ArgsEnds.data(), N * sizeof(uint32_t)},
+      {SecChildTid, T.ChildTids.data(), N * sizeof(uint32_t)},
+      {SecProv, T.Provs.data(), N * sizeof(uint32_t)},
   };
   if (WithFps)
-    Sections.push_back({SecFp, T.Fps.data() + Begin, N * sizeof(uint64_t)});
+    Sections.push_back({SecFp, T.Fps.data(), N * sizeof(uint64_t)});
   if (Idx) {
     Sections.push_back(
         {SecViewMeta, ViewMetaBuf.Out.data(), ViewMetaBuf.Out.size()});
@@ -603,7 +394,7 @@ IoStatus loadFileBytesOnce(const std::string &Path, FileBytes &Out) {
   if (Got != FileSize || FaultInjector::fire(FaultSite::FileRead))
     return IoStatus::Error; // Real or injected short read.
   // Injected in-flight bit flip: must be caught downstream by the section
-  // checksums (v3) or the structural validation (legacy), never crash.
+  // checksums, never crash.
   FaultInjector::corruptByte(FaultSite::FileRead, Arena.get(), FileSize);
   Out.Holder = std::move(Arena);
   Out.Data = static_cast<const uint8_t *>(Out.Holder.get());
@@ -1641,7 +1432,7 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path,
     if (std::strcmp(Fmt, "v4") == 0)
       return writeTraceSegmented(T, Path, DefaultSegmentEntries,
                                  WithViewIndex);
-  return writeTraceV3Impl(T, Path, 0, T.size(), WithViewIndex);
+  return writeTraceV3Impl(T, Path, WithViewIndex);
 }
 
 // --- v4 segmented writer --------------------------------------------------
@@ -1909,13 +1700,6 @@ bool rprism::writeTraceSegmented(const Trace &T, const std::string &Path,
   return W.finalize();
 }
 
-bool rprism::writeTraceLegacy(const Trace &T, const std::string &Path,
-                              uint32_t Version) {
-  if (Version < MinTraceVersion || Version > MaxLegacyVersion)
-    return false;
-  return writeTraceLegacyImpl(T, Path, Version);
-}
-
 Expected<Trace> rprism::readTrace(const std::string &Path,
                                   std::shared_ptr<StringInterner> Strings) {
   return readTrace(Path, std::move(Strings), ReadOptions{});
@@ -1929,9 +1713,8 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
     Strings = std::make_shared<StringInterner>();
 
   // One load of the file bytes serves the format dispatch and both
-  // readers; the legacy stream reader parses the same arena/mapping the
-  // v3 reader borrows from, so retry and fault-injection behavior is
-  // uniform across formats.
+  // readers, so retry and fault-injection behavior is uniform across
+  // formats.
   FileBytes File;
   IoStatus Status = loadFileBytes(Path, File);
   if (Status == IoStatus::NotFound)
@@ -1949,18 +1732,13 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
   uint32_t Version = 0;
   if (File.Size >= 8)
     std::memcpy(&Version, File.Data + 4, 4);
-  if (Version < MinTraceVersion || Version > SegTraceVersion)
+  if (Version != TraceVersion && Version != SegTraceVersion)
     return TraceError::unsupportedVersion(Path, Version);
 
-  Expected<Trace> Result = [&]() -> Expected<Trace> {
-    if (Version <= MaxLegacyVersion) {
-      ByteCursor R(File.Data + 8, File.Size - 8);
-      return readTraceLegacy(R, Path, std::move(Strings), Options);
-    }
-    if (Version == SegTraceVersion)
-      return readTraceV4(Path, File, std::move(Strings), Options);
-    return readTraceV3(Path, File, std::move(Strings), Options);
-  }();
+  Expected<Trace> Result =
+      Version == SegTraceVersion
+          ? readTraceV4(Path, File, std::move(Strings), Options)
+          : readTraceV3(Path, File, std::move(Strings), Options);
   if (Result)
     Telemetry::counterAdd("trace.entries_loaded", Result->size());
   return Result;
@@ -1979,6 +1757,8 @@ Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
   std::memcpy(Head, File.Data, sizeof(Head));
   if (Head[0] != TraceMagic)
     return TraceError::notATrace(Path);
+  if (Head[1] != TraceVersion && Head[1] != SegTraceVersion)
+    return TraceError::unsupportedVersion(Path, Head[1]);
   if (Head[1] == TraceVersion && File.Size >= HeaderBytes) {
     // v3: the section table already carries a checksum per payload, so
     // hashing header + table covers the whole content without touching
@@ -2014,61 +1794,9 @@ Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
                                    static_cast<size_t>(FooterBytes)),
                          File.Size);
   }
-  // Legacy stream formats (or a malformed v3 header, which the full read
-  // will reject anyway): hash the entire file.
+  // A malformed v3 header or a damaged v4 footer, which the full read will
+  // reject anyway: hash the entire file.
   return hashCombine(hashBytes(File.Data, File.Size), File.Size);
-}
-
-unsigned rprism::writeTraceSegments(const Trace &T,
-                                    const std::string &BasePath,
-                                    size_t MaxEntries) {
-  if (MaxEntries == 0)
-    return 0;
-  unsigned NumSegments = 0;
-  for (size_t Begin = 0; Begin < T.size() || NumSegments == 0;
-       Begin += MaxEntries) {
-    size_t End = Begin + MaxEntries;
-    if (End > T.size())
-      End = T.size();
-    char Suffix[16];
-    std::snprintf(Suffix, sizeof(Suffix), ".seg%03u", NumSegments);
-    if (!writeTraceV3Impl(T, BasePath + Suffix, Begin, End,
-                          /*WithViewIndex=*/true))
-      return 0;
-    ++NumSegments;
-    if (End == T.size())
-      break;
-  }
-  return NumSegments;
-}
-
-Expected<Trace>
-rprism::readTraceSegments(const std::string &BasePath, unsigned NumSegments,
-                          std::shared_ptr<StringInterner> Strings) {
-  if (NumSegments == 0)
-    return makeErr("no segments to read");
-  if (!Strings)
-    Strings = std::make_shared<StringInterner>();
-
-  Trace Out;
-  for (unsigned I = 0; I != NumSegments; ++I) {
-    char Suffix[16];
-    std::snprintf(Suffix, sizeof(Suffix), ".seg%03u", I);
-    Expected<Trace> Segment = readTrace(BasePath + Suffix, Strings);
-    if (!Segment) {
-      Err E = Segment.error();
-      return std::move(E).note("while reading segment " + std::to_string(I));
-    }
-    if (I == 0) {
-      Out = Segment.take();
-      continue;
-    }
-    // Entries append directly: the side tables (arg pool, threads, strings)
-    // were written whole into every segment, so indices stay valid.
-    Out.appendEntriesFrom(*Segment);
-    Out.HasFingerprints = Out.HasFingerprints && Segment->HasFingerprints;
-  }
-  return Out;
 }
 
 std::string rprism::dumpTrace(const Trace &T) {

@@ -1,4 +1,4 @@
-//===- trace/Serialize.h - Trace (de)serialization and segmentation -------===//
+//===- trace/Serialize.h - Trace (de)serialization ------------------------===//
 //
 // Part of the RPrism/C++ reproduction of "Semantics-Aware Trace Analysis"
 // (Hoffman, Eugster, Jagannathan; PLDI 2009).
@@ -8,10 +8,10 @@
 /// \file
 /// Binary serialization of traces. RPRISM collects traces online but
 /// analyzes them offline "after the trace data has been serialized to disk"
-/// (§5), using *trace segmentation* to bound tracing memory: a long trace is
-/// offloaded in segments and the in-memory buffer reclaimed. This module
-/// provides the equivalent: whole-trace write/read plus a segmented writer
-/// that emits numbered segment files and a reader that reassembles them.
+/// (§5), using *trace segmentation* to offload a long trace in pieces. This
+/// module provides one reader for two formats: whole-trace v3 files and
+/// segmented v4 files, whose segments live in one file and can be sealed
+/// while a run is still recording.
 ///
 /// Format v3 (the default) is a sectioned, length-prefixed layout whose
 /// payloads are the columnar Trace's columns written verbatim: a header,
@@ -26,8 +26,9 @@
 ///
 /// Symbols are file-local on disk; readers re-intern through the supplied
 /// StringInterner, so traces written by different runs can be loaded into
-/// one shared interner for differencing. v1/v2 stream-format files still
-/// load through the legacy reader.
+/// one shared interner for differencing. Files of any other version
+/// (including the retired v1/v2 stream formats) are refused with
+/// `trace.version`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -110,12 +111,6 @@ bool writeTraceSegmented(const Trace &T, const std::string &Path,
                          size_t SegmentEntries = DefaultSegmentEntries,
                          bool WithViewIndex = true);
 
-/// Writes \p T in a historical stream format (\p Version must be 1 or 2;
-/// both share one layout). Kept so cross-format determinism and
-/// back-compat tests can generate genuine old-format files.
-bool writeTraceLegacy(const Trace &T, const std::string &Path,
-                      uint32_t Version);
-
 /// What actually happened during a read — filled in when ReadOptions
 /// carries a Report pointer. Degradations are also counted process-wide
 /// (`robust.view_index_dropped`, `robust.salvage.*`, `robust.io_retry`).
@@ -138,8 +133,9 @@ struct TraceReadReport {
 struct ReadOptions {
   /// Recover the valid entry prefix of a damaged file instead of failing:
   /// v3 files keep every fully-checksummed leading column range (side
-  /// tables must be intact), legacy files keep the entries that parsed
-  /// before the damage. Off by default — strict reads reject damage.
+  /// tables must be intact), v4 files drop only the damaged segments (and
+  /// the suffix after side-table damage). Off by default — strict reads
+  /// reject damage.
   bool Salvage = false;
   /// Optional out-param describing degradations taken.
   TraceReadReport *Report = nullptr;
@@ -158,24 +154,12 @@ Expected<Trace> readTrace(const std::string &Path,
                           std::shared_ptr<StringInterner> Strings,
                           const ReadOptions &Options);
 
-/// Splits \p T into segments of at most \p MaxEntries entries and writes
-/// them as "<BasePath>.segNNN". Returns the number of segments written, or
-/// 0 on failure. Argument-pool and thread-table slices are rewritten
-/// per-segment so each segment is a self-contained Trace.
-unsigned writeTraceSegments(const Trace &T, const std::string &BasePath,
-                            size_t MaxEntries);
-
-/// Reassembles segments written by writeTraceSegments. Entry ids are
-/// preserved; the result compares equal to the original trace.
-Expected<Trace> readTraceSegments(const std::string &BasePath,
-                                  unsigned NumSegments,
-                                  std::shared_ptr<StringInterner> Strings);
-
 /// Content digest of a trace file, for cache keying (DiffCache): two
 /// paths with equal digests hold the same trace bytes. For v3 files this
 /// hashes only the header and section table (whose records embed each
-/// payload's checksum); legacy files hash in full. Errors on unreadable
-/// or non-trace files.
+/// payload's checksum), for v4 files the header and footer directory;
+/// a file whose table or footer is damaged hashes in full. Errors on
+/// unreadable, non-trace, or unsupported-version files.
 Expected<uint64_t> traceFileDigest(const std::string &Path);
 
 /// Renders the whole trace as text, one entry per line (debugging aid and

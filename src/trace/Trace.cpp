@@ -62,24 +62,6 @@ void Trace::append(const TraceEntry &Entry) {
   Fps.push_back(Entry.Fp);
 }
 
-void Trace::appendEntriesFrom(const Trace &Other) {
-  if (ViewIdx.Present)
-    ViewIdx.clear();
-  Segments.clear();
-  Tids.append(Other.Tids.data(), Other.Tids.size());
-  Methods.append(Other.Methods.data(), Other.Methods.size());
-  Selfs.append(Other.Selfs.data(), Other.Selfs.size());
-  Kinds.append(Other.Kinds.data(), Other.Kinds.size());
-  Names.append(Other.Names.data(), Other.Names.size());
-  Targets.append(Other.Targets.data(), Other.Targets.size());
-  Values.append(Other.Values.data(), Other.Values.size());
-  ArgsBegins.append(Other.ArgsBegins.data(), Other.ArgsBegins.size());
-  ArgsEnds.append(Other.ArgsEnds.data(), Other.ArgsEnds.size());
-  ChildTids.append(Other.ChildTids.data(), Other.ChildTids.size());
-  Provs.append(Other.Provs.data(), Other.Provs.size());
-  Fps.append(Other.Fps.data(), Other.Fps.size());
-}
-
 void Trace::reserveEntries(size_t N) {
   Tids.reserve(N);
   Methods.reserve(N);

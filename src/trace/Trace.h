@@ -329,10 +329,6 @@ struct Trace {
   /// once at finalize time.
   void reserveEntries(size_t N);
 
-  /// Appends every entry column of \p Other (side tables are not touched;
-  /// used by segment reassembly, where segments share the side tables).
-  void appendEntriesFrom(const Trace &Other);
-
   /// Fingerprint of entry \p Eid, read from the columns. Pure function of
   /// the entry fields, the argument pool, and the thread table.
   uint64_t entryFingerprint(uint32_t Eid) const;

@@ -556,8 +556,9 @@ TEST(ViewsDiff, RunSkipMatchesEventEqualsOnGeneratedTraces) {
 }
 
 TEST(ViewsDiff, DeterministicAcrossFormatsAndJobs) {
-  // The contract pinned by this PR: byte-identical reports and identical
-  // compare-op totals for every --jobs value and every on-disk format.
+  // Byte-identical reports and identical compare-op totals for every
+  // --jobs value after a v3 round trip. v4 and mixed v3/v4 pairs are
+  // covered by SerializeV4.CrossFormatDiffDeterministicAcrossJobs.
   GeneratorOptions Base;
   Base.OuterIters = 60;
   Base.NumThreads = 3;
@@ -573,39 +574,30 @@ TEST(ViewsDiff, DeterministicAcrossFormatsAndJobs) {
   ASSERT_GT(Ref.numDiffs(), 0u);
   const std::string RefRender = Ref.render(50, 12);
 
-  for (unsigned Version : {1u, 2u, 3u}) {
-    std::string LPath = diffTempPath("L_v" + std::to_string(Version));
-    std::string RPath = diffTempPath("R_v" + std::to_string(Version));
-    if (Version == 3) {
-      ASSERT_TRUE(writeTrace(L, LPath));
-      ASSERT_TRUE(writeTrace(R, RPath));
-    } else {
-      ASSERT_TRUE(writeTraceLegacy(L, LPath, Version));
-      ASSERT_TRUE(writeTraceLegacy(R, RPath, Version));
-    }
-    // Loading both sides into one fresh interner: the left trace re-interns
-    // in order (the v3 zero-copy identity path), the right one lands on the
-    // remap path — both must still diff identically to the in-memory pair.
-    auto Shared = std::make_shared<StringInterner>();
-    Expected<Trace> LLoaded = readTrace(LPath, Shared);
-    Expected<Trace> RLoaded = readTrace(RPath, Shared);
-    ASSERT_TRUE(bool(LLoaded)) << LLoaded.error().render();
-    ASSERT_TRUE(bool(RLoaded)) << RLoaded.error().render();
-    EXPECT_TRUE(LLoaded->HasFingerprints);
-    EXPECT_TRUE(RLoaded->HasFingerprints);
-    for (unsigned Jobs : {1u, 4u, 0u}) {
-      ViewsDiffOptions Options;
-      Options.Jobs = Jobs;
-      Options.ParallelCutoffEntries = 0;
-      DiffResult Out = viewsDiff(*LLoaded, *RLoaded, Options);
-      EXPECT_EQ(Out.render(50, 12), RefRender)
-          << "v" << Version << " jobs " << Jobs;
-      EXPECT_EQ(Out.Stats.CompareOps, Ref.Stats.CompareOps)
-          << "v" << Version << " jobs " << Jobs;
-    }
-    std::remove(LPath.c_str());
-    std::remove(RPath.c_str());
+  std::string LPath = diffTempPath("L_v3");
+  std::string RPath = diffTempPath("R_v3");
+  ASSERT_TRUE(writeTrace(L, LPath));
+  ASSERT_TRUE(writeTrace(R, RPath));
+  // Loading both sides into one fresh interner: the left trace re-interns
+  // in order (the v3 zero-copy identity path), the right one lands on the
+  // remap path — both must still diff identically to the in-memory pair.
+  auto Shared = std::make_shared<StringInterner>();
+  Expected<Trace> LLoaded = readTrace(LPath, Shared);
+  Expected<Trace> RLoaded = readTrace(RPath, Shared);
+  ASSERT_TRUE(bool(LLoaded)) << LLoaded.error().render();
+  ASSERT_TRUE(bool(RLoaded)) << RLoaded.error().render();
+  EXPECT_TRUE(LLoaded->HasFingerprints);
+  EXPECT_TRUE(RLoaded->HasFingerprints);
+  for (unsigned Jobs : {1u, 4u, 0u}) {
+    ViewsDiffOptions Options;
+    Options.Jobs = Jobs;
+    Options.ParallelCutoffEntries = 0;
+    DiffResult Out = viewsDiff(*LLoaded, *RLoaded, Options);
+    EXPECT_EQ(Out.render(50, 12), RefRender) << "jobs " << Jobs;
+    EXPECT_EQ(Out.Stats.CompareOps, Ref.Stats.CompareOps) << "jobs " << Jobs;
   }
+  std::remove(LPath.c_str());
+  std::remove(RPath.c_str());
 }
 
 } // namespace

@@ -1,4 +1,4 @@
-//===- tests/NWayDiffTest.cpp - SIMD tiers & 1-vs-N variational diff ------===//
+//===- tests/NWayDiffTest.cpp - Lane kernels & 1-vs-N variational diff ---===//
 //
 // Part of the RPrism/C++ reproduction of "Semantics-Aware Trace Analysis"
 // (Hoffman, Eugster, Jagannathan; PLDI 2009).
@@ -8,10 +8,11 @@
 /// \file
 /// Two contracts under test:
 ///
-///   1. Every SIMD tier of the lane kernels (laneMatchRun, laneMismatchRun,
-///      lanesEqual) returns bit-identical results to the scalar oracle, on
-///      randomized lanes at unaligned offsets and awkward lengths (0, 1,
-///      one-past-a-block, tails).
+///   1. The lane kernels (laneMatchRun, laneMismatchRun, lanesEqual) agree
+///      with a plain element-by-element loop, on randomized lanes at
+///      unaligned offsets and awkward lengths (0, 1, either side of the
+///      8-element block of laneMatchRun, tails), and with one flipped
+///      element at every position.
 ///
 ///   2. nwayDiff is pure amortization: per-mutant reports are byte-identical
 ///      to the pairwise viewsDiff and compare-op totals match exactly, with
@@ -22,7 +23,7 @@
 #include "cache/DiffCache.h"
 #include "diff/NWayDiff.h"
 #include "diff/ViewsDiff.h"
-#include "support/SimdDispatch.h"
+#include "support/LaneScan.h"
 #include "workload/Corpus.h"
 #include "workload/Mutator.h"
 
@@ -43,18 +44,19 @@ uint64_t nextRand(uint64_t &State) {
   return X ^ (X >> 31);
 }
 
-/// The tiers above scalar the host can run (SSE2 on any x86-64; AVX2 when
-/// the CPU reports it).
-std::vector<SimdTier> vectorTiers() {
-  std::vector<SimdTier> Tiers;
-  for (SimdTier T : {SimdTier::Sse2, SimdTier::Avx2})
-    if (simdTierSupported(T))
-      Tiers.push_back(T);
-  return Tiers;
+/// Reference: the first index in [0, Len) where (A[K] == B[K]) != Equal,
+/// or Len — the equal prefix for Equal = true, the unequal one otherwise.
+size_t referenceRun(const uint64_t *A, const uint64_t *B, size_t Len,
+                    bool Equal) {
+  size_t K = 0;
+  while (K != Len && (A[K] == B[K]) == Equal)
+    ++K;
+  return K;
 }
 
-/// Lengths that straddle every kernel block boundary: empty, single,
-/// 16/32-byte block edges (2 and 4 uint64s), and tails past them.
+/// Lengths that straddle the kernel's block boundary: empty, single, one
+/// short of / exactly / one past the 8-element block and its multiples,
+/// and tails past them.
 const size_t AwkwardLengths[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,
                                  15, 16, 17, 31, 32, 33, 63, 64, 65,
                                  100, 127, 128, 129, 256};
@@ -62,12 +64,11 @@ const size_t AwkwardLengths[] = {0,  1,  2,  3,  4,  5,  7,  8,  9,
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// SIMD tier equivalence (scalar is the oracle)
+// Lane kernels vs an element-by-element reference
 //===----------------------------------------------------------------------===//
 
-TEST(SimdDispatch, MatchRunAllTiersEqualScalar) {
+TEST(LaneScan, MatchRunEqualsReference) {
   uint64_t Rng = 0xfeedface;
-  std::vector<SimdTier> Tiers = vectorTiers();
   // Backing buffers with slack so every offset 0..3 stays in bounds.
   std::vector<uint64_t> A(300), B(300);
   for (size_t Round = 0; Round != 50; ++Round) {
@@ -80,18 +81,15 @@ TEST(SimdDispatch, MatchRunAllTiersEqualScalar) {
       for (size_t Len : AwkwardLengths) {
         const uint64_t *PA = A.data() + Offset;
         const uint64_t *PB = B.data() + Offset;
-        size_t Want = laneMatchRun(SimdTier::Scalar, PA, PB, Len);
-        for (SimdTier T : Tiers)
-          ASSERT_EQ(laneMatchRun(T, PA, PB, Len), Want)
-              << simdTierName(T) << " len " << Len << " off " << Offset;
+        ASSERT_EQ(laneMatchRun(PA, PB, Len), referenceRun(PA, PB, Len, true))
+            << "len " << Len << " off " << Offset;
       }
     }
   }
 }
 
-TEST(SimdDispatch, MismatchRunAllTiersEqualScalar) {
+TEST(LaneScan, MismatchRunEqualsReference) {
   uint64_t Rng = 0xdeadbeef;
-  std::vector<SimdTier> Tiers = vectorTiers();
   std::vector<uint64_t> A(300), B(300);
   for (size_t Round = 0; Round != 50; ++Round) {
     for (size_t I = 0; I != A.size(); ++I) {
@@ -103,58 +101,36 @@ TEST(SimdDispatch, MismatchRunAllTiersEqualScalar) {
       for (size_t Len : AwkwardLengths) {
         const uint64_t *PA = A.data() + Offset;
         const uint64_t *PB = B.data() + Offset;
-        size_t Want = laneMismatchRun(SimdTier::Scalar, PA, PB, Len);
-        for (SimdTier T : Tiers)
-          ASSERT_EQ(laneMismatchRun(T, PA, PB, Len), Want)
-              << simdTierName(T) << " len " << Len << " off " << Offset;
+        ASSERT_EQ(laneMismatchRun(PA, PB, Len),
+                  referenceRun(PA, PB, Len, false))
+            << "len " << Len << " off " << Offset;
       }
     }
   }
 }
 
-TEST(SimdDispatch, LanesEqualAllTiersEqualScalar) {
+TEST(LaneScan, LanesEqualEqualsReferenceAtEveryFlip) {
   uint64_t Rng = 0xabad1dea;
-  std::vector<SimdTier> Tiers = vectorTiers();
   for (size_t Len : AwkwardLengths) {
     std::vector<uint64_t> A(Len ? Len : 1), B;
     for (uint64_t &V : A)
       V = nextRand(Rng);
     B = A;
     // Equal case, then a single flipped element at each position (first,
-    // last, every block edge in between).
-    EXPECT_TRUE(lanesEqual(SimdTier::Scalar, A.data(), B.data(), Len));
-    for (SimdTier T : Tiers)
-      EXPECT_TRUE(lanesEqual(T, A.data(), B.data(), Len));
+    // last, every block edge in between): lanesEqual must say no, and the
+    // match run must stop exactly at the flip.
+    EXPECT_TRUE(lanesEqual(A.data(), B.data(), Len));
+    EXPECT_EQ(laneMatchRun(A.data(), B.data(), Len), Len);
     for (size_t Flip = 0; Flip < Len; ++Flip) {
       B[Flip] ^= 1;
-      bool Want = lanesEqual(SimdTier::Scalar, A.data(), B.data(), Len);
-      EXPECT_FALSE(Want);
-      for (SimdTier T : Tiers)
-        ASSERT_EQ(lanesEqual(T, A.data(), B.data(), Len), Want)
-            << simdTierName(T) << " len " << Len << " flip " << Flip;
+      const uint64_t *PA = A.data(), *PB = B.data();
+      ASSERT_EQ(lanesEqual(PA, PB, Len), referenceRun(PA, PB, Len, true) == Len)
+          << "len " << Len << " flip " << Flip;
+      ASSERT_EQ(laneMatchRun(PA, PB, Len), Flip)
+          << "len " << Len << " flip " << Flip;
       B[Flip] ^= 1;
     }
   }
-}
-
-TEST(SimdDispatch, DispatchedFormsMatchScalar) {
-  // The production entry points (function-pointer dispatch, honoring
-  // RPRISM_NO_SIMD) agree with an explicit scalar call.
-  uint64_t Rng = 0x5eed;
-  std::vector<uint64_t> A(128), B(128);
-  for (size_t I = 0; I != A.size(); ++I) {
-    A[I] = nextRand(Rng);
-    B[I] = (I % 3 == 0) ? nextRand(Rng) : A[I];
-  }
-  EXPECT_EQ(laneMatchRun(A.data(), B.data(), A.size()),
-            laneMatchRun(SimdTier::Scalar, A.data(), B.data(), A.size()));
-  EXPECT_EQ(laneMismatchRun(A.data(), B.data(), A.size()),
-            laneMismatchRun(SimdTier::Scalar, A.data(), B.data(), A.size()));
-  EXPECT_EQ(lanesEqual(A.data(), B.data(), A.size()),
-            lanesEqual(SimdTier::Scalar, A.data(), B.data(), A.size()));
-  EXPECT_TRUE(simdTierSupported(SimdTier::Scalar));
-  EXPECT_TRUE(simdTierSupported(activeSimdTier()));
-  EXPECT_STREQ(simdTierName(SimdTier::Scalar), "scalar");
 }
 
 //===----------------------------------------------------------------------===//

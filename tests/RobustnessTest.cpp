@@ -18,7 +18,7 @@
 ///      cache-insert fallback, pool-dispatch stalls — each leaves results
 ///      correct and increments its `robust.*` counter.
 ///   4. Salvage mode recovers a byte-identical entry prefix from damaged
-///      v3 and legacy files, and refuses when the side tables are gone.
+///      v3 files, and refuses when the side tables are gone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -512,45 +512,6 @@ TEST(Salvage, TruncatedV3RecoversByteIdenticalPrefix) {
   EXPECT_GE(W.counter("robust.salvage.dropped_entries"), 1u);
   std::remove(Base.c_str());
   std::remove(CutPath.c_str());
-}
-
-TEST(Salvage, TruncatedLegacyRecoversEntryPrefix) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  ASSERT_GT(T.size(), 50u);
-  std::string Base = tempPath("salvage_legacy");
-  ASSERT_TRUE(writeTraceLegacy(T, Base, /*Version=*/1));
-  std::vector<uint8_t> Good = readAll(Base);
-  std::string Cut = tempPath("salvage_legacy_cut");
-
-  bool SawSalvage = false;
-  for (double Frac : {0.95, 0.9, 0.8, 0.7}) {
-    std::vector<uint8_t> Bytes = Good;
-    Bytes.resize(static_cast<size_t>(Bytes.size() * Frac));
-    writeAll(Cut, Bytes);
-    SCOPED_TRACE("fraction " + std::to_string(Frac));
-
-    ASSERT_FALSE(bool(readTrace(Cut, Strings)))
-        << "legacy cut inside the entry stream must fail strict reads";
-    TraceReadReport Report;
-    ReadOptions Options;
-    Options.Salvage = true;
-    Options.Report = &Report;
-    Expected<Trace> Salvaged = readTrace(Cut, Strings, Options);
-    if (!Salvaged) {
-      // The cut reached the side tables; nothing to salvage.
-      EXPECT_EQ(Salvaged.error().Code, "trace.truncated");
-      continue;
-    }
-    EXPECT_TRUE(Report.Salvaged);
-    EXPECT_LT(Salvaged->size(), T.size());
-    for (uint32_t I = 0; I != Salvaged->size(); ++I)
-      ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
-    SawSalvage = true;
-  }
-  EXPECT_TRUE(SawSalvage);
-  std::remove(Base.c_str());
-  std::remove(Cut.c_str());
 }
 
 TEST(Salvage, DamagedSideTableIsUnsalvageable) {

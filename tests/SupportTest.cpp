@@ -221,6 +221,30 @@ TEST(Histogram, PrintShowsCountsAndBars) {
   EXPECT_NE(OS.str().find("2 ##"), std::string::npos);
 }
 
+TEST(Histogram, PrintScalesLargeBucketsToFixedWidth) {
+  Histogram H({1.0, 2.0, 3.0}, {"one", "two", "three"});
+  for (unsigned I = 0; I != 195000; ++I)
+    H.add(0.5);
+  H.add(1.5);
+  std::ostringstream OS;
+  H.print(OS, "title");
+  std::istringstream Lines(OS.str());
+  std::string Line;
+  std::vector<std::string> Rows;
+  while (std::getline(Lines, Line)) {
+    EXPECT_LT(Line.size(), 200u) << Line.substr(0, 80);
+    Rows.push_back(Line);
+  }
+  ASSERT_EQ(Rows.size(), 4u);
+  // The exact count is printed; the largest bar is MaxBarWidth wide, a
+  // one-count bucket still shows one '#', and an empty bucket none.
+  EXPECT_NE(Rows[1].find("| 195000 " +
+                         std::string(Histogram::MaxBarWidth, '#')),
+            std::string::npos);
+  EXPECT_NE(Rows[2].find("| 1 #"), std::string::npos);
+  EXPECT_EQ(Rows[3].find('#'), std::string::npos);
+}
+
 //===----------------------------------------------------------------------===//
 // TablePrinter
 //===----------------------------------------------------------------------===//

@@ -294,22 +294,35 @@ TEST(Serialize, V3ColumnsLoadByteIdenticalAndZeroCopy) {
   std::remove(Path.c_str());
 }
 
-TEST(Serialize, LegacyV1AndV2LoadAndRefingerprint) {
+TEST(Serialize, RefusesUnsupportedVersions) {
   Trace T = traceOf(R"(
     class A { Int x; A(Int x) { this.x = x; }
       Int bump() { this.x = this.x + 1; return this.x; } }
     main { var a = new A(3); a.bump(); spawn a.bump(); print(a.x); }
   )");
-  for (uint32_t Version : {1u, 2u}) {
-    std::string Path = tempPath("legacy_v" + std::to_string(Version));
-    ASSERT_TRUE(writeTraceLegacy(T, Path, Version));
-    Expected<Trace> Loaded = readTrace(Path, nullptr);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    expectTracesEqual(T, *Loaded);
-    // Legacy files carry no fingerprint column; the loader recomputes.
-    EXPECT_TRUE(Loaded->HasFingerprints);
-    for (uint32_t Eid = 0; Eid != Loaded->size(); ++Eid)
-      EXPECT_EQ(Loaded->fp(Eid), Loaded->entryFingerprint(Eid));
+  // Bytes 4-7 hold the version in both formats. The retired v1/v2 stream
+  // formats and any future version must be refused up front with the typed
+  // version error, whatever the rest of the file looks like. (writeTrace
+  // writes v3 here, and v4 under the trace_test_v4 ctest leg.)
+  std::string V3Path = tempPath("version_v3");
+  std::string V4Path = tempPath("version_v4");
+  ASSERT_TRUE(writeTrace(T, V3Path));
+  ASSERT_TRUE(writeTraceSegmented(T, V4Path, 8));
+  for (const std::string &Path : {V3Path, V4Path}) {
+    for (uint32_t Version : {1u, 2u, 5u}) {
+      std::FILE *F = std::fopen(Path.c_str(), "rb+");
+      ASSERT_TRUE(F != nullptr);
+      std::fseek(F, 4, SEEK_SET);
+      std::fwrite(&Version, sizeof(Version), 1, F);
+      std::fclose(F);
+      Expected<Trace> Loaded = readTrace(Path, nullptr);
+      ASSERT_FALSE(bool(Loaded)) << Path << " version " << Version;
+      EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt);
+      EXPECT_EQ(Loaded.error().Code, "trace.version");
+      Expected<uint64_t> Digest = traceFileDigest(Path);
+      ASSERT_FALSE(bool(Digest)) << Path << " version " << Version;
+      EXPECT_EQ(Digest.error().Code, "trace.version");
+    }
     std::remove(Path.c_str());
   }
 }
@@ -326,27 +339,6 @@ TEST(Serialize, ReloadedTraceDiffsCleanAgainstLive) {
   ASSERT_TRUE(bool(Loaded));
   EXPECT_EQ(viewsDiff(T, *Loaded).numDiffs(), 0u);
   std::remove(Path.c_str());
-}
-
-TEST(Serialize, SegmentationReassemblesExactly) {
-  GeneratorOptions Options;
-  Options.OuterIters = 20;
-  Trace T = traceOf(generateProgram(Options));
-  ASSERT_GT(T.size(), 300u);
-
-  std::string Base = tempPath("segments");
-  for (size_t SegmentSize : {1ul, 7ul, 100ul, 100000ul}) {
-    unsigned N = writeTraceSegments(T, Base, SegmentSize);
-    ASSERT_GT(N, 0u) << "segment size " << SegmentSize;
-    Expected<Trace> Loaded = readTraceSegments(Base, N, nullptr);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    expectTracesEqual(T, *Loaded);
-    for (unsigned I = 0; I != N; ++I) {
-      char Suffix[16];
-      std::snprintf(Suffix, sizeof(Suffix), ".seg%03u", I);
-      std::remove((Base + Suffix).c_str());
-    }
-  }
 }
 
 TEST(Serialize, RejectsMissingAndCorruptFiles) {

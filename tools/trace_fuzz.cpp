@@ -8,8 +8,8 @@
 /// \file
 /// Deterministic corruption fuzzer for the trace readers. Writes a small
 /// corpus of base traces (empty, single-entry, generated workloads) in
-/// every on-disk format (v1, v2, v3 with and without view index, and
-/// segmented v4 at two granularities), then applies seeded mutations —
+/// every on-disk format (v3 with and without view index, and segmented
+/// v4 at two granularities), then applies seeded mutations —
 /// truncation, bit flips, byte overwrites, section-table and header
 /// tampering, zeroed ranges, appended garbage, plus the v4 boundary
 /// structures: trailer fields, footer-directory records, and segment
@@ -289,12 +289,6 @@ int main(int Argc, char **Argv) {
     auto WriteV3Plain = [](const Trace &T, const std::string &P) {
       return writeTrace(T, P, /*WithViewIndex=*/false);
     };
-    auto WriteV1 = [](const Trace &T, const std::string &P) {
-      return writeTraceLegacy(T, P, 1);
-    };
-    auto WriteV2 = [](const Trace &T, const std::string &P) {
-      return writeTraceLegacy(T, P, 2);
-    };
     // Segmented v4 at two granularities: many small segments stress the
     // per-segment framing, one big segment stresses the degenerate path.
     auto WriteV4Small = [](const Trace &T, const std::string &P) {
@@ -304,8 +298,8 @@ int main(int Argc, char **Argv) {
       return writeTraceSegmented(T, P, /*SegmentEntries=*/100000,
                                  /*WithViewIndex=*/false);
     };
-    for (auto *Write : {+WriteV3Index, +WriteV3Plain, +WriteV1, +WriteV2,
-                        +WriteV4Small, +WriteV4Big}) {
+    for (auto *Write :
+         {+WriteV3Index, +WriteV3Plain, +WriteV4Small, +WriteV4Big}) {
       if (!Write(Corpus[I], Path)) {
         std::fprintf(stderr, "fatal: cannot write base trace %zu\n", I);
         return 1;
