@@ -23,7 +23,7 @@
 
 namespace rprism {
 
-/// FNV-1a offset basis; the seed for all byte-wise hashes.
+/// FNV-1a offset basis; the seed for all FNV-1a and combined hashes.
 inline constexpr uint64_t HashInit = 0xcbf29ce484222325ULL;
 
 /// Mixes a 64-bit value into a running hash using the splitmix64 finalizer.
@@ -47,6 +47,16 @@ uint64_t hashBytes(const void *Data, size_t Size, uint64_t Seed = HashInit);
 inline uint64_t hashString(std::string_view Str, uint64_t Seed = HashInit) {
   return hashBytes(Str.data(), Str.size(), Seed);
 }
+
+/// Word-wise checksum of a byte range, for bulk payloads (trace file
+/// sections, segment digests). Four independent 64-bit lanes consume
+/// 32-byte blocks with xxHash64-style multiply-rotate-multiply rounds;
+/// the tail words and the length fold into a final hashMix avalanche.
+/// An order of magnitude faster than byte-serial hashBytes on bulk data
+/// (docs/PERFORMANCE.md, "Trace checksums"), accepts any alignment, and
+/// is part of the trace file format: its values must never change
+/// (SupportTest pins known answers).
+uint64_t checksumBytes(const void *Data, size_t Size);
 
 /// Hashes a double by its bit pattern (so 1.0 hashes identically on every
 /// run; NaNs with the same payload collide, which is fine for trace

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
@@ -32,25 +33,30 @@ using namespace rprism;
 namespace {
 
 constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
-// Version history:
+// Version history. The layouts keep their names (v3 columnar, v4
+// segmented) across version-field bumps; only 5 and 6 are read.
 //   1, 2 — retired per-entry stream formats; refused as trace.version.
-//   3 — sectioned columnar layout (see Serialize.h): header + section
-//       table + 8-byte-aligned column payloads written verbatim, with
-//       per-section FNV-1a checksums. Fingerprints *are* stored (their own
-//       column section, flagged in the header) and load zero-copy when
-//       symbol identity holds.
-//   4 — segmented layout: a 32-byte file header, then fixed-entry-count
-//       segments each framed like a miniature v3 file (segment header +
-//       section table + aligned payloads, per-section checksums) and
-//       carrying *deltas* of the side tables (strings/threads newly seen
-//       since the previous segment, the argument-pool slice its entries
-//       reference) plus a view-index delta, closed by a footer segment
-//       directory and a fixed trailer. Independent per-segment checksums
-//       are the point: damage confined to one segment's entry columns
-//       costs exactly that segment under --salvage, and a recorder can
-//       seal segments while still appending (the side tables only grow).
-constexpr uint32_t TraceVersion = 3;
-constexpr uint32_t SegTraceVersion = 4;
+//   3 — the v3 sectioned columnar layout (see Serialize.h): header +
+//       section table + 8-byte-aligned column payloads written verbatim,
+//       with per-section FNV-1a checksums. Fingerprints *are* stored (their
+//       own column section, flagged in the header) and load zero-copy when
+//       symbol identity holds. Refused as trace.version.
+//   4 — the v4 segmented layout: a 32-byte file header, then
+//       fixed-entry-count segments each framed like a miniature v3 file
+//       (segment header + section table + aligned payloads, per-section
+//       checksums) and carrying *deltas* of the side tables (strings/threads
+//       newly seen since the previous segment, the argument-pool slice its
+//       entries reference) plus a view-index delta, closed by a footer
+//       segment directory and a fixed trailer. Independent per-segment
+//       checksums are the point: damage confined to one segment's entry
+//       columns costs exactly that segment under --salvage, and a recorder
+//       can seal segments while still appending (the side tables only
+//       grow). FNV-1a checksums; refused as trace.version.
+//   5 — the v3 layout with every checksum and digest computed by the
+//       word-wise checksumBytes (support/Hashing.h) instead of FNV-1a.
+//   6 — the v4 layout, likewise with checksumBytes.
+constexpr uint32_t TraceVersion = 5;
+constexpr uint32_t SegTraceVersion = 6;
 
 /// Header flag bit: the file carries a fingerprint column.
 constexpr uint32_t FlagHasFingerprints = 1u << 0;
@@ -223,6 +229,7 @@ struct SectionOut {
 
 bool writeTraceV3Impl(const Trace &T, const std::string &Path,
                       bool WithViewIndex) {
+  TelemetrySpan Span("write");
   size_t N = T.size();
   bool WithFps = T.HasFingerprints && T.Fps.size() == T.size();
 
@@ -304,6 +311,12 @@ bool writeTraceV3Impl(const Trace &T, const std::string &Path,
     Offsets[I] = Offset;
     Offset += Sections[I].Length;
   }
+  std::vector<uint64_t> Checksums(Sections.size());
+  {
+    TelemetrySpan ChecksumSpan("checksum");
+    for (size_t I = 0; I != Sections.size(); ++I)
+      Checksums[I] = checksumBytes(Sections[I].Data, Sections[I].Length);
+  }
 
   Writer W(Path);
   W.u32(TraceMagic);
@@ -315,7 +328,7 @@ bool writeTraceV3Impl(const Trace &T, const std::string &Path,
     W.u32(0); // pad
     W.u64(Offsets[I]);
     W.u64(Sections[I].Length);
-    W.u64(hashBytes(Sections[I].Data, Sections[I].Length));
+    W.u64(Checksums[I]);
   }
   uint64_t Pos = HeaderBytes + Sections.size() * SectionRecordBytes;
   for (size_t I = 0; I != Sections.size(); ++I) {
@@ -470,6 +483,11 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
   if (TableEnd > File.Size)
     return Truncated();
 
+  // One child span of `load` per reader phase; emplace closes the previous
+  // phase, and it is reset before `fingerprint` so that nests under `load`.
+  std::optional<TelemetrySpan> Phase;
+  Phase.emplace("checksum");
+
   // Parse and verify the section table: every payload in bounds, aligned,
   // unique id, and checksum-clean. After this loop the payload bytes are
   // still *untrusted values* but are safe to address. Strict reads reject
@@ -515,7 +533,7 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
     }
     uint64_t Avail = std::min(Length, File.Size - Offset);
     bool Intact = Avail == Length;
-    if (Intact && (hashBytes(File.Data + Offset, Length) != Checksum ||
+    if (Intact && (checksumBytes(File.Data + Offset, Length) != Checksum ||
                    FaultInjector::fire(FaultSite::SectionChecksum))) {
       // Checksum mismatch (real or injected): the damage can be anywhere
       // in the payload, so unlike truncation no prefix is trustworthy.
@@ -574,6 +592,7 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
     T.Name.assign(reinterpret_cast<const char *>(Sections[SecName].Data),
                   Sections[SecName].Length);
 
+  Phase.emplace("intern");
   // String table: re-intern and check for symbol identity (fresh interner,
   // or one already holding this exact table — the shared-interner diff
   // session case). The declared count is untrusted: every string costs at
@@ -619,6 +638,7 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
   if (!TC.ok())
     return Corrupt("thread");
 
+  Phase.emplace("validate");
   // Entry columns: consistent lengths, then a validation scan over the
   // untrusted values so nothing downstream needs to distrust them (enum
   // ranges, symbol ids, argument slices). ChildTid is exempt: its only
@@ -749,6 +769,7 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
     if (Options.Report)
       Options.Report->ViewIndexDropped = true;
   }
+  Phase.reset();
 
   auto BorrowAll = [&](Trace &Out) {
     Out.Tids.borrow(reinterpret_cast<const uint32_t *>(ColPtr(SecTid)), Count);
@@ -786,6 +807,7 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
     // the symbol-bearing ones, and recompute fingerprints (they hash
     // symbol ids). Borrow-then-detach keeps this a straight memcpy per
     // column; the mapping is released when File goes out of scope.
+    Phase.emplace("remap");
     T.Tids.detach();
     T.Methods.detach();
     T.Selfs.detach();
@@ -834,6 +856,7 @@ Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
     ValueRepr *Pl = T.ArgPool.mutData();
     for (size_t I = 0; I != PoolCount; ++I)
       Pl[I].Text = Map[Pl[I].Text.Id];
+    Phase.reset();
     // Stored fingerprints hash the file's symbol ids, which the remap just
     // invalidated; recompute. Counted so repeat-load pipelines can spot
     // that sharing one interner across loads would make this free.
@@ -943,7 +966,7 @@ SegSections parseSegSections(const FileBytes &File, const SegExtent &Seg) {
     uint64_t Avail = std::min(Length, RelEnd - Offset);
     bool Intact = Avail == Length;
     const uint8_t *Data = File.Data + Seg.Offset + Offset;
-    if (Intact && (hashBytes(Data, Length) != Checksum ||
+    if (Intact && (checksumBytes(Data, Length) != Checksum ||
                    FaultInjector::fire(FaultSite::SectionChecksum))) {
       if (isViewSection(Id)) {
         Out.ViewDamaged = true;
@@ -982,6 +1005,10 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
   // the sealed segments of an unfinalized or tail-truncated file.
   std::vector<SegExtent> Segs;
   bool DirValid = false;
+  // Reader phases as child spans of `load`, as in the v3 reader; `assemble`
+  // is the copy of each segment's slices into the one in-memory trace.
+  std::optional<TelemetrySpan> Phase;
+  Phase.emplace("checksum");
   [&] {
     if (File.Size < SegFileHeaderBytes + SegTrailerBytes)
       return;
@@ -998,7 +1025,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
         FooterBytes > File.Size - SegTrailerBytes - FooterOffset)
       return;
     const uint8_t *F = File.Data + FooterOffset;
-    if (hashBytes(F, static_cast<size_t>(FooterBytes)) != FooterChecksum)
+    if (checksumBytes(F, static_cast<size_t>(FooterBytes)) != FooterChecksum)
       return;
     uint32_t FMagic, FCount;
     std::memcpy(&FMagic, F, 4);
@@ -1016,8 +1043,8 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
       SegExtent E;
       if (!parseSegHeader(File, Offset, S, E) || E.BeginEid != BeginEid ||
           E.NumEntries != NumEntries ||
-          hashBytes(File.Data + Offset + SegHeaderBytes,
-                    uint64_t{E.NumSections} * SectionRecordBytes) !=
+          checksumBytes(File.Data + Offset + SegHeaderBytes,
+                        uint64_t{E.NumSections} * SectionRecordBytes) !=
               TableDigest) {
         Segs.clear();
         return;
@@ -1079,6 +1106,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
       return Corrupt("segment-header");
     DeclaredBefore += Seg.NumEntries;
 
+    Phase.emplace("checksum");
     SegSections Parsed = parseSegSections(File, Seg);
     if (!Salvage && Parsed.StrictErr)
       return Corrupt(Parsed.StrictErr);
@@ -1104,6 +1132,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
       T.Name.assign(reinterpret_cast<const char *>(Sections[SecName].Data),
                     Sections[SecName].Length);
 
+    Phase.emplace("intern");
     // Strings delta: the base must continue the assembled table exactly.
     {
       ByteCursor SC(Sections[SecStrDelta].Data, Sections[SecStrDelta].Length);
@@ -1159,6 +1188,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
       }
     }
 
+    Phase.emplace("validate");
     // Argument-pool slice: raw ValueRepr elements continuing the pool.
     {
       const SectionIn &AS = Sections[SecArgSlice];
@@ -1233,6 +1263,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
       continue;
     }
 
+    Phase.emplace("assemble");
     bool SegFps = Sections[SecFp].Present && Sections[SecFp].Intact &&
                   Sections[SecFp].Length == N * 8;
     size_t DstBegin = T.size();
@@ -1325,6 +1356,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
   // every delta survived — dropped segments compact eids, which the
   // persisted global ids no longer match).
   bool AnyDropped = SegmentsDropped != 0;
+  Phase.emplace("assemble");
   if (FileHasViewIndex && !ViewDamaged && !ViewMissing && !AnyDropped &&
       !FaultInjector::fire(FaultSite::ViewIndexBorrow)) {
     size_t Total = 0;
@@ -1346,10 +1378,12 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
   }
 
   size_t Count = T.size();
+  Phase.reset();
   if (!Identity) {
     // The interner assigned different ids: remap every symbol-bearing
     // column and the merged index's method keys, then recompute
     // fingerprints (they hash symbol ids). Mirrors the v3 reader.
+    Phase.emplace("remap");
     if (T.ViewIdx.Present) {
       uint32_t *MethodKeys = T.ViewIdx.Keys[1].mutData();
       bool Collapsed = false;
@@ -1377,6 +1411,7 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
     ValueRepr *Pl = T.ArgPool.mutData();
     for (size_t K = 0; K != PoolCount; ++K)
       Pl[K].Text = Map[Pl[K].Text.Id];
+    Phase.reset();
     Telemetry::counterAdd("load.fp_recompute", 1);
     T.computeFingerprints();
   } else if (FpsComplete && T.Fps.size() == Count) {
@@ -1398,12 +1433,13 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
   // *final* (post-remap) fingerprint lane plus the tid lane, so two traces
   // loaded through one interner expose comparable digests.
   if (DirValid && SegmentsDropped == 0) {
+    TelemetrySpan ChecksumSpan("checksum");
     T.Segments.reserve(Kept.size());
     for (const KeptRange &K : Kept) {
       size_t Len = K.End - K.Begin;
       uint64_t Digest =
-          hashCombine(hashBytes(T.Fps.data() + K.Begin, Len * 8),
-                      hashBytes(T.Tids.data() + K.Begin, Len * 4));
+          hashCombine(checksumBytes(T.Fps.data() + K.Begin, Len * 8),
+                      checksumBytes(T.Tids.data() + K.Begin, Len * 4));
       T.Segments.push_back({static_cast<uint32_t>(K.Begin),
                             static_cast<uint32_t>(K.End), Digest});
     }
@@ -1492,6 +1528,7 @@ bool SegmentedTraceWriter::appendSegment(const Trace &T, size_t Begin,
   Impl &S = *I;
   if (S.Finalized || S.Failed || !S.W.ok())
     return false;
+  TelemetrySpan Span("write");
   // Ranges must be adjacent; an empty range is only the empty-trace
   // placeholder segment (so even an entry-less file carries side tables).
   if (Begin != S.Sealed || End < Begin || End > T.size() ||
@@ -1616,17 +1653,22 @@ bool SegmentedTraceWriter::appendSegment(const Trace &T, size_t Begin,
   uint64_t PayloadBytes = RelEnd - SegHeaderBytes;
 
   ByteBuffer Table;
-  for (size_t K = 0; K != Sections.size(); ++K) {
-    Table.u32(Sections[K].Id);
-    Table.u32(0); // pad
-    Table.u64(Offsets[K]);
-    Table.u64(Sections[K].Length);
-    Table.u64(hashBytes(Sections[K].Data, Sections[K].Length));
+  uint64_t TableDigest, LaneDigest;
+  {
+    TelemetrySpan ChecksumSpan("checksum");
+    for (size_t K = 0; K != Sections.size(); ++K) {
+      Table.u32(Sections[K].Id);
+      Table.u32(0); // pad
+      Table.u64(Offsets[K]);
+      Table.u64(Sections[K].Length);
+      Table.u64(checksumBytes(Sections[K].Data, Sections[K].Length));
+    }
+    TableDigest = checksumBytes(Table.Out.data(), Table.Out.size());
+    LaneDigest = hashCombine(
+        WithFps ? checksumBytes(T.Fps.data() + Begin, N * sizeof(uint64_t))
+                : 0,
+        checksumBytes(T.Tids.data() + Begin, N * sizeof(uint32_t)));
   }
-  uint64_t TableDigest = hashBytes(Table.Out.data(), Table.Out.size());
-  uint64_t LaneDigest = hashCombine(
-      WithFps ? hashBytes(T.Fps.data() + Begin, N * sizeof(uint64_t)) : 0,
-      hashBytes(T.Tids.data() + Begin, N * sizeof(uint32_t)));
 
   Writer &W = S.W;
   W.u32(SegMagic);
@@ -1663,6 +1705,7 @@ bool SegmentedTraceWriter::finalize() {
   S.Finalized = true;
   if (S.Failed || !S.W.ok())
     return false;
+  TelemetrySpan Span("write");
   ByteBuffer Footer;
   Footer.u32(FooterMagic);
   Footer.u32(static_cast<uint32_t>(S.Dir.size()));
@@ -1674,7 +1717,8 @@ bool SegmentedTraceWriter::finalize() {
     Footer.u32(Rec.NumEntries);
   }
   uint64_t FooterOffset = S.Offset;
-  uint64_t FooterChecksum = hashBytes(Footer.Out.data(), Footer.Out.size());
+  uint64_t FooterChecksum =
+      checksumBytes(Footer.Out.data(), Footer.Out.size());
   S.W.raw(Footer.Out.data(), Footer.Out.size());
   S.W.u64(FooterOffset);
   S.W.u64(FooterChecksum);
@@ -1769,8 +1813,8 @@ Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
         HeaderBytes + uint64_t{NumSections} * SectionRecordBytes;
     if (NumSections != 0 && NumSections <= MaxSections &&
         TableEnd <= File.Size)
-      return hashCombine(hashBytes(File.Data, static_cast<size_t>(TableEnd)),
-                         File.Size);
+      return hashCombine(
+          checksumBytes(File.Data, static_cast<size_t>(TableEnd)), File.Size);
   }
   if (Head[1] == SegTraceVersion &&
       File.Size >= SegFileHeaderBytes + SegTrailerBytes) {
@@ -1785,18 +1829,21 @@ Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
     std::memcpy(&FooterChecksum, Trailer + 8, 8);
     std::memcpy(&NumSegments, Trailer + 16, 4);
     uint64_t FooterBytes = 8 + uint64_t{NumSegments} * SegDirRecordBytes;
+    // Subtraction form, as in readTraceV4: on a hostile trailer the sum
+    // FooterOffset + FooterBytes can wrap around to pass an equality test.
     if (FooterOffset >= SegFileHeaderBytes &&
-        FooterOffset + FooterBytes == File.Size - SegTrailerBytes &&
-        hashBytes(File.Data + FooterOffset,
-                  static_cast<size_t>(FooterBytes)) == FooterChecksum)
-      return hashCombine(hashBytes(File.Data, SegFileHeaderBytes),
-                         hashBytes(File.Data + FooterOffset,
-                                   static_cast<size_t>(FooterBytes)),
-                         File.Size);
+        FooterOffset <= File.Size - SegTrailerBytes &&
+        FooterBytes == File.Size - SegTrailerBytes - FooterOffset) {
+      uint64_t FooterSum = checksumBytes(File.Data + FooterOffset,
+                                         static_cast<size_t>(FooterBytes));
+      if (FooterSum == FooterChecksum)
+        return hashCombine(checksumBytes(File.Data, SegFileHeaderBytes),
+                           FooterSum, File.Size);
+    }
   }
   // A malformed v3 header or a damaged v4 footer, which the full read will
   // reject anyway: hash the entire file.
-  return hashCombine(hashBytes(File.Data, File.Size), File.Size);
+  return hashCombine(checksumBytes(File.Data, File.Size), File.Size);
 }
 
 std::string rprism::dumpTrace(const Trace &T) {

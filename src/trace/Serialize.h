@@ -24,11 +24,16 @@
 /// including the fingerprint column, so loading skips re-fingerprinting
 /// entirely. Otherwise the columns are materialized and symbols remapped.
 ///
+/// Every checksum and digest in both layouts is the word-wise
+/// checksumBytes (support/Hashing.h). The names v3/v4 are layouts; the
+/// header's version field is 5 for a v3 file and 6 for a v4 file. Files
+/// of any other version — the retired v1/v2 stream formats, and v3/v4
+/// files from before the checksum change (versions 3 and 4) — are refused
+/// with `trace.version`.
+///
 /// Symbols are file-local on disk; readers re-intern through the supplied
 /// StringInterner, so traces written by different runs can be loaded into
-/// one shared interner for differencing. Files of any other version
-/// (including the retired v1/v2 stream formats) are refused with
-/// `trace.version`.
+/// one shared interner for differencing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,7 +63,7 @@ inline constexpr size_t DefaultSegmentEntries = 1u << 16;
 
 /// Streaming writer for the segmented v4 trace format: a single file of
 /// fixed-entry-count segments, each carrying its own column slices,
-/// per-section FNV-1a checksums, fingerprint lane, side-table *deltas*
+/// per-section checksums, fingerprint lane, side-table *deltas*
 /// (strings/threads newly seen since the previous seal, the argument-pool
 /// slice the segment's entries reference), and a view-index delta — closed
 /// by a footer segment directory and a fixed-size trailer. Because every

@@ -809,6 +809,40 @@ TEST(SalvageV4, AllSegmentsDamagedIsUnsalvageable) {
   std::remove(Path.c_str());
 }
 
+TEST(SalvageV4, WrappingFooterOffsetNeverReadsOutsideTheFile) {
+  // A 184-byte v4 file: the real file header's magic and version, zeros,
+  // then a trailer whose footer offset is 2^64 - 8. With 5 segments the
+  // footer is 168 bytes, so offset + footer bytes wraps to exactly the
+  // trailer position (184 - 24) — a bounds test written as that sum
+  // passes and hashes from 8 bytes before the mapping.
+  Trace T = traceOf("class A { } main { var a = new A(); }");
+  std::string Path = tempPath("v4_wrap");
+  ASSERT_TRUE(writeTraceSegmented(T, Path));
+  std::vector<uint8_t> Real = readAll(Path);
+  ASSERT_GE(Real.size(), 8u);
+  std::vector<uint8_t> Bytes(184, 0);
+  std::copy(Real.begin(), Real.begin() + 8, Bytes.begin());
+  uint64_t FooterOffset = ~uint64_t{0} - 7;
+  uint32_t NumSegments = 5, TrailerMagic = 0x52505445; // "RPTE"
+  std::memcpy(Bytes.data() + 160, &FooterOffset, 8);
+  std::memcpy(Bytes.data() + 176, &NumSegments, 4);
+  std::memcpy(Bytes.data() + 180, &TrailerMagic, 4);
+  writeAll(Path, Bytes);
+
+  Expected<uint64_t> Digest = traceFileDigest(Path);
+  EXPECT_TRUE(bool(Digest)) << Digest.error().render();
+  for (bool Salvage : {false, true}) {
+    ReadOptions Options;
+    Options.Salvage = Salvage;
+    Expected<Trace> Loaded = readTrace(Path, nullptr, Options);
+    ASSERT_FALSE(bool(Loaded)) << "salvage " << Salvage;
+    EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt);
+    EXPECT_EQ(Loaded.error().Code,
+              Salvage ? "trace.unsalvageable" : "trace.section");
+  }
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Retry policy (the --retry-policy / RPRISM_RETRY_POLICY surface)
 //===----------------------------------------------------------------------===//

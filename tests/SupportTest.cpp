@@ -16,10 +16,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 using namespace rprism;
 
@@ -60,6 +62,60 @@ TEST(Hashing, DoubleHashUsesBitPattern) {
 TEST(Hashing, BytesMatchStringView) {
   const char Data[] = {'a', 'b', 'c'};
   EXPECT_EQ(hashBytes(Data, 3), hashString("abc"));
+}
+
+/// Deterministic filler for the checksum tests: byte I is I * 131 + 7.
+std::vector<unsigned char> checksumPattern(size_t Size) {
+  std::vector<unsigned char> Bytes(Size);
+  for (size_t I = 0; I != Size; ++I)
+    Bytes[I] = static_cast<unsigned char>(I * 131 + 7);
+  return Bytes;
+}
+
+TEST(Hashing, ChecksumKnownAnswers) {
+  // Trace files store these values: a change here is a format change and
+  // needs a trace version bump, not a new table.
+  const std::pair<size_t, uint64_t> Answers[] = {
+      {0, 0x21bd5552c52713f4ULL},    {1, 0xe009cf2b47afebfaULL},
+      {7, 0x3cb168dec8015421ULL},    {31, 0x876ba60e03d02f01ULL},
+      {32, 0x628607f89c7b60e7ULL},   {33, 0xce9ecb7e575d6600ULL},
+      {64, 0x589b24850d48a62eULL},   {1000, 0x978a8603b6b3c922ULL},
+  };
+  std::vector<unsigned char> Bytes = checksumPattern(1000);
+  for (const auto &[Size, Want] : Answers)
+    EXPECT_EQ(checksumBytes(Bytes.data(), Size), Want) << "length " << Size;
+}
+
+TEST(Hashing, ChecksumSeesEverySingleBitFlip) {
+  // 257 bytes: eight full 32-byte blocks plus a one-byte tail.
+  std::vector<unsigned char> Bytes = checksumPattern(257);
+  uint64_t Clean = checksumBytes(Bytes.data(), Bytes.size());
+  for (size_t Bit = 0; Bit != Bytes.size() * 8; ++Bit) {
+    Bytes[Bit / 8] ^= static_cast<unsigned char>(1u << (Bit % 8));
+    EXPECT_NE(checksumBytes(Bytes.data(), Bytes.size()), Clean)
+        << "bit " << Bit;
+    Bytes[Bit / 8] ^= static_cast<unsigned char>(1u << (Bit % 8));
+  }
+}
+
+TEST(Hashing, ChecksumTopBitFlipsInOneLaneDoNotCancel) {
+  // Words 0 and 4 both feed lane 0 (consecutive 32-byte blocks). Under a
+  // lane-wise (acc ^ word) * odd hash, flipping bit 63 of both cancels:
+  // the first flip adds 2^63 to the product, the second xors it away.
+  std::vector<unsigned char> Bytes = checksumPattern(64);
+  uint64_t Clean = checksumBytes(Bytes.data(), Bytes.size());
+  Bytes[7] ^= 0x80;  // Bit 63 of word 0 (little-endian).
+  Bytes[39] ^= 0x80; // Bit 63 of word 4.
+  EXPECT_NE(checksumBytes(Bytes.data(), Bytes.size()), Clean);
+}
+
+TEST(Hashing, ChecksumIgnoresAlignment) {
+  std::vector<unsigned char> Aligned = checksumPattern(1000);
+  std::vector<unsigned char> Shifted(Aligned.size() + 1);
+  std::copy(Aligned.begin(), Aligned.end(), Shifted.begin() + 1);
+  ASSERT_NE(reinterpret_cast<uintptr_t>(Shifted.data() + 1) % 2, 0u);
+  EXPECT_EQ(checksumBytes(Shifted.data() + 1, Aligned.size()),
+            checksumBytes(Aligned.data(), Aligned.size()));
 }
 
 //===----------------------------------------------------------------------===//

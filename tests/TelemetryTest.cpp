@@ -12,12 +12,15 @@
 #include "support/MetricsSink.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
+#include "trace/Serialize.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <set>
 #include <thread>
+#include <unistd.h>
 
 using namespace rprism;
 
@@ -219,6 +222,53 @@ TEST(Telemetry, DiffCountersAndSpanPathsAreJobsInvariant) {
   };
   EXPECT_EQ(Paths(Seq), Paths(Par));
   EXPECT_EQ(Paths(Seq), Paths(Par8));
+}
+
+//===----------------------------------------------------------------------===//
+// Trace write and load phases
+//===----------------------------------------------------------------------===//
+
+TEST(Telemetry, TraceWriteAndLoadSpansNameTheirPhases) {
+  GeneratorOptions G;
+  G.OuterIters = 10;
+  auto Prog = compileSource(generateProgram(G), nullptr);
+  ASSERT_TRUE(bool(Prog));
+  Trace T = runProgram(*Prog, RunOptions()).ExecTrace;
+  std::string Base = "/tmp/rprism_telemetry_" + std::to_string(::getpid());
+
+  // Both layouts, each loaded twice: into a fresh interner (symbol
+  // identity, zero-copy columns) and into one whose ids are shifted
+  // (remap, then re-fingerprint).
+  for (bool Segmented : {false, true}) {
+    SCOPED_TRACE(Segmented ? "v4 layout" : "default layout");
+    std::string Path = Base + (Segmented ? "_v4.rpt" : "_v3.rpt");
+    TelemetryWindow Window;
+    ASSERT_TRUE(Segmented ? writeTraceSegmented(T, Path, /*SegmentEntries=*/64)
+                          : writeTrace(T, Path));
+    ASSERT_TRUE(bool(readTrace(Path, nullptr)));
+    auto Busy = std::make_shared<StringInterner>();
+    Busy->intern("an id the file does not expect");
+    ASSERT_TRUE(bool(readTrace(Path, Busy)));
+    std::remove(Path.c_str());
+
+    TelemetrySnapshot Snap = Telemetry::get().snapshot();
+    std::vector<std::string> Want = {
+        "write",         "write/checksum", "write/view-index",
+        "load",          "load/checksum",  "load/intern",
+        "load/validate", "load/remap",     "load/fingerprint"};
+    if (Segmented) // The copy of each segment into one trace.
+      Want.push_back("load/assemble");
+    for (const std::string &SpanPath : Want) {
+      const SpanStat *S = Snap.findSpan(SpanPath);
+      ASSERT_NE(S, nullptr) << SpanPath;
+      if (S->parent().empty())
+        continue;
+      const SpanStat *Parent = Snap.findSpan(S->parent());
+      ASSERT_NE(Parent, nullptr) << SpanPath;
+      EXPECT_LE(S->TotalNanos, Parent->TotalNanos) << SpanPath;
+    }
+    EXPECT_EQ(Snap.findSpan("load")->Count, 2u);
+  }
 }
 
 //===----------------------------------------------------------------------===//

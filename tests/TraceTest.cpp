@@ -300,16 +300,18 @@ TEST(Serialize, RefusesUnsupportedVersions) {
       Int bump() { this.x = this.x + 1; return this.x; } }
     main { var a = new A(3); a.bump(); spawn a.bump(); print(a.x); }
   )");
-  // Bytes 4-7 hold the version in both formats. The retired v1/v2 stream
-  // formats and any future version must be refused up front with the typed
-  // version error, whatever the rest of the file looks like. (writeTrace
-  // writes v3 here, and v4 under the trace_test_v4 ctest leg.)
+  // Bytes 4-7 hold the version in both layouts; readers accept exactly 5
+  // (v3 layout) and 6 (v4 layout). The retired v1/v2 stream formats, v3/v4
+  // files from before the checksumBytes change (versions 3 and 4) and any
+  // future version must be refused up front with the typed version error,
+  // whatever the rest of the file looks like. (writeTrace writes v3 here,
+  // and v4 under the trace_test_v4 ctest leg.)
   std::string V3Path = tempPath("version_v3");
   std::string V4Path = tempPath("version_v4");
   ASSERT_TRUE(writeTrace(T, V3Path));
   ASSERT_TRUE(writeTraceSegmented(T, V4Path, 8));
   for (const std::string &Path : {V3Path, V4Path}) {
-    for (uint32_t Version : {1u, 2u, 5u}) {
+    for (uint32_t Version : {1u, 2u, 3u, 4u, 7u}) {
       std::FILE *F = std::fopen(Path.c_str(), "rb+");
       ASSERT_TRUE(F != nullptr);
       std::fseek(F, 4, SEEK_SET);
@@ -650,7 +652,7 @@ TEST(SerializeV4, EnvVarRoutesWriteTraceToSegmentedFormat) {
   ASSERT_GE(Bytes.size(), 8u);
   uint32_t Version = 0;
   std::memcpy(&Version, Bytes.data() + 4, 4);
-  EXPECT_EQ(Version, 4u);
+  EXPECT_EQ(Version, 6u); // The v4 layout's version field.
   Expected<Trace> Loaded = readTrace(Path, nullptr);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   expectTracesEqual(T, *Loaded);

@@ -11,11 +11,12 @@
 /// multithreaded generated program) is compiled and run under both VM
 /// dispatch tiers (threaded and the RPRISM_NO_THREADED_DISPATCH switch
 /// oracle), its v3 trace serialized, and the resulting bytes digested with
-/// FNV-1a. The digests are pinned in tests/golden/vm_trace_digests.txt —
-/// regenerated from the pre-overhaul switch interpreter — so any change to
-/// the VM's value representation, dispatch, or emission path that perturbs
-/// even one byte of a produced trace (entry columns, argument pool, string
-/// table, fingerprints) fails here.
+/// FNV-1a. The digests are pinned in tests/golden/vm_trace_digests.txt, so
+/// any change to the VM's value representation, dispatch, or emission path
+/// that perturbs even one byte of a produced trace (entry columns, argument
+/// pool, string table, fingerprints) fails here. A trace-format change
+/// moves only the file-bytes column; the fingerprint column, entry counts
+/// and compare-op totals must stay put.
 ///
 /// The pinned digests also cover the fingerprint column recomputed under
 /// ThreadPool jobs 1 and 4 (chunking must not leak into the hashes) and
@@ -181,7 +182,9 @@ GoldenData collect() {
 
 std::string render(const GoldenData &Data) {
   std::ostringstream OS;
-  OS << "# v3 trace digests per workload (FNV-1a). Regenerate with\n"
+  OS << "# Trace digests per workload: FNV-1a of the v3-layout file bytes\n"
+     << "# (version field 5, section checksums by checksumBytes) and of\n"
+     << "# the fingerprint column. Regenerate with\n"
      << "# RPRISM_UPDATE_GOLDEN=1 ./rprism_vmgolden_test after an\n"
      << "# intentional trace-format or recorder change.\n"
      << "# trace <name> <v3-bytes-digest> <fp-column-digest> <entries>\n";

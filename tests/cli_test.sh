@@ -179,14 +179,34 @@ printf '\377' | dd of="$WORK/corrupt.rpt" bs=1 seek=40 conv=notrunc 2>/dev/null
 echo "this is not a trace" > "$WORK/garbage.rpt"
 "$RPRISM" diff-traces "$WORK/garbage.rpt" "$WORK/old.rpt" > /dev/null 2>&1
 [ $? -eq 3 ] || fail "garbage trace was not exit 3"
-# A retired version number (bytes 4-7; v1 was the old stream format) is
-# refused up front: exit 3 with the typed version error.
-cp "$WORK/old.rpt" "$WORK/v1.rpt"
-printf '\001\000\000\000' | dd of="$WORK/v1.rpt" bs=1 seek=4 conv=notrunc 2>/dev/null
-"$RPRISM" trace-dump "$WORK/v1.rpt" > /dev/null 2>"$WORK/v1_err.txt"
-[ $? -eq 3 ] || fail "version-1 trace was not exit 3"
-grep -q "unsupported trace version (1)" "$WORK/v1_err.txt" \
-  || fail "version-1 trace did not report the version error"
+# A retired version number (bytes 4-7) is refused up front: exit 3 with the
+# typed version error. Version 1 was the old stream format; version 3 is
+# the v3 layout with the FNV-1a checksums of earlier releases (today's
+# v3-layout files carry version 5).
+for V in 1 3; do
+  cp "$WORK/old.rpt" "$WORK/v$V.rpt"
+  printf "\\00$V\\000\\000\\000" \
+    | dd of="$WORK/v$V.rpt" bs=1 seek=4 conv=notrunc 2>/dev/null
+  "$RPRISM" trace-dump "$WORK/v$V.rpt" > /dev/null 2>"$WORK/v${V}_err.txt"
+  [ $? -eq 3 ] || fail "version-$V trace was not exit 3"
+  grep -q "unsupported trace version ($V)" "$WORK/v${V}_err.txt" \
+    || fail "version-$V trace did not report the version error"
+done
+# A 184-byte v4 file whose trailer puts the footer at offset 2^64-8 with 5
+# segments: offset + footer size wraps to the trailer position. diff-traces
+# digests the file before loading it: the digest must stay inside the file,
+# and the load must reject it.
+{
+  head -c 8 "$WORK/old_v4.rpt"        # magic + the v4 layout's version
+  head -c 152 /dev/zero
+  printf '\370\377\377\377\377\377\377\377'  # footer offset 2^64-8
+  head -c 8 /dev/zero                 # footer checksum
+  printf '\005\000\000\000ETPR'       # 5 segments, trailer magic "RPTE"
+} > "$WORK/hostile_v4.rpt"
+[ "$(wc -c < "$WORK/hostile_v4.rpt")" -eq 184 ] \
+  || fail "hostile v4 fixture is not 184 bytes"
+"$RPRISM" diff-traces "$WORK/hostile_v4.rpt" "$WORK/old.rpt" > /dev/null 2>&1
+[ $? -eq 3 ] || fail "hostile v4 footer offset was not exit 3"
 set -e
 
 # --- salvage ------------------------------------------------------------------
