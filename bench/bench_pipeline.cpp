@@ -20,8 +20,8 @@
 ///
 /// A second, on-disk phase measures the repeat-diff warm paths: cold
 /// (load + web build + correlate + diff) versus warm (digest-keyed cache
-/// hits) over v3 files written with and without the persisted view-index
-/// sections.
+/// hits) over trace files written with and without the persisted
+/// view-index sections.
 ///
 /// Every configuration must produce an identical rendered report and
 /// compare-op count (checked here; the determinism contract of
@@ -211,13 +211,12 @@ void appendJson(std::string &Json, unsigned OuterIters,
   Json += Buf;
 }
 
-/// Writes both traces in one on-disk format, reloads them into one fresh
+/// Writes both traces in one file shape, reloads them into one fresh
 /// interner, and re-diffs: the report and compare-op totals must be
-/// identical to the in-memory reference. \p Label is "v3"/"v3-noindex"/
-/// "v4" ("v3-noindex" writes v3 files *without* the optional view-index
-/// sections — the compatibility shape older writers produce; "v4" writes
-/// the segmented layout with small segments so the reload crosses many
-/// segment boundaries). Returns the JSON fragment.
+/// identical to the in-memory reference. \p Label is "one-segment"/
+/// "one-segment-noindex"/"segments-256" ("one-segment-noindex" omits the
+/// optional view-index sections; "segments-256" writes small segments so
+/// the reload crosses many segment boundaries). Returns the JSON fragment.
 std::string checkFormatDeterminism(const TracePair &Pair,
                                    const std::string &RefRender,
                                    uint64_t RefOps, const char *Label,
@@ -226,9 +225,9 @@ std::string checkFormatDeterminism(const TracePair &Pair,
   std::string LPath = "/tmp/bench_pipeline_L_" + Name + ".trace";
   std::string RPath = "/tmp/bench_pipeline_R_" + Name + ".trace";
   bool Wrote;
-  if (Name == "v3")
+  if (Name == "one-segment")
     Wrote = writeTrace(Pair.Left, LPath) && writeTrace(Pair.Right, RPath);
-  else if (Name == "v3-noindex")
+  else if (Name == "one-segment-noindex")
     Wrote = writeTrace(Pair.Left, LPath, /*WithViewIndex=*/false) &&
             writeTrace(Pair.Right, RPath, /*WithViewIndex=*/false);
   else
@@ -281,11 +280,11 @@ bool spitFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
   return static_cast<bool>(Out);
 }
 
-/// Flips one byte inside a middle segment's Kind-column payload of a v4
+/// Flips one byte inside a middle segment's Kind-column payload of a trace
 /// file, walking trailer -> footer directory -> segment section table.
 /// Exactly one segment's checksum breaks, so a salvage read must drop
 /// that segment alone. Returns false if \p Bytes does not parse as a
-/// multi-segment v4 file.
+/// multi-segment trace file.
 bool flipMiddleSegmentColumnByte(std::vector<uint8_t> &Bytes) {
   auto Rd32 = [&](size_t Off) {
     uint32_t V;
@@ -420,8 +419,8 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Cross-format determinism: every on-disk format must reload into a
-  // report byte-identical to the in-memory diff, with identical compare-op
+  // Cross-format determinism: every file shape must reload into a report
+  // byte-identical to the in-memory diff, with identical compare-op
   // totals.
   std::string FormatJson = ",\n  \"format_determinism\": [\n";
   {
@@ -431,7 +430,8 @@ int main(int Argc, char **Argv) {
     DiffResult Ref = viewsDiff(Pair.Left, Pair.Right, RefOptions);
     std::string RefRender = Ref.render(50, 12);
     bool FormatFirst = true;
-    for (const char *Label : {"v3", "v3-noindex", "v4"}) {
+    for (const char *Label :
+         {"one-segment", "one-segment-noindex", "segments-256"}) {
       FormatJson += checkFormatDeterminism(Pair, RefRender,
                                            Ref.Stats.CompareOps, Label,
                                            FormatFirst, Exit);
@@ -442,8 +442,8 @@ int main(int Argc, char **Argv) {
   FormatJson += Exit == 0 ? "true" : "false";
 
   // Repeat-diff warm paths: cold (digest + load + web build + correlate +
-  // diff) versus warm (digest-keyed cache hits) over v3 files written with
-  // and without the persisted view-index sections. Every run's report and
+  // diff) versus warm (digest-keyed cache hits) over trace files written
+  // with and without the persisted view-index sections. Every run's report and
   // compare-op total must match the in-memory reference (the rows carry
   // the identity flags CI asserts), and an instrumented pass pins the span
   // contract: on indexed files, web-build never appears — webs come from
@@ -462,7 +462,7 @@ int main(int Argc, char **Argv) {
     bool RowFirst = true;
     double IndexedCold = 0, IndexedWarm = 0, PlainCold = 0;
     for (bool Indexed : {true, false}) {
-      const char *FileKind = Indexed ? "v3-indexed" : "v3-plain";
+      const char *FileKind = Indexed ? "indexed" : "plain";
       std::string LPath =
           std::string("/tmp/bench_repeat_L_") + FileKind + ".trace";
       std::string RPath =
@@ -695,9 +695,9 @@ int main(int Argc, char **Argv) {
     }
 
     // Segmented re-diff + salvage, still inside the instrumented window.
-    // An identical v4 pair re-diffs by skipping every digest-equal segment
-    // (`trace.segments_skipped`), then a single flipped byte in a middle
-    // segment's column payload salvages down to the other segments
+    // An identical segmented pair re-diffs by skipping every digest-equal
+    // segment (`trace.segments_skipped`), then a single flipped byte in a
+    // middle segment's column payload salvages down to the other segments
     // (`robust.salvage.segments_dropped` == 1). Both counters land in the
     // exported metrics artifact, where CI jq-gates them.
     bool SegRediffClean = false, SegSalvageOk = false;

@@ -8,8 +8,8 @@
 /// \file
 /// RPRISM collects traces online and analyzes them offline: "once a trace
 /// segment has finished executing, all trace data is offloaded to disk"
-/// (§5). This example runs a program, writes the trace as a segmented (v4)
-/// file, reloads it into a fresh interner, verifies the round trip, and
+/// (§5). This example runs a program, writes the trace in 64-entry
+/// segments, reloads it into a fresh interner, verifies the round trip, and
 /// dumps a readable excerpt. Differencing works identically on reloaded
 /// traces.
 ///

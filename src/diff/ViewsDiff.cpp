@@ -21,7 +21,7 @@ namespace {
 
 /// Index-aligned segments of the two traces whose fingerprint + tid lanes
 /// carry equal digests — available when both traces loaded from intact
-/// segmented (v4) files. Equal digests mean the per-eid fingerprints and
+/// trace files. Equal digests mean the per-eid fingerprints and
 /// tids agree across the whole segment, so a lock-step evaluator standing
 /// on the same eid on both sides can consume the rest of the segment
 /// without scanning the lanes: run-skipping at segment granularity, the

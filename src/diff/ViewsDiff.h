@@ -62,7 +62,7 @@ struct ViewsDiffOptions {
   /// on tiny traces set 0).
   size_t ParallelCutoffEntries = 32768;
   /// Reconstruct view webs from a trace's persisted ViewIndex when one is
-  /// present (the warm path for indexed v3 files). Off = always build by
+  /// present (the warm path for indexed trace files). Off = always build by
   /// scanning the entries; the result is identical either way (`rprism
   /// --no-view-cache` sets this off together with the diff cache).
   bool UseViewIndex = true;

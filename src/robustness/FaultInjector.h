@@ -44,7 +44,7 @@ enum class FaultSite : unsigned {
   FileOpen,        ///< open()/fopen() of a trace file fails (EIO-like).
   FileRead,        ///< A buffered read returns short / flips bits.
   FileMmap,        ///< mmap() fails; loader must fall back to the arena.
-  SectionChecksum, ///< A v3 section checksum verify reports a mismatch.
+  SectionChecksum, ///< A section checksum verify reports a mismatch.
   ViewIndexBorrow, ///< Borrowing the persisted view index fails.
   CacheInsert,     ///< A DiffCache insert fails (allocation-failure-like).
   PoolDispatch,    ///< ThreadPool task dispatch stalls (scheduling jitter).

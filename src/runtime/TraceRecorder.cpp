@@ -3,7 +3,6 @@
 #include "runtime/TraceRecorder.h"
 
 #include "support/Hashing.h"
-#include "trace/Serialize.h"
 
 #include <algorithm>
 #include <cstdio>
@@ -324,37 +323,11 @@ void TraceRecorder::flushStage() {
   Out.ChildTids.append(StChildTids, StageLen);
   Out.Provs.append(StProvs, StageLen);
   StageLen = 0;
-
-  // Streaming segmentation: seal every full segment the flush completed.
-  // Fingerprints are computed over exactly the sealed range (the whole-
-  // trace flag stays unset — later entries are still unhashed), and the
-  // writer is told to trust them.
-  if (Sink && !SinkFailed) {
-    while (Out.size() - Sink->entriesSealed() >= Sink->segmentEntries()) {
-      size_t Begin = Sink->entriesSealed();
-      size_t End = Begin + Sink->segmentEntries();
-      Out.computeFingerprintRange(Begin, End);
-      if (!Sink->appendSegment(Out, Begin, End, /*TrustRangeFps=*/true)) {
-        SinkFailed = true;
-        break;
-      }
-    }
-  }
 }
 
 Trace TraceRecorder::take() {
   flushStage();
   Out.computeFingerprints();
-  if (Sink && !SinkFailed) {
-    // Seal the tail (possibly empty — only for an entry-less trace, so
-    // even that file carries the side tables) and close the directory.
-    size_t Begin = Sink->entriesSealed();
-    bool Ok = true;
-    if (Out.size() > Begin || Begin == 0)
-      Ok = Sink->appendSegment(Out, Begin, Out.size());
-    SinkFailed = !(Ok && Sink->finalize());
-  }
-  Sink = nullptr;
   return std::move(Out);
 }
 

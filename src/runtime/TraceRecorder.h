@@ -52,22 +52,8 @@ public:
   /// The finished trace; call once after the run. Finalization flushes
   /// the staged rows and computes the per-entry equality fingerprints
   /// (recording appends entries, so the hashes are taken once here rather
-  /// than maintained online). With a segment sink attached, the tail
-  /// segment is sealed and the segmented file finalized here.
+  /// than maintained online).
   Trace take();
-
-  /// Attaches a streaming segment sink (not owned): every stage flush
-  /// seals full segments of W->segmentEntries() entries into \p W —
-  /// fingerprinted over exactly the sealed range — while recording
-  /// continues, and take() seals the tail and finalizes. Sealed
-  /// fingerprints equal take()-time ones because threads are registered
-  /// before their fork events are recorded, so the hash inputs of a
-  /// sealed entry never change afterwards.
-  void attachSegmentSink(SegmentedTraceWriter *W) { Sink = W; }
-
-  /// False when an attached sink hit an I/O failure (streaming stops;
-  /// the in-memory trace is unaffected).
-  bool segmentSinkOk() const { return !SinkFailed; }
 
   // -- Representation builders (memoized) --------------------------------
   ObjRepr objRepr(uint32_t Loc);
@@ -164,9 +150,6 @@ private:
   std::vector<ValueRepr> StrMemo;      ///< By runtime string id.
   std::vector<ObjMemoEntry> ObjMemo;   ///< By store location.
   uint64_t MemoHits = 0;
-
-  SegmentedTraceWriter *Sink = nullptr; ///< Streaming seal target.
-  bool SinkFailed = false;
 
   /// Reserved capacities of the entry columns / argument pool. Growth goes
   /// through reserveEntries in 4x steps (see flushStage): the bulk-append

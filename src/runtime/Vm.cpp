@@ -66,10 +66,7 @@ public:
   Vm(const CompiledProgram &ProgIn, const RunOptions &OptionsIn)
       : Prog(ProgIn), Options(OptionsIn), Store(ProgIn.Classes.size()),
         Recorder(ProgIn, Store, RtStrings, OptionsIn.Tracing,
-                 OptionsIn.TraceName) {
-    if (OptionsIn.Tracing.SegmentSink)
-      Recorder.attachSegmentSink(OptionsIn.Tracing.SegmentSink);
-  }
+                 OptionsIn.TraceName) {}
 
   RunResult run();
 
@@ -169,7 +166,7 @@ private:
   const RunOptions &Options;
   ObjectStore Store;
   /// VM-private runtime string table. Kept separate from the shared trace
-  /// interner on purpose: trace format v3 serializes the shared table and
+  /// interner on purpose: trace files serialize the shared table and
   /// fingerprints hash its symbol ids, so interning transient runtime
   /// strings there would change trace bytes. The recorder re-interns only
   /// the texts that actually reach the trace, in record order, exactly as

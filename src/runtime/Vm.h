@@ -159,8 +159,6 @@ private:
   uint64_t GlobalVersion = 0;
 };
 
-class SegmentedTraceWriter;
-
 /// Tracing configuration — the analog of RPRISM's AspectJ pointcuts.
 struct TraceOptions {
   bool Enabled = true;
@@ -173,12 +171,6 @@ struct TraceOptions {
   std::unordered_set<std::string> NoReprClasses;
   /// Recursive value-serialization depth (E'# of Fig. 8).
   unsigned ReprDepth = 3;
-  /// Optional streaming segment sink (not owned; must outlive the run):
-  /// the recorder seals full segments into it while the program is still
-  /// executing — the §5 "offload segments, reclaim the buffer" shape —
-  /// and finalizes the file when the trace is taken. The in-memory trace
-  /// is still produced in full.
-  SegmentedTraceWriter *SegmentSink = nullptr;
 };
 
 /// Per-run configuration.

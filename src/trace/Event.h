@@ -25,7 +25,7 @@
 /// representation" rule, §5).
 ///
 /// ObjRepr and ValueRepr are stored in the columnar Trace (and written
-/// verbatim into trace format v3), so both are packed, explicitly padded,
+/// verbatim into trace files), so both are packed, explicitly padded,
 /// trivially copyable value types: every byte of the struct is meaningful
 /// or a zero-initialized pad, and no field is a `bool` (reading an
 /// arbitrary mmap'd byte as bool is undefined behavior; flags are uint8_t
@@ -69,7 +69,7 @@ inline constexpr uint32_t NoLoc = 0xffffffffu;
 /// as a 64-bit structural hash (ValueHash); HasRepr is zero when the
 /// object's class opts out of value representation, in which case identity
 /// across traces falls back to (class name, creation sequence number).
-/// 24 bytes, 8-aligned, written verbatim into trace format v3.
+/// 24 bytes, 8-aligned, written verbatim into trace files.
 struct ObjRepr {
   uint64_t ValueHash = 0;   ///< Recursive serialization hash (E'#).
   uint32_t Loc = NoLoc;     ///< Store location; *never* compared cross-trace.
@@ -111,7 +111,7 @@ inline constexpr uint8_t MaxReprKind = static_cast<uint8_t>(ReprKind::Obj);
 
 /// A value representation: a kind, a version-stable hash, and an interned
 /// printable rendering (truncated to 128 characters, mirroring the paper's
-/// toString truncation). 16 bytes, written verbatim into trace format v3.
+/// toString truncation). 16 bytes, written verbatim into trace files.
 struct ValueRepr {
   uint64_t Hash = 0;
   Symbol Text; ///< Printable rendering for reports.

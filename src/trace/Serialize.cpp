@@ -12,7 +12,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <sstream>
@@ -33,45 +32,36 @@ using namespace rprism;
 namespace {
 
 constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
-// Version history. The layouts keep their names (v3 columnar, v4
-// segmented) across version-field bumps; only 5 and 6 are read.
-//   1, 2 — retired per-entry stream formats; refused as trace.version.
-//   3 — the v3 sectioned columnar layout (see Serialize.h): header +
-//       section table + 8-byte-aligned column payloads written verbatim,
-//       with per-section FNV-1a checksums. Fingerprints *are* stored (their
-//       own column section, flagged in the header) and load zero-copy when
-//       symbol identity holds. Refused as trace.version.
-//   4 — the v4 segmented layout: a 32-byte file header, then
-//       fixed-entry-count segments each framed like a miniature v3 file
-//       (segment header + section table + aligned payloads, per-section
-//       checksums) and carrying *deltas* of the side tables (strings/threads
-//       newly seen since the previous segment, the argument-pool slice its
-//       entries reference) plus a view-index delta, closed by a footer
-//       segment directory and a fixed trailer. Independent per-segment
-//       checksums are the point: damage confined to one segment's entry
-//       columns costs exactly that segment under --salvage, and a recorder
-//       can seal segments while still appending (the side tables only
-//       grow). FNV-1a checksums; refused as trace.version.
-//   5 — the v3 layout with every checksum and digest computed by the
-//       word-wise checksumBytes (support/Hashing.h) instead of FNV-1a.
-//   6 — the v4 layout, likewise with checksumBytes.
-constexpr uint32_t TraceVersion = 5;
-constexpr uint32_t SegTraceVersion = 6;
+// Version history. Only 6 is read; every other version field is refused
+// with trace.version, so trace files from older builds must be recorded
+// again.
+//   1, 2 — retired per-entry stream formats.
+//   3 — a whole-trace columnar layout: a 16-byte header, one section table,
+//       then 8-byte-aligned column payloads written verbatim, with FNV-1a
+//       section checksums.
+//   4 — the segmented layout below, with FNV-1a checksums.
+//   5 — layout 3 with checksumBytes. Retired when the segmented layout
+//       became the only one: a one-segment file holds the same payloads and
+//       loads zero-copy the same way.
+//   6 — the segmented layout, every checksum and digest computed by the
+//       word-wise checksumBytes (support/Hashing.h): a 32-byte file header;
+//       segments, each a segment header, a section table of (id, offset,
+//       length, checksum) records and 8-byte-aligned payloads — its slice
+//       of every entry column plus *deltas* of the side tables (strings and
+//       threads first seen in the segment, the argument-pool slice its
+//       entries reference) and a view-index delta; then a footer segment
+//       directory and a fixed trailer. Per-segment checksums confine damage
+//       to the segment it hits.
+constexpr uint32_t TraceVersion = 6;
 
-/// Header flag bit: the file carries a fingerprint column.
-constexpr uint32_t FlagHasFingerprints = 1u << 0;
-
-/// v3 section ids. Entry columns are parallel arrays of exactly the
+/// Section ids. Entry columns are parallel arrays of exactly the segment's
 /// entry-count many elements; side sections have their own framing.
 enum SectionId : uint32_t {
-  SecName = 1,    ///< Raw bytes of Trace::Name.
-  SecStrings = 2, ///< u32 count, then count x (u32 len, bytes).
-  SecThreads = 3, ///< u32 count, then serialized ThreadInfo records.
-  SecArgPool = 4, ///< ValueRepr[] verbatim.
+  SecName = 1,       ///< Raw bytes of Trace::Name (first segment only).
   SecTid = 10,       ///< uint32_t[]
   SecMethod = 11,    ///< Symbol[]
   SecSelf = 12,      ///< ObjRepr[]
-  SecKind = 13,      ///< uint8_t[]  (defines the entry count)
+  SecKind = 13,      ///< uint8_t[]
   SecEvName = 14,    ///< Symbol[]
   SecTarget = 15,    ///< ObjRepr[]
   SecValue = 16,     ///< ValueRepr[]
@@ -79,16 +69,15 @@ enum SectionId : uint32_t {
   SecArgsEnd = 18,   ///< uint32_t[]
   SecChildTid = 19,  ///< uint32_t[]
   SecProv = 20,      ///< uint32_t[]
-  SecFp = 21,        ///< uint64_t[] (present iff FlagHasFingerprints)
-  // Optional persisted view partitioning (see trace/ViewIndex.h). Both
-  // sections appear together or not at all; readers predating them skip
-  // unknown ids, so emitting them needs no version bump.
+  SecFp = 21,        ///< uint64_t[] (absent for unfingerprinted traces)
+  // Optional persisted view partitioning (see trace/ViewIndex.h) of the
+  // segment's entries, with global entry ids. Both sections appear
+  // together or not at all.
   SecViewMeta = 22,    ///< Per family: u32 count, keys[], counts[].
   SecViewEntries = 23, ///< uint32_t[]: flat per-view entry-id lists.
-  // v4 segment-only sections: side-table deltas. Each segment carries the
-  // strings/threads interned since the previous seal and the argument-pool
-  // slice its entries reference, so a sealed prefix is self-contained and
-  // never rewritten. Never appear in whole-file v3 traces.
+  // Side-table deltas: the strings/threads interned since the previous
+  // segment and the argument-pool slice the segment's entries reference,
+  // so a written segment never needs rewriting.
   SecStrDelta = 24,    ///< u32 base, u32 count, count x (u32 len, bytes).
   SecThreadDelta = 25, ///< u32 base, u32 count, ThreadInfo records.
   SecArgSlice = 26,    ///< u64 pool base (elements), then ValueRepr[].
@@ -96,16 +85,11 @@ enum SectionId : uint32_t {
 
 /// Largest section id this reader understands; higher ids are skipped for
 /// forward compatibility.
-constexpr uint32_t MaxSectionId = SecViewEntries;
+constexpr uint32_t MaxSectionId = SecArgSlice;
 
-/// Largest section id a v4 segment can carry.
-constexpr uint32_t MaxSegSectionId = SecArgSlice;
-
-constexpr size_t HeaderBytes = 16;       // magic, version, flags, numSections
 constexpr size_t SectionRecordBytes = 32; // id, pad, offset, length, checksum
 constexpr uint32_t MaxSections = 64;
 
-// --- v4 segmented-format framing constants --------------------------------
 constexpr uint32_t SegMagic = 0x52505347;     // "RPSG", leads every segment
 constexpr uint32_t FooterMagic = 0x52504654;  // "RPFT", leads the directory
 constexpr uint32_t TrailerMagic = 0x52505445; // "RPTE", ends the file
@@ -113,16 +97,18 @@ constexpr uint32_t TrailerMagic = 0x52505445; // "RPTE", ends the file
 // reserved. Segment header: seg magic, index, u64 begin eid, num entries,
 // num sections, u64 payload bytes (table + padding + payloads, 8-aligned —
 // the next segment starts exactly payload-bytes after the header ends).
-constexpr size_t SegFileHeaderBytes = 32;
+constexpr size_t FileHeaderBytes = 32;
 constexpr size_t SegHeaderBytes = 32;
 // Directory record: u64 offset, u64 table digest, u64 lane digest,
 // u32 begin eid, u32 num entries.
-constexpr size_t SegDirRecordBytes = 32;
+constexpr size_t DirRecordBytes = 32;
 // Trailer: u64 footer offset, u64 footer checksum, u32 num segments,
 // u32 trailer magic.
-constexpr size_t SegTrailerBytes = 24;
+constexpr size_t TrailerBytes = 24;
 
-/// Little buffered binary writer over stdio.
+/// Little buffered binary writer over stdio. The final flush happens in
+/// close(), which reports it: a full disk must fail the write, not vanish
+/// in a destructor.
 class Writer {
 public:
   explicit Writer(const std::string &Path)
@@ -131,6 +117,8 @@ public:
     if (File)
       std::fclose(File);
   }
+  Writer(const Writer &) = delete;
+  Writer &operator=(const Writer &) = delete;
 
   bool ok() const { return File && !Error; }
 
@@ -151,12 +139,22 @@ public:
     }
   }
 
+  /// Flushes and closes the file. True only when every byte reached it.
+  bool close() {
+    if (!File)
+      return false;
+    bool Ok = !Error && std::fflush(File) == 0;
+    Ok = std::fclose(File) == 0 && Ok;
+    File = nullptr;
+    return Ok;
+  }
+
 private:
   std::FILE *File;
   bool Error = false;
 };
 
-/// Growable byte buffer for the serialized (non-column) v3 sections.
+/// Growable byte buffer for the serialized (non-column) sections.
 struct ByteBuffer {
   std::string Out;
 
@@ -169,9 +167,9 @@ struct ByteBuffer {
 };
 
 /// Bounds-checked, memcpy-based cursor over an untrusted byte range (the
-/// serialized sections of a mapped v3 file). Never forms references into
-/// the mapped memory; all reads copy out, so truncated or misaligned data
-/// cannot cause UB.
+/// serialized sections of a mapped trace file). Never forms references
+/// into the mapped memory; all reads copy out, so truncated or misaligned
+/// data cannot cause UB.
 class ByteCursor {
 public:
   ByteCursor(const uint8_t *Data, size_t Size) : Ptr(Data), Remaining(Size) {}
@@ -217,56 +215,75 @@ private:
   bool Error = false;
 };
 
-// --- v3 sectioned columnar format ----------------------------------------
+// --- Writer ---------------------------------------------------------------
 
-/// One payload the v3 writer emits: raw bytes, possibly a view into a
-/// column (Data) or into a serialized side buffer.
+/// One payload a segment carries: raw bytes, a view into a column or into
+/// a serialized side buffer.
 struct SectionOut {
   uint32_t Id;
   const void *Data;
   uint64_t Length;
 };
 
-bool writeTraceV3Impl(const Trace &T, const std::string &Path,
-                      bool WithViewIndex) {
+/// Writes one trace file: the file header, then segment() once per entry
+/// range (adjacent ranges from 0), then finish() for the footer directory
+/// and trailer.
+class SegmentWriter {
+public:
+  SegmentWriter(const std::string &Path, size_t SegmentEntries,
+                bool WithViewIndex)
+      : W(Path), WithViewIndex(WithViewIndex) {
+    W.u32(TraceMagic);
+    W.u32(TraceVersion);
+    W.u32(0); // Flags; fingerprint presence is per segment (SecFp).
+    W.u32(static_cast<uint32_t>(std::min<size_t>(SegmentEntries, ~0u)));
+    W.u64(0); // Reserved.
+    W.u64(0); // Reserved.
+  }
+
+  bool segment(const Trace &T, size_t Begin, size_t End);
+  bool finish();
+
+private:
+  struct DirRecord {
+    uint64_t Offset;
+    uint64_t TableDigest;
+    uint64_t LaneDigest;
+    uint32_t BeginEid;
+    uint32_t NumEntries;
+  };
+
+  Writer W;
+  bool WithViewIndex;
+  uint64_t Offset = FileHeaderBytes; ///< Where the next segment lands.
+  size_t StringsWritten = 0;
+  size_t ThreadsWritten = 0;
+  size_t PoolWritten = 0;
+  std::vector<DirRecord> Dir;
+};
+
+bool SegmentWriter::segment(const Trace &T, size_t Begin, size_t End) {
+  if (!W.ok())
+    return false;
   TelemetrySpan Span("write");
-  size_t N = T.size();
-  bool WithFps = T.HasFingerprints && T.Fps.size() == T.size();
+  size_t N = End - Begin;
+  bool WithFps = T.HasFingerprints && T.Fps.size() >= End;
 
-  // A trace that already holds a current view index (loaded from an
-  // indexed file) is written back verbatim; otherwise the partitioning is
-  // computed here, at save time — this is the cost the indexed load path
-  // amortizes away.
-  ViewIndex LocalIdx;
-  const ViewIndex *Idx = nullptr;
-  if (WithViewIndex) {
-    if (T.ViewIdx.Present) {
-      Idx = &T.ViewIdx;
-    } else {
-      LocalIdx = computeViewIndex(T);
-      Idx = &LocalIdx;
-    }
-  }
-  ByteBuffer ViewMetaBuf;
-  if (Idx) {
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      uint32_t NumViews = static_cast<uint32_t>(Idx->Keys[F].size());
-      ViewMetaBuf.u32(NumViews);
-      for (uint32_t Key : Idx->Keys[F])
-        ViewMetaBuf.u32(Key);
-      for (uint32_t Count : Idx->Counts[F])
-        ViewMetaBuf.u32(Count);
-    }
-  }
-
+  // Side-table deltas since the previous segment. All three grow with the
+  // entries, so a segment never needs rewriting once the next is written.
+  size_t NumStrings = T.Strings->size();
+  size_t NumThreads = T.Threads.size();
   ByteBuffer StringsBuf;
-  StringsBuf.u32(static_cast<uint32_t>(T.Strings->size()));
-  for (uint32_t I = 0; I != T.Strings->size(); ++I)
-    StringsBuf.str(T.Strings->text(Symbol{I}));
+  StringsBuf.u32(static_cast<uint32_t>(StringsWritten));
+  StringsBuf.u32(static_cast<uint32_t>(NumStrings - StringsWritten));
+  for (size_t K = StringsWritten; K != NumStrings; ++K)
+    StringsBuf.str(T.Strings->text(Symbol{static_cast<uint32_t>(K)}));
 
   ByteBuffer ThreadsBuf;
-  ThreadsBuf.u32(static_cast<uint32_t>(T.Threads.size()));
-  for (const ThreadInfo &Thread : T.Threads) {
+  ThreadsBuf.u32(static_cast<uint32_t>(ThreadsWritten));
+  ThreadsBuf.u32(static_cast<uint32_t>(NumThreads - ThreadsWritten));
+  for (size_t K = ThreadsWritten; K != NumThreads; ++K) {
+    const ThreadInfo &Thread = T.Threads[K];
     ThreadsBuf.u32(Thread.Tid);
     ThreadsBuf.u32(Thread.ParentTid);
     ThreadsBuf.u32(Thread.EntryMethod.Id);
@@ -276,25 +293,77 @@ bool writeTraceV3Impl(const Trace &T, const std::string &Path,
       ThreadsBuf.u32(Sym.Id);
   }
 
-  std::vector<SectionOut> Sections = {
-      {SecName, T.Name.data(), T.Name.size()},
-      {SecStrings, StringsBuf.Out.data(), StringsBuf.Out.size()},
-      {SecThreads, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()},
-      {SecArgPool, T.ArgPool.data(), T.ArgPool.byteSize()},
-      {SecTid, T.Tids.data(), N * sizeof(uint32_t)},
-      {SecMethod, T.Methods.data(), N * sizeof(Symbol)},
-      {SecSelf, T.Selfs.data(), N * sizeof(ObjRepr)},
-      {SecKind, T.Kinds.data(), N * sizeof(uint8_t)},
-      {SecEvName, T.Names.data(), N * sizeof(Symbol)},
-      {SecTarget, T.Targets.data(), N * sizeof(ObjRepr)},
-      {SecValue, T.Values.data(), N * sizeof(ValueRepr)},
-      {SecArgsBegin, T.ArgsBegins.data(), N * sizeof(uint32_t)},
-      {SecArgsEnd, T.ArgsEnds.data(), N * sizeof(uint32_t)},
-      {SecChildTid, T.ChildTids.data(), N * sizeof(uint32_t)},
-      {SecProv, T.Provs.data(), N * sizeof(uint32_t)},
-  };
+  // Argument-pool slice the segment's entries reference (offsets in the
+  // entry columns stay global). The pool grows with the entries, so
+  // covering the running max of ArgsEnd is exact; the last segment
+  // extends to the full pool.
+  size_t PoolUpTo = PoolWritten;
+  if (End == T.size()) {
+    PoolUpTo = T.ArgPool.size();
+  } else {
+    const uint32_t *AE = T.ArgsEnds.data();
+    for (size_t K = Begin; K != End; ++K)
+      PoolUpTo = std::max(PoolUpTo, static_cast<size_t>(AE[K]));
+  }
+  if (PoolUpTo > T.ArgPool.size())
+    return false;
+  ByteBuffer ArgSliceBuf;
+  ArgSliceBuf.u64(PoolWritten);
+  ArgSliceBuf.Out.append(
+      reinterpret_cast<const char *>(T.ArgPool.data() + PoolWritten),
+      (PoolUpTo - PoolWritten) * sizeof(ValueRepr));
+
+  // View-index delta over exactly this range (global eids). A segment
+  // covering a trace that already holds a current index (loaded from an
+  // indexed file) writes that index back verbatim; otherwise it is
+  // computed here, at save time — the cost the indexed load amortizes.
+  ViewIndex LocalIdx;
+  const ViewIndex *Idx = nullptr;
+  ByteBuffer ViewMetaBuf;
+  if (WithViewIndex) {
+    if (Begin == 0 && End == T.size() && T.ViewIdx.Present) {
+      Idx = &T.ViewIdx;
+    } else {
+      LocalIdx = computeViewIndexRange(T, static_cast<uint32_t>(Begin),
+                                       static_cast<uint32_t>(End));
+      Idx = &LocalIdx;
+    }
+    for (size_t F = 0; F != NumViewFamilies; ++F) {
+      ViewMetaBuf.u32(static_cast<uint32_t>(Idx->Keys[F].size()));
+      for (uint32_t Key : Idx->Keys[F])
+        ViewMetaBuf.u32(Key);
+      for (uint32_t ListCount : Idx->Counts[F])
+        ViewMetaBuf.u32(ListCount);
+    }
+  }
+
+  std::vector<SectionOut> Sections;
+  if (Dir.empty())
+    Sections.push_back({SecName, T.Name.data(), T.Name.size()});
+  Sections.push_back(
+      {SecStrDelta, StringsBuf.Out.data(), StringsBuf.Out.size()});
+  Sections.push_back(
+      {SecThreadDelta, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()});
+  Sections.push_back(
+      {SecArgSlice, ArgSliceBuf.Out.data(), ArgSliceBuf.Out.size()});
+  Sections.push_back({SecTid, T.Tids.data() + Begin, N * sizeof(uint32_t)});
+  Sections.push_back({SecMethod, T.Methods.data() + Begin, N * sizeof(Symbol)});
+  Sections.push_back({SecSelf, T.Selfs.data() + Begin, N * sizeof(ObjRepr)});
+  Sections.push_back({SecKind, T.Kinds.data() + Begin, N * sizeof(uint8_t)});
+  Sections.push_back({SecEvName, T.Names.data() + Begin, N * sizeof(Symbol)});
+  Sections.push_back(
+      {SecTarget, T.Targets.data() + Begin, N * sizeof(ObjRepr)});
+  Sections.push_back(
+      {SecValue, T.Values.data() + Begin, N * sizeof(ValueRepr)});
+  Sections.push_back(
+      {SecArgsBegin, T.ArgsBegins.data() + Begin, N * sizeof(uint32_t)});
+  Sections.push_back(
+      {SecArgsEnd, T.ArgsEnds.data() + Begin, N * sizeof(uint32_t)});
+  Sections.push_back(
+      {SecChildTid, T.ChildTids.data() + Begin, N * sizeof(uint32_t)});
+  Sections.push_back({SecProv, T.Provs.data() + Begin, N * sizeof(uint32_t)});
   if (WithFps)
-    Sections.push_back({SecFp, T.Fps.data(), N * sizeof(uint64_t)});
+    Sections.push_back({SecFp, T.Fps.data() + Begin, N * sizeof(uint64_t)});
   if (Idx) {
     Sections.push_back(
         {SecViewMeta, ViewMetaBuf.Out.data(), ViewMetaBuf.Out.size()});
@@ -302,42 +371,82 @@ bool writeTraceV3Impl(const Trace &T, const std::string &Path,
         {SecViewEntries, Idx->Entries.data(), Idx->Entries.byteSize()});
   }
 
-  // Lay the payloads out 8-byte aligned after the header and table, so
-  // mmap'd column views satisfy their element alignment.
-  uint64_t Offset = HeaderBytes + Sections.size() * SectionRecordBytes;
+  // Lay the payloads out 8-aligned after the segment's table, offsets
+  // relative to the segment header (the segment itself is 8-aligned), so
+  // mapped column views satisfy their element alignment.
+  uint64_t Rel = SegHeaderBytes + Sections.size() * SectionRecordBytes;
   std::vector<uint64_t> Offsets(Sections.size());
-  for (size_t I = 0; I != Sections.size(); ++I) {
-    Offset = (Offset + 7) & ~uint64_t{7};
-    Offsets[I] = Offset;
-    Offset += Sections[I].Length;
+  for (size_t K = 0; K != Sections.size(); ++K) {
+    Rel = (Rel + 7) & ~uint64_t{7};
+    Offsets[K] = Rel;
+    Rel += Sections[K].Length;
   }
-  std::vector<uint64_t> Checksums(Sections.size());
+  uint64_t RelEnd = (Rel + 7) & ~uint64_t{7};
+  uint64_t PayloadBytes = RelEnd - SegHeaderBytes;
+
+  ByteBuffer Table;
+  uint64_t TableDigest, LaneDigest;
   {
     TelemetrySpan ChecksumSpan("checksum");
-    for (size_t I = 0; I != Sections.size(); ++I)
-      Checksums[I] = checksumBytes(Sections[I].Data, Sections[I].Length);
+    for (size_t K = 0; K != Sections.size(); ++K) {
+      Table.u32(Sections[K].Id);
+      Table.u32(0); // pad
+      Table.u64(Offsets[K]);
+      Table.u64(Sections[K].Length);
+      Table.u64(checksumBytes(Sections[K].Data, Sections[K].Length));
+    }
+    TableDigest = checksumBytes(Table.Out.data(), Table.Out.size());
+    LaneDigest = hashCombine(
+        WithFps ? checksumBytes(T.Fps.data() + Begin, N * sizeof(uint64_t))
+                : 0,
+        checksumBytes(T.Tids.data() + Begin, N * sizeof(uint32_t)));
   }
 
-  Writer W(Path);
-  W.u32(TraceMagic);
-  W.u32(TraceVersion);
-  W.u32(WithFps ? FlagHasFingerprints : 0);
+  W.u32(SegMagic);
+  W.u32(static_cast<uint32_t>(Dir.size()));
+  W.u64(Begin);
+  W.u32(static_cast<uint32_t>(N));
   W.u32(static_cast<uint32_t>(Sections.size()));
-  for (size_t I = 0; I != Sections.size(); ++I) {
-    W.u32(Sections[I].Id);
-    W.u32(0); // pad
-    W.u64(Offsets[I]);
-    W.u64(Sections[I].Length);
-    W.u64(Checksums[I]);
+  W.u64(PayloadBytes);
+  W.raw(Table.Out.data(), Table.Out.size());
+  uint64_t Pos = SegHeaderBytes + Sections.size() * SectionRecordBytes;
+  for (size_t K = 0; K != Sections.size(); ++K) {
+    W.zeros(Offsets[K] - Pos);
+    W.raw(Sections[K].Data, Sections[K].Length);
+    Pos = Offsets[K] + Sections[K].Length;
   }
-  uint64_t Pos = HeaderBytes + Sections.size() * SectionRecordBytes;
-  for (size_t I = 0; I != Sections.size(); ++I) {
-    W.zeros(Offsets[I] - Pos);
-    W.raw(Sections[I].Data, Sections[I].Length);
-    Pos = Offsets[I] + Sections[I].Length;
-  }
+  W.zeros(RelEnd - Pos);
+
+  Dir.push_back({Offset, TableDigest, LaneDigest, static_cast<uint32_t>(Begin),
+                 static_cast<uint32_t>(N)});
+  Offset += SegHeaderBytes + PayloadBytes;
+  StringsWritten = NumStrings;
+  ThreadsWritten = NumThreads;
+  PoolWritten = PoolUpTo;
   return W.ok();
 }
+
+bool SegmentWriter::finish() {
+  TelemetrySpan Span("write");
+  ByteBuffer Footer;
+  Footer.u32(FooterMagic);
+  Footer.u32(static_cast<uint32_t>(Dir.size()));
+  for (const DirRecord &Rec : Dir) {
+    Footer.u64(Rec.Offset);
+    Footer.u64(Rec.TableDigest);
+    Footer.u64(Rec.LaneDigest);
+    Footer.u32(Rec.BeginEid);
+    Footer.u32(Rec.NumEntries);
+  }
+  W.raw(Footer.Out.data(), Footer.Out.size());
+  W.u64(Offset); // The footer starts where the next segment would.
+  W.u64(checksumBytes(Footer.Out.data(), Footer.Out.size()));
+  W.u32(static_cast<uint32_t>(Dir.size()));
+  W.u32(TrailerMagic);
+  return W.close();
+}
+
+// --- Reader ---------------------------------------------------------------
 
 /// The bytes of a trace file, either mmap'd or read into an arena.
 /// `Holder` keeps the bytes alive (and unmaps/frees on release).
@@ -432,9 +541,31 @@ IoStatus loadFileBytes(const std::string &Path, FileBytes &Out) {
   return Status;
 }
 
-/// A v3 section as parsed from the table: pointer into the file bytes,
-/// recorded length, how many of its leading bytes are actually present,
-/// and whether the payload is fully present and checksum-clean.
+/// Loads \p Path and checks the magic and version field every trace file
+/// starts with; only a current-version trace file gets past here.
+Expected<FileBytes> openTraceFile(const std::string &Path) {
+  FileBytes File;
+  IoStatus Status = loadFileBytes(Path, File);
+  if (Status == IoStatus::NotFound)
+    return TraceError::notFound(Path);
+  if (Status == IoStatus::Error)
+    return TraceError::cannotOpen(Path);
+  uint32_t Magic = 0, Version = 0;
+  if (File.Size >= 4)
+    std::memcpy(&Magic, File.Data, 4);
+  if (Magic != TraceMagic)
+    return TraceError::notATrace(Path);
+  if (File.Size < 8)
+    return TraceError::truncated(Path);
+  std::memcpy(&Version, File.Data + 4, 4);
+  if (Version != TraceVersion)
+    return TraceError::unsupportedVersion(Path, Version);
+  return File;
+}
+
+/// A section as parsed from a segment's table: pointer into the file
+/// bytes, recorded length, how many of its leading bytes are actually
+/// present, and whether the payload is fully present and checksum-clean.
 struct SectionIn {
   const uint8_t *Data = nullptr;
   uint64_t Length = 0; ///< Recorded payload length.
@@ -449,8 +580,8 @@ bool isViewSection(uint32_t Id) {
   return Id == SecViewMeta || Id == SecViewEntries;
 }
 
-/// The required entry-column sections and their element sizes (shared by
-/// the v3 and v4 readers; ChildTid's consumers bounds-check themselves).
+/// The required entry-column sections and their element sizes (ChildTid's
+/// consumers bounds-check themselves).
 struct ColumnSize {
   uint32_t Id;
   uint64_t ElemSize;
@@ -461,439 +592,23 @@ constexpr ColumnSize ColumnSizes[] = {
     {SecArgsEnd, 4}, {SecChildTid, 4}, {SecProv, 4},
 };
 
-Expected<Trace> readTraceV3(const std::string &Path, const FileBytes &File,
-                            std::shared_ptr<StringInterner> Strings,
-                            const ReadOptions &Options) {
-  const bool Salvage = Options.Salvage;
-  auto Truncated = [&] { return TraceError::truncated(Path); };
-  auto Corrupt = [&](const char *What) {
-    return TraceError::corruptSection(Path, What);
-  };
-
-  if (File.Size < HeaderBytes)
-    return Truncated();
-  uint32_t Head[4];
-  std::memcpy(Head, File.Data, sizeof(Head));
-  if (Head[0] != TraceMagic)
-    return TraceError::notATrace(Path);
-  uint32_t Flags = Head[2], NumSections = Head[3];
-  if (NumSections == 0 || NumSections > MaxSections)
-    return Corrupt("table");
-  uint64_t TableEnd = HeaderBytes + uint64_t{NumSections} * SectionRecordBytes;
-  if (TableEnd > File.Size)
-    return Truncated();
-
-  // One child span of `load` per reader phase; emplace closes the previous
-  // phase, and it is reset before `fingerprint` so that nests under `load`.
-  std::optional<TelemetrySpan> Phase;
-  Phase.emplace("checksum");
-
-  // Parse and verify the section table: every payload in bounds, aligned,
-  // unique id, and checksum-clean. After this loop the payload bytes are
-  // still *untrusted values* but are safe to address. Strict reads reject
-  // any damage to a core section; damage confined to the view-index
-  // sections only drops the index (first rung of the degradation ladder);
-  // salvage additionally tolerates damaged entry columns, tracking how
-  // many leading bytes of each survive.
-  SectionIn Sections[MaxSectionId + 1] = {};
-  bool DropViewIndex = false;
-  bool Damaged = false; // Salvage: some core/fingerprint payload was hurt.
-  for (uint32_t I = 0; I != NumSections; ++I) {
-    uint8_t Record[SectionRecordBytes];
-    std::memcpy(Record, File.Data + HeaderBytes + I * SectionRecordBytes,
-                SectionRecordBytes);
-    uint32_t Id;
-    uint64_t Offset, Length, Checksum;
-    std::memcpy(&Id, Record, 4);
-    std::memcpy(&Offset, Record + 8, 8);
-    std::memcpy(&Length, Record + 16, 8);
-    std::memcpy(&Checksum, Record + 24, 8);
-    if (Offset % 8 != 0 || Offset < TableEnd || Offset > File.Size) {
-      // The record itself is unusable (misaligned or out-of-file offset).
-      if (Id <= MaxSectionId && isViewSection(Id)) {
-        DropViewIndex = true;
-        continue;
-      }
-      if (Salvage) { // Treat the section as absent.
-        Damaged = true;
-        continue;
-      }
-      return TraceError::sectionBounds(Path, Id, Offset);
-    }
-    if (Id > MaxSectionId)
-      continue; // Unknown section: ignore for forward compatibility.
-    if (Sections[Id].Present) {
-      if (isViewSection(Id)) {
-        DropViewIndex = true;
-        continue;
-      }
-      if (Salvage) // Ambiguous: keep the first record seen.
-        continue;
-      return TraceError::duplicateSection(Path, Id);
-    }
-    uint64_t Avail = std::min(Length, File.Size - Offset);
-    bool Intact = Avail == Length;
-    if (Intact && (checksumBytes(File.Data + Offset, Length) != Checksum ||
-                   FaultInjector::fire(FaultSite::SectionChecksum))) {
-      // Checksum mismatch (real or injected): the damage can be anywhere
-      // in the payload, so unlike truncation no prefix is trustworthy.
-      if (isViewSection(Id)) {
-        DropViewIndex = true;
-        continue;
-      }
-      if (!Salvage)
-        return TraceError::sectionChecksum(Path, Id, Offset);
-      Intact = false;
-      Avail = 0;
-      Damaged = true;
-    } else if (!Intact) {
-      // The file ends inside this payload.
-      if (isViewSection(Id)) {
-        DropViewIndex = true;
-        continue;
-      }
-      if (!Salvage)
-        return Truncated();
-      Damaged = true;
-    }
-    Sections[Id] = SectionIn{File.Data + Offset, Length, Avail, true, Intact};
-  }
-
-  // Side sections frame variable-length data, so no prefix of them is
-  // usable: they must be intact even under salvage.
-  static constexpr uint32_t RequiredSide[] = {SecStrings, SecThreads,
-                                              SecArgPool};
-  for (uint32_t Id : RequiredSide)
-    if (!Sections[Id].Present || !Sections[Id].Intact)
-      return Salvage ? TraceError::unsalvageable(
-                           Path, "side section " + std::to_string(Id) +
-                                     " is missing or damaged")
-                     : Truncated();
-  static constexpr uint32_t RequiredColumns[] = {
-      SecTid,   SecMethod,    SecSelf,    SecKind,     SecEvName, SecTarget,
-      SecValue, SecArgsBegin, SecArgsEnd, SecChildTid, SecProv};
-  for (uint32_t Id : RequiredColumns)
-    if (!Sections[Id].Present)
-      return Salvage ? TraceError::unsalvageable(
-                           Path, "entry column " + std::to_string(Id) +
-                                     " is missing")
-                     : Truncated();
-  bool WithFps = (Flags & FlagHasFingerprints) != 0;
-  if (WithFps && !Sections[SecFp].Present) {
-    if (!Salvage)
-      return Truncated();
-    WithFps = false; // Fingerprints are derived data: recompute below.
-    Damaged = true;
-  }
-
-  Trace T;
-  T.Strings = std::move(Strings);
-  if (Sections[SecName].Present && Sections[SecName].Intact)
-    T.Name.assign(reinterpret_cast<const char *>(Sections[SecName].Data),
-                  Sections[SecName].Length);
-
-  Phase.emplace("intern");
-  // String table: re-intern and check for symbol identity (fresh interner,
-  // or one already holding this exact table — the shared-interner diff
-  // session case). The declared count is untrusted: every string costs at
-  // least its 4-byte length prefix, so a count beyond Length/4 is corrupt
-  // — and can never become a huge up-front allocation.
-  ByteCursor SC(Sections[SecStrings].Data, Sections[SecStrings].Length);
-  uint32_t NumStrings = SC.u32();
-  if (!SC.ok() || uint64_t{NumStrings} > Sections[SecStrings].Length / 4)
-    return Corrupt("string");
-  std::vector<Symbol> Map;
-  Map.reserve(NumStrings);
-  bool Identity = true;
-  for (uint32_t I = 0; I != NumStrings; ++I) {
-    Map.push_back(T.Strings->intern(SC.str()));
-    Identity &= Map[I].Id == I;
-  }
-  if (!SC.ok())
-    return Corrupt("string");
-  auto MapSym = [&Map](uint32_t Id) {
-    return Id < Map.size() ? Map[Id] : Symbol{};
-  };
-
-  ByteCursor TC(Sections[SecThreads].Data, Sections[SecThreads].Length);
-  uint32_t NumThreads = TC.u32();
-  for (uint32_t I = 0; I != NumThreads && TC.ok(); ++I) {
-    ThreadInfo Thread;
-    Thread.Tid = TC.u32();
-    Thread.ParentTid = TC.u32();
-    uint32_t Method = TC.u32();
-    if (Method >= NumStrings)
-      return Corrupt("thread");
-    Thread.EntryMethod = MapSym(Method);
-    Thread.AncestryHash = TC.u64();
-    uint32_t StackSize = TC.u32();
-    for (uint32_t J = 0; J != StackSize && TC.ok(); ++J) {
-      uint32_t Sym = TC.u32();
-      if (TC.ok() && Sym >= NumStrings)
-        return Corrupt("thread");
-      Thread.SpawnStack.push_back(MapSym(Sym));
-    }
-    T.Threads.push_back(std::move(Thread));
-  }
-  if (!TC.ok())
-    return Corrupt("thread");
-
-  Phase.emplace("validate");
-  // Entry columns: consistent lengths, then a validation scan over the
-  // untrusted values so nothing downstream needs to distrust them (enum
-  // ranges, symbol ids, argument slices). ChildTid is exempt: its only
-  // consumers bounds-check against the thread table. Strict mode demands
-  // every column carry exactly the declared entry count; salvage shrinks
-  // the count to the longest prefix every (possibly truncated) column can
-  // cover — a checksum-failed column covers none, so damage that is not a
-  // truncation recovers nothing rather than something wrong.
-  uint64_t DeclaredN = Sections[SecKind].Length;
-  if (DeclaredN > (uint64_t{1} << 32) - 1)
-    return Corrupt("kind");
-  uint64_t N = DeclaredN;
-  if (!Salvage) {
-    for (const ColumnSize &Col : ColumnSizes)
-      if (Sections[Col.Id].Length != DeclaredN * Col.ElemSize)
-        return Corrupt("column");
-    if (WithFps && Sections[SecFp].Length != DeclaredN * 8)
-      return Corrupt("fingerprint");
-  } else {
-    for (const ColumnSize &Col : ColumnSizes)
-      N = std::min(N, Sections[Col.Id].Avail / Col.ElemSize);
-    if (N < DeclaredN)
-      Damaged = true;
-  }
-  // Stored fingerprints are only trusted when their column is intact and
-  // complete; otherwise they are recomputed (they are derived data, and a
-  // wrong fingerprint would corrupt =e instead of merely costing time).
-  bool UseStoredFps = WithFps && Sections[SecFp].Intact &&
-                      Sections[SecFp].Length == DeclaredN * 8;
-  if (Salvage && WithFps && !UseStoredFps)
-    Damaged = true;
-  if (Sections[SecArgPool].Length % sizeof(ValueRepr) != 0)
-    return Corrupt("argument-pool");
-  uint64_t PoolCount = Sections[SecArgPool].Length / sizeof(ValueRepr);
-
-  auto ColPtr = [&](uint32_t Id) { return Sections[Id].Data; };
-  const uint8_t *Kinds = ColPtr(SecKind);
-  const auto *Methods = reinterpret_cast<const Symbol *>(ColPtr(SecMethod));
-  const auto *Names = reinterpret_cast<const Symbol *>(ColPtr(SecEvName));
-  const auto *Selfs = reinterpret_cast<const ObjRepr *>(ColPtr(SecSelf));
-  const auto *Targets = reinterpret_cast<const ObjRepr *>(ColPtr(SecTarget));
-  const auto *Values = reinterpret_cast<const ValueRepr *>(ColPtr(SecValue));
-  const auto *ArgsBegins =
-      reinterpret_cast<const uint32_t *>(ColPtr(SecArgsBegin));
-  const auto *ArgsEnds = reinterpret_cast<const uint32_t *>(ColPtr(SecArgsEnd));
-  const auto *Pool = reinterpret_cast<const ValueRepr *>(ColPtr(SecArgPool));
-
-  {
-    uint64_t ValidN = N;
-    for (uint64_t I = 0; I != N; ++I) {
-      const char *Bad = nullptr;
-      if (Kinds[I] > MaxEventKind)
-        Bad = "kind";
-      else if (Methods[I].Id >= NumStrings || Names[I].Id >= NumStrings)
-        Bad = "symbol";
-      else if (Selfs[I].ClassName.Id >= NumStrings ||
-               Targets[I].ClassName.Id >= NumStrings)
-        Bad = "object";
-      else if (static_cast<uint8_t>(Values[I].Kind) > MaxReprKind ||
-               Values[I].Text.Id >= NumStrings)
-        Bad = "value";
-      else if (ArgsBegins[I] > ArgsEnds[I] || ArgsEnds[I] > PoolCount)
-        Bad = "argument-slice";
-      if (!Bad)
-        continue;
-      if (!Salvage)
-        return Corrupt(Bad);
-      ValidN = I; // Keep the prefix of entries that validate.
-      Damaged = true;
-      break;
-    }
-    N = ValidN;
-  }
-  for (uint64_t I = 0; I != PoolCount; ++I)
-    if (static_cast<uint8_t>(Pool[I].Kind) > MaxReprKind ||
-        Pool[I].Text.Id >= NumStrings)
-      return Corrupt("argument-pool");
-
-  size_t Count = static_cast<size_t>(N);
-
-  // Optional view-index sections: parse the small meta section (copied
-  // out), borrow the flat entry lists zero-copy, and validate the whole
-  // structure before trusting it. The index is derived data — rebuildable
-  // from the columns — so *any* damage to it (checksum, structure, one
-  // section without the other, an injected borrow failure) degrades to an
-  // index-less load: the view web is rebuilt from the entries, and the
-  // fallback is observable via `robust.view_index_dropped`.
-  bool FileHasViewIndex = DropViewIndex || Sections[SecViewMeta].Present ||
-                          Sections[SecViewEntries].Present;
-  auto ParseViewIndex = [&]() -> bool {
-    if (DropViewIndex || !Sections[SecViewMeta].Present ||
-        !Sections[SecViewEntries].Present)
-      return false;
-    if (Sections[SecViewEntries].Length % sizeof(uint32_t) != 0)
-      return false;
-    ByteCursor VC(Sections[SecViewMeta].Data, Sections[SecViewMeta].Length);
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      uint32_t NumViews = VC.u32();
-      if (!VC.ok() || NumViews > DeclaredN)
-        return false;
-      T.ViewIdx.Keys[F].reserve(NumViews);
-      T.ViewIdx.Counts[F].reserve(NumViews);
-      for (uint32_t V = 0; V != NumViews && VC.ok(); ++V) {
-        uint32_t Key = VC.u32();
-        // Method-view keys are symbol ids; validate them against the
-        // string table like every other symbol-bearing field.
-        if (F == 1 && VC.ok() && Key >= NumStrings)
-          return false;
-        T.ViewIdx.Keys[F].push_back(Key);
-      }
-      for (uint32_t V = 0; V != NumViews && VC.ok(); ++V)
-        T.ViewIdx.Counts[F].push_back(VC.u32());
-    }
-    if (!VC.ok() || !VC.atEnd())
-      return false;
-    if (FaultInjector::fire(FaultSite::ViewIndexBorrow))
-      return false;
-    T.ViewIdx.Entries.borrow(
-        reinterpret_cast<const uint32_t *>(Sections[SecViewEntries].Data),
-        static_cast<size_t>(Sections[SecViewEntries].Length /
-                            sizeof(uint32_t)));
-    T.ViewIdx.Present = true;
-    return viewIndexIsValid(T.ViewIdx, Count);
-  };
-  if (FileHasViewIndex && !ParseViewIndex()) {
-    T.ViewIdx.clear();
-    Telemetry::counterAdd("robust.view_index_dropped");
-    if (Options.Report)
-      Options.Report->ViewIndexDropped = true;
-  }
-  Phase.reset();
-
-  auto BorrowAll = [&](Trace &Out) {
-    Out.Tids.borrow(reinterpret_cast<const uint32_t *>(ColPtr(SecTid)), Count);
-    Out.Methods.borrow(Methods, Count);
-    Out.Selfs.borrow(Selfs, Count);
-    Out.Kinds.borrow(Kinds, Count);
-    Out.Names.borrow(Names, Count);
-    Out.Targets.borrow(Targets, Count);
-    Out.Values.borrow(Values, Count);
-    Out.ArgsBegins.borrow(ArgsBegins, Count);
-    Out.ArgsEnds.borrow(ArgsEnds, Count);
-    Out.ChildTids.borrow(
-        reinterpret_cast<const uint32_t *>(ColPtr(SecChildTid)), Count);
-    Out.Provs.borrow(reinterpret_cast<const uint32_t *>(ColPtr(SecProv)),
-                     Count);
-    if (UseStoredFps)
-      Out.Fps.borrow(reinterpret_cast<const uint64_t *>(ColPtr(SecFp)),
-                     Count);
-    Out.ArgPool.borrow(Pool, static_cast<size_t>(PoolCount));
-  };
-
-  BorrowAll(T);
-  if (Identity) {
-    // Zero-copy: symbol ids in the file are valid in this interner, so the
-    // columns (including stored fingerprints) are used in place; Backing
-    // keeps the mapping alive for the life of the trace. Salvaged prefix
-    // borrows work the same way — a column prefix is contiguous.
-    T.Backing = File.Holder;
-    if (UseStoredFps)
-      T.HasFingerprints = true;
-    else
-      T.computeFingerprints();
-  } else {
-    // The interner assigned different ids: materialize every column, remap
-    // the symbol-bearing ones, and recompute fingerprints (they hash
-    // symbol ids). Borrow-then-detach keeps this a straight memcpy per
-    // column; the mapping is released when File goes out of scope.
-    Phase.emplace("remap");
-    T.Tids.detach();
-    T.Methods.detach();
-    T.Selfs.detach();
-    T.Kinds.detach();
-    T.Names.detach();
-    T.Targets.detach();
-    T.Values.detach();
-    T.ArgsBegins.detach();
-    T.ArgsEnds.detach();
-    T.ChildTids.detach();
-    T.Provs.detach();
-    T.Fps.clear();
-    T.ArgPool.detach();
-    if (T.ViewIdx.Present) {
-      // The index survives the remap: the partition structure and the
-      // first-appearance order are invariant under re-interning — only
-      // the method family's keys are symbol ids and need translation.
-      // Two file-table strings interning to one symbol (possible only in
-      // a hand-crafted table) would collapse two method views into one
-      // identity; the fresh build would merge them, so the index is
-      // dropped rather than reconstructing a diverging web.
-      T.ViewIdx.Entries.detach();
-      uint32_t *MethodKeys = T.ViewIdx.Keys[1].mutData();
-      bool Collapsed = false;
-      std::unordered_set<uint32_t> SeenKeys;
-      SeenKeys.reserve(T.ViewIdx.Keys[1].size());
-      for (size_t I = 0; I != T.ViewIdx.Keys[1].size(); ++I) {
-        MethodKeys[I] = Map[MethodKeys[I]].Id;
-        Collapsed |= !SeenKeys.insert(MethodKeys[I]).second;
-      }
-      if (Collapsed)
-        T.ViewIdx.clear();
-    }
-    Symbol *M = T.Methods.mutData();
-    Symbol *Nm = T.Names.mutData();
-    ObjRepr *Sf = T.Selfs.mutData();
-    ObjRepr *Tg = T.Targets.mutData();
-    ValueRepr *Vl = T.Values.mutData();
-    for (size_t I = 0; I != Count; ++I) {
-      M[I] = Map[M[I].Id];
-      Nm[I] = Map[Nm[I].Id];
-      Sf[I].ClassName = Map[Sf[I].ClassName.Id];
-      Tg[I].ClassName = Map[Tg[I].ClassName.Id];
-      Vl[I].Text = Map[Vl[I].Text.Id];
-    }
-    ValueRepr *Pl = T.ArgPool.mutData();
-    for (size_t I = 0; I != PoolCount; ++I)
-      Pl[I].Text = Map[Pl[I].Text.Id];
-    Phase.reset();
-    // Stored fingerprints hash the file's symbol ids, which the remap just
-    // invalidated; recompute. Counted so repeat-load pipelines can spot
-    // that sharing one interner across loads would make this free.
-    Telemetry::counterAdd("load.fp_recompute", 1);
-    T.computeFingerprints();
-  }
-
-  if (Salvage && Damaged) {
-    Telemetry::counterAdd("robust.salvage.used");
-    Telemetry::counterAdd("robust.salvage.recovered_entries", N);
-    Telemetry::counterAdd("robust.salvage.dropped_entries", DeclaredN - N);
-    if (Options.Report) {
-      Options.Report->Salvaged = true;
-      Options.Report->EntriesRecovered = N;
-      Options.Report->EntriesDropped = DeclaredN - N;
-    }
-  }
-  return T;
-}
-
-// --- v4 segmented format --------------------------------------------------
-
 /// One segment located in the file: its header fields and byte extent.
 struct SegExtent {
   uint64_t Offset = 0; ///< Absolute offset of the segment header.
   uint64_t BeginEid = 0;
   uint32_t NumEntries = 0;
   uint32_t NumSections = 0;
-  uint64_t PayloadBytes = 0;
+  uint64_t PayloadBytes = 0; ///< Declared bytes after the header.
+  uint64_t PresentBytes = 0; ///< Of those, the bytes inside the file.
 };
 
 /// Parses the segment header at \p Off. False when the bytes there cannot
 /// be segment number \p Index of this file (wrong magic or index, bad
-/// section count, extent out of bounds) — which is also how the salvage
-/// chain-scan detects the end of the sealed-segment chain.
+/// section count, extent out of bounds) — which is also how the chain
+/// scan detects the end of the segment chain. With \p Clip, a payload
+/// running past the end of the file is accepted, clipped there.
 bool parseSegHeader(const FileBytes &File, uint64_t Off, uint32_t Index,
-                    SegExtent &Out) {
+                    bool Clip, SegExtent &Out) {
   if (Off % 8 != 0 || Off > File.Size || File.Size - Off < SegHeaderBytes)
     return false;
   const uint8_t *P = File.Data + Off;
@@ -908,192 +623,376 @@ bool parseSegHeader(const FileBytes &File, uint64_t Off, uint32_t Index,
   if (Magic != SegMagic || SegIndex != Index || NumSections == 0 ||
       NumSections > MaxSections)
     return false;
+  uint64_t Remaining = File.Size - Off - SegHeaderBytes;
   if (PayloadBytes < uint64_t{NumSections} * SectionRecordBytes ||
-      PayloadBytes > File.Size - Off - SegHeaderBytes)
+      (!Clip && PayloadBytes > Remaining))
     return false;
-  Out = SegExtent{Off, BeginEid, NumEntries, NumSections, PayloadBytes};
+  Out = SegExtent{Off,         BeginEid,     NumEntries,
+                  NumSections, PayloadBytes, std::min(PayloadBytes, Remaining)};
   return true;
 }
 
-/// One segment's parsed section table. Records are v3-shaped with offsets
-/// relative to the segment header. View-index damage is always degradable;
-/// core damage is fatal in strict mode (StrictErr names the first) and
-/// per-section in salvage mode (the affected section reads as absent or
-/// not intact, and the caller decides between dropping the segment's
-/// entries and dropping the suffix).
-struct SegSections {
-  SectionIn S[MaxSegSectionId + 1] = {};
-  bool ViewDamaged = false;
-  const char *StrictErr = nullptr;
+/// The footer directory the trailer points at.
+struct Footer {
+  uint64_t Offset = 0;
+  uint32_t NumSegments = 0;
+  uint64_t Checksum = 0; ///< Of the footer bytes, verified.
 };
 
-SegSections parseSegSections(const FileBytes &File, const SegExtent &Seg) {
+/// Finds the footer through the trailer. False unless the trailer magic
+/// holds, the footer fills exactly the bytes between the file header and
+/// the trailer, and its checksum verifies.
+bool findFooter(const FileBytes &File, Footer &Out) {
+  if (File.Size < FileHeaderBytes + TrailerBytes)
+    return false;
+  const uint8_t *Tr = File.Data + File.Size - TrailerBytes;
+  uint64_t Offset, Checksum;
+  uint32_t NumSegments, Magic;
+  std::memcpy(&Offset, Tr, 8);
+  std::memcpy(&Checksum, Tr + 8, 8);
+  std::memcpy(&NumSegments, Tr + 16, 4);
+  std::memcpy(&Magic, Tr + 20, 4);
+  // Subtraction form: on a hostile trailer the sum Offset + Bytes can wrap
+  // around to pass a bounds test and hash from outside the mapping.
+  uint64_t Bytes = 8 + uint64_t{NumSegments} * DirRecordBytes;
+  if (Magic != TrailerMagic || Offset < FileHeaderBytes ||
+      Offset > File.Size - TrailerBytes ||
+      Bytes != File.Size - TrailerBytes - Offset)
+    return false;
+  Out = {Offset, NumSegments,
+         checksumBytes(File.Data + Offset, static_cast<size_t>(Bytes))};
+  return Out.Checksum == Checksum;
+}
+
+/// Locates the segments through the footer directory. False unless the
+/// footer and every directory record verify against the segment header
+/// and section table they point at.
+bool readDirectory(const FileBytes &File, std::vector<SegExtent> &Segs) {
+  Footer Foot;
+  if (!findFooter(File, Foot))
+    return false;
+  const uint8_t *F = File.Data + Foot.Offset;
+  uint32_t FMagic, FCount;
+  std::memcpy(&FMagic, F, 4);
+  std::memcpy(&FCount, F + 4, 4);
+  if (FMagic != FooterMagic || FCount != Foot.NumSegments)
+    return false;
+  for (uint32_t S = 0; S != Foot.NumSegments; ++S) {
+    const uint8_t *R = F + 8 + S * DirRecordBytes;
+    uint64_t Offset, TableDigest;
+    uint32_t BeginEid, NumEntries;
+    std::memcpy(&Offset, R, 8);
+    std::memcpy(&TableDigest, R + 8, 8);
+    std::memcpy(&BeginEid, R + 24, 4);
+    std::memcpy(&NumEntries, R + 28, 4);
+    SegExtent E;
+    if (!parseSegHeader(File, Offset, S, /*Clip=*/false, E) ||
+        E.BeginEid != BeginEid || E.NumEntries != NumEntries ||
+        checksumBytes(File.Data + Offset + SegHeaderBytes,
+                      uint64_t{E.NumSections} * SectionRecordBytes) !=
+            TableDigest) {
+      Segs.clear();
+      return false;
+    }
+    Segs.push_back(E);
+  }
+  return true;
+}
+
+/// Locates the segments by walking header to header from the top of the
+/// file: each header declares its payload extent, so the chain recovers
+/// exactly the written segments of a file whose directory is damaged or
+/// missing — the last of them clipped at the end of a file cut short.
+/// Returns whether the file was cut short: it ends inside the chain
+/// rather than at bytes that are no segment header (a footer, damage).
+bool chainScan(const FileBytes &File, std::vector<SegExtent> &Segs) {
+  uint64_t Off = FileHeaderBytes;
+  for (uint32_t Index = 0;; ++Index) {
+    SegExtent E;
+    if (!parseSegHeader(File, Off, Index, /*Clip=*/true, E))
+      break;
+    Segs.push_back(E);
+    if (E.PresentBytes < E.PayloadBytes)
+      return true;
+    Off += SegHeaderBytes + E.PayloadBytes;
+  }
+  return File.Size - Off < SegHeaderBytes;
+}
+
+/// One segment's parsed section table. View-index damage is always
+/// degradable; damage to any other section is a strict error (the first
+/// is kept as Fault, a cut flagged as Cut) and, for salvage, leaves that
+/// section absent or not intact for the caller to weigh.
+struct SegSections {
+  SectionIn S[MaxSectionId + 1] = {};
+  bool ViewDamaged = false;
+  bool Cut = false; ///< The end of the file cuts the table or entry data.
+  std::optional<Err> Fault;
+};
+
+SegSections parseSegSections(const std::string &Path, const FileBytes &File,
+                             const SegExtent &Seg) {
   SegSections Out;
-  uint64_t TableStart = Seg.Offset + SegHeaderBytes;
-  uint64_t RelEnd = SegHeaderBytes + Seg.PayloadBytes;
+  auto Damage = [&Out](uint32_t Id, Err E) {
+    if (isViewSection(Id))
+      Out.ViewDamaged = true;
+    else if (!Out.Fault)
+      Out.Fault = std::move(E);
+  };
   uint64_t RelTableEnd =
       SegHeaderBytes + uint64_t{Seg.NumSections} * SectionRecordBytes;
-  auto StrictBad = [&Out](const char *What) {
-    if (!Out.StrictErr)
-      Out.StrictErr = What;
-  };
+  uint64_t RelEnd = SegHeaderBytes + Seg.PayloadBytes;
+  uint64_t RelAvail = SegHeaderBytes + Seg.PresentBytes;
+  if (RelAvail < RelTableEnd) {
+    Out.Cut = true; // The end of the file cuts the table: nothing is usable.
+    return Out;
+  }
+  const uint8_t *Base = File.Data + Seg.Offset;
   for (uint32_t I = 0; I != Seg.NumSections; ++I) {
-    uint8_t Record[SectionRecordBytes];
-    std::memcpy(Record, File.Data + TableStart + I * SectionRecordBytes,
-                SectionRecordBytes);
+    const uint8_t *Record = Base + SegHeaderBytes + I * SectionRecordBytes;
     uint32_t Id;
     uint64_t Offset, Length, Checksum;
     std::memcpy(&Id, Record, 4);
     std::memcpy(&Offset, Record + 8, 8);
     std::memcpy(&Length, Record + 16, 8);
     std::memcpy(&Checksum, Record + 24, 8);
-    if (Offset % 8 != 0 || Offset < RelTableEnd || Offset > RelEnd) {
-      if (Id <= MaxSegSectionId && isViewSection(Id))
-        Out.ViewDamaged = true;
-      else
-        StrictBad("segment-section-bounds");
-      continue; // Salvage treats the section as absent.
+    if (Offset % 8 != 0 || Offset < RelTableEnd || Offset > RelEnd ||
+        Length > RelEnd - Offset) {
+      // The record itself is unusable: salvage treats the section as
+      // absent.
+      Damage(Id, TraceError::sectionBounds(Path, Id, Seg.Offset + Offset));
+      continue;
     }
-    if (Id > MaxSegSectionId)
+    if (Id > MaxSectionId)
       continue; // Unknown section: forward compatibility.
     if (Out.S[Id].Present) {
-      if (isViewSection(Id))
-        Out.ViewDamaged = true;
-      else
-        StrictBad("segment-duplicate-section");
+      Damage(Id, TraceError::duplicateSection(Path, Id));
       continue; // Salvage keeps the first record seen.
     }
-    uint64_t Avail = std::min(Length, RelEnd - Offset);
+    uint64_t Avail =
+        Offset < RelAvail ? std::min(Length, RelAvail - Offset) : 0;
     bool Intact = Avail == Length;
-    const uint8_t *Data = File.Data + Seg.Offset + Offset;
+    const uint8_t *Data = Base + std::min(Offset, RelAvail);
     if (Intact && (checksumBytes(Data, Length) != Checksum ||
                    FaultInjector::fire(FaultSite::SectionChecksum))) {
-      if (isViewSection(Id)) {
-        Out.ViewDamaged = true;
+      // Checksum mismatch (real or injected): the damage can be anywhere
+      // in the payload, so unlike a cut no prefix is trustworthy.
+      Damage(Id, TraceError::sectionChecksum(Path, Id, Seg.Offset + Offset));
+      if (isViewSection(Id))
         continue;
-      }
-      StrictBad("segment-section-checksum");
       Intact = false;
       Avail = 0;
     } else if (!Intact) {
+      // The file ends inside this payload.
       if (isViewSection(Id)) {
         Out.ViewDamaged = true;
         continue;
       }
-      StrictBad("segment-section-truncated");
+      Out.Cut = true;
     }
     Out.S[Id] = SectionIn{Data, Length, Avail, true, Intact};
   }
   return Out;
 }
 
-Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
-                            std::shared_ptr<StringInterner> Strings,
-                            const ReadOptions &Options) {
+/// Points \p Col at the first \p N elements of section \p S (\p Borrow) or
+/// appends a copy of them.
+template <typename E>
+void takeColumn(Column<E> &Col, const SectionIn &S, size_t N, bool Borrow) {
+  const auto *Data = reinterpret_cast<const E *>(S.Data);
+  if (Borrow)
+    Col.borrow(Data, N);
+  else
+    Col.append(Data, N);
+}
+
+/// Parses one segment's view-index delta into \p Out: the small meta
+/// section copied out, the flat entry lists borrowed. Structural validity
+/// is checked once the whole index is assembled.
+bool parseViewDelta(const SectionIn *S, uint64_t NumEntries,
+                    size_t NumStrings, ViewIndex &Out) {
+  const SectionIn &Meta = S[SecViewMeta], &Flat = S[SecViewEntries];
+  if (!Meta.Intact || !Flat.Intact || Flat.Length % sizeof(uint32_t) != 0)
+    return false;
+  ByteCursor VC(Meta.Data, Meta.Length);
+  for (size_t F = 0; F != NumViewFamilies; ++F) {
+    uint32_t NumViews = VC.u32();
+    if (!VC.ok() || NumViews > NumEntries)
+      return false;
+    Out.Keys[F].reserve(NumViews);
+    Out.Counts[F].reserve(NumViews);
+    for (uint32_t V = 0; V != NumViews && VC.ok(); ++V) {
+      uint32_t Key = VC.u32();
+      // Method-view keys are symbol ids; validate them against the
+      // string table like every other symbol-bearing field.
+      if (F == 1 && VC.ok() && Key >= NumStrings)
+        return false;
+      Out.Keys[F].push_back(Key);
+    }
+    for (uint32_t V = 0; V != NumViews && VC.ok(); ++V)
+      Out.Counts[F].push_back(VC.u32());
+  }
+  if (!VC.ok() || !VC.atEnd())
+    return false;
+  Out.Entries.borrow(reinterpret_cast<const uint32_t *>(Flat.Data),
+                     static_cast<size_t>(Flat.Length / sizeof(uint32_t)));
+  Out.Present = true;
+  return true;
+}
+
+/// Per-family merge of the view-index deltas of a multi-segment file:
+/// views keyed across segments in first-appearance order, each view's
+/// per-segment lists concatenated in segment order — which reproduces the
+/// whole-trace computeViewIndex result exactly.
+struct ViewMerge {
+  std::vector<uint32_t> Keys[NumViewFamilies];
+  std::vector<std::vector<uint32_t>> Lists[NumViewFamilies];
+  std::unordered_map<uint32_t, uint32_t> Slot[NumViewFamilies];
+
+  bool add(const ViewIndex &Delta) {
+    uint64_t FlatOff = 0;
+    for (size_t F = 0; F != NumViewFamilies; ++F)
+      for (size_t V = 0; V != Delta.Keys[F].size(); ++V) {
+        uint32_t Count = Delta.Counts[F][V];
+        if (Count == 0 || FlatOff + Count > Delta.Entries.size())
+          return false;
+        auto It = Slot[F].try_emplace(Delta.Keys[F][V],
+                                      static_cast<uint32_t>(Keys[F].size()));
+        if (It.second) {
+          Keys[F].push_back(Delta.Keys[F][V]);
+          Lists[F].emplace_back();
+        }
+        const uint32_t *List = Delta.Entries.data() + FlatOff;
+        Lists[F][It.first->second].insert(Lists[F][It.first->second].end(),
+                                          List, List + Count);
+        FlatOff += Count;
+      }
+    return FlatOff == Delta.Entries.size();
+  }
+
+  void assemble(ViewIndex &Out) const {
+    size_t Total = 0;
+    for (size_t F = 0; F != NumViewFamilies; ++F)
+      for (const std::vector<uint32_t> &List : Lists[F])
+        Total += List.size();
+    Out.Entries.reserve(Total);
+    for (size_t F = 0; F != NumViewFamilies; ++F) {
+      Out.Keys[F].append(Keys[F].data(), Keys[F].size());
+      Out.Counts[F].reserve(Lists[F].size());
+      for (const std::vector<uint32_t> &List : Lists[F]) {
+        Out.Counts[F].push_back(static_cast<uint32_t>(List.size()));
+        Out.Entries.append(List.data(), List.size());
+      }
+    }
+    Out.Present = true;
+  }
+};
+
+/// Rewrites every symbol id of \p T — the symbol-bearing entry columns,
+/// the argument pool, the view index's method keys — from the file's
+/// numbering to the interner's through \p Map. Every borrowed column is
+/// materialized first, so the trace no longer needs the file bytes.
+void remapSymbols(Trace &T, const std::vector<Symbol> &Map) {
+  T.Tids.detach();
+  T.Kinds.detach();
+  T.ArgsBegins.detach();
+  T.ArgsEnds.detach();
+  T.ChildTids.detach();
+  T.Provs.detach();
+  T.Fps.clear(); // Fingerprints hash symbol ids: recomputed by the caller.
+  if (T.ViewIdx.Present) {
+    // The index survives the remap: the partition structure and the
+    // first-appearance order are invariant under re-interning — only the
+    // method family's keys are symbol ids and need translation. Two
+    // file-table strings interning to one symbol (possible only in a
+    // hand-crafted table) would collapse two method views into one
+    // identity; the fresh build would merge them, so the index is dropped
+    // rather than reconstructing a diverging web.
+    T.ViewIdx.Entries.detach();
+    uint32_t *MethodKeys = T.ViewIdx.Keys[1].mutData();
+    bool Collapsed = false;
+    std::unordered_set<uint32_t> SeenKeys;
+    SeenKeys.reserve(T.ViewIdx.Keys[1].size());
+    for (size_t I = 0; I != T.ViewIdx.Keys[1].size(); ++I) {
+      MethodKeys[I] = Map[MethodKeys[I]].Id;
+      Collapsed |= !SeenKeys.insert(MethodKeys[I]).second;
+    }
+    if (Collapsed)
+      T.ViewIdx.clear();
+  }
+  Symbol *M = T.Methods.mutData();
+  Symbol *Nm = T.Names.mutData();
+  ObjRepr *Sf = T.Selfs.mutData();
+  ObjRepr *Tg = T.Targets.mutData();
+  ValueRepr *Vl = T.Values.mutData();
+  for (size_t I = 0; I != T.size(); ++I) {
+    M[I] = Map[M[I].Id];
+    Nm[I] = Map[Nm[I].Id];
+    Sf[I].ClassName = Map[Sf[I].ClassName.Id];
+    Tg[I].ClassName = Map[Tg[I].ClassName.Id];
+    Vl[I].Text = Map[Vl[I].Text.Id];
+  }
+  ValueRepr *Pl = T.ArgPool.mutData();
+  for (size_t I = 0; I != T.ArgPool.size(); ++I)
+    Pl[I].Text = Map[Pl[I].Text.Id];
+}
+
+/// The one trace reader. Verifies every section checksum, validates the
+/// untrusted values (kinds, symbol ids, argument slices) so nothing
+/// downstream needs to distrust them, and then either *borrows* a
+/// one-segment file's columns zero-copy from the file bytes — when the
+/// file's strings intern to identical symbol ids, the common case for a
+/// fresh or same-session interner, fingerprints included so loading skips
+/// re-fingerprinting — or assembles a multi-segment file by copying.
+/// Otherwise the symbols are remapped and the fingerprints recomputed.
+Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
+                              std::shared_ptr<StringInterner> Strings,
+                              const ReadOptions &Options) {
   const bool Salvage = Options.Salvage;
   auto Corrupt = [&](const char *What) {
     return TraceError::corruptSection(Path, What);
   };
-
-  if (File.Size < SegFileHeaderBytes)
+  if (File.Size < FileHeaderBytes)
     return TraceError::truncated(Path);
 
-  // Locate the segments: through the footer directory when the trailer,
-  // footer checksum, and every directory record verify; otherwise (salvage
-  // only) by chain-scanning segment headers from the top of the file —
-  // each header declares its payload extent, so the chain recovers exactly
-  // the sealed segments of an unfinalized or tail-truncated file.
-  std::vector<SegExtent> Segs;
-  bool DirValid = false;
-  // Reader phases as child spans of `load`, as in the v3 reader; `assemble`
-  // is the copy of each segment's slices into the one in-memory trace.
+  // One child span of `load` per reader phase; emplace closes the previous
+  // phase, and it is reset before `fingerprint` so that nests under `load`.
   std::optional<TelemetrySpan> Phase;
   Phase.emplace("checksum");
-  [&] {
-    if (File.Size < SegFileHeaderBytes + SegTrailerBytes)
-      return;
-    const uint8_t *Tr = File.Data + File.Size - SegTrailerBytes;
-    uint64_t FooterOffset, FooterChecksum;
-    uint32_t NumSegments, Magic;
-    std::memcpy(&FooterOffset, Tr, 8);
-    std::memcpy(&FooterChecksum, Tr + 8, 8);
-    std::memcpy(&NumSegments, Tr + 16, 4);
-    std::memcpy(&Magic, Tr + 20, 4);
-    uint64_t FooterBytes = 8 + uint64_t{NumSegments} * SegDirRecordBytes;
-    if (Magic != TrailerMagic || FooterOffset < SegFileHeaderBytes ||
-        FooterOffset > File.Size - SegTrailerBytes ||
-        FooterBytes > File.Size - SegTrailerBytes - FooterOffset)
-      return;
-    const uint8_t *F = File.Data + FooterOffset;
-    if (checksumBytes(F, static_cast<size_t>(FooterBytes)) != FooterChecksum)
-      return;
-    uint32_t FMagic, FCount;
-    std::memcpy(&FMagic, F, 4);
-    std::memcpy(&FCount, F + 4, 4);
-    if (FMagic != FooterMagic || FCount != NumSegments)
-      return;
-    for (uint32_t S = 0; S != NumSegments; ++S) {
-      const uint8_t *R = F + 8 + S * SegDirRecordBytes;
-      uint64_t Offset, TableDigest;
-      uint32_t BeginEid, NumEntries;
-      std::memcpy(&Offset, R, 8);
-      std::memcpy(&TableDigest, R + 8, 8);
-      std::memcpy(&BeginEid, R + 24, 4);
-      std::memcpy(&NumEntries, R + 28, 4);
-      SegExtent E;
-      if (!parseSegHeader(File, Offset, S, E) || E.BeginEid != BeginEid ||
-          E.NumEntries != NumEntries ||
-          checksumBytes(File.Data + Offset + SegHeaderBytes,
-                        uint64_t{E.NumSections} * SectionRecordBytes) !=
-              TableDigest) {
-        Segs.clear();
-        return;
-      }
-      Segs.push_back(E);
-    }
-    DirValid = true;
-  }();
 
-  bool Damaged = false;
+  // Locate the segments through the directory; without a valid one, by
+  // the chain scan. A strict read needs the directory unless the file ends
+  // inside its last segment: a cut that takes only the derived view index
+  // (and the directory after it) loads without the index, a cut into
+  // entry data is trace.truncated.
+  std::vector<SegExtent> Segs;
+  bool DirValid = readDirectory(File, Segs);
   if (!DirValid) {
-    if (!Salvage)
-      return Corrupt("segment-directory");
-    Damaged = true;
-    Segs.clear();
-    uint64_t Off = SegFileHeaderBytes;
-    for (uint32_t Index = 0;; ++Index) {
-      SegExtent E;
-      if (!parseSegHeader(File, Off, Index, E))
-        break;
-      Segs.push_back(E);
-      Off += SegHeaderBytes + E.PayloadBytes;
-    }
+    bool CutShort = chainScan(File, Segs);
+    bool Clipped = !Segs.empty() &&
+                   Segs.back().PresentBytes < Segs.back().PayloadBytes;
+    if (!Salvage && !Clipped)
+      return CutShort ? TraceError::truncated(Path)
+                      : Corrupt("segment-directory");
     if (Segs.empty())
       return TraceError::unsalvageable(Path, "no intact segments");
   }
+  // A one-segment file borrows its columns, argument pool and view index
+  // from the file bytes; more segments are copied into one trace.
+  const bool Borrow = Segs.size() == 1;
 
   Trace T;
   T.Strings = std::move(Strings);
-
-  std::vector<Symbol> Map;
+  std::vector<Symbol> Map; ///< File symbol id -> interner symbol.
   bool Identity = true;
-  uint64_t PoolCount = 0; ///< Pool elements assembled so far.
+  uint64_t PoolCount = 0; ///< Pool elements taken so far.
   uint64_t DeclaredBefore = 0;
   uint64_t EntriesDropped = 0;
   uint64_t SegmentsDropped = 0;
-  bool FpsComplete = true;
-
-  // Per-family view-index merge state: segments carry deltas with *global*
-  // entry ids, views keyed across segments in first-appearance order, so
-  // concatenating each view's per-segment lists in segment order
-  // reproduces the whole-trace computeViewIndex result exactly.
-  bool FileHasViewIndex = false;
-  bool ViewDamaged = false;
-  bool ViewMissing = false;
-  std::vector<uint32_t> MergeKeys[NumViewFamilies];
-  std::vector<std::vector<uint32_t>> MergeLists[NumViewFamilies];
-  std::unordered_map<uint32_t, uint32_t> MergeSlot[NumViewFamilies];
-
+  bool FpsComplete = true; ///< Every kept entry has a stored fingerprint.
+  bool FpsDamaged = false; ///< Some stored fingerprint lane was unusable.
+  bool FileHasViewIndex = false, ViewDamaged = false, ViewMissing = false;
+  ViewMerge Merge;
   struct KeptRange {
     size_t Begin, End;
   };
@@ -1107,33 +1006,35 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
     DeclaredBefore += Seg.NumEntries;
 
     Phase.emplace("checksum");
-    SegSections Parsed = parseSegSections(File, Seg);
-    if (!Salvage && Parsed.StrictErr)
-      return Corrupt(Parsed.StrictErr);
-    SectionIn *Sections = Parsed.S;
+    SegSections Parsed = parseSegSections(Path, File, Seg);
+    if (!Salvage && Parsed.Fault)
+      return *Parsed.Fault;
+    if (!Salvage && Parsed.Cut)
+      return TraceError::truncated(Path);
+    const SectionIn *Sections = Parsed.S;
     if (Parsed.ViewDamaged)
       ViewDamaged = FileHasViewIndex = true;
 
     // The side deltas chain: each segment's string/thread/pool bases
-    // continue where the previous seal stopped, so damage here makes every
-    // later symbol id and pool offset unresolvable — the segment and the
-    // entire suffix are dropped (strict mode already errored above).
-    bool SideOk =
-        Sections[SecStrDelta].Present && Sections[SecStrDelta].Intact &&
-        Sections[SecThreadDelta].Present && Sections[SecThreadDelta].Intact &&
-        Sections[SecArgSlice].Present && Sections[SecArgSlice].Intact;
-    if (!SideOk) {
+    // continue where the previous segment stopped, so damage here makes
+    // every later symbol id and pool offset unresolvable — the segment and
+    // the entire suffix are dropped. No prefix of them is usable either:
+    // they frame variable-length data.
+    if (!Sections[SecStrDelta].Intact || !Sections[SecThreadDelta].Intact ||
+        !Sections[SecArgSlice].Intact) {
       if (!Salvage)
         return Corrupt("segment-side-delta");
       break;
     }
-
-    if (SegI == 0 && Sections[SecName].Present && Sections[SecName].Intact)
+    if (SegI == 0 && Sections[SecName].Intact)
       T.Name.assign(reinterpret_cast<const char *>(Sections[SecName].Data),
                     Sections[SecName].Length);
 
     Phase.emplace("intern");
-    // Strings delta: the base must continue the assembled table exactly.
+    // Strings delta: the base must continue the table exactly. The count
+    // is untrusted: every string costs at least its 4-byte length prefix,
+    // so a count beyond Length/4 is corrupt — and can never become a huge
+    // up-front allocation.
     {
       ByteCursor SC(Sections[SecStrDelta].Data, Sections[SecStrDelta].Length);
       uint32_t Base = SC.u32();
@@ -1189,7 +1090,8 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
     }
 
     Phase.emplace("validate");
-    // Argument-pool slice: raw ValueRepr elements continuing the pool.
+    // Argument-pool slice: raw ValueRepr elements continuing the pool,
+    // 8 bytes into the section, so the borrowed slice stays 8-aligned.
     {
       const SectionIn &AS = Sections[SecArgSlice];
       bool Ok = AS.Length >= 8 && (AS.Length - 8) % sizeof(ValueRepr) == 0;
@@ -1208,20 +1110,26 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
           return Corrupt("argument-pool");
         break;
       }
-      T.ArgPool.append(Slice, static_cast<size_t>(SliceCount));
+      if (Borrow)
+        T.ArgPool.borrow(Slice, static_cast<size_t>(SliceCount));
+      else
+        T.ArgPool.append(Slice, static_cast<size_t>(SliceCount));
       PoolCount += SliceCount;
     }
 
-    // Entry columns: all present, intact, and exactly the declared entry
-    // count — a segment's entries are recovered whole or dropped whole
-    // (per-segment checksums make the granularity a segment, never a
-    // mid-column prefix), and its side deltas stay applied either way so
-    // every later segment still resolves.
+    // Entry columns. A strict read demands every column present with
+    // exactly the declared entry count. Salvage keeps the longest prefix
+    // every column covers — a checksum-failed column covers nothing, one
+    // cut by the end of the file its whole elements — and that validates.
+    // The segment's side deltas stay applied either way, so every later
+    // segment still resolves.
     uint64_t N = Seg.NumEntries;
-    bool ColsOk = true;
-    for (const ColumnSize &Col : ColumnSizes)
-      ColsOk &= Sections[Col.Id].Present && Sections[Col.Id].Intact &&
-                Sections[Col.Id].Length == N * Col.ElemSize;
+    for (const ColumnSize &Col : ColumnSizes) {
+      const SectionIn &S = Sections[Col.Id];
+      if (!Salvage && (!S.Present || S.Length != N * Col.ElemSize))
+        return Corrupt("column");
+      N = std::min(N, S.Avail / Col.ElemSize);
+    }
     const uint8_t *Kinds = Sections[SecKind].Data;
     const auto *Methods =
         reinterpret_cast<const Symbol *>(Sections[SecMethod].Data);
@@ -1237,202 +1145,142 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
         reinterpret_cast<const uint32_t *>(Sections[SecArgsBegin].Data);
     const auto *ArgsEnds =
         reinterpret_cast<const uint32_t *>(Sections[SecArgsEnd].Data);
-    const char *BadCol = ColsOk ? nullptr : "column";
-    if (ColsOk) {
-      for (uint64_t K = 0; K != N && !BadCol; ++K) {
-        if (Kinds[K] > MaxEventKind)
-          BadCol = "kind";
-        else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
-          BadCol = "symbol";
-        else if (Selfs[K].ClassName.Id >= Map.size() ||
-                 Targets[K].ClassName.Id >= Map.size())
-          BadCol = "object";
-        else if (static_cast<uint8_t>(Values[K].Kind) > MaxReprKind ||
-                 Values[K].Text.Id >= Map.size())
-          BadCol = "value";
-        else if (ArgsBegins[K] > ArgsEnds[K] || ArgsEnds[K] > PoolCount)
-          BadCol = "argument-slice";
-      }
-    }
-    if (BadCol) {
+    for (uint64_t K = 0; K != N; ++K) {
+      const char *Bad = nullptr;
+      if (Kinds[K] > MaxEventKind)
+        Bad = "kind";
+      else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
+        Bad = "symbol";
+      else if (Selfs[K].ClassName.Id >= Map.size() ||
+               Targets[K].ClassName.Id >= Map.size())
+        Bad = "object";
+      else if (static_cast<uint8_t>(Values[K].Kind) > MaxReprKind ||
+               Values[K].Text.Id >= Map.size())
+        Bad = "value";
+      else if (ArgsBegins[K] > ArgsEnds[K] || ArgsEnds[K] > PoolCount)
+        Bad = "argument-slice";
+      if (!Bad)
+        continue;
       if (!Salvage)
-        return Corrupt(BadCol);
-      Damaged = true;
+        return Corrupt(Bad);
+      N = K; // Keep the prefix of entries that validate.
+      break;
+    }
+    // Stored fingerprints are trusted only from an intact lane covering
+    // the whole segment; otherwise they are recomputed (a wrong one would
+    // corrupt =e instead of merely costing time).
+    const SectionIn &Fp = Sections[SecFp];
+    bool UseFps = Fp.Intact && Fp.Length == uint64_t{Seg.NumEntries} * 8;
+    if (Fp.Present && !UseFps) {
+      if (!Salvage)
+        return Corrupt("fingerprint");
+      FpsDamaged = true;
+    }
+    EntriesDropped += Seg.NumEntries - N;
+    if (N == 0 && Seg.NumEntries != 0) {
       ++SegmentsDropped;
-      EntriesDropped += N;
       continue;
     }
 
-    Phase.emplace("assemble");
-    bool SegFps = Sections[SecFp].Present && Sections[SecFp].Intact &&
-                  Sections[SecFp].Length == N * 8;
+    if (!Borrow)
+      Phase.emplace("assemble");
     size_t DstBegin = T.size();
     size_t Cnt = static_cast<size_t>(N);
-    T.Tids.append(reinterpret_cast<const uint32_t *>(Sections[SecTid].Data),
-                  Cnt);
-    T.Methods.append(Methods, Cnt);
-    T.Selfs.append(Selfs, Cnt);
-    T.Kinds.append(Kinds, Cnt);
-    T.Names.append(Names, Cnt);
-    T.Targets.append(Targets, Cnt);
-    T.Values.append(Values, Cnt);
-    T.ArgsBegins.append(ArgsBegins, Cnt);
-    T.ArgsEnds.append(ArgsEnds, Cnt);
-    T.ChildTids.append(
-        reinterpret_cast<const uint32_t *>(Sections[SecChildTid].Data), Cnt);
-    T.Provs.append(reinterpret_cast<const uint32_t *>(Sections[SecProv].Data),
-                   Cnt);
-    // Stored fingerprints are usable only when every kept segment carries
-    // an intact lane (a gap would misalign the column); they still need
-    // symbol identity to be trusted, checked after the loop.
-    if (SegFps && FpsComplete && T.Fps.size() == DstBegin)
-      T.Fps.append(reinterpret_cast<const uint64_t *>(Sections[SecFp].Data),
-                   Cnt);
+    takeColumn(T.Tids, Sections[SecTid], Cnt, Borrow);
+    takeColumn(T.Methods, Sections[SecMethod], Cnt, Borrow);
+    takeColumn(T.Selfs, Sections[SecSelf], Cnt, Borrow);
+    takeColumn(T.Kinds, Sections[SecKind], Cnt, Borrow);
+    takeColumn(T.Names, Sections[SecEvName], Cnt, Borrow);
+    takeColumn(T.Targets, Sections[SecTarget], Cnt, Borrow);
+    takeColumn(T.Values, Sections[SecValue], Cnt, Borrow);
+    takeColumn(T.ArgsBegins, Sections[SecArgsBegin], Cnt, Borrow);
+    takeColumn(T.ArgsEnds, Sections[SecArgsEnd], Cnt, Borrow);
+    takeColumn(T.ChildTids, Sections[SecChildTid], Cnt, Borrow);
+    takeColumn(T.Provs, Sections[SecProv], Cnt, Borrow);
+    // A gap in the stored lanes would misalign the column: fingerprints
+    // are used only when every kept segment carries them.
+    if (UseFps && FpsComplete && T.Fps.size() == DstBegin)
+      takeColumn(T.Fps, Fp, Cnt, Borrow);
     else if (Cnt != 0)
       FpsComplete = false;
     Kept.push_back({DstBegin, DstBegin + Cnt});
 
-    // View-index delta merge.
+    // View-index delta: parsed straight into the trace for one segment,
+    // merged across segments otherwise.
     bool HasViewSecs =
         Sections[SecViewMeta].Present || Sections[SecViewEntries].Present;
     FileHasViewIndex |= HasViewSecs;
     if (!HasViewSecs) {
-      if (Cnt != 0)
-        ViewMissing = true;
+      ViewMissing |= Cnt != 0;
     } else if (!ViewDamaged) {
-      bool Ok = Sections[SecViewMeta].Present &&
-                Sections[SecViewMeta].Intact &&
-                Sections[SecViewEntries].Present &&
-                Sections[SecViewEntries].Intact &&
-                Sections[SecViewEntries].Length % 4 == 0;
-      const auto *Flat =
-          reinterpret_cast<const uint32_t *>(Sections[SecViewEntries].Data);
-      uint64_t FlatCount = Ok ? Sections[SecViewEntries].Length / 4 : 0;
-      uint64_t FlatOff = 0;
-      ByteCursor VC(Sections[SecViewMeta].Data, Sections[SecViewMeta].Length);
-      for (size_t F = 0; Ok && F != NumViewFamilies; ++F) {
-        uint32_t NumViews = VC.u32();
-        Ok = VC.ok() && NumViews <= N;
-        std::vector<uint32_t> SegKeys(Ok ? NumViews : 0);
-        for (uint32_t V = 0; Ok && V != NumViews; ++V) {
-          SegKeys[V] = VC.u32();
-          // Method-view keys are symbol ids; validate like any symbol.
-          Ok = VC.ok() && (F != 1 || SegKeys[V] < Map.size());
-        }
-        for (uint32_t V = 0; Ok && V != NumViews; ++V) {
-          uint32_t ListCount = VC.u32();
-          Ok = VC.ok() && ListCount != 0 && FlatOff + ListCount <= FlatCount;
-          if (!Ok)
-            break;
-          auto Slot = MergeSlot[F].try_emplace(
-              SegKeys[V], static_cast<uint32_t>(MergeKeys[F].size()));
-          if (Slot.second) {
-            MergeKeys[F].push_back(SegKeys[V]);
-            MergeLists[F].emplace_back();
-          }
-          std::vector<uint32_t> &List = MergeLists[F][Slot.first->second];
-          List.insert(List.end(), Flat + FlatOff, Flat + FlatOff + ListCount);
-          FlatOff += ListCount;
-        }
-      }
-      if (!Ok || !VC.ok() || !VC.atEnd() || FlatOff != FlatCount)
-        ViewDamaged = true;
+      ViewIndex Delta;
+      ViewIndex &Into = Borrow ? T.ViewIdx : Delta;
+      ViewDamaged = !parseViewDelta(Sections, Seg.NumEntries, Map.size(),
+                                    Into) ||
+                    (!Borrow && !Merge.add(Delta));
     }
   }
 
-  if (SegI != Segs.size() && SegI < Segs.size()) {
-    // The loop broke on an unusable table or side delta: that segment and
-    // the whole suffix are lost (chained side bases).
-    Damaged = true;
-    for (size_t K = SegI; K != Segs.size(); ++K) {
-      ++SegmentsDropped;
-      EntriesDropped += Segs[K].NumEntries;
-    }
+  // The loop broke on an unusable side delta: that segment and the whole
+  // suffix are lost (chained side bases).
+  for (size_t K = SegI; K < Segs.size(); ++K) {
+    ++SegmentsDropped;
+    EntriesDropped += Segs[K].NumEntries;
   }
-  if (Kept.empty() && SegmentsDropped != 0)
-    return TraceError::unsalvageable(Path, "no intact segments");
-
-  // Assemble the merged view index (only when every segment's entries and
-  // every delta survived — dropped segments compact eids, which the
-  // persisted global ids no longer match).
-  bool AnyDropped = SegmentsDropped != 0;
-  Phase.emplace("assemble");
-  if (FileHasViewIndex && !ViewDamaged && !ViewMissing && !AnyDropped &&
-      !FaultInjector::fire(FaultSite::ViewIndexBorrow)) {
-    size_t Total = 0;
-    for (size_t F = 0; F != NumViewFamilies; ++F)
-      for (const std::vector<uint32_t> &List : MergeLists[F])
-        Total += List.size();
-    T.ViewIdx.Entries.reserve(Total);
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      T.ViewIdx.Keys[F].append(MergeKeys[F].data(), MergeKeys[F].size());
-      T.ViewIdx.Counts[F].reserve(MergeLists[F].size());
-      for (const std::vector<uint32_t> &List : MergeLists[F]) {
-        T.ViewIdx.Counts[F].push_back(static_cast<uint32_t>(List.size()));
-        T.ViewIdx.Entries.append(List.data(), List.size());
-      }
-    }
-    T.ViewIdx.Present = true;
-    if (!viewIndexIsValid(T.ViewIdx, T.size()))
-      T.ViewIdx.clear();
-  }
-
   size_t Count = T.size();
+  if (Count == 0 && (EntriesDropped != 0 || SegmentsDropped != 0))
+    return TraceError::unsalvageable(Path, "no entries recovered");
+
+  // The persisted index is derived data — rebuildable from the columns —
+  // so *any* damage to it (checksum, structure, one section without the
+  // other, a segment without it, an injected borrow failure) degrades to
+  // an index-less load: the view web is rebuilt from the entries, and the
+  // fallback is observable via `robust.view_index_dropped`. Dropped
+  // entries compact eids, which the persisted ids no longer match.
+  if (FileHasViewIndex) {
+    bool Keep = !ViewDamaged && !ViewMissing && EntriesDropped == 0 &&
+                !FaultInjector::fire(FaultSite::ViewIndexBorrow);
+    if (Keep && !Borrow) {
+      Phase.emplace("assemble");
+      Merge.assemble(T.ViewIdx);
+    }
+    if (!Keep || !viewIndexIsValid(T.ViewIdx, Count)) {
+      T.ViewIdx.clear();
+      Telemetry::counterAdd("robust.view_index_dropped");
+      if (Options.Report)
+        Options.Report->ViewIndexDropped = true;
+    }
+  }
   Phase.reset();
-  if (!Identity) {
-    // The interner assigned different ids: remap every symbol-bearing
-    // column and the merged index's method keys, then recompute
-    // fingerprints (they hash symbol ids). Mirrors the v3 reader.
+
+  if (Identity) {
+    // Zero-copy: symbol ids in the file are valid in this interner, so
+    // borrowed columns (stored fingerprints included) are used in place;
+    // Backing keeps the file bytes alive for the life of the trace.
+    if (Borrow)
+      T.Backing = File.Holder;
+    if (FpsComplete && T.Fps.size() == Count)
+      T.HasFingerprints = true;
+    else
+      T.computeFingerprints();
+  } else {
+    // The interner assigned different ids: materialize and remap, then
+    // recompute fingerprints (they hash symbol ids). Counted so
+    // repeat-load pipelines can spot that sharing one interner across
+    // loads would make this free.
     Phase.emplace("remap");
-    if (T.ViewIdx.Present) {
-      uint32_t *MethodKeys = T.ViewIdx.Keys[1].mutData();
-      bool Collapsed = false;
-      std::unordered_set<uint32_t> SeenKeys;
-      SeenKeys.reserve(T.ViewIdx.Keys[1].size());
-      for (size_t K = 0; K != T.ViewIdx.Keys[1].size(); ++K) {
-        MethodKeys[K] = Map[MethodKeys[K]].Id;
-        Collapsed |= !SeenKeys.insert(MethodKeys[K]).second;
-      }
-      if (Collapsed)
-        T.ViewIdx.clear();
-    }
-    Symbol *M = T.Methods.mutData();
-    Symbol *Nm = T.Names.mutData();
-    ObjRepr *Sf = T.Selfs.mutData();
-    ObjRepr *Tg = T.Targets.mutData();
-    ValueRepr *Vl = T.Values.mutData();
-    for (size_t K = 0; K != Count; ++K) {
-      M[K] = Map[M[K].Id];
-      Nm[K] = Map[Nm[K].Id];
-      Sf[K].ClassName = Map[Sf[K].ClassName.Id];
-      Tg[K].ClassName = Map[Tg[K].ClassName.Id];
-      Vl[K].Text = Map[Vl[K].Text.Id];
-    }
-    ValueRepr *Pl = T.ArgPool.mutData();
-    for (size_t K = 0; K != PoolCount; ++K)
-      Pl[K].Text = Map[Pl[K].Text.Id];
+    remapSymbols(T, Map);
     Phase.reset();
     Telemetry::counterAdd("load.fp_recompute", 1);
     T.computeFingerprints();
-  } else if (FpsComplete && T.Fps.size() == Count) {
-    T.HasFingerprints = true;
-  } else {
-    T.computeFingerprints();
-  }
-
-  if (FileHasViewIndex && !T.ViewIdx.Present) {
-    T.ViewIdx.clear();
-    Telemetry::counterAdd("robust.view_index_dropped");
-    if (Options.Report)
-      Options.Report->ViewIndexDropped = true;
   }
 
   // Segment table for the diff layer's segment-granular run skip: exposed
-  // only for fully clean loads (a dropped segment shifts eids, and without
+  // only for fully clean loads (dropped entries shift eids, and without
   // the directory the segmentation itself is suspect). Digests hash the
   // *final* (post-remap) fingerprint lane plus the tid lane, so two traces
   // loaded through one interner expose comparable digests.
-  if (DirValid && SegmentsDropped == 0) {
+  if (DirValid && EntriesDropped == 0 && SegmentsDropped == 0) {
     TelemetrySpan ChecksumSpan("checksum");
     T.Segments.reserve(Kept.size());
     for (const KeptRange &K : Kept) {
@@ -1445,7 +1293,8 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
     }
   }
 
-  if (Damaged) {
+  if (Salvage && (!DirValid || EntriesDropped != 0 || SegmentsDropped != 0 ||
+                  FpsDamaged)) {
     Telemetry::counterAdd("robust.salvage.used");
     Telemetry::counterAdd("robust.salvage.recovered_entries", Count);
     Telemetry::counterAdd("robust.salvage.dropped_entries", EntriesDropped);
@@ -1464,284 +1313,25 @@ Expected<Trace> readTraceV4(const std::string &Path, const FileBytes &File,
 
 bool rprism::writeTrace(const Trace &T, const std::string &Path,
                         bool WithViewIndex) {
-  if (const char *Fmt = std::getenv("RPRISM_TRACE_FORMAT"))
-    if (std::strcmp(Fmt, "v4") == 0)
-      return writeTraceSegmented(T, Path, DefaultSegmentEntries,
-                                 WithViewIndex);
-  return writeTraceV3Impl(T, Path, WithViewIndex);
-}
-
-// --- v4 segmented writer --------------------------------------------------
-
-struct SegmentedTraceWriter::Impl {
-  Writer W;
-  size_t SegmentEntries;
-  bool WithViewIndex;
-  uint64_t Offset = SegFileHeaderBytes; ///< Where the next segment lands.
-  size_t Sealed = 0;
-  size_t StringsWritten = 0;
-  size_t ThreadsWritten = 0;
-  size_t PoolWritten = 0;
-  bool Finalized = false;
-  bool Failed = false;
-
-  struct DirRecord {
-    uint64_t Offset;
-    uint64_t TableDigest;
-    uint64_t LaneDigest;
-    uint32_t BeginEid;
-    uint32_t NumEntries;
-  };
-  std::vector<DirRecord> Dir;
-
-  Impl(const std::string &Path, size_t SegEntries, bool WithIdx)
-      : W(Path), SegmentEntries(SegEntries ? SegEntries : 1),
-        WithViewIndex(WithIdx) {
-    W.u32(TraceMagic);
-    W.u32(SegTraceVersion);
-    W.u32(0); // Flags; fingerprint presence is per-segment (SecFp).
-    W.u32(static_cast<uint32_t>(std::min<size_t>(SegmentEntries, ~0u)));
-    W.u64(0); // Reserved.
-    W.u64(0); // Reserved.
-  }
-};
-
-SegmentedTraceWriter::SegmentedTraceWriter(const std::string &Path,
-                                           size_t SegmentEntries,
-                                           bool WithViewIndex)
-    : I(std::make_unique<Impl>(Path, SegmentEntries, WithViewIndex)) {}
-
-SegmentedTraceWriter::~SegmentedTraceWriter() = default;
-
-bool SegmentedTraceWriter::ok() const {
-  return I->W.ok() && !I->Failed;
-}
-
-size_t SegmentedTraceWriter::segmentEntries() const {
-  return I->SegmentEntries;
-}
-
-size_t SegmentedTraceWriter::entriesSealed() const { return I->Sealed; }
-
-bool SegmentedTraceWriter::appendSegment(const Trace &T, size_t Begin,
-                                         size_t End, bool TrustRangeFps) {
-  Impl &S = *I;
-  if (S.Finalized || S.Failed || !S.W.ok())
-    return false;
-  TelemetrySpan Span("write");
-  // Ranges must be adjacent; an empty range is only the empty-trace
-  // placeholder segment (so even an entry-less file carries side tables).
-  if (Begin != S.Sealed || End < Begin || End > T.size() ||
-      (End == Begin && !(Begin == 0 && S.Dir.empty()))) {
-    S.Failed = true;
-    return false;
-  }
-  size_t N = End - Begin;
-  bool WithFps =
-      (T.HasFingerprints || TrustRangeFps) && T.Fps.size() >= End;
-
-  // Side-table deltas since the previous seal. All three grow
-  // monotonically during recording, so a sealed segment never needs
-  // rewriting when later entries arrive.
-  size_t NumStrings = T.Strings->size();
-  size_t NumThreads = T.Threads.size();
-  if (NumStrings < S.StringsWritten || NumThreads < S.ThreadsWritten) {
-    S.Failed = true;
-    return false;
-  }
-  ByteBuffer StringsBuf;
-  StringsBuf.u32(static_cast<uint32_t>(S.StringsWritten));
-  StringsBuf.u32(static_cast<uint32_t>(NumStrings - S.StringsWritten));
-  for (size_t K = S.StringsWritten; K != NumStrings; ++K)
-    StringsBuf.str(T.Strings->text(Symbol{static_cast<uint32_t>(K)}));
-
-  ByteBuffer ThreadsBuf;
-  ThreadsBuf.u32(static_cast<uint32_t>(S.ThreadsWritten));
-  ThreadsBuf.u32(static_cast<uint32_t>(NumThreads - S.ThreadsWritten));
-  for (size_t K = S.ThreadsWritten; K != NumThreads; ++K) {
-    const ThreadInfo &Thread = T.Threads[K];
-    ThreadsBuf.u32(Thread.Tid);
-    ThreadsBuf.u32(Thread.ParentTid);
-    ThreadsBuf.u32(Thread.EntryMethod.Id);
-    ThreadsBuf.u64(Thread.AncestryHash);
-    ThreadsBuf.u32(static_cast<uint32_t>(Thread.SpawnStack.size()));
-    for (Symbol Sym : Thread.SpawnStack)
-      ThreadsBuf.u32(Sym.Id);
-  }
-
-  // Argument-pool slice the segment's entries reference (offsets in the
-  // entry columns stay global). The pool grows monotonically with the
-  // entries, so covering the running max of ArgsEnd is exact; the last
-  // segment of a complete trace extends to the full pool.
-  size_t PoolUpTo = S.PoolWritten;
-  if (End == T.size()) {
-    PoolUpTo = T.ArgPool.size();
-  } else {
-    const uint32_t *AE = T.ArgsEnds.data();
-    for (size_t K = Begin; K != End; ++K)
-      PoolUpTo = std::max(PoolUpTo, static_cast<size_t>(AE[K]));
-  }
-  if (PoolUpTo > T.ArgPool.size()) {
-    S.Failed = true;
-    return false;
-  }
-  ByteBuffer ArgSliceBuf;
-  ArgSliceBuf.u64(S.PoolWritten);
-  ArgSliceBuf.Out.append(
-      reinterpret_cast<const char *>(T.ArgPool.data() + S.PoolWritten),
-      (PoolUpTo - S.PoolWritten) * sizeof(ValueRepr));
-
-  // View-index delta over exactly this range (global eids).
-  ViewIndex SegIdx;
-  ByteBuffer ViewMetaBuf;
-  if (S.WithViewIndex) {
-    SegIdx = computeViewIndexRange(T, static_cast<uint32_t>(Begin),
-                                   static_cast<uint32_t>(End));
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      ViewMetaBuf.u32(static_cast<uint32_t>(SegIdx.Keys[F].size()));
-      for (uint32_t Key : SegIdx.Keys[F])
-        ViewMetaBuf.u32(Key);
-      for (uint32_t ListCount : SegIdx.Counts[F])
-        ViewMetaBuf.u32(ListCount);
-    }
-  }
-
-  std::vector<SectionOut> Sections;
-  if (S.Dir.empty())
-    Sections.push_back({SecName, T.Name.data(), T.Name.size()});
-  Sections.push_back(
-      {SecStrDelta, StringsBuf.Out.data(), StringsBuf.Out.size()});
-  Sections.push_back(
-      {SecThreadDelta, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()});
-  Sections.push_back(
-      {SecArgSlice, ArgSliceBuf.Out.data(), ArgSliceBuf.Out.size()});
-  Sections.push_back({SecTid, T.Tids.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back({SecMethod, T.Methods.data() + Begin, N * sizeof(Symbol)});
-  Sections.push_back({SecSelf, T.Selfs.data() + Begin, N * sizeof(ObjRepr)});
-  Sections.push_back({SecKind, T.Kinds.data() + Begin, N * sizeof(uint8_t)});
-  Sections.push_back({SecEvName, T.Names.data() + Begin, N * sizeof(Symbol)});
-  Sections.push_back(
-      {SecTarget, T.Targets.data() + Begin, N * sizeof(ObjRepr)});
-  Sections.push_back(
-      {SecValue, T.Values.data() + Begin, N * sizeof(ValueRepr)});
-  Sections.push_back(
-      {SecArgsBegin, T.ArgsBegins.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back(
-      {SecArgsEnd, T.ArgsEnds.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back(
-      {SecChildTid, T.ChildTids.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back({SecProv, T.Provs.data() + Begin, N * sizeof(uint32_t)});
-  if (WithFps)
-    Sections.push_back({SecFp, T.Fps.data() + Begin, N * sizeof(uint64_t)});
-  if (S.WithViewIndex) {
-    Sections.push_back(
-        {SecViewMeta, ViewMetaBuf.Out.data(), ViewMetaBuf.Out.size()});
-    Sections.push_back(
-        {SecViewEntries, SegIdx.Entries.data(), SegIdx.Entries.byteSize()});
-  }
-
-  // Lay the payloads out 8-aligned after the segment's table, offsets
-  // relative to the segment header (the segment itself is 8-aligned).
-  uint64_t Rel = SegHeaderBytes + Sections.size() * SectionRecordBytes;
-  std::vector<uint64_t> Offsets(Sections.size());
-  for (size_t K = 0; K != Sections.size(); ++K) {
-    Rel = (Rel + 7) & ~uint64_t{7};
-    Offsets[K] = Rel;
-    Rel += Sections[K].Length;
-  }
-  uint64_t RelEnd = (Rel + 7) & ~uint64_t{7};
-  uint64_t PayloadBytes = RelEnd - SegHeaderBytes;
-
-  ByteBuffer Table;
-  uint64_t TableDigest, LaneDigest;
-  {
-    TelemetrySpan ChecksumSpan("checksum");
-    for (size_t K = 0; K != Sections.size(); ++K) {
-      Table.u32(Sections[K].Id);
-      Table.u32(0); // pad
-      Table.u64(Offsets[K]);
-      Table.u64(Sections[K].Length);
-      Table.u64(checksumBytes(Sections[K].Data, Sections[K].Length));
-    }
-    TableDigest = checksumBytes(Table.Out.data(), Table.Out.size());
-    LaneDigest = hashCombine(
-        WithFps ? checksumBytes(T.Fps.data() + Begin, N * sizeof(uint64_t))
-                : 0,
-        checksumBytes(T.Tids.data() + Begin, N * sizeof(uint32_t)));
-  }
-
-  Writer &W = S.W;
-  W.u32(SegMagic);
-  W.u32(static_cast<uint32_t>(S.Dir.size()));
-  W.u64(Begin);
-  W.u32(static_cast<uint32_t>(N));
-  W.u32(static_cast<uint32_t>(Sections.size()));
-  W.u64(PayloadBytes);
-  W.raw(Table.Out.data(), Table.Out.size());
-  uint64_t Pos = SegHeaderBytes + Sections.size() * SectionRecordBytes;
-  for (size_t K = 0; K != Sections.size(); ++K) {
-    W.zeros(Offsets[K] - Pos);
-    W.raw(Sections[K].Data, Sections[K].Length);
-    Pos = Offsets[K] + Sections[K].Length;
-  }
-  W.zeros(RelEnd - Pos);
-
-  S.Dir.push_back({S.Offset, TableDigest, LaneDigest,
-                   static_cast<uint32_t>(Begin), static_cast<uint32_t>(N)});
-  S.Offset += SegHeaderBytes + PayloadBytes;
-  S.Sealed = End;
-  S.StringsWritten = NumStrings;
-  S.ThreadsWritten = NumThreads;
-  S.PoolWritten = PoolUpTo;
-  if (!W.ok())
-    S.Failed = true;
-  return !S.Failed;
-}
-
-bool SegmentedTraceWriter::finalize() {
-  Impl &S = *I;
-  if (S.Finalized)
-    return false;
-  S.Finalized = true;
-  if (S.Failed || !S.W.ok())
-    return false;
-  TelemetrySpan Span("write");
-  ByteBuffer Footer;
-  Footer.u32(FooterMagic);
-  Footer.u32(static_cast<uint32_t>(S.Dir.size()));
-  for (const Impl::DirRecord &Rec : S.Dir) {
-    Footer.u64(Rec.Offset);
-    Footer.u64(Rec.TableDigest);
-    Footer.u64(Rec.LaneDigest);
-    Footer.u32(Rec.BeginEid);
-    Footer.u32(Rec.NumEntries);
-  }
-  uint64_t FooterOffset = S.Offset;
-  uint64_t FooterChecksum =
-      checksumBytes(Footer.Out.data(), Footer.Out.size());
-  S.W.raw(Footer.Out.data(), Footer.Out.size());
-  S.W.u64(FooterOffset);
-  S.W.u64(FooterChecksum);
-  S.W.u32(static_cast<uint32_t>(S.Dir.size()));
-  S.W.u32(TrailerMagic);
-  return S.W.ok();
+  return writeTraceSegmented(T, Path, std::max<size_t>(T.size(), 1),
+                             WithViewIndex);
 }
 
 bool rprism::writeTraceSegmented(const Trace &T, const std::string &Path,
                                  size_t SegmentEntries, bool WithViewIndex) {
   if (SegmentEntries == 0)
     return false;
-  SegmentedTraceWriter W(Path, SegmentEntries, WithViewIndex);
-  if (!W.ok())
-    return false;
+  SegmentWriter W(Path, SegmentEntries, WithViewIndex);
+  // An entry-less trace still writes one segment, so the side tables
+  // (name, strings, threads) have somewhere to live.
   size_t Begin = 0;
   do {
     size_t End = std::min(T.size(), Begin + SegmentEntries);
-    if (!W.appendSegment(T, Begin, End))
+    if (!W.segment(T, Begin, End))
       return false;
     Begin = End;
   } while (Begin < T.size());
-  return W.finalize();
+  return W.finish();
 }
 
 Expected<Trace> rprism::readTrace(const std::string &Path,
@@ -1755,94 +1345,32 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
   TelemetrySpan Span("load");
   if (!Strings)
     Strings = std::make_shared<StringInterner>();
-
-  // One load of the file bytes serves the format dispatch and both
-  // readers, so retry and fault-injection behavior is uniform across
-  // formats.
-  FileBytes File;
-  IoStatus Status = loadFileBytes(Path, File);
-  if (Status == IoStatus::NotFound)
-    return TraceError::notFound(Path);
-  if (Status == IoStatus::Error)
-    return TraceError::cannotOpen(Path);
-  if (File.Mapped)
+  Expected<FileBytes> File = openTraceFile(Path);
+  if (!File)
+    return File.error();
+  if (File->Mapped)
     Telemetry::counterAdd("load.mmap", 1);
-
-  uint32_t Magic = 0;
-  if (File.Size >= 4)
-    std::memcpy(&Magic, File.Data, 4);
-  if (Magic != TraceMagic)
-    return TraceError::notATrace(Path);
-  uint32_t Version = 0;
-  if (File.Size >= 8)
-    std::memcpy(&Version, File.Data + 4, 4);
-  if (Version != TraceVersion && Version != SegTraceVersion)
-    return TraceError::unsupportedVersion(Path, Version);
-
   Expected<Trace> Result =
-      Version == SegTraceVersion
-          ? readTraceV4(Path, File, std::move(Strings), Options)
-          : readTraceV3(Path, File, std::move(Strings), Options);
+      readSegmented(Path, *File, std::move(Strings), Options);
   if (Result)
     Telemetry::counterAdd("trace.entries_loaded", Result->size());
   return Result;
 }
 
 Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
-  FileBytes File;
-  IoStatus Status = loadFileBytes(Path, File);
-  if (Status == IoStatus::NotFound)
-    return TraceError::notFound(Path);
-  if (Status == IoStatus::Error)
-    return TraceError::cannotOpen(Path);
-  if (File.Size < 8)
-    return TraceError::truncated(Path);
-  uint32_t Head[2];
-  std::memcpy(Head, File.Data, sizeof(Head));
-  if (Head[0] != TraceMagic)
-    return TraceError::notATrace(Path);
-  if (Head[1] != TraceVersion && Head[1] != SegTraceVersion)
-    return TraceError::unsupportedVersion(Path, Head[1]);
-  if (Head[1] == TraceVersion && File.Size >= HeaderBytes) {
-    // v3: the section table already carries a checksum per payload, so
-    // hashing header + table covers the whole content without touching
-    // the (potentially large) payload bytes.
-    uint32_t NumSections;
-    std::memcpy(&NumSections, File.Data + 12, 4);
-    uint64_t TableEnd =
-        HeaderBytes + uint64_t{NumSections} * SectionRecordBytes;
-    if (NumSections != 0 && NumSections <= MaxSections &&
-        TableEnd <= File.Size)
-      return hashCombine(
-          checksumBytes(File.Data, static_cast<size_t>(TableEnd)), File.Size);
-  }
-  if (Head[1] == SegTraceVersion &&
-      File.Size >= SegFileHeaderBytes + SegTrailerBytes) {
-    // v4: the footer directory carries each segment's table digest, and
-    // each segment table carries per-payload checksums, so header + footer
-    // cover the whole content. Only usable when the trailer and footer
-    // verify; a damaged file falls through to the full-file hash.
-    uint64_t FooterOffset, FooterChecksum;
-    uint32_t NumSegments;
-    const uint8_t *Trailer = File.Data + (File.Size - SegTrailerBytes);
-    std::memcpy(&FooterOffset, Trailer, 8);
-    std::memcpy(&FooterChecksum, Trailer + 8, 8);
-    std::memcpy(&NumSegments, Trailer + 16, 4);
-    uint64_t FooterBytes = 8 + uint64_t{NumSegments} * SegDirRecordBytes;
-    // Subtraction form, as in readTraceV4: on a hostile trailer the sum
-    // FooterOffset + FooterBytes can wrap around to pass an equality test.
-    if (FooterOffset >= SegFileHeaderBytes &&
-        FooterOffset <= File.Size - SegTrailerBytes &&
-        FooterBytes == File.Size - SegTrailerBytes - FooterOffset) {
-      uint64_t FooterSum = checksumBytes(File.Data + FooterOffset,
-                                         static_cast<size_t>(FooterBytes));
-      if (FooterSum == FooterChecksum)
-        return hashCombine(checksumBytes(File.Data, SegFileHeaderBytes),
-                           FooterSum, File.Size);
-    }
-  }
-  // A malformed v3 header or a damaged v4 footer, which the full read will
-  // reject anyway: hash the entire file.
+  Expected<FileBytes> Opened = openTraceFile(Path);
+  if (!Opened)
+    return Opened.error();
+  const FileBytes &File = *Opened;
+  // The footer directory carries each segment's table digest, and each
+  // segment table carries per-payload checksums, so header + footer cover
+  // the whole content without touching the (potentially large) payload
+  // bytes. A damaged footer, which the full read rejects anyway, falls
+  // back to hashing the whole file.
+  Footer Foot;
+  if (findFooter(File, Foot))
+    return hashCombine(checksumBytes(File.Data, FileHeaderBytes),
+                       Foot.Checksum, File.Size);
   return hashCombine(checksumBytes(File.Data, File.Size), File.Size);
 }
 

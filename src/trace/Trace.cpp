@@ -243,14 +243,6 @@ void Trace::computeFingerprints(ThreadPool *Pool) {
   HasFingerprints = true;
 }
 
-void Trace::computeFingerprintRange(size_t Begin, size_t End) {
-  if (End > Fps.size())
-    Fps.resize(End);
-  uint64_t *Out = Fps.mutData();
-  for (size_t I = Begin; I < End; ++I)
-    Out[I] = entryFingerprint(static_cast<uint32_t>(I));
-}
-
 void rprism::fingerprintTracePair(Trace &Left, Trace &Right,
                                   ThreadPool *Pool) {
   if (!Pool || Pool->numWorkers() <= 1) {

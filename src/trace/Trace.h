@@ -21,7 +21,7 @@
 /// per-field keeps each stage's working set to exactly the bytes it
 /// touches (~105 bytes/entry across all columns vs the former 144-byte
 /// array-of-structs entry). Columns are either owned (a vector) or
-/// *borrowed* zero-copy views into a memory-mapped trace file (format v3);
+/// *borrowed* zero-copy views into a memory-mapped one-segment trace file;
 /// `Backing` keeps the mapping alive. The eid of an entry is its index:
 /// the recorder assigns eids densely, so no Eid column is stored.
 ///
@@ -45,7 +45,7 @@ class ThreadPool;
 /// One column of the columnar trace: a contiguous array of a trivially
 /// copyable element type. Either *owning* (backed by its own vector) or
 /// *borrowed* (a pointer/length view into memory owned elsewhere — the
-/// mmap arena of a v3 trace file, kept alive by Trace::Backing). Reads go
+/// mmap arena of a trace file, kept alive by Trace::Backing). Reads go
 /// through (Ptr, Len) either way; any mutation of a borrowed column first
 /// detaches it (copies the bytes into owned storage).
 template <typename T> class Column {
@@ -191,16 +191,16 @@ inline constexpr size_t NumViewFamilies = 4;
 
 /// A precomputed partitioning of a trace's entries into the four view
 /// families — the data the view-web build derives by scanning the entry
-/// columns, lifted out so it can be persisted (trace format v3 sections)
-/// and the scan skipped on repeat loads.
+/// columns, lifted out so it can be persisted (trace-file sections) and
+/// the scan skipped on repeat loads.
 ///
 /// Per family F (0 = thread, 1 = method, 2 = target-object, 3 =
 /// active-object), Keys[F][i] is the identity of the family's i-th view in
 /// first-appearance order (a tid, an interned method-symbol id, or a store
 /// location) and Counts[F][i] its entry count. Entries is the flat
 /// concatenation of every view's ascending entry-id list, family by
-/// family, view by view — one contiguous column so a v3 load borrows it
-/// zero-copy from the mapped file.
+/// family, view by view — one contiguous column so a one-segment load
+/// borrows it zero-copy from the mapped file.
 struct ViewIndex {
   Column<uint32_t> Keys[NumViewFamilies];
   Column<uint32_t> Counts[NumViewFamilies];
@@ -235,7 +235,7 @@ struct ViewIndex {
   }
 };
 
-/// Provenance of one segment of a segmented (format v4) trace file: the
+/// Provenance of one segment of a trace file: the
 /// entry range it covered after loading and a digest of its fingerprint
 /// and tid lanes. Two traces loaded in the same session expose comparable
 /// digests (they hash post-remap fingerprints), so the diff layer can skip
@@ -273,25 +273,26 @@ struct Trace {
   std::vector<ThreadInfo> Threads;
 
   /// Keep-alive for borrowed columns: the mmap'd (or arena-read) bytes of
-  /// a v3 trace file. Null for fully owned traces.
+  /// a one-segment trace file loaded with symbol identity. Null for fully
+  /// owned traces (recorded, remapped, or assembled from many segments).
   std::shared_ptr<void> Backing;
 
-  /// Persisted view partitioning, when loaded from a v3 file carrying
-  /// index sections (or computed by computeViewIndex). Present only while
-  /// it matches the entry columns — appends invalidate it.
+  /// Persisted view partitioning, when loaded from a file carrying index
+  /// sections (or computed by computeViewIndex). Present only while it
+  /// matches the entry columns — appends invalidate it.
   ViewIndex ViewIdx;
 
-  /// Segment table of a trace loaded from a segmented (v4) file with every
-  /// segment intact: contiguous entry ranges covering [0, size()) with
-  /// per-segment lane digests. Empty for non-segmented traces, for salvaged
-  /// loads that dropped segments, and after any entry mutation.
+  /// Segment table of a trace loaded from a file with every segment
+  /// intact: contiguous entry ranges covering [0, size()) with per-segment
+  /// lane digests. Empty for traces not loaded from a file, for salvaged
+  /// loads that dropped entries, and after any entry mutation.
   std::vector<TraceSegmentInfo> Segments;
 
   /// True when every entry's fingerprint is current. Set by
   /// computeFingerprints (called at trace-finalize and deserialize time) or
-  /// by the v3 zero-copy loader (fingerprints load verbatim when symbol
-  /// ids are preserved); false for hand-built traces, which then compare on
-  /// the slow path only.
+  /// by the loader (stored fingerprints load verbatim when symbol ids are
+  /// preserved); false for hand-built traces, which then compare on the
+  /// slow path only.
   bool HasFingerprints = false;
 
   size_t size() const { return Kinds.size(); }
@@ -341,12 +342,6 @@ struct Trace {
   /// the entries are chunked across the pool's workers (the result does not
   /// depend on the chunking).
   void computeFingerprints(ThreadPool *Pool = nullptr);
-
-  /// Fills fingerprints for entries [\p Begin, \p End) only, growing the
-  /// column to \p End if needed. Does NOT set HasFingerprints — streaming
-  /// recorders use this to fingerprint sealed segments early; the final
-  /// computeFingerprints() covers the tail and flips the flag.
-  void computeFingerprintRange(size_t Begin, size_t End);
 
   /// Argument list of a materialized event, as a span into the pool.
   const ValueRepr *argsBegin(const Event &Ev) const {

@@ -56,7 +56,7 @@ inline Err truncated(const std::string &Path) {
                       "truncated trace file '" + Path + "'");
 }
 
-/// A v3 section record points outside the file or at a misaligned offset.
+/// A section record points outside its segment or at a misaligned offset.
 inline Err sectionBounds(const std::string &Path, uint32_t SectionId,
                          uint64_t Offset) {
   return makeClassErr(ErrClass::Corrupt, "trace.section_bounds",
@@ -66,7 +66,7 @@ inline Err sectionBounds(const std::string &Path, uint32_t SectionId,
                           std::to_string(Offset) + ")");
 }
 
-/// A v3 payload does not match its recorded checksum.
+/// A section payload does not match its recorded checksum.
 inline Err sectionChecksum(const std::string &Path, uint32_t SectionId,
                            uint64_t Offset) {
   return makeClassErr(ErrClass::Corrupt, "trace.section_checksum",

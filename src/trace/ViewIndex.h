@@ -9,7 +9,7 @@
 /// Computes the ViewIndex of a trace: the exact partitioning of its
 /// entries into the four view families that the ViewWeb build derives by
 /// scanning the entry columns. Lives in the trace layer (not views) so the
-/// v3 serializer can emit index sections at save time without a layering
+/// serializer can emit index sections at save time without a layering
 /// inversion; the ViewWeb constructor consumes a Present index to skip its
 /// build scan entirely.
 ///
@@ -46,7 +46,7 @@ ViewIndex computeViewIndexRange(const Trace &T, uint32_t Begin, uint32_t End);
 /// thread and method families cover every entry exactly once, object
 /// families at most once each, every per-view entry list is non-empty,
 /// strictly ascending, and in bounds, and the flat entry column's length
-/// matches the family counts. This is what the v3 loader enforces before
+/// matches the family counts. This is what the loader enforces before
 /// trusting persisted index sections.
 bool viewIndexIsValid(const ViewIndex &Idx, size_t NumEntries);
 

@@ -75,7 +75,7 @@ public:
   /// in order of first appearance) — identical with and without a pool.
   ///
   /// When \p UseIndex is set and the trace carries a current ViewIndex
-  /// (loaded from an indexed v3 file or precomputed), the entry scans are
+  /// (loaded from an indexed trace file or precomputed), the entry scans are
   /// skipped entirely: views are reconstructed from the index in O(views)
   /// with entry lists borrowed zero-copy, producing the identical web.
   explicit ViewWeb(const Trace &T, ThreadPool *Pool = nullptr,

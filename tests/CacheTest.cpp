@@ -9,7 +9,7 @@
 /// Pins the two warm-path contracts of the repeat-diff machinery:
 ///
 ///   1. A view web reconstructed from a trace's ViewIndex — computed in
-///      memory or round-tripped through the v3 sections — is *identical*
+///      memory or round-tripped through a trace file — is *identical*
 ///      to one built by scanning the entries (randomized over generated
 ///      workloads), and damaged index sections are rejected, never
 ///      half-used.
@@ -19,6 +19,8 @@
 ///      compare-op totals across {cold, warm, uncached} × jobs values.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "TraceFileLayout.h"
 
 #include "analysis/Regression.h"
 #include "cache/DiffCache.h"
@@ -36,6 +38,7 @@
 #include <random>
 
 using namespace rprism;
+using namespace tracelayout;
 
 namespace {
 
@@ -147,7 +150,7 @@ TEST(ViewIndexProperty, ReconstructedWebMatchesFreshBuild) {
   }
 }
 
-TEST(ViewIndexProperty, RoundTripThroughV3FileMatchesFreshBuild) {
+TEST(ViewIndexProperty, RoundTripThroughTraceFileMatchesFreshBuild) {
   std::mt19937_64 Rng(42);
   for (int Round = 0; Round != 4; ++Round) {
     Trace T = generatedTrace(Rng);
@@ -246,17 +249,16 @@ TEST(ViewIndexSerialize, CorruptIndexPayloadDegradesToColumnRebuild) {
   Trace T = traceOf(ObjectsProgram);
   std::string Path = tempPath("badidx");
   ASSERT_TRUE(writeTrace(T, Path));
-  // The view-entries payload is the last section written, so the file's
-  // final byte sits inside it; flipping it trips the section checksum.
-  // The index is derived data: the load must succeed without it (first
-  // rung of the degradation ladder) and count the drop.
-  std::FILE *F = std::fopen(Path.c_str(), "rb+");
-  ASSERT_TRUE(F != nullptr);
-  std::fseek(F, -1, SEEK_END);
-  int Byte = std::fgetc(F);
-  std::fseek(F, -1, SEEK_END);
-  std::fputc(Byte ^ 0xff, F);
-  std::fclose(F);
+  // Flipping the last byte of the view-entries payload trips the section
+  // checksum. The index is derived data: the load must succeed without it
+  // (first rung of the degradation ladder) and count the drop.
+  std::vector<uint8_t> Bytes = readAll(Path);
+  FileLayout L = fileLayout(Bytes);
+  ASSERT_TRUE(L.Ok);
+  SectionRec Entries = segSection(Bytes, L.Segments[0].Offset, 23);
+  ASSERT_GT(Entries.Length, 0u);
+  Bytes[static_cast<size_t>(Entries.Offset + Entries.Length - 1)] ^= 0xff;
+  ASSERT_TRUE(writeAll(Path, Bytes));
 
   TelemetryWindow W;
   TraceReadReport Report;
@@ -283,26 +285,16 @@ TEST(ViewIndexSerialize, MetaWithoutEntriesDropsIndex) {
   // Rewrite the view-entries section record's id (23) to an unknown id:
   // the reader skips unknown sections for forward compatibility, so it
   // sees view-meta without view-entries — a structurally damaged index,
-  // which must be dropped whole, never half-used. Record layout: 16-byte
-  // header, then 32-byte records with the id in the first 4 bytes.
-  std::FILE *F = std::fopen(Path.c_str(), "rb+");
-  ASSERT_TRUE(F != nullptr);
-  uint32_t Head[4];
-  ASSERT_EQ(std::fread(Head, 4, 4, F), 4u);
-  bool Rewrote = false;
-  for (uint32_t I = 0; I != Head[3]; ++I) {
-    std::fseek(F, 16 + static_cast<long>(I) * 32, SEEK_SET);
-    uint32_t Id = 0;
-    ASSERT_EQ(std::fread(&Id, 4, 1, F), 1u);
-    if (Id == 23) {
-      Id = 63;
-      std::fseek(F, 16 + static_cast<long>(I) * 32, SEEK_SET);
-      ASSERT_EQ(std::fwrite(&Id, 4, 1, F), 1u);
-      Rewrote = true;
-    }
-  }
-  std::fclose(F);
-  ASSERT_TRUE(Rewrote) << "view-entries section not found";
+  // which must be dropped whole, never half-used. The directory digests
+  // the section table, so it is resealed to let the edit through.
+  std::vector<uint8_t> Bytes = readAll(Path);
+  FileLayout L = fileLayout(Bytes);
+  ASSERT_TRUE(L.Ok);
+  SectionRec Entries = segSection(Bytes, L.Segments[0].Offset, 23);
+  ASSERT_EQ(Entries.Id, 23u) << "view-entries section not found";
+  storeLE<uint32_t>(Bytes.data() + Entries.RecordPos, 63);
+  resealDirectory(Bytes);
+  ASSERT_TRUE(writeAll(Path, Bytes));
 
   TelemetryWindow W;
   TraceReadReport Report;
@@ -321,13 +313,17 @@ TEST(ViewIndexSerialize, TruncatedIndexedFiles) {
   Trace T = traceOf(ObjectsProgram);
   std::string Path = tempPath("truncidx");
   ASSERT_TRUE(writeTrace(T, Path));
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  std::fseek(F, 0, SEEK_END);
-  long Size = std::ftell(F);
-  std::fclose(F);
-  // Cuts near the end land inside the trailing index sections: the index
-  // is dropped and the trace still loads in full.
-  for (long Cut : {Size - 1, Size - 9}) {
+  std::vector<uint8_t> Bytes = readAll(Path);
+  FileLayout L = fileLayout(Bytes);
+  ASSERT_TRUE(L.Ok);
+  SectionRec Entries = segSection(Bytes, L.Segments[0].Offset, 23);
+  ASSERT_GT(Entries.Length, 8u);
+  long IndexEnd = static_cast<long>(Entries.Offset + Entries.Length);
+  long Size = static_cast<long>(Bytes.size());
+  // Cuts inside the segment's trailing index sections (they take the
+  // footer directory with them): the index is dropped and the trace still
+  // loads in full, without a segment map.
+  for (long Cut : {IndexEnd - 1, IndexEnd - 9}) {
     ASSERT_TRUE(truncate(Path.c_str(), Cut) == 0);
     TraceReadReport Report;
     ReadOptions Options;
@@ -338,6 +334,7 @@ TEST(ViewIndexSerialize, TruncatedIndexedFiles) {
     EXPECT_FALSE(Loaded->ViewIdx.Present) << "cut at " << Cut;
     EXPECT_TRUE(Report.ViewIndexDropped) << "cut at " << Cut;
     EXPECT_EQ(Loaded->size(), T.size()) << "cut at " << Cut;
+    EXPECT_TRUE(Loaded->Segments.empty()) << "cut at " << Cut;
   }
   // Cuts inside the core payloads or the section table still fail cleanly.
   for (long Cut : {Size / 2, long(24)}) {

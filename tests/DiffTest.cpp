@@ -555,10 +555,10 @@ TEST(ViewsDiff, RunSkipMatchesEventEqualsOnGeneratedTraces) {
   }
 }
 
-TEST(ViewsDiff, DeterministicAcrossFormatsAndJobs) {
+TEST(ViewsDiff, DeterministicAcrossSegmentSizesAndJobs) {
   // Byte-identical reports and identical compare-op totals for every
-  // --jobs value after a v3 round trip. v4 and mixed v3/v4 pairs are
-  // covered by SerializeV4.CrossFormatDiffDeterministicAcrossJobs.
+  // --jobs value after a trace-file round trip, whatever the files'
+  // segmentation: one segment, 32-entry segments, and a mixed pair.
   GeneratorOptions Base;
   Base.OuterIters = 60;
   Base.NumThreads = 3;
@@ -574,30 +574,51 @@ TEST(ViewsDiff, DeterministicAcrossFormatsAndJobs) {
   ASSERT_GT(Ref.numDiffs(), 0u);
   const std::string RefRender = Ref.render(50, 12);
 
-  std::string LPath = diffTempPath("L_v3");
-  std::string RPath = diffTempPath("R_v3");
-  ASSERT_TRUE(writeTrace(L, LPath));
-  ASSERT_TRUE(writeTrace(R, RPath));
-  // Loading both sides into one fresh interner: the left trace re-interns
-  // in order (the v3 zero-copy identity path), the right one lands on the
-  // remap path — both must still diff identically to the in-memory pair.
-  auto Shared = std::make_shared<StringInterner>();
-  Expected<Trace> LLoaded = readTrace(LPath, Shared);
-  Expected<Trace> RLoaded = readTrace(RPath, Shared);
-  ASSERT_TRUE(bool(LLoaded)) << LLoaded.error().render();
-  ASSERT_TRUE(bool(RLoaded)) << RLoaded.error().render();
-  EXPECT_TRUE(LLoaded->HasFingerprints);
-  EXPECT_TRUE(RLoaded->HasFingerprints);
-  for (unsigned Jobs : {1u, 4u, 0u}) {
-    ViewsDiffOptions Options;
-    Options.Jobs = Jobs;
-    Options.ParallelCutoffEntries = 0;
-    DiffResult Out = viewsDiff(*LLoaded, *RLoaded, Options);
-    EXPECT_EQ(Out.render(50, 12), RefRender) << "jobs " << Jobs;
-    EXPECT_EQ(Out.Stats.CompareOps, Ref.Stats.CompareOps) << "jobs " << Jobs;
-  }
-  std::remove(LPath.c_str());
-  std::remove(RPath.c_str());
+  std::string LWhole = diffTempPath("L_whole");
+  std::string RWhole = diffTempPath("R_whole");
+  std::string LSeg = diffTempPath("L_seg32"), RSeg = diffTempPath("R_seg32");
+  ASSERT_TRUE(writeTrace(L, LWhole));
+  ASSERT_TRUE(writeTrace(R, RWhole));
+  ASSERT_TRUE(writeTraceSegmented(L, LSeg, 32));
+  ASSERT_TRUE(writeTraceSegmented(R, RSeg, 32));
+  // Both traces were recorded against one interner, so every file carries
+  // the same string table. Loads into a fresh interner keep symbol
+  // identity (one segment borrows zero-copy); loads into a busy interner
+  // take the remap path. Each pair shares its interner, as a diff session
+  // does.
+  auto Fresh = std::make_shared<StringInterner>();
+  auto Busy = std::make_shared<StringInterner>();
+  Busy->intern("occupying-symbol-id-zero");
+  Expected<Trace> LW = readTrace(LWhole, Fresh), RW = readTrace(RWhole, Fresh);
+  Expected<Trace> RF = readTrace(RSeg, Fresh);
+  Expected<Trace> LS = readTrace(LSeg, Busy), RS = readTrace(RSeg, Busy);
+  ASSERT_TRUE(bool(LW) && bool(RW) && bool(RF) && bool(LS) && bool(RS));
+  EXPECT_TRUE(LW->Backing != nullptr);
+  EXPECT_TRUE(LS->Backing == nullptr);
+  for (const Expected<Trace> *Loaded : {&LW, &RW, &RF, &LS, &RS})
+    EXPECT_TRUE((*Loaded)->HasFingerprints);
+
+  struct Pair {
+    const char *What;
+    const Trace *Lhs;
+    const Trace *Rhs;
+  } Pairs[] = {{"one segment", &*LW, &*RW},
+               {"32-entry segments", &*LS, &*RS},
+               {"mixed", &*LW, &*RF}};
+  for (const Pair &P : Pairs)
+    for (unsigned Jobs : {1u, 4u, 0u}) {
+      SCOPED_TRACE(std::string(P.What) + " jobs=" + std::to_string(Jobs));
+      ViewsDiffOptions Options;
+      Options.Jobs = Jobs;
+      Options.ParallelCutoffEntries = 0;
+      DiffResult Out = viewsDiff(*P.Lhs, *P.Rhs, Options);
+      // Segment-granular run skipping may change how matches are found,
+      // never what gets compared.
+      EXPECT_EQ(Out.render(50, 12), RefRender);
+      EXPECT_EQ(Out.Stats.CompareOps, Ref.Stats.CompareOps);
+    }
+  for (const std::string &Path : {LWhole, RWhole, LSeg, RSeg})
+    std::remove(Path.c_str());
 }
 
 } // namespace

@@ -10,17 +10,21 @@
 ///
 ///   1. The fault injector is deterministic per seed and free when
 ///      disarmed.
-///   2. Every v3 section survives the corruption matrix — truncation,
-///      payload bit flips, checksum-record tampering, oversized lengths —
-///      with a typed Corrupt error (core sections) or a dropped view index
-///      (derived sections), never a crash.
+///   2. Every section of a one-segment file, and its directory and
+///      trailer, survives the corruption matrix — truncation, payload bit
+///      flips, checksum-record tampering, oversized lengths — with a typed
+///      Corrupt error (core sections, directory, trailer) or a dropped
+///      view index (derived sections), never a crash.
 ///   3. The degradation ladder: transient I/O retries, view-index drop,
 ///      cache-insert fallback, pool-dispatch stalls — each leaves results
 ///      correct and increments its `robust.*` counter.
 ///   4. Salvage mode recovers a byte-identical entry prefix from damaged
-///      v3 files, and refuses when the side tables are gone.
+///      files, drops only the damaged segments of multi-segment files, and
+///      refuses when the side tables are gone.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "TraceFileLayout.h"
 
 #include "cache/DiffCache.h"
 #include "robustness/FaultInjector.h"
@@ -37,10 +41,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <vector>
 
 using namespace rprism;
+using namespace tracelayout;
 
 namespace {
 
@@ -56,7 +60,7 @@ Trace traceOf(const std::string &Source,
 }
 
 /// A generated workload with threads, arguments, and a few hundred
-/// entries: every v3 section comes out nonempty.
+/// entries: every section comes out nonempty.
 Trace workloadTrace(std::shared_ptr<StringInterner> Strings) {
   GeneratorOptions G;
   G.NumClasses = 3;
@@ -68,20 +72,6 @@ Trace workloadTrace(std::shared_ptr<StringInterner> Strings) {
 
 std::string tempPath(const std::string &Tag) {
   return "/tmp/rprism_robust_" + Tag + "_" + std::to_string(::getpid());
-}
-
-std::vector<uint8_t> readAll(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  EXPECT_TRUE(In.good()) << Path;
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(In),
-                              std::istreambuf_iterator<char>());
-}
-
-void writeAll(const std::string &Path, const std::vector<uint8_t> &Bytes) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(reinterpret_cast<const char *>(Bytes.data()),
-            static_cast<std::streamsize>(Bytes.size()));
-  ASSERT_TRUE(Out.good()) << Path;
 }
 
 /// Counter window: counters are only recorded while telemetry is enabled.
@@ -99,37 +89,20 @@ struct TelemetryWindow {
   }
 };
 
-template <typename T> T loadLE(const uint8_t *P) {
-  T V;
-  std::memcpy(&V, P, sizeof(T));
-  return V;
+/// The section table of a one-segment file's only segment.
+std::vector<SectionRec> onlySegmentSections(const std::vector<uint8_t> &Bytes) {
+  FileLayout L = fileLayout(Bytes);
+  EXPECT_TRUE(L.Ok && L.Segments.size() == 1);
+  if (!L.Ok || L.Segments.size() != 1)
+    return {};
+  return segSections(Bytes, L.Segments[0].Offset);
 }
 
-/// One v3 section-table record, as parsed back out of a written file.
-struct SectionRec {
-  uint32_t Id = 0;
-  uint64_t Offset = 0;
-  uint64_t Length = 0;
-  size_t RecordPos = 0; ///< Byte offset of the 32-byte record itself.
-};
-
-std::vector<SectionRec> sectionTable(const std::vector<uint8_t> &Bytes) {
-  std::vector<SectionRec> Table;
-  if (Bytes.size() < 16)
-    return Table;
-  uint32_t NumSections = loadLE<uint32_t>(Bytes.data() + 12);
-  for (uint32_t I = 0; I != NumSections; ++I) {
-    size_t Pos = 16 + size_t{I} * 32;
-    if (Pos + 32 > Bytes.size())
-      break;
-    SectionRec R;
-    R.Id = loadLE<uint32_t>(Bytes.data() + Pos);
-    R.Offset = loadLE<uint64_t>(Bytes.data() + Pos + 8);
-    R.Length = loadLE<uint64_t>(Bytes.data() + Pos + 16);
-    R.RecordPos = Pos;
-    Table.push_back(R);
-  }
-  return Table;
+SectionRec findSection(const std::vector<SectionRec> &Table, uint32_t Id) {
+  auto It = std::find_if(Table.begin(), Table.end(),
+                         [Id](const SectionRec &R) { return R.Id == Id; });
+  EXPECT_TRUE(It != Table.end()) << "section " << Id;
+  return It != Table.end() ? *It : SectionRec();
 }
 
 //===----------------------------------------------------------------------===//
@@ -185,7 +158,8 @@ TEST(FaultInjector, OneShotFiresExactlyThatOccurrence) {
 }
 
 //===----------------------------------------------------------------------===//
-// Corruption matrix: every v3 section x every mutation
+// Corruption matrix: every section, directory and trailer record x every
+// mutation
 //===----------------------------------------------------------------------===//
 
 TEST(CorruptionMatrix, EverySectionEveryMutation) {
@@ -195,8 +169,8 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
   std::string Base = tempPath("matrix_base");
   ASSERT_TRUE(writeTrace(T, Base, /*WithViewIndex=*/true));
   std::vector<uint8_t> Good = readAll(Base);
-  std::vector<SectionRec> Table = sectionTable(Good);
-  ASSERT_GE(Table.size(), 16u) << "expected all sections present";
+  std::vector<SectionRec> Table = onlySegmentSections(Good);
+  ASSERT_GE(Table.size(), 17u) << "expected all sections present";
 
   std::string Mutant = tempPath("matrix_mut");
   enum Mutation { Truncate, FlipPayload, FlipChecksum, OversizeLength };
@@ -222,7 +196,12 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
         break;
       }
       }
-      writeAll(Mutant, Bytes);
+      // The directory digests the section table; reseal it after a record
+      // edit so the edit reaches the per-section checks (unsealed, the
+      // directory check alone rejects the file).
+      if (M == FlipChecksum || M == OversizeLength)
+        resealDirectory(Bytes);
+      ASSERT_TRUE(writeAll(Mutant, Bytes));
       SCOPED_TRACE("section " + std::to_string(Sec.Id) + " mutation " +
                    std::to_string(M));
       Expected<Trace> Loaded = readTrace(Mutant, nullptr);
@@ -233,9 +212,11 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
         EXPECT_EQ(Loaded->size(), T.size());
       } else if (IsView) {
         // Truncating at a view-section payload may also cut the other
-        // view section; either way only derived data is lost.
+        // view section, and always takes the footer; either way only
+        // derived data is lost.
         ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
         EXPECT_FALSE(Loaded->ViewIdx.Present);
+        EXPECT_EQ(Loaded->size(), T.size());
       } else {
         // Core and side sections: a typed Corrupt error, never a crash
         // and never a partially-valid trace.
@@ -244,6 +225,29 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
             << Loaded.error().render();
         EXPECT_FALSE(Loaded.error().Code.empty());
       }
+    }
+  }
+
+  // The directory record and the trailer: a cut or a flipped byte in
+  // either is a typed Corrupt error on a strict read.
+  FileLayout L = fileLayout(Good);
+  ASSERT_TRUE(L.Ok);
+  size_t Trailer = Good.size() - 24;
+  for (size_t Pos : {L.Segments[0].RecordPos, L.Segments[0].RecordPos + 8,
+                     L.Segments[0].RecordPos + 24, Trailer, Trailer + 8,
+                     Trailer + 16}) {
+    for (bool Cut : {false, true}) {
+      SCOPED_TRACE("byte " + std::to_string(Pos) + (Cut ? " cut" : " flip"));
+      std::vector<uint8_t> Bytes = Good;
+      if (Cut)
+        Bytes.resize(Pos + 4);
+      else
+        Bytes[Pos] ^= 0x40;
+      ASSERT_TRUE(writeAll(Mutant, Bytes));
+      Expected<Trace> Loaded = readTrace(Mutant, nullptr);
+      ASSERT_FALSE(bool(Loaded));
+      EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt)
+          << Loaded.error().render();
     }
   }
   std::remove(Base.c_str());
@@ -314,7 +318,7 @@ TEST(DegradationLadder, InFlightBitFlipIsCaughtByChecksums) {
   ASSERT_TRUE(writeTrace(T, Path));
   // The arena-read path corrupts one seeded bit after the read (occurrence
   // 1 of the FileRead site is the corruptByte call). Nearly every byte of
-  // a v3 file is covered by a section checksum or validated header/table
+  // a trace file is covered by a section checksum or validated header/table
   // field, so across seeds the flip must be either *detected* (typed
   // Corrupt error) or provably harmless (the loaded trace is identical) —
   // never a crash, never silent data damage.
@@ -436,7 +440,7 @@ void expectByteIdenticalPrefix(const Trace &T, const Trace &S) {
   EXPECT_EQ(0, std::memcmp(T.Provs.data(), S.Provs.data(), N * 4));
 }
 
-TEST(Salvage, TruncatedV3RecoversByteIdenticalPrefix) {
+TEST(Salvage, TruncatedFileRecoversByteIdenticalPrefix) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   ASSERT_GT(T.size(), 50u);
@@ -444,19 +448,14 @@ TEST(Salvage, TruncatedV3RecoversByteIdenticalPrefix) {
   ASSERT_TRUE(writeTrace(T, Base, /*WithViewIndex=*/true));
   std::vector<uint8_t> Good = readAll(Base);
 
-  // Cut points derived from the section table, not guessed fractions. In
-  // the columnar layout a truncation mid-column leaves every *later*
-  // required column absent, so only cuts in the trailing sections — the
+  // Cut points derived from the segment's section table, not guessed
+  // fractions. In the columnar layout a truncation mid-column leaves every
+  // *later* column absent, so only cuts in the trailing sections — the
   // last entry column (Prov, id 20) and the derived fingerprint lane
   // (Fp, id 21) — can recover entries. An earlier cut is refused.
-  std::vector<SectionRec> Table = sectionTable(Good);
-  auto Sec = [&Table](uint32_t Id) {
-    auto It = std::find_if(Table.begin(), Table.end(),
-                           [Id](const SectionRec &R) { return R.Id == Id; });
-    EXPECT_TRUE(It != Table.end()) << "section " << Id;
-    return *It;
-  };
-  SectionRec Prov = Sec(20), Fp = Sec(21), Value = Sec(16);
+  std::vector<SectionRec> Table = onlySegmentSections(Good);
+  SectionRec Prov = findSection(Table, 20), Fp = findSection(Table, 21),
+             Value = findSection(Table, 16);
 
   TelemetryWindow W;
   struct Cut {
@@ -476,12 +475,12 @@ TEST(Salvage, TruncatedV3RecoversByteIdenticalPrefix) {
   for (const Cut &C : Cuts) {
     std::vector<uint8_t> Bytes = Good;
     Bytes.resize(C.Bytes);
-    writeAll(CutPath, Bytes);
+    ASSERT_TRUE(writeAll(CutPath, Bytes));
     SCOPED_TRACE(C.What);
 
     Expected<Trace> Strict = readTrace(CutPath, Strings);
     ASSERT_FALSE(bool(Strict));
-    EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
+    EXPECT_EQ(Strict.error().Code, "trace.truncated");
 
     TraceReadReport Report;
     ReadOptions Options;
@@ -520,15 +519,13 @@ TEST(Salvage, DamagedSideTableIsUnsalvageable) {
   std::string Path = tempPath("unsalvageable");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  std::vector<SectionRec> Table = sectionTable(Bytes);
-  // Flip a byte inside the string table: entries are meaningless without
-  // it, so salvage must refuse rather than return garbage symbols.
-  auto It = std::find_if(Table.begin(), Table.end(),
-                         [](const SectionRec &R) { return R.Id == 2; });
-  ASSERT_TRUE(It != Table.end());
-  ASSERT_GT(It->Length, 0u);
-  Bytes[static_cast<size_t>(It->Offset + It->Length / 2)] ^= 0x10;
-  writeAll(Path, Bytes);
+  // Flip a byte inside the string delta (the whole string table of a
+  // one-segment file): entries are meaningless without it, so salvage
+  // must refuse rather than return garbage symbols.
+  SectionRec Strs = findSection(onlySegmentSections(Bytes), 24);
+  ASSERT_GT(Strs.Length, 0u);
+  Bytes[static_cast<size_t>(Strs.Offset + Strs.Length / 2)] ^= 0x10;
+  ASSERT_TRUE(writeAll(Path, Bytes));
 
   ReadOptions Options;
   Options.Salvage = true;
@@ -561,98 +558,33 @@ TEST(Salvage, IntactFilesReadIdenticallyWithSalvageOn) {
 // Segmented v4 salvage
 //===----------------------------------------------------------------------===//
 
-/// Parsed v4 file skeleton: the trailer's footer pointer plus one record
-/// per segment, straight off the written bytes (independent of the reader
-/// under test).
-struct SegDirRec {
-  uint64_t Offset = 0;     ///< Absolute offset of the segment header.
-  uint32_t BeginEid = 0;
-  uint32_t NumEntries = 0;
-};
-
-struct V4Layout {
-  uint64_t FooterOffset = 0;
-  std::vector<SegDirRec> Segments;
-  bool Ok = false;
-};
-
-V4Layout v4Layout(const std::vector<uint8_t> &Bytes) {
-  V4Layout L;
-  if (Bytes.size() < 32 + 24)
-    return L;
-  size_t Trailer = Bytes.size() - 24;
-  if (loadLE<uint32_t>(Bytes.data() + Trailer + 20) != 0x52505445u)
-    return L; // "RPTE"
-  L.FooterOffset = loadLE<uint64_t>(Bytes.data() + Trailer);
-  uint32_t NumSegments = loadLE<uint32_t>(Bytes.data() + Trailer + 16);
-  size_t Pos = static_cast<size_t>(L.FooterOffset) + 8;
-  for (uint32_t I = 0; I != NumSegments; ++I, Pos += 32) {
-    if (Pos + 32 > Bytes.size())
-      return L;
-    SegDirRec R;
-    R.Offset = loadLE<uint64_t>(Bytes.data() + Pos);
-    R.BeginEid = loadLE<uint32_t>(Bytes.data() + Pos + 24);
-    R.NumEntries = loadLE<uint32_t>(Bytes.data() + Pos + 28);
-    L.Segments.push_back(R);
-  }
-  L.Ok = true;
-  return L;
-}
-
-/// The section-table record for section \p Id of the segment headered at
-/// \p SegOffset; the returned Offset is absolute (payload offsets in a
-/// segment's table are relative to its header).
-SectionRec segSection(const std::vector<uint8_t> &Bytes, uint64_t SegOffset,
-                      uint32_t Id) {
-  SectionRec R;
-  uint32_t NumSections = loadLE<uint32_t>(Bytes.data() + SegOffset + 20);
-  for (uint32_t I = 0; I != NumSections; ++I) {
-    size_t Pos = static_cast<size_t>(SegOffset) + 32 + size_t{I} * 32;
-    if (loadLE<uint32_t>(Bytes.data() + Pos) != Id)
-      continue;
-    R.Id = Id;
-    R.Offset = SegOffset + loadLE<uint64_t>(Bytes.data() + Pos + 8);
-    R.Length = loadLE<uint64_t>(Bytes.data() + Pos + 16);
-    R.RecordPos = Pos;
-    break;
-  }
-  return R;
-}
-
-/// The mid-column salvage gap the segmented format closes: a v3 file's
-/// section checksum covers the whole column, so one flipped byte anywhere
-/// in an entry column discredits the entire column — no prefix is
-/// trustworthy and salvage recovers nothing. This test pins that floor;
-/// the v4 counterpart below shows the same damage costing one segment.
-TEST(SalvageV4, V3MidColumnFlipRecoversNothing) {
+/// The mid-column salvage floor of one segment: a section checksum covers
+/// the whole column, so one flipped byte anywhere in an entry column
+/// discredits all of it — no prefix is trustworthy, the segment keeps
+/// nothing, and with nothing else to recover salvage refuses rather than
+/// return an empty trace that looks legitimately empty. The multi-segment
+/// counterpart below shows the same damage costing one segment.
+TEST(SalvageV4, OneSegmentColumnFlipIsUnsalvageable) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   ASSERT_GT(T.size(), 50u);
-  std::string Path = tempPath("v3_gap");
+  std::string Path = tempPath("one_segment_flip");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  std::vector<SectionRec> Table = sectionTable(Bytes);
-  auto It = std::find_if(Table.begin(), Table.end(),
-                         [](const SectionRec &R) { return R.Id == 16; });
-  ASSERT_TRUE(It != Table.end()); // SecValue
-  ASSERT_GT(It->Length, 0u);
-  Bytes[static_cast<size_t>(It->Offset + It->Length / 2)] ^= 0x40;
-  writeAll(Path, Bytes);
+  SectionRec Value = findSection(onlySegmentSections(Bytes), 16);
+  ASSERT_GT(Value.Length, 0u);
+  Bytes[static_cast<size_t>(Value.Offset + Value.Length / 2)] ^= 0x40;
+  ASSERT_TRUE(writeAll(Path, Bytes));
 
   Expected<Trace> Strict = readTrace(Path, Strings);
   ASSERT_FALSE(bool(Strict));
   EXPECT_EQ(Strict.error().Code, "trace.section_checksum");
 
-  TraceReadReport Report;
   ReadOptions Options;
   Options.Salvage = true;
-  Options.Report = &Report;
   Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  EXPECT_TRUE(Report.Salvaged);
-  EXPECT_EQ(Salvaged->size(), 0u);
-  EXPECT_EQ(Report.EntriesRecovered, 0u);
-  EXPECT_EQ(Report.EntriesDropped, T.size());
+  ASSERT_FALSE(bool(Salvaged));
+  EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
   std::remove(Path.c_str());
 }
 
@@ -663,7 +595,7 @@ TEST(SalvageV4, MidSegmentColumnFlipDropsOnlyThatSegment) {
   std::string Path = tempPath("v4_segflip");
   ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
   std::vector<uint8_t> Bytes = readAll(Path);
-  V4Layout L = v4Layout(Bytes);
+  FileLayout L = fileLayout(Bytes);
   ASSERT_TRUE(L.Ok);
   ASSERT_GE(L.Segments.size(), 3u);
 
@@ -672,7 +604,7 @@ TEST(SalvageV4, MidSegmentColumnFlipDropsOnlyThatSegment) {
   SectionRec Value = segSection(Bytes, L.Segments[Mid].Offset, 16);
   ASSERT_GT(Value.Length, 0u);
   Bytes[static_cast<size_t>(Value.Offset + Value.Length / 2)] ^= 0x40;
-  writeAll(Path, Bytes);
+  ASSERT_TRUE(writeAll(Path, Bytes));
 
   TelemetryWindow W;
   Expected<Trace> Strict = readTrace(Path, Strings);
@@ -713,7 +645,7 @@ TEST(SalvageV4, TruncatedDirectoryChainScansEverySegment) {
   std::string Path = tempPath("v4_tail");
   ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
   std::vector<uint8_t> Good = readAll(Path);
-  V4Layout L = v4Layout(Good);
+  FileLayout L = fileLayout(Good);
   ASSERT_TRUE(L.Ok);
 
   // Cut inside the trailer, then inside the footer: either way the
@@ -722,7 +654,7 @@ TEST(SalvageV4, TruncatedDirectoryChainScansEverySegment) {
     SCOPED_TRACE("cut at " + std::to_string(Cut));
     std::vector<uint8_t> Bytes = Good;
     Bytes.resize(Cut);
-    writeAll(Path, Bytes);
+    ASSERT_TRUE(writeAll(Path, Bytes));
 
     Expected<Trace> Strict = readTrace(Path, Strings);
     ASSERT_FALSE(bool(Strict));
@@ -748,13 +680,91 @@ TEST(SalvageV4, TruncatedDirectoryChainScansEverySegment) {
   std::remove(Path.c_str());
 }
 
+TEST(SalvageV4, CutInsideLastSegmentKeepsItsPrefix) {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = workloadTrace(Strings);
+  std::string Path = tempPath("v4_lastcut");
+  // Three segments, the last one holding enough entries to split.
+  size_t SegmentEntries = T.size() / 3 + 1;
+  ASSERT_TRUE(writeTraceSegmented(T, Path, SegmentEntries));
+  std::vector<uint8_t> Bytes = readAll(Path);
+  FileLayout L = fileLayout(Bytes);
+  ASSERT_TRUE(L.Ok);
+  ASSERT_EQ(L.Segments.size(), 3u);
+  const SegDirRec &Last = L.Segments.back();
+  ASSERT_GE(Last.NumEntries, 4u);
+
+  // Cut mid-way through the last segment's Prov column (the last entry
+  // column): the chain scan accepts the segment clipped at the end of the
+  // file, and its entries up to the cut survive, as in one segment.
+  SectionRec Prov = segSection(Bytes, Last.Offset, 20);
+  ASSERT_GT(Prov.Length, 0u);
+  Bytes.resize(static_cast<size_t>(Prov.Offset + Prov.Length / 2));
+  ASSERT_TRUE(writeAll(Path, Bytes));
+
+  Expected<Trace> Strict = readTrace(Path, Strings);
+  ASSERT_FALSE(bool(Strict));
+  EXPECT_EQ(Strict.error().Code, "trace.truncated");
+
+  TraceReadReport Report;
+  ReadOptions Options;
+  Options.Salvage = true;
+  Options.Report = &Report;
+  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
+  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+  uint32_t Kept = static_cast<uint32_t>(Prov.Length / 2 / 4);
+  ASSERT_EQ(Salvaged->size(), Last.BeginEid + Kept);
+  EXPECT_TRUE(Report.Salvaged);
+  EXPECT_EQ(Report.SegmentsDropped, 0u);
+  EXPECT_EQ(Report.EntriesDropped, T.size() - Salvaged->size());
+  expectByteIdenticalPrefix(T, *Salvaged);
+  for (uint32_t I = 0; I != Salvaged->size(); ++I)
+    ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
+  std::remove(Path.c_str());
+}
+
+TEST(SalvageV4, CutInsideLastSegmentViewIndexLoadsStrictly) {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = workloadTrace(Strings);
+  std::string Path = tempPath("v4_viewcut");
+  ASSERT_TRUE(writeTraceSegmented(T, Path, T.size() / 3 + 1));
+  std::vector<uint8_t> Bytes = readAll(Path);
+  FileLayout L = fileLayout(Bytes);
+  ASSERT_TRUE(L.Ok);
+  ASSERT_EQ(L.Segments.size(), 3u);
+
+  // The cut takes the last segment's view entries and the directory, but
+  // no entry data: a strict read loads every entry, drops the derived
+  // index and exposes no segment map (the segmentation is unverified).
+  SectionRec Entries = segSection(Bytes, L.Segments.back().Offset, 23);
+  ASSERT_GT(Entries.Length, 4u);
+  Bytes.resize(static_cast<size_t>(Entries.Offset + Entries.Length - 4));
+  ASSERT_TRUE(writeAll(Path, Bytes));
+
+  TelemetryWindow W;
+  TraceReadReport Report;
+  ReadOptions Options;
+  Options.Report = &Report;
+  Expected<Trace> Loaded = readTrace(Path, Strings, Options);
+  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+  EXPECT_EQ(Loaded->size(), T.size());
+  EXPECT_FALSE(Loaded->ViewIdx.Present);
+  EXPECT_TRUE(Loaded->Segments.empty());
+  EXPECT_TRUE(Report.ViewIndexDropped);
+  EXPECT_FALSE(Report.Salvaged);
+  EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
+  for (uint32_t I = 0; I != Loaded->size(); ++I)
+    ASSERT_EQ(Loaded->renderEntry(I), T.renderEntry(I)) << I;
+  std::remove(Path.c_str());
+}
+
 TEST(SalvageV4, DamagedSideDeltaDropsSegmentAndSuffix) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("v4_side");
   ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
   std::vector<uint8_t> Bytes = readAll(Path);
-  V4Layout L = v4Layout(Bytes);
+  FileLayout L = fileLayout(Bytes);
   ASSERT_TRUE(L.Ok);
   ASSERT_GE(L.Segments.size(), 3u);
 
@@ -765,7 +775,7 @@ TEST(SalvageV4, DamagedSideDeltaDropsSegmentAndSuffix) {
   SectionRec StrDelta = segSection(Bytes, L.Segments[Mid].Offset, 24);
   ASSERT_GT(StrDelta.Length, 0u);
   Bytes[static_cast<size_t>(StrDelta.Offset + StrDelta.Length / 2)] ^= 0x10;
-  writeAll(Path, Bytes);
+  ASSERT_TRUE(writeAll(Path, Bytes));
 
   ASSERT_FALSE(bool(readTrace(Path, Strings)));
   TraceReadReport Report;
@@ -793,13 +803,13 @@ TEST(SalvageV4, AllSegmentsDamagedIsUnsalvageable) {
   // trace that looks legitimately empty.
   ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/100000));
   std::vector<uint8_t> Bytes = readAll(Path);
-  V4Layout L = v4Layout(Bytes);
+  FileLayout L = fileLayout(Bytes);
   ASSERT_TRUE(L.Ok);
   ASSERT_EQ(L.Segments.size(), 1u);
   SectionRec Kind = segSection(Bytes, L.Segments[0].Offset, 13);
   ASSERT_GT(Kind.Length, 0u);
   Bytes[static_cast<size_t>(Kind.Offset)] ^= 0xff;
-  writeAll(Path, Bytes);
+  ASSERT_TRUE(writeAll(Path, Bytes));
 
   ReadOptions Options;
   Options.Salvage = true;
@@ -817,7 +827,7 @@ TEST(SalvageV4, WrappingFooterOffsetNeverReadsOutsideTheFile) {
   // passes and hashes from 8 bytes before the mapping.
   Trace T = traceOf("class A { } main { var a = new A(); }");
   std::string Path = tempPath("v4_wrap");
-  ASSERT_TRUE(writeTraceSegmented(T, Path));
+  ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Real = readAll(Path);
   ASSERT_GE(Real.size(), 8u);
   std::vector<uint8_t> Bytes(184, 0);
@@ -827,7 +837,7 @@ TEST(SalvageV4, WrappingFooterOffsetNeverReadsOutsideTheFile) {
   std::memcpy(Bytes.data() + 160, &FooterOffset, 8);
   std::memcpy(Bytes.data() + 176, &NumSegments, 4);
   std::memcpy(Bytes.data() + 180, &TrailerMagic, 4);
-  writeAll(Path, Bytes);
+  ASSERT_TRUE(writeAll(Path, Bytes));
 
   Expected<uint64_t> Digest = traceFileDigest(Path);
   EXPECT_TRUE(bool(Digest)) << Digest.error().render();

@@ -236,12 +236,12 @@ TEST(Telemetry, TraceWriteAndLoadSpansNameTheirPhases) {
   Trace T = runProgram(*Prog, RunOptions()).ExecTrace;
   std::string Base = "/tmp/rprism_telemetry_" + std::to_string(::getpid());
 
-  // Both layouts, each loaded twice: into a fresh interner (symbol
-  // identity, zero-copy columns) and into one whose ids are shifted
-  // (remap, then re-fingerprint).
+  // One segment and 64-entry segments, each loaded twice: into a fresh
+  // interner (symbol identity, zero-copy columns for one segment) and into
+  // one whose ids are shifted (remap, then re-fingerprint).
   for (bool Segmented : {false, true}) {
-    SCOPED_TRACE(Segmented ? "v4 layout" : "default layout");
-    std::string Path = Base + (Segmented ? "_v4.rpt" : "_v3.rpt");
+    SCOPED_TRACE(Segmented ? "64-entry segments" : "one segment");
+    std::string Path = Base + (Segmented ? "_segments.rpt" : "_whole.rpt");
     TelemetryWindow Window;
     ASSERT_TRUE(Segmented ? writeTraceSegmented(T, Path, /*SegmentEntries=*/64)
                           : writeTrace(T, Path));
@@ -256,7 +256,9 @@ TEST(Telemetry, TraceWriteAndLoadSpansNameTheirPhases) {
         "write",         "write/checksum", "write/view-index",
         "load",          "load/checksum",  "load/intern",
         "load/validate", "load/remap",     "load/fingerprint"};
-    if (Segmented) // The copy of each segment into one trace.
+    // The copy of each segment into one trace; one segment is borrowed.
+    EXPECT_EQ(Snap.findSpan("load/assemble") != nullptr, Segmented);
+    if (Segmented)
       Want.push_back("load/assemble");
     for (const std::string &SpanPath : Want) {
       const SpanStat *S = Snap.findSpan(SpanPath);

@@ -5,6 +5,8 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "TraceFileLayout.h"
+
 #include "diff/ViewsDiff.h"
 #include "runtime/Compiler.h"
 #include "support/Telemetry.h"
@@ -17,11 +19,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <fstream>
+#include <unistd.h>
 
 using namespace rprism;
+using namespace tracelayout;
 
 namespace {
 
@@ -246,25 +248,43 @@ TEST(Serialize, RoundTripPreservesEverything) {
   std::remove(Path.c_str());
 }
 
-TEST(Serialize, V3ColumnsLoadByteIdenticalAndZeroCopy) {
+TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
   Trace T = traceOf(R"(
     class A { Int x; A(Int x) { this.x = x; }
       Int bump() { this.x = this.x + 1; return this.x; } }
     main { var a = new A(7); a.bump(); a.bump(); spawn a.bump(); }
   )");
   ASSERT_TRUE(T.HasFingerprints);
-  std::string Path = tempPath("v3_bytes");
+  ASSERT_FALSE(T.ArgPool.empty());
+  std::string Path = tempPath("one_segment_bytes");
   ASSERT_TRUE(writeTrace(T, Path));
 
-  // A fresh interner re-interns the file's string table in order, so
-  // symbol ids are preserved and the loader takes the zero-copy borrow
-  // path: Backing holds the file bytes, and every column — including the
-  // fingerprints, which are not recomputed — is byte-identical.
+  // A fresh interner re-interns the segment's strings in order, so symbol
+  // ids are preserved and the loader takes the zero-copy borrow path:
+  // Backing holds the file bytes, and every column — the fingerprints,
+  // argument pool and view index included — is borrowed, byte-identical,
+  // and nothing is re-fingerprinted.
+  Telemetry::get().reset();
+  Telemetry::get().setEnabled(true);
   Expected<Trace> Loaded = readTrace(Path, nullptr);
+  uint64_t Recomputes =
+      Telemetry::get().snapshot().counter("load.fp_recompute");
+  Telemetry::get().setEnabled(false);
+  Telemetry::get().reset();
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+  EXPECT_EQ(Recomputes, 0u);
   EXPECT_TRUE(Loaded->Backing != nullptr);
-  EXPECT_TRUE(Loaded->Fps.borrowed());
   EXPECT_TRUE(Loaded->HasFingerprints);
+  for (bool Borrowed :
+       {Loaded->Tids.borrowed(), Loaded->Methods.borrowed(),
+        Loaded->Selfs.borrowed(), Loaded->Kinds.borrowed(),
+        Loaded->Names.borrowed(), Loaded->Targets.borrowed(),
+        Loaded->Values.borrowed(), Loaded->ArgsBegins.borrowed(),
+        Loaded->ArgsEnds.borrowed(), Loaded->ChildTids.borrowed(),
+        Loaded->Provs.borrowed(), Loaded->Fps.borrowed(),
+        Loaded->ArgPool.borrowed(), Loaded->ViewIdx.Entries.borrowed()})
+    EXPECT_TRUE(Borrowed);
+  ASSERT_TRUE(Loaded->ViewIdx.Present);
 
   ASSERT_EQ(Loaded->size(), T.size());
   auto ExpectColumnBytes = [](const auto &Want, const auto &Got) {
@@ -284,6 +304,12 @@ TEST(Serialize, V3ColumnsLoadByteIdenticalAndZeroCopy) {
   ExpectColumnBytes(T.Provs, Loaded->Provs);
   ExpectColumnBytes(T.Fps, Loaded->Fps);
   ExpectColumnBytes(T.ArgPool, Loaded->ArgPool);
+  ViewIndex Want = computeViewIndex(T);
+  ExpectColumnBytes(Want.Entries, Loaded->ViewIdx.Entries);
+  for (size_t F = 0; F != NumViewFamilies; ++F) {
+    ExpectColumnBytes(Want.Keys[F], Loaded->ViewIdx.Keys[F]);
+    ExpectColumnBytes(Want.Counts[F], Loaded->ViewIdx.Counts[F]);
+  }
 
   // Mutating a borrowed column detaches it without touching the mapping:
   // the loaded trace keeps working after the original is gone.
@@ -300,18 +326,17 @@ TEST(Serialize, RefusesUnsupportedVersions) {
       Int bump() { this.x = this.x + 1; return this.x; } }
     main { var a = new A(3); a.bump(); spawn a.bump(); print(a.x); }
   )");
-  // Bytes 4-7 hold the version in both layouts; readers accept exactly 5
-  // (v3 layout) and 6 (v4 layout). The retired v1/v2 stream formats, v3/v4
-  // files from before the checksumBytes change (versions 3 and 4) and any
-  // future version must be refused up front with the typed version error,
-  // whatever the rest of the file looks like. (writeTrace writes v3 here,
-  // and v4 under the trace_test_v4 ctest leg.)
-  std::string V3Path = tempPath("version_v3");
-  std::string V4Path = tempPath("version_v4");
-  ASSERT_TRUE(writeTrace(T, V3Path));
-  ASSERT_TRUE(writeTraceSegmented(T, V4Path, 8));
-  for (const std::string &Path : {V3Path, V4Path}) {
-    for (uint32_t Version : {1u, 2u, 3u, 4u, 7u}) {
+  // Bytes 4-7 hold the version; readers accept exactly 6. The retired
+  // v1/v2 stream formats, the FNV-1a-checksummed layouts (versions 3 and
+  // 4), the retired whole-trace layout (version 5) and any future version
+  // must be refused up front with the typed version error, whatever the
+  // rest of the file looks like.
+  std::string WholePath = tempPath("version_whole");
+  std::string SegPath = tempPath("version_segments");
+  ASSERT_TRUE(writeTrace(T, WholePath));
+  ASSERT_TRUE(writeTraceSegmented(T, SegPath, 8));
+  for (const std::string &Path : {WholePath, SegPath}) {
+    for (uint32_t Version : {1u, 2u, 3u, 4u, 5u, 7u}) {
       std::FILE *F = std::fopen(Path.c_str(), "rb+");
       ASSERT_TRUE(F != nullptr);
       std::fseek(F, 4, SEEK_SET);
@@ -361,18 +386,38 @@ TEST(Serialize, RejectsTruncatedFiles) {
   Trace T = traceOf("class A { } main { var a = new A(); }");
   std::string Path = tempPath("trunc");
   ASSERT_TRUE(writeTrace(T, Path));
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  std::fseek(F, 0, SEEK_END);
-  long Size = std::ftell(F);
-  std::fclose(F);
-  // Every truncation point must be rejected cleanly — the v3 reader
-  // validates section bounds against the mapped size before touching any
-  // payload byte, so no cut can cause out-of-bounds reads.
-  for (long Cut : {Size / 2, Size - 1, long(20), long(8)}) {
+  std::vector<uint8_t> Bytes = readAll(Path);
+  FileLayout L = fileLayout(Bytes);
+  ASSERT_TRUE(L.Ok);
+  SectionRec Value = segSection(Bytes, L.Segments[0].Offset, 16);
+  ASSERT_GT(Value.Length, 0u);
+  long Size = static_cast<long>(Bytes.size());
+  long MidValue = static_cast<long>(Value.Offset + Value.Length / 2);
+  // Every truncation point must be rejected cleanly — the reader
+  // validates segment and section bounds against the mapped size before
+  // touching any payload byte, so no cut can cause out-of-bounds reads. A
+  // cut inside the segment or the file header is reported as truncated; a
+  // cut that clips only the trailer is damage to the directory.
+  for (long Cut : {Size - 1, MidValue, long(20), long(8)}) {
     ASSERT_TRUE(truncate(Path.c_str(), Cut) == 0);
-    EXPECT_FALSE(bool(readTrace(Path, nullptr))) << "cut at " << Cut;
+    Expected<Trace> Loaded = readTrace(Path, nullptr);
+    ASSERT_FALSE(bool(Loaded)) << "cut at " << Cut;
+    EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt) << "cut at " << Cut;
+    if (Cut != Size - 1) {
+      EXPECT_EQ(Loaded.error().Code, "trace.truncated") << "cut at " << Cut;
+    }
   }
   std::remove(Path.c_str());
+}
+
+TEST(Serialize, WriteFailureAtTheFinalFlushIsReported) {
+  if (::access("/dev/full", W_OK) != 0)
+    GTEST_SKIP() << "/dev/full is not available";
+  // A small trace fits in the stdio buffer, so every write call succeeds
+  // and the full device only fails the final flush.
+  Trace T = traceOf("class A { } main { var a = new A(); }");
+  EXPECT_FALSE(writeTrace(T, "/dev/full"));
+  EXPECT_FALSE(writeTraceSegmented(T, "/dev/full", 1));
 }
 
 TEST(Serialize, RejectsCorruptSectionBytes) {
@@ -381,19 +426,19 @@ TEST(Serialize, RejectsCorruptSectionBytes) {
     main { var a = new A(5); print(a.x); }
   )");
   std::string Path = tempPath("badsec");
-  // Without the optional view-index sections the file's last payload byte
-  // belongs to a core section, so the flip must be a hard error.
+  // Without the optional view-index sections the segment's last payload
+  // is a core section, so the flip must be a hard error.
   ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/false));
 
-  // Flip one payload byte (the last byte of the file sits inside the last
-  // section's payload): the section checksum must catch it.
-  std::FILE *F = std::fopen(Path.c_str(), "rb+");
-  ASSERT_TRUE(F != nullptr);
-  std::fseek(F, -1, SEEK_END);
-  int Byte = std::fgetc(F);
-  std::fseek(F, -1, SEEK_END);
-  std::fputc(Byte ^ 0xff, F);
-  std::fclose(F);
+  // Flip the last byte of the fingerprint lane: the section checksum must
+  // catch it.
+  std::vector<uint8_t> Bytes = readAll(Path);
+  FileLayout L = fileLayout(Bytes);
+  ASSERT_TRUE(L.Ok);
+  SectionRec Fp = segSection(Bytes, L.Segments[0].Offset, 21);
+  ASSERT_GT(Fp.Length, 0u);
+  Bytes[static_cast<size_t>(Fp.Offset + Fp.Length - 1)] ^= 0xff;
+  ASSERT_TRUE(writeAll(Path, Bytes));
 
   Expected<Trace> Loaded = readTrace(Path, nullptr);
   ASSERT_FALSE(bool(Loaded));
@@ -408,17 +453,17 @@ TEST(Serialize, CorruptViewIndexByteDegradesNotFails) {
     main { var a = new A(5); print(a.x); }
   )");
   std::string Path = tempPath("badidx");
-  // With the view index on, the file's last payload byte sits inside the
-  // index sections — derived data, so damage there must degrade (index
+  // With the view index on, the segment's last payload is the index's
+  // entry list — derived data, so damage there must degrade (index
   // dropped, web rebuilt from the columns), never fail the load.
   ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/true));
-  std::FILE *F = std::fopen(Path.c_str(), "rb+");
-  ASSERT_TRUE(F != nullptr);
-  std::fseek(F, -1, SEEK_END);
-  int Byte = std::fgetc(F);
-  std::fseek(F, -1, SEEK_END);
-  std::fputc(Byte ^ 0xff, F);
-  std::fclose(F);
+  std::vector<uint8_t> Bytes = readAll(Path);
+  FileLayout L = fileLayout(Bytes);
+  ASSERT_TRUE(L.Ok);
+  SectionRec Entries = segSection(Bytes, L.Segments[0].Offset, 23);
+  ASSERT_GT(Entries.Length, 0u);
+  Bytes[static_cast<size_t>(Entries.Offset + Entries.Length - 1)] ^= 0xff;
+  ASSERT_TRUE(writeAll(Path, Bytes));
 
   TraceReadReport Report;
   ReadOptions Options;
@@ -522,17 +567,10 @@ TEST(Serialize, SharedInternerMergesSymbolSpaces) {
 }
 
 //===----------------------------------------------------------------------===//
-// Segmented v4 serialization
+// Multi-segment serialization
 //===----------------------------------------------------------------------===//
 
-std::string readFileBytes(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  EXPECT_TRUE(In.good()) << Path;
-  return std::string(std::istreambuf_iterator<char>(In),
-                     std::istreambuf_iterator<char>());
-}
-
-/// A small multi-thread trace with arguments and field traffic: every v4
+/// A small multi-thread trace with arguments and field traffic: every
 /// section (deltas, columns, fingerprints, view index) comes out nonempty.
 Trace bumpTrace() {
   return traceOf(R"(
@@ -588,26 +626,26 @@ TEST(SerializeV4, BusyInternerRemapsAndRefingerprints) {
   std::remove(Path.c_str());
 }
 
-TEST(SerializeV4, LoadedTraceRewritesToV3ByteIdentically) {
+TEST(SerializeV4, LoadedTraceRewritesWholeByteIdentically) {
   Trace T = bumpTrace();
-  std::string DirectV3 = tempPath("v4_direct_v3");
-  std::string V4Path = tempPath("v4_middle");
-  std::string ReV3 = tempPath("v4_re_v3");
-  ASSERT_TRUE(writeTrace(T, DirectV3));
-  ASSERT_TRUE(writeTraceSegmented(T, V4Path, 4));
-  Expected<Trace> Loaded = readTrace(V4Path, nullptr);
+  std::string Direct = tempPath("v4_direct_whole");
+  std::string Segmented = tempPath("v4_middle");
+  std::string Rewritten = tempPath("v4_rewritten_whole");
+  ASSERT_TRUE(writeTrace(T, Direct));
+  ASSERT_TRUE(writeTraceSegmented(T, Segmented, 4));
+  Expected<Trace> Loaded = readTrace(Segmented, nullptr);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  // Round-tripping through the segmented format loses nothing: rewriting
-  // the loaded trace as v3 reproduces the direct v3 file byte for byte
-  // (same string table, same columns, same fingerprints, same view index).
-  ASSERT_TRUE(writeTrace(*Loaded, ReV3));
-  std::string Want = readFileBytes(DirectV3);
-  std::string Got = readFileBytes(ReV3);
+  // Round-tripping through small segments loses nothing: rewriting the
+  // loaded trace as one segment reproduces the direct write byte for byte
+  // (same strings, same columns, same fingerprints, same view index).
+  ASSERT_TRUE(writeTrace(*Loaded, Rewritten));
+  std::vector<uint8_t> Want = readAll(Direct);
+  std::vector<uint8_t> Got = readAll(Rewritten);
   ASSERT_FALSE(Want.empty());
-  EXPECT_TRUE(Want == Got) << "v3 bytes diverge after a v4 round trip";
-  std::remove(DirectV3.c_str());
-  std::remove(V4Path.c_str());
-  std::remove(ReV3.c_str());
+  EXPECT_TRUE(Want == Got) << "bytes diverge after a small-segment round trip";
+  std::remove(Direct.c_str());
+  std::remove(Segmented.c_str());
+  std::remove(Rewritten.c_str());
 }
 
 TEST(SerializeV4, EmptyAndSingleEntryTracesRoundTrip) {
@@ -633,67 +671,6 @@ TEST(SerializeV4, EmptyAndSingleEntryTracesRoundTrip) {
   EXPECT_EQ(LoadedOne->renderEntry(0u), One.renderEntry(0u));
   EXPECT_EQ(LoadedOne->fp(0), One.fp(0));
   std::remove(Path.c_str());
-}
-
-TEST(SerializeV4, EnvVarRoutesWriteTraceToSegmentedFormat) {
-  Trace T = traceOf("class A { } main { var a = new A(); }");
-  std::string Path = tempPath("v4_env");
-  // Restore the ambient value afterwards — the trace_test_v4 ctest leg
-  // runs this whole suite with the variable force-set.
-  const char *Prev = ::getenv("RPRISM_TRACE_FORMAT");
-  ::setenv("RPRISM_TRACE_FORMAT", "v4", 1);
-  bool Wrote = writeTrace(T, Path);
-  if (Prev)
-    ::setenv("RPRISM_TRACE_FORMAT", Prev, 1);
-  else
-    ::unsetenv("RPRISM_TRACE_FORMAT");
-  ASSERT_TRUE(Wrote);
-  std::string Bytes = readFileBytes(Path);
-  ASSERT_GE(Bytes.size(), 8u);
-  uint32_t Version = 0;
-  std::memcpy(&Version, Bytes.data() + 4, 4);
-  EXPECT_EQ(Version, 6u); // The v4 layout's version field.
-  Expected<Trace> Loaded = readTrace(Path, nullptr);
-  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  expectTracesEqual(T, *Loaded);
-  std::remove(Path.c_str());
-}
-
-TEST(SerializeV4, StreamingRecorderSinkMatchesBatchWrite) {
-  GeneratorOptions G;
-  G.OuterIters = 8;
-  std::string Source = generateProgram(G);
-  std::string StreamPath = tempPath("v4_stream");
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T;
-  {
-    SegmentedTraceWriter Sink(StreamPath, /*SegmentEntries=*/8);
-    ASSERT_TRUE(Sink.ok());
-    RunOptions Options;
-    Options.Tracing.SegmentSink = &Sink;
-    T = traceOf(Source, Strings, Options);
-    ASSERT_GT(T.size(), 8u); // Genuinely multi-segment.
-    // The recorder sealed segments while the program ran and finalized
-    // the file when the trace was taken.
-    EXPECT_TRUE(Sink.ok());
-    EXPECT_EQ(Sink.entriesSealed(), T.size());
-  }
-  Expected<Trace> Streamed = readTrace(StreamPath, nullptr);
-  ASSERT_TRUE(bool(Streamed)) << Streamed.error().render();
-  expectTracesEqual(T, *Streamed);
-  EXPECT_TRUE(Streamed->HasFingerprints);
-  EXPECT_EQ(viewsDiff(T, *Streamed).numDiffs(), 0u);
-
-  // A batch rewrite of the finished trace at the same granularity loads
-  // equal (the files may differ in how side-table deltas split across
-  // segments, but the reassembled traces must not).
-  std::string BatchPath = tempPath("v4_batch");
-  ASSERT_TRUE(writeTraceSegmented(T, BatchPath, 8));
-  Expected<Trace> Batch = readTrace(BatchPath, nullptr);
-  ASSERT_TRUE(bool(Batch)) << Batch.error().render();
-  expectTracesEqual(*Streamed, *Batch);
-  std::remove(StreamPath.c_str());
-  std::remove(BatchPath.c_str());
 }
 
 TEST(SerializeV4, ViewIndexDeltaMergeMatchesBulkCompute) {
@@ -726,124 +703,72 @@ TEST(SerializeV4, ViewIndexDeltaMergeMatchesBulkCompute) {
   std::remove(Path.c_str());
 }
 
-TEST(SerializeV4, FileDigestStablePerFormatDistinctAcrossFormats) {
+TEST(SerializeV4, FileDigestStablePerLayoutDistinctAcrossSegmentSizes) {
   Trace T = bumpTrace();
-  std::string V3Path = tempPath("digest_v3");
-  std::string V4Path = tempPath("digest_v4");
-  std::string V4Again = tempPath("digest_v4b");
-  ASSERT_TRUE(writeTrace(T, V3Path));
-  ASSERT_TRUE(writeTraceSegmented(T, V4Path, 8));
-  ASSERT_TRUE(writeTraceSegmented(T, V4Again, 8));
-  Expected<uint64_t> D3 = traceFileDigest(V3Path);
-  Expected<uint64_t> D4 = traceFileDigest(V4Path);
-  Expected<uint64_t> D4b = traceFileDigest(V4Again);
-  ASSERT_TRUE(bool(D3) && bool(D4) && bool(D4b));
-  EXPECT_EQ(*D4, *D4b) << "identical v4 writes must digest identically";
-  EXPECT_NE(*D3, *D4) << "format change must change the digest";
-  std::remove(V3Path.c_str());
-  std::remove(V4Path.c_str());
-  std::remove(V4Again.c_str());
-}
-
-TEST(SerializeV4, CrossFormatDiffDeterministicAcrossJobs) {
-  GeneratorOptions Base;
-  Base.OuterIters = 10;
-  Base.NumThreads = 2;
-  Base.Seed = 11;
-  GeneratorOptions Perturbed = Base;
-  Perturbed.Perturb = 1;
-  auto Gen = std::make_shared<StringInterner>();
-  Trace L = traceOf(generateProgram(Base), Gen);
-  Trace R = traceOf(generateProgram(Perturbed), Gen);
-  std::string L3 = tempPath("xfmt_l3"), R3 = tempPath("xfmt_r3");
-  std::string L4 = tempPath("xfmt_l4"), R4 = tempPath("xfmt_r4");
-  ASSERT_TRUE(writeTrace(L, L3));
-  ASSERT_TRUE(writeTrace(R, R3));
-  ASSERT_TRUE(writeTraceSegmented(L, L4, 32));
-  ASSERT_TRUE(writeTraceSegmented(R, R4, 32));
-
-  // One shared interner across all four loads, as a diff session would.
-  auto Shared = std::make_shared<StringInterner>();
-  Expected<Trace> LV3 = readTrace(L3, Shared), RV3 = readTrace(R3, Shared);
-  Expected<Trace> LV4 = readTrace(L4, Shared), RV4 = readTrace(R4, Shared);
-  ASSERT_TRUE(bool(LV3) && bool(RV3) && bool(LV4) && bool(RV4));
-
-  ViewsDiffOptions Opt;
-  Opt.Jobs = 1;
-  Opt.ParallelCutoffEntries = 0; // Exercise the pool on small traces too.
-  DiffResult Ref = viewsDiff(*LV3, *RV3, Opt);
-  std::string RefRender = Ref.render();
-
-  struct Pair {
-    const char *What;
-    const Trace *Lhs;
-    const Trace *Rhs;
-  } Pairs[] = {{"v3-v3", &*LV3, &*RV3},
-               {"v4-v4", &*LV4, &*RV4},
-               {"v3-v4", &*LV3, &*RV4}};
-  for (const Pair &P : Pairs)
-    for (unsigned Jobs : {1u, 4u, 0u}) {
-      SCOPED_TRACE(std::string(P.What) + " jobs=" + std::to_string(Jobs));
-      Opt.Jobs = Jobs;
-      DiffResult D = viewsDiff(*P.Lhs, *P.Rhs, Opt);
-      // The report and the work accounting must be identical across both
-      // formats and every worker count — segment-granular run skipping is
-      // not allowed to change what gets compared, only how it's found.
-      EXPECT_EQ(D.render(), RefRender);
-      EXPECT_EQ(D.Stats.CompareOps, Ref.Stats.CompareOps);
-      EXPECT_EQ(D.numLeftDiffs(), Ref.numLeftDiffs());
-      EXPECT_EQ(D.numRightDiffs(), Ref.numRightDiffs());
-    }
-  for (const std::string &Path : {L3, R3, L4, R4})
-    std::remove(Path.c_str());
+  std::string WholePath = tempPath("digest_whole");
+  std::string SegPath = tempPath("digest_segments");
+  std::string SegAgain = tempPath("digest_segments_b");
+  ASSERT_TRUE(writeTrace(T, WholePath));
+  ASSERT_TRUE(writeTraceSegmented(T, SegPath, 8));
+  ASSERT_TRUE(writeTraceSegmented(T, SegAgain, 8));
+  Expected<uint64_t> Whole = traceFileDigest(WholePath);
+  Expected<uint64_t> Seg = traceFileDigest(SegPath);
+  Expected<uint64_t> SegB = traceFileDigest(SegAgain);
+  ASSERT_TRUE(bool(Whole) && bool(Seg) && bool(SegB));
+  EXPECT_EQ(*Seg, *SegB) << "identical writes must digest identically";
+  EXPECT_NE(*Whole, *Seg) << "a different segmentation is different bytes";
+  std::remove(WholePath.c_str());
+  std::remove(SegPath.c_str());
+  std::remove(SegAgain.c_str());
 }
 
 TEST(SerializeV4, IdenticalPairDiffSkipsSegments) {
   GeneratorOptions G;
   G.OuterIters = 12;
   Trace T = traceOf(generateProgram(G));
-  std::string V3Path = tempPath("skip_v3");
-  std::string V4Path = tempPath("skip_v4");
-  // The baseline must really be v3 (no segment map) even when the suite
-  // runs under the env-forced v4 ctest leg.
-  const char *Prev = ::getenv("RPRISM_TRACE_FORMAT");
-  ::unsetenv("RPRISM_TRACE_FORMAT");
-  bool WroteV3 = writeTrace(T, V3Path);
-  if (Prev)
-    ::setenv("RPRISM_TRACE_FORMAT", Prev, 1);
-  ASSERT_TRUE(WroteV3);
-  ASSERT_TRUE(writeTraceSegmented(T, V4Path, 64));
+  std::string WholePath = tempPath("skip_whole");
+  std::string SegPath = tempPath("skip_segments");
+  ASSERT_TRUE(writeTrace(T, WholePath));
+  ASSERT_TRUE(writeTraceSegmented(T, SegPath, 64));
   auto Shared = std::make_shared<StringInterner>();
-  Expected<Trace> A3 = readTrace(V3Path, Shared);
-  Expected<Trace> B3 = readTrace(V3Path, Shared);
-  Expected<Trace> A4 = readTrace(V4Path, Shared);
-  Expected<Trace> B4 = readTrace(V4Path, Shared);
-  ASSERT_TRUE(bool(A3) && bool(B3) && bool(A4) && bool(B4));
-  ASSERT_FALSE(A4->Segments.empty());
+  Expected<Trace> AW = readTrace(WholePath, Shared);
+  Expected<Trace> BW = readTrace(WholePath, Shared);
+  Expected<Trace> AS = readTrace(SegPath, Shared);
+  Expected<Trace> BS = readTrace(SegPath, Shared);
+  ASSERT_TRUE(bool(AW) && bool(BW) && bool(AS) && bool(BS));
+  ASSERT_EQ(AW->Segments.size(), 1u);
+  ASSERT_EQ(AS->Segments.size(), (T.size() + 63) / 64);
 
   ViewsDiffOptions Opt;
   Opt.Jobs = 1;
-  Telemetry::get().reset();
-  Telemetry::get().setEnabled(true);
-  DiffResult D3 = viewsDiff(*A3, *B3, Opt);
-  uint64_t SkipsV3 =
-      Telemetry::get().snapshot().counter("trace.segments_skipped");
-  DiffResult D4 = viewsDiff(*A4, *B4, Opt);
-  uint64_t SkipsTotal =
-      Telemetry::get().snapshot().counter("trace.segments_skipped");
-  Telemetry::get().setEnabled(false);
-  Telemetry::get().reset();
+  auto DiffCountingSkips = [&](const Trace &L, const Trace &R,
+                               uint64_t &Skips) {
+    Telemetry::get().reset();
+    Telemetry::get().setEnabled(true);
+    DiffResult D = viewsDiff(L, R, Opt);
+    Skips = Telemetry::get().snapshot().counter("trace.segments_skipped");
+    Telemetry::get().setEnabled(false);
+    Telemetry::get().reset();
+    return D;
+  };
+  uint64_t SkipsMemory = 0, SkipsWhole = 0, SkipsSegmented = 0;
+  DiffResult DM = DiffCountingSkips(T, T, SkipsMemory);
+  DiffResult DW = DiffCountingSkips(*AW, *BW, SkipsWhole);
+  DiffResult DS = DiffCountingSkips(*AS, *BS, SkipsSegmented);
 
-  // v3 files carry no segment map, so nothing can be skipped; the v4 pair
-  // skips whole digest-equal segments — and still does the exact same
-  // amount of reported work.
-  EXPECT_EQ(SkipsV3, 0u);
-  EXPECT_GT(SkipsTotal, SkipsV3);
-  EXPECT_EQ(D3.numDiffs(), 0u);
-  EXPECT_EQ(D4.numDiffs(), 0u);
-  EXPECT_EQ(D3.Stats.CompareOps, D4.Stats.CompareOps);
-  std::remove(V3Path.c_str());
-  std::remove(V4Path.c_str());
+  // An in-memory pair carries no segment map, so nothing is skipped; a
+  // one-segment pair skips its one segment, a 64-entry pair every segment
+  // — and each does the exact same amount of reported work.
+  EXPECT_EQ(SkipsMemory, 0u);
+  EXPECT_EQ(SkipsWhole, 1u);
+  EXPECT_EQ(SkipsSegmented, AS->Segments.size());
+  EXPECT_EQ(DM.numDiffs(), 0u);
+  EXPECT_EQ(DW.numDiffs(), 0u);
+  EXPECT_EQ(DS.numDiffs(), 0u);
+  EXPECT_EQ(DM.Stats.CompareOps, DW.Stats.CompareOps);
+  EXPECT_EQ(DM.Stats.CompareOps, DS.Stats.CompareOps);
+  std::remove(WholePath.c_str());
+  std::remove(SegPath.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -977,9 +902,9 @@ TEST(Fingerprint, SurvivesZeroCopyReloadVerbatim) {
   )");
   std::string Path = tempPath("fp_reload");
   ASSERT_TRUE(writeTrace(T, Path));
-  // Fresh interner: the v3 string table re-interns to identical symbol
-  // ids, so the stored fingerprints are loaded verbatim — and must equal
-  // a from-scratch recomputation over the loaded columns.
+  // Fresh interner: the file's strings re-intern to identical symbol ids,
+  // so the stored fingerprints are loaded verbatim — and must equal a
+  // from-scratch recomputation over the loaded columns.
   Expected<Trace> Loaded = readTrace(Path, nullptr);
   ASSERT_TRUE(bool(Loaded));
   EXPECT_TRUE(Loaded->HasFingerprints);
@@ -1029,9 +954,11 @@ TEST(Fingerprint, RemapPathIsCountedAndZeroCopyPathIsNot) {
 
   Telemetry::get().reset();
   Telemetry::get().setEnabled(true);
-  // Fresh interner: symbols re-intern to identical ids, fingerprints load
-  // verbatim — the recompute counter must stay untouched.
-  ASSERT_TRUE(bool(readTrace(Path, nullptr)));
+  // Fresh interner: symbols re-intern to identical ids, fingerprints are
+  // borrowed verbatim — the recompute counter must stay untouched.
+  Expected<Trace> Fresh = readTrace(Path, nullptr);
+  ASSERT_TRUE(bool(Fresh));
+  EXPECT_TRUE(Fresh->Fps.borrowed());
   EXPECT_EQ(Telemetry::get().snapshot().counter("load.fp_recompute"), 0u);
   // Busy interner: ids shift, so the loader recomputes — once per load.
   auto Busy = std::make_shared<StringInterner>();

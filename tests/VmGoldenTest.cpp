@@ -10,7 +10,7 @@
 /// workload in the repository (the corpus pairs, the Rhino bases, a
 /// multithreaded generated program) is compiled and run under both VM
 /// dispatch tiers (threaded and the RPRISM_NO_THREADED_DISPATCH switch
-/// oracle), its v3 trace serialized, and the resulting bytes digested with
+/// oracle), its trace file written, and the resulting bytes digested with
 /// FNV-1a. The digests are pinned in tests/golden/vm_trace_digests.txt, so
 /// any change to the VM's value representation, dispatch, or emission path
 /// that perturbs even one byte of a produced trace (entry columns, argument
@@ -92,7 +92,7 @@ std::vector<Workload> goldenWorkloads() {
 
 /// Digest results for one workload under one dispatch tier.
 struct Digest {
-  uint64_t TraceBytes = 0; ///< FNV-1a of the serialized v3 file.
+  uint64_t TraceBytes = 0; ///< FNV-1a of the written trace file.
   uint64_t FpColumn = 0;   ///< FNV-1a of the fingerprint column.
   uint64_t Entries = 0;
 };
@@ -104,7 +104,7 @@ std::string hex(uint64_t V) {
   return Buf;
 }
 
-/// Runs one workload and digests its serialized v3 trace. Also verifies,
+/// Runs one workload and digests its written trace file. Also verifies,
 /// inline, that recomputing the fingerprint column under ThreadPool jobs
 /// 1 and 4 reproduces the recorder's own column bit for bit.
 Digest digestWorkload(const Workload &W) {
@@ -182,12 +182,12 @@ GoldenData collect() {
 
 std::string render(const GoldenData &Data) {
   std::ostringstream OS;
-  OS << "# Trace digests per workload: FNV-1a of the v3-layout file bytes\n"
-     << "# (version field 5, section checksums by checksumBytes) and of\n"
+  OS << "# Trace digests per workload: FNV-1a of the one-segment trace\n"
+     << "# file bytes (version field 6, checksums by checksumBytes) and of\n"
      << "# the fingerprint column. Regenerate with\n"
      << "# RPRISM_UPDATE_GOLDEN=1 ./rprism_vmgolden_test after an\n"
      << "# intentional trace-format or recorder change.\n"
-     << "# trace <name> <v3-bytes-digest> <fp-column-digest> <entries>\n";
+     << "# trace <name> <file-bytes-digest> <fp-column-digest> <entries>\n";
   for (const auto &[Name, D] : Data.Traces)
     OS << "trace " << Name << ' ' << hex(D.TraceBytes) << ' '
        << hex(D.FpColumn) << ' ' << D.Entries << '\n';
@@ -259,7 +259,7 @@ void expectMatches(const GoldenData &Got, const GoldenData &Want,
     ASSERT_NE(It, Got.Traces.end()) << TierName << ": missing " << Name;
     EXPECT_EQ(It->second.Entries, D.Entries) << TierName << ": " << Name;
     EXPECT_EQ(hex(It->second.TraceBytes), hex(D.TraceBytes))
-        << TierName << ": " << Name << " v3 bytes diverged";
+        << TierName << ": " << Name << " trace file bytes diverged";
     EXPECT_EQ(hex(It->second.FpColumn), hex(D.FpColumn))
         << TierName << ": " << Name << " fingerprint column diverged";
   }

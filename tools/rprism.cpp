@@ -41,7 +41,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
@@ -303,13 +302,11 @@ compileFile(const std::string &Path, std::shared_ptr<StringInterner> Strings) {
 }
 
 RunResult runWith(const CompiledProgram &Prog, const Args &A,
-                  std::vector<std::string> Inputs, const char *Name,
-                  SegmentedTraceWriter *SegmentSink = nullptr) {
+                  std::vector<std::string> Inputs, const char *Name) {
   RunOptions Options;
   Options.Inputs = std::move(Inputs);
   Options.IntInputs = A.IntInputs;
   Options.TraceName = Name;
-  Options.Tracing.SegmentSink = SegmentSink;
   return runProgram(Prog, Options);
 }
 
@@ -319,26 +316,14 @@ int cmdRun(const Args &A) {
   auto Prog = compileFile(A.Positional[0], nullptr);
   if (!Prog)
     return fail(Prog.error());
-
-  // Under RPRISM_TRACE_FORMAT=v4 the trace streams to disk *during* the
-  // run: the recorder seals full segments while the program executes and
-  // finalizes the file when the run ends — no post-run serialization pass.
-  const char *Fmt = std::getenv("RPRISM_TRACE_FORMAT");
-  bool StreamV4 = !A.TracePath.empty() && Fmt && std::strcmp(Fmt, "v4") == 0;
-  std::unique_ptr<SegmentedTraceWriter> Sink;
-  if (StreamV4)
-    Sink = std::make_unique<SegmentedTraceWriter>(A.TracePath);
-
-  RunResult Result = runWith(*Prog, A, A.Inputs, "run", Sink.get());
+  RunResult Result = runWith(*Prog, A, A.Inputs, "run");
   std::fputs(Result.Output.c_str(), stdout);
   std::fprintf(stderr, "[%zu trace entries, %llu steps%s]\n",
                Result.ExecTrace.size(),
                static_cast<unsigned long long>(Result.Steps),
                Result.Completed ? "" : ", did not complete");
   if (!A.TracePath.empty()) {
-    bool Written = StreamV4 ? Sink->ok()
-                            : writeTrace(Result.ExecTrace, A.TracePath);
-    if (!Written) {
+    if (!writeTrace(Result.ExecTrace, A.TracePath)) {
       std::fprintf(stderr, "error: cannot write '%s'\n",
                    A.TracePath.c_str());
       return 1;

@@ -6,16 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Deterministic corruption fuzzer for the trace readers. Writes a small
-/// corpus of base traces (empty, single-entry, generated workloads) in
-/// every on-disk format (v3 with and without view index, and segmented
-/// v4 at two granularities), then applies seeded mutations —
-/// truncation, bit flips, byte overwrites, section-table and header
-/// tampering, zeroed ranges, appended garbage, plus the v4 boundary
-/// structures: trailer fields, footer-directory records, and segment
-/// headers — and requires every strict read, salvage read, and digest of
-/// the mutant to return cleanly. A crash, hang, or sanitizer report is
-/// the failure mode; any error return is a pass.
+/// Deterministic corruption fuzzer for the trace reader. Writes a small
+/// corpus of base traces (empty, single-entry, generated workloads) as
+/// one whole-trace segment and as 8-entry segments, each with and without
+/// the view index, then applies seeded mutations — truncation, bit flips,
+/// byte overwrites, section-table and header tampering, zeroed ranges,
+/// appended garbage, plus the file's boundary structures: trailer fields,
+/// footer-directory records, and segment headers — and requires every
+/// strict read, salvage read, and digest of the mutant to return cleanly.
+/// A crash, hang, or sanitizer report is the failure mode; any error
+/// return is a pass.
 ///
 /// Run under ASan+UBSan in CI:  trace_fuzz --seed 20260807 --iters 200
 ///
@@ -77,8 +77,9 @@ bool writeAll(const std::string &Path, const std::vector<uint8_t> &Bytes) {
 
 /// Applies one seeded mutation to \p Bytes. Twelve mutation kinds, chosen
 /// and parameterised by \p Rng; always leaves at least an empty file. The
-/// last three target the segmented v4 framing (trailer, footer directory,
-/// segment headers) and degrade to a plain bit flip on non-v4 inputs.
+/// last three target the file framing (trailer, footer directory, segment
+/// headers) and degrade to a plain bit flip when an earlier mutation left
+/// no valid trailer.
 void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
   auto Index = [&](size_t Bound) {
     return Bound ? static_cast<size_t>(Rng() % Bound) : 0;
@@ -86,8 +87,8 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
   auto FlipBit = [&] {
     Bytes[Index(Bytes.size())] ^= uint8_t(1u << (Rng() % 8));
   };
-  // The v4 footer offset when the file ends in a valid trailer, else 0.
-  auto V4Footer = [&]() -> uint64_t {
+  // The footer offset when the file ends in a valid trailer, else 0.
+  auto FooterAt = [&]() -> uint64_t {
     if (Bytes.size() < 56)
       return 0;
     uint32_t Magic;
@@ -121,18 +122,25 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
         static_cast<uint8_t>(std::initializer_list<int>{0, 1, 0x7f, 0x80, 0xff}
                                  .begin()[Rng() % 5]);
     break;
-  case 4: { // Tamper with a section-table record field (id 16-byte header
-            // plus 32-byte records: id/pad/offset/length/checksum).
-    if (Bytes.size() < 48)
+  case 4: { // Tamper with a record of the first segment's section table
+            // (after the 32-byte file and segment headers: 32-byte records
+            // of id/pad, offset, length, checksum).
+    if (Bytes.size() < 96) {
+      FlipBit();
       break;
-    size_t Record = 16 + 32 * Index((Bytes.size() - 16) / 32);
+    }
+    uint32_t NumSections;
+    std::memcpy(&NumSections, Bytes.data() + 52, 4);
+    size_t Records =
+        std::min<size_t>(NumSections, (Bytes.size() - 64) / 32);
+    size_t Record = 64 + 32 * Index(Records);
     size_t Field = (Rng() % 4) * 8; // id+pad / offset / length / checksum
     uint64_t Garbage = Rng();
-    std::memcpy(Bytes.data() + Record + Field, &Garbage,
-                std::min<size_t>(8, Bytes.size() - Record - Field));
+    std::memcpy(Bytes.data() + Record + Field, &Garbage, 8);
     break;
   }
-  case 5: { // Tamper with the header: magic, version, flags, or count.
+  case 5: { // Tamper with the file header: magic, version, flags, or the
+            // segment size.
     size_t Field = 4 * (Rng() % 4);
     if (Bytes.size() < Field + 4)
       break;
@@ -163,7 +171,7 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     }
     break;
   }
-  case 9: { // v4 trailer tamper: footer offset, checksum, count, or magic.
+  case 9: { // Trailer tamper: footer offset, checksum, count, or magic.
     if (Bytes.size() < 56) {
       FlipBit();
       break;
@@ -174,8 +182,8 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     std::memcpy(Bytes.data() + Trailer + Field, &Garbage, 8);
     break;
   }
-  case 10: { // v4 footer-directory record tamper.
-    uint64_t Footer = V4Footer();
+  case 10: { // Footer-directory record tamper.
+    uint64_t Footer = FooterAt();
     if (!Footer) {
       FlipBit();
       break;
@@ -196,8 +204,8 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     std::memcpy(Bytes.data() + Record + Field, &Garbage, 8);
     break;
   }
-  case 11: { // v4 segment-header tamper (first segment lives at byte 32).
-    uint64_t Footer = V4Footer();
+  case 11: { // Segment-header tamper (the first segment lives at byte 32).
+    uint64_t Footer = FooterAt();
     if (!Footer || Footer < 64) {
       FlipBit();
       break;
@@ -257,8 +265,8 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // Base corpus: every format x a spread of trace shapes, including the
-  // degenerate ones (empty, single entry).
+  // Base corpus: a spread of trace shapes, including the degenerate ones
+  // (empty, single entry), each written four ways.
   GeneratorOptions Small;
   Small.NumClasses = 2;
   Small.OuterIters = 3;
@@ -283,23 +291,23 @@ int main(int Argc, char **Argv) {
   for (size_t I = 0; I != Corpus.size(); ++I) {
     Corpus[I].computeFingerprints();
     std::string Path = Dir + "_base" + std::to_string(I);
-    auto WriteV3Index = [](const Trace &T, const std::string &P) {
+    // One whole-trace segment stresses the zero-copy path, 8-entry
+    // segments the per-segment framing and the copying assembly; each
+    // with and without the view index.
+    auto WholeIndex = [](const Trace &T, const std::string &P) {
       return writeTrace(T, P, /*WithViewIndex=*/true);
     };
-    auto WriteV3Plain = [](const Trace &T, const std::string &P) {
+    auto WholePlain = [](const Trace &T, const std::string &P) {
       return writeTrace(T, P, /*WithViewIndex=*/false);
     };
-    // Segmented v4 at two granularities: many small segments stress the
-    // per-segment framing, one big segment stresses the degenerate path.
-    auto WriteV4Small = [](const Trace &T, const std::string &P) {
+    auto SmallIndex = [](const Trace &T, const std::string &P) {
       return writeTraceSegmented(T, P, /*SegmentEntries=*/8);
     };
-    auto WriteV4Big = [](const Trace &T, const std::string &P) {
-      return writeTraceSegmented(T, P, /*SegmentEntries=*/100000,
+    auto SmallPlain = [](const Trace &T, const std::string &P) {
+      return writeTraceSegmented(T, P, /*SegmentEntries=*/8,
                                  /*WithViewIndex=*/false);
     };
-    for (auto *Write :
-         {+WriteV3Index, +WriteV3Plain, +WriteV4Small, +WriteV4Big}) {
+    for (auto *Write : {+WholeIndex, +WholePlain, +SmallIndex, +SmallPlain}) {
       if (!Write(Corpus[I], Path)) {
         std::fprintf(stderr, "fatal: cannot write base trace %zu\n", I);
         return 1;
