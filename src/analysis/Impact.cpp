@@ -31,8 +31,8 @@ bool expandOnce(const ViewWeb &Web, ImpactSet &Set,
     if (!MV)
       continue;
     for (uint32_t Eid : MV->Entries) {
-      AddObject(T.Targets[Eid]);
-      AddObject(T.Selfs[Eid]);
+      AddObject(T.target(Eid));
+      AddObject(T.self(Eid));
     }
   }
 
@@ -75,9 +75,8 @@ std::string ImpactSet::render(const Trace &T) const {
   // targets them.
   std::ostringstream ObjectsOS;
   std::set<uint32_t> Pending(Objects);
-  for (const ObjRepr &Target : T.Targets) {
-    if (Pending.empty())
-      break;
+  for (uint32_t Eid = 0; Eid != T.size() && !Pending.empty(); ++Eid) {
+    const ObjRepr &Target = T.target(Eid);
     if (!Target.isNone() && Pending.erase(Target.Loc))
       ObjectsOS << ' ' << T.renderObj(Target);
   }
@@ -105,10 +104,10 @@ ImpactSet rprism::impactOfEntries(const ViewWeb &Web,
   Seed.SeedEntries = Eids.size();
   for (uint32_t Eid : Eids) {
     Seed.Methods.insert(T.Methods[Eid].Id);
-    if (!T.Targets[Eid].isNone())
-      Seed.Objects.insert(T.Targets[Eid].Loc);
-    if (!T.Selfs[Eid].isNone())
-      Seed.Objects.insert(T.Selfs[Eid].Loc);
+    if (!T.target(Eid).isNone())
+      Seed.Objects.insert(T.target(Eid).Loc);
+    if (!T.self(Eid).isNone())
+      Seed.Objects.insert(T.self(Eid).Loc);
   }
   return closeOver(Web, std::move(Seed), Options);
 }

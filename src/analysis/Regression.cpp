@@ -21,16 +21,16 @@ uint64_t diffContentKey(const Trace &T, uint32_t Eid, bool NewSide) {
   uint64_t H = hashCombine(static_cast<uint64_t>(T.Kinds[Eid]),
                            T.Names[Eid].Id, NewSide ? 0x4eULL : 0x0aULL);
   // Target object: class plus version-stable identity.
-  const ObjRepr &Target = T.Targets[Eid];
+  const ObjRepr &Target = T.target(Eid);
   H = hashMix(H, Target.ClassName.Id);
   H = hashMix(H, Target.HasRepr ? Target.ValueHash : Target.CreationSeq);
-  const ValueRepr &Value = T.Values[Eid];
+  const ValueRepr &Value = T.value(Eid);
   H = hashMix(H, static_cast<uint64_t>(Value.Kind));
   H = hashMix(H, Value.Hash);
-  const ValueRepr *Arg = T.args(Eid);
-  for (uint32_t N = T.numArgs(Eid); N != 0; --N, ++Arg) {
-    H = hashMix(H, static_cast<uint64_t>(Arg->Kind));
-    H = hashMix(H, Arg->Hash);
+  for (uint32_t I = 0, N = T.numArgs(Eid); I != N; ++I) {
+    const ValueRepr &Arg = T.arg(Eid, I);
+    H = hashMix(H, static_cast<uint64_t>(Arg.Kind));
+    H = hashMix(H, Arg.Hash);
   }
   // Context: the executing method (not the receiver object — too volatile).
   H = hashMix(H, T.Methods[Eid].Id);

@@ -17,8 +17,8 @@ std::string rprism::summarizeSequence(const Trace &Left, const Trace &Right,
   auto Visit = [&](const Trace &T, const std::vector<uint32_t> &Eids) {
     for (uint32_t Eid : Eids) {
       ++MethodCounts[T.Methods[Eid].Id];
-      if (!T.Targets[Eid].isNone())
-        Objects.insert(T.renderObj(T.Targets[Eid]));
+      if (!T.target(Eid).isNone())
+        Objects.insert(T.renderObj(T.target(Eid)));
     }
   };
   Visit(Left, Seq.LeftEids);

@@ -31,8 +31,8 @@ std::string siteLabel(const Trace &Base, const Trace &Mutant,
   auto Visit = [&](const Trace &T, const std::vector<uint32_t> &Eids) {
     for (uint32_t Eid : Eids) {
       ++MethodCounts[T.Methods[Eid].Id];
-      if (!T.Targets[Eid].isNone())
-        Objects.insert(T.renderObj(T.Targets[Eid]));
+      if (!T.target(Eid).isNone())
+        Objects.insert(T.renderObj(T.target(Eid)));
     }
   };
   if (!Seq.LeftEids.empty())

@@ -353,8 +353,8 @@ bool PairEvaluator::sameSite(uint32_t LeftEid, uint32_t RightEid) const {
   if (LT.Kinds[LeftEid] != RT.Kinds[RightEid] ||
       LT.Names[LeftEid] != RT.Names[RightEid])
     return false;
-  const ObjRepr &A = LT.Targets[LeftEid];
-  const ObjRepr &B = RT.Targets[RightEid];
+  const ObjRepr &A = LT.target(LeftEid);
+  const ObjRepr &B = RT.target(RightEid);
   return A.ClassName == B.ClassName && A.CreationSeq == B.CreationSeq;
 }
 
@@ -427,10 +427,7 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
   constexpr size_t Prefetch = 8;
   auto PrefetchAt = [](const Trace &T, const View &V, size_t Pos) {
     if (Pos < V.Entries.size()) {
-      uint32_t Eid = V.Entries[Pos];
-      __builtin_prefetch(&T.Names[Eid]);
-      __builtin_prefetch(&T.Targets[Eid]);
-      __builtin_prefetch(&T.Values[Eid]);
+      T.prefetchEquals(V.Entries[Pos]);
     }
   };
 

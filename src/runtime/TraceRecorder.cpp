@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 
 using namespace rprism;
 
@@ -67,7 +68,7 @@ TraceRecorder::TraceRecorder(const CompiledProgram &ProgIn,
   size_t EntryHint =
       std::min<size_t>(std::max<size_t>(CodeUnits * 8, 1024), 1u << 20);
   Out.reserveEntries(EntryHint);
-  Out.ArgPool.reserve(EntryHint / 2);
+  Out.ArgIds.reserve(EntryHint / 2);
   EntryCap = EntryHint;
   ArgCap = EntryHint / 2;
   // Bucket reservation only — interning order and symbol ids (and thus
@@ -75,8 +76,7 @@ TraceRecorder::TraceRecorder(const CompiledProgram &ProgIn,
   Out.Strings->reserve(Out.Strings->size() + EntryHint / 8);
 }
 
-uint64_t TraceRecorder::structuralHash(uint32_t Loc, unsigned Depth,
-                                       std::vector<uint32_t> &Visiting) {
+uint64_t TraceRecorder::structuralHash(uint32_t Loc, unsigned Depth) {
   const HeapObj &Obj = Store.get(Loc);
   uint64_t H = hashMix(SeedObj, Prog.Classes[Obj.ClassId].Name.Id);
   if (Depth == 0)
@@ -92,18 +92,19 @@ uint64_t TraceRecorder::structuralHash(uint32_t Loc, unsigned Depth,
       if (ClassNoRepr[FieldObj.ClassId])
         H = hashMix(H, hashMix(SeedObj, FieldObj.CreationSeq));
       else
-        H = hashMix(H, structuralHash(FieldLoc, Depth - 1, Visiting));
+        H = hashMix(H, structuralHash(FieldLoc, Depth - 1));
     } else {
-      H = hashMix(H, valueRepr(Field).Hash);
+      uint32_t FieldRepr = valueRepr(Field);
+      H = hashMix(H, Out.ValueReprs[FieldRepr].Hash);
     }
   }
   Visiting.pop_back();
   return H;
 }
 
-ObjRepr TraceRecorder::objRepr(uint32_t Loc) {
+uint32_t TraceRecorder::objRepr(uint32_t Loc) {
   if (Loc == NoLoc)
-    return ObjRepr();
+    return 0;
   if (Loc >= ObjMemo.size())
     ObjMemo.resize(Store.size());
   ObjMemoEntry &Memo = ObjMemo[Loc];
@@ -112,9 +113,9 @@ ObjRepr TraceRecorder::objRepr(uint32_t Loc) {
     // The paper's "empty representation" rule: correlation falls back to
     // the class-specific creation sequence number — immutable, so the
     // memo never invalidates.
-    if (Memo.ReprValid) {
+    if (Memo.ReprId) {
       ++MemoHits;
-      return Memo.Repr;
+      return Memo.ReprId;
     }
     ObjRepr Repr;
     Repr.Loc = Loc;
@@ -122,67 +123,69 @@ ObjRepr TraceRecorder::objRepr(uint32_t Loc) {
     Repr.CreationSeq = Obj.CreationSeq;
     Repr.HasRepr = false;
     Repr.ValueHash = 0;
-    Memo.Repr = Repr;
-    Memo.ReprValid = 1;
-    return Repr;
+    Memo.ReprId = Out.addObjRepr(Repr);
+    return Memo.ReprId;
   }
   // +1 keeps a version-0 snapshot distinguishable from an empty memo.
   uint64_t Snap = ClassScalarOnly[Obj.ClassId]
                       ? static_cast<uint64_t>(Obj.Version) + 1
                       : Store.globalVersion() + 1;
-  if (Memo.ReprValid && Memo.Snap == Snap) {
+  if (Memo.ReprId && Memo.Snap == Snap) {
     ++MemoHits;
-    return Memo.Repr;
+    return Memo.ReprId;
   }
   ObjRepr Repr;
   Repr.Loc = Loc;
   Repr.ClassName = Prog.Classes[Obj.ClassId].Name;
   Repr.CreationSeq = Obj.CreationSeq;
-  std::vector<uint32_t> Visiting;
   Repr.HasRepr = true;
-  Repr.ValueHash = structuralHash(Loc, Options.ReprDepth, Visiting);
-  Memo.Repr = Repr;
+  Visiting.clear();
+  Repr.ValueHash = structuralHash(Loc, Options.ReprDepth);
+  // A mutation elsewhere in the store invalidates the snapshot without
+  // changing this object's representation: the row is then reused.
+  if (!Memo.ReprId ||
+      std::memcmp(&Out.ObjReprs[Memo.ReprId], &Repr, sizeof(Repr)) != 0)
+    Memo.ReprId = Out.addObjRepr(Repr);
   Memo.Snap = Snap;
-  Memo.ReprValid = 1;
-  return Repr;
+  return Memo.ReprId;
 }
 
-ValueRepr TraceRecorder::valueRepr(const Value &V) {
+uint32_t TraceRecorder::valueRepr(const Value &V) {
   ValueRepr Repr;
   auto &Strings = *Out.Strings;
   switch (V.K) {
   case Value::Kind::Unit:
-    if (UnitMemo.Kind != ReprKind::None) {
+    if (UnitMemo) {
       ++MemoHits;
       return UnitMemo;
     }
     Repr.Kind = ReprKind::Unit;
     Repr.Hash = SeedUnit;
     Repr.Text = Strings.intern("unit");
-    UnitMemo = Repr;
-    break;
+    UnitMemo = Out.addValueRepr(Repr);
+    return UnitMemo;
   case Value::Kind::Null:
-    if (NullMemo.Kind != ReprKind::None) {
+    if (NullMemo) {
       ++MemoHits;
       return NullMemo;
     }
     Repr.Kind = ReprKind::Null;
     Repr.Hash = SeedNull;
     Repr.Text = Strings.intern("null");
-    NullMemo = Repr;
-    break;
+    NullMemo = Out.addValueRepr(Repr);
+    return NullMemo;
   case Value::Kind::Int: {
     if (V.I >= SmallIntMin && V.I <= SmallIntMax) {
-      ValueRepr &Slot = SmallIntMemo[static_cast<size_t>(V.I - SmallIntMin)];
-      if (Slot.Kind != ReprKind::None) {
+      uint32_t &Slot = SmallIntMemo[static_cast<size_t>(V.I - SmallIntMin)];
+      if (Slot) {
         ++MemoHits;
         return Slot;
       }
       Repr.Kind = ReprKind::Int;
       Repr.Hash = hashMix(SeedInt, static_cast<uint64_t>(V.I));
       Repr.Text = Strings.intern(std::to_string(V.I));
-      Slot = Repr;
-      break;
+      Slot = Out.addValueRepr(Repr);
+      return Slot;
     }
     // Direct-mapped probe for large ints (accumulators and counters leave
     // the small range immediately; each distinct value recurs across the
@@ -191,28 +194,28 @@ ValueRepr TraceRecorder::valueRepr(const Value &V) {
     size_t Idx =
         (static_cast<uint64_t>(V.I) * 0x9E3779B97F4A7C15ull) >> (64 - 13);
     IntMemoEntry &Slot = BigIntMemo[Idx];
-    if (Slot.Repr.Kind != ReprKind::None && Slot.Key == V.I) {
+    if (Slot.Id && Slot.Key == V.I) {
       ++MemoHits;
-      return Slot.Repr;
+      return Slot.Id;
     }
     Repr.Kind = ReprKind::Int;
     Repr.Hash = hashMix(SeedInt, static_cast<uint64_t>(V.I));
     Repr.Text = Strings.intern(std::to_string(V.I));
     Slot.Key = V.I;
-    Slot.Repr = Repr;
-    break;
+    Slot.Id = Out.addValueRepr(Repr);
+    return Slot.Id;
   }
   case Value::Kind::Bool: {
-    ValueRepr &Slot = V.I != 0 ? TrueMemo : FalseMemo;
-    if (Slot.Kind != ReprKind::None) {
+    uint32_t &Slot = V.I != 0 ? TrueMemo : FalseMemo;
+    if (Slot) {
       ++MemoHits;
       return Slot;
     }
     Repr.Kind = ReprKind::Bool;
     Repr.Hash = hashMix(SeedBool, V.I != 0);
     Repr.Text = Strings.intern(V.I != 0 ? "true" : "false");
-    Slot = Repr;
-    break;
+    Slot = Out.addValueRepr(Repr);
+    return Slot;
   }
   case Value::Kind::Float: {
     // Floats are rare in workloads; left unmemoized.
@@ -221,14 +224,14 @@ ValueRepr TraceRecorder::valueRepr(const Value &V) {
     char Buf[48];
     std::snprintf(Buf, sizeof(Buf), "%.6g", V.F);
     Repr.Text = Strings.intern(Buf);
-    break;
+    return Out.addValueRepr(Repr);
   }
   case Value::Kind::Str: {
     uint32_t Id = V.strId();
     if (Id >= StrMemo.size())
       StrMemo.resize(RtStrings.size());
-    ValueRepr &Slot = StrMemo[Id];
-    if (Slot.Kind != ReprKind::None) {
+    uint32_t &Slot = StrMemo[Id];
+    if (Slot) {
       ++MemoHits;
       return Slot;
     }
@@ -236,20 +239,21 @@ ValueRepr TraceRecorder::valueRepr(const Value &V) {
     Repr.Kind = ReprKind::Str;
     Repr.Hash = hashString(Text, SeedStr);
     Repr.Text = Strings.intern(truncated(Text));
-    Slot = Repr;
-    break;
+    Slot = Out.addValueRepr(Repr);
+    return Slot;
   }
   case Value::Kind::Obj: {
     Repr.Kind = ReprKind::Obj;
     uint32_t Loc = V.loc();
-    ObjRepr Obj = objRepr(Loc);
+    uint32_t ObjId = objRepr(Loc);
+    const ObjRepr Obj = Out.ObjReprs[ObjId];
     Repr.Hash = Obj.HasRepr
                     ? Obj.ValueHash
                     : hashCombine(Obj.ClassName.Id, Obj.CreationSeq);
     if (Loc == NoLoc) {
       Repr.Text = Strings.intern(Strings.text(Obj.ClassName) + "-" +
                                  std::to_string(Obj.CreationSeq));
-      break;
+      return Out.addValueRepr(Repr);
     }
     // The "Class-Seq" rendering is immutable per location.
     ObjMemoEntry &Memo = ObjMemo[Loc];
@@ -261,10 +265,16 @@ ValueRepr TraceRecorder::valueRepr(const Value &V) {
       ++MemoHits;
     }
     Repr.Text = Memo.Text;
-    break;
+    // The value row derives from the object row alone (its text is
+    // immutable), so it stays valid while the object keeps its row.
+    if (Memo.ValueOf != ObjId) {
+      Memo.ValueId = Out.addValueRepr(Repr);
+      Memo.ValueOf = ObjId;
+    }
+    return Memo.ValueId;
   }
   }
-  return Repr;
+  return 0;
 }
 
 bool TraceRecorder::filtered(const RecordContext &Ctx,
@@ -279,10 +289,10 @@ bool TraceRecorder::filtered(const RecordContext &Ctx,
 }
 
 void TraceRecorder::emit(const RecordContext &Ctx, EventKind Kind,
-                         Symbol Name, const ObjRepr &Self,
-                         const ObjRepr &Target, const ValueRepr &Value,
-                         uint32_t ArgsBegin, uint32_t ArgsEnd,
-                         uint32_t ChildTid, uint32_t Prov) {
+                         Symbol Name, uint32_t SelfId, uint32_t TargetId,
+                         uint32_t ValueId, uint32_t ArgsBegin,
+                         uint32_t ArgsEnd, uint32_t ChildTid,
+                         uint32_t Prov) {
   // Any entry mutation makes a previously loaded/computed view index
   // stale; drop it rather than serve a wrong partitioning.
   if (Out.ViewIdx.Present)
@@ -290,11 +300,11 @@ void TraceRecorder::emit(const RecordContext &Ctx, EventKind Kind,
   size_t I = StageLen;
   StTids[I] = Ctx.Tid;
   StMethods[I] = Ctx.Method;
-  StSelfs[I] = Self;
+  StSelfIds[I] = SelfId;
   StKinds[I] = static_cast<uint8_t>(Kind);
   StNames[I] = Name;
-  StTargets[I] = Target;
-  StValues[I] = Value;
+  StTargetIds[I] = TargetId;
+  StValueIds[I] = ValueId;
   StArgsBegins[I] = ArgsBegin;
   StArgsEnds[I] = ArgsEnd;
   StChildTids[I] = ChildTid;
@@ -313,11 +323,11 @@ void TraceRecorder::flushStage() {
   }
   Out.Tids.append(StTids, StageLen);
   Out.Methods.append(StMethods, StageLen);
-  Out.Selfs.append(StSelfs, StageLen);
+  Out.SelfIds.append(StSelfIds, StageLen);
   Out.Kinds.append(StKinds, StageLen);
   Out.Names.append(StNames, StageLen);
-  Out.Targets.append(StTargets, StageLen);
-  Out.Values.append(StValues, StageLen);
+  Out.TargetIds.append(StTargetIds, StageLen);
+  Out.ValueIds.append(StValueIds, StageLen);
   Out.ArgsBegins.append(StArgsBegins, StageLen);
   Out.ArgsEnds.append(StArgsEnds, StageLen);
   Out.ChildTids.append(StChildTids, StageLen);
@@ -332,13 +342,13 @@ Trace TraceRecorder::take() {
 }
 
 uint32_t TraceRecorder::pushArgs(const Value *Args, size_t NumArgs) {
-  uint32_t Begin = static_cast<uint32_t>(Out.ArgPool.size());
-  if (Out.ArgPool.size() + NumArgs > ArgCap) {
-    ArgCap = std::max(ArgCap * 4, Out.ArgPool.size() + NumArgs);
-    Out.ArgPool.reserve(ArgCap);
+  uint32_t Begin = static_cast<uint32_t>(Out.ArgIds.size());
+  if (Out.ArgIds.size() + NumArgs > ArgCap) {
+    ArgCap = std::max(ArgCap * 4, Out.ArgIds.size() + NumArgs);
+    Out.ArgIds.reserve(ArgCap);
   }
   for (size_t I = 0; I != NumArgs; ++I)
-    Out.ArgPool.push_back(valueRepr(Args[I]));
+    Out.ArgIds.push_back(valueRepr(Args[I]));
   return Begin;
 }
 
@@ -350,10 +360,10 @@ void TraceRecorder::recordCall(const RecordContext &Ctx, uint32_t TargetLoc,
   if (filtered(Ctx, TargetClass))
     return;
   uint32_t Begin = pushArgs(Args, NumArgs);
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  ObjRepr Target = objRepr(TargetLoc);
-  emit(Ctx, EventKind::Call, QualMethod, Self, Target, ValueRepr(), Begin,
-       static_cast<uint32_t>(Out.ArgPool.size()), 0, Prov);
+  uint32_t Self = objRepr(Ctx.SelfLoc);
+  uint32_t Target = objRepr(TargetLoc);
+  emit(Ctx, EventKind::Call, QualMethod, Self, Target, 0, Begin,
+       static_cast<uint32_t>(Out.ArgIds.size()), 0, Prov);
 }
 
 void TraceRecorder::recordReturn(const RecordContext &Ctx,
@@ -363,9 +373,9 @@ void TraceRecorder::recordReturn(const RecordContext &Ctx,
       TargetLoc == NoLoc ? ~0u : Store.get(TargetLoc).ClassId;
   if (filtered(Ctx, TargetClass))
     return;
-  ValueRepr RetRepr = valueRepr(Ret);
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  ObjRepr Target = objRepr(TargetLoc);
+  uint32_t RetRepr = valueRepr(Ret);
+  uint32_t Self = objRepr(Ctx.SelfLoc);
+  uint32_t Target = objRepr(TargetLoc);
   emit(Ctx, EventKind::Return, QualMethod, Self, Target, RetRepr, 0, 0, 0,
        Prov);
 }
@@ -374,9 +384,9 @@ void TraceRecorder::recordGet(const RecordContext &Ctx, uint32_t TargetLoc,
                               Symbol Field, const Value &V, uint32_t Prov) {
   if (filtered(Ctx, Store.get(TargetLoc).ClassId))
     return;
-  ValueRepr Repr = valueRepr(V);
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  ObjRepr Target = objRepr(TargetLoc);
+  uint32_t Repr = valueRepr(V);
+  uint32_t Self = objRepr(Ctx.SelfLoc);
+  uint32_t Target = objRepr(TargetLoc);
   emit(Ctx, EventKind::FieldGet, Field, Self, Target, Repr, 0, 0, 0, Prov);
 }
 
@@ -384,9 +394,9 @@ void TraceRecorder::recordSet(const RecordContext &Ctx, uint32_t TargetLoc,
                               Symbol Field, const Value &V, uint32_t Prov) {
   if (filtered(Ctx, Store.get(TargetLoc).ClassId))
     return;
-  ValueRepr Repr = valueRepr(V);
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  ObjRepr Target = objRepr(TargetLoc);
+  uint32_t Repr = valueRepr(V);
+  uint32_t Self = objRepr(Ctx.SelfLoc);
+  uint32_t Target = objRepr(TargetLoc);
   emit(Ctx, EventKind::FieldSet, Field, Self, Target, Repr, 0, 0, 0, Prov);
 }
 
@@ -396,26 +406,26 @@ void TraceRecorder::recordInit(const RecordContext &Ctx, Symbol ClassName,
   if (filtered(Ctx, Store.get(NewLoc).ClassId))
     return;
   uint32_t Begin = pushArgs(Args, NumArgs);
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  ObjRepr Target = objRepr(NewLoc);
-  emit(Ctx, EventKind::Init, ClassName, Self, Target, ValueRepr(), Begin,
-       static_cast<uint32_t>(Out.ArgPool.size()), 0, Prov);
+  uint32_t Self = objRepr(Ctx.SelfLoc);
+  uint32_t Target = objRepr(NewLoc);
+  emit(Ctx, EventKind::Init, ClassName, Self, Target, 0, Begin,
+       static_cast<uint32_t>(Out.ArgIds.size()), 0, Prov);
 }
 
 void TraceRecorder::recordFork(const RecordContext &Ctx, uint32_t ChildTid,
                                uint32_t Prov) {
   if (filtered(Ctx, ~0u))
     return;
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  emit(Ctx, EventKind::Fork, Out.Threads[ChildTid].EntryMethod, Self,
-       ObjRepr(), ValueRepr(), 0, 0, ChildTid, Prov);
+  uint32_t Self = objRepr(Ctx.SelfLoc);
+  emit(Ctx, EventKind::Fork, Out.Threads[ChildTid].EntryMethod, Self, 0, 0,
+       0, 0, ChildTid, Prov);
 }
 
 void TraceRecorder::recordEnd(const RecordContext &Ctx, uint32_t Tid,
                               uint32_t Prov) {
   if (filtered(Ctx, ~0u))
     return;
-  ObjRepr Self = objRepr(Ctx.SelfLoc);
-  emit(Ctx, EventKind::End, Out.Threads[Tid].EntryMethod, Self, ObjRepr(),
-       ValueRepr(), 0, 0, Tid, Prov);
+  uint32_t Self = objRepr(Ctx.SelfLoc);
+  emit(Ctx, EventKind::End, Out.Threads[Tid].EntryMethod, Self, 0, 0, 0, 0,
+       Tid, Prov);
 }

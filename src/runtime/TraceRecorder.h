@@ -19,8 +19,14 @@
 /// reprs — so the steady state is id lookups and column appends, not
 /// string formatting. Memo hits are by construction state-identical to
 /// recomputation (a valid memo implies the same computation ran before and
-/// already interned the same strings), so traces are byte-for-byte what
+/// already interned the same strings), so the string table is exactly what
 /// the unmemoized recorder produced.
+///
+/// The memos also carry the dictionary encoding of the trace (Trace.h):
+/// each holds the row id of the representation it memoizes, so a memo hit
+/// records a 4-byte id and only a new representation appends a table row.
+/// A recomputed object representation equal to its memoized row keeps
+/// that row; floats and evicted big ints append a row per computation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,8 +62,10 @@ public:
   Trace take();
 
   // -- Representation builders (memoized) --------------------------------
-  ObjRepr objRepr(uint32_t Loc);
-  ValueRepr valueRepr(const Value &V);
+  /// Row ids into the trace's ObjReprs / ValueReprs tables (0 for NoLoc /
+  /// the empty representation).
+  uint32_t objRepr(uint32_t Loc);
+  uint32_t valueRepr(const Value &V);
 
   // -- Event recording (one per Fig. 6 rule) ------------------------------
   void recordCall(const RecordContext &Ctx, uint32_t TargetLoc,
@@ -90,34 +98,37 @@ private:
   /// context class, or excluded target class).
   bool filtered(const RecordContext &Ctx, uint32_t TargetClassId) const;
 
-  /// Appends one entry directly to the trace's columns. \p Self must be
-  /// computed by the caller (record order of the representation builders
-  /// is part of the byte-stable trace contract: interning happens in the
-  /// same first-sight order as the entry fields are populated).
+  /// Appends one entry directly to the trace's columns. The representation
+  /// row ids must be computed by the caller (record order of the
+  /// representation builders is part of the byte-stable trace contract:
+  /// interning happens in the same first-sight order as the entry fields
+  /// are populated).
   void emit(const RecordContext &Ctx, EventKind Kind, Symbol Name,
-            const ObjRepr &Self, const ObjRepr &Target,
-            const ValueRepr &Value, uint32_t ArgsBegin, uint32_t ArgsEnd,
-            uint32_t ChildTid, uint32_t Prov);
+            uint32_t SelfId, uint32_t TargetId, uint32_t ValueId,
+            uint32_t ArgsBegin, uint32_t ArgsEnd, uint32_t ChildTid,
+            uint32_t Prov);
 
   /// Scatters the staged rows into the trace columns (one bulk append per
   /// column) and resets the stage. Called when the stage fills and at
   /// take().
   void flushStage();
-  uint64_t structuralHash(uint32_t Loc, unsigned Depth,
-                          std::vector<uint32_t> &Visiting);
+  uint64_t structuralHash(uint32_t Loc, unsigned Depth);
   uint32_t pushArgs(const Value *Args, size_t NumArgs);
 
-  /// Memoized representation of one heap object. Snap is the mutation
-  /// version the repr was computed at: the object's own version for
-  /// scalar-only classes (no field can reference another object), the
-  /// store's global version otherwise (any assignment anywhere could
-  /// mutate the reachable subgraph). Text is the "Class-Seq" rendering,
+  /// Memoized representation of one heap object. ReprId is its ObjReprs
+  /// row (0: not computed yet); Snap is the mutation version the repr was
+  /// computed at: the object's own version for scalar-only classes (no
+  /// field can reference another object), the store's global version
+  /// otherwise (any assignment anywhere could mutate the reachable
+  /// subgraph). ValueId is the ValueReprs row of the object as a value,
+  /// derived from row ValueOf. Text is the "Class-Seq" rendering,
   /// immutable once interned.
   struct ObjMemoEntry {
-    ObjRepr Repr;
     uint64_t Snap = 0;
+    uint32_t ReprId = 0;
+    uint32_t ValueId = 0;
+    uint32_t ValueOf = 0;
     Symbol Text;
-    uint8_t ReprValid = 0;
     uint8_t TextValid = 0;
   };
 
@@ -126,11 +137,11 @@ private:
 
   /// Direct-mapped cache slot for integers outside the small-int range
   /// (counters and accumulators blow past it quickly). Collisions evict;
-  /// recomputation re-interns the same text (the interner dedups), so
-  /// eviction affects speed only, never trace bytes.
+  /// recomputation re-interns the same text (the interner dedups) and
+  /// appends a duplicate row, so eviction never changes the string table.
   struct IntMemoEntry {
     int64_t Key = 0;
-    ValueRepr Repr; ///< Kind == None marks an empty slot.
+    uint32_t Id = 0; ///< ValueReprs row; 0 marks an empty slot.
   };
   static constexpr size_t BigIntMemoSize = 8192; // Power of two.
 
@@ -143,13 +154,15 @@ private:
   std::vector<uint8_t> ClassNoRepr;
   std::vector<uint8_t> ClassScalarOnly; ///< No obj-typed fields.
 
-  // -- Representation memos (ReprKind::None / *Valid == 0 mark empty) -----
-  ValueRepr UnitMemo, NullMemo, TrueMemo, FalseMemo;
-  std::vector<ValueRepr> SmallIntMemo; ///< [SmallIntMin, SmallIntMax].
+  // -- Representation memos (row id 0 marks an empty slot) ----------------
+  uint32_t UnitMemo = 0, NullMemo = 0, TrueMemo = 0, FalseMemo = 0;
+  std::vector<uint32_t> SmallIntMemo;   ///< [SmallIntMin, SmallIntMax].
   std::vector<IntMemoEntry> BigIntMemo; ///< Direct-mapped, by value hash.
-  std::vector<ValueRepr> StrMemo;      ///< By runtime string id.
-  std::vector<ObjMemoEntry> ObjMemo;   ///< By store location.
+  std::vector<uint32_t> StrMemo;        ///< By runtime string id.
+  std::vector<ObjMemoEntry> ObjMemo;    ///< By store location.
   uint64_t MemoHits = 0;
+  /// Cycle guard of structuralHash, reused across recomputations.
+  std::vector<uint32_t> Visiting;
 
   /// Reserved capacities of the entry columns / argument pool. Growth goes
   /// through reserveEntries in 4x steps (see flushStage): the bulk-append
@@ -170,11 +183,11 @@ private:
   size_t StageLen = 0;
   uint32_t StTids[StageCap];
   Symbol StMethods[StageCap];
-  ObjRepr StSelfs[StageCap];
+  uint32_t StSelfIds[StageCap];
   uint8_t StKinds[StageCap];
   Symbol StNames[StageCap];
-  ObjRepr StTargets[StageCap];
-  ValueRepr StValues[StageCap];
+  uint32_t StTargetIds[StageCap];
+  uint32_t StValueIds[StageCap];
   uint32_t StArgsBegins[StageCap];
   uint32_t StArgsEnds[StageCap];
   uint32_t StChildTids[StageCap];

@@ -24,12 +24,12 @@
 /// paper's "default java.lang.Object hashCode/toString => empty
 /// representation" rule, §5).
 ///
-/// ObjRepr and ValueRepr are stored in the columnar Trace (and written
-/// verbatim into trace files), so both are packed, explicitly padded,
-/// trivially copyable value types: every byte of the struct is meaningful
-/// or a zero-initialized pad, and no field is a `bool` (reading an
-/// arbitrary mmap'd byte as bool is undefined behavior; flags are uint8_t
-/// with 0/non-0 semantics instead).
+/// ObjRepr and ValueRepr are the rows of a Trace's representation tables
+/// (and written verbatim into trace files), so both are packed, explicitly
+/// padded, trivially copyable value types: every byte of the struct is
+/// meaningful or a zero-initialized pad, and no field is a `bool` (reading
+/// an arbitrary mmap'd byte as bool is undefined behavior; flags are
+/// uint8_t with 0/non-0 semantics instead).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,7 +69,8 @@ inline constexpr uint32_t NoLoc = 0xffffffffu;
 /// as a 64-bit structural hash (ValueHash); HasRepr is zero when the
 /// object's class opts out of value representation, in which case identity
 /// across traces falls back to (class name, creation sequence number).
-/// 24 bytes, 8-aligned, written verbatim into trace files.
+/// 24 bytes, 8-aligned, written verbatim into trace files (one row per
+/// distinct representation, see Trace.h).
 struct ObjRepr {
   uint64_t ValueHash = 0;   ///< Recursive serialization hash (E'#).
   uint32_t Loc = NoLoc;     ///< Store location; *never* compared cross-trace.

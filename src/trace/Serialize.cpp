@@ -32,7 +32,7 @@ using namespace rprism;
 namespace {
 
 constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
-// Version history. Only 6 is read; every other version field is refused
+// Version history. Only 7 is read; every other version field is refused
 // with trace.version, so trace files from older builds must be recorded
 // again.
 //   1, 2 — retired per-entry stream formats.
@@ -52,7 +52,12 @@ constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
 //       entries reference) and a view-index delta; then a footer segment
 //       directory and a fixed trailer. Per-segment checksums confine damage
 //       to the segment it hits.
-constexpr uint32_t TraceVersion = 6;
+//   7 — layout 6 with dictionary-encoded representations: the self, target
+//       and value columns and the argument-pool slice hold u32 row ids into
+//       two per-trace tables of ObjRepr and ValueRepr rows (row 0 of each
+//       the empty representation), which travel as two more side deltas.
+//       Each representation is stored once, not once per entry.
+constexpr uint32_t TraceVersion = 7;
 
 /// Section ids. Entry columns are parallel arrays of exactly the segment's
 /// entry-count many elements; side sections have their own framing.
@@ -60,11 +65,11 @@ enum SectionId : uint32_t {
   SecName = 1,       ///< Raw bytes of Trace::Name (first segment only).
   SecTid = 10,       ///< uint32_t[]
   SecMethod = 11,    ///< Symbol[]
-  SecSelf = 12,      ///< ObjRepr[]
+  SecSelf = 12,      ///< uint32_t[]: ObjRepr row ids.
   SecKind = 13,      ///< uint8_t[]
   SecEvName = 14,    ///< Symbol[]
-  SecTarget = 15,    ///< ObjRepr[]
-  SecValue = 16,     ///< ValueRepr[]
+  SecTarget = 15,    ///< uint32_t[]: ObjRepr row ids.
+  SecValue = 16,     ///< uint32_t[]: ValueRepr row ids.
   SecArgsBegin = 17, ///< uint32_t[]
   SecArgsEnd = 18,   ///< uint32_t[]
   SecChildTid = 19,  ///< uint32_t[]
@@ -76,16 +81,19 @@ enum SectionId : uint32_t {
   SecViewMeta = 22,    ///< Per family: u32 count, keys[], counts[].
   SecViewEntries = 23, ///< uint32_t[]: flat per-view entry-id lists.
   // Side-table deltas: the strings/threads interned since the previous
-  // segment and the argument-pool slice the segment's entries reference,
-  // so a written segment never needs rewriting.
+  // segment, the representation rows and the argument-pool slice the
+  // segment's entries reference, so a written segment never needs
+  // rewriting.
   SecStrDelta = 24,    ///< u32 base, u32 count, count x (u32 len, bytes).
   SecThreadDelta = 25, ///< u32 base, u32 count, ThreadInfo records.
-  SecArgSlice = 26,    ///< u64 pool base (elements), then ValueRepr[].
+  SecArgSlice = 26,    ///< u64 pool base (elements), then uint32_t[] ids.
+  SecObjDelta = 27,    ///< u64 row base, then ObjRepr[].
+  SecValDelta = 28,    ///< u64 row base, then ValueRepr[].
 };
 
 /// Largest section id this reader understands; higher ids are skipped for
 /// forward compatibility.
-constexpr uint32_t MaxSectionId = SecArgSlice;
+constexpr uint32_t MaxSectionId = SecValDelta;
 
 constexpr size_t SectionRecordBytes = 32; // id, pad, offset, length, checksum
 constexpr uint32_t MaxSections = 64;
@@ -165,6 +173,17 @@ struct ByteBuffer {
     Out.append(S);
   }
 };
+
+/// A side delta continuing \p Col: the u64 index of its first element,
+/// then elements [\p From, \p To) verbatim (the reader's takeDelta).
+template <typename E>
+ByteBuffer deltaOf(const Column<E> &Col, size_t From, size_t To) {
+  ByteBuffer Buf;
+  Buf.u64(From);
+  Buf.Out.append(reinterpret_cast<const char *>(Col.data() + From),
+                 (To - From) * sizeof(E));
+  return Buf;
+}
 
 /// Bounds-checked, memcpy-based cursor over an untrusted byte range (the
 /// serialized sections of a mapped trace file). Never forms references
@@ -259,6 +278,8 @@ private:
   size_t StringsWritten = 0;
   size_t ThreadsWritten = 0;
   size_t PoolWritten = 0;
+  size_t ObjRowsWritten = 0;
+  size_t ValRowsWritten = 0;
   std::vector<DirRecord> Dir;
 };
 
@@ -299,19 +320,39 @@ bool SegmentWriter::segment(const Trace &T, size_t Begin, size_t End) {
   // extends to the full pool.
   size_t PoolUpTo = PoolWritten;
   if (End == T.size()) {
-    PoolUpTo = T.ArgPool.size();
+    PoolUpTo = T.ArgIds.size();
   } else {
     const uint32_t *AE = T.ArgsEnds.data();
     for (size_t K = Begin; K != End; ++K)
       PoolUpTo = std::max(PoolUpTo, static_cast<size_t>(AE[K]));
   }
-  if (PoolUpTo > T.ArgPool.size())
+  if (PoolUpTo > T.ArgIds.size())
     return false;
-  ByteBuffer ArgSliceBuf;
-  ArgSliceBuf.u64(PoolWritten);
-  ArgSliceBuf.Out.append(
-      reinterpret_cast<const char *>(T.ArgPool.data() + PoolWritten),
-      (PoolUpTo - PoolWritten) * sizeof(ValueRepr));
+  ByteBuffer ArgSliceBuf = deltaOf(T.ArgIds, PoolWritten, PoolUpTo);
+
+  // Representation rows the segment references: like the pool, both
+  // tables grow with the entries, so the running max of the ids in the
+  // segment's columns and argument slice is exact, and the last segment
+  // extends to the full tables. The first segment always carries row 0.
+  size_t ObjUpTo = std::max<size_t>(ObjRowsWritten, 1);
+  size_t ValUpTo = std::max<size_t>(ValRowsWritten, 1);
+  if (End == T.size()) {
+    ObjUpTo = T.ObjReprs.size();
+    ValUpTo = T.ValueReprs.size();
+  } else {
+    for (size_t K = Begin; K != End; ++K) {
+      ObjUpTo = std::max<size_t>(
+          ObjUpTo, std::max(T.SelfIds[K], T.TargetIds[K]) + size_t{1});
+      ValUpTo = std::max<size_t>(ValUpTo, T.ValueIds[K] + size_t{1});
+    }
+    for (size_t K = PoolWritten; K != PoolUpTo; ++K)
+      ValUpTo = std::max<size_t>(ValUpTo, T.ArgIds[K] + size_t{1});
+  }
+  if (ObjUpTo > T.ObjReprs.size() || ValUpTo > T.ValueReprs.size() ||
+      ObjUpTo < ObjRowsWritten || ValUpTo < ValRowsWritten)
+    return false;
+  ByteBuffer ObjDeltaBuf = deltaOf(T.ObjReprs, ObjRowsWritten, ObjUpTo);
+  ByteBuffer ValDeltaBuf = deltaOf(T.ValueReprs, ValRowsWritten, ValUpTo);
 
   // View-index delta over exactly this range (global eids). A segment
   // covering a trace that already holds a current index (loaded from an
@@ -345,16 +386,21 @@ bool SegmentWriter::segment(const Trace &T, size_t Begin, size_t End) {
   Sections.push_back(
       {SecThreadDelta, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()});
   Sections.push_back(
+      {SecObjDelta, ObjDeltaBuf.Out.data(), ObjDeltaBuf.Out.size()});
+  Sections.push_back(
+      {SecValDelta, ValDeltaBuf.Out.data(), ValDeltaBuf.Out.size()});
+  Sections.push_back(
       {SecArgSlice, ArgSliceBuf.Out.data(), ArgSliceBuf.Out.size()});
   Sections.push_back({SecTid, T.Tids.data() + Begin, N * sizeof(uint32_t)});
   Sections.push_back({SecMethod, T.Methods.data() + Begin, N * sizeof(Symbol)});
-  Sections.push_back({SecSelf, T.Selfs.data() + Begin, N * sizeof(ObjRepr)});
+  Sections.push_back(
+      {SecSelf, T.SelfIds.data() + Begin, N * sizeof(uint32_t)});
   Sections.push_back({SecKind, T.Kinds.data() + Begin, N * sizeof(uint8_t)});
   Sections.push_back({SecEvName, T.Names.data() + Begin, N * sizeof(Symbol)});
   Sections.push_back(
-      {SecTarget, T.Targets.data() + Begin, N * sizeof(ObjRepr)});
+      {SecTarget, T.TargetIds.data() + Begin, N * sizeof(uint32_t)});
   Sections.push_back(
-      {SecValue, T.Values.data() + Begin, N * sizeof(ValueRepr)});
+      {SecValue, T.ValueIds.data() + Begin, N * sizeof(uint32_t)});
   Sections.push_back(
       {SecArgsBegin, T.ArgsBegins.data() + Begin, N * sizeof(uint32_t)});
   Sections.push_back(
@@ -423,6 +469,8 @@ bool SegmentWriter::segment(const Trace &T, size_t Begin, size_t End) {
   StringsWritten = NumStrings;
   ThreadsWritten = NumThreads;
   PoolWritten = PoolUpTo;
+  ObjRowsWritten = ObjUpTo;
+  ValRowsWritten = ValUpTo;
   return W.ok();
 }
 
@@ -587,8 +635,8 @@ struct ColumnSize {
   uint64_t ElemSize;
 };
 constexpr ColumnSize ColumnSizes[] = {
-    {SecTid, 4},     {SecMethod, 4},   {SecSelf, 24},     {SecKind, 1},
-    {SecEvName, 4},  {SecTarget, 24},  {SecValue, 16},    {SecArgsBegin, 4},
+    {SecTid, 4},     {SecMethod, 4},   {SecSelf, 4},   {SecKind, 1},
+    {SecEvName, 4},  {SecTarget, 4},   {SecValue, 4},  {SecArgsBegin, 4},
     {SecArgsEnd, 4}, {SecChildTid, 4}, {SecProv, 4},
 };
 
@@ -806,6 +854,38 @@ void takeColumn(Column<E> &Col, const SectionIn &S, size_t N, bool Borrow) {
     Col.append(Data, N);
 }
 
+/// Takes a side delta that continues \p Col — a u64 base, then whole
+/// elements, 8 bytes into the section so borrowed elements stay aligned —
+/// by borrowing (\p Borrow) or appending it. False, leaving \p Col as it
+/// was, unless the base continues the column exactly and \p Valid
+/// accepts every element with its global index.
+template <typename E, typename Pred>
+bool takeDelta(Column<E> &Col, const SectionIn &S, bool Borrow, Pred Valid) {
+  if (S.Length < 8 || (S.Length - 8) % sizeof(E) != 0)
+    return false;
+  uint64_t Base = 0;
+  std::memcpy(&Base, S.Data, 8);
+  if (Base != Col.size())
+    return false;
+  size_t Count = static_cast<size_t>((S.Length - 8) / sizeof(E));
+  const auto *Elems = reinterpret_cast<const E *>(S.Data + 8);
+  for (size_t K = 0; K != Count; ++K)
+    if (!Valid(Elems[K], Base + K))
+      return false;
+  if (Borrow)
+    Col.borrow(Elems, Count);
+  else
+    Col.append(Elems, Count);
+  return true;
+}
+
+/// True when \p Row is byte-identical to a default-constructed row: the
+/// empty representation row 0 of each table must be.
+template <typename E> bool isEmptyRow(const E &Row) {
+  static const E Empty{};
+  return std::memcmp(&Row, &Empty, sizeof(E)) == 0;
+}
+
 /// Parses one segment's view-index delta into \p Out: the small meta
 /// section copied out, the flat entry lists borrowed. Structural validity
 /// is checked once the whole index is assembled.
@@ -888,17 +968,12 @@ struct ViewMerge {
   }
 };
 
-/// Rewrites every symbol id of \p T — the symbol-bearing entry columns,
-/// the argument pool, the view index's method keys — from the file's
-/// numbering to the interner's through \p Map. Every borrowed column is
-/// materialized first, so the trace no longer needs the file bytes.
+/// Rewrites every symbol id of \p T — the method and name columns, the
+/// two representation tables, the view index's method keys — from the
+/// file's numbering to the interner's through \p Map. Those are copied
+/// out of the file bytes; every other column, the representation-id
+/// columns included, stays borrowed.
 void remapSymbols(Trace &T, const std::vector<Symbol> &Map) {
-  T.Tids.detach();
-  T.Kinds.detach();
-  T.ArgsBegins.detach();
-  T.ArgsEnds.detach();
-  T.ChildTids.detach();
-  T.Provs.detach();
   T.Fps.clear(); // Fingerprints hash symbol ids: recomputed by the caller.
   if (T.ViewIdx.Present) {
     // The index survives the remap: the partition structure and the
@@ -908,7 +983,6 @@ void remapSymbols(Trace &T, const std::vector<Symbol> &Map) {
     // hand-crafted table) would collapse two method views into one
     // identity; the fresh build would merge them, so the index is dropped
     // rather than reconstructing a diverging web.
-    T.ViewIdx.Entries.detach();
     uint32_t *MethodKeys = T.ViewIdx.Keys[1].mutData();
     bool Collapsed = false;
     std::unordered_set<uint32_t> SeenKeys;
@@ -922,29 +996,27 @@ void remapSymbols(Trace &T, const std::vector<Symbol> &Map) {
   }
   Symbol *M = T.Methods.mutData();
   Symbol *Nm = T.Names.mutData();
-  ObjRepr *Sf = T.Selfs.mutData();
-  ObjRepr *Tg = T.Targets.mutData();
-  ValueRepr *Vl = T.Values.mutData();
   for (size_t I = 0; I != T.size(); ++I) {
     M[I] = Map[M[I].Id];
     Nm[I] = Map[Nm[I].Id];
-    Sf[I].ClassName = Map[Sf[I].ClassName.Id];
-    Tg[I].ClassName = Map[Tg[I].ClassName.Id];
-    Vl[I].Text = Map[Vl[I].Text.Id];
   }
-  ValueRepr *Pl = T.ArgPool.mutData();
-  for (size_t I = 0; I != T.ArgPool.size(); ++I)
-    Pl[I].Text = Map[Pl[I].Text.Id];
+  ObjRepr *Objs = T.ObjReprs.mutData();
+  for (size_t I = 0; I != T.ObjReprs.size(); ++I)
+    Objs[I].ClassName = Map[Objs[I].ClassName.Id];
+  ValueRepr *Vals = T.ValueReprs.mutData();
+  for (size_t I = 0; I != T.ValueReprs.size(); ++I)
+    Vals[I].Text = Map[Vals[I].Text.Id];
 }
 
 /// The one trace reader. Verifies every section checksum, validates the
-/// untrusted values (kinds, symbol ids, argument slices) so nothing
-/// downstream needs to distrust them, and then either *borrows* a
-/// one-segment file's columns zero-copy from the file bytes — when the
-/// file's strings intern to identical symbol ids, the common case for a
-/// fresh or same-session interner, fingerprints included so loading skips
-/// re-fingerprinting — or assembles a multi-segment file by copying.
-/// Otherwise the symbols are remapped and the fingerprints recomputed.
+/// untrusted values (kinds, tids, symbol ids, representation rows and row
+/// ids, argument slices) so nothing downstream needs to distrust them,
+/// and then either *borrows* a one-segment file's columns zero-copy from
+/// the file bytes or assembles a multi-segment file by copying. When the
+/// file's strings intern to identical symbol ids — the common case for a
+/// fresh or same-session interner — the stored fingerprints are used as
+/// they are; otherwise the symbols are remapped and the fingerprints
+/// recomputed.
 Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
                               std::shared_ptr<StringInterner> Strings,
                               const ReadOptions &Options) {
@@ -977,15 +1049,18 @@ Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
     if (Segs.empty())
       return TraceError::unsalvageable(Path, "no intact segments");
   }
-  // A one-segment file borrows its columns, argument pool and view index
-  // from the file bytes; more segments are copied into one trace.
+  // A one-segment file borrows its columns, argument pool, representation
+  // tables and view index from the file bytes; more segments are copied
+  // into one trace.
   const bool Borrow = Segs.size() == 1;
 
   Trace T;
   T.Strings = std::move(Strings);
+  // The representation tables come from the file, row 0 included.
+  T.ObjReprs.clear();
+  T.ValueReprs.clear();
   std::vector<Symbol> Map; ///< File symbol id -> interner symbol.
   bool Identity = true;
-  uint64_t PoolCount = 0; ///< Pool elements taken so far.
   uint64_t DeclaredBefore = 0;
   uint64_t EntriesDropped = 0;
   uint64_t SegmentsDropped = 0;
@@ -1015,12 +1090,13 @@ Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
     if (Parsed.ViewDamaged)
       ViewDamaged = FileHasViewIndex = true;
 
-    // The side deltas chain: each segment's string/thread/pool bases
+    // The side deltas chain: each segment's string/thread/row/pool bases
     // continue where the previous segment stopped, so damage here makes
-    // every later symbol id and pool offset unresolvable — the segment and
-    // the entire suffix are dropped. No prefix of them is usable either:
-    // they frame variable-length data.
+    // every later symbol id, row id and pool offset unresolvable — the
+    // segment and the entire suffix are dropped. No prefix of them is
+    // usable either: they frame variable-length data.
     if (!Sections[SecStrDelta].Intact || !Sections[SecThreadDelta].Intact ||
+        !Sections[SecObjDelta].Intact || !Sections[SecValDelta].Intact ||
         !Sections[SecArgSlice].Intact) {
       if (!Salvage)
         return Corrupt("segment-side-delta");
@@ -1090,32 +1166,36 @@ Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
     }
 
     Phase.emplace("validate");
-    // Argument-pool slice: raw ValueRepr elements continuing the pool,
-    // 8 bytes into the section, so the borrowed slice stays 8-aligned.
-    {
-      const SectionIn &AS = Sections[SecArgSlice];
-      bool Ok = AS.Length >= 8 && (AS.Length - 8) % sizeof(ValueRepr) == 0;
-      uint64_t PoolBase = 0;
-      if (Ok) {
-        std::memcpy(&PoolBase, AS.Data, 8);
-        Ok = PoolBase == PoolCount;
-      }
-      uint64_t SliceCount = Ok ? (AS.Length - 8) / sizeof(ValueRepr) : 0;
-      const auto *Slice = reinterpret_cast<const ValueRepr *>(AS.Data + 8);
-      for (uint64_t K = 0; Ok && K != SliceCount; ++K)
-        Ok = static_cast<uint8_t>(Slice[K].Kind) <= MaxReprKind &&
-             Slice[K].Text.Id < Map.size();
-      if (!Ok) {
-        if (!Salvage)
-          return Corrupt("argument-pool");
-        break;
-      }
-      if (Borrow)
-        T.ArgPool.borrow(Slice, static_cast<size_t>(SliceCount));
-      else
-        T.ArgPool.append(Slice, static_cast<size_t>(SliceCount));
-      PoolCount += SliceCount;
+    // Representation rows, each checked once here (kind and symbols), so
+    // the per-entry checks below are id range checks. Row 0 of each table
+    // is the empty representation the id columns use for "none".
+    if (!takeDelta(T.ObjReprs, Sections[SecObjDelta], Borrow,
+                   [&](const ObjRepr &Row, uint64_t Id) {
+                     return Row.ClassName.Id < Map.size() &&
+                            (Id != 0 || isEmptyRow(Row));
+                   }) ||
+        !takeDelta(T.ValueReprs, Sections[SecValDelta], Borrow,
+                   [&](const ValueRepr &Row, uint64_t Id) {
+                     return static_cast<uint8_t>(Row.Kind) <= MaxReprKind &&
+                            Row.Text.Id < Map.size() &&
+                            (Id != 0 || isEmptyRow(Row));
+                   })) {
+      if (!Salvage)
+        return Corrupt("representation-table");
+      break;
     }
+    // Argument-pool slice: value-row ids continuing the pool.
+    const uint64_t NumObjRows = T.ObjReprs.size();
+    const uint64_t NumValRows = T.ValueReprs.size();
+    if (!takeDelta(T.ArgIds, Sections[SecArgSlice], Borrow,
+                   [NumValRows](uint32_t Id, uint64_t) {
+                     return Id < NumValRows;
+                   })) {
+      if (!Salvage)
+        return Corrupt("argument-pool");
+      break;
+    }
+    const uint64_t PoolCount = T.ArgIds.size();
 
     // Entry columns. A strict read demands every column present with
     // exactly the declared entry count. Salvage keeps the longest prefix
@@ -1130,32 +1210,32 @@ Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
         return Corrupt("column");
       N = std::min(N, S.Avail / Col.ElemSize);
     }
+    auto Lane = [&Sections](uint32_t Id) {
+      return reinterpret_cast<const uint32_t *>(Sections[Id].Data);
+    };
     const uint8_t *Kinds = Sections[SecKind].Data;
+    const uint32_t *Tids = Lane(SecTid);
     const auto *Methods =
         reinterpret_cast<const Symbol *>(Sections[SecMethod].Data);
     const auto *Names =
         reinterpret_cast<const Symbol *>(Sections[SecEvName].Data);
-    const auto *Selfs =
-        reinterpret_cast<const ObjRepr *>(Sections[SecSelf].Data);
-    const auto *Targets =
-        reinterpret_cast<const ObjRepr *>(Sections[SecTarget].Data);
-    const auto *Values =
-        reinterpret_cast<const ValueRepr *>(Sections[SecValue].Data);
-    const auto *ArgsBegins =
-        reinterpret_cast<const uint32_t *>(Sections[SecArgsBegin].Data);
-    const auto *ArgsEnds =
-        reinterpret_cast<const uint32_t *>(Sections[SecArgsEnd].Data);
+    const uint32_t *SelfIds = Lane(SecSelf);
+    const uint32_t *TargetIds = Lane(SecTarget);
+    const uint32_t *ValueIds = Lane(SecValue);
+    const uint32_t *ArgsBegins = Lane(SecArgsBegin);
+    const uint32_t *ArgsEnds = Lane(SecArgsEnd);
+    const uint64_t NumThreads = T.Threads.size();
     for (uint64_t K = 0; K != N; ++K) {
       const char *Bad = nullptr;
       if (Kinds[K] > MaxEventKind)
         Bad = "kind";
+      else if (Tids[K] >= NumThreads)
+        Bad = "tid";
       else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
         Bad = "symbol";
-      else if (Selfs[K].ClassName.Id >= Map.size() ||
-               Targets[K].ClassName.Id >= Map.size())
+      else if (SelfIds[K] >= NumObjRows || TargetIds[K] >= NumObjRows)
         Bad = "object";
-      else if (static_cast<uint8_t>(Values[K].Kind) > MaxReprKind ||
-               Values[K].Text.Id >= Map.size())
+      else if (ValueIds[K] >= NumValRows)
         Bad = "value";
       else if (ArgsBegins[K] > ArgsEnds[K] || ArgsEnds[K] > PoolCount)
         Bad = "argument-slice";
@@ -1188,11 +1268,11 @@ Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
     size_t Cnt = static_cast<size_t>(N);
     takeColumn(T.Tids, Sections[SecTid], Cnt, Borrow);
     takeColumn(T.Methods, Sections[SecMethod], Cnt, Borrow);
-    takeColumn(T.Selfs, Sections[SecSelf], Cnt, Borrow);
+    takeColumn(T.SelfIds, Sections[SecSelf], Cnt, Borrow);
     takeColumn(T.Kinds, Sections[SecKind], Cnt, Borrow);
     takeColumn(T.Names, Sections[SecEvName], Cnt, Borrow);
-    takeColumn(T.Targets, Sections[SecTarget], Cnt, Borrow);
-    takeColumn(T.Values, Sections[SecValue], Cnt, Borrow);
+    takeColumn(T.TargetIds, Sections[SecTarget], Cnt, Borrow);
+    takeColumn(T.ValueIds, Sections[SecValue], Cnt, Borrow);
     takeColumn(T.ArgsBegins, Sections[SecArgsBegin], Cnt, Borrow);
     takeColumn(T.ArgsEnds, Sections[SecArgsEnd], Cnt, Borrow);
     takeColumn(T.ChildTids, Sections[SecChildTid], Cnt, Borrow);
@@ -1253,19 +1333,21 @@ Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
   }
   Phase.reset();
 
+  // Borrowed columns point into the file bytes; Backing keeps them alive
+  // for the life of the trace.
+  if (Borrow)
+    T.Backing = File.Holder;
   if (Identity) {
     // Zero-copy: symbol ids in the file are valid in this interner, so
-    // borrowed columns (stored fingerprints included) are used in place;
-    // Backing keeps the file bytes alive for the life of the trace.
-    if (Borrow)
-      T.Backing = File.Holder;
+    // borrowed columns (stored fingerprints included) are used in place.
     if (FpsComplete && T.Fps.size() == Count)
       T.HasFingerprints = true;
     else
       T.computeFingerprints();
   } else {
-    // The interner assigned different ids: materialize and remap, then
-    // recompute fingerprints (they hash symbol ids). Counted so
+    // The interner assigned different ids: remap the symbol-bearing
+    // columns and tables, then recompute fingerprints (they hash symbol
+    // ids). Counted so
     // repeat-load pipelines can spot that sharing one interner across
     // loads would make this free.
     Phase.emplace("remap");
@@ -1321,17 +1403,23 @@ bool rprism::writeTraceSegmented(const Trace &T, const std::string &Path,
                                  size_t SegmentEntries, bool WithViewIndex) {
   if (SegmentEntries == 0)
     return false;
-  SegmentWriter W(Path, SegmentEntries, WithViewIndex);
+  std::optional<SegmentWriter> W;
+  {
+    // Opening truncates any previous file at Path, which for a large
+    // trace is work of its own.
+    TelemetrySpan Span("write");
+    W.emplace(Path, SegmentEntries, WithViewIndex);
+  }
   // An entry-less trace still writes one segment, so the side tables
   // (name, strings, threads) have somewhere to live.
   size_t Begin = 0;
   do {
     size_t End = std::min(T.size(), Begin + SegmentEntries);
-    if (!W.segment(T, Begin, End))
+    if (!W->segment(T, Begin, End))
       return false;
     Begin = End;
   } while (Begin < T.size());
-  return W.finish();
+  return W->finish();
 }
 
 Expected<Trace> rprism::readTrace(const std::string &Path,

@@ -15,21 +15,26 @@
 /// and a fixed trailer. Each segment carries its slice of every entry
 /// column written verbatim, its own section checksums, the fingerprint
 /// lane, side-table deltas (the strings and threads first seen in it, the
-/// argument-pool slice its entries reference) and a view-index delta, all
-/// 8-byte aligned. writeTrace writes one segment covering the whole trace;
-/// writeTraceSegmented splits the entries into fixed-size segments.
+/// object- and value-representation rows and the argument-pool slice its
+/// entries reference) and a view-index delta, all 8-byte aligned. The
+/// representation columns hold row ids (trace/Trace.h), so each distinct
+/// representation is written once. writeTrace writes one segment covering
+/// the whole trace; writeTraceSegmented splits the entries into fixed-size
+/// segments.
 ///
 /// Readers mmap the file (falling back to an aligned arena read), verify
-/// every section checksum, and validate the untrusted bytes (kinds, symbol
-/// ids, argument slices). A one-segment file's columns — fingerprints,
-/// argument pool and view index included — are then *borrowed* zero-copy
-/// when the file's strings intern to identical symbol ids, the common case
-/// for a fresh or same-session interner, so loading skips
-/// re-fingerprinting entirely. A multi-segment file is assembled by
-/// copying, and when symbol ids differ the symbols are remapped and the
-/// fingerprints recomputed. Every checksum and digest is the word-wise
-/// checksumBytes (support/Hashing.h). The header's version field is 6;
-/// files of any other version are refused with `trace.version`.
+/// every section checksum, and validate the untrusted bytes (kinds, tids,
+/// symbol ids, representation rows and row ids, argument slices). A
+/// one-segment file's columns — fingerprints, argument pool, tables and
+/// view index included — are then *borrowed* zero-copy; when the file's
+/// strings intern to identical symbol ids, the common case for a fresh or
+/// same-session interner, loading also skips re-fingerprinting entirely.
+/// When symbol ids differ, only the method and name columns and the two
+/// tables are copied and remapped, and the fingerprints recomputed. A
+/// multi-segment file is assembled by copying. Every checksum and digest
+/// is the word-wise checksumBytes (support/Hashing.h). The header's
+/// version field is 7; files of any other version are refused with
+/// `trace.version`.
 ///
 /// Symbols are file-local on disk; readers re-intern through the supplied
 /// StringInterner, so traces written by different runs can be loaded into

@@ -23,22 +23,37 @@ const char *rprism::eventKindName(EventKind Kind) {
   return "?";
 }
 
+Trace::Trace() {
+  ObjReprs.push_back(ObjRepr());
+  ValueReprs.push_back(ValueRepr());
+}
+
 TraceEntry Trace::entry(uint32_t Eid) const {
   TraceEntry Entry;
   Entry.Eid = Eid;
   Entry.Tid = Tids[Eid];
   Entry.Method = Methods[Eid];
-  Entry.Self = Selfs[Eid];
+  Entry.Self = self(Eid);
   Entry.Ev.Kind = static_cast<EventKind>(Kinds[Eid]);
   Entry.Ev.Name = Names[Eid];
-  Entry.Ev.Target = Targets[Eid];
-  Entry.Ev.Value = Values[Eid];
+  Entry.Ev.Target = target(Eid);
+  Entry.Ev.Value = value(Eid);
   Entry.Ev.ArgsBegin = ArgsBegins[Eid];
   Entry.Ev.ArgsEnd = ArgsEnds[Eid];
   Entry.Ev.ChildTid = ChildTids[Eid];
   Entry.Prov = Provs[Eid];
   Entry.Fp = Eid < Fps.size() ? Fps[Eid] : 0;
   return Entry;
+}
+
+uint32_t Trace::addObjRepr(const ObjRepr &Obj) {
+  ObjReprs.push_back(Obj);
+  return static_cast<uint32_t>(ObjReprs.size() - 1);
+}
+
+uint32_t Trace::addValueRepr(const ValueRepr &Value) {
+  ValueReprs.push_back(Value);
+  return static_cast<uint32_t>(ValueReprs.size() - 1);
 }
 
 void Trace::append(const TraceEntry &Entry) {
@@ -50,11 +65,11 @@ void Trace::append(const TraceEntry &Entry) {
   Segments.clear();
   Tids.push_back(Entry.Tid);
   Methods.push_back(Entry.Method);
-  Selfs.push_back(Entry.Self);
+  SelfIds.push_back(addObjRepr(Entry.Self));
   Kinds.push_back(static_cast<uint8_t>(Entry.Ev.Kind));
   Names.push_back(Entry.Ev.Name);
-  Targets.push_back(Entry.Ev.Target);
-  Values.push_back(Entry.Ev.Value);
+  TargetIds.push_back(addObjRepr(Entry.Ev.Target));
+  ValueIds.push_back(addValueRepr(Entry.Ev.Value));
   ArgsBegins.push_back(Entry.Ev.ArgsBegin);
   ArgsEnds.push_back(Entry.Ev.ArgsEnd);
   ChildTids.push_back(Entry.Ev.ChildTid);
@@ -65,11 +80,11 @@ void Trace::append(const TraceEntry &Entry) {
 void Trace::reserveEntries(size_t N) {
   Tids.reserve(N);
   Methods.reserve(N);
-  Selfs.reserve(N);
+  SelfIds.reserve(N);
   Kinds.reserve(N);
   Names.reserve(N);
-  Targets.reserve(N);
-  Values.reserve(N);
+  TargetIds.reserve(N);
+  ValueIds.reserve(N);
   ArgsBegins.reserve(N);
   ArgsEnds.reserve(N);
   ChildTids.reserve(N);
@@ -77,11 +92,11 @@ void Trace::reserveEntries(size_t N) {
 }
 
 uint64_t Trace::storageBytes() const {
-  return Tids.byteSize() + Methods.byteSize() + Selfs.byteSize() +
-         Kinds.byteSize() + Names.byteSize() + Targets.byteSize() +
-         Values.byteSize() + ArgsBegins.byteSize() + ArgsEnds.byteSize() +
+  return Tids.byteSize() + Methods.byteSize() + SelfIds.byteSize() +
+         Kinds.byteSize() + Names.byteSize() + TargetIds.byteSize() +
+         ValueIds.byteSize() + ArgsBegins.byteSize() + ArgsEnds.byteSize() +
          ChildTids.byteSize() + Provs.byteSize() + Fps.byteSize() +
-         ArgPool.byteSize();
+         ArgIds.byteSize() + ObjReprs.byteSize() + ValueReprs.byteSize();
 }
 
 std::string Trace::renderObj(const ObjRepr &Obj) const {
@@ -114,7 +129,7 @@ std::string Trace::renderEntry(const TraceEntry &Entry) const {
     for (uint32_t I = Ev.ArgsBegin; I != Ev.ArgsEnd; ++I) {
       if (I != Ev.ArgsBegin)
         Out += ", ";
-      Out += renderValue(ArgPool[I]);
+      Out += renderValue(ValueReprs[ArgIds[I]]);
     }
     return Out;
   };
@@ -184,29 +199,66 @@ uint64_t valueFingerprint(const ValueRepr &Value) {
 
 } // namespace
 
-uint64_t Trace::entryFingerprint(uint32_t Eid) const {
-  EventKind Kind = kind(Eid);
+namespace {
+
+/// The fingerprint of entry \p Eid of \p T, given the contributions of
+/// its representation rows: \p ObjFp(id) and \p ValueFp(id) return
+/// objFingerprint / valueFingerprint of ObjReprs / ValueReprs row id.
+template <typename ObjFpFn, typename ValueFpFn>
+uint64_t fingerprintEntry(const Trace &T, uint32_t Eid, ObjFpFn ObjFp,
+                          ValueFpFn ValueFp) {
+  EventKind Kind = T.kind(Eid);
   uint64_t H = hashMix(HashInit, static_cast<uint64_t>(Kind));
-  H = hashMix(H, Names[Eid].Id);
-  H = hashMix(H, objFingerprint(Targets[Eid]));
-  H = hashMix(H, valueFingerprint(Values[Eid]));
-  uint32_t Begin = ArgsBegins[Eid], End = ArgsEnds[Eid];
+  H = hashMix(H, T.Names[Eid].Id);
+  H = hashMix(H, ObjFp(T.TargetIds[Eid]));
+  H = hashMix(H, ValueFp(T.ValueIds[Eid]));
+  uint32_t Begin = T.ArgsBegins[Eid], End = T.ArgsEnds[Eid];
   H = hashMix(H, End - Begin);
   for (uint32_t I = Begin; I != End; ++I)
-    H = hashMix(H, valueFingerprint(ArgPool[I]));
+    H = hashMix(H, ValueFp(T.ArgIds[I]));
   // Fork/end: =e compares the spawned thread's entry method (not the tid),
   // so only that symbol feeds the hash. The thread's AncestryHash is
   // deliberately excluded — =e does not compare it (ancestry drives view
   // *correlation*, not event equality), and hashing it would make equal
   // events fingerprint as unequal.
   if (Kind == EventKind::Fork || Kind == EventKind::End) {
-    uint32_t Child = ChildTids[Eid];
-    if (Child < Threads.size())
-      H = hashMix(H, Threads[Child].EntryMethod.Id);
+    uint32_t Child = T.ChildTids[Eid];
+    if (Child < T.Threads.size())
+      H = hashMix(H, T.Threads[Child].EntryMethod.Id);
     else
       H = hashMix(H, 0xbadc0deULL); // Corrupt tid; =e rejects on verify.
   }
   return H;
+}
+
+/// Every row's fingerprint contribution, computed once per pass over the
+/// entries: most rows are shared by many entries, and the per-entry
+/// lookups then touch 8 bytes a row instead of the row itself.
+struct RowFingerprints {
+  std::vector<uint64_t> Obj, Value;
+
+  explicit RowFingerprints(const Trace &T)
+      : Obj(T.ObjReprs.size()), Value(T.ValueReprs.size()) {
+    for (size_t I = 0; I != Obj.size(); ++I)
+      Obj[I] = objFingerprint(T.ObjReprs[I]);
+    for (size_t I = 0; I != Value.size(); ++I)
+      Value[I] = valueFingerprint(T.ValueReprs[I]);
+  }
+
+  uint64_t of(const Trace &T, uint32_t Eid) const {
+    return fingerprintEntry(
+        T, Eid, [this](uint32_t Id) { return Obj[Id]; },
+        [this](uint32_t Id) { return Value[Id]; });
+  }
+};
+
+} // namespace
+
+uint64_t Trace::entryFingerprint(uint32_t Eid) const {
+  return fingerprintEntry(
+      *this, Eid,
+      [this](uint32_t Id) { return objFingerprint(ObjReprs[Id]); },
+      [this](uint32_t Id) { return valueFingerprint(ValueReprs[Id]); });
 }
 
 uint64_t Trace::entryFingerprint(const TraceEntry &Entry) const {
@@ -217,7 +269,7 @@ uint64_t Trace::entryFingerprint(const TraceEntry &Entry) const {
   H = hashMix(H, valueFingerprint(Ev.Value));
   H = hashMix(H, Ev.numArgs());
   for (uint32_t I = Ev.ArgsBegin; I != Ev.ArgsEnd; ++I)
-    H = hashMix(H, valueFingerprint(ArgPool[I]));
+    H = hashMix(H, valueFingerprint(ValueReprs[ArgIds[I]]));
   if (Ev.Kind == EventKind::Fork || Ev.Kind == EventKind::End) {
     if (Ev.ChildTid < Threads.size())
       H = hashMix(H, Threads[Ev.ChildTid].EntryMethod.Id);
@@ -232,13 +284,14 @@ void Trace::computeFingerprints(ThreadPool *Pool) {
   size_t N = size();
   Fps.resize(N);
   uint64_t *Out = Fps.mutData();
+  RowFingerprints Rows(*this);
   if (Pool && Pool->numWorkers() > 1) {
-    Pool->parallelFor(N, [this, Out](size_t I) {
-      Out[I] = entryFingerprint(static_cast<uint32_t>(I));
+    Pool->parallelFor(N, [this, Out, &Rows](size_t I) {
+      Out[I] = Rows.of(*this, static_cast<uint32_t>(I));
     });
   } else {
     for (size_t I = 0; I != N; ++I)
-      Out[I] = entryFingerprint(static_cast<uint32_t>(I));
+      Out[I] = Rows.of(*this, static_cast<uint32_t>(I));
   }
   HasFingerprints = true;
 }
@@ -259,15 +312,14 @@ void rprism::fingerprintTracePair(Trace &Left, Trace &Right,
   Right.Fps.resize(Right.size());
   uint64_t *LOut = Left.Fps.mutData();
   uint64_t *ROut = Right.Fps.mutData();
-  Pool->parallelFor(NumLeft + Right.size(),
-                    [&Left, &Right, LOut, ROut, NumLeft](size_t I) {
-                      if (I < NumLeft)
-                        LOut[I] = Left.entryFingerprint(
-                            static_cast<uint32_t>(I));
-                      else
-                        ROut[I - NumLeft] = Right.entryFingerprint(
-                            static_cast<uint32_t>(I - NumLeft));
-                    });
+  RowFingerprints LRows(Left), RRows(Right);
+  Pool->parallelFor(NumLeft + Right.size(), [&, LOut, ROut, NumLeft](size_t I) {
+    if (I < NumLeft)
+      LOut[I] = LRows.of(Left, static_cast<uint32_t>(I));
+    else
+      ROut[I - NumLeft] =
+          RRows.of(Right, static_cast<uint32_t>(I - NumLeft));
+  });
   Left.HasFingerprints = true;
   Right.HasFingerprints = true;
 }
@@ -286,17 +338,15 @@ bool rprism::eventEquals(const Trace &TA, uint32_t A, const Trace &TB,
 
   if (TA.Kinds[A] != TB.Kinds[B] || TA.Names[A] != TB.Names[B])
     return false;
-  if (!reprEquals(TA.Targets[A], TB.Targets[B]))
+  if (!reprEquals(TA.target(A), TB.target(B)))
     return false;
-  if (!reprEquals(TA.Values[A], TB.Values[B]))
+  if (!reprEquals(TA.value(A), TB.value(B)))
     return false;
   uint32_t NumArgs = TA.numArgs(A);
   if (NumArgs != TB.numArgs(B))
     return false;
-  const ValueRepr *ArgsA = TA.args(A);
-  const ValueRepr *ArgsB = TB.args(B);
   for (uint32_t I = 0; I != NumArgs; ++I)
-    if (!reprEquals(ArgsA[I], ArgsB[I]))
+    if (!reprEquals(TA.arg(A, I), TB.arg(B, I)))
       return false;
 
   // Fork/end events compare by the spawned thread's ancestry, not the tid
@@ -333,10 +383,8 @@ bool rprism::eventEquals(const Trace &TA, const TraceEntry &A,
     return false;
   if (EA.numArgs() != EB.numArgs())
     return false;
-  const ValueRepr *ArgsA = TA.argsBegin(EA);
-  const ValueRepr *ArgsB = TB.argsBegin(EB);
   for (uint32_t I = 0; I != EA.numArgs(); ++I)
-    if (!reprEquals(ArgsA[I], ArgsB[I]))
+    if (!reprEquals(TA.arg(EA, I), TB.arg(EB, I)))
       return false;
 
   if (EA.Kind == EventKind::Fork || EA.Kind == EventKind::End) {

@@ -7,11 +7,12 @@
 ///
 /// \file
 /// A Trace is the sequence of entries produced by one program run, plus the
-/// side tables entries reference: the argument pool and the thread table
-/// (spawn ancestry for the fork(S)/end(S) events — the paper tracks the
-/// full creation context of a thread's ancestry to correlate threads across
-/// traces). The string interner is shared: a DiffSession interns both
-/// traces' names in one table so symbols compare across versions.
+/// side tables entries reference: the representation tables, the argument
+/// pool and the thread table (spawn ancestry for the fork(S)/end(S)
+/// events — the paper tracks the full creation context of a thread's
+/// ancestry to correlate threads across traces). The string interner is
+/// shared: a DiffSession interns both traces' names in one table so
+/// symbols compare across versions.
 ///
 /// Storage is *columnar* (structure of arrays): each logical TraceEntry
 /// field lives in its own contiguous column indexed by eid. The pipeline
@@ -19,11 +20,19 @@
 /// view-web build keys on tid/method/target/self, the lock-step evaluator
 /// on the fingerprint column, the render paths on everything — so packing
 /// per-field keeps each stage's working set to exactly the bytes it
-/// touches (~105 bytes/entry across all columns vs the former 144-byte
-/// array-of-structs entry). Columns are either owned (a vector) or
-/// *borrowed* zero-copy views into a memory-mapped one-segment trace file;
-/// `Backing` keeps the mapping alive. The eid of an entry is its index:
-/// the recorder assigns eids densely, so no Eid column is stored.
+/// touches. Columns are either owned (a vector) or *borrowed* zero-copy
+/// views into a memory-mapped one-segment trace file; `Backing` keeps the
+/// mapping alive. The eid of an entry is its index: the recorder assigns
+/// eids densely, so no Eid column is stored.
+///
+/// Representations are *dictionary-encoded*: each trace keeps one table of
+/// ObjRepr rows and one of ValueRepr rows (row 0 of each is the empty
+/// representation), and the self, target and value columns and the
+/// argument pool hold 4-byte row ids. Most entries repeat a representation
+/// seen before, so this stores each one once (~57 bytes/entry in all,
+/// against ~103 for per-entry copies). Rows may repeat — equality is always
+/// by content, never by id — and code outside this module and the recorder
+/// reads representations through self()/target()/value()/arg() only.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -254,22 +263,26 @@ struct Trace {
   std::string Name; ///< For reports ("orig/regressing-input", ...).
   std::shared_ptr<StringInterner> Strings;
 
+  Trace();
+
   // -- Entry columns (all of length size(); eid == index) -----------------
   Column<uint32_t> Tids;        ///< Executing thread.
   Column<Symbol> Methods;       ///< Qualified executing method.
-  Column<ObjRepr> Selfs;        ///< Receiver of the executing method.
+  Column<uint32_t> SelfIds;     ///< Receiver of the method: ObjReprs row.
   Column<uint8_t> Kinds;        ///< EventKind, stored as raw bytes.
   Column<Symbol> Names;         ///< Event name (field/method/class).
-  Column<ObjRepr> Targets;      ///< Event target object.
-  Column<ValueRepr> Values;     ///< Carried value (get/set/return).
-  Column<uint32_t> ArgsBegins;  ///< Argument slice begin, into ArgPool.
+  Column<uint32_t> TargetIds;   ///< Event target object: ObjReprs row.
+  Column<uint32_t> ValueIds;    ///< Carried value: ValueReprs row.
+  Column<uint32_t> ArgsBegins;  ///< Argument slice begin, into ArgIds.
   Column<uint32_t> ArgsEnds;    ///< Argument slice end.
   Column<uint32_t> ChildTids;   ///< Fork/end: the spawned/ending thread.
   Column<uint32_t> Provs;       ///< AST NodeId provenance (scoring only).
   Column<uint64_t> Fps;         ///< Equality fingerprints.
 
   // -- Side tables --------------------------------------------------------
-  Column<ValueRepr> ArgPool;
+  Column<uint32_t> ArgIds;      ///< Argument pool: ValueReprs rows.
+  Column<ObjRepr> ObjReprs;     ///< Object representations; row 0 empty.
+  Column<ValueRepr> ValueReprs; ///< Value representations; row 0 empty.
   std::vector<ThreadInfo> Threads;
 
   /// Keep-alive for borrowed columns: the mmap'd (or arena-read) bytes of
@@ -300,29 +313,53 @@ struct Trace {
   // -- Column accessors (hot paths) ---------------------------------------
   uint32_t tid(uint32_t Eid) const { return Tids[Eid]; }
   Symbol method(uint32_t Eid) const { return Methods[Eid]; }
-  const ObjRepr &self(uint32_t Eid) const { return Selfs[Eid]; }
+  const ObjRepr &self(uint32_t Eid) const { return ObjReprs[SelfIds[Eid]]; }
   EventKind kind(uint32_t Eid) const {
     return static_cast<EventKind>(Kinds[Eid]);
   }
   Symbol name(uint32_t Eid) const { return Names[Eid]; }
-  const ObjRepr &target(uint32_t Eid) const { return Targets[Eid]; }
-  const ValueRepr &value(uint32_t Eid) const { return Values[Eid]; }
+  const ObjRepr &target(uint32_t Eid) const {
+    return ObjReprs[TargetIds[Eid]];
+  }
+  const ValueRepr &value(uint32_t Eid) const {
+    return ValueReprs[ValueIds[Eid]];
+  }
   uint32_t childTid(uint32_t Eid) const { return ChildTids[Eid]; }
   uint32_t prov(uint32_t Eid) const { return Provs[Eid]; }
   uint64_t fp(uint32_t Eid) const { return Fps[Eid]; }
   uint32_t numArgs(uint32_t Eid) const {
     return ArgsEnds[Eid] - ArgsBegins[Eid];
   }
-  const ValueRepr *args(uint32_t Eid) const {
-    return ArgPool.data() + ArgsBegins[Eid];
+  /// Argument \p I (< numArgs(Eid)) of entry \p Eid.
+  const ValueRepr &arg(uint32_t Eid, uint32_t I) const {
+    return ValueReprs[ArgIds[ArgsBegins[Eid] + I]];
+  }
+  /// Argument \p I (< Ev.numArgs()) of an event materialized from this
+  /// trace.
+  const ValueRepr &arg(const Event &Ev, uint32_t I) const {
+    return ValueReprs[ArgIds[Ev.ArgsBegin + I]];
+  }
+
+  /// Prefetches the column bytes =e reads for entry \p Eid beyond the
+  /// fingerprint (laneless diff paths, which walk strided entries).
+  void prefetchEquals(uint32_t Eid) const {
+    __builtin_prefetch(&Names[Eid]);
+    __builtin_prefetch(&TargetIds[Eid]);
+    __builtin_prefetch(&ValueIds[Eid]);
   }
 
   /// Materializes entry \p Eid as a value (Eid field set to the index).
   TraceEntry entry(uint32_t Eid) const;
 
-  /// Appends \p Entry, scattering its fields into the columns. The Eid
-  /// field is ignored: the entry's eid is its index.
+  /// Appends \p Entry, scattering its fields into the columns and its
+  /// self/target/value representations into new table rows. The Eid
+  /// field is ignored: the entry's eid is its index. The argument slice
+  /// indexes ArgIds as it stands.
   void append(const TraceEntry &Entry);
+
+  /// Appends a row to ObjReprs / ValueReprs and returns its id.
+  uint32_t addObjRepr(const ObjRepr &Obj);
+  uint32_t addValueRepr(const ValueRepr &Value);
 
   /// Pre-sizes every entry column for \p N entries (recorders call this
   /// with a bytecode-derived hint so steady-state recording never
@@ -343,16 +380,9 @@ struct Trace {
   /// depend on the chunking).
   void computeFingerprints(ThreadPool *Pool = nullptr);
 
-  /// Argument list of a materialized event, as a span into the pool.
-  const ValueRepr *argsBegin(const Event &Ev) const {
-    return ArgPool.data() + Ev.ArgsBegin;
-  }
-  const ValueRepr *argsEnd(const Event &Ev) const {
-    return ArgPool.data() + Ev.ArgsEnd;
-  }
-
-  /// Bytes held by the entry columns and argument pool (the columnar
-  /// footprint reported as bytes_per_entry in benchmarks).
+  /// Bytes held by the entry columns, the argument pool and the two
+  /// representation tables (the columnar footprint reported as
+  /// bytes_per_entry in benchmarks).
   uint64_t storageBytes() const;
 
   /// Renders entry \p Eid as a human-readable line ("--> NUM-1.new(32,

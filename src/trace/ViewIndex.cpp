@@ -9,22 +9,29 @@
 
 using namespace rprism;
 
+uint32_t &ViewKeyMap::slowSlot(uint32_t Key) {
+  if (Key < Bound) {
+    Dense.resize(Key + size_t{1}, ~0u);
+    return Dense[Key];
+  }
+  return Sparse.try_emplace(Key, ~0u).first->second;
+}
+
 namespace {
 
 /// One family's partition under construction: per-view keys in
-/// first-appearance order plus per-view entry lists. Keys (tids, interned
-/// symbol ids, store locations) are small dense integers, so key -> local
-/// id is a direct-indexed vector, exactly like the web builder's
-/// FamilyBuild — the two must visit views in the same order.
+/// first-appearance order plus per-view entry lists, keyed exactly like
+/// the web builder's FamilyBuild — the two must visit views in the same
+/// order.
 struct FamilyScan {
   std::vector<uint32_t> Keys;
   std::vector<std::vector<uint32_t>> Lists;
-  std::vector<uint32_t> Dense; ///< key -> local id; ~0u = no view yet.
+  ViewKeyMap Slots;
+
+  explicit FamilyScan(size_t NumEntries) : Slots(NumEntries) {}
 
   std::vector<uint32_t> &listFor(uint32_t Key) {
-    if (Key >= Dense.size())
-      Dense.resize(Key + 1, ~0u);
-    uint32_t &Slot = Dense[Key];
+    uint32_t &Slot = Slots.slot(Key);
     if (Slot == ~0u) {
       Slot = static_cast<uint32_t>(Keys.size());
       Keys.push_back(Key);
@@ -39,24 +46,22 @@ struct FamilyScan {
 ViewIndex rprism::computeViewIndexRange(const Trace &T, uint32_t Begin,
                                         uint32_t End) {
   TelemetrySpan Span("view-index");
-  const uint32_t *Tids = T.Tids.data();
-  const Symbol *Methods = T.Methods.data();
-  const uint8_t *Kinds = T.Kinds.data();
-  const ObjRepr *Targets = T.Targets.data();
-  const ObjRepr *Selfs = T.Selfs.data();
 
   // One fused pass, the same membership rules as the web builders: every
   // entry joins its thread and method views; target/active-object views
   // only when the event has a target / the context has a receiver.
-  FamilyScan Families[NumViewFamilies];
+  size_t N = T.size();
+  FamilyScan Families[NumViewFamilies] = {FamilyScan(N), FamilyScan(N),
+                                          FamilyScan(N), FamilyScan(N)};
   for (uint32_t Eid = Begin; Eid != End; ++Eid) {
-    Families[0].listFor(Tids[Eid]).push_back(Eid);
-    Families[1].listFor(Methods[Eid].Id).push_back(Eid);
-    if (eventHasTargetObject(static_cast<EventKind>(Kinds[Eid]),
-                             Targets[Eid]))
-      Families[2].listFor(Targets[Eid].Loc).push_back(Eid);
-    if (!Selfs[Eid].isNone())
-      Families[3].listFor(Selfs[Eid].Loc).push_back(Eid);
+    Families[0].listFor(T.tid(Eid)).push_back(Eid);
+    Families[1].listFor(T.method(Eid).Id).push_back(Eid);
+    const ObjRepr &Target = T.target(Eid);
+    if (eventHasTargetObject(T.kind(Eid), Target))
+      Families[2].listFor(Target.Loc).push_back(Eid);
+    const ObjRepr &Self = T.self(Eid);
+    if (!Self.isNone())
+      Families[3].listFor(Self.Loc).push_back(Eid);
   }
 
   ViewIndex Idx;

@@ -26,7 +26,49 @@
 
 #include "trace/Trace.h"
 
+#include <unordered_map>
+#include <vector>
+
 namespace rprism {
+
+/// Key -> slot map of the view-family scans (the web builders and
+/// computeViewIndexRange, which must agree on first-appearance order).
+/// Keys — tids, interned symbol ids, store locations — are small dense
+/// integers in a well-formed trace, so a key below a bound derived from
+/// the trace size indexes a vector directly: one compare and load per
+/// entry on the build hot path. Larger keys, which excluded classes'
+/// allocations or a hostile file can produce, go to a hash map, so the
+/// vector never grows past a few bytes per entry whatever the keys are.
+class ViewKeyMap {
+public:
+  explicit ViewKeyMap(size_t NumEntries = 0) : Bound(NumEntries + 1024) {}
+
+  /// The slot of \p Key; ~0u until the caller assigns one.
+  uint32_t &slot(uint32_t Key) {
+    if (Key < Dense.size())
+      return Dense[Key];
+    return slowSlot(Key);
+  }
+
+  /// Calls \p Fn(Key, Slot) for every key with an assigned slot.
+  template <typename Fn> void forEach(Fn &&F) const {
+    for (size_t Key = 0; Key != Dense.size(); ++Key)
+      if (Dense[Key] != ~0u)
+        F(static_cast<uint32_t>(Key), Dense[Key]);
+    for (const auto &[Key, Slot] : Sparse)
+      if (Slot != ~0u)
+        F(Key, Slot);
+  }
+
+private:
+  /// Grows the vector up to the bound, else goes to the hash map. Out of
+  /// line, so slot() inlines into the scans as one compare and load.
+  uint32_t &slowSlot(uint32_t Key);
+
+  size_t Bound;
+  std::vector<uint32_t> Dense;
+  std::unordered_map<uint32_t, uint32_t> Sparse;
+};
 
 /// Computes the view partitioning of \p T in one fused pass over the tid,
 /// method, kind, target, and self columns. The result is fully owned (no

@@ -5,6 +5,7 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "support/TraceEventRecorder.h"
+#include "trace/ViewIndex.h"
 
 #include <algorithm>
 #include <sstream>
@@ -31,23 +32,23 @@ static bool hasTargetObject(EventKind Kind, const ObjRepr &Target) {
 namespace {
 
 /// One view family built by an independent scan: views in first-appearance
-/// order with family-local ids. Keys (tids, interned symbol ids, store
-/// locations) are small dense integers, so the key -> local-id map is a
-/// direct-indexed vector — one bounds check + load per entry on the build
-/// hot path instead of a hash probe. The web's hash index is built once
-/// per family afterwards (O(views), not O(entries)).
+/// order with family-local ids. The key -> local-id map is a ViewKeyMap —
+/// a direct-indexed vector for the small dense keys of a well-formed
+/// trace — so the build hot path does one compare and load per entry
+/// instead of a hash probe. The web's hash index is built once per family
+/// afterwards (O(views), not O(entries)).
 ///
 /// Each builder scans only the column(s) its family keys on — the payoff
 /// of the columnar trace: the thread scan streams 4 bytes/entry, not a
-/// 144-byte struct.
+/// whole entry.
 struct FamilyBuild {
   std::vector<View> Views;
-  std::vector<uint32_t> Dense; ///< key -> local id; ~0u = no view yet.
+  ViewKeyMap Slots; ///< key -> local id; ~0u = no view yet.
+
+  explicit FamilyBuild(size_t NumEntries = 0) : Slots(NumEntries) {}
 
   View &getOrCreate(uint32_t Key) {
-    if (Key >= Dense.size())
-      Dense.resize(Key + 1, ~0u);
-    uint32_t &Slot = Dense[Key];
+    uint32_t &Slot = Slots.slot(Key);
     if (Slot == ~0u) {
       Slot = static_cast<uint32_t>(Views.size());
       Views.emplace_back();
@@ -58,7 +59,7 @@ struct FamilyBuild {
 
 /// nu_TH: every entry belongs to its thread's view. Reads the tid column.
 FamilyBuild buildThreadFamily(const Trace &T) {
-  FamilyBuild F;
+  FamilyBuild F(T.size());
   const uint32_t *Tids = T.Tids.data();
   uint32_t N = static_cast<uint32_t>(T.size());
   for (uint32_t Eid = 0; Eid != N; ++Eid) {
@@ -75,7 +76,7 @@ FamilyBuild buildThreadFamily(const Trace &T) {
 /// nu_CM: the (qualified) method on top of the call stack. Reads the
 /// method column.
 FamilyBuild buildMethodFamily(const Trace &T) {
-  FamilyBuild F;
+  FamilyBuild F(T.size());
   const Symbol *Methods = T.Methods.data();
   uint32_t N = static_cast<uint32_t>(T.size());
   for (uint32_t Eid = 0; Eid != N; ++Eid) {
@@ -94,45 +95,44 @@ FamilyBuild buildMethodFamily(const Trace &T) {
 /// last entry) rather than overwritten per entry — the per-entry struct
 /// copy was measurable on long traces.
 FamilyBuild buildTargetObjectFamily(const Trace &T) {
-  FamilyBuild F;
-  const uint8_t *Kinds = T.Kinds.data();
-  const ObjRepr *Targets = T.Targets.data();
+  FamilyBuild F(T.size());
   uint32_t N = static_cast<uint32_t>(T.size());
   for (uint32_t Eid = 0; Eid != N; ++Eid) {
-    if (!hasTargetObject(static_cast<EventKind>(Kinds[Eid]), Targets[Eid]))
+    const ObjRepr &Target = T.target(Eid);
+    if (!hasTargetObject(T.kind(Eid), Target))
       continue;
-    View &V = F.getOrCreate(Targets[Eid].Loc);
+    View &V = F.getOrCreate(Target.Loc);
     if (V.Entries.empty()) {
       V.Type = ViewType::TargetObject;
-      V.Loc = Targets[Eid].Loc;
-      V.FirstRepr = Targets[Eid];
+      V.Loc = Target.Loc;
+      V.FirstRepr = Target;
     }
     V.Entries.push_back(Eid);
   }
   for (View &V : F.Views)
-    V.LastRepr = Targets[V.Entries.back()];
+    V.LastRepr = T.target(V.Entries.back());
   return F;
 }
 
 /// nu_AO: the receiver of the executing method, when there is one. Reads
 /// the self column.
 FamilyBuild buildActiveObjectFamily(const Trace &T) {
-  FamilyBuild F;
-  const ObjRepr *Selfs = T.Selfs.data();
+  FamilyBuild F(T.size());
   uint32_t N = static_cast<uint32_t>(T.size());
   for (uint32_t Eid = 0; Eid != N; ++Eid) {
-    if (Selfs[Eid].isNone())
+    const ObjRepr &Self = T.self(Eid);
+    if (Self.isNone())
       continue;
-    View &V = F.getOrCreate(Selfs[Eid].Loc);
+    View &V = F.getOrCreate(Self.Loc);
     if (V.Entries.empty()) {
       V.Type = ViewType::ActiveObject;
-      V.Loc = Selfs[Eid].Loc;
-      V.FirstRepr = Selfs[Eid];
+      V.Loc = Self.Loc;
+      V.FirstRepr = Self;
     }
     V.Entries.push_back(Eid);
   }
   for (View &V : F.Views)
-    V.LastRepr = Selfs[V.Entries.back()];
+    V.LastRepr = T.self(V.Entries.back());
   return F;
 }
 
@@ -143,10 +143,9 @@ FamilyBuild buildActiveObjectFamily(const Trace &T) {
 void buildAllFamiliesFused(const Trace &T, FamilyBuild Families[4]) {
   const uint32_t *Tids = T.Tids.data();
   const Symbol *Methods = T.Methods.data();
-  const uint8_t *Kinds = T.Kinds.data();
-  const ObjRepr *Targets = T.Targets.data();
-  const ObjRepr *Selfs = T.Selfs.data();
   uint32_t N = static_cast<uint32_t>(T.size());
+  for (size_t F = 0; F != 4; ++F)
+    Families[F] = FamilyBuild(N);
   for (uint32_t Eid = 0; Eid != N; ++Eid) {
     View &TV = Families[0].getOrCreate(Tids[Eid]);
     if (TV.Entries.empty()) {
@@ -162,30 +161,32 @@ void buildAllFamiliesFused(const Trace &T, FamilyBuild Families[4]) {
     }
     MV.Entries.push_back(Eid);
 
-    if (hasTargetObject(static_cast<EventKind>(Kinds[Eid]), Targets[Eid])) {
-      View &OV = Families[2].getOrCreate(Targets[Eid].Loc);
+    const ObjRepr &Target = T.target(Eid);
+    if (hasTargetObject(T.kind(Eid), Target)) {
+      View &OV = Families[2].getOrCreate(Target.Loc);
       if (OV.Entries.empty()) {
         OV.Type = ViewType::TargetObject;
-        OV.Loc = Targets[Eid].Loc;
-        OV.FirstRepr = Targets[Eid];
+        OV.Loc = Target.Loc;
+        OV.FirstRepr = Target;
       }
       OV.Entries.push_back(Eid);
     }
 
-    if (!Selfs[Eid].isNone()) {
-      View &AV = Families[3].getOrCreate(Selfs[Eid].Loc);
+    const ObjRepr &Self = T.self(Eid);
+    if (!Self.isNone()) {
+      View &AV = Families[3].getOrCreate(Self.Loc);
       if (AV.Entries.empty()) {
         AV.Type = ViewType::ActiveObject;
-        AV.Loc = Selfs[Eid].Loc;
-        AV.FirstRepr = Selfs[Eid];
+        AV.Loc = Self.Loc;
+        AV.FirstRepr = Self;
       }
       AV.Entries.push_back(Eid);
     }
   }
   for (View &V : Families[2].Views)
-    V.LastRepr = Targets[V.Entries.back()];
+    V.LastRepr = T.target(V.Entries.back());
   for (View &V : Families[3].Views)
-    V.LastRepr = Selfs[V.Entries.back()];
+    V.LastRepr = T.self(V.Entries.back());
 }
 
 } // namespace
@@ -265,17 +266,15 @@ ViewWeb::ViewWeb(const Trace &TIn, ThreadPool *Pool, bool UseIndex)
       Views.push_back(std::move(V));
     }
     Indices[FI]->reserve(F.Views.size());
-    for (uint32_t Key = 0; Key != F.Dense.size(); ++Key)
-      if (F.Dense[Key] != ~0u)
-        Indices[FI]->emplace(Key, Offset + F.Dense[Key]);
+    F.Slots.forEach([&](uint32_t Key, uint32_t Slot) {
+      Indices[FI]->emplace(Key, Offset + Slot);
+    });
   }
   Telemetry::counterAdd("web.views", Views.size());
 }
 
 void ViewWeb::buildFromIndex(const ViewIndex &Idx) {
   TelemetrySpan Span("view-index");
-  const ObjRepr *Targets = T->Targets.data();
-  const ObjRepr *Selfs = T->Selfs.data();
   std::unordered_map<uint32_t, uint32_t> *Indices[NumViewFamilies] = {
       &ThreadIndex, &MethodIndex, &TargetIndex, &ActiveIndex};
   constexpr ViewType FamilyType[NumViewFamilies] = {
@@ -307,11 +306,11 @@ void ViewWeb::buildFromIndex(const ViewIndex &Idx) {
         // The representation endpoints are not persisted — they are two
         // column loads per view (first and last member entry), the same
         // values the scan builders record.
-        const ObjRepr *Col =
-            FamilyType[F] == ViewType::TargetObject ? Targets : Selfs;
+        bool Target = FamilyType[F] == ViewType::TargetObject;
+        uint32_t First = Flat[Offset], Last = Flat[Offset + Count - 1];
         V.Loc = Key;
-        V.FirstRepr = Col[Flat[Offset]];
-        V.LastRepr = Col[Flat[Offset + Count - 1]];
+        V.FirstRepr = Target ? T->target(First) : T->self(First);
+        V.LastRepr = Target ? T->target(Last) : T->self(Last);
         break;
       }
       }

@@ -252,8 +252,8 @@ TEST(Impact, EntrySeedsWork) {
   // Seed with the first entry targeting the Shared object.
   std::vector<uint32_t> Seed;
   for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
-    if (!T.Targets[Eid].isNone() &&
-        T.Strings->text(T.Targets[Eid].ClassName) == "Shared") {
+    if (!T.target(Eid).isNone() &&
+        T.Strings->text(T.target(Eid).ClassName) == "Shared") {
       Seed.push_back(Eid);
       break;
     }

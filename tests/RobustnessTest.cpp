@@ -33,7 +33,10 @@
 #include "runtime/Vm.h"
 #include "support/Telemetry.h"
 #include "trace/Serialize.h"
+#include "diff/ViewsDiff.h"
 #include "trace/TraceError.h"
+#include "trace/ViewIndex.h"
+#include "views/Views.h"
 #include "workload/Generator.h"
 
 #include <gtest/gtest.h>
@@ -170,7 +173,11 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
   ASSERT_TRUE(writeTrace(T, Base, /*WithViewIndex=*/true));
   std::vector<uint8_t> Good = readAll(Base);
   std::vector<SectionRec> Table = onlySegmentSections(Good);
-  ASSERT_GE(Table.size(), 17u) << "expected all sections present";
+  ASSERT_GE(Table.size(), 19u) << "expected all sections present";
+  // Among them the three representation-id columns (self, target, value),
+  // the argument-id slice and both representation-table deltas.
+  for (uint32_t Id : {12u, 15u, 16u, 26u, 27u, 28u})
+    findSection(Table, Id);
 
   std::string Mutant = tempPath("matrix_mut");
   enum Mutation { Truncate, FlipPayload, FlipChecksum, OversizeLength };
@@ -252,6 +259,220 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
   }
   std::remove(Base.c_str());
   std::remove(Mutant.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Untrusted ids: representation rows, argument ids, tids, view keys
+//===----------------------------------------------------------------------===//
+
+void expectByteIdenticalPrefix(const Trace &T, const Trace &S);
+
+/// Overwrites u32 element \p Index of section \p Id's payload (after a
+/// \p Header-byte prefix) in the segment headered at \p SegOffset, and
+/// reseals the checksums, so only the reader's value checks can object.
+void patchU32(std::vector<uint8_t> &Bytes, uint64_t SegOffset, uint32_t Id,
+              size_t Header, size_t Index, uint32_t Value) {
+  SectionRec R = segSection(Bytes, SegOffset, Id);
+  ASSERT_EQ(R.Id, Id);
+  ASSERT_GE(R.Length, Header + 4 * (Index + 1));
+  storeLE(Bytes.data() + R.Offset + Header + 4 * Index, Value);
+  resealSection(Bytes, R);
+  resealDirectory(Bytes);
+}
+
+TEST(RowIds, OutOfRangeIdIsCorruptWhenStrictAndEndsThePrefixInSalvage) {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = workloadTrace(Strings);
+  std::string Base = tempPath("ids_base"), Path = tempPath("ids_mut");
+  ASSERT_TRUE(writeTrace(T, Base));
+  std::vector<uint8_t> Good = readAll(Base);
+  FileLayout L = fileLayout(Good);
+  ASSERT_TRUE(L.Ok);
+  uint32_t K = static_cast<uint32_t>(T.size() / 2);
+
+  // Per column, the first value past the loaded rows (for tids, the
+  // loaded threads); a near-maximal and the maximal value are tried too.
+  struct IdColumn {
+    uint32_t Id;
+    uint32_t FirstBad;
+  } Columns[] = {
+      {10, static_cast<uint32_t>(T.Threads.size())},   // tid
+      {12, static_cast<uint32_t>(T.ObjReprs.size())},  // self id
+      {15, static_cast<uint32_t>(T.ObjReprs.size())},  // target id
+      {16, static_cast<uint32_t>(T.ValueReprs.size())}, // value id
+  };
+  for (const IdColumn &C : Columns) {
+    for (uint32_t Bad : {C.FirstBad, ~0u - 15, ~0u}) {
+      SCOPED_TRACE("section " + std::to_string(C.Id) + " id " +
+                   std::to_string(Bad));
+      std::vector<uint8_t> Bytes = Good;
+      patchU32(Bytes, L.Segments[0].Offset, C.Id, 0, K, Bad);
+      ASSERT_TRUE(writeAll(Path, Bytes));
+      Expected<Trace> Strict = readTrace(Path, Strings);
+      ASSERT_FALSE(bool(Strict));
+      EXPECT_EQ(Strict.error().Code, "trace.section");
+
+      TraceReadReport Report;
+      ReadOptions Options;
+      Options.Salvage = true;
+      Options.Report = &Report;
+      Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
+      ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+      ASSERT_EQ(Salvaged->size(), K);
+      EXPECT_EQ(Report.EntriesDropped, T.size() - K);
+      expectByteIdenticalPrefix(T, *Salvaged);
+    }
+  }
+  std::remove(Base.c_str());
+  std::remove(Path.c_str());
+}
+
+TEST(RowIds, OutOfRangeArgumentIdDropsSegmentAndSuffix) {
+  // Argument ids travel in the argument-pool slice, a side delta: one out
+  // of range discredits the slice, so salvage drops its segment and every
+  // segment after it, like any other damaged side delta.
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = workloadTrace(Strings);
+  std::string Path = tempPath("ids_args");
+  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
+  std::vector<uint8_t> Bytes = readAll(Path);
+  FileLayout L = fileLayout(Bytes);
+  ASSERT_TRUE(L.Ok);
+  size_t Seg = L.Segments.size() / 2;
+  while (Seg != L.Segments.size() &&
+         segSection(Bytes, L.Segments[Seg].Offset, 26).Length <= 8)
+    ++Seg;
+  ASSERT_LT(Seg, L.Segments.size()) << "no later segment passes arguments";
+  ASSERT_GT(Seg, 0u);
+  patchU32(Bytes, L.Segments[Seg].Offset, 26, 8, 0,
+           static_cast<uint32_t>(T.ValueReprs.size()));
+  ASSERT_TRUE(writeAll(Path, Bytes));
+
+  Expected<Trace> Strict = readTrace(Path, Strings);
+  ASSERT_FALSE(bool(Strict));
+  EXPECT_EQ(Strict.error().Code, "trace.section");
+  TraceReadReport Report;
+  ReadOptions Options;
+  Options.Salvage = true;
+  Options.Report = &Report;
+  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
+  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+  EXPECT_EQ(Salvaged->size(), L.Segments[Seg].BeginEid);
+  EXPECT_EQ(Report.SegmentsDropped, L.Segments.size() - Seg);
+  expectByteIdenticalPrefix(T, *Salvaged);
+  std::remove(Path.c_str());
+}
+
+TEST(RowIds, RowsAreCheckedOnceAndRowZeroIsEmpty) {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = workloadTrace(Strings);
+  std::string Base = tempPath("rows_base"), Path = tempPath("rows_mut");
+  ASSERT_TRUE(writeTrace(T, Base));
+  std::vector<uint8_t> Good = readAll(Base);
+  FileLayout L = fileLayout(Good);
+  ASSERT_TRUE(L.Ok);
+  // Table deltas: a u64 base, then 24-byte ObjRepr rows (ClassName at +12)
+  // or 16-byte ValueRepr rows (Text at +8, Kind at +12).
+  struct Patch {
+    const char *What;
+    uint32_t Id;
+    size_t Byte; ///< Offset of the u32 patched, from the first row.
+    uint32_t Value;
+  } Patches[] = {
+      {"object row 0 not empty", 27, 4, 7},       // Row 0's Loc.
+      {"value row 0 not empty", 28, 12, 3},      // Row 0's kind: Int.
+      {"class symbol out of range", 27, 24 + 12, ~0u},
+      {"text symbol out of range", 28, 16 + 8, ~0u},
+      {"kind out of range", 28, 16 + 12, 0xff},
+  };
+  for (const Patch &P : Patches) {
+    SCOPED_TRACE(P.What);
+    std::vector<uint8_t> Bytes = Good;
+    ASSERT_EQ(P.Byte % 4, 0u);
+    patchU32(Bytes, L.Segments[0].Offset, P.Id, 8, P.Byte / 4, P.Value);
+    ASSERT_TRUE(writeAll(Path, Bytes));
+    Expected<Trace> Strict = readTrace(Path, Strings);
+    ASSERT_FALSE(bool(Strict));
+    EXPECT_EQ(Strict.error().Code, "trace.section");
+    EXPECT_NE(Strict.error().render().find("representation-table"),
+              std::string::npos)
+        << Strict.error().render();
+  }
+  std::remove(Base.c_str());
+  std::remove(Path.c_str());
+}
+
+/// A hand-built three-entry trace whose middle entry runs on thread \p Tid
+/// and sets a field of the object at location \p Loc.
+Trace hostileKeyTrace(std::shared_ptr<StringInterner> Strings, uint32_t Tid,
+                      uint32_t Loc) {
+  Trace T;
+  T.Strings = Strings;
+  T.Name = "hostile";
+  ThreadInfo Main;
+  Main.EntryMethod = Strings->intern("main");
+  T.Threads.push_back(Main);
+  for (uint32_t I = 0; I != 3; ++I) {
+    TraceEntry E;
+    E.Tid = I == 1 ? Tid : 0;
+    E.Method = Main.EntryMethod;
+    E.Ev.Kind = EventKind::FieldSet;
+    E.Ev.Name = Strings->intern("x");
+    E.Ev.Target.ClassName = Strings->intern("A");
+    E.Ev.Target.Loc = I == 1 ? Loc : 0;
+    E.Ev.Target.CreationSeq = I == 1 ? 2 : 1;
+    E.Ev.Value.Kind = ReprKind::Int;
+    E.Ev.Value.Hash = I;
+    E.Ev.Value.Text = Strings->intern(std::to_string(I));
+    T.append(E);
+  }
+  T.computeFingerprints();
+  return T;
+}
+
+TEST(HostileKeys, TidNamingNoThreadIsCorrupt) {
+  auto Strings = std::make_shared<StringInterner>();
+  std::string Path = tempPath("hostile_tid");
+  ASSERT_TRUE(writeTrace(hostileKeyTrace(Strings, 0xFFFFFFF0u, 0), Path,
+                         /*WithViewIndex=*/false));
+  Expected<Trace> Strict = readTrace(Path, Strings);
+  ASSERT_FALSE(bool(Strict));
+  EXPECT_EQ(Strict.error().Code, "trace.section");
+  // Under salvage the bad tid ends the validating prefix.
+  ReadOptions Options;
+  Options.Salvage = true;
+  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
+  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+  EXPECT_EQ(Salvaged->size(), 1u);
+  std::remove(Path.c_str());
+}
+
+TEST(HostileKeys, HugeObjectLocationDiffsWithBoundedKeyMaps) {
+  // A location far beyond the trace size must not size any direct-indexed
+  // key map (it would ask for 16 GiB): the view web and the view index
+  // key it through their hash-map fallback and partition exactly as for a
+  // small location.
+  auto Strings = std::make_shared<StringInterner>();
+  std::string Path = tempPath("hostile_loc");
+  ASSERT_TRUE(writeTrace(hostileKeyTrace(Strings, 0, 0xFFFFFFF0u), Path,
+                         /*WithViewIndex=*/false));
+  Expected<Trace> Loaded = readTrace(Path, Strings);
+  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+  ASSERT_FALSE(Loaded->ViewIdx.Present);
+  ViewWeb Web(*Loaded);
+  const View *Huge = Web.targetObjectView(0xFFFFFFF0u);
+  ASSERT_NE(Huge, nullptr);
+  EXPECT_EQ(Huge->size(), 1u);
+  EXPECT_EQ(Web.numTargetObjectViews(), 2u);
+  // The same views, in the same order, as the persisted index describes.
+  ViewIndex Idx = computeViewIndex(*Loaded);
+  ASSERT_EQ(Idx.Keys[2].size(), 2u);
+  EXPECT_EQ(Idx.Keys[2][0], 0u);
+  EXPECT_EQ(Idx.Keys[2][1], 0xFFFFFFF0u);
+  EXPECT_EQ(Web.targetObjectView(0)->Id + 1, Huge->Id);
+  DiffResult D = viewsDiff(*Loaded, *Loaded);
+  EXPECT_EQ(D.numLeftDiffs() + D.numRightDiffs(), 0u);
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -421,19 +642,22 @@ TEST(DegradationLadder, PoolDispatchStallsNeverChangeResults) {
 // Salvage
 //===----------------------------------------------------------------------===//
 
-/// Asserts that every entry column of \p S is a byte-identical prefix of
-/// \p T's (the --salvage acceptance criterion: recovered entries are the
-/// original bytes, not a reconstruction).
+/// Asserts that every entry of \p S is a byte-identical prefix of \p T's
+/// (the --salvage acceptance criterion: recovered entries are the original
+/// bytes, not a reconstruction) — the plain columns, and the
+/// representations each entry names.
 void expectByteIdenticalPrefix(const Trace &T, const Trace &S) {
   size_t N = S.size();
   ASSERT_LE(N, T.size());
   EXPECT_EQ(0, std::memcmp(T.Tids.data(), S.Tids.data(), N * 4));
   EXPECT_EQ(0, std::memcmp(T.Methods.data(), S.Methods.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.Selfs.data(), S.Selfs.data(), N * 24));
   EXPECT_EQ(0, std::memcmp(T.Kinds.data(), S.Kinds.data(), N));
   EXPECT_EQ(0, std::memcmp(T.Names.data(), S.Names.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.Targets.data(), S.Targets.data(), N * 24));
-  EXPECT_EQ(0, std::memcmp(T.Values.data(), S.Values.data(), N * 16));
+  for (uint32_t Eid = 0; Eid != N; ++Eid) {
+    EXPECT_EQ(0, std::memcmp(&T.self(Eid), &S.self(Eid), 24));
+    EXPECT_EQ(0, std::memcmp(&T.target(Eid), &S.target(Eid), 24));
+    EXPECT_EQ(0, std::memcmp(&T.value(Eid), &S.value(Eid), 16));
+  }
   EXPECT_EQ(0, std::memcmp(T.ArgsBegins.data(), S.ArgsBegins.data(), N * 4));
   EXPECT_EQ(0, std::memcmp(T.ArgsEnds.data(), S.ArgsEnds.data(), N * 4));
   EXPECT_EQ(0, std::memcmp(T.ChildTids.data(), S.ChildTids.data(), N * 4));
@@ -763,34 +987,41 @@ TEST(SalvageV4, DamagedSideDeltaDropsSegmentAndSuffix) {
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("v4_side");
   ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
-  std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
+  std::vector<uint8_t> Good = readAll(Path);
+  FileLayout L = fileLayout(Good);
   ASSERT_TRUE(L.Ok);
   ASSERT_GE(L.Segments.size(), 3u);
 
-  // Damage a middle segment's string delta. Side deltas are cumulative —
-  // later segments build on earlier ones — so unlike a column flip this
-  // costs the damaged segment AND its suffix.
+  // Damage a middle segment's string delta, object-row delta or value-row
+  // delta. Side deltas are cumulative — later segments build on earlier
+  // ones — so unlike a column flip this costs the damaged segment AND its
+  // suffix.
   size_t Mid = L.Segments.size() / 2;
-  SectionRec StrDelta = segSection(Bytes, L.Segments[Mid].Offset, 24);
-  ASSERT_GT(StrDelta.Length, 0u);
-  Bytes[static_cast<size_t>(StrDelta.Offset + StrDelta.Length / 2)] ^= 0x10;
-  ASSERT_TRUE(writeAll(Path, Bytes));
+  for (uint32_t Id : {24u, 27u, 28u}) {
+    SCOPED_TRACE("side delta " + std::to_string(Id));
+    std::vector<uint8_t> Bytes = Good;
+    SectionRec Delta = segSection(Bytes, L.Segments[Mid].Offset, Id);
+    ASSERT_GT(Delta.Length, 0u);
+    Bytes[static_cast<size_t>(Delta.Offset + Delta.Length / 2)] ^= 0x10;
+    ASSERT_TRUE(writeAll(Path, Bytes));
 
-  ASSERT_FALSE(bool(readTrace(Path, Strings)));
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = true;
-  Options.Report = &Report;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  EXPECT_TRUE(Report.Salvaged);
-  uint32_t Prefix = L.Segments[Mid].BeginEid;
-  EXPECT_EQ(Salvaged->size(), Prefix);
-  EXPECT_EQ(Report.EntriesDropped, T.size() - Prefix);
-  EXPECT_EQ(Report.SegmentsDropped, L.Segments.size() - Mid);
-  for (uint32_t I = 0; I != Salvaged->size(); ++I)
-    ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
+    Expected<Trace> Strict = readTrace(Path, Strings);
+    ASSERT_FALSE(bool(Strict));
+    EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
+    TraceReadReport Report;
+    ReadOptions Options;
+    Options.Salvage = true;
+    Options.Report = &Report;
+    Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
+    ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+    EXPECT_TRUE(Report.Salvaged);
+    uint32_t Prefix = L.Segments[Mid].BeginEid;
+    EXPECT_EQ(Salvaged->size(), Prefix);
+    EXPECT_EQ(Report.EntriesDropped, T.size() - Prefix);
+    EXPECT_EQ(Report.SegmentsDropped, L.Segments.size() - Mid);
+    for (uint32_t I = 0; I != Salvaged->size(); ++I)
+      ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
+  }
   std::remove(Path.c_str());
 }
 

@@ -374,8 +374,8 @@ TEST(Trace, CallEventsRecordedInCallersContext) {
       // METH-E: context is the caller (main), not the callee.
       EXPECT_EQ(T.Strings->text(Entry.Method), "main");
       ASSERT_EQ(Entry.Ev.numArgs(), 2u);
-      EXPECT_EQ(T.Strings->text(T.argsBegin(Entry.Ev)[0].Text), "1");
-      EXPECT_EQ(T.Strings->text(T.argsBegin(Entry.Ev)[1].Text), "2");
+      EXPECT_EQ(T.Strings->text(T.arg(Entry.Ev, 0).Text), "1");
+      EXPECT_EQ(T.Strings->text(T.arg(Entry.Ev, 1).Text), "2");
     }
   }
   EXPECT_TRUE(Found);
@@ -411,7 +411,7 @@ TEST(Trace, InitEventsPairWithCtorReturns) {
   EXPECT_EQ(Init.Ev.Kind, EventKind::Init);
   EXPECT_EQ(T.Strings->text(Init.Ev.Name), "P");
   ASSERT_EQ(Init.Ev.numArgs(), 1u);
-  EXPECT_EQ(T.Strings->text(T.argsBegin(Init.Ev)[0].Text), "9");
+  EXPECT_EQ(T.Strings->text(T.arg(Init.Ev, 0).Text), "9");
 
   EXPECT_EQ(T.kind(1), EventKind::FieldSet);
   // The set happens inside the ctor frame: context method is P.<init>.

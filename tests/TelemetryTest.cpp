@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <set>
 #include <thread>
 #include <unistd.h>
@@ -271,6 +273,31 @@ TEST(Telemetry, TraceWriteAndLoadSpansNameTheirPhases) {
     }
     EXPECT_EQ(Snap.findSpan("load")->Count, 2u);
   }
+}
+
+TEST(Telemetry, RunAttributesTeardownToItsOwnSpan) {
+  // After the trace is written, `rprism run` still destroys the trace
+  // columns and the interner; that time is the `run/teardown` span, not
+  // unattributed root self time.
+  std::string Base = "/tmp/rprism_teardown_" + std::to_string(::getpid());
+  {
+    std::ofstream Prog(Base + ".rp");
+    Prog << "class A { Int x; A(Int x) { this.x = x; } }\n"
+            "main { var a = new A(3); print(a.x); }\n";
+  }
+  std::string Cmd = std::string(RPRISM_CLI) + " run " + Base + ".rp --trace " +
+                    Base + ".rpt --metrics-out " + Base + ".json >/dev/null "
+                    "2>&1";
+  ASSERT_EQ(std::system(Cmd.c_str()), 0) << Cmd;
+  std::ifstream In(Base + ".json");
+  std::string Json((std::istreambuf_iterator<char>(In)),
+                   std::istreambuf_iterator<char>());
+  EXPECT_NE(Json.find("{\"path\": \"run/teardown\", \"name\": \"teardown\", "
+                      "\"parent\": \"run\""),
+            std::string::npos)
+      << Json;
+  for (const char *Ext : {".rp", ".rpt", ".json"})
+    std::remove((Base + Ext).c_str());
 }
 
 //===----------------------------------------------------------------------===//

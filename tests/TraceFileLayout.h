@@ -133,6 +133,15 @@ inline SectionRec segSection(const std::vector<uint8_t> &Bytes,
   return SectionRec();
 }
 
+/// Recomputes the checksum in section record \p R from the payload's
+/// current bytes, as the writer would have (then resealDirectory), so an
+/// edited payload reaches the reader's value checks.
+inline void resealSection(std::vector<uint8_t> &Bytes, const SectionRec &R) {
+  storeLE(Bytes.data() + R.RecordPos + 24,
+          rprism::checksumBytes(Bytes.data() + R.Offset,
+                                static_cast<size_t>(R.Length)));
+}
+
 /// Recomputes every directory record's table digest and the footer
 /// checksum from the current bytes, as the writer would have.
 inline void resealDirectory(std::vector<uint8_t> &Bytes) {

@@ -185,14 +185,16 @@ TEST(Columnar, EntryMaterializationScattersAndGathers) {
     EXPECT_TRUE(reprEquals(Entry.Ev.Target, T.target(Eid)));
     EXPECT_EQ(Entry.Fp, T.fp(Eid));
   }
-  // Appending a materialized entry scatters it back unchanged.
+  // Appending a materialized entry scatters it back unchanged. Its
+  // argument slice indexes the copy's pool, so that is rebuilt first.
   Trace Copy;
   Copy.Strings = T.Strings;
   Copy.Threads = T.Threads;
   for (uint32_t Eid = 0; Eid != T.size(); ++Eid)
+    for (uint32_t I = 0; I != T.numArgs(Eid); ++I)
+      Copy.ArgIds.push_back(Copy.addValueRepr(T.arg(Eid, I)));
+  for (uint32_t Eid = 0; Eid != T.size(); ++Eid)
     Copy.append(T.entry(Eid));
-  for (const ValueRepr &Arg : T.ArgPool)
-    Copy.ArgPool.push_back(Arg);
   ASSERT_EQ(Copy.size(), T.size());
   Copy.computeFingerprints();
   for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
@@ -255,7 +257,7 @@ TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
     main { var a = new A(7); a.bump(); a.bump(); spawn a.bump(); }
   )");
   ASSERT_TRUE(T.HasFingerprints);
-  ASSERT_FALSE(T.ArgPool.empty());
+  ASSERT_FALSE(T.ArgIds.empty());
   std::string Path = tempPath("one_segment_bytes");
   ASSERT_TRUE(writeTrace(T, Path));
 
@@ -277,12 +279,13 @@ TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
   EXPECT_TRUE(Loaded->HasFingerprints);
   for (bool Borrowed :
        {Loaded->Tids.borrowed(), Loaded->Methods.borrowed(),
-        Loaded->Selfs.borrowed(), Loaded->Kinds.borrowed(),
-        Loaded->Names.borrowed(), Loaded->Targets.borrowed(),
-        Loaded->Values.borrowed(), Loaded->ArgsBegins.borrowed(),
+        Loaded->SelfIds.borrowed(), Loaded->Kinds.borrowed(),
+        Loaded->Names.borrowed(), Loaded->TargetIds.borrowed(),
+        Loaded->ValueIds.borrowed(), Loaded->ArgsBegins.borrowed(),
         Loaded->ArgsEnds.borrowed(), Loaded->ChildTids.borrowed(),
         Loaded->Provs.borrowed(), Loaded->Fps.borrowed(),
-        Loaded->ArgPool.borrowed(), Loaded->ViewIdx.Entries.borrowed()})
+        Loaded->ArgIds.borrowed(), Loaded->ObjReprs.borrowed(),
+        Loaded->ValueReprs.borrowed(), Loaded->ViewIdx.Entries.borrowed()})
     EXPECT_TRUE(Borrowed);
   ASSERT_TRUE(Loaded->ViewIdx.Present);
 
@@ -293,17 +296,19 @@ TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
   };
   ExpectColumnBytes(T.Tids, Loaded->Tids);
   ExpectColumnBytes(T.Methods, Loaded->Methods);
-  ExpectColumnBytes(T.Selfs, Loaded->Selfs);
+  ExpectColumnBytes(T.SelfIds, Loaded->SelfIds);
   ExpectColumnBytes(T.Kinds, Loaded->Kinds);
   ExpectColumnBytes(T.Names, Loaded->Names);
-  ExpectColumnBytes(T.Targets, Loaded->Targets);
-  ExpectColumnBytes(T.Values, Loaded->Values);
+  ExpectColumnBytes(T.TargetIds, Loaded->TargetIds);
+  ExpectColumnBytes(T.ValueIds, Loaded->ValueIds);
   ExpectColumnBytes(T.ArgsBegins, Loaded->ArgsBegins);
   ExpectColumnBytes(T.ArgsEnds, Loaded->ArgsEnds);
   ExpectColumnBytes(T.ChildTids, Loaded->ChildTids);
   ExpectColumnBytes(T.Provs, Loaded->Provs);
   ExpectColumnBytes(T.Fps, Loaded->Fps);
-  ExpectColumnBytes(T.ArgPool, Loaded->ArgPool);
+  ExpectColumnBytes(T.ArgIds, Loaded->ArgIds);
+  ExpectColumnBytes(T.ObjReprs, Loaded->ObjReprs);
+  ExpectColumnBytes(T.ValueReprs, Loaded->ValueReprs);
   ViewIndex Want = computeViewIndex(T);
   ExpectColumnBytes(Want.Entries, Loaded->ViewIdx.Entries);
   for (size_t F = 0; F != NumViewFamilies; ++F) {
@@ -326,9 +331,10 @@ TEST(Serialize, RefusesUnsupportedVersions) {
       Int bump() { this.x = this.x + 1; return this.x; } }
     main { var a = new A(3); a.bump(); spawn a.bump(); print(a.x); }
   )");
-  // Bytes 4-7 hold the version; readers accept exactly 6. The retired
+  // Bytes 4-7 hold the version; readers accept exactly 7. The retired
   // v1/v2 stream formats, the FNV-1a-checksummed layouts (versions 3 and
-  // 4), the retired whole-trace layout (version 5) and any future version
+  // 4), the retired whole-trace layout (version 5), the layout with
+  // per-entry representation copies (version 6) and any future version
   // must be refused up front with the typed version error, whatever the
   // rest of the file looks like.
   std::string WholePath = tempPath("version_whole");
@@ -336,7 +342,7 @@ TEST(Serialize, RefusesUnsupportedVersions) {
   ASSERT_TRUE(writeTrace(T, WholePath));
   ASSERT_TRUE(writeTraceSegmented(T, SegPath, 8));
   for (const std::string &Path : {WholePath, SegPath}) {
-    for (uint32_t Version : {1u, 2u, 3u, 4u, 5u, 7u}) {
+    for (uint32_t Version : {1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
       std::FILE *F = std::fopen(Path.c_str(), "rb+");
       ASSERT_TRUE(F != nullptr);
       std::fseek(F, 4, SEEK_SET);
@@ -970,6 +976,137 @@ TEST(Fingerprint, RemapPathIsCountedAndZeroCopyPathIsNot) {
   Telemetry::get().setEnabled(false);
   Telemetry::get().reset();
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Dictionary-encoded representations
+//===----------------------------------------------------------------------===//
+
+/// \p A in trace \p TA is \p B in trace \p TB, symbols compared by text.
+void expectSameObj(const Trace &TA, const ObjRepr &A, const Trace &TB,
+                   const ObjRepr &B) {
+  EXPECT_EQ(TA.Strings->text(A.ClassName), TB.Strings->text(B.ClassName));
+  EXPECT_EQ(A.Loc, B.Loc);
+  EXPECT_EQ(A.CreationSeq, B.CreationSeq);
+  EXPECT_EQ(A.HasRepr, B.HasRepr);
+  EXPECT_EQ(A.ValueHash, B.ValueHash);
+}
+
+void expectSameValue(const Trace &TA, const ValueRepr &A, const Trace &TB,
+                     const ValueRepr &B) {
+  EXPECT_EQ(A.Kind, B.Kind);
+  EXPECT_EQ(A.Hash, B.Hash);
+  EXPECT_EQ(TA.Strings->text(A.Text), TB.Strings->text(B.Text));
+}
+
+TEST(DictionaryEncoding, RoundTripPropertyOverGeneratorTraces) {
+  // Generator traces x {one segment, 32-entry segments} x {a fresh
+  // interner (symbol identity), a busy one (remap)}: every materialized
+  // entry and every fingerprint comes back as recorded.
+  for (uint64_t Seed : {3u, 17u, 29u}) {
+    GeneratorOptions G;
+    G.Seed = Seed;
+    G.NumClasses = 3;
+    G.OuterIters = 8;
+    G.NumThreads = 1 + static_cast<unsigned>(Seed % 3);
+    Trace T = traceOf(generateProgram(G));
+    ASSERT_GT(T.size(), 64u);
+    for (size_t SegmentEntries : {size_t{0}, size_t{32}}) {
+      std::string Path = tempPath("dict_roundtrip");
+      ASSERT_TRUE(SegmentEntries ? writeTraceSegmented(T, Path, SegmentEntries)
+                                 : writeTrace(T, Path));
+      for (bool Busy : {false, true}) {
+        SCOPED_TRACE("seed " + std::to_string(Seed) + ", segments of " +
+                     std::to_string(SegmentEntries) +
+                     (Busy ? ", busy interner" : ", fresh interner"));
+        auto Into = std::make_shared<StringInterner>();
+        if (Busy)
+          Into->intern("a string the file does not start with");
+        Expected<Trace> Loaded = readTrace(Path, Into);
+        ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+        const Trace &L = *Loaded;
+        ASSERT_EQ(L.size(), T.size());
+        ASSERT_TRUE(L.HasFingerprints);
+        for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
+          TraceEntry A = T.entry(Eid), B = L.entry(Eid);
+          ASSERT_EQ(B.Tid, A.Tid) << Eid;
+          EXPECT_EQ(L.Strings->text(B.Method), T.Strings->text(A.Method));
+          expectSameObj(T, A.Self, L, B.Self);
+          EXPECT_EQ(B.Ev.Kind, A.Ev.Kind);
+          EXPECT_EQ(L.Strings->text(B.Ev.Name), T.Strings->text(A.Ev.Name));
+          expectSameObj(T, A.Ev.Target, L, B.Ev.Target);
+          expectSameValue(T, A.Ev.Value, L, B.Ev.Value);
+          ASSERT_EQ(B.Ev.numArgs(), A.Ev.numArgs());
+          for (uint32_t I = 0; I != A.Ev.numArgs(); ++I)
+            expectSameValue(T, T.arg(Eid, I), L, L.arg(Eid, I));
+          EXPECT_EQ(B.Ev.ChildTid, A.Ev.ChildTid);
+          EXPECT_EQ(B.Prov, A.Prov);
+          // Fingerprints hash symbol ids: verbatim under identity, and
+          // under a remap what the reference formula gives the entry.
+          if (Busy)
+            EXPECT_EQ(B.Fp, L.entryFingerprint(B));
+          else
+            EXPECT_EQ(B.Fp, A.Fp);
+          EXPECT_EQ(B.Fp, L.entryFingerprint(Eid));
+          if (Eid + 1 != T.size())
+            EXPECT_EQ(eventEquals(L, Eid, L, Eid + 1),
+                      eventEquals(T, Eid, T, Eid + 1));
+        }
+        if (!SegmentEntries) {
+          // The remap rewrites only the symbol-bearing columns and the
+          // two tables; the representation-id columns stay in the file.
+          for (bool Borrowed :
+               {L.SelfIds.borrowed(), L.TargetIds.borrowed(),
+                L.ValueIds.borrowed(), L.ArgIds.borrowed(),
+                L.Tids.borrowed(), L.Kinds.borrowed()})
+            EXPECT_TRUE(Borrowed);
+          EXPECT_EQ(L.ObjReprs.borrowed(), !Busy);
+          EXPECT_EQ(L.ValueReprs.borrowed(), !Busy);
+        }
+      }
+      std::remove(Path.c_str());
+    }
+  }
+}
+
+TEST(DictionaryEncoding, UnchangedObjectReadInALoopAddsOneRow) {
+  // Node holds an object field, so every store write anywhere invalidates
+  // its memoized representation; the recomputations land on the same
+  // content and keep its row. The mutated counter object gets a row per
+  // distinct state.
+  auto Rows = [](int Iters, uint32_t CreationSeq) {
+    Trace T = traceOf(R"(
+      class Node { Int v; Node next; Node(Int v) { this.v = v; this.next = null; } }
+      class Counter { Int n; Counter() { this.n = 0; } }
+      main {
+        var b = new Node(7);
+        var c = new Counter();
+        var s = 0;
+        var i = 0;
+        while (i < )" + std::to_string(Iters) + R"() {
+          s = s + b.v;
+          c.n = i;
+          i = i + 1;
+        }
+        print(s);
+      }
+    )");
+    size_t Count = 0, Reads = 0;
+    for (const ObjRepr &Row : T.ObjReprs)
+      Count += !Row.isNone() && T.Strings->text(Row.ClassName) == "Node" &&
+               Row.CreationSeq == CreationSeq;
+    for (uint32_t Eid = 0; Eid != T.size(); ++Eid)
+      Reads += T.kind(Eid) == EventKind::FieldGet &&
+               T.Strings->text(T.target(Eid).ClassName) == "Node";
+    return std::make_pair(Count, Reads);
+  };
+  size_t Once = Rows(1, 1).first;
+  EXPECT_GE(Once, 1u);
+  for (int Iters : {10, 50}) {
+    auto [Count, Reads] = Rows(Iters, 1);
+    EXPECT_EQ(Reads, static_cast<size_t>(Iters));
+    EXPECT_EQ(Count, Once) << Iters << " reads";
+  }
 }
 
 TEST(EventEquals, ForkChildTidOutOfBoundsIsNotEqual) {

@@ -182,10 +182,11 @@ echo "this is not a trace" > "$WORK/garbage.rpt"
 [ $? -eq 3 ] || fail "garbage trace was not exit 3"
 # A retired version number (bytes 4-7) is refused up front: exit 3 with the
 # typed version error. Version 1 was the old stream format, version 3 the
-# whole-trace layout with the FNV-1a checksums of earlier releases, and
-# version 5 the same layout with today's checksums (trace files carry
-# version 6).
-for V in 1 3 5; do
+# whole-trace layout with the FNV-1a checksums of earlier releases,
+# version 5 the same layout with today's checksums, and version 6 the
+# segmented layout with per-entry representation copies (trace files
+# carry version 7).
+for V in 1 3 5 6; do
   cp "$WORK/old.rpt" "$WORK/v$V.rpt"
   printf "\\00$V\\000\\000\\000" \
     | dd of="$WORK/v$V.rpt" bs=1 seek=4 conv=notrunc 2>/dev/null
@@ -209,6 +210,111 @@ done
   || fail "hostile fixture is not 184 bytes"
 "$RPRISM" diff-traces "$WORK/hostile.rpt" "$WORK/old.rpt" > /dev/null 2>&1
 [ $? -eq 3 ] || fail "hostile footer offset was not exit 3"
+set -e
+
+# Hostile keys with valid checksums: old.rpt with one entry's tid, or one
+# object's store location, set to 0xFFFFFFF0, and its view index damaged
+# so diff-traces builds the view web by scanning. A tid that names no
+# thread is a corrupt section (exit 3); a huge location is legal and must
+# diff without sizing any table by it (the address-space limit turns a
+# 16 GiB key-indexed vector into a failure). The limit is skipped where
+# the binary cannot start under it (sanitizer builds reserve more).
+cat > "$WORK/hostile_keys.py" <<'EOF'
+import struct, sys
+
+M = (1 << 64) - 1
+P1, P2 = 0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F
+
+
+def mix(seed, value):
+    x = seed ^ ((value + 0x9E3779B97F4A7C15 + (seed << 6) + (seed >> 2)) & M)
+    x ^= x >> 30
+    x = (x * 0xBF58476D1CE4E5B9) & M
+    x ^= x >> 27
+    x = (x * 0x94D049BB133111EB) & M
+    return x ^ (x >> 31)
+
+
+def rotl(x, r):
+    return ((x << r) | (x >> (64 - r))) & M
+
+
+def checksum(data):
+    """checksumBytes of support/Hashing.h."""
+    lanes = [(P1 + P2) & M, P2, 0, (-P1) & M]
+    blocks = len(data) // 32
+    for b in range(blocks):
+        for j in range(4):
+            word = struct.unpack_from("<Q", data, 32 * b + 8 * j)[0]
+            lanes[j] = (rotl((lanes[j] + word * P2) & M, 31) * P1) & M
+    h = (rotl(lanes[0], 1) + rotl(lanes[1], 7) + rotl(lanes[2], 12)
+         + rotl(lanes[3], 18)) & M
+    pos = 32 * blocks
+    while len(data) - pos >= 8:
+        h = mix(h, struct.unpack_from("<Q", data, pos)[0])
+        pos += 8
+    if pos < len(data):
+        h = mix(h, int.from_bytes(data[pos:], "little"))
+    return mix(h, len(data))
+
+
+src, dst, what = sys.argv[1:]
+data = bytearray(open(src, "rb").read())
+seg = 32  # One-segment file: the segment header follows the file header.
+sections = {}
+for i in range(struct.unpack_from("<I", data, seg + 20)[0]):
+    rec = seg + 32 + 32 * i
+    sid, _, off, length, _ = struct.unpack_from("<IIQQQ", data, rec)
+    sections[sid] = (rec, seg + off, length)
+
+
+def reseal(sid):
+    rec, off, length = sections[sid]
+    payload = bytes(data[off:off + length])
+    struct.pack_into("<Q", data, rec + 24, checksum(payload))
+
+
+if what == "tid":
+    _, off, _ = sections[10]  # Tid column: entry 0 runs on 0xFFFFFFF0.
+    struct.pack_into("<I", data, off, 0xFFFFFFF0)
+    reseal(10)
+else:
+    _, off, _ = sections[27]  # Object rows after a u64 base; Loc at +8.
+    struct.pack_into("<I", data, off + 8 + 24 + 8, 0xFFFFFFF0)  # Row 1.
+    reseal(27)
+_, off, _ = sections[22]  # Damage the view index: it is dropped.
+data[off] ^= 0xFF
+table = seg + 32
+digest = checksum(bytes(data[table:table + 32 * len(sections)]))
+trailer = len(data) - 24
+footer = struct.unpack_from("<Q", data, trailer)[0]
+struct.pack_into("<Q", data, footer + 16, digest)  # Directory record 0.
+struct.pack_into("<Q", data, trailer + 8,
+                 checksum(bytes(data[footer:trailer])))
+open(dst, "wb").write(data)
+EOF
+python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badtid.rpt" tid \
+  || fail "could not build the hostile-tid fixture"
+python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badloc.rpt" loc \
+  || fail "could not build the hostile-location fixture"
+VMEM=4000000
+( ulimit -v "$VMEM" && "$RPRISM" --version ) > /dev/null 2>&1 || VMEM=""
+limited() {
+  if [ -n "$VMEM" ]; then (ulimit -v "$VMEM" && "$@"); else "$@"; fi
+}
+set +e
+for JOBS in 0 1; do
+  limited "$RPRISM" diff-traces "$WORK/badtid.rpt" "$WORK/badtid.rpt" \
+    --jobs "$JOBS" > /dev/null 2>"$WORK/badtid_err.txt"
+  [ $? -eq 3 ] || fail "hostile tid was not exit 3 (--jobs $JOBS)"
+  grep -q "corrupt tid section" "$WORK/badtid_err.txt" \
+    || fail "hostile tid did not report a corrupt tid section"
+  limited "$RPRISM" diff-traces "$WORK/badloc.rpt" "$WORK/badloc.rpt" \
+    --jobs "$JOBS" > "$WORK/badloc_out.txt" 2>/dev/null
+  [ $? -eq 0 ] || fail "hostile location did not diff (--jobs $JOBS)"
+  grep -q "semantic diff: 0 differences" "$WORK/badloc_out.txt" \
+    || fail "hostile location diff is not empty (--jobs $JOBS)"
+done
 set -e
 
 # --- salvage ------------------------------------------------------------------

@@ -44,6 +44,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 using namespace rprism;
@@ -313,6 +314,10 @@ RunResult runWith(const CompiledProgram &Prog, const Args &A,
 int cmdRun(const Args &A) {
   if (A.Positional.size() != 1)
     return usage();
+  // Declared first so it is destroyed last: once opened, the span covers
+  // the destruction of the trace columns and the interner below, which on
+  // a large trace is a visible share of the run.
+  std::optional<TelemetrySpan> Teardown;
   auto Prog = compileFile(A.Positional[0], nullptr);
   if (!Prog)
     return fail(Prog.error());
@@ -322,15 +327,18 @@ int cmdRun(const Args &A) {
                Result.ExecTrace.size(),
                static_cast<unsigned long long>(Result.Steps),
                Result.Completed ? "" : ", did not complete");
+  int Exit = Result.Completed ? 0 : 1;
   if (!A.TracePath.empty()) {
-    if (!writeTrace(Result.ExecTrace, A.TracePath)) {
+    if (writeTrace(Result.ExecTrace, A.TracePath)) {
+      std::fprintf(stderr, "[trace written to %s]\n", A.TracePath.c_str());
+    } else {
       std::fprintf(stderr, "error: cannot write '%s'\n",
                    A.TracePath.c_str());
-      return 1;
+      Exit = 1;
     }
-    std::fprintf(stderr, "[trace written to %s]\n", A.TracePath.c_str());
   }
-  return Result.Completed ? 0 : 1;
+  Teardown.emplace("teardown");
+  return Exit;
 }
 
 /// Tells the user (on stderr, like the other bracketed notes) what a

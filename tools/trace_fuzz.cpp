@@ -12,8 +12,10 @@
 /// the view index, then applies seeded mutations — truncation, bit flips,
 /// byte overwrites, section-table and header tampering, zeroed ranges,
 /// appended garbage, plus the file's boundary structures: trailer fields,
-/// footer-directory records, and segment headers — and requires every
-/// strict read, salvage read, and digest of the mutant to return cleanly.
+/// footer-directory records, and segment headers, and id and row values
+/// rewritten with every checksum resealed so they reach the reader's value
+/// checks — and requires every strict read, salvage read, and digest of
+/// the mutant to return cleanly.
 /// A crash, hang, or sanitizer report is the failure mode; any error
 /// return is a pass.
 ///
@@ -23,6 +25,7 @@
 
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
+#include "support/Hashing.h"
 #include "trace/Serialize.h"
 #include "workload/Generator.h"
 
@@ -30,6 +33,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <random>
 #include <string>
@@ -75,11 +79,69 @@ bool writeAll(const std::string &Path, const std::vector<uint8_t> &Bytes) {
   return Out.good();
 }
 
-/// Applies one seeded mutation to \p Bytes. Twelve mutation kinds, chosen
-/// and parameterised by \p Rng; always leaves at least an empty file. The
-/// last three target the file framing (trailer, footer directory, segment
-/// headers) and degrade to a plain bit flip when an earlier mutation left
-/// no valid trailer.
+/// Rewrites one u32 of a value-bearing section of the first segment — a
+/// tid, a representation-id column, the argument-id slice, or a row of
+/// either representation table — and reseals the section checksum, the
+/// segment's directory digest and the footer checksum, so the value
+/// reaches the reader's id and row checks instead of failing a checksum.
+/// False (nothing changed) when the framing it needs is not intact.
+bool sealedValueTamper(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
+  auto Load64 = [&](size_t At) {
+    uint64_t V;
+    std::memcpy(&V, Bytes.data() + At, 8);
+    return V;
+  };
+  auto Store64 = [&](size_t At, uint64_t V) {
+    std::memcpy(Bytes.data() + At, &V, 8);
+  };
+  if (Bytes.size() < 96 + 24)
+    return false;
+  size_t Trailer = Bytes.size() - 24;
+  uint64_t Footer = Load64(Trailer);
+  uint32_t NumSegments;
+  std::memcpy(&NumSegments, Bytes.data() + Trailer + 16, 4);
+  if (Footer < 64 || Footer > Trailer || NumSegments == 0 ||
+      Trailer - Footer != 8 + uint64_t{NumSegments} * 32 ||
+      Load64(Footer + 8) != 32)
+    return false;
+  uint32_t NumSections;
+  std::memcpy(&NumSections, Bytes.data() + 52, 4);
+  if (NumSections > 64 || 64 + uint64_t{NumSections} * 32 > Footer)
+    return false;
+  // Section id -> bytes before the first u32 of its values.
+  static const std::pair<uint32_t, size_t> Targets[] = {
+      {10, 0}, {12, 0}, {15, 0}, {16, 0}, {26, 8}, {27, 8}, {28, 8}};
+  const auto &Target = Targets[Rng() % std::size(Targets)];
+  for (uint32_t I = 0; I != NumSections; ++I) {
+    size_t Record = 64 + size_t{I} * 32;
+    uint32_t Id;
+    std::memcpy(&Id, Bytes.data() + Record, 4);
+    uint64_t Offset = 32 + Load64(Record + 8), Length = Load64(Record + 16);
+    if (Id != Target.first || Offset > Footer || Length > Footer - Offset ||
+        Length < Target.second + 4)
+      continue;
+    size_t Words = (Length - Target.second) / 4;
+    size_t At = Offset + Target.second + 4 * (Rng() % Words);
+    static const uint32_t Values[] = {0, 1, 2, 0x7fffffffu, 0xfffffff0u,
+                                      0xffffffffu};
+    uint32_t Value = Rng() % 2 ? Values[Rng() % std::size(Values)]
+                               : static_cast<uint32_t>(Rng());
+    std::memcpy(Bytes.data() + At, &Value, 4);
+    Store64(Record + 24, checksumBytes(Bytes.data() + Offset, Length));
+    Store64(Footer + 16, checksumBytes(Bytes.data() + 64, NumSections * 32));
+    Store64(Trailer + 8,
+            checksumBytes(Bytes.data() + Footer, Trailer - Footer));
+    return true;
+  }
+  return false;
+}
+
+/// Applies one seeded mutation to \p Bytes. Thirteen mutation kinds,
+/// chosen and parameterised by \p Rng; always leaves at least an empty
+/// file. Kinds 9-11 target the file framing (trailer, footer directory,
+/// segment headers) and kind 12 rewrites sealed ids and rows; each
+/// degrades to a plain bit flip when an earlier mutation left no valid
+/// trailer.
 void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
   auto Index = [&](size_t Bound) {
     return Bound ? static_cast<size_t>(Rng() % Bound) : 0;
@@ -103,7 +165,7 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     Bytes.push_back(static_cast<uint8_t>(Rng()));
     return;
   }
-  switch (Rng() % 12) {
+  switch (Rng() % 13) {
   case 0: // Truncate to a random prefix (possibly empty).
     Bytes.resize(Index(Bytes.size() + 1));
     break;
@@ -218,6 +280,10 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     std::memcpy(Bytes.data() + 32 + Field, &Garbage, 8);
     break;
   }
+  case 12: // Sealed tid, representation-id or row rewrite.
+    if (!sealedValueTamper(Bytes, Rng))
+      FlipBit();
+    break;
   }
 }
 
