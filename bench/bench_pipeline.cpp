@@ -213,10 +213,9 @@ void appendJson(std::string &Json, unsigned OuterIters,
 
 /// Writes both traces in one file shape, reloads them into one fresh
 /// interner, and re-diffs: the report and compare-op totals must be
-/// identical to the in-memory reference. \p Label is "one-segment"/
-/// "one-segment-noindex"/"segments-256" ("one-segment-noindex" omits the
-/// optional view-index sections; "segments-256" writes small segments so
-/// the reload crosses many segment boundaries). Returns the JSON fragment.
+/// identical to the in-memory reference. \p Label is "one-segment" or
+/// "one-segment-noindex" (which omits the optional view-index sections).
+/// Returns the JSON fragment.
 std::string checkFormatDeterminism(const TracePair &Pair,
                                    const std::string &RefRender,
                                    uint64_t RefOps, const char *Label,
@@ -224,15 +223,9 @@ std::string checkFormatDeterminism(const TracePair &Pair,
   std::string Name = Label;
   std::string LPath = "/tmp/bench_pipeline_L_" + Name + ".trace";
   std::string RPath = "/tmp/bench_pipeline_R_" + Name + ".trace";
-  bool Wrote;
-  if (Name == "one-segment")
-    Wrote = writeTrace(Pair.Left, LPath) && writeTrace(Pair.Right, RPath);
-  else if (Name == "one-segment-noindex")
-    Wrote = writeTrace(Pair.Left, LPath, /*WithViewIndex=*/false) &&
-            writeTrace(Pair.Right, RPath, /*WithViewIndex=*/false);
-  else
-    Wrote = writeTraceSegmented(Pair.Left, LPath, /*SegmentEntries=*/256) &&
-            writeTraceSegmented(Pair.Right, RPath, /*SegmentEntries=*/256);
+  bool WithIndex = Name == "one-segment";
+  bool Wrote = writeTrace(Pair.Left, LPath, WithIndex) &&
+               writeTrace(Pair.Right, RPath, WithIndex);
   bool ReportIdentical = false, OpsIdentical = false;
   if (Wrote) {
     auto Shared = std::make_shared<StringInterner>();
@@ -280,12 +273,11 @@ bool spitFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
   return static_cast<bool>(Out);
 }
 
-/// Flips one byte inside a middle segment's Kind-column payload of a trace
-/// file, walking trailer -> footer directory -> segment section table.
-/// Exactly one segment's checksum breaks, so a salvage read must drop
-/// that segment alone. Returns false if \p Bytes does not parse as a
-/// multi-segment trace file.
-bool flipMiddleSegmentColumnByte(std::vector<uint8_t> &Bytes) {
+/// Cuts a trace file in the middle of its Prov column, the last entry
+/// column, walking trailer -> footer directory -> section table. A salvage
+/// read must keep the entries before the cut. Returns false if \p Bytes
+/// does not parse as a trace file.
+bool cutInsideLastEntryColumn(std::vector<uint8_t> &Bytes) {
   auto Rd32 = [&](size_t Off) {
     uint32_t V;
     std::memcpy(&V, Bytes.data() + Off, sizeof(V));
@@ -299,18 +291,18 @@ bool flipMiddleSegmentColumnByte(std::vector<uint8_t> &Bytes) {
   if (Bytes.size() < 56 || Rd32(Bytes.size() - 4) != 0x52505445u)
     return false;
   uint64_t Footer = Rd64(Bytes.size() - 24);
-  uint32_t NumSegments = Rd32(Footer + 4);
-  if (NumSegments < 2)
+  if (Rd32(Footer + 4) != 1)
     return false;
-  uint64_t SegOff = Rd64(Footer + 8 + (NumSegments / 2) * 32);
+  uint64_t SegOff = Rd64(Footer + 8);
   uint32_t NumSections = Rd32(SegOff + 20);
   for (uint32_t I = 0; I < NumSections; ++I) {
     size_t Rec = SegOff + 32 + I * 32;
-    if (Rd32(Rec) != 13) // SecKind: a per-entry column in every segment.
+    if (Rd32(Rec) != 20) // SecProv
       continue;
-    if (Rd64(Rec + 16) == 0)
+    uint64_t Length = Rd64(Rec + 16);
+    if (Length < 8)
       return false;
-    Bytes[SegOff + Rd64(Rec + 8)] ^= 0x40;
+    Bytes.resize(SegOff + Rd64(Rec + 8) + Length / 2);
     return true;
   }
   return false;
@@ -430,8 +422,7 @@ int main(int Argc, char **Argv) {
     DiffResult Ref = viewsDiff(Pair.Left, Pair.Right, RefOptions);
     std::string RefRender = Ref.render(50, 12);
     bool FormatFirst = true;
-    for (const char *Label :
-         {"one-segment", "one-segment-noindex", "segments-256"}) {
+    for (const char *Label : {"one-segment", "one-segment-noindex"}) {
       FormatJson += checkFormatDeterminism(Pair, RefRender,
                                            Ref.Stats.CompareOps, Label,
                                            FormatFirst, Exit);
@@ -680,7 +671,7 @@ int main(int Argc, char **Argv) {
   // results. makePair runs *inside* the instrumented window so the VM's
   // trace-production telemetry (vm-run spans, vm.* counters) lands in the
   // exported metrics too.
-  std::string SegmentedJson;
+  std::string SalvageJson;
   {
     Telemetry::get().reset();
     Telemetry::get().setEnabled(true);
@@ -694,90 +685,59 @@ int main(int Argc, char **Argv) {
       Result = viewsDiff(Pair.Left, Pair.Right, Options);
     }
 
-    // Segmented re-diff + salvage, still inside the instrumented window.
-    // An identical segmented pair re-diffs by skipping every digest-equal
-    // segment (`trace.segments_skipped`), then a single flipped byte in a
-    // middle segment's column payload salvages down to the other segments
-    // (`robust.salvage.segments_dropped` == 1). Both counters land in the
-    // exported metrics artifact, where CI jq-gates them.
-    bool SegRediffClean = false, SegSalvageOk = false;
-    uint64_t SegOps = 0;
+    // Salvage, still inside the instrumented window: a trace file cut in
+    // the middle of its last entry column salvages to the entries before
+    // the cut, and the `robust.salvage.*` counters land in the exported
+    // metrics artifact, where CI jq-gates them.
+    bool SalvageOk = false;
+    uint64_t Recovered = 0, Dropped = 0;
     {
-      const std::string SegPath = "/tmp/bench_pipeline_seg.trace";
-      // ~8 segments regardless of the generated trace's entry count, so
-      // the flip always has intact neighbors on both sides.
-      size_t SegEntries = std::max<size_t>(1, Pair.Left.size() / 8);
-      bool Wrote = writeTraceSegmented(Pair.Left, SegPath, SegEntries);
-      if (Wrote) {
-        auto Shared = std::make_shared<StringInterner>();
-        Expected<Trace> L = readTrace(SegPath, Shared);
-        Expected<Trace> R = readTrace(SegPath, Shared);
-        if (L && R) {
-          ViewsDiffOptions SegOptions;
-          SegOptions.Jobs = 1;
-          TelemetrySpan SegRoot("bench-pipeline-segmented");
-          DiffResult SegResult = viewsDiff(*L, *R, SegOptions);
-          SegRediffClean = SegResult.numDiffs() == 0;
-          SegOps = SegResult.Stats.CompareOps;
-        }
-      }
-      std::vector<uint8_t> Bytes = slurpFile(SegPath);
-      if (Wrote && !Bytes.empty() && flipMiddleSegmentColumnByte(Bytes) &&
-          spitFile(SegPath, Bytes)) {
+      const std::string CutPath = "/tmp/bench_pipeline_cut.trace";
+      std::vector<uint8_t> Bytes;
+      if (writeTrace(Pair.Left, CutPath))
+        Bytes = slurpFile(CutPath);
+      if (!Bytes.empty() && cutInsideLastEntryColumn(Bytes) &&
+          spitFile(CutPath, Bytes)) {
         auto Shared = std::make_shared<StringInterner>();
         ReadOptions SalvageOpts;
         SalvageOpts.Salvage = true;
         TraceReadReport Report;
         SalvageOpts.Report = &Report;
-        Expected<Trace> Salvaged = readTrace(SegPath, Shared, SalvageOpts);
-        SegSalvageOk = Salvaged && Report.Salvaged &&
-                       Report.SegmentsDropped == 1 &&
-                       Salvaged->size() + Report.EntriesDropped ==
-                           Pair.Left.size();
+        Expected<Trace> Salvaged = readTrace(CutPath, Shared, SalvageOpts);
+        Recovered = Report.EntriesRecovered;
+        Dropped = Report.EntriesDropped;
+        SalvageOk = Salvaged && Report.Salvaged && Salvaged->size() != 0 &&
+                    Dropped != 0 &&
+                    Salvaged->size() + Dropped == Pair.Left.size();
       }
-      std::remove(SegPath.c_str());
+      std::remove(CutPath.c_str());
     }
 
     Telemetry::get().setEnabled(false);
     TelemetrySnapshot Snap = Telemetry::get().snapshot();
-    uint64_t SegSkipped = Snap.counter("trace.segments_skipped");
-    uint64_t SegDropped = Snap.counter("robust.salvage.segments_dropped");
-    if (!SegRediffClean || SegSkipped == 0) {
-      std::printf("ERROR: segmented re-diff skipped no segments "
-                  "(clean=%d, skipped=%llu)\n",
-                  SegRediffClean,
-                  static_cast<unsigned long long>(SegSkipped));
-      Exit = 1;
-    }
-    if (!SegSalvageOk || SegDropped == 0) {
-      std::printf("ERROR: segmented salvage did not drop exactly the "
-                  "damaged segment (ok=%d, dropped=%llu)\n",
-                  SegSalvageOk, static_cast<unsigned long long>(SegDropped));
+    if (!SalvageOk || Snap.counter("robust.salvage.used") != 1) {
+      std::printf("ERROR: salvage did not keep the prefix before the cut "
+                  "(ok=%d, recovered=%llu, dropped=%llu)\n",
+                  SalvageOk, static_cast<unsigned long long>(Recovered),
+                  static_cast<unsigned long long>(Dropped));
       Exit = 1;
     }
     {
       char Buf[256];
-      std::snprintf(
-          Buf, sizeof(Buf),
-          ",\n  \"segmented_rediff\": {\"segments_skipped\": %llu, "
-          "\"rediff_identical\": %s, \"salvage_segments_dropped\": %llu, "
-          "\"salvage_ok\": %s}",
-          static_cast<unsigned long long>(SegSkipped),
-          SegRediffClean ? "true" : "false",
-          static_cast<unsigned long long>(SegDropped),
-          SegSalvageOk ? "true" : "false");
-      SegmentedJson = Buf;
+      std::snprintf(Buf, sizeof(Buf),
+                    ",\n  \"salvage\": {\"recovered_entries\": %llu, "
+                    "\"dropped_entries\": %llu, \"salvage_ok\": %s}",
+                    static_cast<unsigned long long>(Recovered),
+                    static_cast<unsigned long long>(Dropped),
+                    SalvageOk ? "true" : "false");
+      SalvageJson = Buf;
     }
-    // The window holds two diffs (the jobs=2 verification pair plus the
-    // segmented re-diff), so the registry counter must equal the sum of
-    // both DiffStats totals.
-    if (Snap.counter("diff.compare_ops") != Result.Stats.CompareOps + SegOps) {
+    if (Snap.counter("diff.compare_ops") != Result.Stats.CompareOps) {
       std::printf("ERROR: telemetry compare-op counter (%llu) != "
-                  "DiffStats.CompareOps sum (%llu)\n",
+                  "DiffStats.CompareOps (%llu)\n",
                   static_cast<unsigned long long>(
                       Snap.counter("diff.compare_ops")),
-                  static_cast<unsigned long long>(Result.Stats.CompareOps +
-                                                  SegOps));
+                  static_cast<unsigned long long>(Result.Stats.CompareOps));
       Exit = 1;
     }
     MetricsRunInfo Info;
@@ -797,7 +757,7 @@ int main(int Argc, char **Argv) {
   Json += FormatJson;
   Json += RepeatJson;
   Json += TraceGenJson;
-  Json += SegmentedJson;
+  Json += SalvageJson;
 
   // Headline numbers the regression trajectory tracks, pulled up front so
   // history consumers don't have to re-derive them from the row arrays.

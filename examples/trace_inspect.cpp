@@ -8,10 +8,9 @@
 /// \file
 /// RPRISM collects traces online and analyzes them offline: "once a trace
 /// segment has finished executing, all trace data is offloaded to disk"
-/// (§5). This example runs a program, writes the trace in 64-entry
-/// segments, reloads it into a fresh interner, verifies the round trip, and
-/// dumps a readable excerpt. Differencing works identically on reloaded
-/// traces.
+/// (§5). This example runs a program, writes the trace to disk, reloads
+/// it into a fresh interner, verifies the round trip, and dumps a readable
+/// excerpt. Differencing works identically on reloaded traces.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,9 +58,9 @@ int main() {
   RunResult Run = runProgram(*Prog, Options);
   std::printf("traced %zu entries\n", Run.ExecTrace.size());
 
-  // Offload in segments of 64 entries, all in one file.
+  // Offload the finished trace to one file.
   const char *Path = "/tmp/rprism_trace_inspect.rpt";
-  if (!writeTraceSegmented(Run.ExecTrace, Path, 64)) {
+  if (!writeTrace(Run.ExecTrace, Path)) {
     std::fprintf(stderr, "error: could not write %s\n", Path);
     return 1;
   }
@@ -74,8 +73,7 @@ int main() {
     std::fprintf(stderr, "error: %s\n", Reloaded.error().render().c_str());
     return 1;
   }
-  std::printf("reloaded %zu entries from %zu segment(s) of %s\n",
-              Reloaded->size(), Reloaded->Segments.size(), Path);
+  std::printf("reloaded %zu entries from %s\n", Reloaded->size(), Path);
 
   // The round trip is lossless up to event equality: a views diff of the
   // live trace against the reloaded one finds nothing.

@@ -9,7 +9,6 @@
 #include "support/Timer.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -18,45 +17,6 @@
 using namespace rprism;
 
 namespace {
-
-/// Index-aligned segments of the two traces whose fingerprint + tid lanes
-/// carry equal digests — available when both traces loaded from intact
-/// trace files. Equal digests mean the per-eid fingerprints and
-/// tids agree across the whole segment, so a lock-step evaluator standing
-/// on the same eid on both sides can consume the rest of the segment
-/// without scanning the lanes: run-skipping at segment granularity, the
-/// warm-re-diff fast path when only a few segments of a trace changed.
-class SegmentSkipPlan {
-public:
-  SegmentSkipPlan(const Trace &LT, const Trace &RT) {
-    size_t N = std::min(LT.Segments.size(), RT.Segments.size());
-    Ranges.reserve(N);
-    for (size_t K = 0; K != N; ++K) {
-      const TraceSegmentInfo &L = LT.Segments[K];
-      const TraceSegmentInfo &R = RT.Segments[K];
-      if (L.Begin == R.Begin && L.End == R.End && L.End > L.Begin &&
-          L.Digest == R.Digest)
-        Ranges.push_back({L.Begin, L.End});
-    }
-  }
-
-  bool empty() const { return Ranges.empty(); }
-
-  /// End of the skippable segment containing \p Eid, or 0 if none.
-  uint32_t segEndCovering(uint32_t Eid) const {
-    auto It = std::upper_bound(
-        Ranges.begin(), Ranges.end(), Eid,
-        [](uint32_t E, const Range &R) { return E < R.End; });
-    return It != Ranges.end() && Eid >= It->Begin ? It->End : 0;
-  }
-
-private:
-  struct Range {
-    uint32_t Begin;
-    uint32_t End;
-  };
-  std::vector<Range> Ranges; ///< Ascending, disjoint.
-};
 
 /// Evaluates ONE correlated thread-view pair with fully isolated state:
 /// its own similarity marks, anchor map, explored-pair dedup set, compare
@@ -69,11 +29,9 @@ class PairEvaluator {
 public:
   PairEvaluator(const ViewWeb &Left, const ViewWeb &Right,
                 const ViewCorrelation &X, const ViewsDiffOptions &Options,
-                const BaselineLanes *SharedLeft = nullptr,
-                const SegmentSkipPlan *Skip = nullptr)
+                const BaselineLanes *SharedLeft = nullptr)
       : LeftWeb(Left), RightWeb(Right), X(X), Options(Options),
-        SharedLeft(SharedLeft), Skip(Skip), LT(Left.trace()),
-        RT(Right.trace()) {
+        SharedLeft(SharedLeft), LT(Left.trace()), RT(Right.trace()) {
     LeftSimilar.assign(LT.size(), false);
     RightSimilar.assign(RT.size(), false);
   }
@@ -88,7 +46,6 @@ public:
   CompareCounter Ops;
   uint64_t RunSkips = 0;       ///< Fingerprint-lane runs consumed (telemetry).
   uint64_t SharedLaneHits = 0; ///< Left lanes served by SharedLeft.
-  uint64_t SegSkips = 0;       ///< Segments consumed by digest, not scan.
 
 private:
   bool eq(uint32_t LeftEid, uint32_t RightEid) {
@@ -133,8 +90,6 @@ private:
   const ViewsDiffOptions &Options;
   /// Pre-gathered left-side lanes (1-vs-N variational mode), or null.
   const BaselineLanes *SharedLeft;
-  /// Digest-equal aligned segments of the two traces, or null.
-  const SegmentSkipPlan *Skip;
   const Trace &LT;
   const Trace &RT;
 
@@ -441,35 +396,7 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
       // hashes exactly the =e components); each matched step still counts
       // as one compare op, exactly as the per-step =e did.
       size_t Max = std::min(N - I, M - J);
-      size_t K = 0;
-      if (Skip) {
-        // Segment-granular run-skip: while both cursors stand on the same
-        // eid inside a digest-equal segment, consume the views' remaining
-        // entries of that segment without scanning the lanes — the digest
-        // already certifies the fingerprints agree per eid. The eid memcmp
-        // is the cheap certificate that the two views advance in lockstep
-        // through the segment. laneMatchRun below extends the same run past
-        // the certified region, so the run count and compare-op totals
-        // are exactly what the pure lane scan produces.
-        while (K < Max) {
-          uint32_t Eid = LV.Entries[I + K];
-          if (Eid != RV.Entries[J + K])
-            break;
-          uint32_t SegEnd = Skip->segEndCovering(Eid);
-          if (SegEnd == 0)
-            break;
-          const uint32_t *LB = LV.Entries.data() + I + K;
-          const uint32_t *RB = RV.Entries.data() + J + K;
-          size_t LA = std::lower_bound(LB, LV.Entries.data() + N, SegEnd) - LB;
-          size_t RA = std::lower_bound(RB, RV.Entries.data() + M, SegEnd) - RB;
-          if (LA != RA || LA == 0 || K + LA > Max ||
-              std::memcmp(LB, RB, LA * sizeof(uint32_t)) != 0)
-            break;
-          K += LA;
-          ++SegSkips;
-        }
-      }
-      K += laneMatchRun(LLaneData + I + K, RLaneData + J + K, Max - K);
+      size_t K = laneMatchRun(LLaneData + I, RLaneData + J, Max);
       if (K != 0) {
         ++RunSkips;
         Ops.Count += K;
@@ -611,20 +538,11 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
   // Evaluate each correlated thread-view pair in isolation. The evaluators
   // share nothing, so they run as independent pool tasks; with an inline
   // pool (jobs = 1) the same evaluators run sequentially in pair order.
-  // Segment-granular run-skip plan: only meaningful when both traces came
-  // from intact segmented files AND both are fingerprint-complete (the
-  // plan's digests certify lane equality, which only the lane path uses).
-  SegmentSkipPlan SkipPlan(LT, RT);
-  const SegmentSkipPlan *Skip =
-      !SkipPlan.empty() && LT.HasFingerprints && RT.HasFingerprints
-          ? &SkipPlan
-          : nullptr;
-
   std::vector<std::unique_ptr<PairEvaluator>> Evals;
   Evals.reserve(Pairs.size());
   for (size_t K = 0; K != Pairs.size(); ++K)
-    Evals.push_back(std::make_unique<PairEvaluator>(Left, Right, X, Options,
-                                                    SharedLeft, Skip));
+    Evals.push_back(
+        std::make_unique<PairEvaluator>(Left, Right, X, Options, SharedLeft));
   {
     TelemetrySpan EvalSpan("evaluate");
     if (Pool->numWorkers() > 1 && Pairs.size() > 1) {
@@ -655,7 +573,6 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
   uint64_t TotalOps = 0;
   uint64_t TotalRunSkips = 0;
   uint64_t TotalSharedHits = 0;
-  uint64_t TotalSegSkips = 0;
   for (size_t K = 0; K != Pairs.size(); ++K) {
     PairedLeft.insert(Pairs[K].first);
     PairedRight.insert(Pairs[K].second);
@@ -671,7 +588,6 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
     TotalOps += E.Ops.Count;
     TotalRunSkips += E.RunSkips;
     TotalSharedHits += E.SharedLaneHits;
-    TotalSegSkips += E.SegSkips;
     for (DiffSequence &Seq : E.Sequences)
       Result.Sequences.push_back(std::move(Seq));
   }
@@ -732,7 +648,6 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
     Telemetry::counterAdd("diff.sequences", Result.Sequences.size());
     Telemetry::counterAdd("diff.anchors", AnchorUnion.size());
     Telemetry::counterAdd("eval.runskip", TotalRunSkips);
-    Telemetry::counterAdd("trace.segments_skipped", TotalSegSkips);
     if (TotalSharedHits)
       Telemetry::counterAdd("lane.shared_hit", TotalSharedHits);
     Telemetry::gaugeMax("diff.peak_bytes",

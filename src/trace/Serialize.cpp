@@ -15,7 +15,6 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -56,13 +55,16 @@ constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
 //       and value columns and the argument-pool slice hold u32 row ids into
 //       two per-trace tables of ObjRepr and ValueRepr rows (row 0 of each
 //       the empty representation), which travel as two more side deltas.
-//       Each representation is stored once, not once per entry.
+//       Each representation is stored once, not once per entry. A file
+//       holds exactly one segment (index 0, first entry id 0) whose side
+//       deltas carry the whole tables from base 0, and a one-record
+//       directory; readers refuse a second segment.
 constexpr uint32_t TraceVersion = 7;
 
 /// Section ids. Entry columns are parallel arrays of exactly the segment's
 /// entry-count many elements; side sections have their own framing.
 enum SectionId : uint32_t {
-  SecName = 1,       ///< Raw bytes of Trace::Name (first segment only).
+  SecName = 1,       ///< Raw bytes of Trace::Name.
   SecTid = 10,       ///< uint32_t[]
   SecMethod = 11,    ///< Symbol[]
   SecSelf = 12,      ///< uint32_t[]: ObjRepr row ids.
@@ -76,14 +78,12 @@ enum SectionId : uint32_t {
   SecProv = 20,      ///< uint32_t[]
   SecFp = 21,        ///< uint64_t[] (absent for unfingerprinted traces)
   // Optional persisted view partitioning (see trace/ViewIndex.h) of the
-  // segment's entries, with global entry ids. Both sections appear
-  // together or not at all.
+  // entries. Both sections appear together or not at all.
   SecViewMeta = 22,    ///< Per family: u32 count, keys[], counts[].
   SecViewEntries = 23, ///< uint32_t[]: flat per-view entry-id lists.
-  // Side-table deltas: the strings/threads interned since the previous
-  // segment, the representation rows and the argument-pool slice the
-  // segment's entries reference, so a written segment never needs
-  // rewriting.
+  // Side tables, framed as deltas (a base index, then elements) with
+  // base 0: the strings, the threads, the argument pool and both
+  // representation tables.
   SecStrDelta = 24,    ///< u32 base, u32 count, count x (u32 len, bytes).
   SecThreadDelta = 25, ///< u32 base, u32 count, ThreadInfo records.
   SecArgSlice = 26,    ///< u64 pool base (elements), then uint32_t[] ids.
@@ -101,10 +101,11 @@ constexpr uint32_t MaxSections = 64;
 constexpr uint32_t SegMagic = 0x52505347;     // "RPSG", leads every segment
 constexpr uint32_t FooterMagic = 0x52504654;  // "RPFT", leads the directory
 constexpr uint32_t TrailerMagic = 0x52505445; // "RPTE", ends the file
-// File header: magic, version, flags, segment-target entries, 2 x u64
-// reserved. Segment header: seg magic, index, u64 begin eid, num entries,
-// num sections, u64 payload bytes (table + padding + payloads, 8-aligned —
-// the next segment starts exactly payload-bytes after the header ends).
+// File header: magic, version, flags, segment entries, 2 x u64 reserved.
+// Segment header: seg magic, index, u64 begin eid, num entries, num
+// sections, u64 payload bytes (table + padding + payloads, 8-aligned — the
+// footer, or a second segment, starts exactly payload-bytes after the
+// header ends).
 constexpr size_t FileHeaderBytes = 32;
 constexpr size_t SegHeaderBytes = 32;
 // Directory record: u64 offset, u64 table digest, u64 lane digest,
@@ -174,14 +175,13 @@ struct ByteBuffer {
   }
 };
 
-/// A side delta continuing \p Col: the u64 index of its first element,
-/// then elements [\p From, \p To) verbatim (the reader's takeDelta).
-template <typename E>
-ByteBuffer deltaOf(const Column<E> &Col, size_t From, size_t To) {
+/// A side table written whole: the u64 index of its first element (always
+/// 0, the layout's delta framing), then every element verbatim (the
+/// reader's takeDelta).
+template <typename E> ByteBuffer sideTable(const Column<E> &Col) {
   ByteBuffer Buf;
-  Buf.u64(From);
-  Buf.Out.append(reinterpret_cast<const char *>(Col.data() + From),
-                 (To - From) * sizeof(E));
+  Buf.u64(0);
+  Buf.Out.append(reinterpret_cast<const char *>(Col.data()), Col.byteSize());
   return Buf;
 }
 
@@ -236,263 +236,13 @@ private:
 
 // --- Writer ---------------------------------------------------------------
 
-/// One payload a segment carries: raw bytes, a view into a column or into
+/// One payload the segment carries: raw bytes, a view into a column or into
 /// a serialized side buffer.
 struct SectionOut {
   uint32_t Id;
   const void *Data;
   uint64_t Length;
 };
-
-/// Writes one trace file: the file header, then segment() once per entry
-/// range (adjacent ranges from 0), then finish() for the footer directory
-/// and trailer.
-class SegmentWriter {
-public:
-  SegmentWriter(const std::string &Path, size_t SegmentEntries,
-                bool WithViewIndex)
-      : W(Path), WithViewIndex(WithViewIndex) {
-    W.u32(TraceMagic);
-    W.u32(TraceVersion);
-    W.u32(0); // Flags; fingerprint presence is per segment (SecFp).
-    W.u32(static_cast<uint32_t>(std::min<size_t>(SegmentEntries, ~0u)));
-    W.u64(0); // Reserved.
-    W.u64(0); // Reserved.
-  }
-
-  bool segment(const Trace &T, size_t Begin, size_t End);
-  bool finish();
-
-private:
-  struct DirRecord {
-    uint64_t Offset;
-    uint64_t TableDigest;
-    uint64_t LaneDigest;
-    uint32_t BeginEid;
-    uint32_t NumEntries;
-  };
-
-  Writer W;
-  bool WithViewIndex;
-  uint64_t Offset = FileHeaderBytes; ///< Where the next segment lands.
-  size_t StringsWritten = 0;
-  size_t ThreadsWritten = 0;
-  size_t PoolWritten = 0;
-  size_t ObjRowsWritten = 0;
-  size_t ValRowsWritten = 0;
-  std::vector<DirRecord> Dir;
-};
-
-bool SegmentWriter::segment(const Trace &T, size_t Begin, size_t End) {
-  if (!W.ok())
-    return false;
-  TelemetrySpan Span("write");
-  size_t N = End - Begin;
-  bool WithFps = T.HasFingerprints && T.Fps.size() >= End;
-
-  // Side-table deltas since the previous segment. All three grow with the
-  // entries, so a segment never needs rewriting once the next is written.
-  size_t NumStrings = T.Strings->size();
-  size_t NumThreads = T.Threads.size();
-  ByteBuffer StringsBuf;
-  StringsBuf.u32(static_cast<uint32_t>(StringsWritten));
-  StringsBuf.u32(static_cast<uint32_t>(NumStrings - StringsWritten));
-  for (size_t K = StringsWritten; K != NumStrings; ++K)
-    StringsBuf.str(T.Strings->text(Symbol{static_cast<uint32_t>(K)}));
-
-  ByteBuffer ThreadsBuf;
-  ThreadsBuf.u32(static_cast<uint32_t>(ThreadsWritten));
-  ThreadsBuf.u32(static_cast<uint32_t>(NumThreads - ThreadsWritten));
-  for (size_t K = ThreadsWritten; K != NumThreads; ++K) {
-    const ThreadInfo &Thread = T.Threads[K];
-    ThreadsBuf.u32(Thread.Tid);
-    ThreadsBuf.u32(Thread.ParentTid);
-    ThreadsBuf.u32(Thread.EntryMethod.Id);
-    ThreadsBuf.u64(Thread.AncestryHash);
-    ThreadsBuf.u32(static_cast<uint32_t>(Thread.SpawnStack.size()));
-    for (Symbol Sym : Thread.SpawnStack)
-      ThreadsBuf.u32(Sym.Id);
-  }
-
-  // Argument-pool slice the segment's entries reference (offsets in the
-  // entry columns stay global). The pool grows with the entries, so
-  // covering the running max of ArgsEnd is exact; the last segment
-  // extends to the full pool.
-  size_t PoolUpTo = PoolWritten;
-  if (End == T.size()) {
-    PoolUpTo = T.ArgIds.size();
-  } else {
-    const uint32_t *AE = T.ArgsEnds.data();
-    for (size_t K = Begin; K != End; ++K)
-      PoolUpTo = std::max(PoolUpTo, static_cast<size_t>(AE[K]));
-  }
-  if (PoolUpTo > T.ArgIds.size())
-    return false;
-  ByteBuffer ArgSliceBuf = deltaOf(T.ArgIds, PoolWritten, PoolUpTo);
-
-  // Representation rows the segment references: like the pool, both
-  // tables grow with the entries, so the running max of the ids in the
-  // segment's columns and argument slice is exact, and the last segment
-  // extends to the full tables. The first segment always carries row 0.
-  size_t ObjUpTo = std::max<size_t>(ObjRowsWritten, 1);
-  size_t ValUpTo = std::max<size_t>(ValRowsWritten, 1);
-  if (End == T.size()) {
-    ObjUpTo = T.ObjReprs.size();
-    ValUpTo = T.ValueReprs.size();
-  } else {
-    for (size_t K = Begin; K != End; ++K) {
-      ObjUpTo = std::max<size_t>(
-          ObjUpTo, std::max(T.SelfIds[K], T.TargetIds[K]) + size_t{1});
-      ValUpTo = std::max<size_t>(ValUpTo, T.ValueIds[K] + size_t{1});
-    }
-    for (size_t K = PoolWritten; K != PoolUpTo; ++K)
-      ValUpTo = std::max<size_t>(ValUpTo, T.ArgIds[K] + size_t{1});
-  }
-  if (ObjUpTo > T.ObjReprs.size() || ValUpTo > T.ValueReprs.size() ||
-      ObjUpTo < ObjRowsWritten || ValUpTo < ValRowsWritten)
-    return false;
-  ByteBuffer ObjDeltaBuf = deltaOf(T.ObjReprs, ObjRowsWritten, ObjUpTo);
-  ByteBuffer ValDeltaBuf = deltaOf(T.ValueReprs, ValRowsWritten, ValUpTo);
-
-  // View-index delta over exactly this range (global eids). A segment
-  // covering a trace that already holds a current index (loaded from an
-  // indexed file) writes that index back verbatim; otherwise it is
-  // computed here, at save time — the cost the indexed load amortizes.
-  ViewIndex LocalIdx;
-  const ViewIndex *Idx = nullptr;
-  ByteBuffer ViewMetaBuf;
-  if (WithViewIndex) {
-    if (Begin == 0 && End == T.size() && T.ViewIdx.Present) {
-      Idx = &T.ViewIdx;
-    } else {
-      LocalIdx = computeViewIndexRange(T, static_cast<uint32_t>(Begin),
-                                       static_cast<uint32_t>(End));
-      Idx = &LocalIdx;
-    }
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      ViewMetaBuf.u32(static_cast<uint32_t>(Idx->Keys[F].size()));
-      for (uint32_t Key : Idx->Keys[F])
-        ViewMetaBuf.u32(Key);
-      for (uint32_t ListCount : Idx->Counts[F])
-        ViewMetaBuf.u32(ListCount);
-    }
-  }
-
-  std::vector<SectionOut> Sections;
-  if (Dir.empty())
-    Sections.push_back({SecName, T.Name.data(), T.Name.size()});
-  Sections.push_back(
-      {SecStrDelta, StringsBuf.Out.data(), StringsBuf.Out.size()});
-  Sections.push_back(
-      {SecThreadDelta, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()});
-  Sections.push_back(
-      {SecObjDelta, ObjDeltaBuf.Out.data(), ObjDeltaBuf.Out.size()});
-  Sections.push_back(
-      {SecValDelta, ValDeltaBuf.Out.data(), ValDeltaBuf.Out.size()});
-  Sections.push_back(
-      {SecArgSlice, ArgSliceBuf.Out.data(), ArgSliceBuf.Out.size()});
-  Sections.push_back({SecTid, T.Tids.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back({SecMethod, T.Methods.data() + Begin, N * sizeof(Symbol)});
-  Sections.push_back(
-      {SecSelf, T.SelfIds.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back({SecKind, T.Kinds.data() + Begin, N * sizeof(uint8_t)});
-  Sections.push_back({SecEvName, T.Names.data() + Begin, N * sizeof(Symbol)});
-  Sections.push_back(
-      {SecTarget, T.TargetIds.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back(
-      {SecValue, T.ValueIds.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back(
-      {SecArgsBegin, T.ArgsBegins.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back(
-      {SecArgsEnd, T.ArgsEnds.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back(
-      {SecChildTid, T.ChildTids.data() + Begin, N * sizeof(uint32_t)});
-  Sections.push_back({SecProv, T.Provs.data() + Begin, N * sizeof(uint32_t)});
-  if (WithFps)
-    Sections.push_back({SecFp, T.Fps.data() + Begin, N * sizeof(uint64_t)});
-  if (Idx) {
-    Sections.push_back(
-        {SecViewMeta, ViewMetaBuf.Out.data(), ViewMetaBuf.Out.size()});
-    Sections.push_back(
-        {SecViewEntries, Idx->Entries.data(), Idx->Entries.byteSize()});
-  }
-
-  // Lay the payloads out 8-aligned after the segment's table, offsets
-  // relative to the segment header (the segment itself is 8-aligned), so
-  // mapped column views satisfy their element alignment.
-  uint64_t Rel = SegHeaderBytes + Sections.size() * SectionRecordBytes;
-  std::vector<uint64_t> Offsets(Sections.size());
-  for (size_t K = 0; K != Sections.size(); ++K) {
-    Rel = (Rel + 7) & ~uint64_t{7};
-    Offsets[K] = Rel;
-    Rel += Sections[K].Length;
-  }
-  uint64_t RelEnd = (Rel + 7) & ~uint64_t{7};
-  uint64_t PayloadBytes = RelEnd - SegHeaderBytes;
-
-  ByteBuffer Table;
-  uint64_t TableDigest, LaneDigest;
-  {
-    TelemetrySpan ChecksumSpan("checksum");
-    for (size_t K = 0; K != Sections.size(); ++K) {
-      Table.u32(Sections[K].Id);
-      Table.u32(0); // pad
-      Table.u64(Offsets[K]);
-      Table.u64(Sections[K].Length);
-      Table.u64(checksumBytes(Sections[K].Data, Sections[K].Length));
-    }
-    TableDigest = checksumBytes(Table.Out.data(), Table.Out.size());
-    LaneDigest = hashCombine(
-        WithFps ? checksumBytes(T.Fps.data() + Begin, N * sizeof(uint64_t))
-                : 0,
-        checksumBytes(T.Tids.data() + Begin, N * sizeof(uint32_t)));
-  }
-
-  W.u32(SegMagic);
-  W.u32(static_cast<uint32_t>(Dir.size()));
-  W.u64(Begin);
-  W.u32(static_cast<uint32_t>(N));
-  W.u32(static_cast<uint32_t>(Sections.size()));
-  W.u64(PayloadBytes);
-  W.raw(Table.Out.data(), Table.Out.size());
-  uint64_t Pos = SegHeaderBytes + Sections.size() * SectionRecordBytes;
-  for (size_t K = 0; K != Sections.size(); ++K) {
-    W.zeros(Offsets[K] - Pos);
-    W.raw(Sections[K].Data, Sections[K].Length);
-    Pos = Offsets[K] + Sections[K].Length;
-  }
-  W.zeros(RelEnd - Pos);
-
-  Dir.push_back({Offset, TableDigest, LaneDigest, static_cast<uint32_t>(Begin),
-                 static_cast<uint32_t>(N)});
-  Offset += SegHeaderBytes + PayloadBytes;
-  StringsWritten = NumStrings;
-  ThreadsWritten = NumThreads;
-  PoolWritten = PoolUpTo;
-  ObjRowsWritten = ObjUpTo;
-  ValRowsWritten = ValUpTo;
-  return W.ok();
-}
-
-bool SegmentWriter::finish() {
-  TelemetrySpan Span("write");
-  ByteBuffer Footer;
-  Footer.u32(FooterMagic);
-  Footer.u32(static_cast<uint32_t>(Dir.size()));
-  for (const DirRecord &Rec : Dir) {
-    Footer.u64(Rec.Offset);
-    Footer.u64(Rec.TableDigest);
-    Footer.u64(Rec.LaneDigest);
-    Footer.u32(Rec.BeginEid);
-    Footer.u32(Rec.NumEntries);
-  }
-  W.raw(Footer.Out.data(), Footer.Out.size());
-  W.u64(Offset); // The footer starts where the next segment would.
-  W.u64(checksumBytes(Footer.Out.data(), Footer.Out.size()));
-  W.u32(static_cast<uint32_t>(Dir.size()));
-  W.u32(TrailerMagic);
-  return W.close();
-}
 
 // --- Reader ---------------------------------------------------------------
 
@@ -748,14 +498,15 @@ bool readDirectory(const FileBytes &File, std::vector<SegExtent> &Segs) {
 }
 
 /// Locates the segments by walking header to header from the top of the
-/// file: each header declares its payload extent, so the chain recovers
-/// exactly the written segments of a file whose directory is damaged or
-/// missing — the last of them clipped at the end of a file cut short.
-/// Returns whether the file was cut short: it ends inside the chain
-/// rather than at bytes that are no segment header (a footer, damage).
+/// file, for a file whose directory is damaged or missing: each header
+/// declares its payload extent, the last one found clipped at the end of a
+/// file cut short. The walk stops at the second segment, which is enough
+/// to refuse the file. Returns whether the file was cut short: it ends
+/// inside the chain rather than at bytes that are no segment header (a
+/// footer, damage).
 bool chainScan(const FileBytes &File, std::vector<SegExtent> &Segs) {
   uint64_t Off = FileHeaderBytes;
-  for (uint32_t Index = 0;; ++Index) {
+  for (uint32_t Index = 0; Index != 2; ++Index) {
     SegExtent E;
     if (!parseSegHeader(File, Off, Index, /*Clip=*/true, E))
       break;
@@ -843,39 +594,30 @@ SegSections parseSegSections(const std::string &Path, const FileBytes &File,
   return Out;
 }
 
-/// Points \p Col at the first \p N elements of section \p S (\p Borrow) or
-/// appends a copy of them.
+/// Points \p Col at the first \p N elements of section \p S.
 template <typename E>
-void takeColumn(Column<E> &Col, const SectionIn &S, size_t N, bool Borrow) {
-  const auto *Data = reinterpret_cast<const E *>(S.Data);
-  if (Borrow)
-    Col.borrow(Data, N);
-  else
-    Col.append(Data, N);
+void takeColumn(Column<E> &Col, const SectionIn &S, size_t N) {
+  Col.borrow(reinterpret_cast<const E *>(S.Data), N);
 }
 
-/// Takes a side delta that continues \p Col — a u64 base, then whole
-/// elements, 8 bytes into the section so borrowed elements stay aligned —
-/// by borrowing (\p Borrow) or appending it. False, leaving \p Col as it
-/// was, unless the base continues the column exactly and \p Valid
-/// accepts every element with its global index.
+/// Points \p Col at a side table — a u64 base, then whole elements, 8
+/// bytes into the section so the borrowed elements stay aligned. False,
+/// leaving \p Col as it was, unless the base is 0 (the table is whole) and
+/// \p Valid accepts every element with its index.
 template <typename E, typename Pred>
-bool takeDelta(Column<E> &Col, const SectionIn &S, bool Borrow, Pred Valid) {
+bool takeDelta(Column<E> &Col, const SectionIn &S, Pred Valid) {
   if (S.Length < 8 || (S.Length - 8) % sizeof(E) != 0)
     return false;
   uint64_t Base = 0;
   std::memcpy(&Base, S.Data, 8);
-  if (Base != Col.size())
+  if (Base != 0)
     return false;
   size_t Count = static_cast<size_t>((S.Length - 8) / sizeof(E));
   const auto *Elems = reinterpret_cast<const E *>(S.Data + 8);
   for (size_t K = 0; K != Count; ++K)
-    if (!Valid(Elems[K], Base + K))
+    if (!Valid(Elems[K], K))
       return false;
-  if (Borrow)
-    Col.borrow(Elems, Count);
-  else
-    Col.append(Elems, Count);
+  Col.borrow(Elems, Count);
   return true;
 }
 
@@ -886,10 +628,10 @@ template <typename E> bool isEmptyRow(const E &Row) {
   return std::memcmp(&Row, &Empty, sizeof(E)) == 0;
 }
 
-/// Parses one segment's view-index delta into \p Out: the small meta
-/// section copied out, the flat entry lists borrowed. Structural validity
-/// is checked once the whole index is assembled.
-bool parseViewDelta(const SectionIn *S, uint64_t NumEntries,
+/// Parses the segment's view index into \p Out: the small meta section
+/// copied out, the flat entry lists borrowed. Structural validity is
+/// checked by the caller.
+bool parseViewIndex(const SectionIn *S, uint64_t NumEntries,
                     size_t NumStrings, ViewIndex &Out) {
   const SectionIn &Meta = S[SecViewMeta], &Flat = S[SecViewEntries];
   if (!Meta.Intact || !Flat.Intact || Flat.Length % sizeof(uint32_t) != 0)
@@ -897,7 +639,9 @@ bool parseViewDelta(const SectionIn *S, uint64_t NumEntries,
   ByteCursor VC(Meta.Data, Meta.Length);
   for (size_t F = 0; F != NumViewFamilies; ++F) {
     uint32_t NumViews = VC.u32();
-    if (!VC.ok() || NumViews > NumEntries)
+    // Each view takes a key and a count, 8 meta bytes, so a view count the
+    // section cannot hold never becomes a huge reservation.
+    if (!VC.ok() || NumViews > NumEntries || NumViews > Meta.Length / 8)
       return false;
     Out.Keys[F].reserve(NumViews);
     Out.Counts[F].reserve(NumViews);
@@ -919,54 +663,6 @@ bool parseViewDelta(const SectionIn *S, uint64_t NumEntries,
   Out.Present = true;
   return true;
 }
-
-/// Per-family merge of the view-index deltas of a multi-segment file:
-/// views keyed across segments in first-appearance order, each view's
-/// per-segment lists concatenated in segment order — which reproduces the
-/// whole-trace computeViewIndex result exactly.
-struct ViewMerge {
-  std::vector<uint32_t> Keys[NumViewFamilies];
-  std::vector<std::vector<uint32_t>> Lists[NumViewFamilies];
-  std::unordered_map<uint32_t, uint32_t> Slot[NumViewFamilies];
-
-  bool add(const ViewIndex &Delta) {
-    uint64_t FlatOff = 0;
-    for (size_t F = 0; F != NumViewFamilies; ++F)
-      for (size_t V = 0; V != Delta.Keys[F].size(); ++V) {
-        uint32_t Count = Delta.Counts[F][V];
-        if (Count == 0 || FlatOff + Count > Delta.Entries.size())
-          return false;
-        auto It = Slot[F].try_emplace(Delta.Keys[F][V],
-                                      static_cast<uint32_t>(Keys[F].size()));
-        if (It.second) {
-          Keys[F].push_back(Delta.Keys[F][V]);
-          Lists[F].emplace_back();
-        }
-        const uint32_t *List = Delta.Entries.data() + FlatOff;
-        Lists[F][It.first->second].insert(Lists[F][It.first->second].end(),
-                                          List, List + Count);
-        FlatOff += Count;
-      }
-    return FlatOff == Delta.Entries.size();
-  }
-
-  void assemble(ViewIndex &Out) const {
-    size_t Total = 0;
-    for (size_t F = 0; F != NumViewFamilies; ++F)
-      for (const std::vector<uint32_t> &List : Lists[F])
-        Total += List.size();
-    Out.Entries.reserve(Total);
-    for (size_t F = 0; F != NumViewFamilies; ++F) {
-      Out.Keys[F].append(Keys[F].data(), Keys[F].size());
-      Out.Counts[F].reserve(Lists[F].size());
-      for (const std::vector<uint32_t> &List : Lists[F]) {
-        Out.Counts[F].push_back(static_cast<uint32_t>(List.size()));
-        Out.Entries.append(List.data(), List.size());
-      }
-    }
-    Out.Present = true;
-  }
-};
 
 /// Rewrites every symbol id of \p T — the method and name columns, the
 /// two representation tables, the view index's method keys — from the
@@ -1011,18 +707,21 @@ void remapSymbols(Trace &T, const std::vector<Symbol> &Map) {
 /// The one trace reader. Verifies every section checksum, validates the
 /// untrusted values (kinds, tids, symbol ids, representation rows and row
 /// ids, argument slices) so nothing downstream needs to distrust them,
-/// and then either *borrows* a one-segment file's columns zero-copy from
-/// the file bytes or assembles a multi-segment file by copying. When the
-/// file's strings intern to identical symbol ids — the common case for a
-/// fresh or same-session interner — the stored fingerprints are used as
-/// they are; otherwise the symbols are remapped and the fingerprints
-/// recomputed.
-Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
-                              std::shared_ptr<StringInterner> Strings,
-                              const ReadOptions &Options) {
+/// and *borrows* the segment's columns, tables and view index zero-copy
+/// from the file bytes. When the file's strings intern to identical symbol
+/// ids — the common case for a fresh or same-session interner — the stored
+/// fingerprints are used as they are; otherwise the symbols are remapped
+/// and the fingerprints recomputed.
+Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
+                               std::shared_ptr<StringInterner> Strings,
+                               const ReadOptions &Options) {
   const bool Salvage = Options.Salvage;
   auto Corrupt = [&](const char *What) {
     return TraceError::corruptSection(Path, What);
+  };
+  // What salvage returns when damage leaves no entry usable.
+  auto NothingRecovered = [&] {
+    return TraceError::unsalvageable(Path, "no entries recovered");
   };
   if (File.Size < FileHeaderBytes)
     return TraceError::truncated(Path);
@@ -1032,298 +731,222 @@ Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
   std::optional<TelemetrySpan> Phase;
   Phase.emplace("checksum");
 
-  // Locate the segments through the directory; without a valid one, by
-  // the chain scan. A strict read needs the directory unless the file ends
-  // inside its last segment: a cut that takes only the derived view index
-  // (and the directory after it) loads without the index, a cut into
-  // entry data is trace.truncated.
+  // Locate the segment through the directory; without a valid one, by the
+  // chain scan. A file holds exactly one segment, so a second one, found
+  // either way, is refused in salvage reads too. A strict read needs the
+  // directory unless the file ends inside the segment: a cut that takes
+  // only the derived view index (and the directory after it) loads without
+  // the index, a cut into entry data is trace.truncated.
   std::vector<SegExtent> Segs;
   bool DirValid = readDirectory(File, Segs);
+  bool CutShort = !DirValid && chainScan(File, Segs);
+  if (DirValid ? Segs.size() != 1 : Segs.size() > 1)
+    return Corrupt("segment-count");
   if (!DirValid) {
-    bool CutShort = chainScan(File, Segs);
-    bool Clipped = !Segs.empty() &&
-                   Segs.back().PresentBytes < Segs.back().PayloadBytes;
+    bool Clipped =
+        !Segs.empty() && Segs[0].PresentBytes < Segs[0].PayloadBytes;
     if (!Salvage && !Clipped)
       return CutShort ? TraceError::truncated(Path)
                       : Corrupt("segment-directory");
     if (Segs.empty())
       return TraceError::unsalvageable(Path, "no intact segments");
   }
-  // A one-segment file borrows its columns, argument pool, representation
-  // tables and view index from the file bytes; more segments are copied
-  // into one trace.
-  const bool Borrow = Segs.size() == 1;
+  const SegExtent &Seg = Segs[0];
+  if (!Salvage && Seg.BeginEid != 0)
+    return Corrupt("segment-header");
+
+  SegSections Parsed = parseSegSections(Path, File, Seg);
+  if (!Salvage && Parsed.Fault)
+    return *Parsed.Fault;
+  if (!Salvage && Parsed.Cut)
+    return TraceError::truncated(Path);
+  const SectionIn *Sections = Parsed.S;
+
+  // Every entry refers into the side tables, and no prefix of them is
+  // usable (they frame variable-length data), so damage to one leaves
+  // salvage nothing.
+  if (!Sections[SecStrDelta].Intact || !Sections[SecThreadDelta].Intact ||
+      !Sections[SecObjDelta].Intact || !Sections[SecValDelta].Intact ||
+      !Sections[SecArgSlice].Intact)
+    return Salvage ? NothingRecovered() : Corrupt("segment-side-delta");
 
   Trace T;
   T.Strings = std::move(Strings);
-  // The representation tables come from the file, row 0 included.
-  T.ObjReprs.clear();
-  T.ValueReprs.clear();
+  if (Sections[SecName].Intact)
+    T.Name.assign(reinterpret_cast<const char *>(Sections[SecName].Data),
+                  Sections[SecName].Length);
+
+  Phase.emplace("intern");
+  // Strings: the base must be 0 (the table is whole). The count is
+  // untrusted: every string costs at least its 4-byte length prefix, so a
+  // count beyond Length/4 is corrupt — and can never become a huge
+  // up-front allocation.
   std::vector<Symbol> Map; ///< File symbol id -> interner symbol.
   bool Identity = true;
-  uint64_t DeclaredBefore = 0;
-  uint64_t EntriesDropped = 0;
-  uint64_t SegmentsDropped = 0;
-  bool FpsComplete = true; ///< Every kept entry has a stored fingerprint.
-  bool FpsDamaged = false; ///< Some stored fingerprint lane was unusable.
-  bool FileHasViewIndex = false, ViewDamaged = false, ViewMissing = false;
-  ViewMerge Merge;
-  struct KeptRange {
-    size_t Begin, End;
+  {
+    ByteCursor SC(Sections[SecStrDelta].Data, Sections[SecStrDelta].Length);
+    uint32_t Base = SC.u32();
+    uint32_t NumNew = SC.u32();
+    bool Ok = SC.ok() && Base == 0 &&
+              uint64_t{NumNew} <= Sections[SecStrDelta].Length / 4;
+    for (uint32_t K = 0; Ok && K != NumNew; ++K) {
+      std::string Str = SC.str();
+      Ok = SC.ok();
+      if (Ok) {
+        Map.push_back(T.Strings->intern(Str));
+        Identity &= Map.back().Id == Map.size() - 1;
+      }
+    }
+    if (!Ok || !SC.atEnd())
+      return Salvage ? NothingRecovered() : Corrupt("string");
+  }
+
+  // Threads.
+  {
+    ByteCursor TC(Sections[SecThreadDelta].Data,
+                  Sections[SecThreadDelta].Length);
+    uint32_t Base = TC.u32();
+    uint32_t NumNew = TC.u32();
+    bool Ok = TC.ok() && Base == 0;
+    for (uint32_t K = 0; Ok && K != NumNew; ++K) {
+      ThreadInfo Thread;
+      Thread.Tid = TC.u32();
+      Thread.ParentTid = TC.u32();
+      uint32_t Method = TC.u32();
+      Thread.AncestryHash = TC.u64();
+      uint32_t StackSize = TC.u32();
+      Ok = TC.ok() && Method < Map.size();
+      if (Ok)
+        Thread.EntryMethod = Map[Method];
+      for (uint32_t J = 0; Ok && J != StackSize; ++J) {
+        uint32_t Sym = TC.u32();
+        Ok = TC.ok() && Sym < Map.size();
+        if (Ok)
+          Thread.SpawnStack.push_back(Map[Sym]);
+      }
+      if (Ok)
+        T.Threads.push_back(std::move(Thread));
+    }
+    if (!Ok || !TC.atEnd())
+      return Salvage ? NothingRecovered() : Corrupt("thread");
+  }
+
+  Phase.emplace("validate");
+  // Representation rows, each checked once here (kind and symbols), so
+  // the per-entry checks below are id range checks. Row 0 of each table
+  // is the empty representation the id columns use for "none"; the tables
+  // come from the file, row 0 included.
+  T.ObjReprs.clear();
+  T.ValueReprs.clear();
+  if (!takeDelta(T.ObjReprs, Sections[SecObjDelta],
+                 [&](const ObjRepr &Row, uint64_t Id) {
+                   return Row.ClassName.Id < Map.size() &&
+                          (Id != 0 || isEmptyRow(Row));
+                 }) ||
+      !takeDelta(T.ValueReprs, Sections[SecValDelta],
+                 [&](const ValueRepr &Row, uint64_t Id) {
+                   return static_cast<uint8_t>(Row.Kind) <= MaxReprKind &&
+                          Row.Text.Id < Map.size() &&
+                          (Id != 0 || isEmptyRow(Row));
+                 }))
+    return Salvage ? NothingRecovered() : Corrupt("representation-table");
+  // Argument pool: value-row ids.
+  const uint64_t NumObjRows = T.ObjReprs.size();
+  const uint64_t NumValRows = T.ValueReprs.size();
+  if (!takeDelta(T.ArgIds, Sections[SecArgSlice],
+                 [NumValRows](uint32_t Id, uint64_t) {
+                   return Id < NumValRows;
+                 }))
+    return Salvage ? NothingRecovered() : Corrupt("argument-pool");
+  const uint64_t PoolCount = T.ArgIds.size();
+
+  // Entry columns. A strict read demands every column present with
+  // exactly the declared entry count. Salvage keeps the longest prefix
+  // every column covers — a checksum-failed column covers nothing, one
+  // cut by the end of the file its whole elements — and that validates.
+  uint64_t N = Seg.NumEntries;
+  for (const ColumnSize &Col : ColumnSizes) {
+    const SectionIn &S = Sections[Col.Id];
+    if (!Salvage && (!S.Present || S.Length != N * Col.ElemSize))
+      return Corrupt("column");
+    N = std::min(N, S.Avail / Col.ElemSize);
+  }
+  auto Lane = [&Sections](uint32_t Id) {
+    return reinterpret_cast<const uint32_t *>(Sections[Id].Data);
   };
-  std::vector<KeptRange> Kept;
-
-  size_t SegI = 0;
-  for (; SegI != Segs.size(); ++SegI) {
-    const SegExtent &Seg = Segs[SegI];
-    if (!Salvage && Seg.BeginEid != DeclaredBefore)
-      return Corrupt("segment-header");
-    DeclaredBefore += Seg.NumEntries;
-
-    Phase.emplace("checksum");
-    SegSections Parsed = parseSegSections(Path, File, Seg);
-    if (!Salvage && Parsed.Fault)
-      return *Parsed.Fault;
-    if (!Salvage && Parsed.Cut)
-      return TraceError::truncated(Path);
-    const SectionIn *Sections = Parsed.S;
-    if (Parsed.ViewDamaged)
-      ViewDamaged = FileHasViewIndex = true;
-
-    // The side deltas chain: each segment's string/thread/row/pool bases
-    // continue where the previous segment stopped, so damage here makes
-    // every later symbol id, row id and pool offset unresolvable — the
-    // segment and the entire suffix are dropped. No prefix of them is
-    // usable either: they frame variable-length data.
-    if (!Sections[SecStrDelta].Intact || !Sections[SecThreadDelta].Intact ||
-        !Sections[SecObjDelta].Intact || !Sections[SecValDelta].Intact ||
-        !Sections[SecArgSlice].Intact) {
-      if (!Salvage)
-        return Corrupt("segment-side-delta");
-      break;
-    }
-    if (SegI == 0 && Sections[SecName].Intact)
-      T.Name.assign(reinterpret_cast<const char *>(Sections[SecName].Data),
-                    Sections[SecName].Length);
-
-    Phase.emplace("intern");
-    // Strings delta: the base must continue the table exactly. The count
-    // is untrusted: every string costs at least its 4-byte length prefix,
-    // so a count beyond Length/4 is corrupt — and can never become a huge
-    // up-front allocation.
-    {
-      ByteCursor SC(Sections[SecStrDelta].Data, Sections[SecStrDelta].Length);
-      uint32_t Base = SC.u32();
-      uint32_t NumNew = SC.u32();
-      bool Ok = SC.ok() && Base == Map.size() &&
-                uint64_t{NumNew} <= Sections[SecStrDelta].Length / 4;
-      for (uint32_t K = 0; Ok && K != NumNew; ++K) {
-        std::string Str = SC.str();
-        Ok = SC.ok();
-        if (Ok) {
-          Map.push_back(T.Strings->intern(Str));
-          Identity &= Map.back().Id == Map.size() - 1;
-        }
-      }
-      if (!Ok || !SC.atEnd()) {
-        if (!Salvage)
-          return Corrupt("string");
-        break;
-      }
-    }
-
-    // Threads delta.
-    {
-      ByteCursor TC(Sections[SecThreadDelta].Data,
-                    Sections[SecThreadDelta].Length);
-      uint32_t Base = TC.u32();
-      uint32_t NumNew = TC.u32();
-      bool Ok = TC.ok() && Base == T.Threads.size();
-      for (uint32_t K = 0; Ok && K != NumNew; ++K) {
-        ThreadInfo Thread;
-        Thread.Tid = TC.u32();
-        Thread.ParentTid = TC.u32();
-        uint32_t Method = TC.u32();
-        Thread.AncestryHash = TC.u64();
-        uint32_t StackSize = TC.u32();
-        Ok = TC.ok() && Method < Map.size();
-        if (Ok)
-          Thread.EntryMethod = Map[Method];
-        for (uint32_t J = 0; Ok && J != StackSize; ++J) {
-          uint32_t Sym = TC.u32();
-          Ok = TC.ok() && Sym < Map.size();
-          if (Ok)
-            Thread.SpawnStack.push_back(Map[Sym]);
-        }
-        if (Ok)
-          T.Threads.push_back(std::move(Thread));
-      }
-      if (!Ok || !TC.atEnd()) {
-        if (!Salvage)
-          return Corrupt("thread");
-        break;
-      }
-    }
-
-    Phase.emplace("validate");
-    // Representation rows, each checked once here (kind and symbols), so
-    // the per-entry checks below are id range checks. Row 0 of each table
-    // is the empty representation the id columns use for "none".
-    if (!takeDelta(T.ObjReprs, Sections[SecObjDelta], Borrow,
-                   [&](const ObjRepr &Row, uint64_t Id) {
-                     return Row.ClassName.Id < Map.size() &&
-                            (Id != 0 || isEmptyRow(Row));
-                   }) ||
-        !takeDelta(T.ValueReprs, Sections[SecValDelta], Borrow,
-                   [&](const ValueRepr &Row, uint64_t Id) {
-                     return static_cast<uint8_t>(Row.Kind) <= MaxReprKind &&
-                            Row.Text.Id < Map.size() &&
-                            (Id != 0 || isEmptyRow(Row));
-                   })) {
-      if (!Salvage)
-        return Corrupt("representation-table");
-      break;
-    }
-    // Argument-pool slice: value-row ids continuing the pool.
-    const uint64_t NumObjRows = T.ObjReprs.size();
-    const uint64_t NumValRows = T.ValueReprs.size();
-    if (!takeDelta(T.ArgIds, Sections[SecArgSlice], Borrow,
-                   [NumValRows](uint32_t Id, uint64_t) {
-                     return Id < NumValRows;
-                   })) {
-      if (!Salvage)
-        return Corrupt("argument-pool");
-      break;
-    }
-    const uint64_t PoolCount = T.ArgIds.size();
-
-    // Entry columns. A strict read demands every column present with
-    // exactly the declared entry count. Salvage keeps the longest prefix
-    // every column covers — a checksum-failed column covers nothing, one
-    // cut by the end of the file its whole elements — and that validates.
-    // The segment's side deltas stay applied either way, so every later
-    // segment still resolves.
-    uint64_t N = Seg.NumEntries;
-    for (const ColumnSize &Col : ColumnSizes) {
-      const SectionIn &S = Sections[Col.Id];
-      if (!Salvage && (!S.Present || S.Length != N * Col.ElemSize))
-        return Corrupt("column");
-      N = std::min(N, S.Avail / Col.ElemSize);
-    }
-    auto Lane = [&Sections](uint32_t Id) {
-      return reinterpret_cast<const uint32_t *>(Sections[Id].Data);
-    };
-    const uint8_t *Kinds = Sections[SecKind].Data;
-    const uint32_t *Tids = Lane(SecTid);
-    const auto *Methods =
-        reinterpret_cast<const Symbol *>(Sections[SecMethod].Data);
-    const auto *Names =
-        reinterpret_cast<const Symbol *>(Sections[SecEvName].Data);
-    const uint32_t *SelfIds = Lane(SecSelf);
-    const uint32_t *TargetIds = Lane(SecTarget);
-    const uint32_t *ValueIds = Lane(SecValue);
-    const uint32_t *ArgsBegins = Lane(SecArgsBegin);
-    const uint32_t *ArgsEnds = Lane(SecArgsEnd);
-    const uint64_t NumThreads = T.Threads.size();
-    for (uint64_t K = 0; K != N; ++K) {
-      const char *Bad = nullptr;
-      if (Kinds[K] > MaxEventKind)
-        Bad = "kind";
-      else if (Tids[K] >= NumThreads)
-        Bad = "tid";
-      else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
-        Bad = "symbol";
-      else if (SelfIds[K] >= NumObjRows || TargetIds[K] >= NumObjRows)
-        Bad = "object";
-      else if (ValueIds[K] >= NumValRows)
-        Bad = "value";
-      else if (ArgsBegins[K] > ArgsEnds[K] || ArgsEnds[K] > PoolCount)
-        Bad = "argument-slice";
-      if (!Bad)
-        continue;
-      if (!Salvage)
-        return Corrupt(Bad);
-      N = K; // Keep the prefix of entries that validate.
-      break;
-    }
-    // Stored fingerprints are trusted only from an intact lane covering
-    // the whole segment; otherwise they are recomputed (a wrong one would
-    // corrupt =e instead of merely costing time).
-    const SectionIn &Fp = Sections[SecFp];
-    bool UseFps = Fp.Intact && Fp.Length == uint64_t{Seg.NumEntries} * 8;
-    if (Fp.Present && !UseFps) {
-      if (!Salvage)
-        return Corrupt("fingerprint");
-      FpsDamaged = true;
-    }
-    EntriesDropped += Seg.NumEntries - N;
-    if (N == 0 && Seg.NumEntries != 0) {
-      ++SegmentsDropped;
+  const uint8_t *Kinds = Sections[SecKind].Data;
+  const uint32_t *Tids = Lane(SecTid);
+  const auto *Methods =
+      reinterpret_cast<const Symbol *>(Sections[SecMethod].Data);
+  const auto *Names =
+      reinterpret_cast<const Symbol *>(Sections[SecEvName].Data);
+  const uint32_t *SelfIds = Lane(SecSelf);
+  const uint32_t *TargetIds = Lane(SecTarget);
+  const uint32_t *ValueIds = Lane(SecValue);
+  const uint32_t *ArgsBegins = Lane(SecArgsBegin);
+  const uint32_t *ArgsEnds = Lane(SecArgsEnd);
+  const uint64_t NumThreads = T.Threads.size();
+  for (uint64_t K = 0; K != N; ++K) {
+    const char *Bad = nullptr;
+    if (Kinds[K] > MaxEventKind)
+      Bad = "kind";
+    else if (Tids[K] >= NumThreads)
+      Bad = "tid";
+    else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
+      Bad = "symbol";
+    else if (SelfIds[K] >= NumObjRows || TargetIds[K] >= NumObjRows)
+      Bad = "object";
+    else if (ValueIds[K] >= NumValRows)
+      Bad = "value";
+    else if (ArgsBegins[K] > ArgsEnds[K] || ArgsEnds[K] > PoolCount)
+      Bad = "argument-slice";
+    if (!Bad)
       continue;
-    }
-
-    if (!Borrow)
-      Phase.emplace("assemble");
-    size_t DstBegin = T.size();
-    size_t Cnt = static_cast<size_t>(N);
-    takeColumn(T.Tids, Sections[SecTid], Cnt, Borrow);
-    takeColumn(T.Methods, Sections[SecMethod], Cnt, Borrow);
-    takeColumn(T.SelfIds, Sections[SecSelf], Cnt, Borrow);
-    takeColumn(T.Kinds, Sections[SecKind], Cnt, Borrow);
-    takeColumn(T.Names, Sections[SecEvName], Cnt, Borrow);
-    takeColumn(T.TargetIds, Sections[SecTarget], Cnt, Borrow);
-    takeColumn(T.ValueIds, Sections[SecValue], Cnt, Borrow);
-    takeColumn(T.ArgsBegins, Sections[SecArgsBegin], Cnt, Borrow);
-    takeColumn(T.ArgsEnds, Sections[SecArgsEnd], Cnt, Borrow);
-    takeColumn(T.ChildTids, Sections[SecChildTid], Cnt, Borrow);
-    takeColumn(T.Provs, Sections[SecProv], Cnt, Borrow);
-    // A gap in the stored lanes would misalign the column: fingerprints
-    // are used only when every kept segment carries them.
-    if (UseFps && FpsComplete && T.Fps.size() == DstBegin)
-      takeColumn(T.Fps, Fp, Cnt, Borrow);
-    else if (Cnt != 0)
-      FpsComplete = false;
-    Kept.push_back({DstBegin, DstBegin + Cnt});
-
-    // View-index delta: parsed straight into the trace for one segment,
-    // merged across segments otherwise.
-    bool HasViewSecs =
-        Sections[SecViewMeta].Present || Sections[SecViewEntries].Present;
-    FileHasViewIndex |= HasViewSecs;
-    if (!HasViewSecs) {
-      ViewMissing |= Cnt != 0;
-    } else if (!ViewDamaged) {
-      ViewIndex Delta;
-      ViewIndex &Into = Borrow ? T.ViewIdx : Delta;
-      ViewDamaged = !parseViewDelta(Sections, Seg.NumEntries, Map.size(),
-                                    Into) ||
-                    (!Borrow && !Merge.add(Delta));
-    }
+    if (!Salvage)
+      return Corrupt(Bad);
+    N = K; // Keep the prefix of entries that validate.
+    break;
   }
+  // Stored fingerprints are trusted only from an intact lane covering
+  // every declared entry; otherwise they are recomputed (a wrong one would
+  // corrupt =e instead of merely costing time).
+  const SectionIn &Fp = Sections[SecFp];
+  bool UseFps = Fp.Intact && Fp.Length == uint64_t{Seg.NumEntries} * 8;
+  bool FpsDamaged = Fp.Present && !UseFps;
+  if (FpsDamaged && !Salvage)
+    return Corrupt("fingerprint");
+  const uint64_t EntriesDropped = Seg.NumEntries - N;
+  if (N == 0 && Seg.NumEntries != 0)
+    return NothingRecovered();
 
-  // The loop broke on an unusable side delta: that segment and the whole
-  // suffix are lost (chained side bases).
-  for (size_t K = SegI; K < Segs.size(); ++K) {
-    ++SegmentsDropped;
-    EntriesDropped += Segs[K].NumEntries;
-  }
-  size_t Count = T.size();
-  if (Count == 0 && (EntriesDropped != 0 || SegmentsDropped != 0))
-    return TraceError::unsalvageable(Path, "no entries recovered");
+  const size_t Count = static_cast<size_t>(N);
+  takeColumn(T.Tids, Sections[SecTid], Count);
+  takeColumn(T.Methods, Sections[SecMethod], Count);
+  takeColumn(T.SelfIds, Sections[SecSelf], Count);
+  takeColumn(T.Kinds, Sections[SecKind], Count);
+  takeColumn(T.Names, Sections[SecEvName], Count);
+  takeColumn(T.TargetIds, Sections[SecTarget], Count);
+  takeColumn(T.ValueIds, Sections[SecValue], Count);
+  takeColumn(T.ArgsBegins, Sections[SecArgsBegin], Count);
+  takeColumn(T.ArgsEnds, Sections[SecArgsEnd], Count);
+  takeColumn(T.ChildTids, Sections[SecChildTid], Count);
+  takeColumn(T.Provs, Sections[SecProv], Count);
+  if (UseFps)
+    takeColumn(T.Fps, Fp, Count);
 
   // The persisted index is derived data — rebuildable from the columns —
   // so *any* damage to it (checksum, structure, one section without the
-  // other, a segment without it, an injected borrow failure) degrades to
-  // an index-less load: the view web is rebuilt from the entries, and the
-  // fallback is observable via `robust.view_index_dropped`. Dropped
-  // entries compact eids, which the persisted ids no longer match.
+  // other, an injected borrow failure) degrades to an index-less load: the
+  // view web is rebuilt from the entries, and the fallback is observable
+  // via `robust.view_index_dropped`. Dropped entries leave it describing
+  // entries the trace lacks, so it is then not parsed at all.
+  bool FileHasViewIndex = Parsed.ViewDamaged ||
+                          Sections[SecViewMeta].Present ||
+                          Sections[SecViewEntries].Present;
   if (FileHasViewIndex) {
-    bool Keep = !ViewDamaged && !ViewMissing && EntriesDropped == 0 &&
+    bool Keep = !Parsed.ViewDamaged && EntriesDropped == 0 &&
+                parseViewIndex(Sections, N, Map.size(), T.ViewIdx) &&
                 !FaultInjector::fire(FaultSite::ViewIndexBorrow);
-    if (Keep && !Borrow) {
-      Phase.emplace("assemble");
-      Merge.assemble(T.ViewIdx);
-    }
     if (!Keep || !viewIndexIsValid(T.ViewIdx, Count)) {
       T.ViewIdx.clear();
       Telemetry::counterAdd("robust.view_index_dropped");
@@ -1335,12 +958,11 @@ Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
 
   // Borrowed columns point into the file bytes; Backing keeps them alive
   // for the life of the trace.
-  if (Borrow)
-    T.Backing = File.Holder;
+  T.Backing = File.Holder;
   if (Identity) {
     // Zero-copy: symbol ids in the file are valid in this interner, so
     // borrowed columns (stored fingerprints included) are used in place.
-    if (FpsComplete && T.Fps.size() == Count)
+    if (T.Fps.size() == Count)
       T.HasFingerprints = true;
     else
       T.computeFingerprints();
@@ -1357,35 +979,14 @@ Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
     T.computeFingerprints();
   }
 
-  // Segment table for the diff layer's segment-granular run skip: exposed
-  // only for fully clean loads (dropped entries shift eids, and without
-  // the directory the segmentation itself is suspect). Digests hash the
-  // *final* (post-remap) fingerprint lane plus the tid lane, so two traces
-  // loaded through one interner expose comparable digests.
-  if (DirValid && EntriesDropped == 0 && SegmentsDropped == 0) {
-    TelemetrySpan ChecksumSpan("checksum");
-    T.Segments.reserve(Kept.size());
-    for (const KeptRange &K : Kept) {
-      size_t Len = K.End - K.Begin;
-      uint64_t Digest =
-          hashCombine(checksumBytes(T.Fps.data() + K.Begin, Len * 8),
-                      checksumBytes(T.Tids.data() + K.Begin, Len * 4));
-      T.Segments.push_back({static_cast<uint32_t>(K.Begin),
-                            static_cast<uint32_t>(K.End), Digest});
-    }
-  }
-
-  if (Salvage && (!DirValid || EntriesDropped != 0 || SegmentsDropped != 0 ||
-                  FpsDamaged)) {
+  if (Salvage && (!DirValid || EntriesDropped != 0 || FpsDamaged)) {
     Telemetry::counterAdd("robust.salvage.used");
     Telemetry::counterAdd("robust.salvage.recovered_entries", Count);
     Telemetry::counterAdd("robust.salvage.dropped_entries", EntriesDropped);
-    Telemetry::counterAdd("robust.salvage.segments_dropped", SegmentsDropped);
     if (Options.Report) {
       Options.Report->Salvaged = true;
       Options.Report->EntriesRecovered = Count;
       Options.Report->EntriesDropped = EntriesDropped;
-      Options.Report->SegmentsDropped = SegmentsDropped;
     }
   }
   return T;
@@ -1395,31 +996,167 @@ Expected<Trace> readSegmented(const std::string &Path, const FileBytes &File,
 
 bool rprism::writeTrace(const Trace &T, const std::string &Path,
                         bool WithViewIndex) {
-  return writeTraceSegmented(T, Path, std::max<size_t>(T.size(), 1),
-                             WithViewIndex);
-}
-
-bool rprism::writeTraceSegmented(const Trace &T, const std::string &Path,
-                                 size_t SegmentEntries, bool WithViewIndex) {
-  if (SegmentEntries == 0)
+  // Opening truncates any previous file at Path, which for a large trace is
+  // work of its own, so the span covers it.
+  TelemetrySpan Span("write");
+  Writer W(Path);
+  if (!W.ok())
     return false;
-  std::optional<SegmentWriter> W;
-  {
-    // Opening truncates any previous file at Path, which for a large
-    // trace is work of its own.
-    TelemetrySpan Span("write");
-    W.emplace(Path, SegmentEntries, WithViewIndex);
+  const size_t N = T.size();
+  const bool WithFps = T.HasFingerprints && T.Fps.size() >= N;
+
+  // The side tables, each whole: strings, threads, both representation
+  // tables and the argument pool.
+  ByteBuffer StringsBuf;
+  StringsBuf.u32(0); // Base: the layout's delta framing.
+  StringsBuf.u32(static_cast<uint32_t>(T.Strings->size()));
+  for (size_t K = 0; K != T.Strings->size(); ++K)
+    StringsBuf.str(T.Strings->text(Symbol{static_cast<uint32_t>(K)}));
+
+  ByteBuffer ThreadsBuf;
+  ThreadsBuf.u32(0); // Base.
+  ThreadsBuf.u32(static_cast<uint32_t>(T.Threads.size()));
+  for (const ThreadInfo &Thread : T.Threads) {
+    ThreadsBuf.u32(Thread.Tid);
+    ThreadsBuf.u32(Thread.ParentTid);
+    ThreadsBuf.u32(Thread.EntryMethod.Id);
+    ThreadsBuf.u64(Thread.AncestryHash);
+    ThreadsBuf.u32(static_cast<uint32_t>(Thread.SpawnStack.size()));
+    for (Symbol Sym : Thread.SpawnStack)
+      ThreadsBuf.u32(Sym.Id);
   }
-  // An entry-less trace still writes one segment, so the side tables
-  // (name, strings, threads) have somewhere to live.
-  size_t Begin = 0;
-  do {
-    size_t End = std::min(T.size(), Begin + SegmentEntries);
-    if (!W->segment(T, Begin, End))
-      return false;
-    Begin = End;
-  } while (Begin < T.size());
-  return W->finish();
+  ByteBuffer ObjTableBuf = sideTable(T.ObjReprs);
+  ByteBuffer ValTableBuf = sideTable(T.ValueReprs);
+  ByteBuffer ArgPoolBuf = sideTable(T.ArgIds);
+
+  // A trace that already holds a current index (loaded from an indexed
+  // file) writes that index back verbatim; otherwise it is computed here,
+  // at save time — the cost the indexed load amortizes.
+  ViewIndex Computed;
+  const ViewIndex *Idx = nullptr;
+  ByteBuffer ViewMetaBuf;
+  if (WithViewIndex) {
+    if (!T.ViewIdx.Present)
+      Computed = computeViewIndex(T);
+    Idx = T.ViewIdx.Present ? &T.ViewIdx : &Computed;
+    for (size_t F = 0; F != NumViewFamilies; ++F) {
+      ViewMetaBuf.u32(static_cast<uint32_t>(Idx->Keys[F].size()));
+      for (uint32_t Key : Idx->Keys[F])
+        ViewMetaBuf.u32(Key);
+      for (uint32_t ListCount : Idx->Counts[F])
+        ViewMetaBuf.u32(ListCount);
+    }
+  }
+
+  // The entry columns are exactly N elements each.
+  auto EntryColumn = [N](uint32_t Id, const auto &Col) {
+    return SectionOut{Id, Col.data(), N * sizeof(*Col.data())};
+  };
+  std::vector<SectionOut> Sections = {
+      {SecName, T.Name.data(), T.Name.size()},
+      {SecStrDelta, StringsBuf.Out.data(), StringsBuf.Out.size()},
+      {SecThreadDelta, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()},
+      {SecObjDelta, ObjTableBuf.Out.data(), ObjTableBuf.Out.size()},
+      {SecValDelta, ValTableBuf.Out.data(), ValTableBuf.Out.size()},
+      {SecArgSlice, ArgPoolBuf.Out.data(), ArgPoolBuf.Out.size()},
+      EntryColumn(SecTid, T.Tids),
+      EntryColumn(SecMethod, T.Methods),
+      EntryColumn(SecSelf, T.SelfIds),
+      EntryColumn(SecKind, T.Kinds),
+      EntryColumn(SecEvName, T.Names),
+      EntryColumn(SecTarget, T.TargetIds),
+      EntryColumn(SecValue, T.ValueIds),
+      EntryColumn(SecArgsBegin, T.ArgsBegins),
+      EntryColumn(SecArgsEnd, T.ArgsEnds),
+      EntryColumn(SecChildTid, T.ChildTids),
+      EntryColumn(SecProv, T.Provs),
+  };
+  if (WithFps)
+    Sections.push_back(EntryColumn(SecFp, T.Fps));
+  if (Idx) {
+    Sections.push_back(
+        {SecViewMeta, ViewMetaBuf.Out.data(), ViewMetaBuf.Out.size()});
+    Sections.push_back(
+        {SecViewEntries, Idx->Entries.data(), Idx->Entries.byteSize()});
+  }
+
+  // Lay the payloads out 8-aligned after the segment's table, offsets
+  // relative to the segment header (the segment itself is 8-aligned), so
+  // mapped column views satisfy their element alignment.
+  uint64_t Rel = SegHeaderBytes + Sections.size() * SectionRecordBytes;
+  std::vector<uint64_t> Offsets(Sections.size());
+  for (size_t K = 0; K != Sections.size(); ++K) {
+    Rel = (Rel + 7) & ~uint64_t{7};
+    Offsets[K] = Rel;
+    Rel += Sections[K].Length;
+  }
+  uint64_t RelEnd = (Rel + 7) & ~uint64_t{7};
+  uint64_t PayloadBytes = RelEnd - SegHeaderBytes;
+
+  ByteBuffer Table;
+  uint64_t TableDigest, LaneDigest;
+  {
+    TelemetrySpan ChecksumSpan("checksum");
+    uint64_t FpSum = 0, TidSum = 0;
+    for (size_t K = 0; K != Sections.size(); ++K) {
+      uint64_t Sum = checksumBytes(Sections[K].Data, Sections[K].Length);
+      Table.u32(Sections[K].Id);
+      Table.u32(0); // pad
+      Table.u64(Offsets[K]);
+      Table.u64(Sections[K].Length);
+      Table.u64(Sum);
+      if (Sections[K].Id == SecFp)
+        FpSum = Sum;
+      else if (Sections[K].Id == SecTid)
+        TidSum = Sum;
+    }
+    TableDigest = checksumBytes(Table.Out.data(), Table.Out.size());
+    // The directory's lane digest combines the fingerprint (0 when absent)
+    // and tid lanes' section checksums.
+    LaneDigest = hashCombine(FpSum, TidSum);
+  }
+
+  // File header: magic, version, flags (fingerprint presence is per
+  // segment: SecFp), the segment's entry count (at least 1), reserved.
+  W.u32(TraceMagic);
+  W.u32(TraceVersion);
+  W.u32(0);
+  W.u32(static_cast<uint32_t>(std::min<size_t>(std::max<size_t>(N, 1), ~0u)));
+  W.u64(0);
+  W.u64(0);
+
+  // The segment: its header, section table and payloads. An entry-less
+  // trace still writes it, so the side tables have somewhere to live.
+  W.u32(SegMagic);
+  W.u32(0); // Segment index.
+  W.u64(0); // First entry id.
+  W.u32(static_cast<uint32_t>(N));
+  W.u32(static_cast<uint32_t>(Sections.size()));
+  W.u64(PayloadBytes);
+  W.raw(Table.Out.data(), Table.Out.size());
+  uint64_t Pos = SegHeaderBytes + Sections.size() * SectionRecordBytes;
+  for (size_t K = 0; K != Sections.size(); ++K) {
+    W.zeros(Offsets[K] - Pos);
+    W.raw(Sections[K].Data, Sections[K].Length);
+    Pos = Offsets[K] + Sections[K].Length;
+  }
+  W.zeros(RelEnd - Pos);
+
+  // The one-record footer directory, then the trailer.
+  ByteBuffer Footer;
+  Footer.u32(FooterMagic);
+  Footer.u32(1);
+  Footer.u64(FileHeaderBytes); // The segment's offset.
+  Footer.u64(TableDigest);
+  Footer.u64(LaneDigest);
+  Footer.u32(0); // First entry id.
+  Footer.u32(static_cast<uint32_t>(N));
+  W.raw(Footer.Out.data(), Footer.Out.size());
+  W.u64(FileHeaderBytes + SegHeaderBytes + PayloadBytes); // Footer offset.
+  W.u64(checksumBytes(Footer.Out.data(), Footer.Out.size()));
+  W.u32(1); // Segment count.
+  W.u32(TrailerMagic);
+  return W.close();
 }
 
 Expected<Trace> rprism::readTrace(const std::string &Path,
@@ -1439,7 +1176,7 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
   if (File->Mapped)
     Telemetry::counterAdd("load.mmap", 1);
   Expected<Trace> Result =
-      readSegmented(Path, *File, std::move(Strings), Options);
+      readTraceBytes(Path, *File, std::move(Strings), Options);
   if (Result)
     Telemetry::counterAdd("trace.entries_loaded", Result->size());
   return Result;
@@ -1450,7 +1187,7 @@ Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
   if (!Opened)
     return Opened.error();
   const FileBytes &File = *Opened;
-  // The footer directory carries each segment's table digest, and each
+  // The footer directory carries the segment's table digest, and the
   // segment table carries per-payload checksums, so header + footer cover
   // the whole content without touching the (potentially large) payload
   // bytes. A damaged footer, which the full read rejects anyway, falls

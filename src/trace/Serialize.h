@@ -8,33 +8,31 @@
 /// \file
 /// Binary serialization of traces. RPRISM collects traces online but
 /// analyzes them offline "after the trace data has been serialized to disk"
-/// (§5), using *trace segmentation* to offload a long trace in pieces. This
-/// module has one on-disk format and one reader for it.
+/// (§5). The paper offloads a long trace in *segments* while it records;
+/// this recorder writes once, after the run, so a trace file holds exactly
+/// one segment. This module has one on-disk format and one reader for it.
 ///
-/// A trace file is a sequence of segments closed by a footer directory
-/// and a fixed trailer. Each segment carries its slice of every entry
-/// column written verbatim, its own section checksums, the fingerprint
-/// lane, side-table deltas (the strings and threads first seen in it, the
-/// object- and value-representation rows and the argument-pool slice its
-/// entries reference) and a view-index delta, all 8-byte aligned. The
-/// representation columns hold row ids (trace/Trace.h), so each distinct
-/// representation is written once. writeTrace writes one segment covering
-/// the whole trace; writeTraceSegmented splits the entries into fixed-size
-/// segments.
+/// A trace file is a file header, one segment, a one-record footer
+/// directory and a fixed trailer. The segment carries every entry column
+/// written verbatim, the fingerprint lane, the side tables (strings,
+/// threads, the object- and value-representation rows, the argument pool)
+/// and the view index, all 8-byte aligned, each with its own section
+/// checksum. The representation columns hold row ids (trace/Trace.h), so
+/// each distinct representation is written once.
 ///
 /// Readers mmap the file (falling back to an aligned arena read), verify
 /// every section checksum, and validate the untrusted bytes (kinds, tids,
-/// symbol ids, representation rows and row ids, argument slices). A
-/// one-segment file's columns — fingerprints, argument pool, tables and
-/// view index included — are then *borrowed* zero-copy; when the file's
-/// strings intern to identical symbol ids, the common case for a fresh or
-/// same-session interner, loading also skips re-fingerprinting entirely.
-/// When symbol ids differ, only the method and name columns and the two
-/// tables are copied and remapped, and the fingerprints recomputed. A
-/// multi-segment file is assembled by copying. Every checksum and digest
-/// is the word-wise checksumBytes (support/Hashing.h). The header's
-/// version field is 7; files of any other version are refused with
-/// `trace.version`.
+/// symbol ids, representation rows and row ids, argument slices). The
+/// columns — fingerprints, argument pool, tables and view index included —
+/// are then *borrowed* zero-copy; when the file's strings intern to
+/// identical symbol ids, the common case for a fresh or same-session
+/// interner, loading also skips re-fingerprinting entirely. When symbol
+/// ids differ, only the method and name columns and the two tables are
+/// copied and remapped, and the fingerprints recomputed. A file with a
+/// second segment is refused (`trace.section`, `segment-count`). Every
+/// checksum and digest is the word-wise checksumBytes (support/Hashing.h).
+/// The header's version field is 7; files of any other version are
+/// refused with `trace.version`.
 ///
 /// Symbols are file-local on disk; readers re-intern through the supplied
 /// StringInterner, so traces written by different runs can be loaded into
@@ -52,36 +50,26 @@
 
 namespace rprism {
 
-/// Writes \p T to \p Path as one segment. Returns false on I/O failure,
-/// including a failed final flush. By default the file carries the
-/// optional view-index sections (the trace's ViewIdx when current, else
-/// computed here), so a later `rprism diff` reconstructs the view web
-/// without scanning the entries; \p WithViewIndex = false omits them (the
-/// sections are optional — files load either way).
+/// Writes \p T to \p Path. Returns false on I/O failure, including a
+/// failed final flush. By default the file carries the optional view-index
+/// sections (the trace's ViewIdx when current, else computed here), so a
+/// later `rprism diff` reconstructs the view web without scanning the
+/// entries; \p WithViewIndex = false omits them (the sections are
+/// optional — files load either way).
 bool writeTrace(const Trace &T, const std::string &Path,
                 bool WithViewIndex = true);
-
-/// Writes \p T to \p Path split into segments of \p SegmentEntries
-/// entries. Every segment checksums independently, so salvage recovers
-/// every intact segment even when damage sits mid-column in an earlier
-/// one; loading copies the segments into one trace.
-bool writeTraceSegmented(const Trace &T, const std::string &Path,
-                         size_t SegmentEntries, bool WithViewIndex = true);
 
 /// What actually happened during a read — filled in when ReadOptions
 /// carries a Report pointer. Degradations are also counted process-wide
 /// (`robust.view_index_dropped`, `robust.salvage.*`, `robust.io_retry`).
 struct TraceReadReport {
-  /// Salvage mode recovered a damaged file (entries or segments dropped,
-  /// fingerprints recomputed, or the footer directory unusable).
+  /// Salvage mode recovered a damaged file (entries dropped, fingerprints
+  /// recomputed, or the footer directory unusable).
   bool Salvaged = false;
   /// Entries in the returned trace (salvage mode only).
   uint64_t EntriesRecovered = 0;
   /// Entries the file declared but salvage could not recover.
   uint64_t EntriesDropped = 0;
-  /// Segments whose entries salvage could not recover at all (damaged
-  /// segments plus any suffix lost to side-table damage).
-  uint64_t SegmentsDropped = 0;
   /// The persisted view index was damaged and dropped; the trace loads
   /// without it and view webs rebuild from the columns.
   bool ViewIndexDropped = false;
@@ -89,11 +77,11 @@ struct TraceReadReport {
 
 /// Options for readTrace.
 struct ReadOptions {
-  /// Recover what a damaged file still holds instead of failing: each
-  /// segment keeps the longest entry prefix that every entry column covers
-  /// and that validates, a segment that keeps nothing is dropped, and
-  /// side-table damage drops the segment and the suffix after it. Off by
-  /// default — strict reads reject damage.
+  /// Recover what a damaged file still holds instead of failing: the read
+  /// keeps the longest entry prefix that every entry column covers and
+  /// that validates; damage to a side table, or a prefix of no entries,
+  /// leaves nothing to recover. Off by default — strict reads reject
+  /// damage.
   bool Salvage = false;
   /// Optional out-param describing degradations taken.
   TraceReadReport *Report = nullptr;
@@ -113,8 +101,8 @@ Expected<Trace> readTrace(const std::string &Path,
 
 /// Content digest of a trace file, for cache keying (DiffCache): two
 /// paths with equal digests hold the same trace bytes. Hashes only the
-/// file header and the footer directory (whose records embed each
-/// segment's table digest, and the tables each payload's checksum); a
+/// file header and the footer directory (whose record embeds the
+/// segment's table digest, and the table each payload's checksum); a
 /// file whose footer is damaged hashes in full. Errors on unreadable,
 /// non-trace, or unsupported-version files.
 Expected<uint64_t> traceFileDigest(const std::string &Path);

@@ -58,11 +58,9 @@ uint32_t Trace::addValueRepr(const ValueRepr &Value) {
 
 void Trace::append(const TraceEntry &Entry) {
   // Any entry mutation makes a previously loaded/computed view index
-  // stale; drop it rather than serve a wrong partitioning. Same for the
-  // segment table: its ranges and lane digests describe the loaded bytes.
+  // stale; drop it rather than serve a wrong partitioning.
   if (ViewIdx.Present)
     ViewIdx.clear();
-  Segments.clear();
   Tids.push_back(Entry.Tid);
   Methods.push_back(Entry.Method);
   SelfIds.push_back(addObjRepr(Entry.Self));

@@ -21,7 +21,7 @@
 /// on the fingerprint column, the render paths on everything — so packing
 /// per-field keeps each stage's working set to exactly the bytes it
 /// touches. Columns are either owned (a vector) or *borrowed* zero-copy
-/// views into a memory-mapped one-segment trace file; `Backing` keeps the
+/// views into a memory-mapped trace file; `Backing` keeps the
 /// mapping alive. The eid of an entry is its index: the recorder assigns
 /// eids densely, so no Eid column is stored.
 ///
@@ -208,16 +208,16 @@ inline constexpr size_t NumViewFamilies = 4;
 /// first-appearance order (a tid, an interned method-symbol id, or a store
 /// location) and Counts[F][i] its entry count. Entries is the flat
 /// concatenation of every view's ascending entry-id list, family by
-/// family, view by view — one contiguous column so a one-segment load
-/// borrows it zero-copy from the mapped file.
+/// family, view by view — one contiguous column so a load borrows it
+/// zero-copy from the mapped file.
 struct ViewIndex {
   Column<uint32_t> Keys[NumViewFamilies];
   Column<uint32_t> Counts[NumViewFamilies];
   Column<uint32_t> Entries;
 
   /// True when the index describes the owning trace's current entries.
-  /// Any entry mutation (append, segment reassembly) resets it; readers
-  /// must treat a non-Present index as absent.
+  /// Any entry mutation (append) resets it; readers must treat a
+  /// non-Present index as absent.
   bool Present = false;
 
   void clear() {
@@ -242,17 +242,6 @@ struct ViewIndex {
       Bytes += Keys[F].byteSize() + Counts[F].byteSize();
     return Bytes;
   }
-};
-
-/// Provenance of one segment of a trace file: the
-/// entry range it covered after loading and a digest of its fingerprint
-/// and tid lanes. Two traces loaded in the same session expose comparable
-/// digests (they hash post-remap fingerprints), so the diff layer can skip
-/// whole aligned segments whose lanes match without touching the entries.
-struct TraceSegmentInfo {
-  uint32_t Begin = 0; ///< First eid of the segment (post-load numbering).
-  uint32_t End = 0;   ///< One past the last eid.
-  uint64_t Digest = 0; ///< Hash of the segment's fp + tid lanes.
 };
 
 /// A full execution trace, stored as columns indexed by eid (see the file
@@ -286,20 +275,14 @@ struct Trace {
   std::vector<ThreadInfo> Threads;
 
   /// Keep-alive for borrowed columns: the mmap'd (or arena-read) bytes of
-  /// a one-segment trace file loaded with symbol identity. Null for fully
-  /// owned traces (recorded, remapped, or assembled from many segments).
+  /// a trace file loaded with symbol identity. Null for fully owned traces
+  /// (recorded or remapped).
   std::shared_ptr<void> Backing;
 
   /// Persisted view partitioning, when loaded from a file carrying index
   /// sections (or computed by computeViewIndex). Present only while it
   /// matches the entry columns — appends invalidate it.
   ViewIndex ViewIdx;
-
-  /// Segment table of a trace loaded from a file with every segment
-  /// intact: contiguous entry ranges covering [0, size()) with per-segment
-  /// lane digests. Empty for traces not loaded from a file, for salvaged
-  /// loads that dropped entries, and after any entry mutation.
-  std::vector<TraceSegmentInfo> Segments;
 
   /// True when every entry's fingerprint is current. Set by
   /// computeFingerprints (called at trace-finalize and deserialize time) or

@@ -43,8 +43,7 @@ struct FamilyScan {
 
 } // namespace
 
-ViewIndex rprism::computeViewIndexRange(const Trace &T, uint32_t Begin,
-                                        uint32_t End) {
+ViewIndex rprism::computeViewIndex(const Trace &T) {
   TelemetrySpan Span("view-index");
 
   // One fused pass, the same membership rules as the web builders: every
@@ -53,7 +52,7 @@ ViewIndex rprism::computeViewIndexRange(const Trace &T, uint32_t Begin,
   size_t N = T.size();
   FamilyScan Families[NumViewFamilies] = {FamilyScan(N), FamilyScan(N),
                                           FamilyScan(N), FamilyScan(N)};
-  for (uint32_t Eid = Begin; Eid != End; ++Eid) {
+  for (uint32_t Eid = 0; Eid != N; ++Eid) {
     Families[0].listFor(T.tid(Eid)).push_back(Eid);
     Families[1].listFor(T.method(Eid).Id).push_back(Eid);
     const ObjRepr &Target = T.target(Eid);
@@ -81,10 +80,6 @@ ViewIndex rprism::computeViewIndexRange(const Trace &T, uint32_t Begin,
   }
   Idx.Present = true;
   return Idx;
-}
-
-ViewIndex rprism::computeViewIndex(const Trace &T) {
-  return computeViewIndexRange(T, 0, static_cast<uint32_t>(T.size()));
 }
 
 bool rprism::viewIndexIsValid(const ViewIndex &Idx, size_t NumEntries) {

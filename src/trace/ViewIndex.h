@@ -32,7 +32,7 @@
 namespace rprism {
 
 /// Key -> slot map of the view-family scans (the web builders and
-/// computeViewIndexRange, which must agree on first-appearance order).
+/// computeViewIndex, which must agree on first-appearance order).
 /// Keys — tids, interned symbol ids, store locations — are small dense
 /// integers in a well-formed trace, so a key below a bound derived from
 /// the trace size indexes a vector directly: one compare and load per
@@ -75,14 +75,6 @@ private:
 /// borrowing from T) and independent of any pool — the partitioning is a
 /// pure function of the entry columns.
 ViewIndex computeViewIndex(const Trace &T);
-
-/// As computeViewIndex, restricted to entries [\p Begin, \p End). Entry
-/// ids in the result stay *global* (they index \p T, not the sub-range),
-/// so per-segment deltas of a segmented trace file concatenate into the
-/// whole-trace index: appending each segment's per-view lists in segment
-/// order, with views keyed across segments in first-appearance order,
-/// reproduces computeViewIndex(T) exactly.
-ViewIndex computeViewIndexRange(const Trace &T, uint32_t Begin, uint32_t End);
 
 /// Structural sanity of \p Idx against a trace of \p NumEntries entries:
 /// thread and method families cover every entry exactly once, object

@@ -555,10 +555,10 @@ TEST(ViewsDiff, RunSkipMatchesEventEqualsOnGeneratedTraces) {
   }
 }
 
-TEST(ViewsDiff, DeterministicAcrossSegmentSizesAndJobs) {
+TEST(ViewsDiff, DeterministicAcrossLoadPathsAndJobs) {
   // Byte-identical reports and identical compare-op totals for every
-  // --jobs value after a trace-file round trip, whatever the files'
-  // segmentation: one segment, 32-entry segments, and a mixed pair.
+  // --jobs value after a trace-file round trip, whatever the load path:
+  // zero-copy, remapped, and an indexed file against a plain one.
   GeneratorOptions Base;
   Base.OuterIters = 60;
   Base.NumThreads = 3;
@@ -574,37 +574,36 @@ TEST(ViewsDiff, DeterministicAcrossSegmentSizesAndJobs) {
   ASSERT_GT(Ref.numDiffs(), 0u);
   const std::string RefRender = Ref.render(50, 12);
 
-  std::string LWhole = diffTempPath("L_whole");
-  std::string RWhole = diffTempPath("R_whole");
-  std::string LSeg = diffTempPath("L_seg32"), RSeg = diffTempPath("R_seg32");
-  ASSERT_TRUE(writeTrace(L, LWhole));
-  ASSERT_TRUE(writeTrace(R, RWhole));
-  ASSERT_TRUE(writeTraceSegmented(L, LSeg, 32));
-  ASSERT_TRUE(writeTraceSegmented(R, RSeg, 32));
+  std::string LPath = diffTempPath("L"), RPath = diffTempPath("R");
+  std::string RPlainPath = diffTempPath("R_plain");
+  ASSERT_TRUE(writeTrace(L, LPath));
+  ASSERT_TRUE(writeTrace(R, RPath));
+  ASSERT_TRUE(writeTrace(R, RPlainPath, /*WithViewIndex=*/false));
   // Both traces were recorded against one interner, so every file carries
   // the same string table. Loads into a fresh interner keep symbol
-  // identity (one segment borrows zero-copy); loads into a busy interner
-  // take the remap path. Each pair shares its interner, as a diff session
-  // does.
+  // identity and borrow zero-copy; loads into a busy interner take the
+  // remap path. Each pair shares its interner, as a diff session does.
   auto Fresh = std::make_shared<StringInterner>();
   auto Busy = std::make_shared<StringInterner>();
   Busy->intern("occupying-symbol-id-zero");
-  Expected<Trace> LW = readTrace(LWhole, Fresh), RW = readTrace(RWhole, Fresh);
-  Expected<Trace> RF = readTrace(RSeg, Fresh);
-  Expected<Trace> LS = readTrace(LSeg, Busy), RS = readTrace(RSeg, Busy);
-  ASSERT_TRUE(bool(LW) && bool(RW) && bool(RF) && bool(LS) && bool(RS));
-  EXPECT_TRUE(LW->Backing != nullptr);
-  EXPECT_TRUE(LS->Backing == nullptr);
-  for (const Expected<Trace> *Loaded : {&LW, &RW, &RF, &LS, &RS})
+  Expected<Trace> LF = readTrace(LPath, Fresh), RF = readTrace(RPath, Fresh);
+  Expected<Trace> RP = readTrace(RPlainPath, Fresh);
+  Expected<Trace> LB = readTrace(LPath, Busy), RB = readTrace(RPath, Busy);
+  ASSERT_TRUE(bool(LF) && bool(RF) && bool(RP) && bool(LB) && bool(RB));
+  EXPECT_TRUE(LF->Backing != nullptr);
+  EXPECT_TRUE(LF->Methods.borrowed());
+  EXPECT_FALSE(LB->Methods.borrowed());
+  EXPECT_FALSE(RP->ViewIdx.Present);
+  for (const Expected<Trace> *Loaded : {&LF, &RF, &RP, &LB, &RB})
     EXPECT_TRUE((*Loaded)->HasFingerprints);
 
   struct Pair {
     const char *What;
     const Trace *Lhs;
     const Trace *Rhs;
-  } Pairs[] = {{"one segment", &*LW, &*RW},
-               {"32-entry segments", &*LS, &*RS},
-               {"mixed", &*LW, &*RF}};
+  } Pairs[] = {{"fresh interner", &*LF, &*RF},
+               {"busy interner", &*LB, &*RB},
+               {"indexed vs plain", &*LF, &*RP}};
   for (const Pair &P : Pairs)
     for (unsigned Jobs : {1u, 4u, 0u}) {
       SCOPED_TRACE(std::string(P.What) + " jobs=" + std::to_string(Jobs));
@@ -612,12 +611,10 @@ TEST(ViewsDiff, DeterministicAcrossSegmentSizesAndJobs) {
       Options.Jobs = Jobs;
       Options.ParallelCutoffEntries = 0;
       DiffResult Out = viewsDiff(*P.Lhs, *P.Rhs, Options);
-      // Segment-granular run skipping may change how matches are found,
-      // never what gets compared.
       EXPECT_EQ(Out.render(50, 12), RefRender);
       EXPECT_EQ(Out.Stats.CompareOps, Ref.Stats.CompareOps);
     }
-  for (const std::string &Path : {LWhole, RWhole, LSeg, RSeg})
+  for (const std::string &Path : {LPath, RPath, RPlainPath})
     std::remove(Path.c_str());
 }
 

@@ -19,8 +19,8 @@
 ///      cache-insert fallback, pool-dispatch stalls — each leaves results
 ///      correct and increments its `robust.*` counter.
 ///   4. Salvage mode recovers a byte-identical entry prefix from damaged
-///      files, drops only the damaged segments of multi-segment files, and
-///      refuses when the side tables are gone.
+///      files and refuses when the side tables are gone; a file with a
+///      second segment is refused in strict and salvage reads alike.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -327,39 +327,32 @@ TEST(RowIds, OutOfRangeIdIsCorruptWhenStrictAndEndsThePrefixInSalvage) {
   std::remove(Path.c_str());
 }
 
-TEST(RowIds, OutOfRangeArgumentIdDropsSegmentAndSuffix) {
-  // Argument ids travel in the argument-pool slice, a side delta: one out
-  // of range discredits the slice, so salvage drops its segment and every
-  // segment after it, like any other damaged side delta.
+TEST(RowIds, OutOfRangeArgumentIdIsUnsalvageable) {
+  // Argument ids travel in the argument pool, a side table: one out of
+  // range discredits the pool, which every entry's argument slice points
+  // into, so salvage has nothing to recover, like any other damaged side
+  // table.
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("ids_args");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
+  ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
   FileLayout L = fileLayout(Bytes);
   ASSERT_TRUE(L.Ok);
-  size_t Seg = L.Segments.size() / 2;
-  while (Seg != L.Segments.size() &&
-         segSection(Bytes, L.Segments[Seg].Offset, 26).Length <= 8)
-    ++Seg;
-  ASSERT_LT(Seg, L.Segments.size()) << "no later segment passes arguments";
-  ASSERT_GT(Seg, 0u);
-  patchU32(Bytes, L.Segments[Seg].Offset, 26, 8, 0,
+  ASSERT_GT(segSection(Bytes, L.Segments[0].Offset, 26).Length, 8u)
+      << "the trace passes no arguments";
+  patchU32(Bytes, L.Segments[0].Offset, 26, 8, 0,
            static_cast<uint32_t>(T.ValueReprs.size()));
   ASSERT_TRUE(writeAll(Path, Bytes));
 
   Expected<Trace> Strict = readTrace(Path, Strings);
   ASSERT_FALSE(bool(Strict));
   EXPECT_EQ(Strict.error().Code, "trace.section");
-  TraceReadReport Report;
   ReadOptions Options;
   Options.Salvage = true;
-  Options.Report = &Report;
   Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  EXPECT_EQ(Salvaged->size(), L.Segments[Seg].BeginEid);
-  EXPECT_EQ(Report.SegmentsDropped, L.Segments.size() - Seg);
-  expectByteIdenticalPrefix(T, *Salvaged);
+  ASSERT_FALSE(bool(Salvaged));
+  EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
   std::remove(Path.c_str());
 }
 
@@ -779,15 +772,14 @@ TEST(Salvage, IntactFilesReadIdenticallyWithSalvageOn) {
 }
 
 //===----------------------------------------------------------------------===//
-// Segmented v4 salvage
+// One-segment salvage and the one-segment rule
 //===----------------------------------------------------------------------===//
 
-/// The mid-column salvage floor of one segment: a section checksum covers
-/// the whole column, so one flipped byte anywhere in an entry column
-/// discredits all of it — no prefix is trustworthy, the segment keeps
-/// nothing, and with nothing else to recover salvage refuses rather than
-/// return an empty trace that looks legitimately empty. The multi-segment
-/// counterpart below shows the same damage costing one segment.
+/// The mid-column salvage floor: a section checksum covers the whole
+/// column, so one flipped byte anywhere in an entry column discredits all
+/// of it — no prefix is trustworthy, the segment keeps nothing, and with
+/// nothing else to recover salvage refuses rather than return an empty
+/// trace that looks legitimately empty.
 TEST(SalvageV4, OneSegmentColumnFlipIsUnsalvageable) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
@@ -812,68 +804,17 @@ TEST(SalvageV4, OneSegmentColumnFlipIsUnsalvageable) {
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, MidSegmentColumnFlipDropsOnlyThatSegment) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  ASSERT_GT(T.size(), 50u);
-  std::string Path = tempPath("v4_segflip");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
-  std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  ASSERT_GE(L.Segments.size(), 3u);
-
-  // Flip one byte inside a middle segment's Value column payload.
-  size_t Mid = L.Segments.size() / 2;
-  SectionRec Value = segSection(Bytes, L.Segments[Mid].Offset, 16);
-  ASSERT_GT(Value.Length, 0u);
-  Bytes[static_cast<size_t>(Value.Offset + Value.Length / 2)] ^= 0x40;
-  ASSERT_TRUE(writeAll(Path, Bytes));
-
-  TelemetryWindow W;
-  Expected<Trace> Strict = readTrace(Path, Strings);
-  ASSERT_FALSE(bool(Strict));
-  EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
-
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = true;
-  Options.Report = &Report;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  EXPECT_TRUE(Report.Salvaged);
-  EXPECT_EQ(Report.SegmentsDropped, 1u);
-  uint32_t SegBegin = L.Segments[Mid].BeginEid;
-  uint32_t SegN = L.Segments[Mid].NumEntries;
-  EXPECT_EQ(Report.EntriesDropped, SegN);
-  EXPECT_EQ(Report.EntriesRecovered, Salvaged->size());
-  ASSERT_EQ(Salvaged->size(), T.size() - SegN);
-  // Per-segment checksums localize the damage: every entry before AND
-  // after the bad segment survives and renders identically (the recovered
-  // trace closes the hole, so later originals shift down by SegN).
-  for (uint32_t I = 0; I != Salvaged->size(); ++I) {
-    uint32_t Orig = I < SegBegin ? I : I + SegN;
-    ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(Orig)) << I;
-  }
-  // A gap-toothed trace carries no segment map (eids shifted), so a later
-  // re-diff can't run-skip against it — correctness over speed.
-  EXPECT_TRUE(Salvaged->Segments.empty());
-  EXPECT_EQ(W.counter("robust.salvage.segments_dropped"), 1u);
-  EXPECT_GE(W.counter("robust.salvage.used"), 1u);
-  std::remove(Path.c_str());
-}
-
-TEST(SalvageV4, TruncatedDirectoryChainScansEverySegment) {
+TEST(SalvageV4, TruncatedDirectoryChainScansTheSegment) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("v4_tail");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
+  ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Good = readAll(Path);
   FileLayout L = fileLayout(Good);
   ASSERT_TRUE(L.Ok);
 
   // Cut inside the trailer, then inside the footer: either way the
-  // directory is gone but every segment body is intact.
+  // directory is gone but the segment is intact.
   for (size_t Cut : {Good.size() - 10, size_t(L.FooterOffset) + 12}) {
     SCOPED_TRACE("cut at " + std::to_string(Cut));
     std::vector<uint8_t> Bytes = Good;
@@ -890,77 +831,27 @@ TEST(SalvageV4, TruncatedDirectoryChainScansEverySegment) {
     Options.Report = &Report;
     Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
     ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-    // The chain scan walks header-to-header and recovers everything; the
-    // read still reports salvage so callers know the file needs rewriting.
+    // The header scan finds the segment and recovers everything; the read
+    // still reports salvage so callers know the file needs rewriting.
     EXPECT_TRUE(Report.Salvaged);
-    EXPECT_EQ(Report.SegmentsDropped, 0u);
     EXPECT_EQ(Report.EntriesDropped, 0u);
     ASSERT_EQ(Salvaged->size(), T.size());
     for (uint32_t I = 0; I != Salvaged->size(); ++I)
       ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
-    // No verified directory, no segment map.
-    EXPECT_TRUE(Salvaged->Segments.empty());
   }
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, CutInsideLastSegmentKeepsItsPrefix) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("v4_lastcut");
-  // Three segments, the last one holding enough entries to split.
-  size_t SegmentEntries = T.size() / 3 + 1;
-  ASSERT_TRUE(writeTraceSegmented(T, Path, SegmentEntries));
-  std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  ASSERT_EQ(L.Segments.size(), 3u);
-  const SegDirRec &Last = L.Segments.back();
-  ASSERT_GE(Last.NumEntries, 4u);
-
-  // Cut mid-way through the last segment's Prov column (the last entry
-  // column): the chain scan accepts the segment clipped at the end of the
-  // file, and its entries up to the cut survive, as in one segment.
-  SectionRec Prov = segSection(Bytes, Last.Offset, 20);
-  ASSERT_GT(Prov.Length, 0u);
-  Bytes.resize(static_cast<size_t>(Prov.Offset + Prov.Length / 2));
-  ASSERT_TRUE(writeAll(Path, Bytes));
-
-  Expected<Trace> Strict = readTrace(Path, Strings);
-  ASSERT_FALSE(bool(Strict));
-  EXPECT_EQ(Strict.error().Code, "trace.truncated");
-
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = true;
-  Options.Report = &Report;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  uint32_t Kept = static_cast<uint32_t>(Prov.Length / 2 / 4);
-  ASSERT_EQ(Salvaged->size(), Last.BeginEid + Kept);
-  EXPECT_TRUE(Report.Salvaged);
-  EXPECT_EQ(Report.SegmentsDropped, 0u);
-  EXPECT_EQ(Report.EntriesDropped, T.size() - Salvaged->size());
-  expectByteIdenticalPrefix(T, *Salvaged);
-  for (uint32_t I = 0; I != Salvaged->size(); ++I)
-    ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
-  std::remove(Path.c_str());
-}
-
-TEST(SalvageV4, CutInsideLastSegmentViewIndexLoadsStrictly) {
+TEST(SalvageV4, CutInsideViewIndexLoadsStrictly) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("v4_viewcut");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, T.size() / 3 + 1));
+  ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  ASSERT_EQ(L.Segments.size(), 3u);
 
-  // The cut takes the last segment's view entries and the directory, but
-  // no entry data: a strict read loads every entry, drops the derived
-  // index and exposes no segment map (the segmentation is unverified).
-  SectionRec Entries = segSection(Bytes, L.Segments.back().Offset, 23);
+  // The cut takes the view entries and the directory, but no entry data:
+  // a strict read loads every entry and drops the derived index.
+  SectionRec Entries = findSection(onlySegmentSections(Bytes), 23);
   ASSERT_GT(Entries.Length, 4u);
   Bytes.resize(static_cast<size_t>(Entries.Offset + Entries.Length - 4));
   ASSERT_TRUE(writeAll(Path, Bytes));
@@ -973,7 +864,6 @@ TEST(SalvageV4, CutInsideLastSegmentViewIndexLoadsStrictly) {
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   EXPECT_EQ(Loaded->size(), T.size());
   EXPECT_FALSE(Loaded->ViewIdx.Present);
-  EXPECT_TRUE(Loaded->Segments.empty());
   EXPECT_TRUE(Report.ViewIndexDropped);
   EXPECT_FALSE(Report.Salvaged);
   EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
@@ -982,71 +872,141 @@ TEST(SalvageV4, CutInsideLastSegmentViewIndexLoadsStrictly) {
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, DamagedSideDeltaDropsSegmentAndSuffix) {
+TEST(SalvageV4, DamagedSideDeltaIsUnsalvageable) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("v4_side");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/16));
+  ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Good = readAll(Path);
-  FileLayout L = fileLayout(Good);
-  ASSERT_TRUE(L.Ok);
-  ASSERT_GE(L.Segments.size(), 3u);
+  std::vector<SectionRec> Table = onlySegmentSections(Good);
 
-  // Damage a middle segment's string delta, object-row delta or value-row
-  // delta. Side deltas are cumulative — later segments build on earlier
-  // ones — so unlike a column flip this costs the damaged segment AND its
-  // suffix.
-  size_t Mid = L.Segments.size() / 2;
-  for (uint32_t Id : {24u, 27u, 28u}) {
+  // Damage each side table: the strings, threads, argument pool, object
+  // rows or value rows. Every entry refers into them and no prefix of one
+  // is usable, so salvage has nothing to recover.
+  for (uint32_t Id : {24u, 25u, 26u, 27u, 28u}) {
     SCOPED_TRACE("side delta " + std::to_string(Id));
     std::vector<uint8_t> Bytes = Good;
-    SectionRec Delta = segSection(Bytes, L.Segments[Mid].Offset, Id);
-    ASSERT_GT(Delta.Length, 0u);
+    SectionRec Delta = findSection(Table, Id);
+    ASSERT_GT(Delta.Length, 8u);
     Bytes[static_cast<size_t>(Delta.Offset + Delta.Length / 2)] ^= 0x10;
     ASSERT_TRUE(writeAll(Path, Bytes));
 
     Expected<Trace> Strict = readTrace(Path, Strings);
     ASSERT_FALSE(bool(Strict));
     EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
-    TraceReadReport Report;
     ReadOptions Options;
     Options.Salvage = true;
-    Options.Report = &Report;
     Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-    ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-    EXPECT_TRUE(Report.Salvaged);
-    uint32_t Prefix = L.Segments[Mid].BeginEid;
-    EXPECT_EQ(Salvaged->size(), Prefix);
-    EXPECT_EQ(Report.EntriesDropped, T.size() - Prefix);
-    EXPECT_EQ(Report.SegmentsDropped, L.Segments.size() - Mid);
-    for (uint32_t I = 0; I != Salvaged->size(); ++I)
-      ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
+    ASSERT_FALSE(bool(Salvaged));
+    EXPECT_EQ(Salvaged.error().Class, ErrClass::Corrupt);
+    EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
   }
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, AllSegmentsDamagedIsUnsalvageable) {
+/// A two-segment file built from the one-segment file \p One: the segment
+/// twice, the copy numbered 1 and starting at entry N, then a two-record
+/// directory and the trailer, with the directory digests and the footer
+/// checksum resealed.
+std::vector<uint8_t> twoSegmentFile(const std::vector<uint8_t> &One) {
+  FileLayout L = fileLayout(One);
+  EXPECT_TRUE(L.Ok && L.Segments.size() == 1);
+  if (!L.Ok || L.Segments.size() != 1)
+    return {};
+  const SegDirRec &Seg = L.Segments[0];
+  size_t Footer = static_cast<size_t>(L.FooterOffset);
+  size_t Second = Footer; // The copy starts where the footer was.
+  std::vector<uint8_t> Two(One.begin(), One.begin() + Footer);
+  Two.insert(Two.end(), One.begin() + Seg.Offset, One.begin() + Footer);
+  storeLE<uint32_t>(Two.data() + Second + 4, 1);             // Index.
+  storeLE<uint64_t>(Two.data() + Second + 8, Seg.NumEntries); // First eid.
+  size_t NewFooter = Two.size();
+  // Footer magic and count, then segment 0's record twice.
+  Two.insert(Two.end(), One.begin() + Footer, One.begin() + Footer + 8);
+  for (int K = 0; K != 2; ++K)
+    Two.insert(Two.end(), One.begin() + Seg.RecordPos,
+               One.begin() + Seg.RecordPos + 32);
+  storeLE<uint32_t>(Two.data() + NewFooter + 4, 2);
+  storeLE<uint64_t>(Two.data() + NewFooter + 40, Second);
+  storeLE<uint32_t>(Two.data() + NewFooter + 40 + 24, Seg.NumEntries);
+  // Trailer: footer offset, footer checksum, segment count, magic.
+  Two.insert(Two.end(), One.end() - 24, One.end());
+  storeLE<uint64_t>(Two.data() + Two.size() - 24, NewFooter);
+  storeLE<uint32_t>(Two.data() + Two.size() - 8, 2);
+  resealDirectory(Two);
+  return Two;
+}
+
+TEST(SegmentCount, SecondSegmentIsRefusedStrictAndSalvage) {
   auto Strings = std::make_shared<StringInterner>();
-  Trace T = traceOf("class A { } main { var a = new A(); }", Strings);
-  std::string Path = tempPath("v4_allgone");
-  // One segment holds everything; damaging its Kind column leaves no
-  // intact segment, and salvage must refuse rather than return an empty
-  // trace that looks legitimately empty.
-  ASSERT_TRUE(writeTraceSegmented(T, Path, /*SegmentEntries=*/100000));
+  Trace T = workloadTrace(Strings);
+  std::string Base = tempPath("segcount_base"), Path = tempPath("segcount");
+  ASSERT_TRUE(writeTrace(T, Base));
+  std::vector<uint8_t> Two = twoSegmentFile(readAll(Base));
+  FileLayout L = fileLayout(Two);
+  ASSERT_TRUE(L.Ok);
+  ASSERT_EQ(L.Segments.size(), 2u);
+
+  // With the directory, which lists the second segment, and with the
+  // footer cut off, so the header scan is what finds it.
+  for (bool CutFooter : {false, true}) {
+    SCOPED_TRACE(CutFooter ? "footer cut off" : "directory intact");
+    std::vector<uint8_t> Bytes = Two;
+    if (CutFooter)
+      Bytes.resize(static_cast<size_t>(L.FooterOffset));
+    ASSERT_TRUE(writeAll(Path, Bytes));
+    for (bool Salvage : {false, true}) {
+      ReadOptions Options;
+      Options.Salvage = Salvage;
+      Expected<Trace> Loaded = readTrace(Path, Strings, Options);
+      ASSERT_FALSE(bool(Loaded)) << "salvage " << Salvage;
+      EXPECT_EQ(Loaded.error().Code, "trace.section");
+      EXPECT_NE(Loaded.error().render().find("segment-count"),
+                std::string::npos)
+          << Loaded.error().render();
+    }
+  }
+  std::remove(Base.c_str());
+  std::remove(Path.c_str());
+}
+
+TEST(Salvage, HostileViewCountIsNeverReserved) {
+  // The segment header and directory record declare 0xF0000000 entries,
+  // and the view meta 0xE0000000 views in its first family, every
+  // checksum resealed. Salvage keeps the entries the columns hold, and the
+  // index, which no longer describes the kept entries, is dropped without
+  // being parsed — so its view count never sizes an allocation.
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = workloadTrace(Strings);
+  std::string Path = tempPath("hostile_views");
+  ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
   FileLayout L = fileLayout(Bytes);
   ASSERT_TRUE(L.Ok);
-  ASSERT_EQ(L.Segments.size(), 1u);
-  SectionRec Kind = segSection(Bytes, L.Segments[0].Offset, 13);
-  ASSERT_GT(Kind.Length, 0u);
-  Bytes[static_cast<size_t>(Kind.Offset)] ^= 0xff;
+  const uint32_t Declared = 0xF0000000u;
+  storeLE<uint32_t>(Bytes.data() + L.Segments[0].Offset + 16, Declared);
+  storeLE<uint32_t>(Bytes.data() + L.Segments[0].RecordPos + 28, Declared);
+  patchU32(Bytes, L.Segments[0].Offset, 22, 0, 0, 0xE0000000u);
   ASSERT_TRUE(writeAll(Path, Bytes));
 
+  Expected<Trace> Strict = readTrace(Path, Strings);
+  ASSERT_FALSE(bool(Strict));
+  EXPECT_EQ(Strict.error().Code, "trace.section");
+
+  TelemetryWindow W;
+  TraceReadReport Report;
   ReadOptions Options;
   Options.Salvage = true;
+  Options.Report = &Report;
   Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_FALSE(bool(Salvaged));
-  EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
+  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
+  ASSERT_EQ(Salvaged->size(), T.size());
+  EXPECT_TRUE(Report.Salvaged);
+  EXPECT_TRUE(Report.ViewIndexDropped);
+  EXPECT_FALSE(Salvaged->ViewIdx.Present);
+  EXPECT_EQ(Report.EntriesDropped, Declared - T.size());
+  EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
+  expectByteIdenticalPrefix(T, *Salvaged);
   std::remove(Path.c_str());
 }
 

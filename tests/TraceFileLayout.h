@@ -13,6 +13,9 @@
 /// resealDirectory to keep the directory consistent after editing a
 /// section table, so the edit reaches the per-section checks.
 ///
+/// Written files hold one segment; these helpers read any number, so a
+/// test can also build the refused two-segment shape.
+///
 /// Layout (little endian): a 32-byte file header; segments, each a 32-byte
 /// header (the section count at byte 20) followed by 32-byte section
 /// records (id, pad, offset relative to the segment header, length,

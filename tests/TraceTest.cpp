@@ -337,27 +337,23 @@ TEST(Serialize, RefusesUnsupportedVersions) {
   // per-entry representation copies (version 6) and any future version
   // must be refused up front with the typed version error, whatever the
   // rest of the file looks like.
-  std::string WholePath = tempPath("version_whole");
-  std::string SegPath = tempPath("version_segments");
-  ASSERT_TRUE(writeTrace(T, WholePath));
-  ASSERT_TRUE(writeTraceSegmented(T, SegPath, 8));
-  for (const std::string &Path : {WholePath, SegPath}) {
-    for (uint32_t Version : {1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
-      std::FILE *F = std::fopen(Path.c_str(), "rb+");
-      ASSERT_TRUE(F != nullptr);
-      std::fseek(F, 4, SEEK_SET);
-      std::fwrite(&Version, sizeof(Version), 1, F);
-      std::fclose(F);
-      Expected<Trace> Loaded = readTrace(Path, nullptr);
-      ASSERT_FALSE(bool(Loaded)) << Path << " version " << Version;
-      EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt);
-      EXPECT_EQ(Loaded.error().Code, "trace.version");
-      Expected<uint64_t> Digest = traceFileDigest(Path);
-      ASSERT_FALSE(bool(Digest)) << Path << " version " << Version;
-      EXPECT_EQ(Digest.error().Code, "trace.version");
-    }
-    std::remove(Path.c_str());
+  std::string Path = tempPath("version");
+  ASSERT_TRUE(writeTrace(T, Path));
+  for (uint32_t Version : {1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
+    std::FILE *F = std::fopen(Path.c_str(), "rb+");
+    ASSERT_TRUE(F != nullptr);
+    std::fseek(F, 4, SEEK_SET);
+    std::fwrite(&Version, sizeof(Version), 1, F);
+    std::fclose(F);
+    Expected<Trace> Loaded = readTrace(Path, nullptr);
+    ASSERT_FALSE(bool(Loaded)) << "version " << Version;
+    EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt);
+    EXPECT_EQ(Loaded.error().Code, "trace.version");
+    Expected<uint64_t> Digest = traceFileDigest(Path);
+    ASSERT_FALSE(bool(Digest)) << "version " << Version;
+    EXPECT_EQ(Digest.error().Code, "trace.version");
   }
+  std::remove(Path.c_str());
 }
 
 TEST(Serialize, ReloadedTraceDiffsCleanAgainstLive) {
@@ -423,7 +419,6 @@ TEST(Serialize, WriteFailureAtTheFinalFlushIsReported) {
   // and the full device only fails the final flush.
   Trace T = traceOf("class A { } main { var a = new A(); }");
   EXPECT_FALSE(writeTrace(T, "/dev/full"));
-  EXPECT_FALSE(writeTraceSegmented(T, "/dev/full", 1));
 }
 
 TEST(Serialize, RejectsCorruptSectionBytes) {
@@ -573,11 +568,12 @@ TEST(Serialize, SharedInternerMergesSymbolSpaces) {
 }
 
 //===----------------------------------------------------------------------===//
-// Multi-segment serialization
+// Rewrites and file digests
 //===----------------------------------------------------------------------===//
 
 /// A small multi-thread trace with arguments and field traffic: every
-/// section (deltas, columns, fingerprints, view index) comes out nonempty.
+/// section (side tables, columns, fingerprints, view index) comes out
+/// nonempty.
 Trace bumpTrace() {
   return traceOf(R"(
     class A { Int x; A(Int x) { this.x = x; }
@@ -586,195 +582,42 @@ Trace bumpTrace() {
   )");
 }
 
-TEST(SerializeV4, MultiSegmentRoundTripsAcrossSegmentSizes) {
-  GeneratorOptions Options;
-  Options.OuterIters = 20;
-  Trace T = traceOf(generateProgram(Options));
-  ASSERT_GT(T.size(), 300u);
-  std::string Path = tempPath("v4_roundtrip");
-  for (size_t SegmentEntries : {1ul, 7ul, 64ul, 100000ul}) {
-    SCOPED_TRACE("segment entries " + std::to_string(SegmentEntries));
-    ASSERT_TRUE(writeTraceSegmented(T, Path, SegmentEntries));
-    // Fresh interner: segment 0's string delta re-interns the whole table
-    // in order, so symbol ids are preserved and the per-segment
-    // fingerprint lanes load verbatim.
-    Expected<Trace> Loaded = readTrace(Path, nullptr);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    expectTracesEqual(T, *Loaded);
-    EXPECT_TRUE(Loaded->HasFingerprints);
-    for (uint32_t Eid = 0; Eid != Loaded->size(); ++Eid)
-      ASSERT_EQ(Loaded->fp(Eid), T.fp(Eid)) << Eid;
-    // A clean read of a directory-complete file carries the segment map
-    // (the re-diff run-skip input), one range per written segment.
-    size_t WantSegments =
-        (T.size() + SegmentEntries - 1) / SegmentEntries;
-    EXPECT_EQ(Loaded->Segments.size(), WantSegments);
-    EXPECT_EQ(viewsDiff(T, *Loaded).numDiffs(), 0u);
-  }
-  std::remove(Path.c_str());
-}
-
-TEST(SerializeV4, BusyInternerRemapsAndRefingerprints) {
-  auto Strings = std::make_shared<StringInterner>();
+TEST(Serialize, LoadedTraceRewritesByteIdentically) {
   Trace T = bumpTrace();
-  std::string Path = tempPath("v4_remap");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, 4));
-  auto Busy = std::make_shared<StringInterner>();
-  Busy->intern("occupying-symbol-id-one");
-  Expected<Trace> Loaded = readTrace(Path, Busy);
-  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  EXPECT_TRUE(Loaded->HasFingerprints);
-  ASSERT_EQ(T.size(), Loaded->size());
-  for (uint32_t Eid = 0; Eid != Loaded->size(); ++Eid) {
-    EXPECT_EQ(T.renderEntry(Eid), Loaded->renderEntry(Eid)) << Eid;
-    EXPECT_EQ(Loaded->fp(Eid), Loaded->entryFingerprint(Eid)) << Eid;
-  }
-  std::remove(Path.c_str());
-}
-
-TEST(SerializeV4, LoadedTraceRewritesWholeByteIdentically) {
-  Trace T = bumpTrace();
-  std::string Direct = tempPath("v4_direct_whole");
-  std::string Segmented = tempPath("v4_middle");
-  std::string Rewritten = tempPath("v4_rewritten_whole");
+  std::string Direct = tempPath("direct");
+  std::string Rewritten = tempPath("rewritten");
   ASSERT_TRUE(writeTrace(T, Direct));
-  ASSERT_TRUE(writeTraceSegmented(T, Segmented, 4));
-  Expected<Trace> Loaded = readTrace(Segmented, nullptr);
+  Expected<Trace> Loaded = readTrace(Direct, nullptr);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  // Round-tripping through small segments loses nothing: rewriting the
-  // loaded trace as one segment reproduces the direct write byte for byte
-  // (same strings, same columns, same fingerprints, same view index).
+  // A load loses nothing: rewriting the loaded trace, whose columns and
+  // view index are borrowed from the file, reproduces the direct write
+  // byte for byte.
   ASSERT_TRUE(writeTrace(*Loaded, Rewritten));
   std::vector<uint8_t> Want = readAll(Direct);
   std::vector<uint8_t> Got = readAll(Rewritten);
   ASSERT_FALSE(Want.empty());
-  EXPECT_TRUE(Want == Got) << "bytes diverge after a small-segment round trip";
+  EXPECT_TRUE(Want == Got) << "bytes diverge after a round trip";
   std::remove(Direct.c_str());
-  std::remove(Segmented.c_str());
   std::remove(Rewritten.c_str());
 }
 
-TEST(SerializeV4, EmptyAndSingleEntryTracesRoundTrip) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace Empty;
-  Empty.Strings = Strings;
-  Empty.Name = "empty";
-  Empty.computeFingerprints();
-  std::string Path = tempPath("v4_tiny");
-  // An entry-less trace still writes one placeholder segment so the side
-  // tables (name, strings, threads) have somewhere to live.
-  ASSERT_TRUE(writeTraceSegmented(Empty, Path, 8));
-  Expected<Trace> LoadedEmpty = readTrace(Path, Strings);
-  ASSERT_TRUE(bool(LoadedEmpty)) << LoadedEmpty.error().render();
-  EXPECT_EQ(LoadedEmpty->size(), 0u);
-  EXPECT_EQ(LoadedEmpty->Name, "empty");
-
-  Trace One = singleEntryTrace(Strings);
-  ASSERT_TRUE(writeTraceSegmented(One, Path, 8));
-  Expected<Trace> LoadedOne = readTrace(Path, Strings);
-  ASSERT_TRUE(bool(LoadedOne)) << LoadedOne.error().render();
-  ASSERT_EQ(LoadedOne->size(), 1u);
-  EXPECT_EQ(LoadedOne->renderEntry(0u), One.renderEntry(0u));
-  EXPECT_EQ(LoadedOne->fp(0), One.fp(0));
-  std::remove(Path.c_str());
-}
-
-TEST(SerializeV4, ViewIndexDeltaMergeMatchesBulkCompute) {
-  GeneratorOptions G;
-  G.OuterIters = 8;
-  G.NumThreads = 2;
-  Trace T = traceOf(generateProgram(G));
-  std::string Path = tempPath("v4_viewidx");
-  ASSERT_TRUE(writeTraceSegmented(T, Path, 16));
-  Expected<Trace> Loaded = readTrace(Path, nullptr);
-  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  // The reader merges the per-segment view-index deltas; the merged index
-  // must equal a from-scratch computation over the reassembled columns.
-  ASSERT_TRUE(Loaded->ViewIdx.Present);
-  ViewIndex Want = computeViewIndex(*Loaded);
-  for (size_t F = 0; F != NumViewFamilies; ++F) {
-    SCOPED_TRACE("family " + std::to_string(F));
-    ASSERT_EQ(Loaded->ViewIdx.Keys[F].size(), Want.Keys[F].size());
-    EXPECT_EQ(std::memcmp(Loaded->ViewIdx.Keys[F].data(),
-                          Want.Keys[F].data(), Want.Keys[F].byteSize()),
-              0);
-    EXPECT_EQ(std::memcmp(Loaded->ViewIdx.Counts[F].data(),
-                          Want.Counts[F].data(), Want.Counts[F].byteSize()),
-              0);
-  }
-  ASSERT_EQ(Loaded->ViewIdx.Entries.size(), Want.Entries.size());
-  EXPECT_EQ(std::memcmp(Loaded->ViewIdx.Entries.data(), Want.Entries.data(),
-                        Want.Entries.byteSize()),
-            0);
-  std::remove(Path.c_str());
-}
-
-TEST(SerializeV4, FileDigestStablePerLayoutDistinctAcrossSegmentSizes) {
+TEST(Serialize, FileDigestStablePerContentDistinctAcrossContents) {
   Trace T = bumpTrace();
-  std::string WholePath = tempPath("digest_whole");
-  std::string SegPath = tempPath("digest_segments");
-  std::string SegAgain = tempPath("digest_segments_b");
-  ASSERT_TRUE(writeTrace(T, WholePath));
-  ASSERT_TRUE(writeTraceSegmented(T, SegPath, 8));
-  ASSERT_TRUE(writeTraceSegmented(T, SegAgain, 8));
-  Expected<uint64_t> Whole = traceFileDigest(WholePath);
-  Expected<uint64_t> Seg = traceFileDigest(SegPath);
-  Expected<uint64_t> SegB = traceFileDigest(SegAgain);
-  ASSERT_TRUE(bool(Whole) && bool(Seg) && bool(SegB));
-  EXPECT_EQ(*Seg, *SegB) << "identical writes must digest identically";
-  EXPECT_NE(*Whole, *Seg) << "a different segmentation is different bytes";
-  std::remove(WholePath.c_str());
-  std::remove(SegPath.c_str());
-  std::remove(SegAgain.c_str());
-}
-
-TEST(SerializeV4, IdenticalPairDiffSkipsSegments) {
-  GeneratorOptions G;
-  G.OuterIters = 12;
-  Trace T = traceOf(generateProgram(G));
-  std::string WholePath = tempPath("skip_whole");
-  std::string SegPath = tempPath("skip_segments");
-  ASSERT_TRUE(writeTrace(T, WholePath));
-  ASSERT_TRUE(writeTraceSegmented(T, SegPath, 64));
-  auto Shared = std::make_shared<StringInterner>();
-  Expected<Trace> AW = readTrace(WholePath, Shared);
-  Expected<Trace> BW = readTrace(WholePath, Shared);
-  Expected<Trace> AS = readTrace(SegPath, Shared);
-  Expected<Trace> BS = readTrace(SegPath, Shared);
-  ASSERT_TRUE(bool(AW) && bool(BW) && bool(AS) && bool(BS));
-  ASSERT_EQ(AW->Segments.size(), 1u);
-  ASSERT_EQ(AS->Segments.size(), (T.size() + 63) / 64);
-
-  ViewsDiffOptions Opt;
-  Opt.Jobs = 1;
-  auto DiffCountingSkips = [&](const Trace &L, const Trace &R,
-                               uint64_t &Skips) {
-    Telemetry::get().reset();
-    Telemetry::get().setEnabled(true);
-    DiffResult D = viewsDiff(L, R, Opt);
-    Skips = Telemetry::get().snapshot().counter("trace.segments_skipped");
-    Telemetry::get().setEnabled(false);
-    Telemetry::get().reset();
-    return D;
-  };
-  uint64_t SkipsMemory = 0, SkipsWhole = 0, SkipsSegmented = 0;
-  DiffResult DM = DiffCountingSkips(T, T, SkipsMemory);
-  DiffResult DW = DiffCountingSkips(*AW, *BW, SkipsWhole);
-  DiffResult DS = DiffCountingSkips(*AS, *BS, SkipsSegmented);
-
-  // An in-memory pair carries no segment map, so nothing is skipped; a
-  // one-segment pair skips its one segment, a 64-entry pair every segment
-  // — and each does the exact same amount of reported work.
-  EXPECT_EQ(SkipsMemory, 0u);
-  EXPECT_EQ(SkipsWhole, 1u);
-  EXPECT_EQ(SkipsSegmented, AS->Segments.size());
-  EXPECT_EQ(DM.numDiffs(), 0u);
-  EXPECT_EQ(DW.numDiffs(), 0u);
-  EXPECT_EQ(DS.numDiffs(), 0u);
-  EXPECT_EQ(DM.Stats.CompareOps, DW.Stats.CompareOps);
-  EXPECT_EQ(DM.Stats.CompareOps, DS.Stats.CompareOps);
-  std::remove(WholePath.c_str());
-  std::remove(SegPath.c_str());
+  std::string Path = tempPath("digest");
+  std::string Again = tempPath("digest_b");
+  std::string Plain = tempPath("digest_plain");
+  ASSERT_TRUE(writeTrace(T, Path));
+  ASSERT_TRUE(writeTrace(T, Again));
+  ASSERT_TRUE(writeTrace(T, Plain, /*WithViewIndex=*/false));
+  Expected<uint64_t> First = traceFileDigest(Path);
+  Expected<uint64_t> Second = traceFileDigest(Again);
+  Expected<uint64_t> NoIndex = traceFileDigest(Plain);
+  ASSERT_TRUE(bool(First) && bool(Second) && bool(NoIndex));
+  EXPECT_EQ(*First, *Second) << "identical writes must digest identically";
+  EXPECT_NE(*First, *NoIndex) << "different sections are different bytes";
+  std::remove(Path.c_str());
+  std::remove(Again.c_str());
+  std::remove(Plain.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -1000,9 +843,9 @@ void expectSameValue(const Trace &TA, const ValueRepr &A, const Trace &TB,
 }
 
 TEST(DictionaryEncoding, RoundTripPropertyOverGeneratorTraces) {
-  // Generator traces x {one segment, 32-entry segments} x {a fresh
-  // interner (symbol identity), a busy one (remap)}: every materialized
-  // entry and every fingerprint comes back as recorded.
+  // Generator traces x {a fresh interner (symbol identity), a busy one
+  // (remap)}: every materialized entry and every fingerprint comes back as
+  // recorded.
   for (uint64_t Seed : {3u, 17u, 29u}) {
     GeneratorOptions G;
     G.Seed = Seed;
@@ -1011,61 +854,57 @@ TEST(DictionaryEncoding, RoundTripPropertyOverGeneratorTraces) {
     G.NumThreads = 1 + static_cast<unsigned>(Seed % 3);
     Trace T = traceOf(generateProgram(G));
     ASSERT_GT(T.size(), 64u);
-    for (size_t SegmentEntries : {size_t{0}, size_t{32}}) {
-      std::string Path = tempPath("dict_roundtrip");
-      ASSERT_TRUE(SegmentEntries ? writeTraceSegmented(T, Path, SegmentEntries)
-                                 : writeTrace(T, Path));
-      for (bool Busy : {false, true}) {
-        SCOPED_TRACE("seed " + std::to_string(Seed) + ", segments of " +
-                     std::to_string(SegmentEntries) +
-                     (Busy ? ", busy interner" : ", fresh interner"));
-        auto Into = std::make_shared<StringInterner>();
-        if (Busy)
-          Into->intern("a string the file does not start with");
-        Expected<Trace> Loaded = readTrace(Path, Into);
-        ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-        const Trace &L = *Loaded;
-        ASSERT_EQ(L.size(), T.size());
-        ASSERT_TRUE(L.HasFingerprints);
-        for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
-          TraceEntry A = T.entry(Eid), B = L.entry(Eid);
-          ASSERT_EQ(B.Tid, A.Tid) << Eid;
-          EXPECT_EQ(L.Strings->text(B.Method), T.Strings->text(A.Method));
-          expectSameObj(T, A.Self, L, B.Self);
-          EXPECT_EQ(B.Ev.Kind, A.Ev.Kind);
-          EXPECT_EQ(L.Strings->text(B.Ev.Name), T.Strings->text(A.Ev.Name));
-          expectSameObj(T, A.Ev.Target, L, B.Ev.Target);
-          expectSameValue(T, A.Ev.Value, L, B.Ev.Value);
-          ASSERT_EQ(B.Ev.numArgs(), A.Ev.numArgs());
-          for (uint32_t I = 0; I != A.Ev.numArgs(); ++I)
-            expectSameValue(T, T.arg(Eid, I), L, L.arg(Eid, I));
-          EXPECT_EQ(B.Ev.ChildTid, A.Ev.ChildTid);
-          EXPECT_EQ(B.Prov, A.Prov);
-          // Fingerprints hash symbol ids: verbatim under identity, and
-          // under a remap what the reference formula gives the entry.
-          if (Busy)
-            EXPECT_EQ(B.Fp, L.entryFingerprint(B));
-          else
-            EXPECT_EQ(B.Fp, A.Fp);
-          EXPECT_EQ(B.Fp, L.entryFingerprint(Eid));
-          if (Eid + 1 != T.size())
-            EXPECT_EQ(eventEquals(L, Eid, L, Eid + 1),
-                      eventEquals(T, Eid, T, Eid + 1));
+    std::string Path = tempPath("dict_roundtrip");
+    ASSERT_TRUE(writeTrace(T, Path));
+    for (bool Busy : {false, true}) {
+      SCOPED_TRACE("seed " + std::to_string(Seed) +
+                   (Busy ? ", busy interner" : ", fresh interner"));
+      auto Into = std::make_shared<StringInterner>();
+      if (Busy)
+        Into->intern("a string the file does not start with");
+      Expected<Trace> Loaded = readTrace(Path, Into);
+      ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+      const Trace &L = *Loaded;
+      ASSERT_EQ(L.size(), T.size());
+      ASSERT_TRUE(L.HasFingerprints);
+      for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
+        TraceEntry A = T.entry(Eid), B = L.entry(Eid);
+        ASSERT_EQ(B.Tid, A.Tid) << Eid;
+        EXPECT_EQ(L.Strings->text(B.Method), T.Strings->text(A.Method));
+        expectSameObj(T, A.Self, L, B.Self);
+        EXPECT_EQ(B.Ev.Kind, A.Ev.Kind);
+        EXPECT_EQ(L.Strings->text(B.Ev.Name), T.Strings->text(A.Ev.Name));
+        expectSameObj(T, A.Ev.Target, L, B.Ev.Target);
+        expectSameValue(T, A.Ev.Value, L, B.Ev.Value);
+        ASSERT_EQ(B.Ev.numArgs(), A.Ev.numArgs());
+        for (uint32_t I = 0; I != A.Ev.numArgs(); ++I)
+          expectSameValue(T, T.arg(Eid, I), L, L.arg(Eid, I));
+        EXPECT_EQ(B.Ev.ChildTid, A.Ev.ChildTid);
+        EXPECT_EQ(B.Prov, A.Prov);
+        // Fingerprints hash symbol ids: verbatim under identity, and
+        // under a remap what the reference formula gives the entry.
+        if (Busy) {
+          EXPECT_EQ(B.Fp, L.entryFingerprint(B));
+        } else {
+          EXPECT_EQ(B.Fp, A.Fp);
         }
-        if (!SegmentEntries) {
-          // The remap rewrites only the symbol-bearing columns and the
-          // two tables; the representation-id columns stay in the file.
-          for (bool Borrowed :
-               {L.SelfIds.borrowed(), L.TargetIds.borrowed(),
-                L.ValueIds.borrowed(), L.ArgIds.borrowed(),
-                L.Tids.borrowed(), L.Kinds.borrowed()})
-            EXPECT_TRUE(Borrowed);
-          EXPECT_EQ(L.ObjReprs.borrowed(), !Busy);
-          EXPECT_EQ(L.ValueReprs.borrowed(), !Busy);
+        EXPECT_EQ(B.Fp, L.entryFingerprint(Eid));
+        if (Eid + 1 != T.size()) {
+          EXPECT_EQ(eventEquals(L, Eid, L, Eid + 1),
+                    eventEquals(T, Eid, T, Eid + 1));
         }
       }
-      std::remove(Path.c_str());
+      // The remap rewrites only the symbol-bearing columns and the two
+      // tables; the representation-id columns stay in the file.
+      for (bool Borrowed :
+           {L.SelfIds.borrowed(), L.TargetIds.borrowed(),
+            L.ValueIds.borrowed(), L.ArgIds.borrowed(), L.Tids.borrowed(),
+            L.Kinds.borrowed()})
+        EXPECT_TRUE(Borrowed);
+      EXPECT_EQ(L.ObjReprs.borrowed(), !Busy);
+      EXPECT_EQ(L.ValueReprs.borrowed(), !Busy);
     }
+    std::remove(Path.c_str());
   }
 }
 

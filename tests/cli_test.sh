@@ -212,13 +212,21 @@ done
 [ $? -eq 3 ] || fail "hostile footer offset was not exit 3"
 set -e
 
-# Hostile keys with valid checksums: old.rpt with one entry's tid, or one
-# object's store location, set to 0xFFFFFFF0, and its view index damaged
-# so diff-traces builds the view web by scanning. A tid that names no
-# thread is a corrupt section (exit 3); a huge location is legal and must
-# diff without sizing any table by it (the address-space limit turns a
-# 16 GiB key-indexed vector into a failure). The limit is skipped where
-# the binary cannot start under it (sanitizer builds reserve more).
+# Hostile files with valid checksums, built from old.rpt:
+#   tid, loc — one entry's tid, or one object's store location, set to
+#     0xFFFFFFF0, and the view index damaged so diff-traces builds the view
+#     web by scanning. A tid that names no thread is a corrupt section
+#     (exit 3); a huge location is legal and must diff without sizing any
+#     table by it (the address-space limit turns a 16 GiB key-indexed
+#     vector into a failure).
+#   views — the segment header and directory record declare 0xF0000000
+#     entries and the view meta 0xE0000000 views: salvage keeps the real
+#     entries and drops the index without reserving its view count.
+#   twoseg — the segment twice (the copy numbered 1, starting at entry N)
+#     under a two-record directory: a trace file holds one segment, so
+#     every read refuses it (exit 3), with or without the directory.
+# The limit is skipped where the binary cannot start under it (sanitizer
+# builds reserve more).
 cat > "$WORK/hostile_keys.py" <<'EOF'
 import struct, sys
 
@@ -266,6 +274,8 @@ for i in range(struct.unpack_from("<I", data, seg + 20)[0]):
     rec = seg + 32 + 32 * i
     sid, _, off, length, _ = struct.unpack_from("<IIQQQ", data, rec)
     sections[sid] = (rec, seg + off, length)
+trailer = len(data) - 24
+footer = struct.unpack_from("<Q", data, trailer)[0]
 
 
 def reseal(sid):
@@ -274,20 +284,40 @@ def reseal(sid):
     struct.pack_into("<Q", data, rec + 24, checksum(payload))
 
 
+if what == "twoseg":
+    entries = struct.unpack_from("<I", data, seg + 16)[0]
+    copy = bytearray(data[seg:footer])
+    struct.pack_into("<IQ", copy, 4, 1, entries)  # Index 1, first eid N.
+    record = bytearray(data[footer + 8:footer + 40])
+    struct.pack_into("<Q", record, 0, footer)  # The copy starts there.
+    struct.pack_into("<I", record, 24, entries)
+    directory = (struct.pack("<II", 0x52504654, 2)
+                 + bytes(data[footer + 8:footer + 40]) + bytes(record))
+    head = bytes(data[:footer]) + bytes(copy)
+    data = bytearray(head + directory
+                     + struct.pack("<QQII", len(head), checksum(directory),
+                                   2, 0x52505445))
+    open(dst, "wb").write(data)
+    sys.exit(0)
 if what == "tid":
     _, off, _ = sections[10]  # Tid column: entry 0 runs on 0xFFFFFFF0.
     struct.pack_into("<I", data, off, 0xFFFFFFF0)
     reseal(10)
-else:
+elif what == "loc":
     _, off, _ = sections[27]  # Object rows after a u64 base; Loc at +8.
     struct.pack_into("<I", data, off + 8 + 24 + 8, 0xFFFFFFF0)  # Row 1.
     reseal(27)
-_, off, _ = sections[22]  # Damage the view index: it is dropped.
-data[off] ^= 0xFF
+if what == "views":
+    struct.pack_into("<I", data, seg + 16, 0xF0000000)  # Segment header.
+    struct.pack_into("<I", data, footer + 8 + 28, 0xF0000000)  # Record 0.
+    _, off, _ = sections[22]  # View meta: family 0 declares 0xE0000000.
+    struct.pack_into("<I", data, off, 0xE0000000)
+    reseal(22)
+else:
+    _, off, _ = sections[22]  # Damage the view index: it is dropped.
+    data[off] ^= 0xFF
 table = seg + 32
 digest = checksum(bytes(data[table:table + 32 * len(sections)]))
-trailer = len(data) - 24
-footer = struct.unpack_from("<Q", data, trailer)[0]
 struct.pack_into("<Q", data, footer + 16, digest)  # Directory record 0.
 struct.pack_into("<Q", data, trailer + 8,
                  checksum(bytes(data[footer:trailer])))
@@ -297,6 +327,13 @@ python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badtid.rpt" tid \
   || fail "could not build the hostile-tid fixture"
 python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badloc.rpt" loc \
   || fail "could not build the hostile-location fixture"
+python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badviews.rpt" views \
+  || fail "could not build the hostile-view-count fixture"
+python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/twoseg.rpt" twoseg \
+  || fail "could not build the two-segment fixture"
+# Both segments, without the two-record footer (72 bytes) and the trailer.
+head -c "$(($(wc -c < "$WORK/twoseg.rpt") - 96))" "$WORK/twoseg.rpt" \
+  > "$WORK/twoseg_nofooter.rpt"
 VMEM=4000000
 ( ulimit -v "$VMEM" && "$RPRISM" --version ) > /dev/null 2>&1 || VMEM=""
 limited() {
@@ -314,6 +351,23 @@ for JOBS in 0 1; do
   [ $? -eq 0 ] || fail "hostile location did not diff (--jobs $JOBS)"
   grep -q "semantic diff: 0 differences" "$WORK/badloc_out.txt" \
     || fail "hostile location diff is not empty (--jobs $JOBS)"
+done
+limited "$RPRISM" trace-dump "$WORK/badviews.rpt" --salvage \
+  > /dev/null 2>"$WORK/badviews_err.txt"
+[ $? -eq 0 ] || fail "hostile view count did not salvage"
+grep -q "damaged view index dropped" "$WORK/badviews_err.txt" \
+  || fail "hostile view count did not drop the view index"
+for F in twoseg twoseg_nofooter; do
+  for SALVAGE in "" --salvage; do
+    "$RPRISM" trace-dump "$WORK/$F.rpt" $SALVAGE > /dev/null \
+      2>"$WORK/twoseg_err.txt"
+    [ $? -eq 3 ] || fail "$F trace-dump $SALVAGE was not exit 3"
+    grep -q "corrupt segment-count section" "$WORK/twoseg_err.txt" \
+      || fail "$F trace-dump $SALVAGE did not report the segment count"
+    "$RPRISM" diff-traces "$WORK/$F.rpt" "$WORK/old.rpt" $SALVAGE \
+      > /dev/null 2>&1
+    [ $? -eq 3 ] || fail "$F diff-traces $SALVAGE was not exit 3"
+  done
 done
 set -e
 

@@ -7,15 +7,14 @@
 ///
 /// \file
 /// Deterministic corruption fuzzer for the trace reader. Writes a small
-/// corpus of base traces (empty, single-entry, generated workloads) as
-/// one whole-trace segment and as 8-entry segments, each with and without
-/// the view index, then applies seeded mutations — truncation, bit flips,
-/// byte overwrites, section-table and header tampering, zeroed ranges,
-/// appended garbage, plus the file's boundary structures: trailer fields,
-/// footer-directory records, and segment headers, and id and row values
-/// rewritten with every checksum resealed so they reach the reader's value
-/// checks — and requires every strict read, salvage read, and digest of
-/// the mutant to return cleanly.
+/// corpus of base traces (empty, single-entry, generated workloads), each
+/// with and without the view index, then applies seeded mutations —
+/// truncation, bit flips, byte overwrites, section-table and header
+/// tampering, zeroed ranges, appended garbage, plus the file's boundary
+/// structures: trailer fields, the footer-directory record, and the
+/// segment header, and id and row values rewritten with every checksum
+/// resealed so they reach the reader's value checks — and requires every
+/// strict read, salvage read, and digest of the mutant to return cleanly.
 /// A crash, hang, or sanitizer report is the failure mode; any error
 /// return is a pass.
 ///
@@ -79,11 +78,11 @@ bool writeAll(const std::string &Path, const std::vector<uint8_t> &Bytes) {
   return Out.good();
 }
 
-/// Rewrites one u32 of a value-bearing section of the first segment — a
-/// tid, a representation-id column, the argument-id slice, or a row of
-/// either representation table — and reseals the section checksum, the
-/// segment's directory digest and the footer checksum, so the value
-/// reaches the reader's id and row checks instead of failing a checksum.
+/// Rewrites one u32 of a value-bearing section of the segment — a tid, a
+/// representation-id column, the argument pool, or a row of either
+/// representation table — and reseals the section checksum, the
+/// directory's table digest and the footer checksum, so the value reaches
+/// the reader's id and row checks instead of failing a checksum.
 /// False (nothing changed) when the framing it needs is not intact.
 bool sealedValueTamper(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
   auto Load64 = [&](size_t At) {
@@ -98,10 +97,7 @@ bool sealedValueTamper(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     return false;
   size_t Trailer = Bytes.size() - 24;
   uint64_t Footer = Load64(Trailer);
-  uint32_t NumSegments;
-  std::memcpy(&NumSegments, Bytes.data() + Trailer + 16, 4);
-  if (Footer < 64 || Footer > Trailer || NumSegments == 0 ||
-      Trailer - Footer != 8 + uint64_t{NumSegments} * 32 ||
+  if (Footer < 64 || Footer > Trailer || Trailer - Footer != 8 + 32 ||
       Load64(Footer + 8) != 32)
     return false;
   uint32_t NumSections;
@@ -139,7 +135,7 @@ bool sealedValueTamper(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
 /// Applies one seeded mutation to \p Bytes. Thirteen mutation kinds,
 /// chosen and parameterised by \p Rng; always leaves at least an empty
 /// file. Kinds 9-11 target the file framing (trailer, footer directory,
-/// segment headers) and kind 12 rewrites sealed ids and rows; each
+/// segment header) and kind 12 rewrites sealed ids and rows; each
 /// degrades to a plain bit flip when an earlier mutation left no valid
 /// trailer.
 void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
@@ -184,9 +180,9 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
         static_cast<uint8_t>(std::initializer_list<int>{0, 1, 0x7f, 0x80, 0xff}
                                  .begin()[Rng() % 5]);
     break;
-  case 4: { // Tamper with a record of the first segment's section table
-            // (after the 32-byte file and segment headers: 32-byte records
-            // of id/pad, offset, length, checksum).
+  case 4: { // Tamper with a record of the segment's section table (after
+            // the 32-byte file and segment headers: 32-byte records of
+            // id/pad, offset, length, checksum).
     if (Bytes.size() < 96) {
       FlipBit();
       break;
@@ -244,37 +240,26 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     std::memcpy(Bytes.data() + Trailer + Field, &Garbage, 8);
     break;
   }
-  case 10: { // Footer-directory record tamper.
+  case 10: { // Footer-directory tamper: magic and count, or a field of
+             // the record.
     uint64_t Footer = FooterAt();
-    if (!Footer) {
+    if (!Footer || Bytes.size() < Footer + 8 + 32) {
       FlipBit();
       break;
     }
-    uint32_t NumSegments;
-    std::memcpy(&NumSegments, Bytes.data() + Footer + 4, 4);
-    size_t Records = Bytes.size() > Footer + 8
-                         ? std::min<size_t>(NumSegments,
-                                            (Bytes.size() - Footer - 8) / 32)
-                         : 0;
-    if (!Records) {
-      FlipBit();
-      break;
-    }
-    size_t Record = Footer + 8 + 32 * Index(Records);
-    size_t Field = (Rng() % 4) * 8; // offset / digests / eid range
+    size_t Field = (Rng() % 5) * 8; // magic+count / offset / digests / eids
     uint64_t Garbage = Rng();
-    std::memcpy(Bytes.data() + Record + Field, &Garbage, 8);
+    std::memcpy(Bytes.data() + Footer + Field, &Garbage, 8);
     break;
   }
-  case 11: { // Segment-header tamper (the first segment lives at byte 32).
+  case 11: { // Segment-header tamper (the segment lives at byte 32).
     uint64_t Footer = FooterAt();
     if (!Footer || Footer < 64) {
       FlipBit();
       break;
     }
-    // Walking the chain would need trusted PayloadBytes, so tamper the
-    // first header: magic/index, begin-eid, counts, or payload size —
-    // the last one derails the salvage chain scan's next-header jump.
+    // Magic/index, begin-eid, counts, or payload size — the last one moves
+    // where the salvage header scan looks for a second segment.
     size_t Field = (Rng() % 4) * 8;
     uint64_t Garbage = Rng();
     std::memcpy(Bytes.data() + 32 + Field, &Garbage, 8);
@@ -332,7 +317,7 @@ int main(int Argc, char **Argv) {
   }
 
   // Base corpus: a spread of trace shapes, including the degenerate ones
-  // (empty, single entry), each written four ways.
+  // (empty, single entry), each written with and without the view index.
   GeneratorOptions Small;
   Small.NumClasses = 2;
   Small.OuterIters = 3;
@@ -357,24 +342,8 @@ int main(int Argc, char **Argv) {
   for (size_t I = 0; I != Corpus.size(); ++I) {
     Corpus[I].computeFingerprints();
     std::string Path = Dir + "_base" + std::to_string(I);
-    // One whole-trace segment stresses the zero-copy path, 8-entry
-    // segments the per-segment framing and the copying assembly; each
-    // with and without the view index.
-    auto WholeIndex = [](const Trace &T, const std::string &P) {
-      return writeTrace(T, P, /*WithViewIndex=*/true);
-    };
-    auto WholePlain = [](const Trace &T, const std::string &P) {
-      return writeTrace(T, P, /*WithViewIndex=*/false);
-    };
-    auto SmallIndex = [](const Trace &T, const std::string &P) {
-      return writeTraceSegmented(T, P, /*SegmentEntries=*/8);
-    };
-    auto SmallPlain = [](const Trace &T, const std::string &P) {
-      return writeTraceSegmented(T, P, /*SegmentEntries=*/8,
-                                 /*WithViewIndex=*/false);
-    };
-    for (auto *Write : {+WholeIndex, +WholePlain, +SmallIndex, +SmallPlain}) {
-      if (!Write(Corpus[I], Path)) {
+    for (bool WithViewIndex : {true, false}) {
+      if (!writeTrace(Corpus[I], Path, WithViewIndex)) {
         std::fprintf(stderr, "fatal: cannot write base trace %zu\n", I);
         return 1;
       }
