@@ -16,7 +16,7 @@
 ///               path).
 ///   fp-seq    — fingerprints on, jobs=1: isolates the =e fast-path win.
 ///   fp-jobsN  — fingerprints on, jobs=N: adds the thread-pool stages
-///               (web builds, per-pair evaluation, pair fingerprinting).
+///               (web builds, per-pair evaluation).
 ///
 /// A second, on-disk phase measures the repeat-diff warm paths: cold
 /// (load + web build + correlate + diff) versus warm (digest-keyed cache

@@ -600,23 +600,17 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
       emitWholeViewSequence(Result, V, /*IsLeft=*/false);
 
   // Anchors found late (or by another pair) can mark entries similar after
-  // they were already emitted into a sequence; re-filter so sequences
-  // contain only entries that are differences in the final, merged Pi.
-  std::vector<DiffSequence> Filtered;
-  Filtered.reserve(Result.Sequences.size());
+  // they were already emitted into a sequence; re-filter in place so
+  // sequences contain only entries that are differences in the final,
+  // merged Pi.
   for (DiffSequence &Seq : Result.Sequences) {
-    DiffSequence Clean;
-    Clean.LeftTid = Seq.LeftTid;
-    for (uint32_t Eid : Seq.LeftEids)
-      if (!Result.LeftSimilar[Eid])
-        Clean.LeftEids.push_back(Eid);
-    for (uint32_t Eid : Seq.RightEids)
-      if (!Result.RightSimilar[Eid])
-        Clean.RightEids.push_back(Eid);
-    if (!Clean.LeftEids.empty() || !Clean.RightEids.empty())
-      Filtered.push_back(std::move(Clean));
+    std::erase_if(Seq.LeftEids,
+                  [&](uint32_t Eid) { return Result.LeftSimilar[Eid]; });
+    std::erase_if(Seq.RightEids,
+                  [&](uint32_t Eid) { return Result.RightSimilar[Eid]; });
   }
-  Result.Sequences = std::move(Filtered);
+  std::erase_if(Result.Sequences,
+                [](const DiffSequence &Seq) { return Seq.size() == 0; });
 
   Result.Stats.CompareOps = TotalOps;
   Result.Stats.Seconds = Clock.seconds();

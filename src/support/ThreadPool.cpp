@@ -160,36 +160,3 @@ void ThreadPool::wait() {
   if (E)
     std::rethrow_exception(E);
 }
-
-void ThreadPool::parallelFor(size_t N, const std::function<void(size_t)> &Body) {
-  if (N == 0)
-    return;
-  if (Workers.empty()) {
-    // Inline: run in index order; defer the first exception like workers do
-    // so error semantics match the parallel path.
-    std::exception_ptr E;
-    for (size_t I = 0; I != N; ++I) {
-      try {
-        Body(I);
-      } catch (...) {
-        if (!E)
-          E = std::current_exception();
-      }
-    }
-    if (E)
-      std::rethrow_exception(E);
-    return;
-  }
-  // Chunk indices so a cheap body doesn't pay a queue round-trip per index;
-  // 4 chunks per worker keeps the tail balanced when chunks vary in cost.
-  size_t NumChunks = std::min<size_t>(N, Workers.size() * 4);
-  size_t ChunkSize = (N + NumChunks - 1) / NumChunks;
-  for (size_t Begin = 0; Begin < N; Begin += ChunkSize) {
-    size_t End = std::min(N, Begin + ChunkSize);
-    submit([&Body, Begin, End] {
-      for (size_t I = Begin; I != End; ++I)
-        Body(I);
-    });
-  }
-  wait();
-}

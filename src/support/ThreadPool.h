@@ -7,9 +7,8 @@
 ///
 /// \file
 /// A fixed-size thread pool with a shared work queue, used to parallelize
-/// the trace-analysis pipeline: fingerprinting both traces of a diff
-/// session, building the four view-index families of a ViewWeb, and
-/// evaluating independent correlated thread-view pairs.
+/// the trace-analysis pipeline: scanning the four view families of a
+/// ViewWeb and evaluating independent correlated thread-view pairs.
 ///
 /// Design constraints that matter for correctness of the diff pipeline:
 ///
@@ -18,13 +17,13 @@
 ///     merge results in a fixed (submission) order, so `--jobs N` produces
 ///     byte-identical output to `--jobs 1`.
 ///   - *Exception propagating*: exceptions thrown by a task are captured
-///     and rethrown from wait()/parallelFor() on the submitting thread.
+///     and rethrown from wait() on the submitting thread.
 ///   - *No nesting*: tasks must not submit to (or wait on) their own pool —
 ///     a worker blocking on the queue it serves can deadlock. Pipeline
 ///     stages are parallelized one level at a time.
 ///
 /// A pool of size <= 1 runs every task inline on the submitting thread at
-/// submit/parallelFor time — no worker threads, no locks taken on the task
+/// submit time — no worker threads, no locks taken on the task
 /// path — which restores the sequential execution order bit-for-bit.
 ///
 //===----------------------------------------------------------------------===//
@@ -70,11 +69,6 @@ public:
   /// exception any task threw since the last wait(); remaining tasks still
   /// run to completion before the rethrow.
   void wait();
-
-  /// Runs Body(0..N-1) across the pool and waits. Indices are chunked so
-  /// cheap bodies don't pay one queue round-trip each. Rethrows the first
-  /// task exception.
-  void parallelFor(size_t N, const std::function<void(size_t)> &Body);
 
   /// The `--jobs` default: hardware_concurrency, with a fallback of 1 when
   /// the runtime reports 0 (permitted by the standard).

@@ -4,7 +4,6 @@
 
 #include "support/Hashing.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <sstream>
 
@@ -277,49 +276,15 @@ uint64_t Trace::entryFingerprint(const TraceEntry &Entry) const {
   return H;
 }
 
-void Trace::computeFingerprints(ThreadPool *Pool) {
+void Trace::computeFingerprints() {
   TelemetrySpan Span("fingerprint");
   size_t N = size();
   Fps.resize(N);
   uint64_t *Out = Fps.mutData();
   RowFingerprints Rows(*this);
-  if (Pool && Pool->numWorkers() > 1) {
-    Pool->parallelFor(N, [this, Out, &Rows](size_t I) {
-      Out[I] = Rows.of(*this, static_cast<uint32_t>(I));
-    });
-  } else {
-    for (size_t I = 0; I != N; ++I)
-      Out[I] = Rows.of(*this, static_cast<uint32_t>(I));
-  }
+  for (size_t I = 0; I != N; ++I)
+    Out[I] = Rows.of(*this, static_cast<uint32_t>(I));
   HasFingerprints = true;
-}
-
-void rprism::fingerprintTracePair(Trace &Left, Trace &Right,
-                                  ThreadPool *Pool) {
-  if (!Pool || Pool->numWorkers() <= 1) {
-    Left.computeFingerprints();
-    Right.computeFingerprints();
-    return;
-  }
-  TelemetrySpan Span("fingerprint");
-  // One flat index space over both traces' entries, so both are
-  // fingerprinted concurrently and a short left trace doesn't idle the
-  // pool while the right one is processed.
-  size_t NumLeft = Left.size();
-  Left.Fps.resize(NumLeft);
-  Right.Fps.resize(Right.size());
-  uint64_t *LOut = Left.Fps.mutData();
-  uint64_t *ROut = Right.Fps.mutData();
-  RowFingerprints LRows(Left), RRows(Right);
-  Pool->parallelFor(NumLeft + Right.size(), [&, LOut, ROut, NumLeft](size_t I) {
-    if (I < NumLeft)
-      LOut[I] = LRows.of(Left, static_cast<uint32_t>(I));
-    else
-      ROut[I - NumLeft] =
-          RRows.of(Right, static_cast<uint32_t>(I - NumLeft));
-  });
-  Left.HasFingerprints = true;
-  Right.HasFingerprints = true;
 }
 
 bool rprism::eventEquals(const Trace &TA, uint32_t A, const Trace &TB,

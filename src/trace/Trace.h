@@ -49,8 +49,6 @@
 
 namespace rprism {
 
-class ThreadPool;
-
 /// One column of the columnar trace: a contiguous array of a trivially
 /// copyable element type. Either *owning* (backed by its own vector) or
 /// *borrowed* (a pointer/length view into memory owned elsewhere — the
@@ -63,6 +61,9 @@ template <typename T> class Column {
 
 public:
   Column() = default;
+
+  /// An owning column that takes over \p V's storage (no copy).
+  explicit Column(std::vector<T> &&V) : Own(std::move(V)) { reset(); }
 
   // Copies deep-copy into owned storage (trace copies are rare: tests and
   // benchmarks); moves transfer the vector, whose data pointer is stable.
@@ -358,10 +359,8 @@ struct Trace {
   /// the index-based overload for materialized entries of this trace).
   uint64_t entryFingerprint(const TraceEntry &Entry) const;
 
-  /// Fills the fingerprint column and sets HasFingerprints. With \p Pool,
-  /// the entries are chunked across the pool's workers (the result does not
-  /// depend on the chunking).
-  void computeFingerprints(ThreadPool *Pool = nullptr);
+  /// Fills the fingerprint column and sets HasFingerprints.
+  void computeFingerprints();
 
   /// Bytes held by the entry columns, the argument pool and the two
   /// representation tables (the columnar footprint reported as
@@ -400,12 +399,6 @@ bool eventEquals(const Trace &TA, uint32_t A, const Trace &TB, uint32_t B,
 /// the given traces).
 bool eventEquals(const Trace &TA, const TraceEntry &A, const Trace &TB,
                  const TraceEntry &B, CompareCounter *Counter = nullptr);
-
-/// Fingerprints both traces of a diff session, splitting the entries of
-/// both across \p Pool (concurrent per-trace and within each trace).
-/// Equivalent to calling computeFingerprints on each trace.
-void fingerprintTracePair(Trace &Left, Trace &Right,
-                          ThreadPool *Pool = nullptr);
 
 } // namespace rprism
 

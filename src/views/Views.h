@@ -20,6 +20,12 @@
 /// entry can be navigated from its position in one view to its position in
 /// every other view it belongs to — the "web" of views.
 ///
+/// Which entries a view holds is decided in one place, the family scans of
+/// trace/ViewIndex.h. A web built by scanning runs those scans; a web
+/// reconstructed from a persisted ViewIndex reads their flattened output.
+/// Both assemble views through the same routine, so the two webs are
+/// identical by construction.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef RPRISM_VIEWS_VIEWS_H
@@ -33,7 +39,8 @@
 
 namespace rprism {
 
-/// The four view types of §2.4.
+/// The four view types of §2.4. Each value is also its family's index in
+/// partitionViewFamily and in the persisted ViewIndex.
 enum class ViewType : uint8_t { Thread, Method, TargetObject, ActiveObject };
 
 const char *viewTypeName(ViewType Type);
@@ -69,10 +76,11 @@ class ViewWeb {
 public:
   /// Builds every view of \p T. The trace must outlive the web. Each of
   /// the four view families (thread, method, target-object, active-object)
-  /// is built by an independent scan over the trace; with \p Pool the four
-  /// scans run concurrently. View ids are dense and family-grouped (all
-  /// thread views first, then method, target-object, active-object, each
-  /// in order of first appearance) — identical with and without a pool.
+  /// is one partitionViewFamily scan, under a span named for the family;
+  /// with a \p Pool of more than one worker the four scans run
+  /// concurrently. View ids are dense and family-grouped (all thread views
+  /// first, then method, target-object, active-object, each in order of
+  /// first appearance) — identical with and without a pool.
   ///
   /// When \p UseIndex is set and the trace carries a current ViewIndex
   /// (loaded from an indexed trace file or precomputed), the entry scans are
@@ -86,16 +94,28 @@ public:
   const View &view(uint32_t ViewId) const { return Views[ViewId]; }
   size_t numViews() const { return Views.size(); }
 
-  size_t numThreadViews() const { return ThreadIndex.size(); }
-  size_t numMethodViews() const { return MethodIndex.size(); }
-  size_t numTargetObjectViews() const { return TargetIndex.size(); }
-  size_t numActiveObjectViews() const { return ActiveIndex.size(); }
+  size_t numThreadViews() const { return family(ViewType::Thread).size(); }
+  size_t numMethodViews() const { return family(ViewType::Method).size(); }
+  size_t numTargetObjectViews() const {
+    return family(ViewType::TargetObject).size();
+  }
+  size_t numActiveObjectViews() const {
+    return family(ViewType::ActiveObject).size();
+  }
 
   /// Lookups; null when no such view exists.
-  const View *threadView(uint32_t Tid) const;
-  const View *methodView(Symbol QualName) const;
-  const View *targetObjectView(uint32_t Loc) const;
-  const View *activeObjectView(uint32_t Loc) const;
+  const View *threadView(uint32_t Tid) const {
+    return find(ViewType::Thread, Tid);
+  }
+  const View *methodView(Symbol QualName) const {
+    return find(ViewType::Method, QualName.Id);
+  }
+  const View *targetObjectView(uint32_t Loc) const {
+    return find(ViewType::TargetObject, Loc);
+  }
+  const View *activeObjectView(uint32_t Loc) const {
+    return find(ViewType::ActiveObject, Loc);
+  }
 
   /// All views containing entry \p Eid (the nu mappings of Fig. 7): its
   /// thread view, method view, target object view (if the event has a
@@ -113,16 +133,30 @@ public:
   const std::vector<View> &views() const { return Views; }
 
 private:
+  using KeyMap = std::unordered_map<uint32_t, uint32_t>;
+
   /// Reconstructs every view from the trace's persisted ViewIndex:
   /// O(views) work, entry lists borrowed from the index's flat column.
   void buildFromIndex(const ViewIndex &Idx);
 
+  /// Appends the next view of family \p Type, keyed \p Key, holding the
+  /// non-empty ascending list \p Entries; object views take their
+  /// representation endpoints from the first and last entry.
+  void addView(ViewType Type, uint32_t Key, Column<uint32_t> Entries);
+
+  const KeyMap &family(ViewType Type) const {
+    return KeyToView[static_cast<size_t>(Type)];
+  }
+  const View *find(ViewType Type, uint32_t Key) const {
+    auto It = family(Type).find(Key);
+    return It == family(Type).end() ? nullptr : &Views[It->second];
+  }
+
   const Trace *T;
   std::vector<View> Views;
-  std::unordered_map<uint32_t, uint32_t> ThreadIndex; ///< tid -> view id.
-  std::unordered_map<uint32_t, uint32_t> MethodIndex; ///< symbol -> view id.
-  std::unordered_map<uint32_t, uint32_t> TargetIndex; ///< loc -> view id.
-  std::unordered_map<uint32_t, uint32_t> ActiveIndex; ///< loc -> view id.
+  /// Per family (indexed by ViewType): tid / method symbol / location ->
+  /// view id.
+  KeyMap KeyToView[NumViewFamilies];
 };
 
 } // namespace rprism

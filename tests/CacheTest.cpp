@@ -9,10 +9,10 @@
 /// Pins the two warm-path contracts of the repeat-diff machinery:
 ///
 ///   1. A view web reconstructed from a trace's ViewIndex — computed in
-///      memory or round-tripped through a trace file — is *identical*
-///      to one built by scanning the entries (randomized over generated
-///      workloads), and damaged index sections are rejected, never
-///      half-used.
+///      memory or round-tripped through a trace file — and one built by
+///      scanning the entries both match the Fig. 7 reference partition of
+///      ViewOracle.h (randomized over generated workloads), and damaged
+///      index sections are rejected, never half-used.
 ///   2. DiffCache returns the exact objects it cached (hits observable via
 ///      counters), evicts cold entries with their dependents, and
 ///      cachedViewsDiff produces byte-identical reports and identical
@@ -21,6 +21,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "TraceFileLayout.h"
+#include "ViewOracle.h"
 
 #include "analysis/Regression.h"
 #include "cache/DiffCache.h"
@@ -105,14 +106,8 @@ void expectWebsEqual(const ViewWeb &A, const ViewWeb &B) {
 /// A generated-workload trace for one drawn configuration.
 Trace generatedTrace(std::mt19937_64 &Rng,
                      std::shared_ptr<StringInterner> Strings = nullptr) {
-  GeneratorOptions G;
-  G.NumClasses = 2 + static_cast<unsigned>(Rng() % 4);
-  G.OuterIters = 4 + static_cast<unsigned>(Rng() % 24);
-  G.NumThreads = 1 + static_cast<unsigned>(Rng() % 3);
-  G.Seed = Rng();
-  G.Perturb = static_cast<unsigned>(Rng() % 3);
-  G.ReorderBlock = (Rng() % 2) != 0;
-  return traceOf(generateProgram(G), std::move(Strings));
+  return traceOf(generateProgram(vieworacle::drawGeneratorOptions(Rng)),
+                 std::move(Strings));
 }
 
 const char *ObjectsProgram = R"(
@@ -130,7 +125,7 @@ const char *ObjectsProgram = R"(
 )";
 
 //===----------------------------------------------------------------------===//
-// Property: index-reconstructed webs are identical to fresh builds
+// Property: scanned and index-reconstructed webs match the Fig. 7 oracle
 //===----------------------------------------------------------------------===//
 
 TEST(ViewIndexProperty, ReconstructedWebMatchesFreshBuild) {
@@ -144,9 +139,11 @@ TEST(ViewIndexProperty, ReconstructedWebMatchesFreshBuild) {
     ASSERT_TRUE(T.ViewIdx.Present);
     EXPECT_TRUE(viewIndexIsValid(T.ViewIdx, T.size())) << "round " << Round;
 
+    std::string Label = "round " + std::to_string(Round);
     ViewWeb Fresh(T, nullptr, /*UseIndex=*/false);
     ViewWeb FromIndex(T, nullptr, /*UseIndex=*/true);
-    expectWebsEqual(Fresh, FromIndex);
+    vieworacle::expectWebMatchesOracle(Fresh, Label + " scanned");
+    vieworacle::expectWebMatchesOracle(FromIndex, Label + " from index");
   }
 }
 
@@ -162,9 +159,11 @@ TEST(ViewIndexProperty, RoundTripThroughTraceFileMatchesFreshBuild) {
     ASSERT_TRUE(Loaded->ViewIdx.Present);
     EXPECT_TRUE(viewIndexIsValid(Loaded->ViewIdx, Loaded->size()));
 
+    std::string Label = "round " + std::to_string(Round);
     ViewWeb Fresh(*Loaded, nullptr, /*UseIndex=*/false);
     ViewWeb FromIndex(*Loaded, nullptr, /*UseIndex=*/true);
-    expectWebsEqual(Fresh, FromIndex);
+    vieworacle::expectWebMatchesOracle(Fresh, Label + " scanned");
+    vieworacle::expectWebMatchesOracle(FromIndex, Label + " from index");
     std::remove(Path.c_str());
   }
 }
@@ -175,7 +174,7 @@ TEST(ViewIndexProperty, IndexSurvivesSymbolRemapIntoBusyInterner) {
   ASSERT_TRUE(writeTrace(T, Path));
   // A pre-occupied interner shifts every symbol id: the loader takes the
   // remap path, rewrites the index's method-view keys, and the
-  // reconstructed web must still match a fresh build over the remapped
+  // reconstructed web must still match the oracle over the remapped
   // columns.
   auto Busy = std::make_shared<StringInterner>();
   Busy->intern("occupying-symbol-id-one");
@@ -186,7 +185,8 @@ TEST(ViewIndexProperty, IndexSurvivesSymbolRemapIntoBusyInterner) {
 
   ViewWeb Fresh(*Loaded, nullptr, /*UseIndex=*/false);
   ViewWeb FromIndex(*Loaded, nullptr, /*UseIndex=*/true);
-  expectWebsEqual(Fresh, FromIndex);
+  vieworacle::expectWebMatchesOracle(Fresh, "remapped, scanned");
+  vieworacle::expectWebMatchesOracle(FromIndex, "remapped, from index");
   std::remove(Path.c_str());
 }
 

@@ -415,30 +415,6 @@ TEST(ThreadPool, ExceptionPropagatesFromWait) {
   }
 }
 
-TEST(ThreadPool, ParallelForCoversEveryIndexOnce) {
-  for (unsigned N : {0u, 3u}) {
-    ThreadPool Pool(N);
-    std::vector<std::atomic<int>> Hits(257);
-    Pool.parallelFor(Hits.size(),
-                     [&Hits](size_t I) { Hits[I].fetch_add(1); });
-    for (size_t I = 0; I != Hits.size(); ++I)
-      EXPECT_EQ(Hits[I].load(), 1) << "index " << I;
-    Pool.parallelFor(0, [](size_t) { FAIL() << "empty range ran a body"; });
-  }
-}
-
-TEST(ThreadPool, ParallelForPropagatesBodyException) {
-  for (unsigned N : {1u, 4u}) {
-    ThreadPool Pool(N);
-    EXPECT_THROW(Pool.parallelFor(16,
-                                  [](size_t I) {
-                                    if (I == 7)
-                                      throw std::runtime_error("body");
-                                  }),
-                 std::runtime_error);
-  }
-}
-
 TEST(ThreadPool, DefaultConcurrencyIsPositive) {
   EXPECT_GE(ThreadPool::defaultConcurrency(), 1u);
 }

@@ -5,14 +5,26 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "ViewOracle.h"
+
 #include "correlate/Correlate.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
+#include "support/Telemetry.h"
+#include "support/ThreadPool.h"
+#include "trace/Serialize.h"
+#include "trace/ViewIndex.h"
 #include "views/Views.h"
+#include "workload/Corpus.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <random>
+#include <unistd.h>
+
 using namespace rprism;
+using vieworacle::expectWebMatchesOracle;
 
 namespace {
 
@@ -204,6 +216,90 @@ TEST(ViewWeb, MultiThreadedTracesHaveOneViewPerThread) {
     if (V.Type == ViewType::Thread)
       Total += V.Entries.size();
   EXPECT_EQ(Total, T.size());
+}
+
+//===----------------------------------------------------------------------===//
+// Reference oracle: every way of building a web yields the Fig. 7 views
+//===----------------------------------------------------------------------===//
+
+/// Checks the webs of \p T built five ways against the oracle: scanned
+/// with no pool, on a 4-worker pool and with telemetry on; reconstructed
+/// from computeViewIndex; and reconstructed from a written trace file
+/// reloaded into a fresh and into a busy interner.
+void expectEveryBuildMatchesOracle(Trace T, const std::string &What) {
+  ASSERT_GT(T.size(), 0u) << What;
+  {
+    ViewWeb Web(T, nullptr, /*UseIndex=*/false);
+    expectWebMatchesOracle(Web, What + ", no pool");
+  }
+  {
+    ThreadPool Pool(4);
+    ViewWeb Web(T, &Pool, /*UseIndex=*/false);
+    expectWebMatchesOracle(Web, What + ", 4-worker pool");
+  }
+  {
+    Telemetry::get().reset();
+    Telemetry::get().setEnabled(true);
+    ViewWeb Web(T, nullptr, /*UseIndex=*/false);
+    Telemetry::get().setEnabled(false);
+    Telemetry::get().reset();
+    expectWebMatchesOracle(Web, What + ", telemetry on");
+  }
+
+  static unsigned FileCount = 0;
+  std::string Path = "/tmp/rprism_viewstest_" + std::to_string(::getpid()) +
+                     "_" + std::to_string(FileCount++) + ".rpt";
+  ASSERT_TRUE(writeTrace(T, Path)) << What;
+  T.ViewIdx = computeViewIndex(T);
+  {
+    ViewWeb Web(T);
+    expectWebMatchesOracle(Web, What + ", from computeViewIndex");
+  }
+  // A pre-occupied interner shifts every symbol id, so the load remaps
+  // the columns and the index's method keys.
+  auto Busy = std::make_shared<StringInterner>();
+  Busy->intern("occupying-symbol-id-one");
+  Busy->intern("occupying-symbol-id-two");
+  for (const auto &Strings : {std::shared_ptr<StringInterner>(), Busy}) {
+    std::string Label = What + (Strings ? ", reloaded into a busy interner"
+                                        : ", reloaded into a fresh interner");
+    Expected<Trace> Loaded = readTrace(Path, Strings);
+    ASSERT_TRUE(bool(Loaded)) << Label << ": " << Loaded.error().render();
+    ASSERT_TRUE(Loaded->ViewIdx.Present) << Label;
+    ViewWeb Web(*Loaded);
+    expectWebMatchesOracle(Web, Label);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(ViewOracle, EveryWebBuildMatchesOnGeneratedWorkloads) {
+  // The draws of CacheTest's ViewIndexProperty tests.
+  for (auto [Seed, Rounds] : {std::pair<uint64_t, int>{20260807, 8},
+                              std::pair<uint64_t, int>{42, 4}}) {
+    std::mt19937_64 Rng(Seed);
+    for (int Round = 0; Round != Rounds; ++Round)
+      expectEveryBuildMatchesOracle(
+          traceOf(generateProgram(vieworacle::drawGeneratorOptions(Rng))),
+          "seed " + std::to_string(Seed) + " round " + std::to_string(Round));
+  }
+}
+
+TEST(ViewOracle, EveryWebBuildMatchesOnCorpusPrograms) {
+  std::vector<BenchmarkCase> Cases = {motivatingCase()};
+  for (BenchmarkCase &Case : benchmarkCorpus())
+    if (Case.Name == "derby-1633")
+      Cases.push_back(std::move(Case));
+  ASSERT_EQ(Cases.size(), 2u);
+  for (const BenchmarkCase &Case : Cases) {
+    Expected<PreparedCase> P = prepareCase(Case);
+    ASSERT_TRUE(bool(P)) << Case.Name << ": " << P.error().render();
+    expectEveryBuildMatchesOracle(std::move(P->OrigOk), Case.Name + " orig ok");
+    expectEveryBuildMatchesOracle(std::move(P->OrigRegr),
+                                  Case.Name + " orig regr");
+    expectEveryBuildMatchesOracle(std::move(P->NewOk), Case.Name + " new ok");
+    expectEveryBuildMatchesOracle(std::move(P->NewRegr),
+                                  Case.Name + " new regr");
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -18,9 +18,9 @@
 /// moves only the file-bytes column; the fingerprint column, entry counts
 /// and compare-op totals must stay put.
 ///
-/// The pinned digests also cover the fingerprint column recomputed under
-/// ThreadPool jobs 1 and 4 (chunking must not leak into the hashes) and
-/// the views-diff compare-op totals of each corpus version pair.
+/// The pinned digests also cover the fingerprint column (checked against
+/// a recompute from the columns) and the views-diff compare-op totals of
+/// each corpus version pair.
 ///
 /// Regenerate after an *intentional* format/trace change with:
 ///   RPRISM_UPDATE_GOLDEN=1 ./rprism_vmgolden_test
@@ -31,7 +31,6 @@
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
 #include "support/Hashing.h"
-#include "support/ThreadPool.h"
 #include "trace/Serialize.h"
 #include "workload/Corpus.h"
 #include "workload/Generator.h"
@@ -105,8 +104,8 @@ std::string hex(uint64_t V) {
 }
 
 /// Runs one workload and digests its written trace file. Also verifies,
-/// inline, that recomputing the fingerprint column under ThreadPool jobs
-/// 1 and 4 reproduces the recorder's own column bit for bit.
+/// inline, that recomputing the fingerprint column reproduces the
+/// recorder's own column bit for bit.
 Digest digestWorkload(const Workload &W) {
   auto Prog = compileSource(W.Source, nullptr);
   EXPECT_TRUE(static_cast<bool>(Prog)) << W.Name;
@@ -117,16 +116,12 @@ Digest digestWorkload(const Workload &W) {
   D.Entries = Result.ExecTrace.size();
   EXPECT_GT(D.Entries, 0u) << W.Name;
 
-  // Fingerprints must be invariant under recompute chunking (--jobs).
   std::vector<uint64_t> AsRecorded(Result.ExecTrace.Fps.begin(),
                                    Result.ExecTrace.Fps.end());
-  for (unsigned Jobs : {1u, 4u}) {
-    ThreadPool Pool(Jobs);
-    Result.ExecTrace.computeFingerprints(&Pool);
-    EXPECT_TRUE(std::equal(AsRecorded.begin(), AsRecorded.end(),
-                           Result.ExecTrace.Fps.begin()))
-        << W.Name << " fingerprints changed under jobs=" << Jobs;
-  }
+  Result.ExecTrace.computeFingerprints();
+  EXPECT_TRUE(std::equal(AsRecorded.begin(), AsRecorded.end(),
+                         Result.ExecTrace.Fps.begin()))
+      << W.Name << " recomputed fingerprints differ from the recorder's";
   D.FpColumn = hashBytes(Result.ExecTrace.Fps.data(),
                          Result.ExecTrace.Fps.size() * sizeof(uint64_t));
 

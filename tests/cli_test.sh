@@ -54,6 +54,25 @@ echo "$DIFF" | grep -q "Tax-1.new(11)" || fail "diff lost the new rate"
 "$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" 2>/dev/null \
   | grep -q "semantic diff:" || fail "diff-traces failed"
 
+# The report does not depend on how the view webs are built: from the
+# persisted view index or by scanning (--no-view-cache), sequentially or on
+# the pool, with or without --profile.
+for CACHE in index --no-view-cache; do
+  for JOBS in 1 4; do
+    for PROFILE in plain --profile; do
+      FLAGS="--jobs $JOBS"
+      [ "$CACHE" = index ] || FLAGS="$FLAGS $CACHE"
+      [ "$PROFILE" = plain ] || FLAGS="$FLAGS $PROFILE"
+      "$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" $FLAGS \
+        > "$WORK/matrix.txt" 2>/dev/null || fail "diff-traces $FLAGS failed"
+      [ -f "$WORK/matrix_ref.txt" ] || cp "$WORK/matrix.txt" "$WORK/matrix_ref.txt"
+      cmp -s "$WORK/matrix_ref.txt" "$WORK/matrix.txt" \
+        || fail "diff-traces $FLAGS changed the report"
+    done
+  done
+done
+grep -q "semantic diff:" "$WORK/matrix_ref.txt" || fail "matrix report empty"
+
 # --- diff-nway (1-vs-N variational diff) -------------------------------------
 cp "$WORK/old.rpt" "$WORK/twin.rpt"
 NWAY="$("$RPRISM" diff-nway "$WORK/old.rpt" "$WORK/new.rpt" "$WORK/twin.rpt" \
