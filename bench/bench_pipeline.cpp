@@ -19,8 +19,8 @@
 ///               (web builds, per-pair evaluation).
 ///
 /// A second, on-disk phase measures the repeat-diff warm paths: cold
-/// (load + web build + correlate + diff) versus warm (digest-keyed cache
-/// hits) over trace files written with and without the persisted
+/// (load + web build + correlate + diff) versus warm (web and correlation
+/// cache hits) over trace files written with and without the persisted
 /// view-index sections.
 ///
 /// Every configuration must produce an identical rendered report and
@@ -34,6 +34,8 @@
 /// peak RSS.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "TraceFileLayout.h"
 
 #include "cache/DiffCache.h"
 #include "diff/ViewsDiff.h"
@@ -52,7 +54,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -213,8 +214,8 @@ void appendJson(std::string &Json, unsigned OuterIters,
 
 /// Writes both traces in one file shape, reloads them into one fresh
 /// interner, and re-diffs: the report and compare-op totals must be
-/// identical to the in-memory reference. \p Label is "one-segment" or
-/// "one-segment-noindex" (which omits the optional view-index sections).
+/// identical to the in-memory reference. \p Label is "indexed" or
+/// "plain" (which omits the optional view-index sections).
 /// Returns the JSON fragment.
 std::string checkFormatDeterminism(const TracePair &Pair,
                                    const std::string &RefRender,
@@ -223,7 +224,7 @@ std::string checkFormatDeterminism(const TracePair &Pair,
   std::string Name = Label;
   std::string LPath = "/tmp/bench_pipeline_L_" + Name + ".trace";
   std::string RPath = "/tmp/bench_pipeline_R_" + Name + ".trace";
-  bool WithIndex = Name == "one-segment";
+  bool WithIndex = Name == "indexed";
   bool Wrote = writeTrace(Pair.Left, LPath, WithIndex) &&
                writeTrace(Pair.Right, RPath, WithIndex);
   bool ReportIdentical = false, OpsIdentical = false;
@@ -256,56 +257,17 @@ std::string checkFormatDeterminism(const TracePair &Pair,
   return Buf;
 }
 
-/// Whole-file read/write for the salvage exercise (bench-local; the
-/// production load path is what the exercise measures, not this).
-std::vector<uint8_t> slurpFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return {};
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(In),
-                              std::istreambuf_iterator<char>());
-}
-
-bool spitFile(const std::string &Path, const std::vector<uint8_t> &Bytes) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(reinterpret_cast<const char *>(Bytes.data()),
-            static_cast<std::streamsize>(Bytes.size()));
-  return static_cast<bool>(Out);
-}
-
 /// Cuts a trace file in the middle of its Prov column, the last entry
-/// column, walking trailer -> footer directory -> section table. A salvage
-/// read must keep the entries before the cut. Returns false if \p Bytes
-/// does not parse as a trace file.
+/// column, located through the section table. A salvage read must keep
+/// the entries before the cut. Returns false if \p Bytes has no Prov
+/// section to cut.
 bool cutInsideLastEntryColumn(std::vector<uint8_t> &Bytes) {
-  auto Rd32 = [&](size_t Off) {
-    uint32_t V;
-    std::memcpy(&V, Bytes.data() + Off, sizeof(V));
-    return V;
-  };
-  auto Rd64 = [&](size_t Off) {
-    uint64_t V;
-    std::memcpy(&V, Bytes.data() + Off, sizeof(V));
-    return V;
-  };
-  if (Bytes.size() < 56 || Rd32(Bytes.size() - 4) != 0x52505445u)
+  tracelayout::SectionRec Prov = tracelayout::section(Bytes, 20);
+  if (Prov.Id != 20 || Prov.Length < 8 ||
+      Prov.Offset + Prov.Length > Bytes.size())
     return false;
-  uint64_t Footer = Rd64(Bytes.size() - 24);
-  if (Rd32(Footer + 4) != 1)
-    return false;
-  uint64_t SegOff = Rd64(Footer + 8);
-  uint32_t NumSections = Rd32(SegOff + 20);
-  for (uint32_t I = 0; I < NumSections; ++I) {
-    size_t Rec = SegOff + 32 + I * 32;
-    if (Rd32(Rec) != 20) // SecProv
-      continue;
-    uint64_t Length = Rd64(Rec + 16);
-    if (Length < 8)
-      return false;
-    Bytes.resize(SegOff + Rd64(Rec + 8) + Length / 2);
-    return true;
-  }
-  return false;
+  Bytes.resize(static_cast<size_t>(Prov.Offset + Prov.Length / 2));
+  return true;
 }
 
 } // namespace
@@ -422,7 +384,7 @@ int main(int Argc, char **Argv) {
     DiffResult Ref = viewsDiff(Pair.Left, Pair.Right, RefOptions);
     std::string RefRender = Ref.render(50, 12);
     bool FormatFirst = true;
-    for (const char *Label : {"one-segment", "one-segment-noindex"}) {
+    for (const char *Label : {"indexed", "plain"}) {
       FormatJson += checkFormatDeterminism(Pair, RefRender,
                                            Ref.Stats.CompareOps, Label,
                                            FormatFirst, Exit);
@@ -432,9 +394,10 @@ int main(int Argc, char **Argv) {
   FormatJson += "\n  ],\n  \"determinism_ok\": ";
   FormatJson += Exit == 0 ? "true" : "false";
 
-  // Repeat-diff warm paths: cold (digest + load + web build + correlate +
-  // diff) versus warm (digest-keyed cache hits) over trace files written
-  // with and without the persisted view-index sections. Every run's report and
+  // Repeat-diff warm paths: cold (load + web build + correlate + diff)
+  // versus warm (web and correlation cache hits on the traces the priming
+  // run loaded) over trace files written with and without the persisted
+  // view-index sections. Every run's report and
   // compare-op total must match the in-memory reference (the rows carry
   // the identity flags CI asserts), and an instrumented pass pins the span
   // contract: on indexed files, web-build never appears — webs come from
@@ -466,41 +429,50 @@ int main(int Argc, char **Argv) {
       }
 
       bool ReportIdentical = true, OpsIdentical = true;
-      auto RunOnce = [&](DiffCache &Cache,
-                         std::shared_ptr<StringInterner> Strings,
-                         bool Check) {
+      using Sides = std::pair<std::shared_ptr<const Trace>,
+                              std::shared_ptr<const Trace>>;
+      // Loads both files through Cache into a fresh interner (nulls on
+      // error).
+      auto Load = [&](DiffCache &Cache) {
+        auto Strings = std::make_shared<StringInterner>();
         Err Error;
-        auto L = Cache.load(LPath, Strings, &Error);
-        auto R = Cache.load(RPath, std::move(Strings), &Error);
-        if (!L || !R) {
+        Sides Loaded(Cache.load(LPath, Strings, &Error),
+                     Cache.load(RPath, Strings, &Error));
+        if (!Loaded.first || !Loaded.second) {
           std::printf("error: %s\n", Error.render().c_str());
           Exit = 1;
-          return;
+          return Sides();
         }
-        DiffResult Result = cachedViewsDiff(*L, *R, Options, Cache);
+        return Loaded;
+      };
+      auto Diff = [&](DiffCache &Cache, const Sides &S, bool Check) {
+        if (!S.first)
+          return;
+        DiffResult Result =
+            cachedViewsDiff(*S.first, *S.second, Options, Cache);
         if (Check) {
           ReportIdentical &= Result.render(50, 12) == RefRender;
           OpsIdentical &= Result.Stats.CompareOps == Ref.Stats.CompareOps;
         }
       };
 
-      // Cold: a fresh cache and interner per rep — every rep pays digest,
-      // load, web build (or index reconstruction), correlation, and diff.
+      // Cold: a fresh cache and interner per rep — every rep pays load,
+      // web build (or index reconstruction), correlation, and diff.
       unsigned ColdReps = 0, WarmReps = 0;
       double Cold = bestOf(
           [&](unsigned Rep) {
             DiffCache Cache;
-            auto Strings = std::make_shared<StringInterner>();
-            RunOnce(Cache, Strings, Rep == 0);
+            Diff(Cache, Load(Cache), Rep == 0);
           },
           &ColdReps);
-      // Warm: one persistent primed cache — every rep is the repeat-diff
-      // hit path (digest lookups plus the evaluation itself).
+      // Warm: one persistent cache primed by one run, whose traces every
+      // rep diffs again — the repeat-diff hit path (web and correlation
+      // hits plus the evaluation itself).
       DiffCache WarmCache;
-      auto WarmStrings = std::make_shared<StringInterner>();
-      RunOnce(WarmCache, WarmStrings, /*Check=*/true);
+      Sides WarmSides = Load(WarmCache);
+      Diff(WarmCache, WarmSides, /*Check=*/true);
       double Warm = bestOf(
-          [&](unsigned Rep) { RunOnce(WarmCache, WarmStrings, Rep == 0); },
+          [&](unsigned Rep) { Diff(WarmCache, WarmSides, Rep == 0); },
           &WarmReps);
 
       if (Indexed) {
@@ -542,9 +514,9 @@ int main(int Argc, char **Argv) {
         Telemetry::get().setEnabled(true);
         {
           DiffCache Cache;
-          auto Strings = std::make_shared<StringInterner>();
-          RunOnce(Cache, Strings, /*Check=*/false); // cold
-          RunOnce(Cache, Strings, /*Check=*/false); // warm
+          Sides Loaded = Load(Cache);
+          Diff(Cache, Loaded, /*Check=*/false); // cold
+          Diff(Cache, Loaded, /*Check=*/false); // warm
         }
         Telemetry::get().setEnabled(false);
         TelemetrySnapshot Snap = Telemetry::get().snapshot();
@@ -555,18 +527,15 @@ int main(int Argc, char **Argv) {
         }
         if (SawWebBuild || !SawViewIndex ||
             Snap.counter("web.from_index") != 2 ||
-            Snap.counter("web.cache.hit") != 2 ||
-            Snap.counter("load.cache.hit") != 2) {
+            Snap.counter("web.cache.hit") != 2) {
           std::printf("  ERROR: indexed repeat diff violated the span/"
                       "counter contract (web-build=%d view-index=%d "
-                      "from_index=%llu web_hits=%llu load_hits=%llu)\n",
+                      "from_index=%llu web_hits=%llu)\n",
                       SawWebBuild, SawViewIndex,
                       static_cast<unsigned long long>(
                           Snap.counter("web.from_index")),
                       static_cast<unsigned long long>(
-                          Snap.counter("web.cache.hit")),
-                      static_cast<unsigned long long>(
-                          Snap.counter("load.cache.hit")));
+                          Snap.counter("web.cache.hit")));
           Exit = 1;
         }
         Telemetry::get().reset();
@@ -695,9 +664,9 @@ int main(int Argc, char **Argv) {
       const std::string CutPath = "/tmp/bench_pipeline_cut.trace";
       std::vector<uint8_t> Bytes;
       if (writeTrace(Pair.Left, CutPath))
-        Bytes = slurpFile(CutPath);
+        Bytes = tracelayout::readAll(CutPath);
       if (!Bytes.empty() && cutInsideLastEntryColumn(Bytes) &&
-          spitFile(CutPath, Bytes)) {
+          tracelayout::writeAll(CutPath, Bytes)) {
         auto Shared = std::make_shared<StringInterner>();
         ReadOptions SalvageOpts;
         SalvageOpts.Salvage = true;

@@ -1,4 +1,4 @@
-//===- cache/DiffCache.cpp - Digest-keyed LRU cache for repeat diffs ------===//
+//===- cache/DiffCache.cpp - LRU cache for repeat diffs -------------------===//
 //
 // Part of the RPrism/C++ reproduction of "Semantics-Aware Trace Analysis"
 // (Hoffman, Eugster, Jagannathan; PLDI 2009).
@@ -51,19 +51,6 @@ uint64_t correlationBytes(const ViewWeb &Left, const ViewWeb &Right,
 struct DiffCache::Impl {
   enum class Kind { Trace, Web, Correlation };
 
-  struct LoadKey {
-    uint64_t Digest = 0;
-    const StringInterner *Interner = nullptr;
-    bool operator==(const LoadKey &O) const {
-      return Digest == O.Digest && Interner == O.Interner;
-    }
-  };
-  struct LoadKeyHash {
-    size_t operator()(const LoadKey &K) const {
-      return std::hash<uint64_t>()(K.Digest) ^
-             (std::hash<const void *>()(K.Interner) * 0x9e3779b97f4a7c15ull);
-    }
-  };
   struct CorrKey {
     const ViewWeb *Left = nullptr;
     const ViewWeb *Right = nullptr;
@@ -83,7 +70,6 @@ struct DiffCache::Impl {
     uint64_t Bytes = 0;
 
     // Kind::Trace
-    LoadKey LKey;
     std::shared_ptr<const Trace> T;
 
     // Kind::Web. TracePin is set when the keyed trace is cache-loaded: it
@@ -109,7 +95,6 @@ struct DiffCache::Impl {
   uint64_t MaxBytes;
   uint64_t TotalBytes = 0;
   List Lru; ///< Front = most recently used.
-  std::unordered_map<LoadKey, List::iterator, LoadKeyHash> LoadMap;
   std::unordered_map<const Trace *, List::iterator> TraceByPtr;
   std::unordered_map<const Trace *, List::iterator> WebMap;
   std::unordered_map<CorrKey, List::iterator, CorrKeyHash> CorrMap;
@@ -125,7 +110,6 @@ struct DiffCache::Impl {
   void erase(List::iterator It) {
     switch (It->K) {
     case Kind::Trace:
-      LoadMap.erase(It->LKey);
       TraceByPtr.erase(It->T.get());
       break;
     case Kind::Web:
@@ -173,23 +157,6 @@ DiffCache &DiffCache::global() {
 std::shared_ptr<const Trace>
 DiffCache::load(const std::string &Path,
                 std::shared_ptr<StringInterner> Strings, Err *Error) {
-  Expected<uint64_t> Digest = traceFileDigest(Path);
-  if (!Digest) {
-    if (Error)
-      *Error = Digest.error();
-    return nullptr;
-  }
-  Impl::LoadKey Key{*Digest, Strings.get()};
-  {
-    std::lock_guard<std::mutex> Lock(M->Mu);
-    auto It = M->LoadMap.find(Key);
-    if (It != M->LoadMap.end()) {
-      Telemetry::counterAdd("load.cache.hit");
-      M->touch(It->second);
-      return It->second->T;
-    }
-  }
-  Telemetry::counterAdd("load.cache.miss");
   Expected<Trace> Loaded = readTrace(Path, std::move(Strings));
   if (!Loaded) {
     if (Error)
@@ -199,37 +166,24 @@ DiffCache::load(const std::string &Path,
   auto T = std::make_shared<const Trace>(Loaded.take());
 
   std::lock_guard<std::mutex> Lock(M->Mu);
-  // A racing load of the same file may have filled the slot meanwhile;
-  // keep the incumbent so every caller shares one object.
-  auto It = M->LoadMap.find(Key);
-  if (It != M->LoadMap.end()) {
-    M->touch(It->second);
-    return It->second->T;
-  }
   if (FaultInjector::fire(FaultSite::CacheInsert)) {
     countInsertDropped();
-    return T; // Uncached: every later load re-reads the file.
+    return T; // Uncached: a web built on it cannot pin it.
   }
   Impl::Entry E;
   E.K = Impl::Kind::Trace;
   E.Bytes = T->storageBytes() + T->ViewIdx.byteSize();
-  E.LKey = Key;
   E.T = T;
-  int Step = 0;
+  bool Listed = false;
   Impl::List::iterator Pos;
   try {
     Pos = M->insertFront(std::move(E));
-    Step = 1;
-    M->LoadMap.emplace(Key, Pos);
-    Step = 2;
+    Listed = true;
     M->TraceByPtr.emplace(T.get(), Pos);
-    Step = 3;
   } catch (const std::bad_alloc &) {
     // Roll back the partial insert so the cache's maps, list, and byte
     // accounting stay consistent, then serve the load uncached.
-    if (Step >= 2)
-      M->LoadMap.erase(Key);
-    if (Step >= 1) {
+    if (Listed) {
       M->TotalBytes -= Pos->Bytes;
       M->Lru.erase(Pos);
     }
@@ -347,7 +301,6 @@ DiffCache::correlation(const ViewWeb &Left, const ViewWeb &Right) {
 
 void DiffCache::clear() {
   std::lock_guard<std::mutex> Lock(M->Mu);
-  M->LoadMap.clear();
   M->TraceByPtr.clear();
   M->WebMap.clear();
   M->CorrMap.clear();

@@ -1,4 +1,4 @@
-//===- cache/DiffCache.h - Digest-keyed LRU cache for repeat diffs --------===//
+//===- cache/DiffCache.h - LRU cache for repeat diffs ---------------------===//
 //
 // Part of the RPrism/C++ reproduction of "Semantics-Aware Trace Analysis"
 // (Hoffman, Eugster, Jagannathan; PLDI 2009).
@@ -9,19 +9,17 @@
 /// Regression cause analysis (§6) is a repeat-diff workload: the same
 /// passing/failing traces are differenced again and again as the user
 /// iterates, and batch diffs share a baseline side. DiffCache amortizes
-/// the three rebuildable stages across those repeats, in process:
+/// the two rebuildable stages across those repeats, in process:
 ///
-///   traces        — keyed by (file content digest, interner), so N pairs
-///                   sharing a baseline load and fingerprint it once;
 ///   view webs     — keyed by trace identity, so each side's web is built
 ///                   (or reconstructed from its persisted ViewIndex) at
 ///                   most once;
 ///   correlations  — keyed by the web pair, self-contained result vectors.
 ///
-/// Entries live in one LRU list bounded by a byte budget; evicting a
-/// trace also evicts the webs and correlations derived from it, and a
-/// cached web pins its cache-loaded trace so borrowed entry columns never
-/// outlive their backing bytes.
+/// Traces loaded through the cache are read and verified on every load,
+/// and held so that a cached web pins its cache-loaded trace: borrowed
+/// entry columns never outlive their backing bytes. Entries live in one
+/// LRU list bounded by a byte budget.
 ///
 /// Lifetime contract: a trace or web passed in from *outside* the cache
 /// (not obtained from load()/web()) is keyed by address and must outlive
@@ -30,9 +28,9 @@
 /// global() with traces the cache itself loaded.
 ///
 /// Cache hits and misses are counted (`web.cache.{hit,miss}`,
-/// `correlate.cache.{hit,miss}`, `load.cache.{hit,miss}`). The counts are
-/// jobs-invariant — cache behavior does not depend on the worker count —
-/// so they stay inside the determinism contract for counters. The cache
+/// `correlate.cache.{hit,miss}`). The counts are jobs-invariant — cache
+/// behavior does not depend on the worker count — so they stay inside the
+/// determinism contract for counters. The cache
 /// never changes results: hits return exactly what the miss path would
 /// rebuild (byte-identical reports, identical compare-op totals).
 ///
@@ -66,12 +64,11 @@ public:
   /// bypasses it).
   static DiffCache &global();
 
-  /// Loads the trace at \p Path through the cache: the file's content
-  /// digest plus the interner identity form the key, so re-loading the
-  /// same bytes (same path or a copy) into the same interner returns the
-  /// already-loaded trace without reading, validating, or fingerprinting
-  /// it again. Returns null on error (the typed diagnostic — class, code,
-  /// message — in \p Error).
+  /// Reads and verifies the trace at \p Path (readTrace) and holds it,
+  /// so that a web built on it pins it. Every call reads the file: a
+  /// damaged copy of a loaded trace is rejected like any damaged file.
+  /// Returns null on error (the typed diagnostic — class, code, message —
+  /// in \p Error).
   std::shared_ptr<const Trace> load(const std::string &Path,
                                     std::shared_ptr<StringInterner> Strings,
                                     Err *Error = nullptr);

@@ -18,7 +18,6 @@
 #define RPRISM_ROBUSTNESS_RETRY_H
 
 #include <chrono>
-#include <string>
 #include <thread>
 
 namespace rprism {
@@ -46,23 +45,6 @@ bool retryWithBackoff(const RetryPolicy &Policy, Op &&Operation,
     Backoff *= 2;
   }
 }
-
-/// The process-wide policy every trace-file load retries under (mmap and
-/// arena-read paths alike). Defaults to RetryPolicy{}; configurable via
-/// setIoRetryPolicy — the CLI routes `--retry-policy` / the
-/// RPRISM_RETRY_POLICY environment variable here. Thread-safe: the policy
-/// is stored packed in one atomic, so readers never observe a torn
-/// attempts/backoff pair.
-RetryPolicy ioRetryPolicy();
-void setIoRetryPolicy(const RetryPolicy &Policy);
-
-/// Parses a retry-policy spec of the form "attempts=N,base_ms=M" (either
-/// key alone is fine; unmentioned keys keep their defaults). Mirrors the
-/// fault-spec contract: all-or-nothing — on a malformed spec \p Out is
-/// untouched, false is returned, and \p Error (when non-null) gets a
-/// one-line diagnostic. attempts must be >= 1 (the first try included).
-bool parseRetryPolicy(const std::string &Spec, RetryPolicy &Out,
-                      std::string *Error = nullptr);
 
 } // namespace rprism
 

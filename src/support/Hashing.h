@@ -49,7 +49,7 @@ inline uint64_t hashString(std::string_view Str, uint64_t Seed = HashInit) {
 }
 
 /// Word-wise checksum of a byte range, for bulk payloads (trace file
-/// sections, segment digests). Four independent 64-bit lanes consume
+/// sections, the trace header). Four independent 64-bit lanes consume
 /// 32-byte blocks with xxHash64-style multiply-rotate-multiply rounds;
 /// the tail words and the length fold into a final hashMix avalanche.
 /// An order of magnitude faster than byte-serial hashBytes on bulk data

@@ -31,38 +31,30 @@ using namespace rprism;
 namespace {
 
 constexpr uint32_t TraceMagic = 0x52505452; // "RPTR"
-// Version history. Only 7 is read; every other version field is refused
+// Version history. Only 8 is read; every other version field is refused
 // with trace.version, so trace files from older builds must be recorded
 // again.
 //   1, 2 — retired per-entry stream formats.
 //   3 — a whole-trace columnar layout: a 16-byte header, one section table,
 //       then 8-byte-aligned column payloads written verbatim, with FNV-1a
 //       section checksums.
-//   4 — the segmented layout below, with FNV-1a checksums.
-//   5 — layout 3 with checksumBytes. Retired when the segmented layout
-//       became the only one: a one-segment file holds the same payloads and
-//       loads zero-copy the same way.
-//   6 — the segmented layout, every checksum and digest computed by the
-//       word-wise checksumBytes (support/Hashing.h): a 32-byte file header;
-//       segments, each a segment header, a section table of (id, offset,
-//       length, checksum) records and 8-byte-aligned payloads — its slice
-//       of every entry column plus *deltas* of the side tables (strings and
-//       threads first seen in the segment, the argument-pool slice its
-//       entries reference) and a view-index delta; then a footer segment
-//       directory and a fixed trailer. Per-segment checksums confine damage
-//       to the segment it hits.
+//   4 — a segmented layout, with FNV-1a checksums: a file header; segments,
+//       each a segment header, a section table and payloads (its slice of
+//       every entry column, deltas of the side tables, a view-index
+//       delta); then a footer segment directory and a fixed trailer.
+//   5 — layout 3 with the word-wise checksumBytes (support/Hashing.h).
+//   6 — layout 4 with checksumBytes.
 //   7 — layout 6 with dictionary-encoded representations: the self, target
-//       and value columns and the argument-pool slice hold u32 row ids into
-//       two per-trace tables of ObjRepr and ValueRepr rows (row 0 of each
-//       the empty representation), which travel as two more side deltas.
-//       Each representation is stored once, not once per entry. A file
-//       holds exactly one segment (index 0, first entry id 0) whose side
-//       deltas carry the whole tables from base 0, and a one-record
-//       directory; readers refuse a second segment.
-constexpr uint32_t TraceVersion = 7;
+//       and value columns and the argument pool hold u32 row ids into two
+//       per-trace tables of ObjRepr and ValueRepr rows (row 0 of each the
+//       empty representation). Files held exactly one segment.
+//   8 — layout 7's sections in one frame: a 32-byte header, the section
+//       table and the payloads. The segment header, the footer directory,
+//       the trailer and the side tables' delta bases are gone.
+constexpr uint32_t TraceVersion = 8;
 
-/// Section ids. Entry columns are parallel arrays of exactly the segment's
-/// entry-count many elements; side sections have their own framing.
+/// Section ids. Entry columns are parallel arrays of exactly the header's
+/// entry-count many elements; side tables have their own framing.
 enum SectionId : uint32_t {
   SecName = 1,       ///< Raw bytes of Trace::Name.
   SecTid = 10,       ///< uint32_t[]
@@ -81,39 +73,29 @@ enum SectionId : uint32_t {
   // entries. Both sections appear together or not at all.
   SecViewMeta = 22,    ///< Per family: u32 count, keys[], counts[].
   SecViewEntries = 23, ///< uint32_t[]: flat per-view entry-id lists.
-  // Side tables, framed as deltas (a base index, then elements) with
-  // base 0: the strings, the threads, the argument pool and both
-  // representation tables.
-  SecStrDelta = 24,    ///< u32 base, u32 count, count x (u32 len, bytes).
-  SecThreadDelta = 25, ///< u32 base, u32 count, ThreadInfo records.
-  SecArgSlice = 26,    ///< u64 pool base (elements), then uint32_t[] ids.
-  SecObjDelta = 27,    ///< u64 row base, then ObjRepr[].
-  SecValDelta = 28,    ///< u64 row base, then ValueRepr[].
+  // Side tables, each whole.
+  SecStrings = 24, ///< u32 count, count x (u32 len, bytes).
+  SecThreads = 25, ///< u32 count, ThreadInfo records.
+  SecArgPool = 26, ///< uint32_t[]: ValueRepr row ids.
+  SecObjRows = 27, ///< ObjRepr[].
+  SecValRows = 28, ///< ValueRepr[].
 };
 
 /// Largest section id this reader understands; higher ids are skipped for
 /// forward compatibility.
-constexpr uint32_t MaxSectionId = SecValDelta;
+constexpr uint32_t MaxSectionId = SecValRows;
 
-constexpr size_t SectionRecordBytes = 32; // id, pad, offset, length, checksum
+// File header: u32 magic, u32 version, u64 header checksum, u32 entry
+// count, u32 section count, u64 declared file length. The checksum covers
+// the header from byte 16 through the end of the section table, so it
+// seals the counts, the length and every section record; each record seals
+// its payload with its own checksum.
+constexpr size_t HeaderBytes = 32;
+constexpr size_t HeaderSealedFrom = 16;
+// Section record: u32 id, u32 pad, u64 absolute offset, u64 length, u64
+// checksum.
+constexpr size_t SectionRecordBytes = 32;
 constexpr uint32_t MaxSections = 64;
-
-constexpr uint32_t SegMagic = 0x52505347;     // "RPSG", leads every segment
-constexpr uint32_t FooterMagic = 0x52504654;  // "RPFT", leads the directory
-constexpr uint32_t TrailerMagic = 0x52505445; // "RPTE", ends the file
-// File header: magic, version, flags, segment entries, 2 x u64 reserved.
-// Segment header: seg magic, index, u64 begin eid, num entries, num
-// sections, u64 payload bytes (table + padding + payloads, 8-aligned — the
-// footer, or a second segment, starts exactly payload-bytes after the
-// header ends).
-constexpr size_t FileHeaderBytes = 32;
-constexpr size_t SegHeaderBytes = 32;
-// Directory record: u64 offset, u64 table digest, u64 lane digest,
-// u32 begin eid, u32 num entries.
-constexpr size_t DirRecordBytes = 32;
-// Trailer: u64 footer offset, u64 footer checksum, u32 num segments,
-// u32 trailer magic.
-constexpr size_t TrailerBytes = 24;
 
 /// Little buffered binary writer over stdio. The final flush happens in
 /// close(), which reports it: a full disk must fail the write, not vanish
@@ -175,16 +157,6 @@ struct ByteBuffer {
   }
 };
 
-/// A side table written whole: the u64 index of its first element (always
-/// 0, the layout's delta framing), then every element verbatim (the
-/// reader's takeDelta).
-template <typename E> ByteBuffer sideTable(const Column<E> &Col) {
-  ByteBuffer Buf;
-  Buf.u64(0);
-  Buf.Out.append(reinterpret_cast<const char *>(Col.data()), Col.byteSize());
-  return Buf;
-}
-
 /// Bounds-checked, memcpy-based cursor over an untrusted byte range (the
 /// serialized sections of a mapped trace file). Never forms references
 /// into the mapped memory; all reads copy out, so truncated or misaligned
@@ -236,8 +208,8 @@ private:
 
 // --- Writer ---------------------------------------------------------------
 
-/// One payload the segment carries: raw bytes, a view into a column or into
-/// a serialized side buffer.
+/// One payload the file carries: raw bytes, a view into a column or into a
+/// serialized side buffer.
 struct SectionOut {
   uint32_t Id;
   const void *Data;
@@ -324,13 +296,12 @@ IoStatus loadFileBytesOnce(const std::string &Path, FileBytes &Out) {
 }
 
 /// Degradation-ladder rung: transient I/O failures get a bounded retry
-/// with backoff (robust.io_retry counts each retry) before surfacing.
-/// The policy is the process-wide one (`--retry-policy` /
-/// RPRISM_RETRY_POLICY), shared by the mmap and arena-read paths.
+/// with backoff (robust.io_retry counts each retry) before surfacing,
+/// under the default RetryPolicy, on the mmap and arena-read paths alike.
 IoStatus loadFileBytes(const std::string &Path, FileBytes &Out) {
   IoStatus Status = IoStatus::Error;
   retryWithBackoff(
-      ioRetryPolicy(),
+      RetryPolicy{},
       [&] {
         Status = loadFileBytesOnce(Path, Out);
         return Status != IoStatus::Error; // NotFound is terminal: no retry.
@@ -361,9 +332,9 @@ Expected<FileBytes> openTraceFile(const std::string &Path) {
   return File;
 }
 
-/// A section as parsed from a segment's table: pointer into the file
-/// bytes, recorded length, how many of its leading bytes are actually
-/// present, and whether the payload is fully present and checksum-clean.
+/// A section as parsed from the table: pointer into the file bytes,
+/// recorded length, how many of its leading bytes are actually present,
+/// and whether the payload is fully present and checksum-clean.
 struct SectionIn {
   const uint8_t *Data = nullptr;
   uint64_t Length = 0; ///< Recorded payload length.
@@ -390,176 +361,61 @@ constexpr ColumnSize ColumnSizes[] = {
     {SecArgsEnd, 4}, {SecChildTid, 4}, {SecProv, 4},
 };
 
-/// One segment located in the file: its header fields and byte extent.
-struct SegExtent {
-  uint64_t Offset = 0; ///< Absolute offset of the segment header.
-  uint64_t BeginEid = 0;
+/// The file header's fields after the magic and version.
+struct FileHeader {
+  uint64_t Checksum = 0;
   uint32_t NumEntries = 0;
   uint32_t NumSections = 0;
-  uint64_t PayloadBytes = 0; ///< Declared bytes after the header.
-  uint64_t PresentBytes = 0; ///< Of those, the bytes inside the file.
+  uint64_t Length = 0; ///< Declared file length.
 };
 
-/// Parses the segment header at \p Off. False when the bytes there cannot
-/// be segment number \p Index of this file (wrong magic or index, bad
-/// section count, extent out of bounds) — which is also how the chain
-/// scan detects the end of the segment chain. With \p Clip, a payload
-/// running past the end of the file is accepted, clipped there.
-bool parseSegHeader(const FileBytes &File, uint64_t Off, uint32_t Index,
-                    bool Clip, SegExtent &Out) {
-  if (Off % 8 != 0 || Off > File.Size || File.Size - Off < SegHeaderBytes)
-    return false;
-  const uint8_t *P = File.Data + Off;
-  uint32_t Magic, SegIndex, NumEntries, NumSections;
-  uint64_t BeginEid, PayloadBytes;
-  std::memcpy(&Magic, P, 4);
-  std::memcpy(&SegIndex, P + 4, 4);
-  std::memcpy(&BeginEid, P + 8, 8);
-  std::memcpy(&NumEntries, P + 16, 4);
-  std::memcpy(&NumSections, P + 20, 4);
-  std::memcpy(&PayloadBytes, P + 24, 8);
-  if (Magic != SegMagic || SegIndex != Index || NumSections == 0 ||
-      NumSections > MaxSections)
-    return false;
-  uint64_t Remaining = File.Size - Off - SegHeaderBytes;
-  if (PayloadBytes < uint64_t{NumSections} * SectionRecordBytes ||
-      (!Clip && PayloadBytes > Remaining))
-    return false;
-  Out = SegExtent{Off,         BeginEid,     NumEntries,
-                  NumSections, PayloadBytes, std::min(PayloadBytes, Remaining)};
-  return true;
+FileHeader readHeader(const uint8_t *P) {
+  FileHeader H;
+  std::memcpy(&H.Checksum, P + 8, 8);
+  std::memcpy(&H.NumEntries, P + 16, 4);
+  std::memcpy(&H.NumSections, P + 20, 4);
+  std::memcpy(&H.Length, P + 24, 8);
+  return H;
 }
 
-/// The footer directory the trailer points at.
-struct Footer {
-  uint64_t Offset = 0;
-  uint32_t NumSegments = 0;
-  uint64_t Checksum = 0; ///< Of the footer bytes, verified.
-};
-
-/// Finds the footer through the trailer. False unless the trailer magic
-/// holds, the footer fills exactly the bytes between the file header and
-/// the trailer, and its checksum verifies.
-bool findFooter(const FileBytes &File, Footer &Out) {
-  if (File.Size < FileHeaderBytes + TrailerBytes)
-    return false;
-  const uint8_t *Tr = File.Data + File.Size - TrailerBytes;
-  uint64_t Offset, Checksum;
-  uint32_t NumSegments, Magic;
-  std::memcpy(&Offset, Tr, 8);
-  std::memcpy(&Checksum, Tr + 8, 8);
-  std::memcpy(&NumSegments, Tr + 16, 4);
-  std::memcpy(&Magic, Tr + 20, 4);
-  // Subtraction form: on a hostile trailer the sum Offset + Bytes can wrap
-  // around to pass a bounds test and hash from outside the mapping.
-  uint64_t Bytes = 8 + uint64_t{NumSegments} * DirRecordBytes;
-  if (Magic != TrailerMagic || Offset < FileHeaderBytes ||
-      Offset > File.Size - TrailerBytes ||
-      Bytes != File.Size - TrailerBytes - Offset)
-    return false;
-  Out = {Offset, NumSegments,
-         checksumBytes(File.Data + Offset, static_cast<size_t>(Bytes))};
-  return Out.Checksum == Checksum;
-}
-
-/// Locates the segments through the footer directory. False unless the
-/// footer and every directory record verify against the segment header
-/// and section table they point at.
-bool readDirectory(const FileBytes &File, std::vector<SegExtent> &Segs) {
-  Footer Foot;
-  if (!findFooter(File, Foot))
-    return false;
-  const uint8_t *F = File.Data + Foot.Offset;
-  uint32_t FMagic, FCount;
-  std::memcpy(&FMagic, F, 4);
-  std::memcpy(&FCount, F + 4, 4);
-  if (FMagic != FooterMagic || FCount != Foot.NumSegments)
-    return false;
-  for (uint32_t S = 0; S != Foot.NumSegments; ++S) {
-    const uint8_t *R = F + 8 + S * DirRecordBytes;
-    uint64_t Offset, TableDigest;
-    uint32_t BeginEid, NumEntries;
-    std::memcpy(&Offset, R, 8);
-    std::memcpy(&TableDigest, R + 8, 8);
-    std::memcpy(&BeginEid, R + 24, 4);
-    std::memcpy(&NumEntries, R + 28, 4);
-    SegExtent E;
-    if (!parseSegHeader(File, Offset, S, /*Clip=*/false, E) ||
-        E.BeginEid != BeginEid || E.NumEntries != NumEntries ||
-        checksumBytes(File.Data + Offset + SegHeaderBytes,
-                      uint64_t{E.NumSections} * SectionRecordBytes) !=
-            TableDigest) {
-      Segs.clear();
-      return false;
-    }
-    Segs.push_back(E);
-  }
-  return true;
-}
-
-/// Locates the segments by walking header to header from the top of the
-/// file, for a file whose directory is damaged or missing: each header
-/// declares its payload extent, the last one found clipped at the end of a
-/// file cut short. The walk stops at the second segment, which is enough
-/// to refuse the file. Returns whether the file was cut short: it ends
-/// inside the chain rather than at bytes that are no segment header (a
-/// footer, damage).
-bool chainScan(const FileBytes &File, std::vector<SegExtent> &Segs) {
-  uint64_t Off = FileHeaderBytes;
-  for (uint32_t Index = 0; Index != 2; ++Index) {
-    SegExtent E;
-    if (!parseSegHeader(File, Off, Index, /*Clip=*/true, E))
-      break;
-    Segs.push_back(E);
-    if (E.PresentBytes < E.PayloadBytes)
-      return true;
-    Off += SegHeaderBytes + E.PayloadBytes;
-  }
-  return File.Size - Off < SegHeaderBytes;
-}
-
-/// One segment's parsed section table. View-index damage is always
-/// degradable; damage to any other section is a strict error (the first
-/// is kept as Fault, a cut flagged as Cut) and, for salvage, leaves that
-/// section absent or not intact for the caller to weigh.
-struct SegSections {
+/// The parsed section table. View-index damage is always degradable;
+/// damage to any other section is a strict error (the first is kept as
+/// Fault, a cut flagged as Cut) and, for salvage, leaves that section
+/// absent or not intact for the caller to weigh.
+struct SectionTable {
   SectionIn S[MaxSectionId + 1] = {};
   bool ViewDamaged = false;
-  bool Cut = false; ///< The end of the file cuts the table or entry data.
+  bool Cut = false; ///< The end of the file cuts entry data or a side table.
   std::optional<Err> Fault;
 };
 
-SegSections parseSegSections(const std::string &Path, const FileBytes &File,
-                             const SegExtent &Seg) {
-  SegSections Out;
+/// Parses the \p NumSections records after the header. Payloads must lie
+/// between the table and \p End; the bytes of them present are those
+/// before the end of the file.
+SectionTable parseSections(const std::string &Path, const FileBytes &File,
+                           uint32_t NumSections, uint64_t End) {
+  SectionTable Out;
   auto Damage = [&Out](uint32_t Id, Err E) {
     if (isViewSection(Id))
       Out.ViewDamaged = true;
     else if (!Out.Fault)
       Out.Fault = std::move(E);
   };
-  uint64_t RelTableEnd =
-      SegHeaderBytes + uint64_t{Seg.NumSections} * SectionRecordBytes;
-  uint64_t RelEnd = SegHeaderBytes + Seg.PayloadBytes;
-  uint64_t RelAvail = SegHeaderBytes + Seg.PresentBytes;
-  if (RelAvail < RelTableEnd) {
-    Out.Cut = true; // The end of the file cuts the table: nothing is usable.
-    return Out;
-  }
-  const uint8_t *Base = File.Data + Seg.Offset;
-  for (uint32_t I = 0; I != Seg.NumSections; ++I) {
-    const uint8_t *Record = Base + SegHeaderBytes + I * SectionRecordBytes;
+  const uint64_t TableEnd =
+      HeaderBytes + uint64_t{NumSections} * SectionRecordBytes;
+  for (uint32_t I = 0; I != NumSections; ++I) {
+    const uint8_t *Record = File.Data + HeaderBytes + I * SectionRecordBytes;
     uint32_t Id;
     uint64_t Offset, Length, Checksum;
     std::memcpy(&Id, Record, 4);
     std::memcpy(&Offset, Record + 8, 8);
     std::memcpy(&Length, Record + 16, 8);
     std::memcpy(&Checksum, Record + 24, 8);
-    if (Offset % 8 != 0 || Offset < RelTableEnd || Offset > RelEnd ||
-        Length > RelEnd - Offset) {
+    if (Offset % 8 != 0 || Offset < TableEnd || Offset > End ||
+        Length > End - Offset) {
       // The record itself is unusable: salvage treats the section as
       // absent.
-      Damage(Id, TraceError::sectionBounds(Path, Id, Seg.Offset + Offset));
+      Damage(Id, TraceError::sectionBounds(Path, Id, Offset));
       continue;
     }
     if (Id > MaxSectionId)
@@ -569,14 +425,14 @@ SegSections parseSegSections(const std::string &Path, const FileBytes &File,
       continue; // Salvage keeps the first record seen.
     }
     uint64_t Avail =
-        Offset < RelAvail ? std::min(Length, RelAvail - Offset) : 0;
+        Offset < File.Size ? std::min(Length, File.Size - Offset) : 0;
     bool Intact = Avail == Length;
-    const uint8_t *Data = Base + std::min(Offset, RelAvail);
+    const uint8_t *Data = File.Data + std::min<uint64_t>(Offset, File.Size);
     if (Intact && (checksumBytes(Data, Length) != Checksum ||
                    FaultInjector::fire(FaultSite::SectionChecksum))) {
       // Checksum mismatch (real or injected): the damage can be anywhere
       // in the payload, so unlike a cut no prefix is trustworthy.
-      Damage(Id, TraceError::sectionChecksum(Path, Id, Seg.Offset + Offset));
+      Damage(Id, TraceError::sectionChecksum(Path, Id, Offset));
       if (isViewSection(Id))
         continue;
       Intact = false;
@@ -600,20 +456,14 @@ void takeColumn(Column<E> &Col, const SectionIn &S, size_t N) {
   Col.borrow(reinterpret_cast<const E *>(S.Data), N);
 }
 
-/// Points \p Col at a side table — a u64 base, then whole elements, 8
-/// bytes into the section so the borrowed elements stay aligned. False,
-/// leaving \p Col as it was, unless the base is 0 (the table is whole) and
-/// \p Valid accepts every element with its index.
+/// Points \p Col at a side table of whole elements. False, leaving \p Col
+/// as it was, unless \p Valid accepts every element with its index.
 template <typename E, typename Pred>
-bool takeDelta(Column<E> &Col, const SectionIn &S, Pred Valid) {
-  if (S.Length < 8 || (S.Length - 8) % sizeof(E) != 0)
+bool takeTable(Column<E> &Col, const SectionIn &S, Pred Valid) {
+  if (S.Length % sizeof(E) != 0)
     return false;
-  uint64_t Base = 0;
-  std::memcpy(&Base, S.Data, 8);
-  if (Base != 0)
-    return false;
-  size_t Count = static_cast<size_t>((S.Length - 8) / sizeof(E));
-  const auto *Elems = reinterpret_cast<const E *>(S.Data + 8);
+  size_t Count = static_cast<size_t>(S.Length / sizeof(E));
+  const auto *Elems = reinterpret_cast<const E *>(S.Data);
   for (size_t K = 0; K != Count; ++K)
     if (!Valid(Elems[K], K))
       return false;
@@ -628,7 +478,7 @@ template <typename E> bool isEmptyRow(const E &Row) {
   return std::memcmp(&Row, &Empty, sizeof(E)) == 0;
 }
 
-/// Parses the segment's view index into \p Out: the small meta section
+/// Parses the file's view index into \p Out: the small meta section
 /// copied out, the flat entry lists borrowed. Structural validity is
 /// checked by the caller.
 bool parseViewIndex(const SectionIn *S, uint64_t NumEntries,
@@ -707,9 +557,9 @@ void remapSymbols(Trace &T, const std::vector<Symbol> &Map) {
 /// The one trace reader. Verifies every section checksum, validates the
 /// untrusted values (kinds, tids, symbol ids, representation rows and row
 /// ids, argument slices) so nothing downstream needs to distrust them,
-/// and *borrows* the segment's columns, tables and view index zero-copy
-/// from the file bytes. When the file's strings intern to identical symbol
-/// ids — the common case for a fresh or same-session interner — the stored
+/// and *borrows* the columns, tables and view index zero-copy from the
+/// file bytes. When the file's strings intern to identical symbol ids —
+/// the common case for a fresh or same-session interner — the stored
 /// fingerprints are used as they are; otherwise the symbols are remapped
 /// and the fingerprints recomputed.
 Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
@@ -723,7 +573,7 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   auto NothingRecovered = [&] {
     return TraceError::unsalvageable(Path, "no entries recovered");
   };
-  if (File.Size < FileHeaderBytes)
+  if (File.Size < HeaderBytes)
     return TraceError::truncated(Path);
 
   // One child span of `load` per reader phase; emplace closes the previous
@@ -731,31 +581,33 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   std::optional<TelemetrySpan> Phase;
   Phase.emplace("checksum");
 
-  // Locate the segment through the directory; without a valid one, by the
-  // chain scan. A file holds exactly one segment, so a second one, found
-  // either way, is refused in salvage reads too. A strict read needs the
-  // directory unless the file ends inside the segment: a cut that takes
-  // only the derived view index (and the directory after it) loads without
-  // the index, a cut into entry data is trace.truncated.
-  std::vector<SegExtent> Segs;
-  bool DirValid = readDirectory(File, Segs);
-  bool CutShort = !DirValid && chainScan(File, Segs);
-  if (DirValid ? Segs.size() != 1 : Segs.size() > 1)
-    return Corrupt("segment-count");
-  if (!DirValid) {
-    bool Clipped =
-        !Segs.empty() && Segs[0].PresentBytes < Segs[0].PayloadBytes;
-    if (!Salvage && !Clipped)
-      return CutShort ? TraceError::truncated(Path)
-                      : Corrupt("segment-directory");
-    if (Segs.empty())
-      return TraceError::unsalvageable(Path, "no intact segments");
-  }
-  const SegExtent &Seg = Segs[0];
-  if (!Salvage && Seg.BeginEid != 0)
-    return Corrupt("segment-header");
+  // The header and the section table it seals. A strict read needs both
+  // intact and the file exactly its declared length, except that a file
+  // cut inside its view index (or its final padding) loads without the
+  // index; a cut into the table, entry data or a side table is
+  // trace.truncated. With a damaged header, salvage trusts the file's own
+  // size and each section's own checksum instead.
+  const FileHeader H = readHeader(File.Data);
+  const uint64_t TableEnd =
+      HeaderBytes + uint64_t{H.NumSections} * SectionRecordBytes;
+  if (H.NumSections == 0 || H.NumSections > MaxSections)
+    return Salvage ? TraceError::unsalvageable(Path, "no section table")
+                   : Corrupt("header");
+  if (File.Size < TableEnd)
+    return Salvage ? TraceError::unsalvageable(Path, "no section table")
+                   : TraceError::truncated(Path);
+  const bool HeaderOk =
+      H.Length >= TableEnd &&
+      checksumBytes(File.Data + HeaderSealedFrom,
+                    TableEnd - HeaderSealedFrom) == H.Checksum;
+  if (!Salvage && !HeaderOk)
+    return Corrupt("header");
+  if (!Salvage && File.Size > H.Length)
+    return Corrupt("file-size");
+  const uint64_t End = HeaderOk ? H.Length : File.Size;
+  const bool FileCut = File.Size < End;
 
-  SegSections Parsed = parseSegSections(Path, File, Seg);
+  SectionTable Parsed = parseSections(Path, File, H.NumSections, End);
   if (!Salvage && Parsed.Fault)
     return *Parsed.Fault;
   if (!Salvage && Parsed.Cut)
@@ -765,10 +617,10 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   // Every entry refers into the side tables, and no prefix of them is
   // usable (they frame variable-length data), so damage to one leaves
   // salvage nothing.
-  if (!Sections[SecStrDelta].Intact || !Sections[SecThreadDelta].Intact ||
-      !Sections[SecObjDelta].Intact || !Sections[SecValDelta].Intact ||
-      !Sections[SecArgSlice].Intact)
-    return Salvage ? NothingRecovered() : Corrupt("segment-side-delta");
+  if (!Sections[SecStrings].Intact || !Sections[SecThreads].Intact ||
+      !Sections[SecObjRows].Intact || !Sections[SecValRows].Intact ||
+      !Sections[SecArgPool].Intact)
+    return Salvage ? NothingRecovered() : Corrupt("side-table");
 
   Trace T;
   T.Strings = std::move(Strings);
@@ -777,19 +629,16 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
                   Sections[SecName].Length);
 
   Phase.emplace("intern");
-  // Strings: the base must be 0 (the table is whole). The count is
-  // untrusted: every string costs at least its 4-byte length prefix, so a
-  // count beyond Length/4 is corrupt — and can never become a huge
-  // up-front allocation.
+  // Strings. The count is untrusted: every string costs at least its
+  // 4-byte length prefix, so a count beyond Length/4 is corrupt — and can
+  // never become a huge up-front allocation.
   std::vector<Symbol> Map; ///< File symbol id -> interner symbol.
   bool Identity = true;
   {
-    ByteCursor SC(Sections[SecStrDelta].Data, Sections[SecStrDelta].Length);
-    uint32_t Base = SC.u32();
-    uint32_t NumNew = SC.u32();
-    bool Ok = SC.ok() && Base == 0 &&
-              uint64_t{NumNew} <= Sections[SecStrDelta].Length / 4;
-    for (uint32_t K = 0; Ok && K != NumNew; ++K) {
+    ByteCursor SC(Sections[SecStrings].Data, Sections[SecStrings].Length);
+    uint32_t Count = SC.u32();
+    bool Ok = SC.ok() && uint64_t{Count} <= Sections[SecStrings].Length / 4;
+    for (uint32_t K = 0; Ok && K != Count; ++K) {
       std::string Str = SC.str();
       Ok = SC.ok();
       if (Ok) {
@@ -803,12 +652,10 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
 
   // Threads.
   {
-    ByteCursor TC(Sections[SecThreadDelta].Data,
-                  Sections[SecThreadDelta].Length);
-    uint32_t Base = TC.u32();
-    uint32_t NumNew = TC.u32();
-    bool Ok = TC.ok() && Base == 0;
-    for (uint32_t K = 0; Ok && K != NumNew; ++K) {
+    ByteCursor TC(Sections[SecThreads].Data, Sections[SecThreads].Length);
+    uint32_t Count = TC.u32();
+    bool Ok = TC.ok();
+    for (uint32_t K = 0; Ok && K != Count; ++K) {
       ThreadInfo Thread;
       Thread.Tid = TC.u32();
       Thread.ParentTid = TC.u32();
@@ -838,12 +685,12 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   // come from the file, row 0 included.
   T.ObjReprs.clear();
   T.ValueReprs.clear();
-  if (!takeDelta(T.ObjReprs, Sections[SecObjDelta],
+  if (!takeTable(T.ObjReprs, Sections[SecObjRows],
                  [&](const ObjRepr &Row, uint64_t Id) {
                    return Row.ClassName.Id < Map.size() &&
                           (Id != 0 || isEmptyRow(Row));
                  }) ||
-      !takeDelta(T.ValueReprs, Sections[SecValDelta],
+      !takeTable(T.ValueReprs, Sections[SecValRows],
                  [&](const ValueRepr &Row, uint64_t Id) {
                    return static_cast<uint8_t>(Row.Kind) <= MaxReprKind &&
                           Row.Text.Id < Map.size() &&
@@ -853,7 +700,7 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   // Argument pool: value-row ids.
   const uint64_t NumObjRows = T.ObjReprs.size();
   const uint64_t NumValRows = T.ValueReprs.size();
-  if (!takeDelta(T.ArgIds, Sections[SecArgSlice],
+  if (!takeTable(T.ArgIds, Sections[SecArgPool],
                  [NumValRows](uint32_t Id, uint64_t) {
                    return Id < NumValRows;
                  }))
@@ -864,7 +711,7 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   // exactly the declared entry count. Salvage keeps the longest prefix
   // every column covers — a checksum-failed column covers nothing, one
   // cut by the end of the file its whole elements — and that validates.
-  uint64_t N = Seg.NumEntries;
+  uint64_t N = H.NumEntries;
   for (const ColumnSize &Col : ColumnSizes) {
     const SectionIn &S = Sections[Col.Id];
     if (!Salvage && (!S.Present || S.Length != N * Col.ElemSize))
@@ -911,12 +758,12 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   // every declared entry; otherwise they are recomputed (a wrong one would
   // corrupt =e instead of merely costing time).
   const SectionIn &Fp = Sections[SecFp];
-  bool UseFps = Fp.Intact && Fp.Length == uint64_t{Seg.NumEntries} * 8;
+  bool UseFps = Fp.Intact && Fp.Length == uint64_t{H.NumEntries} * 8;
   bool FpsDamaged = Fp.Present && !UseFps;
   if (FpsDamaged && !Salvage)
     return Corrupt("fingerprint");
-  const uint64_t EntriesDropped = Seg.NumEntries - N;
-  if (N == 0 && Seg.NumEntries != 0)
+  const uint64_t EntriesDropped = H.NumEntries - N;
+  if (N == 0 && H.NumEntries != 0)
     return NothingRecovered();
 
   const size_t Count = static_cast<size_t>(N);
@@ -938,13 +785,14 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   // so *any* damage to it (checksum, structure, one section without the
   // other, an injected borrow failure) degrades to an index-less load: the
   // view web is rebuilt from the entries, and the fallback is observable
-  // via `robust.view_index_dropped`. Dropped entries leave it describing
-  // entries the trace lacks, so it is then not parsed at all.
+  // via `robust.view_index_dropped`. A file cut short keeps no index, and
+  // dropped entries leave it describing entries the trace lacks, so it is
+  // then not parsed at all.
   bool FileHasViewIndex = Parsed.ViewDamaged ||
                           Sections[SecViewMeta].Present ||
                           Sections[SecViewEntries].Present;
   if (FileHasViewIndex) {
-    bool Keep = !Parsed.ViewDamaged && EntriesDropped == 0 &&
+    bool Keep = !Parsed.ViewDamaged && !FileCut && EntriesDropped == 0 &&
                 parseViewIndex(Sections, N, Map.size(), T.ViewIdx) &&
                 !FaultInjector::fire(FaultSite::ViewIndexBorrow);
     if (!Keep || !viewIndexIsValid(T.ViewIdx, Count)) {
@@ -969,9 +817,8 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   } else {
     // The interner assigned different ids: remap the symbol-bearing
     // columns and tables, then recompute fingerprints (they hash symbol
-    // ids). Counted so
-    // repeat-load pipelines can spot that sharing one interner across
-    // loads would make this free.
+    // ids). Counted so repeat-load pipelines can spot that sharing one
+    // interner across loads would make this free.
     Phase.emplace("remap");
     remapSymbols(T, Map);
     Phase.reset();
@@ -979,7 +826,8 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
     T.computeFingerprints();
   }
 
-  if (Salvage && (!DirValid || EntriesDropped != 0 || FpsDamaged)) {
+  bool FrameDamaged = !HeaderOk || File.Size != H.Length;
+  if (Salvage && (FrameDamaged || EntriesDropped != 0 || FpsDamaged)) {
     Telemetry::counterAdd("robust.salvage.used");
     Telemetry::counterAdd("robust.salvage.recovered_entries", Count);
     Telemetry::counterAdd("robust.salvage.dropped_entries", EntriesDropped);
@@ -1005,16 +853,14 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path,
   const size_t N = T.size();
   const bool WithFps = T.HasFingerprints && T.Fps.size() >= N;
 
-  // The side tables, each whole: strings, threads, both representation
-  // tables and the argument pool.
+  // The serialized side tables: strings and threads. The representation
+  // tables and the argument pool are written straight from their columns.
   ByteBuffer StringsBuf;
-  StringsBuf.u32(0); // Base: the layout's delta framing.
   StringsBuf.u32(static_cast<uint32_t>(T.Strings->size()));
   for (size_t K = 0; K != T.Strings->size(); ++K)
     StringsBuf.str(T.Strings->text(Symbol{static_cast<uint32_t>(K)}));
 
   ByteBuffer ThreadsBuf;
-  ThreadsBuf.u32(0); // Base.
   ThreadsBuf.u32(static_cast<uint32_t>(T.Threads.size()));
   for (const ThreadInfo &Thread : T.Threads) {
     ThreadsBuf.u32(Thread.Tid);
@@ -1025,9 +871,6 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path,
     for (Symbol Sym : Thread.SpawnStack)
       ThreadsBuf.u32(Sym.Id);
   }
-  ByteBuffer ObjTableBuf = sideTable(T.ObjReprs);
-  ByteBuffer ValTableBuf = sideTable(T.ValueReprs);
-  ByteBuffer ArgPoolBuf = sideTable(T.ArgIds);
 
   // A trace that already holds a current index (loaded from an indexed
   // file) writes that index back verbatim; otherwise it is computed here,
@@ -1048,17 +891,20 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path,
     }
   }
 
-  // The entry columns are exactly N elements each.
+  // The entry columns are exactly N elements each; a side table is whole.
   auto EntryColumn = [N](uint32_t Id, const auto &Col) {
     return SectionOut{Id, Col.data(), N * sizeof(*Col.data())};
   };
+  auto Table = [](uint32_t Id, const auto &Col) {
+    return SectionOut{Id, Col.data(), Col.byteSize()};
+  };
   std::vector<SectionOut> Sections = {
       {SecName, T.Name.data(), T.Name.size()},
-      {SecStrDelta, StringsBuf.Out.data(), StringsBuf.Out.size()},
-      {SecThreadDelta, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()},
-      {SecObjDelta, ObjTableBuf.Out.data(), ObjTableBuf.Out.size()},
-      {SecValDelta, ValTableBuf.Out.data(), ValTableBuf.Out.size()},
-      {SecArgSlice, ArgPoolBuf.Out.data(), ArgPoolBuf.Out.size()},
+      {SecStrings, StringsBuf.Out.data(), StringsBuf.Out.size()},
+      {SecThreads, ThreadsBuf.Out.data(), ThreadsBuf.Out.size()},
+      Table(SecObjRows, T.ObjReprs),
+      Table(SecValRows, T.ValueReprs),
+      Table(SecArgPool, T.ArgIds),
       EntryColumn(SecTid, T.Tids),
       EntryColumn(SecMethod, T.Methods),
       EntryColumn(SecSelf, T.SelfIds),
@@ -1080,82 +926,47 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path,
         {SecViewEntries, Idx->Entries.data(), Idx->Entries.byteSize()});
   }
 
-  // Lay the payloads out 8-aligned after the segment's table, offsets
-  // relative to the segment header (the segment itself is 8-aligned), so
-  // mapped column views satisfy their element alignment.
-  uint64_t Rel = SegHeaderBytes + Sections.size() * SectionRecordBytes;
+  // Lay the payloads out 8-aligned after the section table, so mapped
+  // column views satisfy their element alignment; the file ends 8-aligned.
+  uint64_t Pos = HeaderBytes + Sections.size() * SectionRecordBytes;
   std::vector<uint64_t> Offsets(Sections.size());
   for (size_t K = 0; K != Sections.size(); ++K) {
-    Rel = (Rel + 7) & ~uint64_t{7};
-    Offsets[K] = Rel;
-    Rel += Sections[K].Length;
+    Pos = (Pos + 7) & ~uint64_t{7};
+    Offsets[K] = Pos;
+    Pos += Sections[K].Length;
   }
-  uint64_t RelEnd = (Rel + 7) & ~uint64_t{7};
-  uint64_t PayloadBytes = RelEnd - SegHeaderBytes;
+  const uint64_t Length = (Pos + 7) & ~uint64_t{7};
 
-  ByteBuffer Table;
-  uint64_t TableDigest, LaneDigest;
+  // The sealed part of the header — counts and declared length — and the
+  // section table, whose records carry each payload's checksum.
+  ByteBuffer Sealed;
+  uint64_t HeaderChecksum;
   {
     TelemetrySpan ChecksumSpan("checksum");
-    uint64_t FpSum = 0, TidSum = 0;
+    Sealed.u32(static_cast<uint32_t>(N));
+    Sealed.u32(static_cast<uint32_t>(Sections.size()));
+    Sealed.u64(Length);
     for (size_t K = 0; K != Sections.size(); ++K) {
-      uint64_t Sum = checksumBytes(Sections[K].Data, Sections[K].Length);
-      Table.u32(Sections[K].Id);
-      Table.u32(0); // pad
-      Table.u64(Offsets[K]);
-      Table.u64(Sections[K].Length);
-      Table.u64(Sum);
-      if (Sections[K].Id == SecFp)
-        FpSum = Sum;
-      else if (Sections[K].Id == SecTid)
-        TidSum = Sum;
+      Sealed.u32(Sections[K].Id);
+      Sealed.u32(0); // pad
+      Sealed.u64(Offsets[K]);
+      Sealed.u64(Sections[K].Length);
+      Sealed.u64(checksumBytes(Sections[K].Data, Sections[K].Length));
     }
-    TableDigest = checksumBytes(Table.Out.data(), Table.Out.size());
-    // The directory's lane digest combines the fingerprint (0 when absent)
-    // and tid lanes' section checksums.
-    LaneDigest = hashCombine(FpSum, TidSum);
+    HeaderChecksum = checksumBytes(Sealed.Out.data(), Sealed.Out.size());
   }
 
-  // File header: magic, version, flags (fingerprint presence is per
-  // segment: SecFp), the segment's entry count (at least 1), reserved.
   W.u32(TraceMagic);
   W.u32(TraceVersion);
-  W.u32(0);
-  W.u32(static_cast<uint32_t>(std::min<size_t>(std::max<size_t>(N, 1), ~0u)));
-  W.u64(0);
-  W.u64(0);
-
-  // The segment: its header, section table and payloads. An entry-less
-  // trace still writes it, so the side tables have somewhere to live.
-  W.u32(SegMagic);
-  W.u32(0); // Segment index.
-  W.u64(0); // First entry id.
-  W.u32(static_cast<uint32_t>(N));
-  W.u32(static_cast<uint32_t>(Sections.size()));
-  W.u64(PayloadBytes);
-  W.raw(Table.Out.data(), Table.Out.size());
-  uint64_t Pos = SegHeaderBytes + Sections.size() * SectionRecordBytes;
+  W.u64(HeaderChecksum);
+  W.raw(Sealed.Out.data(), Sealed.Out.size());
+  Pos = HeaderBytes + Sections.size() * SectionRecordBytes;
   for (size_t K = 0; K != Sections.size(); ++K) {
     W.zeros(Offsets[K] - Pos);
     W.raw(Sections[K].Data, Sections[K].Length);
     Pos = Offsets[K] + Sections[K].Length;
   }
-  W.zeros(RelEnd - Pos);
-
-  // The one-record footer directory, then the trailer.
-  ByteBuffer Footer;
-  Footer.u32(FooterMagic);
-  Footer.u32(1);
-  Footer.u64(FileHeaderBytes); // The segment's offset.
-  Footer.u64(TableDigest);
-  Footer.u64(LaneDigest);
-  Footer.u32(0); // First entry id.
-  Footer.u32(static_cast<uint32_t>(N));
-  W.raw(Footer.Out.data(), Footer.Out.size());
-  W.u64(FileHeaderBytes + SegHeaderBytes + PayloadBytes); // Footer offset.
-  W.u64(checksumBytes(Footer.Out.data(), Footer.Out.size()));
-  W.u32(1); // Segment count.
-  W.u32(TrailerMagic);
+  W.zeros(Length - Pos);
   return W.close();
 }
 
@@ -1187,16 +998,12 @@ Expected<uint64_t> rprism::traceFileDigest(const std::string &Path) {
   if (!Opened)
     return Opened.error();
   const FileBytes &File = *Opened;
-  // The footer directory carries the segment's table digest, and the
-  // segment table carries per-payload checksums, so header + footer cover
-  // the whole content without touching the (potentially large) payload
-  // bytes. A damaged footer, which the full read rejects anyway, falls
-  // back to hashing the whole file.
-  Footer Foot;
-  if (findFooter(File, Foot))
-    return hashCombine(checksumBytes(File.Data, FileHeaderBytes),
-                       Foot.Checksum, File.Size);
-  return hashCombine(checksumBytes(File.Data, File.Size), File.Size);
+  // The header checksum seals the section table, and the table each
+  // payload's checksum, so the header and the size cover the whole file
+  // without touching the (potentially large) payload bytes.
+  return hashCombine(
+      checksumBytes(File.Data, std::min<size_t>(File.Size, HeaderBytes)),
+      File.Size);
 }
 
 std::string rprism::dumpTrace(const Trace &T) {

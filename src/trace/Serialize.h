@@ -9,30 +9,32 @@
 /// Binary serialization of traces. RPRISM collects traces online but
 /// analyzes them offline "after the trace data has been serialized to disk"
 /// (§5). The paper offloads a long trace in *segments* while it records;
-/// this recorder writes once, after the run, so a trace file holds exactly
-/// one segment. This module has one on-disk format and one reader for it.
+/// this recorder writes once, after the run, so a trace file holds the
+/// whole trace in one frame. This module has one on-disk format and one
+/// reader for it.
 ///
-/// A trace file is a file header, one segment, a one-record footer
-/// directory and a fixed trailer. The segment carries every entry column
+/// A trace file has three parts: a 32-byte header (magic, version, entry
+/// count, section count, declared file length, and one checksum over the
+/// counts, the length and the section table), a table of 32-byte section
+/// records (id, absolute offset, length, payload checksum), and the
+/// payloads, each 8-byte aligned. The payloads are every entry column
 /// written verbatim, the fingerprint lane, the side tables (strings,
 /// threads, the object- and value-representation rows, the argument pool)
-/// and the view index, all 8-byte aligned, each with its own section
-/// checksum. The representation columns hold row ids (trace/Trace.h), so
-/// each distinct representation is written once.
+/// and the view index. The representation columns hold row ids
+/// (trace/Trace.h), so each distinct representation is written once.
 ///
 /// Readers mmap the file (falling back to an aligned arena read), verify
-/// every section checksum, and validate the untrusted bytes (kinds, tids,
-/// symbol ids, representation rows and row ids, argument slices). The
-/// columns — fingerprints, argument pool, tables and view index included —
-/// are then *borrowed* zero-copy; when the file's strings intern to
-/// identical symbol ids, the common case for a fresh or same-session
-/// interner, loading also skips re-fingerprinting entirely. When symbol
-/// ids differ, only the method and name columns and the two tables are
-/// copied and remapped, and the fingerprints recomputed. A file with a
-/// second segment is refused (`trace.section`, `segment-count`). Every
+/// the header and every section checksum, and validate the untrusted bytes
+/// (kinds, tids, symbol ids, representation rows and row ids, argument
+/// slices). The columns — fingerprints, argument pool, tables and view
+/// index included — are then *borrowed* zero-copy; when the file's strings
+/// intern to identical symbol ids, the common case for a fresh or
+/// same-session interner, loading also skips re-fingerprinting entirely.
+/// When symbol ids differ, only the method and name columns and the two
+/// tables are copied and remapped, and the fingerprints recomputed. Every
 /// checksum and digest is the word-wise checksumBytes (support/Hashing.h).
-/// The header's version field is 7; files of any other version are
-/// refused with `trace.version`.
+/// The header's version field is 8; files of any other version are refused
+/// with `trace.version`.
 ///
 /// Symbols are file-local on disk; readers re-intern through the supplied
 /// StringInterner, so traces written by different runs can be loaded into
@@ -64,7 +66,8 @@ bool writeTrace(const Trace &T, const std::string &Path,
 /// (`robust.view_index_dropped`, `robust.salvage.*`, `robust.io_retry`).
 struct TraceReadReport {
   /// Salvage mode recovered a damaged file (entries dropped, fingerprints
-  /// recomputed, or the footer directory unusable).
+  /// recomputed, or a damaged header, or a file not of its declared
+  /// length).
   bool Salvaged = false;
   /// Entries in the returned trace (salvage mode only).
   uint64_t EntriesRecovered = 0;
@@ -99,12 +102,12 @@ Expected<Trace> readTrace(const std::string &Path,
                           std::shared_ptr<StringInterner> Strings,
                           const ReadOptions &Options);
 
-/// Content digest of a trace file, for cache keying (DiffCache): two
-/// paths with equal digests hold the same trace bytes. Hashes only the
-/// file header and the footer directory (whose record embeds the
-/// segment's table digest, and the table each payload's checksum); a
-/// file whose footer is damaged hashes in full. Errors on unreadable,
-/// non-trace, or unsupported-version files.
+/// Digest of a trace file's recorded content: the 32-byte header, whose
+/// checksum seals the section table and through it every payload's
+/// recorded checksum, combined with the file size. Two files with equal
+/// digests record the same trace; the payload bytes are not read, so a
+/// payload that no longer matches its checksum is caught only by a full
+/// read. Errors on unreadable, non-trace, or unsupported-version files.
 Expected<uint64_t> traceFileDigest(const std::string &Path);
 
 /// Renders the whole trace as text, one entry per line (debugging aid and

@@ -56,7 +56,8 @@ inline Err truncated(const std::string &Path) {
                       "truncated trace file '" + Path + "'");
 }
 
-/// A section record points outside its segment or at a misaligned offset.
+/// A section record points outside the file's payloads or at a misaligned
+/// offset.
 inline Err sectionBounds(const std::string &Path, uint32_t SectionId,
                          uint64_t Offset) {
   return makeClassErr(ErrClass::Corrupt, "trace.section_bounds",

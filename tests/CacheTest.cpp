@@ -253,9 +253,7 @@ TEST(ViewIndexSerialize, CorruptIndexPayloadDegradesToColumnRebuild) {
   // checksum. The index is derived data: the load must succeed without it
   // (first rung of the degradation ladder) and count the drop.
   std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  SectionRec Entries = segSection(Bytes, L.Segments[0].Offset, 23);
+  SectionRec Entries = section(Bytes, 23);
   ASSERT_GT(Entries.Length, 0u);
   Bytes[static_cast<size_t>(Entries.Offset + Entries.Length - 1)] ^= 0xff;
   ASSERT_TRUE(writeAll(Path, Bytes));
@@ -285,15 +283,13 @@ TEST(ViewIndexSerialize, MetaWithoutEntriesDropsIndex) {
   // Rewrite the view-entries section record's id (23) to an unknown id:
   // the reader skips unknown sections for forward compatibility, so it
   // sees view-meta without view-entries — a structurally damaged index,
-  // which must be dropped whole, never half-used. The directory digests
-  // the section table, so it is resealed to let the edit through.
+  // which must be dropped whole, never half-used. The header checksum
+  // seals the section table, so it is resealed to let the edit through.
   std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  SectionRec Entries = segSection(Bytes, L.Segments[0].Offset, 23);
+  SectionRec Entries = section(Bytes, 23);
   ASSERT_EQ(Entries.Id, 23u) << "view-entries section not found";
   storeLE<uint32_t>(Bytes.data() + Entries.RecordPos, 63);
-  resealDirectory(Bytes);
+  ASSERT_TRUE(resealHeader(Bytes));
   ASSERT_TRUE(writeAll(Path, Bytes));
 
   TelemetryWindow W;
@@ -314,15 +310,12 @@ TEST(ViewIndexSerialize, TruncatedIndexedFiles) {
   std::string Path = tempPath("truncidx");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  SectionRec Entries = segSection(Bytes, L.Segments[0].Offset, 23);
+  SectionRec Entries = section(Bytes, 23);
   ASSERT_GT(Entries.Length, 8u);
   long IndexEnd = static_cast<long>(Entries.Offset + Entries.Length);
   long Size = static_cast<long>(Bytes.size());
-  // Cuts inside the segment's trailing index sections (they take the
-  // footer directory with them): the index is dropped and the trace still
-  // loads in full.
+  // Cuts inside the file's trailing index sections: the index is dropped
+  // and the trace still loads in full.
   for (long Cut : {IndexEnd - 1, IndexEnd - 9}) {
     ASSERT_TRUE(truncate(Path.c_str(), Cut) == 0);
     TraceReadReport Report;
@@ -379,36 +372,35 @@ TEST(DiffCache, CorrelationHitsReturnTheSameObject) {
   EXPECT_EQ(W.counter("correlate.cache.miss"), 2u);
 }
 
-TEST(DiffCache, LoadDedupsByContentDigest) {
+TEST(DiffCache, DamagedCopyOfALoadedTraceIsRejected) {
+  // A copy whose value column no longer matches its checksum records the
+  // same checksums, and so the same file digest, as its intact twin. Each
+  // load reads and verifies its own file, so the copy is refused whether
+  // or not the twin is already loaded.
   Trace T = traceOf(ObjectsProgram);
-  std::string PathA = tempPath("loadA");
-  std::string PathB = tempPath("loadB");
-  ASSERT_TRUE(writeTrace(T, PathA));
-  ASSERT_TRUE(writeTrace(T, PathB)); // Identical bytes, different path.
+  std::string Good = tempPath("load_good");
+  std::string Bad = tempPath("load_bad");
+  ASSERT_TRUE(writeTrace(T, Good));
+  std::vector<uint8_t> Bytes = readAll(Good);
+  SectionRec Value = section(Bytes, 16);
+  ASSERT_GT(Value.Length, 0u);
+  Bytes[static_cast<size_t>(Value.Offset + Value.Length / 2)] ^= 0x01;
+  ASSERT_TRUE(writeAll(Bad, Bytes));
 
   auto Strings = std::make_shared<StringInterner>();
   DiffCache Cache;
-  TelemetryWindow W;
   Err Error;
-  auto A = Cache.load(PathA, Strings, &Error);
-  ASSERT_TRUE(A != nullptr) << Error.render();
-  auto B = Cache.load(PathB, Strings, &Error);
-  ASSERT_TRUE(B != nullptr) << Error.render();
-  EXPECT_EQ(A.get(), B.get()) << "same bytes must dedup to one trace";
-  EXPECT_EQ(W.counter("load.cache.miss"), 1u);
-  EXPECT_EQ(W.counter("load.cache.hit"), 1u);
-
-  // A different interner is a different key: traces must not leak symbols
-  // across interners.
-  auto Other = std::make_shared<StringInterner>();
-  auto C = Cache.load(PathA, Other, &Error);
-  ASSERT_TRUE(C != nullptr) << Error.render();
-  EXPECT_NE(C.get(), A.get());
-  EXPECT_EQ(W.counter("load.cache.miss"), 2u);
-
+  ASSERT_TRUE(Cache.load(Good, Strings, &Error) != nullptr) << Error.render();
+  EXPECT_EQ(Cache.load(Bad, Strings, &Error), nullptr);
+  EXPECT_EQ(Error.Class, ErrClass::Corrupt);
+  EXPECT_EQ(Error.Code, "trace.section_checksum");
+  // A second load of the intact file reads it again into a new trace.
+  auto Again = Cache.load(Good, Strings, &Error);
+  ASSERT_TRUE(Again != nullptr) << Error.render();
+  EXPECT_EQ(Again->size(), T.size());
   EXPECT_GT(Cache.bytes(), 0u);
-  std::remove(PathA.c_str());
-  std::remove(PathB.c_str());
+  std::remove(Good.c_str());
+  std::remove(Bad.c_str());
 }
 
 TEST(DiffCache, LoadReportsErrors) {

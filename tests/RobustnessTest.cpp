@@ -10,17 +10,17 @@
 ///
 ///   1. The fault injector is deterministic per seed and free when
 ///      disarmed.
-///   2. Every section of a one-segment file, and its directory and
-///      trailer, survives the corruption matrix — truncation, payload bit
-///      flips, checksum-record tampering, oversized lengths — with a typed
-///      Corrupt error (core sections, directory, trailer) or a dropped
-///      view index (derived sections), never a crash.
+///   2. Every section of a trace file, and its header and section table,
+///      survives the corruption matrix — truncation, payload bit flips,
+///      checksum-record tampering, oversized lengths — with a typed
+///      Corrupt error (core sections, header, table) or a dropped view
+///      index (derived sections), never a crash.
 ///   3. The degradation ladder: transient I/O retries, view-index drop,
 ///      cache-insert fallback, pool-dispatch stalls — each leaves results
 ///      correct and increments its `robust.*` counter.
 ///   4. Salvage mode recovers a byte-identical entry prefix from damaged
-///      files and refuses when the side tables are gone; a file with a
-///      second segment is refused in strict and salvage reads alike.
+///      files, trusting each section's own checksum when the header is
+///      damaged, and refuses when the side tables are gone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +28,6 @@
 
 #include "cache/DiffCache.h"
 #include "robustness/FaultInjector.h"
-#include "robustness/Retry.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
 #include "support/Telemetry.h"
@@ -92,15 +91,6 @@ struct TelemetryWindow {
   }
 };
 
-/// The section table of a one-segment file's only segment.
-std::vector<SectionRec> onlySegmentSections(const std::vector<uint8_t> &Bytes) {
-  FileLayout L = fileLayout(Bytes);
-  EXPECT_TRUE(L.Ok && L.Segments.size() == 1);
-  if (!L.Ok || L.Segments.size() != 1)
-    return {};
-  return segSections(Bytes, L.Segments[0].Offset);
-}
-
 SectionRec findSection(const std::vector<SectionRec> &Table, uint32_t Id) {
   auto It = std::find_if(Table.begin(), Table.end(),
                          [Id](const SectionRec &R) { return R.Id == Id; });
@@ -161,7 +151,7 @@ TEST(FaultInjector, OneShotFiresExactlyThatOccurrence) {
 }
 
 //===----------------------------------------------------------------------===//
-// Corruption matrix: every section, directory and trailer record x every
+// Corruption matrix: every section, the header and the table x every
 // mutation
 //===----------------------------------------------------------------------===//
 
@@ -172,7 +162,7 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
   std::string Base = tempPath("matrix_base");
   ASSERT_TRUE(writeTrace(T, Base, /*WithViewIndex=*/true));
   std::vector<uint8_t> Good = readAll(Base);
-  std::vector<SectionRec> Table = onlySegmentSections(Good);
+  std::vector<SectionRec> Table = sections(Good);
   ASSERT_GE(Table.size(), 19u) << "expected all sections present";
   // Among them the three representation-id columns (self, target, value),
   // the argument-id slice and both representation-table deltas.
@@ -203,11 +193,11 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
         break;
       }
       }
-      // The directory digests the section table; reseal it after a record
-      // edit so the edit reaches the per-section checks (unsealed, the
-      // directory check alone rejects the file).
+      // The header checksum seals the section table; reseal it after a
+      // record edit so the edit reaches the per-section checks (unsealed,
+      // the header check alone rejects the file).
       if (M == FlipChecksum || M == OversizeLength)
-        resealDirectory(Bytes);
+        resealHeader(Bytes);
       ASSERT_TRUE(writeAll(Mutant, Bytes));
       SCOPED_TRACE("section " + std::to_string(Sec.Id) + " mutation " +
                    std::to_string(M));
@@ -219,8 +209,7 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
         EXPECT_EQ(Loaded->size(), T.size());
       } else if (IsView) {
         // Truncating at a view-section payload may also cut the other
-        // view section, and always takes the footer; either way only
-        // derived data is lost.
+        // view section; either way only derived data is lost.
         ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
         EXPECT_FALSE(Loaded->ViewIdx.Present);
         EXPECT_EQ(Loaded->size(), T.size());
@@ -235,14 +224,13 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
     }
   }
 
-  // The directory record and the trailer: a cut or a flipped byte in
-  // either is a typed Corrupt error on a strict read.
-  FileLayout L = fileLayout(Good);
-  ASSERT_TRUE(L.Ok);
-  size_t Trailer = Good.size() - 24;
-  for (size_t Pos : {L.Segments[0].RecordPos, L.Segments[0].RecordPos + 8,
-                     L.Segments[0].RecordPos + 24, Trailer, Trailer + 8,
-                     Trailer + 16}) {
+  // The header fields and the table records: a flipped byte is damage
+  // to the header (its checksum seals them all), a cut there truncates
+  // the file, and a byte past the declared length is refused too.
+  const SectionRec &First = Table.front();
+  for (size_t Pos : {ChecksumAt, EntriesAt, SectionsAt, LengthAt,
+                     First.RecordPos, First.RecordPos + 8,
+                     First.RecordPos + 16, First.RecordPos + 24}) {
     for (bool Cut : {false, true}) {
       SCOPED_TRACE("byte " + std::to_string(Pos) + (Cut ? " cut" : " flip"));
       std::vector<uint8_t> Bytes = Good;
@@ -255,8 +243,25 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
       ASSERT_FALSE(bool(Loaded));
       EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt)
           << Loaded.error().render();
+      if (Cut) {
+        EXPECT_EQ(Loaded.error().Code, "trace.truncated");
+      } else if (Pos != First.RecordPos + 24) {
+        // A flipped record checksum is caught by the header first, or —
+        // when it only flips the pad — by the section itself.
+        EXPECT_EQ(Loaded.error().Code, "trace.section");
+        EXPECT_NE(Loaded.error().render().find("header"), std::string::npos)
+            << Loaded.error().render();
+      }
     }
   }
+  std::vector<uint8_t> Longer = Good;
+  Longer.push_back(0);
+  ASSERT_TRUE(writeAll(Mutant, Longer));
+  Expected<Trace> Loaded = readTrace(Mutant, nullptr);
+  ASSERT_FALSE(bool(Loaded));
+  EXPECT_EQ(Loaded.error().Code, "trace.section");
+  EXPECT_NE(Loaded.error().render().find("file-size"), std::string::npos)
+      << Loaded.error().render();
   std::remove(Base.c_str());
   std::remove(Mutant.c_str());
 }
@@ -267,17 +272,15 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
 
 void expectByteIdenticalPrefix(const Trace &T, const Trace &S);
 
-/// Overwrites u32 element \p Index of section \p Id's payload (after a
-/// \p Header-byte prefix) in the segment headered at \p SegOffset, and
-/// reseals the checksums, so only the reader's value checks can object.
-void patchU32(std::vector<uint8_t> &Bytes, uint64_t SegOffset, uint32_t Id,
-              size_t Header, size_t Index, uint32_t Value) {
-  SectionRec R = segSection(Bytes, SegOffset, Id);
+/// Overwrites u32 element \p Index of section \p Id's payload and reseals
+/// the checksums, so only the reader's value checks can object.
+void patchU32(std::vector<uint8_t> &Bytes, uint32_t Id, size_t Index,
+              uint32_t Value) {
+  SectionRec R = section(Bytes, Id);
   ASSERT_EQ(R.Id, Id);
-  ASSERT_GE(R.Length, Header + 4 * (Index + 1));
-  storeLE(Bytes.data() + R.Offset + Header + 4 * Index, Value);
+  ASSERT_GE(R.Length, 4 * (Index + 1));
+  storeLE(Bytes.data() + R.Offset + 4 * Index, Value);
   resealSection(Bytes, R);
-  resealDirectory(Bytes);
 }
 
 TEST(RowIds, OutOfRangeIdIsCorruptWhenStrictAndEndsThePrefixInSalvage) {
@@ -286,8 +289,6 @@ TEST(RowIds, OutOfRangeIdIsCorruptWhenStrictAndEndsThePrefixInSalvage) {
   std::string Base = tempPath("ids_base"), Path = tempPath("ids_mut");
   ASSERT_TRUE(writeTrace(T, Base));
   std::vector<uint8_t> Good = readAll(Base);
-  FileLayout L = fileLayout(Good);
-  ASSERT_TRUE(L.Ok);
   uint32_t K = static_cast<uint32_t>(T.size() / 2);
 
   // Per column, the first value past the loaded rows (for tids, the
@@ -306,7 +307,7 @@ TEST(RowIds, OutOfRangeIdIsCorruptWhenStrictAndEndsThePrefixInSalvage) {
       SCOPED_TRACE("section " + std::to_string(C.Id) + " id " +
                    std::to_string(Bad));
       std::vector<uint8_t> Bytes = Good;
-      patchU32(Bytes, L.Segments[0].Offset, C.Id, 0, K, Bad);
+      patchU32(Bytes, C.Id, K, Bad);
       ASSERT_TRUE(writeAll(Path, Bytes));
       Expected<Trace> Strict = readTrace(Path, Strings);
       ASSERT_FALSE(bool(Strict));
@@ -337,12 +338,8 @@ TEST(RowIds, OutOfRangeArgumentIdIsUnsalvageable) {
   std::string Path = tempPath("ids_args");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  ASSERT_GT(segSection(Bytes, L.Segments[0].Offset, 26).Length, 8u)
-      << "the trace passes no arguments";
-  patchU32(Bytes, L.Segments[0].Offset, 26, 8, 0,
-           static_cast<uint32_t>(T.ValueReprs.size()));
+  ASSERT_GT(section(Bytes, 26).Length, 0u) << "the trace passes no arguments";
+  patchU32(Bytes, 26, 0, static_cast<uint32_t>(T.ValueReprs.size()));
   ASSERT_TRUE(writeAll(Path, Bytes));
 
   Expected<Trace> Strict = readTrace(Path, Strings);
@@ -362,10 +359,8 @@ TEST(RowIds, RowsAreCheckedOnceAndRowZeroIsEmpty) {
   std::string Base = tempPath("rows_base"), Path = tempPath("rows_mut");
   ASSERT_TRUE(writeTrace(T, Base));
   std::vector<uint8_t> Good = readAll(Base);
-  FileLayout L = fileLayout(Good);
-  ASSERT_TRUE(L.Ok);
-  // Table deltas: a u64 base, then 24-byte ObjRepr rows (ClassName at +12)
-  // or 16-byte ValueRepr rows (Text at +8, Kind at +12).
+  // Tables: 24-byte ObjRepr rows (ClassName at +12) or 16-byte ValueRepr
+  // rows (Text at +8, Kind at +12).
   struct Patch {
     const char *What;
     uint32_t Id;
@@ -382,7 +377,7 @@ TEST(RowIds, RowsAreCheckedOnceAndRowZeroIsEmpty) {
     SCOPED_TRACE(P.What);
     std::vector<uint8_t> Bytes = Good;
     ASSERT_EQ(P.Byte % 4, 0u);
-    patchU32(Bytes, L.Segments[0].Offset, P.Id, 8, P.Byte / 4, P.Value);
+    patchU32(Bytes, P.Id, P.Byte / 4, P.Value);
     ASSERT_TRUE(writeAll(Path, Bytes));
     Expected<Trace> Strict = readTrace(Path, Strings);
     ASSERT_FALSE(bool(Strict));
@@ -665,12 +660,12 @@ TEST(Salvage, TruncatedFileRecoversByteIdenticalPrefix) {
   ASSERT_TRUE(writeTrace(T, Base, /*WithViewIndex=*/true));
   std::vector<uint8_t> Good = readAll(Base);
 
-  // Cut points derived from the segment's section table, not guessed
+  // Cut points derived from the file's section table, not guessed
   // fractions. In the columnar layout a truncation mid-column leaves every
   // *later* column absent, so only cuts in the trailing sections — the
   // last entry column (Prov, id 20) and the derived fingerprint lane
   // (Fp, id 21) — can recover entries. An earlier cut is refused.
-  std::vector<SectionRec> Table = onlySegmentSections(Good);
+  std::vector<SectionRec> Table = sections(Good);
   SectionRec Prov = findSection(Table, 20), Fp = findSection(Table, 21),
              Value = findSection(Table, 16);
 
@@ -735,21 +730,30 @@ TEST(Salvage, DamagedSideTableIsUnsalvageable) {
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("unsalvageable");
   ASSERT_TRUE(writeTrace(T, Path));
-  std::vector<uint8_t> Bytes = readAll(Path);
-  // Flip a byte inside the string delta (the whole string table of a
-  // one-segment file): entries are meaningless without it, so salvage
-  // must refuse rather than return garbage symbols.
-  SectionRec Strs = findSection(onlySegmentSections(Bytes), 24);
-  ASSERT_GT(Strs.Length, 0u);
-  Bytes[static_cast<size_t>(Strs.Offset + Strs.Length / 2)] ^= 0x10;
-  ASSERT_TRUE(writeAll(Path, Bytes));
+  std::vector<uint8_t> Good = readAll(Path);
+  std::vector<SectionRec> Table = sections(Good);
 
-  ReadOptions Options;
-  Options.Salvage = true;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_FALSE(bool(Salvaged));
-  EXPECT_EQ(Salvaged.error().Class, ErrClass::Corrupt);
-  EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
+  // Damage each side table: the strings, threads, argument pool, object
+  // rows or value rows. Every entry refers into them and no prefix of one
+  // is usable, so salvage must refuse rather than return garbage symbols.
+  for (uint32_t Id : {24u, 25u, 26u, 27u, 28u}) {
+    SCOPED_TRACE("side table " + std::to_string(Id));
+    std::vector<uint8_t> Bytes = Good;
+    SectionRec Side = findSection(Table, Id);
+    ASSERT_GT(Side.Length, 0u);
+    Bytes[static_cast<size_t>(Side.Offset + Side.Length / 2)] ^= 0x10;
+    ASSERT_TRUE(writeAll(Path, Bytes));
+
+    Expected<Trace> Strict = readTrace(Path, Strings);
+    ASSERT_FALSE(bool(Strict));
+    EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
+    ReadOptions Options;
+    Options.Salvage = true;
+    Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
+    ASSERT_FALSE(bool(Salvaged));
+    EXPECT_EQ(Salvaged.error().Class, ErrClass::Corrupt);
+    EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
+  }
   std::remove(Path.c_str());
 }
 
@@ -771,23 +775,19 @@ TEST(Salvage, IntactFilesReadIdenticallyWithSalvageOn) {
   std::remove(Path.c_str());
 }
 
-//===----------------------------------------------------------------------===//
-// One-segment salvage and the one-segment rule
-//===----------------------------------------------------------------------===//
-
 /// The mid-column salvage floor: a section checksum covers the whole
 /// column, so one flipped byte anywhere in an entry column discredits all
-/// of it — no prefix is trustworthy, the segment keeps nothing, and with
-/// nothing else to recover salvage refuses rather than return an empty
-/// trace that looks legitimately empty.
-TEST(SalvageV4, OneSegmentColumnFlipIsUnsalvageable) {
+/// of it — no prefix is trustworthy, and with nothing else to recover
+/// salvage refuses rather than return an empty trace that looks
+/// legitimately empty.
+TEST(Salvage, ColumnFlipIsUnsalvageable) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   ASSERT_GT(T.size(), 50u);
-  std::string Path = tempPath("one_segment_flip");
+  std::string Path = tempPath("column_flip");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  SectionRec Value = findSection(onlySegmentSections(Bytes), 16);
+  SectionRec Value = findSection(sections(Bytes), 16);
   ASSERT_GT(Value.Length, 0u);
   Bytes[static_cast<size_t>(Value.Offset + Value.Length / 2)] ^= 0x40;
   ASSERT_TRUE(writeAll(Path, Bytes));
@@ -804,26 +804,41 @@ TEST(SalvageV4, OneSegmentColumnFlipIsUnsalvageable) {
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, TruncatedDirectoryChainScansTheSegment) {
+TEST(Salvage, DamagedHeaderTrustsEachSectionChecksum) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("v4_tail");
+  std::string Path = tempPath("header_damage");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Good = readAll(Path);
-  FileLayout L = fileLayout(Good);
-  ASSERT_TRUE(L.Ok);
 
-  // Cut inside the trailer, then inside the footer: either way the
-  // directory is gone but the segment is intact.
-  for (size_t Cut : {Good.size() - 10, size_t(L.FooterOffset) + 12}) {
-    SCOPED_TRACE("cut at " + std::to_string(Cut));
+  // A flipped header checksum, declared length or record pad, and bytes
+  // past the declared length: the frame is damaged but every section is
+  // intact, so salvage recovers everything and still reports the damage
+  // so callers know the file needs rewriting.
+  struct Damage {
+    const char *What;
+    size_t FlipAt; ///< 0: append bytes instead.
+    const char *Strict;
+  } Damages[] = {
+      {"checksum", ChecksumAt, "header"},
+      {"length", LengthAt, "header"},
+      {"record pad", HeaderBytes + 4, "header"},
+      {"appended bytes", 0, "file-size"},
+  };
+  for (const Damage &D : Damages) {
+    SCOPED_TRACE(D.What);
     std::vector<uint8_t> Bytes = Good;
-    Bytes.resize(Cut);
+    if (D.FlipAt)
+      Bytes[D.FlipAt] ^= 0x40;
+    else
+      Bytes.insert(Bytes.end(), 16, 0xab);
     ASSERT_TRUE(writeAll(Path, Bytes));
 
     Expected<Trace> Strict = readTrace(Path, Strings);
     ASSERT_FALSE(bool(Strict));
-    EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
+    EXPECT_EQ(Strict.error().Code, "trace.section");
+    EXPECT_NE(Strict.error().render().find(D.Strict), std::string::npos)
+        << Strict.error().render();
 
     TraceReadReport Report;
     ReadOptions Options;
@@ -831,8 +846,6 @@ TEST(SalvageV4, TruncatedDirectoryChainScansTheSegment) {
     Options.Report = &Report;
     Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
     ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-    // The header scan finds the segment and recovers everything; the read
-    // still reports salvage so callers know the file needs rewriting.
     EXPECT_TRUE(Report.Salvaged);
     EXPECT_EQ(Report.EntriesDropped, 0u);
     ASSERT_EQ(Salvaged->size(), T.size());
@@ -842,16 +855,16 @@ TEST(SalvageV4, TruncatedDirectoryChainScansTheSegment) {
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, CutInsideViewIndexLoadsStrictly) {
+TEST(Salvage, CutInsideViewIndexLoadsStrictly) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("v4_viewcut");
+  std::string Path = tempPath("viewcut");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
 
-  // The cut takes the view entries and the directory, but no entry data:
-  // a strict read loads every entry and drops the derived index.
-  SectionRec Entries = findSection(onlySegmentSections(Bytes), 23);
+  // The cut takes the end of the view entries, but no entry data: a
+  // strict read loads every entry and drops the derived index.
+  SectionRec Entries = findSection(sections(Bytes), 23);
   ASSERT_GT(Entries.Length, 4u);
   Bytes.resize(static_cast<size_t>(Entries.Offset + Entries.Length - 4));
   ASSERT_TRUE(writeAll(Path, Bytes));
@@ -872,121 +885,20 @@ TEST(SalvageV4, CutInsideViewIndexLoadsStrictly) {
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, DamagedSideDeltaIsUnsalvageable) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("v4_side");
-  ASSERT_TRUE(writeTrace(T, Path));
-  std::vector<uint8_t> Good = readAll(Path);
-  std::vector<SectionRec> Table = onlySegmentSections(Good);
-
-  // Damage each side table: the strings, threads, argument pool, object
-  // rows or value rows. Every entry refers into them and no prefix of one
-  // is usable, so salvage has nothing to recover.
-  for (uint32_t Id : {24u, 25u, 26u, 27u, 28u}) {
-    SCOPED_TRACE("side delta " + std::to_string(Id));
-    std::vector<uint8_t> Bytes = Good;
-    SectionRec Delta = findSection(Table, Id);
-    ASSERT_GT(Delta.Length, 8u);
-    Bytes[static_cast<size_t>(Delta.Offset + Delta.Length / 2)] ^= 0x10;
-    ASSERT_TRUE(writeAll(Path, Bytes));
-
-    Expected<Trace> Strict = readTrace(Path, Strings);
-    ASSERT_FALSE(bool(Strict));
-    EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
-    ReadOptions Options;
-    Options.Salvage = true;
-    Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-    ASSERT_FALSE(bool(Salvaged));
-    EXPECT_EQ(Salvaged.error().Class, ErrClass::Corrupt);
-    EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
-  }
-  std::remove(Path.c_str());
-}
-
-/// A two-segment file built from the one-segment file \p One: the segment
-/// twice, the copy numbered 1 and starting at entry N, then a two-record
-/// directory and the trailer, with the directory digests and the footer
-/// checksum resealed.
-std::vector<uint8_t> twoSegmentFile(const std::vector<uint8_t> &One) {
-  FileLayout L = fileLayout(One);
-  EXPECT_TRUE(L.Ok && L.Segments.size() == 1);
-  if (!L.Ok || L.Segments.size() != 1)
-    return {};
-  const SegDirRec &Seg = L.Segments[0];
-  size_t Footer = static_cast<size_t>(L.FooterOffset);
-  size_t Second = Footer; // The copy starts where the footer was.
-  std::vector<uint8_t> Two(One.begin(), One.begin() + Footer);
-  Two.insert(Two.end(), One.begin() + Seg.Offset, One.begin() + Footer);
-  storeLE<uint32_t>(Two.data() + Second + 4, 1);             // Index.
-  storeLE<uint64_t>(Two.data() + Second + 8, Seg.NumEntries); // First eid.
-  size_t NewFooter = Two.size();
-  // Footer magic and count, then segment 0's record twice.
-  Two.insert(Two.end(), One.begin() + Footer, One.begin() + Footer + 8);
-  for (int K = 0; K != 2; ++K)
-    Two.insert(Two.end(), One.begin() + Seg.RecordPos,
-               One.begin() + Seg.RecordPos + 32);
-  storeLE<uint32_t>(Two.data() + NewFooter + 4, 2);
-  storeLE<uint64_t>(Two.data() + NewFooter + 40, Second);
-  storeLE<uint32_t>(Two.data() + NewFooter + 40 + 24, Seg.NumEntries);
-  // Trailer: footer offset, footer checksum, segment count, magic.
-  Two.insert(Two.end(), One.end() - 24, One.end());
-  storeLE<uint64_t>(Two.data() + Two.size() - 24, NewFooter);
-  storeLE<uint32_t>(Two.data() + Two.size() - 8, 2);
-  resealDirectory(Two);
-  return Two;
-}
-
-TEST(SegmentCount, SecondSegmentIsRefusedStrictAndSalvage) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Base = tempPath("segcount_base"), Path = tempPath("segcount");
-  ASSERT_TRUE(writeTrace(T, Base));
-  std::vector<uint8_t> Two = twoSegmentFile(readAll(Base));
-  FileLayout L = fileLayout(Two);
-  ASSERT_TRUE(L.Ok);
-  ASSERT_EQ(L.Segments.size(), 2u);
-
-  // With the directory, which lists the second segment, and with the
-  // footer cut off, so the header scan is what finds it.
-  for (bool CutFooter : {false, true}) {
-    SCOPED_TRACE(CutFooter ? "footer cut off" : "directory intact");
-    std::vector<uint8_t> Bytes = Two;
-    if (CutFooter)
-      Bytes.resize(static_cast<size_t>(L.FooterOffset));
-    ASSERT_TRUE(writeAll(Path, Bytes));
-    for (bool Salvage : {false, true}) {
-      ReadOptions Options;
-      Options.Salvage = Salvage;
-      Expected<Trace> Loaded = readTrace(Path, Strings, Options);
-      ASSERT_FALSE(bool(Loaded)) << "salvage " << Salvage;
-      EXPECT_EQ(Loaded.error().Code, "trace.section");
-      EXPECT_NE(Loaded.error().render().find("segment-count"),
-                std::string::npos)
-          << Loaded.error().render();
-    }
-  }
-  std::remove(Base.c_str());
-  std::remove(Path.c_str());
-}
-
 TEST(Salvage, HostileViewCountIsNeverReserved) {
-  // The segment header and directory record declare 0xF0000000 entries,
-  // and the view meta 0xE0000000 views in its first family, every
-  // checksum resealed. Salvage keeps the entries the columns hold, and the
-  // index, which no longer describes the kept entries, is dropped without
-  // being parsed — so its view count never sizes an allocation.
+  // The header declares 0xF0000000 entries, and the view meta 0xE0000000
+  // views in its first family, every checksum resealed. Salvage keeps the
+  // entries the columns hold, and the index, which no longer describes
+  // the kept entries, is dropped without being parsed — so its view count
+  // never sizes an allocation.
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("hostile_views");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
   const uint32_t Declared = 0xF0000000u;
-  storeLE<uint32_t>(Bytes.data() + L.Segments[0].Offset + 16, Declared);
-  storeLE<uint32_t>(Bytes.data() + L.Segments[0].RecordPos + 28, Declared);
-  patchU32(Bytes, L.Segments[0].Offset, 22, 0, 0, 0xE0000000u);
+  storeLE<uint32_t>(Bytes.data() + EntriesAt, Declared);
+  patchU32(Bytes, 22, 0, 0xE0000000u);
   ASSERT_TRUE(writeAll(Path, Bytes));
 
   Expected<Trace> Strict = readTrace(Path, Strings);
@@ -1010,24 +922,20 @@ TEST(Salvage, HostileViewCountIsNeverReserved) {
   std::remove(Path.c_str());
 }
 
-TEST(SalvageV4, WrappingFooterOffsetNeverReadsOutsideTheFile) {
-  // A 184-byte v4 file: the real file header's magic and version, zeros,
-  // then a trailer whose footer offset is 2^64 - 8. With 5 segments the
-  // footer is 168 bytes, so offset + footer bytes wraps to exactly the
-  // trailer position (184 - 24) — a bounds test written as that sum
-  // passes and hashes from 8 bytes before the mapping.
+TEST(Salvage, WrappingHeaderNeverReadsOutsideTheFile) {
+  // A 184-byte file: the real magic and version, then a header declaring
+  // a length of 2^64 - 8 and 0x07FFFFFF sections, whose table ends at
+  // 32 + 0x07FFFFFF * 32 = 2^32 bytes — a bound computed in 32 bits wraps
+  // to 0 and lets the table be read from outside the file.
   Trace T = traceOf("class A { } main { var a = new A(); }");
-  std::string Path = tempPath("v4_wrap");
+  std::string Path = tempPath("wrap");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Real = readAll(Path);
   ASSERT_GE(Real.size(), 8u);
   std::vector<uint8_t> Bytes(184, 0);
   std::copy(Real.begin(), Real.begin() + 8, Bytes.begin());
-  uint64_t FooterOffset = ~uint64_t{0} - 7;
-  uint32_t NumSegments = 5, TrailerMagic = 0x52505445; // "RPTE"
-  std::memcpy(Bytes.data() + 160, &FooterOffset, 8);
-  std::memcpy(Bytes.data() + 176, &NumSegments, 4);
-  std::memcpy(Bytes.data() + 180, &TrailerMagic, 4);
+  storeLE<uint32_t>(Bytes.data() + SectionsAt, 0x07FFFFFFu);
+  storeLE<uint64_t>(Bytes.data() + LengthAt, ~uint64_t{0} - 7);
   ASSERT_TRUE(writeAll(Path, Bytes));
 
   Expected<uint64_t> Digest = traceFileDigest(Path);
@@ -1041,77 +949,6 @@ TEST(SalvageV4, WrappingFooterOffsetNeverReadsOutsideTheFile) {
     EXPECT_EQ(Loaded.error().Code,
               Salvage ? "trace.unsalvageable" : "trace.section");
   }
-  std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// Retry policy (the --retry-policy / RPRISM_RETRY_POLICY surface)
-//===----------------------------------------------------------------------===//
-
-TEST(RetryPolicy, ParseAcceptsEitherKeyAloneOrBoth) {
-  RetryPolicy P;
-  std::string Error;
-  ASSERT_TRUE(parseRetryPolicy("attempts=5", P, &Error)) << Error;
-  EXPECT_EQ(P.MaxAttempts, 5u);
-  EXPECT_EQ(P.BackoffMicros, 100u); // Unmentioned key keeps its value.
-  ASSERT_TRUE(parseRetryPolicy("base_ms=2", P, &Error)) << Error;
-  EXPECT_EQ(P.MaxAttempts, 5u);
-  EXPECT_EQ(P.BackoffMicros, 2000u);
-  ASSERT_TRUE(parseRetryPolicy("attempts=1,base_ms=0", P, &Error)) << Error;
-  EXPECT_EQ(P.MaxAttempts, 1u);
-  EXPECT_EQ(P.BackoffMicros, 0u);
-}
-
-TEST(RetryPolicy, MalformedSpecsAreAllOrNothing) {
-  RetryPolicy P;
-  P.MaxAttempts = 9;
-  P.BackoffMicros = 350;
-  const RetryPolicy Before = P;
-  for (const char *Bad :
-       {"", "attempts=0", "attempts=", "attempts=x", "attempts",
-        "bogus=1", "attempts=2,attempts=3", "base_ms=7,base_ms=8",
-        "attempts=2,", "attempts=2,,base_ms=1", "base_ms=4294968",
-        "attempts=99999999999"}) {
-    SCOPED_TRACE(Bad);
-    std::string Error;
-    EXPECT_FALSE(parseRetryPolicy(Bad, P, &Error));
-    EXPECT_FALSE(Error.empty());
-    // The mirror of the fault-spec contract: failure leaves P untouched.
-    EXPECT_EQ(P.MaxAttempts, Before.MaxAttempts);
-    EXPECT_EQ(P.BackoffMicros, Before.BackoffMicros);
-  }
-}
-
-TEST(RetryPolicy, ProcessWidePolicyRoundTripsAndGovernsLoads) {
-  const RetryPolicy Saved = ioRetryPolicy();
-  RetryPolicy Custom;
-  Custom.MaxAttempts = 7;
-  Custom.BackoffMicros = 250;
-  setIoRetryPolicy(Custom);
-  RetryPolicy Got = ioRetryPolicy();
-  EXPECT_EQ(Got.MaxAttempts, 7u);
-  EXPECT_EQ(Got.BackoffMicros, 250u);
-
-  // attempts=1 means "no retries": the transient open failure that the
-  // default policy absorbs (DegradationLadder.TransientOpenFailureIsRetried)
-  // now surfaces as a typed I/O error, and no retry is counted.
-  Trace T = traceOf("class A { } main { var a = new A(); }");
-  std::string Path = tempPath("retry_policy");
-  ASSERT_TRUE(writeTrace(T, Path));
-  RetryPolicy One;
-  One.MaxAttempts = 1;
-  One.BackoffMicros = 0;
-  setIoRetryPolicy(One);
-  TelemetryWindow W;
-  {
-    ScopedFaultInjection Arm(7);
-    FaultInjector::get().configure(FaultSite::FileOpen, 0.0, /*OneShotAt=*/0);
-    Expected<Trace> Loaded = readTrace(Path, nullptr);
-    ASSERT_FALSE(bool(Loaded));
-    EXPECT_EQ(Loaded.error().Class, ErrClass::Io);
-  }
-  EXPECT_EQ(W.counter("robust.io_retry"), 0u);
-  setIoRetryPolicy(Saved);
   std::remove(Path.c_str());
 }
 

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <unistd.h>
@@ -250,7 +251,7 @@ TEST(Serialize, RoundTripPreservesEverything) {
   std::remove(Path.c_str());
 }
 
-TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
+TEST(Serialize, ColumnsLoadByteIdenticalAndZeroCopy) {
   Trace T = traceOf(R"(
     class A { Int x; A(Int x) { this.x = x; }
       Int bump() { this.x = this.x + 1; return this.x; } }
@@ -258,14 +259,15 @@ TEST(Serialize, OneSegmentColumnsLoadByteIdenticalAndZeroCopy) {
   )");
   ASSERT_TRUE(T.HasFingerprints);
   ASSERT_FALSE(T.ArgIds.empty());
-  std::string Path = tempPath("one_segment_bytes");
+  std::string Path = tempPath("column_bytes");
   ASSERT_TRUE(writeTrace(T, Path));
 
-  // A fresh interner re-interns the segment's strings in order, so symbol
+  // A fresh interner re-interns the file's strings in order, so symbol
   // ids are preserved and the loader takes the zero-copy borrow path:
   // Backing holds the file bytes, and every column — the fingerprints,
-  // argument pool and view index included — is borrowed, byte-identical,
-  // and nothing is re-fingerprinted.
+  // the argument pool, both representation tables and the view index
+  // included — is borrowed, byte-identical, and nothing is
+  // re-fingerprinted.
   Telemetry::get().reset();
   Telemetry::get().setEnabled(true);
   Expected<Trace> Loaded = readTrace(Path, nullptr);
@@ -331,15 +333,15 @@ TEST(Serialize, RefusesUnsupportedVersions) {
       Int bump() { this.x = this.x + 1; return this.x; } }
     main { var a = new A(3); a.bump(); spawn a.bump(); print(a.x); }
   )");
-  // Bytes 4-7 hold the version; readers accept exactly 7. The retired
+  // Bytes 4-7 hold the version; readers accept exactly 8. The retired
   // v1/v2 stream formats, the FNV-1a-checksummed layouts (versions 3 and
-  // 4), the retired whole-trace layout (version 5), the layout with
-  // per-entry representation copies (version 6) and any future version
-  // must be refused up front with the typed version error, whatever the
-  // rest of the file looks like.
+  // 4), the retired whole-trace layout (version 5), the segmented layouts
+  // (versions 6 and 7) and any future version must be refused up front
+  // with the typed version error, whatever the rest of the file looks
+  // like.
   std::string Path = tempPath("version");
   ASSERT_TRUE(writeTrace(T, Path));
-  for (uint32_t Version : {1u, 2u, 3u, 4u, 5u, 6u, 8u}) {
+  for (uint32_t Version : {1u, 2u, 3u, 4u, 5u, 6u, 7u, 9u}) {
     std::FILE *F = std::fopen(Path.c_str(), "rb+");
     ASSERT_TRUE(F != nullptr);
     std::fseek(F, 4, SEEK_SET);
@@ -389,25 +391,30 @@ TEST(Serialize, RejectsTruncatedFiles) {
   std::string Path = tempPath("trunc");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  SectionRec Value = segSection(Bytes, L.Segments[0].Offset, 16);
+  SectionRec Value = section(Bytes, 16);
   ASSERT_GT(Value.Length, 0u);
   long Size = static_cast<long>(Bytes.size());
   long MidValue = static_cast<long>(Value.Offset + Value.Length / 2);
-  // Every truncation point must be rejected cleanly — the reader
-  // validates segment and section bounds against the mapped size before
-  // touching any payload byte, so no cut can cause out-of-bounds reads. A
-  // cut inside the segment or the file header is reported as truncated; a
-  // cut that clips only the trailer is damage to the directory.
-  for (long Cut : {Size - 1, MidValue, long(20), long(8)}) {
+  // The file's last bytes belong to the view index: a cut there loses
+  // only derived data, so the trace loads without the index.
+  ASSERT_TRUE(truncate(Path.c_str(), Size - 1) == 0);
+  TraceReadReport Report;
+  ReadOptions Options;
+  Options.Report = &Report;
+  Expected<Trace> Clipped = readTrace(Path, nullptr, Options);
+  ASSERT_TRUE(bool(Clipped)) << Clipped.error().render();
+  EXPECT_EQ(Clipped->size(), T.size());
+  EXPECT_FALSE(Clipped->ViewIdx.Present);
+  EXPECT_TRUE(Report.ViewIndexDropped);
+  // Every deeper truncation point must be rejected cleanly — the reader
+  // validates the table and section bounds against the mapped size before
+  // touching any payload byte, so no cut can cause out-of-bounds reads.
+  for (long Cut : {MidValue, long(40), long(20), long(8)}) {
     ASSERT_TRUE(truncate(Path.c_str(), Cut) == 0);
     Expected<Trace> Loaded = readTrace(Path, nullptr);
     ASSERT_FALSE(bool(Loaded)) << "cut at " << Cut;
     EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt) << "cut at " << Cut;
-    if (Cut != Size - 1) {
-      EXPECT_EQ(Loaded.error().Code, "trace.truncated") << "cut at " << Cut;
-    }
+    EXPECT_EQ(Loaded.error().Code, "trace.truncated") << "cut at " << Cut;
   }
   std::remove(Path.c_str());
 }
@@ -427,16 +434,14 @@ TEST(Serialize, RejectsCorruptSectionBytes) {
     main { var a = new A(5); print(a.x); }
   )");
   std::string Path = tempPath("badsec");
-  // Without the optional view-index sections the segment's last payload
-  // is a core section, so the flip must be a hard error.
+  // Without the optional view-index sections the file's last payload is a
+  // core section, so the flip must be a hard error.
   ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/false));
 
   // Flip the last byte of the fingerprint lane: the section checksum must
   // catch it.
   std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  SectionRec Fp = segSection(Bytes, L.Segments[0].Offset, 21);
+  SectionRec Fp = section(Bytes, 21);
   ASSERT_GT(Fp.Length, 0u);
   Bytes[static_cast<size_t>(Fp.Offset + Fp.Length - 1)] ^= 0xff;
   ASSERT_TRUE(writeAll(Path, Bytes));
@@ -454,14 +459,12 @@ TEST(Serialize, CorruptViewIndexByteDegradesNotFails) {
     main { var a = new A(5); print(a.x); }
   )");
   std::string Path = tempPath("badidx");
-  // With the view index on, the segment's last payload is the index's
-  // entry list — derived data, so damage there must degrade (index
+  // With the view index on, the file's last payload is the index's entry
+  // list — derived data, so damage there must degrade (index
   // dropped, web rebuilt from the columns), never fail the load.
   ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/true));
   std::vector<uint8_t> Bytes = readAll(Path);
-  FileLayout L = fileLayout(Bytes);
-  ASSERT_TRUE(L.Ok);
-  SectionRec Entries = segSection(Bytes, L.Segments[0].Offset, 23);
+  SectionRec Entries = section(Bytes, 23);
   ASSERT_GT(Entries.Length, 0u);
   Bytes[static_cast<size_t>(Entries.Offset + Entries.Length - 1)] ^= 0xff;
   ASSERT_TRUE(writeAll(Path, Bytes));
@@ -618,6 +621,80 @@ TEST(Serialize, FileDigestStablePerContentDistinctAcrossContents) {
   std::remove(Path.c_str());
   std::remove(Again.c_str());
   std::remove(Plain.c_str());
+}
+
+/// Checks the frame of the trace file \p Bytes written from \p T: the
+/// header's counts and length match the file, its checksum recomputes,
+/// each payload's checksum recomputes, and the payloads, sorted by offset,
+/// tile the file after the table with fewer than 8 zero bytes before each
+/// payload and at the end.
+void expectEveryByteAccountedFor(const std::vector<uint8_t> &Bytes,
+                                 const Trace &T) {
+  ASSERT_GE(Bytes.size(), HeaderBytes);
+  const uint8_t *P = Bytes.data();
+  EXPECT_EQ(loadLE<uint32_t>(P + EntriesAt), T.size());
+  EXPECT_EQ(loadLE<uint64_t>(P + LengthAt), Bytes.size());
+  std::vector<SectionRec> Table = sections(Bytes);
+  ASSERT_FALSE(Table.empty());
+  EXPECT_EQ(Table.size(), numSections(Bytes));
+  size_t TableEnd = HeaderBytes + Table.size() * RecordBytes;
+  EXPECT_EQ(loadLE<uint64_t>(P + ChecksumAt),
+            rprism::checksumBytes(P + EntriesAt, TableEnd - EntriesAt));
+  std::sort(Table.begin(), Table.end(),
+            [](const SectionRec &A, const SectionRec &B) {
+              // An empty payload shares its offset with the next one.
+              return A.Offset != B.Offset ? A.Offset < B.Offset
+                                          : A.Length < B.Length;
+            });
+  auto ExpectZeroGap = [&](size_t From, size_t To) {
+    ASSERT_LE(From, To);
+    EXPECT_LT(To - From, 8u) << "gap at " << From;
+    for (size_t K = From; K != To; ++K)
+      EXPECT_EQ(P[K], 0) << "padding byte " << K;
+  };
+  size_t Pos = TableEnd;
+  for (const SectionRec &R : Table) {
+    SCOPED_TRACE("section " + std::to_string(R.Id));
+    EXPECT_EQ(R.Offset % 8, 0u);
+    ASSERT_LE(R.Offset + R.Length, Bytes.size());
+    ExpectZeroGap(Pos, static_cast<size_t>(R.Offset));
+    EXPECT_EQ(loadLE<uint64_t>(P + R.RecordPos + 24),
+              rprism::checksumBytes(P + R.Offset,
+                                    static_cast<size_t>(R.Length)));
+    Pos = static_cast<size_t>(R.Offset + R.Length);
+  }
+  ExpectZeroGap(Pos, Bytes.size());
+}
+
+TEST(Serialize, EveryByteIsHeaderTableOrPayload) {
+  auto Strings = std::make_shared<StringInterner>();
+  std::vector<Trace> Traces;
+  Trace Empty;
+  Empty.Strings = Strings;
+  Empty.Name = "empty";
+  Empty.computeFingerprints();
+  Traces.push_back(std::move(Empty));
+  Traces.push_back(singleEntryTrace(Strings));
+  Expected<PreparedCase> Corpus = prepareCase(benchmarkCorpus().front());
+  ASSERT_TRUE(bool(Corpus)) << Corpus.error().render();
+  Traces.push_back(std::move(Corpus->NewRegr));
+  for (unsigned Threads : {1u, 3u}) {
+    GeneratorOptions G;
+    G.NumClasses = 3;
+    G.OuterIters = 6;
+    G.NumThreads = Threads;
+    G.Seed = 5 + Threads;
+    Traces.push_back(traceOf(generateProgram(G)));
+  }
+  std::string Path = tempPath("frame");
+  for (const Trace &T : Traces) {
+    for (bool WithIndex : {true, false}) {
+      SCOPED_TRACE(T.Name + (WithIndex ? " with index" : " without index"));
+      ASSERT_TRUE(writeTrace(T, Path, WithIndex));
+      expectEveryByteAccountedFor(readAll(Path), T);
+    }
+  }
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

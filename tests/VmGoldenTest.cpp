@@ -177,9 +177,9 @@ GoldenData collect() {
 
 std::string render(const GoldenData &Data) {
   std::ostringstream OS;
-  OS << "# Trace digests per workload: FNV-1a of the one-segment trace\n"
-     << "# file bytes (version field 7, checksums by checksumBytes) and of\n"
-     << "# the fingerprint column. Regenerate with\n"
+  OS << "# Trace digests per workload: FNV-1a of the trace file bytes\n"
+     << "# (version field 8, checksums by checksumBytes) and of the\n"
+     << "# fingerprint column. Regenerate with\n"
      << "# RPRISM_UPDATE_GOLDEN=1 ./rprism_vmgolden_test after an\n"
      << "# intentional trace-format or recorder change.\n"
      << "# trace <name> <file-bytes-digest> <fp-column-digest> <entries>\n";

@@ -114,24 +114,12 @@ grep -q "fault-spec" "$WORK/badspec.txt" || fail "bad spec diagnostic missing"
 RPRISM_FAULT_SPEC='seed=7,file-open:0.0' "$RPRISM" trace-dump "$WORK/old.rpt" \
   > /dev/null 2>&1 || fail "no-op env fault spec broke trace-dump"
 
-# --- retry policy control (--retry-policy / RPRISM_RETRY_POLICY) -------------
-"$RPRISM" trace-dump "$WORK/old.rpt" --retry-policy 'attempts=5,base_ms=1' \
-  > /dev/null 2>"$WORK/retry.txt" || fail "valid --retry-policy broke trace-dump"
-grep -q "retry policy" "$WORK/retry.txt" || fail "--retry-policy not reported"
+# --- retired options ----------------------------------------------------------
+# Trace loads retry under one fixed policy: --retry-policy is a usage error.
 set +e
-"$RPRISM" trace-dump "$WORK/old.rpt" --retry-policy 'attempts=0' \
-  > /dev/null 2>"$WORK/badretry.txt"
-[ $? -eq 2 ] || fail "malformed --retry-policy was not usage exit 2"
-set -e
-grep -q "retry-policy" "$WORK/badretry.txt" \
-  || fail "bad retry-policy diagnostic missing"
-# Env form parses through the same all-or-nothing path.
-RPRISM_RETRY_POLICY='attempts=2' "$RPRISM" trace-dump "$WORK/old.rpt" \
-  > /dev/null 2>&1 || fail "env retry policy broke trace-dump"
-set +e
-RPRISM_RETRY_POLICY='bogus' "$RPRISM" trace-dump "$WORK/old.rpt" \
+"$RPRISM" trace-dump "$WORK/old.rpt" --retry-policy 'attempts=5' \
   > /dev/null 2>&1
-[ $? -eq 2 ] || fail "malformed env retry policy was not usage exit 2"
+[ $? -eq 2 ] || fail "--retry-policy was not usage exit 2"
 set -e
 
 # --- a trace write that fails must say so ------------------------------------
@@ -189,10 +177,10 @@ grep -q "usage:" "$WORK/err.txt" || fail "unknown subcommand printed no usage"
 "$RPRISM" trace-dump "$WORK/no_such.rpt" > /dev/null 2>&1
 [ $? -eq 4 ] || fail "missing trace file was not exit 4"
 # Exit 3: corrupt input. Flip a byte in the checksum field of the first
-# section record (the file and segment headers are 32 bytes each, and the
-# checksum lives at record offset 24).
+# section record (the header is 32 bytes, and the checksum lives at record
+# offset 24).
 cp "$WORK/old.rpt" "$WORK/corrupt.rpt"
-printf '\377' | dd of="$WORK/corrupt.rpt" bs=1 seek=88 conv=notrunc 2>/dev/null
+printf '\377' | dd of="$WORK/corrupt.rpt" bs=1 seek=56 conv=notrunc 2>/dev/null
 "$RPRISM" trace-dump "$WORK/corrupt.rpt" > /dev/null 2>&1
 [ $? -eq 3 ] || fail "corrupt trace was not exit 3"
 # A file that is not a trace at all is also exit 3.
@@ -202,10 +190,9 @@ echo "this is not a trace" > "$WORK/garbage.rpt"
 # A retired version number (bytes 4-7) is refused up front: exit 3 with the
 # typed version error. Version 1 was the old stream format, version 3 the
 # whole-trace layout with the FNV-1a checksums of earlier releases,
-# version 5 the same layout with today's checksums, and version 6 the
-# segmented layout with per-entry representation copies (trace files
-# carry version 7).
-for V in 1 3 5 6; do
+# version 5 the same layout with today's checksums, and versions 6 and 7
+# the segmented layouts (trace files carry version 8).
+for V in 1 3 5 6 7; do
   cp "$WORK/old.rpt" "$WORK/v$V.rpt"
   printf "\\00$V\\000\\000\\000" \
     | dd of="$WORK/v$V.rpt" bs=1 seek=4 conv=notrunc 2>/dev/null
@@ -214,36 +201,35 @@ for V in 1 3 5 6; do
   grep -q "unsupported trace version ($V)" "$WORK/v${V}_err.txt" \
     || fail "version-$V trace did not report the version error"
 done
-# A 184-byte trace file whose trailer puts the footer at offset 2^64-8 with
-# 5 segments: offset + footer size wraps to the trailer position.
-# diff-traces digests the file before loading it: the digest must stay
-# inside the file, and the load must reject it.
+# A 184-byte trace file whose header declares 0x07FFFFFF sections, so the
+# table would end at 2^32 bytes (0 when computed in 32 bits), and a length
+# of 2^64-8: the load must reject it without reading outside the file.
 {
   head -c 8 "$WORK/old.rpt"           # magic + version
+  head -c 12 /dev/zero                # header checksum, entry count
+  printf '\377\377\377\007'           # 0x07FFFFFF sections
+  printf '\370\377\377\377\377\377\377\377'  # declared length 2^64-8
   head -c 152 /dev/zero
-  printf '\370\377\377\377\377\377\377\377'  # footer offset 2^64-8
-  head -c 8 /dev/zero                 # footer checksum
-  printf '\005\000\000\000ETPR'       # 5 segments, trailer magic "RPTE"
 } > "$WORK/hostile.rpt"
 [ "$(wc -c < "$WORK/hostile.rpt")" -eq 184 ] \
   || fail "hostile fixture is not 184 bytes"
 "$RPRISM" diff-traces "$WORK/hostile.rpt" "$WORK/old.rpt" > /dev/null 2>&1
-[ $? -eq 3 ] || fail "hostile footer offset was not exit 3"
+[ $? -eq 3 ] || fail "hostile header was not exit 3"
 set -e
 
-# Hostile files with valid checksums, built from old.rpt:
+# Hostile files built from old.rpt, checksums resealed unless noted:
 #   tid, loc — one entry's tid, or one object's store location, set to
 #     0xFFFFFFF0, and the view index damaged so diff-traces builds the view
 #     web by scanning. A tid that names no thread is a corrupt section
 #     (exit 3); a huge location is legal and must diff without sizing any
 #     table by it (the address-space limit turns a 16 GiB key-indexed
 #     vector into a failure).
-#   views — the segment header and directory record declare 0xF0000000
-#     entries and the view meta 0xE0000000 views: salvage keeps the real
-#     entries and drops the index without reserving its view count.
-#   twoseg — the segment twice (the copy numbered 1, starting at entry N)
-#     under a two-record directory: a trace file holds one segment, so
-#     every read refuses it (exit 3), with or without the directory.
+#   views — the header declares 0xF0000000 entries and the view meta
+#     0xE0000000 views: salvage keeps the real entries and drops the index
+#     without reserving its view count.
+#   value — one bit of the value column flipped, its checksum left as it
+#     was: the copy records the same checksums as old.rpt, and every load
+#     of it must fail (exit 3) whether or not old.rpt is loaded too.
 # The limit is skipped where the binary cannot start under it (sanitizer
 # builds reserve more).
 cat > "$WORK/hostile_keys.py" <<'EOF'
@@ -287,14 +273,11 @@ def checksum(data):
 
 src, dst, what = sys.argv[1:]
 data = bytearray(open(src, "rb").read())
-seg = 32  # One-segment file: the segment header follows the file header.
 sections = {}
-for i in range(struct.unpack_from("<I", data, seg + 20)[0]):
-    rec = seg + 32 + 32 * i
+for i in range(struct.unpack_from("<I", data, 20)[0]):
+    rec = 32 + 32 * i
     sid, _, off, length, _ = struct.unpack_from("<IIQQQ", data, rec)
-    sections[sid] = (rec, seg + off, length)
-trailer = len(data) - 24
-footer = struct.unpack_from("<Q", data, trailer)[0]
+    sections[sid] = (rec, off, length)
 
 
 def reseal(sid):
@@ -303,43 +286,27 @@ def reseal(sid):
     struct.pack_into("<Q", data, rec + 24, checksum(payload))
 
 
-if what == "twoseg":
-    entries = struct.unpack_from("<I", data, seg + 16)[0]
-    copy = bytearray(data[seg:footer])
-    struct.pack_into("<IQ", copy, 4, 1, entries)  # Index 1, first eid N.
-    record = bytearray(data[footer + 8:footer + 40])
-    struct.pack_into("<Q", record, 0, footer)  # The copy starts there.
-    struct.pack_into("<I", record, 24, entries)
-    directory = (struct.pack("<II", 0x52504654, 2)
-                 + bytes(data[footer + 8:footer + 40]) + bytes(record))
-    head = bytes(data[:footer]) + bytes(copy)
-    data = bytearray(head + directory
-                     + struct.pack("<QQII", len(head), checksum(directory),
-                                   2, 0x52505445))
-    open(dst, "wb").write(data)
-    sys.exit(0)
-if what == "tid":
-    _, off, _ = sections[10]  # Tid column: entry 0 runs on 0xFFFFFFF0.
-    struct.pack_into("<I", data, off, 0xFFFFFFF0)
-    reseal(10)
-elif what == "loc":
-    _, off, _ = sections[27]  # Object rows after a u64 base; Loc at +8.
-    struct.pack_into("<I", data, off + 8 + 24 + 8, 0xFFFFFFF0)  # Row 1.
-    reseal(27)
-if what == "views":
-    struct.pack_into("<I", data, seg + 16, 0xF0000000)  # Segment header.
-    struct.pack_into("<I", data, footer + 8 + 28, 0xF0000000)  # Record 0.
+if what == "value":
+    _, off, length = sections[16]  # Value column: one bit flipped, unsealed.
+    data[off + length // 2] ^= 1
+elif what == "views":
+    struct.pack_into("<I", data, 16, 0xF0000000)  # Header entry count.
     _, off, _ = sections[22]  # View meta: family 0 declares 0xE0000000.
     struct.pack_into("<I", data, off, 0xE0000000)
     reseal(22)
 else:
+    if what == "tid":
+        _, off, _ = sections[10]  # Tid column: entry 0 runs on 0xFFFFFFF0.
+        struct.pack_into("<I", data, off, 0xFFFFFFF0)
+        reseal(10)
+    else:
+        _, off, _ = sections[27]  # Object rows: row 1's Loc, at +8.
+        struct.pack_into("<I", data, off + 24 + 8, 0xFFFFFFF0)
+        reseal(27)
     _, off, _ = sections[22]  # Damage the view index: it is dropped.
     data[off] ^= 0xFF
-table = seg + 32
-digest = checksum(bytes(data[table:table + 32 * len(sections)]))
-struct.pack_into("<Q", data, footer + 16, digest)  # Directory record 0.
-struct.pack_into("<Q", data, trailer + 8,
-                 checksum(bytes(data[footer:trailer])))
+table_end = 32 + 32 * len(sections)
+struct.pack_into("<Q", data, 8, checksum(bytes(data[16:table_end])))
 open(dst, "wb").write(data)
 EOF
 python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badtid.rpt" tid \
@@ -348,11 +315,8 @@ python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badloc.rpt" loc \
   || fail "could not build the hostile-location fixture"
 python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badviews.rpt" views \
   || fail "could not build the hostile-view-count fixture"
-python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/twoseg.rpt" twoseg \
-  || fail "could not build the two-segment fixture"
-# Both segments, without the two-record footer (72 bytes) and the trailer.
-head -c "$(($(wc -c < "$WORK/twoseg.rpt") - 96))" "$WORK/twoseg.rpt" \
-  > "$WORK/twoseg_nofooter.rpt"
+python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badvalue.rpt" value \
+  || fail "could not build the damaged-copy fixture"
 VMEM=4000000
 ( ulimit -v "$VMEM" && "$RPRISM" --version ) > /dev/null 2>&1 || VMEM=""
 limited() {
@@ -376,18 +340,15 @@ limited "$RPRISM" trace-dump "$WORK/badviews.rpt" --salvage \
 [ $? -eq 0 ] || fail "hostile view count did not salvage"
 grep -q "damaged view index dropped" "$WORK/badviews_err.txt" \
   || fail "hostile view count did not drop the view index"
-for F in twoseg twoseg_nofooter; do
-  for SALVAGE in "" --salvage; do
-    "$RPRISM" trace-dump "$WORK/$F.rpt" $SALVAGE > /dev/null \
-      2>"$WORK/twoseg_err.txt"
-    [ $? -eq 3 ] || fail "$F trace-dump $SALVAGE was not exit 3"
-    grep -q "corrupt segment-count section" "$WORK/twoseg_err.txt" \
-      || fail "$F trace-dump $SALVAGE did not report the segment count"
-    "$RPRISM" diff-traces "$WORK/$F.rpt" "$WORK/old.rpt" $SALVAGE \
-      > /dev/null 2>&1
-    [ $? -eq 3 ] || fail "$F diff-traces $SALVAGE was not exit 3"
-  done
-done
+"$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/badvalue.rpt" > /dev/null \
+  2>"$WORK/badvalue_err.txt"
+[ $? -eq 3 ] || fail "damaged copy after its twin was not exit 3"
+grep -q "fails its checksum" "$WORK/badvalue_err.txt" \
+  || fail "damaged copy did not report the section checksum"
+"$RPRISM" diff-traces "$WORK/badvalue.rpt" "$WORK/old.rpt" > /dev/null 2>&1
+[ $? -eq 3 ] || fail "damaged copy before its twin was not exit 3"
+"$RPRISM" diff-nway "$WORK/old.rpt" "$WORK/badvalue.rpt" > /dev/null 2>&1
+[ $? -eq 3 ] || fail "damaged copy as a diff-nway mutant was not exit 3"
 set -e
 
 # --- salvage ------------------------------------------------------------------

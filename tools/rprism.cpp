@@ -27,7 +27,6 @@
 #include "analysis/Regression.h"
 #include "cache/DiffCache.h"
 #include "robustness/FaultInjector.h"
-#include "robustness/Retry.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
 #include "support/MetricsSink.h"
@@ -80,12 +79,9 @@ int usage() {
       "  --trace-out F     write a per-thread timeline as Chrome\n"
       "                    trace-event JSON (open in Perfetto)\n"
       "\n"
-      "robustness (any subcommand; or RPRISM_FAULT_SPEC /\n"
-      "            RPRISM_RETRY_POLICY in the env):\n"
+      "robustness (any subcommand; or RPRISM_FAULT_SPEC in the env):\n"
       "  --fault-spec S    arm the fault injector, e.g.\n"
       "                    'seed=7,file-read:0.01,section-checksum:0@2'\n"
-      "  --retry-policy S  I/O retry policy for trace loads, e.g.\n"
-      "                    'attempts=5,base_ms=2'\n"
       "\n"
       "exit codes: 0 success, 1 failure, 2 usage error,\n"
       "            3 corrupt input, 4 I/O error, 5 perf regression\n",
@@ -150,7 +146,6 @@ struct Args {
   bool Profile = false;
   std::string TraceOut;
   std::string FaultSpec;
-  std::string RetryPolicySpec;
   /// Every --flag that appeared, for per-subcommand validation.
   std::vector<std::string> SeenFlags;
   bool Bad = false;
@@ -218,8 +213,6 @@ Args parseArgs(int Argc, char **Argv, int Start) {
       A.TraceOut = Next();
     } else if (Arg == "--fault-spec") {
       A.FaultSpec = Next();
-    } else if (Arg == "--retry-policy") {
-      A.RetryPolicySpec = Next();
     } else if (Arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", Arg.c_str());
       A.Bad = true;
@@ -277,8 +270,7 @@ bool validateFlags(const std::string &Command, const Args &A) {
   bool Ok = true;
   for (const std::string &Flag : A.SeenFlags) {
     if (Flag == "--metrics-out" || Flag == "--profile" ||
-        Flag == "--trace-out" || Flag == "--fault-spec" ||
-        Flag == "--retry-policy")
+        Flag == "--trace-out" || Flag == "--fault-spec")
       continue;
     if (std::none_of(Allowed->begin(), Allowed->end(),
                      [&Flag](const char *F) { return Flag == F; })) {
@@ -442,9 +434,8 @@ int cmdDiffTraces(const Args &A) {
     reportDegradations(A.Positional[1], RightReport);
     return printDiff(*Left, *Right, A);
   }
-  // Content-digest-keyed loads: the two sides dedup when they are the same
-  // bytes, and repeat diffs in one process (library callers, future REPL)
-  // reuse loaded traces and their webs.
+  // Loads through the cache, which holds the traces so repeat diffs in one
+  // process (library callers, future REPL) reuse their webs.
   Err Error;
   std::shared_ptr<const Trace> Left =
       DiffCache::global().load(A.Positional[0], Strings, &Error);
@@ -463,9 +454,9 @@ int cmdDiffNWay(const Args &A) {
   auto Strings = std::make_shared<StringInterner>();
 
   // Load the baseline plus every mutant, all sharing one interner. The
-  // cached path dedups identical bytes and keeps the loaded traces (and
-  // the baseline's web) for repeat studies in one process; salvage and
-  // --no-view-cache read directly, as in diff-traces.
+  // cached path keeps the loaded traces (and the baseline's web) for
+  // repeat studies in one process; salvage and --no-view-cache read
+  // directly, as in diff-traces.
   std::vector<std::shared_ptr<const Trace>> Owned;
   std::vector<const Trace *> Traces;
   for (const std::string &Path : A.Positional) {
@@ -672,24 +663,6 @@ int main(int Argc, char **Argv) {
       return 2;
     }
     std::fprintf(stderr, "[fault injector armed: %s]\n", FaultSpec.c_str());
-  }
-
-  // I/O retry policy: same contract as the fault spec — the flag wins
-  // over RPRISM_RETRY_POLICY, and a bad spec is a usage error rather than
-  // a silently defaulted policy.
-  std::string RetrySpec = A.RetryPolicySpec;
-  if (RetrySpec.empty())
-    if (const char *Env = std::getenv("RPRISM_RETRY_POLICY"))
-      RetrySpec = Env;
-  if (!RetrySpec.empty()) {
-    RetryPolicy Policy;
-    std::string SpecError;
-    if (!parseRetryPolicy(RetrySpec, Policy, &SpecError)) {
-      std::fprintf(stderr, "error: %s\n", SpecError.c_str());
-      return 2;
-    }
-    setIoRetryPolicy(Policy);
-    std::fprintf(stderr, "[retry policy: %s]\n", RetrySpec.c_str());
   }
 
   // Telemetry is recorded only when an export was requested; otherwise

@@ -10,35 +10,41 @@
 /// corpus of base traces (empty, single-entry, generated workloads), each
 /// with and without the view index, then applies seeded mutations —
 /// truncation, bit flips, byte overwrites, section-table and header
-/// tampering, zeroed ranges, appended garbage, plus the file's boundary
-/// structures: trailer fields, the footer-directory record, and the
-/// segment header, and id and row values rewritten with every checksum
-/// resealed so they reach the reader's value checks — and requires every
-/// strict read, salvage read, and digest of the mutant to return cleanly.
-/// A crash, hang, or sanitizer report is the failure mode; any error
-/// return is a pass.
+/// tampering, zeroed ranges, appended garbage, and id and row values
+/// rewritten with every checksum resealed so they reach the reader's value
+/// checks — and requires every strict read, salvage read, and digest of
+/// the mutant to return cleanly. A crash, hang, or sanitizer report is a
+/// failure, and so is a load the checksums should have refused: a mutant
+/// whose checksums were not resealed must, when it loads strictly, equal
+/// its base trace entry for entry (tid, method, =e, fingerprint) and in
+/// its thread table, and when it salvages, be a prefix of it. The one
+/// exception is a mutant both cut short and altered before the cut: the
+/// surviving prefix of a cut column has no checksum of its own, so salvage
+/// keeps it as it is.
 ///
-/// Run under ASan+UBSan in CI:  trace_fuzz --seed 20260807 --iters 200
+/// Runs as a tier-1 test and under ASan+UBSan in CI:
+///   trace_fuzz --seed 20260807 --iters 1000
 ///
 //===----------------------------------------------------------------------===//
 
+#include "TraceFileLayout.h"
+
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
-#include "support/Hashing.h"
 #include "trace/Serialize.h"
 #include "workload/Generator.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <iterator>
 #include <map>
 #include <random>
 #include <string>
 #include <vector>
 
 using namespace rprism;
+using namespace tracelayout;
 
 namespace {
 
@@ -46,6 +52,7 @@ struct FuzzStats {
   uint64_t Iterations = 0;
   uint64_t StrictOk = 0;
   uint64_t SalvageOk = 0;
+  uint64_t OracleFailures = 0;
   std::map<std::string, uint64_t> ErrorCodes;
 };
 
@@ -65,108 +72,82 @@ Trace traceOf(const std::string &Source) {
   return std::move(Result.ExecTrace);
 }
 
-std::vector<uint8_t> readAll(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  return std::vector<uint8_t>(std::istreambuf_iterator<char>(In),
-                              std::istreambuf_iterator<char>());
-}
-
-bool writeAll(const std::string &Path, const std::vector<uint8_t> &Bytes) {
-  std::ofstream Out(Path, std::ios::binary | std::ios::trunc);
-  Out.write(reinterpret_cast<const char *>(Bytes.data()),
-            static_cast<std::streamsize>(Bytes.size()));
-  return Out.good();
-}
-
-/// Rewrites one u32 of a value-bearing section of the segment — a tid, a
+/// Rewrites one u32 of a value-bearing section — a tid, a
 /// representation-id column, the argument pool, or a row of either
-/// representation table — and reseals the section checksum, the
-/// directory's table digest and the footer checksum, so the value reaches
-/// the reader's id and row checks instead of failing a checksum.
-/// False (nothing changed) when the framing it needs is not intact.
+/// representation table — and reseals the section and header checksums,
+/// so the value reaches the reader's id and row checks instead of failing
+/// a checksum. False (nothing changed) when the framing it needs is not
+/// intact.
 bool sealedValueTamper(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
-  auto Load64 = [&](size_t At) {
-    uint64_t V;
-    std::memcpy(&V, Bytes.data() + At, 8);
-    return V;
-  };
-  auto Store64 = [&](size_t At, uint64_t V) {
-    std::memcpy(Bytes.data() + At, &V, 8);
-  };
-  if (Bytes.size() < 96 + 24)
-    return false;
-  size_t Trailer = Bytes.size() - 24;
-  uint64_t Footer = Load64(Trailer);
-  if (Footer < 64 || Footer > Trailer || Trailer - Footer != 8 + 32 ||
-      Load64(Footer + 8) != 32)
-    return false;
-  uint32_t NumSections;
-  std::memcpy(&NumSections, Bytes.data() + 52, 4);
-  if (NumSections > 64 || 64 + uint64_t{NumSections} * 32 > Footer)
-    return false;
-  // Section id -> bytes before the first u32 of its values.
-  static const std::pair<uint32_t, size_t> Targets[] = {
-      {10, 0}, {12, 0}, {15, 0}, {16, 0}, {26, 8}, {27, 8}, {28, 8}};
-  const auto &Target = Targets[Rng() % std::size(Targets)];
-  for (uint32_t I = 0; I != NumSections; ++I) {
-    size_t Record = 64 + size_t{I} * 32;
-    uint32_t Id;
-    std::memcpy(&Id, Bytes.data() + Record, 4);
-    uint64_t Offset = 32 + Load64(Record + 8), Length = Load64(Record + 16);
-    if (Id != Target.first || Offset > Footer || Length > Footer - Offset ||
-        Length < Target.second + 4)
+  static const uint32_t Targets[] = {10, 12, 15, 16, 26, 27, 28};
+  uint32_t Target = Targets[Rng() % std::size(Targets)];
+  for (const SectionRec &R : sections(Bytes)) {
+    if (R.Id != Target || R.Offset > Bytes.size() ||
+        R.Length > Bytes.size() - R.Offset || R.Length < 4)
       continue;
-    size_t Words = (Length - Target.second) / 4;
-    size_t At = Offset + Target.second + 4 * (Rng() % Words);
+    size_t At = static_cast<size_t>(R.Offset + 4 * (Rng() % (R.Length / 4)));
     static const uint32_t Values[] = {0, 1, 2, 0x7fffffffu, 0xfffffff0u,
                                       0xffffffffu};
     uint32_t Value = Rng() % 2 ? Values[Rng() % std::size(Values)]
                                : static_cast<uint32_t>(Rng());
-    std::memcpy(Bytes.data() + At, &Value, 4);
-    Store64(Record + 24, checksumBytes(Bytes.data() + Offset, Length));
-    Store64(Footer + 16, checksumBytes(Bytes.data() + 64, NumSections * 32));
-    Store64(Trailer + 8,
-            checksumBytes(Bytes.data() + Footer, Trailer - Footer));
+    storeLE(Bytes.data() + At, Value);
+    resealSection(Bytes, R);
     return true;
   }
   return false;
 }
 
-/// Applies one seeded mutation to \p Bytes. Thirteen mutation kinds,
-/// chosen and parameterised by \p Rng; always leaves at least an empty
-/// file. Kinds 9-11 target the file framing (trailer, footer directory,
-/// segment header) and kind 12 rewrites sealed ids and rows; each
-/// degrades to a plain bit flip when an earlier mutation left no valid
-/// trailer.
-void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
+/// A value for a header field of \p Width bytes: one near a boundary
+/// (0, 2^31, 2^32, 2^64), the field's current value nudged, or random.
+uint64_t headerFieldValue(uint64_t Current, size_t Width,
+                          std::mt19937_64 &Rng) {
+  static const uint64_t Near[] = {0,
+                                  1,
+                                  0x7fffffffu,
+                                  0x80000000u,
+                                  0xfffffff8u,
+                                  0xffffffffu,
+                                  0x100000000u,
+                                  0x100000008u,
+                                  ~uint64_t{0} - 7,
+                                  ~uint64_t{0}};
+  uint64_t V;
+  switch (Rng() % 3) {
+  case 0:
+    V = Near[Rng() % std::size(Near)];
+    break;
+  case 1:
+    V = Rng() % 2 ? Current + 8 : Current - 8;
+    break;
+  default:
+    V = Rng();
+    break;
+  }
+  return Width == 4 ? static_cast<uint32_t>(V) : V;
+}
+
+/// Applies one seeded mutation to \p Bytes. Eleven mutation kinds, chosen
+/// and parameterised by \p Rng; always leaves at least an empty file.
+/// Kind 9 rewrites a header field and kind 10 rewrites sealed ids and
+/// rows; both degrade to a plain bit flip when the file is too short for
+/// them. Returns whether the mutation resealed checksums.
+bool mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
   auto Index = [&](size_t Bound) {
     return Bound ? static_cast<size_t>(Rng() % Bound) : 0;
   };
   auto FlipBit = [&] {
     Bytes[Index(Bytes.size())] ^= uint8_t(1u << (Rng() % 8));
   };
-  // The footer offset when the file ends in a valid trailer, else 0.
-  auto FooterAt = [&]() -> uint64_t {
-    if (Bytes.size() < 56)
-      return 0;
-    uint32_t Magic;
-    std::memcpy(&Magic, Bytes.data() + Bytes.size() - 4, 4);
-    if (Magic != 0x52505445u) // "RPTE"
-      return 0;
-    uint64_t Off;
-    std::memcpy(&Off, Bytes.data() + Bytes.size() - 24, 8);
-    return Off + 32 <= Bytes.size() ? Off : 0;
-  };
   if (Bytes.empty()) {
     Bytes.push_back(static_cast<uint8_t>(Rng()));
-    return;
+    return false;
   }
-  switch (Rng() % 13) {
+  switch (Rng() % 11) {
   case 0: // Truncate to a random prefix (possibly empty).
     Bytes.resize(Index(Bytes.size() + 1));
     break;
   case 1: // Flip a single bit.
-    Bytes[Index(Bytes.size())] ^= uint8_t(1u << (Rng() % 8));
+    FlipBit();
     break;
   case 2: { // Flip a burst of bits across a small window.
     size_t At = Index(Bytes.size());
@@ -180,37 +161,29 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
         static_cast<uint8_t>(std::initializer_list<int>{0, 1, 0x7f, 0x80, 0xff}
                                  .begin()[Rng() % 5]);
     break;
-  case 4: { // Tamper with a record of the segment's section table (after
-            // the 32-byte file and segment headers: 32-byte records of
-            // id/pad, offset, length, checksum).
-    if (Bytes.size() < 96) {
+  case 4: { // Tamper with a section-table record: id/pad, offset, length
+            // or checksum.
+    size_t Room = Bytes.size() < HeaderBytes ? 0 : Bytes.size() - HeaderBytes;
+    size_t Records = std::min<size_t>(numSections(Bytes), Room / RecordBytes);
+    if (Records == 0) {
       FlipBit();
       break;
     }
-    uint32_t NumSections;
-    std::memcpy(&NumSections, Bytes.data() + 52, 4);
-    size_t Records =
-        std::min<size_t>(NumSections, (Bytes.size() - 64) / 32);
-    size_t Record = 64 + 32 * Index(Records);
-    size_t Field = (Rng() % 4) * 8; // id+pad / offset / length / checksum
-    uint64_t Garbage = Rng();
-    std::memcpy(Bytes.data() + Record + Field, &Garbage, 8);
+    size_t Field = HeaderBytes + RecordBytes * Index(Records) + 8 * (Rng() % 4);
+    storeLE<uint64_t>(Bytes.data() + Field, Rng());
     break;
   }
-  case 5: { // Tamper with the file header: magic, version, flags, or the
-            // segment size.
-    size_t Field = 4 * (Rng() % 4);
+  case 5: { // Tamper with the magic or the version.
+    size_t Field = 4 * (Rng() % 2);
     if (Bytes.size() < Field + 4)
       break;
-    uint32_t Garbage = static_cast<uint32_t>(Rng());
-    std::memcpy(Bytes.data() + Field, &Garbage, 4);
+    storeLE(Bytes.data() + Field, static_cast<uint32_t>(Rng()));
     break;
   }
   case 6: { // Zero a range.
     size_t At = Index(Bytes.size());
     size_t Len = 1 + Index(64);
-    std::memset(Bytes.data() + At, 0,
-                std::min(Len, Bytes.size() - At));
+    std::memset(Bytes.data() + At, 0, std::min(Len, Bytes.size() - At));
     break;
   }
   case 7: { // Append garbage.
@@ -229,53 +202,62 @@ void mutate(std::vector<uint8_t> &Bytes, std::mt19937_64 &Rng) {
     }
     break;
   }
-  case 9: { // Trailer tamper: footer offset, checksum, count, or magic.
-    if (Bytes.size() < 56) {
+  case 9: { // Header-field tamper: checksum, entry count, section count or
+            // declared length, with values near 2^32 and 2^64.
+    if (Bytes.size() < HeaderBytes) {
       FlipBit();
       break;
     }
-    size_t Trailer = Bytes.size() - 24;
-    size_t Field = (Rng() % 3) * 8; // offset / checksum / count+magic
-    uint64_t Garbage = Rng();
-    std::memcpy(Bytes.data() + Trailer + Field, &Garbage, 8);
+    static const std::pair<size_t, size_t> Fields[] = {
+        {ChecksumAt, 8}, {EntriesAt, 4}, {SectionsAt, 4}, {LengthAt, 8}};
+    const auto &[At, Width] = Fields[Rng() % std::size(Fields)];
+    uint64_t Current = 0;
+    std::memcpy(&Current, Bytes.data() + At, Width);
+    uint64_t Value = headerFieldValue(Current, Width, Rng);
+    std::memcpy(Bytes.data() + At, &Value, Width);
     break;
   }
-  case 10: { // Footer-directory tamper: magic and count, or a field of
-             // the record.
-    uint64_t Footer = FooterAt();
-    if (!Footer || Bytes.size() < Footer + 8 + 32) {
-      FlipBit();
-      break;
-    }
-    size_t Field = (Rng() % 5) * 8; // magic+count / offset / digests / eids
-    uint64_t Garbage = Rng();
-    std::memcpy(Bytes.data() + Footer + Field, &Garbage, 8);
+  case 10: // Sealed tid, representation-id or row rewrite.
+    if (sealedValueTamper(Bytes, Rng))
+      return true;
+    FlipBit();
     break;
   }
-  case 11: { // Segment-header tamper (the segment lives at byte 32).
-    uint64_t Footer = FooterAt();
-    if (!Footer || Footer < 64) {
-      FlipBit();
-      break;
-    }
-    // Magic/index, begin-eid, counts, or payload size — the last one moves
-    // where the salvage header scan looks for a second segment.
-    size_t Field = (Rng() % 4) * 8;
-    uint64_t Garbage = Rng();
-    std::memcpy(Bytes.data() + 32 + Field, &Garbage, 8);
-    break;
-  }
-  case 12: // Sealed tid, representation-id or row rewrite.
-    if (!sealedValueTamper(Bytes, Rng))
-      FlipBit();
-    break;
-  }
+  return false;
 }
 
-/// Exercises every read surface on one mutant file. The contract under
-/// test is purely "no crash, no hang, no sanitizer report": errors are
-/// counted, successes are walked end to end to force column access.
-void exercise(const std::string &Path, FuzzStats &Stats) {
+/// Whether \p Got's threads and entries are \p Base's, entry for entry:
+/// tid, method, =e and fingerprint, for every entry of \p Got.
+bool matchesBase(const Trace &Base, const Trace &Got) {
+  if (Got.size() > Base.size() || Got.Threads.size() != Base.Threads.size())
+    return false;
+  auto Text = [](const Trace &T, Symbol S) { return T.Strings->text(S); };
+  for (size_t I = 0; I != Base.Threads.size(); ++I) {
+    const ThreadInfo &A = Base.Threads[I], &B = Got.Threads[I];
+    if (A.Tid != B.Tid || A.ParentTid != B.ParentTid ||
+        A.AncestryHash != B.AncestryHash ||
+        Text(Base, A.EntryMethod) != Text(Got, B.EntryMethod) ||
+        A.SpawnStack.size() != B.SpawnStack.size())
+      return false;
+    for (size_t K = 0; K != A.SpawnStack.size(); ++K)
+      if (Text(Base, A.SpawnStack[K]) != Text(Got, B.SpawnStack[K]))
+        return false;
+  }
+  for (uint32_t I = 0; I != Got.size(); ++I)
+    if (Base.tid(I) != Got.tid(I) ||
+        Text(Base, Base.method(I)) != Text(Got, Got.method(I)) ||
+        !eventEquals(Base, I, Got, I) || Base.fp(I) != Got.fp(I))
+      return false;
+  return true;
+}
+
+/// Exercises every read surface on one mutant file: errors are counted,
+/// successes are walked end to end to force column access, and when
+/// \p Base is given, checked against it (strict: the whole trace; salvage:
+/// a prefix). Returns false when a load breaks that oracle.
+bool exercise(const std::string &Path, const Trace *Base, bool PrefixTrusted,
+              FuzzStats &Stats) {
+  bool Ok = true;
   for (bool Salvage : {false, true}) {
     auto Strings = std::make_shared<StringInterner>();
     ReadOptions Options;
@@ -295,8 +277,19 @@ void exercise(const std::string &Path, FuzzStats &Stats) {
       (void)T.renderEntry(I);
     for (const ThreadInfo &Thread : T.Threads)
       (void)Strings->text(Thread.EntryMethod);
+    if (!Base || (Salvage && !PrefixTrusted))
+      continue;
+    if (!matchesBase(*Base, T) || (!Salvage && T.size() != Base->size())) {
+      std::fprintf(stderr,
+                   "oracle: %s read loaded %zu entries that are not %s of "
+                   "its base trace (%zu entries)\n",
+                   Salvage ? "salvage" : "strict", T.size(),
+                   Salvage ? "a prefix" : "a copy", Base->size());
+      Ok = false;
+    }
   }
   (void)traceFileDigest(Path);
+  return Ok;
 }
 
 } // namespace
@@ -355,16 +348,32 @@ int main(int Argc, char **Argv) {
   std::mt19937_64 Rng(Seed);
   FuzzStats Stats;
   for (uint64_t Iter = 0; Iter != Iters; ++Iter) {
-    std::vector<uint8_t> Bytes = Bases[Rng() % Bases.size()];
+    size_t BaseIdx = Rng() % Bases.size();
+    const std::vector<uint8_t> &Base = Bases[BaseIdx];
+    std::vector<uint8_t> Bytes = Base;
     // One to three stacked mutations per iteration.
     uint64_t Rounds = 1 + Rng() % 3;
+    bool Sealed = false;
     for (uint64_t R = 0; R != Rounds; ++R)
-      mutate(Bytes, Rng);
+      Sealed |= mutate(Bytes, Rng);
     if (!writeAll(Mutant, Bytes)) {
       std::fprintf(stderr, "fatal: cannot write mutant file\n");
       return 1;
     }
-    exercise(Mutant, Stats);
+    // A resealed rewrite is a different trace with valid checksums, so
+    // only the other mutants are held to their base trace.
+    bool PrefixTrusted =
+        Bytes.size() >= Base.size() ||
+        std::equal(Bytes.begin(), Bytes.end(), Base.begin());
+    if (!exercise(Mutant, Sealed ? nullptr : &Corpus[BaseIdx / 2],
+                  PrefixTrusted, Stats)) {
+      std::string Kept = Dir + "_oracle" + std::to_string(Iter);
+      writeAll(Kept, Bytes);
+      std::fprintf(stderr, "  iteration %llu (seed %llu): mutant kept at %s\n",
+                   static_cast<unsigned long long>(Iter),
+                   static_cast<unsigned long long>(Seed), Kept.c_str());
+      Stats.OracleFailures++;
+    }
     Stats.Iterations++;
   }
   std::remove(Mutant.c_str());
@@ -376,9 +385,11 @@ int main(int Argc, char **Argv) {
               static_cast<unsigned long long>(Stats.StrictOk));
   std::printf("  salvage reads ok: %llu\n",
               static_cast<unsigned long long>(Stats.SalvageOk));
+  std::printf("  oracle failures:  %llu\n",
+              static_cast<unsigned long long>(Stats.OracleFailures));
   std::printf("  error codes seen:\n");
   for (const auto &KV : Stats.ErrorCodes)
     std::printf("    %-24s %llu\n", KV.first.c_str(),
                 static_cast<unsigned long long>(KV.second));
-  return 0;
+  return Stats.OracleFailures == 0 ? 0 : 1;
 }
