@@ -59,7 +59,7 @@ struct RegressionOptions {
   /// Views engine only: route the three diffs through a scoped DiffCache so
   /// the traces shared between them (NewOk in B and C, NewRegr in A and C)
   /// have their view webs built once instead of twice. Results are
-  /// identical either way (`rprism --no-view-cache` turns this off).
+  /// identical either way.
   bool UseDiffCache = true;
 };
 

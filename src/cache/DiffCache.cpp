@@ -149,11 +149,6 @@ DiffCache::DiffCache(uint64_t MaxBytes)
 
 DiffCache::~DiffCache() = default;
 
-DiffCache &DiffCache::global() {
-  static DiffCache G;
-  return G;
-}
-
 std::shared_ptr<const Trace>
 DiffCache::load(const std::string &Path,
                 std::shared_ptr<StringInterner> Strings, Err *Error) {
@@ -299,15 +294,6 @@ DiffCache::correlation(const ViewWeb &Left, const ViewWeb &Right) {
   return X;
 }
 
-void DiffCache::clear() {
-  std::lock_guard<std::mutex> Lock(M->Mu);
-  M->TraceByPtr.clear();
-  M->WebMap.clear();
-  M->CorrMap.clear();
-  M->Lru.clear();
-  M->TotalBytes = 0;
-}
-
 uint64_t DiffCache::bytes() const {
   std::lock_guard<std::mutex> Lock(M->Mu);
   return M->TotalBytes;
@@ -337,18 +323,4 @@ DiffResult rprism::cachedViewsDiff(const Trace &Left, const Trace &Right,
   std::shared_ptr<const ViewCorrelation> X =
       Cache.correlation(*LeftWeb, *RightWeb);
   return viewsDiff(*LeftWeb, *RightWeb, *X, Options, &Pool);
-}
-
-NWayResult rprism::cachedNWayDiff(const Trace &Base,
-                                  const std::vector<const Trace *> &Mutants,
-                                  const ViewsDiffOptions &Options,
-                                  DiffCache &Cache) {
-  NWayProviders Providers;
-  Providers.Web = [&Cache](const Trace &T, ThreadPool *Pool, bool UseIndex) {
-    return Cache.web(T, Pool, UseIndex);
-  };
-  Providers.Correlation = [&Cache](const ViewWeb &L, const ViewWeb &R) {
-    return Cache.correlation(L, R);
-  };
-  return nwayDiff(Base, Mutants, Options, Providers);
 }

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Regression cause analysis (§6) is a repeat-diff workload: the same
-/// passing/failing traces are differenced again and again as the user
-/// iterates, and batch diffs share a baseline side. DiffCache amortizes
-/// the two rebuildable stages across those repeats, in process:
+/// Regression cause analysis (§6) is a repeat-diff workload: its three
+/// diffs run over four traces, and each new-version trace appears in two
+/// of them. DiffCache amortizes the two rebuildable stages across such
+/// repeats, in process:
 ///
 ///   view webs     — keyed by trace identity, so each side's web is built
 ///                   (or reconstructed from its persisted ViewIndex) at
@@ -23,9 +23,8 @@
 ///
 /// Lifetime contract: a trace or web passed in from *outside* the cache
 /// (not obtained from load()/web()) is keyed by address and must outlive
-/// the cache — use a scoped DiffCache whose lifetime is contained in the
-/// traces' (analyzeRegression does this), or the process-lifetime
-/// global() with traces the cache itself loaded.
+/// the cache — scope each DiffCache inside the lifetime of the traces it
+/// is given (analyzeRegression does this).
 ///
 /// Cache hits and misses are counted (`web.cache.{hit,miss}`,
 /// `correlate.cache.{hit,miss}`). The counts are jobs-invariant — cache
@@ -39,7 +38,6 @@
 #ifndef RPRISM_CACHE_DIFFCACHE_H
 #define RPRISM_CACHE_DIFFCACHE_H
 
-#include "diff/NWayDiff.h"
 #include "diff/ViewsDiff.h"
 #include "support/Expected.h"
 
@@ -59,10 +57,6 @@ public:
   ~DiffCache();
   DiffCache(const DiffCache &) = delete;
   DiffCache &operator=(const DiffCache &) = delete;
-
-  /// Process-wide instance used by the rprism tool (`--no-view-cache`
-  /// bypasses it).
-  static DiffCache &global();
 
   /// Reads and verifies the trace at \p Path (readTrace) and holds it,
   /// so that a web built on it pins it. Every call reads the file: a
@@ -85,9 +79,6 @@ public:
   std::shared_ptr<const ViewCorrelation> correlation(const ViewWeb &Left,
                                                      const ViewWeb &Right);
 
-  /// Drops every entry.
-  void clear();
-
   uint64_t bytes() const;   ///< Current payload bytes retained.
   size_t numEntries() const;
 
@@ -103,14 +94,6 @@ private:
 /// identical to the uncached path for every jobs value.
 DiffResult cachedViewsDiff(const Trace &Left, const Trace &Right,
                            const ViewsDiffOptions &Options, DiffCache &Cache);
-
-/// 1-vs-N variational diff with webs and correlations routed through
-/// \p Cache (the NWayProviders hook): the baseline web is built at most
-/// once across repeated studies, and mutants re-used between calls skip
-/// their web builds too. Results are identical to the uncached nwayDiff.
-NWayResult cachedNWayDiff(const Trace &Base,
-                          const std::vector<const Trace *> &Mutants,
-                          const ViewsDiffOptions &Options, DiffCache &Cache);
 
 } // namespace rprism
 

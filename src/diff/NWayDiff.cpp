@@ -171,8 +171,7 @@ std::string NWayResult::render(size_t MaxClusters) const {
 
 NWayResult rprism::nwayDiff(const Trace &Base,
                             const std::vector<const Trace *> &Mutants,
-                            const ViewsDiffOptions &Options,
-                            const NWayProviders &Providers) {
+                            const ViewsDiffOptions &Options) {
   TelemetrySpan Span("nway-diff");
   Timer Clock;
 
@@ -190,35 +189,16 @@ NWayResult rprism::nwayDiff(const Trace &Base,
   Telemetry::gaugeMax("diff.effective_jobs", static_cast<double>(Jobs));
   ThreadPool Pool(Jobs);
 
-  // Web/correlation construction, through the provider hooks (cache) when
-  // set and directly otherwise. Either route produces identical objects.
-  auto MakeWeb = [&](const Trace &T) -> std::shared_ptr<const ViewWeb> {
-    if (Providers.Web)
-      return Providers.Web(T, &Pool, Options.UseViewIndex);
-    return std::make_shared<const ViewWeb>(T, &Pool, Options.UseViewIndex);
-  };
-  auto MakeCorrelation =
-      [&](const ViewWeb &L,
-          const ViewWeb &R) -> std::shared_ptr<const ViewCorrelation> {
-    if (Providers.Correlation)
-      return Providers.Correlation(L, R);
-    return std::make_shared<const ViewCorrelation>(L, R);
-  };
-
   // The hoisted baseline work: web built once, lanes gathered once. Every
   // per-mutant evaluation reuses both (counted as lane.shared_hit).
-  std::shared_ptr<const ViewWeb> BaseWebPtr = MakeWeb(Base);
-  const ViewWeb &BaseWeb = *BaseWebPtr;
+  const ViewWeb BaseWeb(Base, &Pool, Options.UseViewIndex);
   BaselineLanes Lanes(BaseWeb);
   Result.SharedLaneBytes = Lanes.bytes();
 
   for (size_t M = 0; M != Mutants.size(); ++M) {
     const Trace &MT = *Mutants[M];
-    std::shared_ptr<const ViewWeb> MutWebPtr = MakeWeb(MT);
-    const ViewWeb &MutWeb = *MutWebPtr;
-    std::shared_ptr<const ViewCorrelation> XPtr =
-        MakeCorrelation(BaseWeb, MutWeb);
-    const ViewCorrelation &X = *XPtr;
+    const ViewWeb MutWeb(MT, &Pool, Options.UseViewIndex);
+    const ViewCorrelation X(BaseWeb, MutWeb);
 
     NWayMutantReport Report;
     Report.Index = M;

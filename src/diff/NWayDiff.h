@@ -11,9 +11,11 @@
 /// re-builds the baseline's view web, re-correlates, and re-gathers the
 /// baseline's fingerprint lanes. nwayDiff hoists the baseline work out of
 /// the loop — web built once, lanes gathered once (BaselineLanes), shared
-/// across every mutant evaluation — and adds the *variational* report on
-/// top: which mutants agree with the baseline, which diverge, and the
-/// divergent ones clustered by the baseline site where they first diverge.
+/// across every mutant evaluation, while each mutant's web and correlation
+/// live only for that mutant's evaluation — and adds the *variational*
+/// report on top: which mutants agree with the baseline, which diverge,
+/// and the divergent ones clustered by the baseline site where they first
+/// diverge.
 ///
 /// Determinism contract: each mutant's DiffResult is byte-identical (same
 /// rendered report, same compare-op total) to the pairwise
@@ -26,8 +28,6 @@
 
 #include "diff/ViewsDiff.h"
 
-#include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -101,30 +101,13 @@ struct NWayResult {
   std::string render(size_t MaxClusters = 50) const;
 };
 
-/// Pluggable construction of webs and correlations, letting a caller
-/// route them through a cache without this module depending on one (the
-/// cache module layers on top of diff; see cachedNWayDiff there). Both
-/// callbacks must return results identical to direct construction — the
-/// existing DiffCache contract.
-struct NWayProviders {
-  std::function<std::shared_ptr<const ViewWeb>(const Trace &, ThreadPool *,
-                                               bool UseIndex)>
-      Web;
-  std::function<std::shared_ptr<const ViewCorrelation>(const ViewWeb &,
-                                                       const ViewWeb &)>
-      Correlation;
-};
-
 /// Differences \p Base against every trace in \p Mutants (all sharing the
 /// baseline's StringInterner). The baseline's web and fingerprint lanes
-/// are built once and reused by every mutant evaluation; \p Providers,
-/// when its callbacks are set, supplies webs/correlations (cache hook).
-/// Results are byte-identical to the N pairwise viewsDiff calls under
-/// \p Options.
+/// are built once and reused by every mutant evaluation. Results are
+/// byte-identical to the N pairwise viewsDiff calls under \p Options.
 NWayResult nwayDiff(const Trace &Base,
                     const std::vector<const Trace *> &Mutants,
-                    const ViewsDiffOptions &Options = ViewsDiffOptions(),
-                    const NWayProviders &Providers = NWayProviders());
+                    const ViewsDiffOptions &Options = ViewsDiffOptions());
 
 } // namespace rprism
 

@@ -64,7 +64,7 @@ struct ViewsDiffOptions {
   /// Reconstruct view webs from a trace's persisted ViewIndex when one is
   /// present (the warm path for indexed trace files). Off = always build by
   /// scanning the entries; the result is identical either way (`rprism
-  /// --no-view-cache` sets this off together with the diff cache).
+  /// diff-traces|diff-nway --no-view-cache` sets this off).
   bool UseViewIndex = true;
 };
 

@@ -82,8 +82,8 @@ public:
   /// Stall duration for maybeStall() hits, in microseconds.
   void setStallMicros(unsigned Micros) { StallMicros = Micros; }
 
-  /// Arms and configures from a textual spec — the `--fault-spec` /
-  /// RPRISM_FAULT_SPEC surface. Comma-separated clauses:
+  /// Arms and configures from a textual spec — the `--fault-spec`
+  /// surface. Comma-separated clauses:
   ///
   ///   seed=N              arm seed (default 0)
   ///   stall=MICROS        stall duration for pool-dispatch hits

@@ -190,11 +190,6 @@ void TraceEventRecorder::samplerLoop(uint64_t PeriodMicros) {
     Sample("pool.queue_depth",
            static_cast<double>(
                PoolQueueDepth.load(std::memory_order_relaxed)));
-    // Registered sources, polled under the registry lock (registration is
-    // rare; the sources themselves must be thread-safe).
-    std::lock_guard<std::mutex> Lock(Mutex);
-    for (const auto &[Name, Fn] : Sources)
-      Sample(Name, Fn());
   };
   Tick();
   const uint64_t Slice = std::min<uint64_t>(PeriodMicros, 2000);
@@ -294,22 +289,6 @@ void TraceEventRecorder::poolQueueAdd(int64_t Delta) {
   if (!armed())
     return;
   get().PoolQueueDepth.fetch_add(Delta, std::memory_order_relaxed);
-}
-
-void TraceEventRecorder::registerCounterSource(const char *Name,
-                                               std::function<double()> Fn) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  for (auto &[Existing, Existing_Fn] : Sources)
-    if (std::string(Existing) == Name) {
-      Existing_Fn = std::move(Fn);
-      return;
-    }
-  Sources.emplace_back(Name, std::move(Fn));
-}
-
-void TraceEventRecorder::clearCounterSources() {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Sources.clear();
 }
 
 uint64_t TraceEventRecorder::eventCount() const {

@@ -38,9 +38,8 @@
 ///     ph "f" on the worker, shared id) plus a "pool.task" slice around
 ///     task execution, so cross-thread work is visually stitched.
 ///   - A lightweight sampler thread (started by arm() when the period is
-///     non-zero) emits counter events: resident set size, CPU time, pool
-///     queue depth, and any registered counter sources (the CLI registers
-///     DiffCache bytes). It samples once immediately on arm so even
+///     non-zero) emits counter events: resident set size, CPU time and
+///     pool queue depth. It samples once immediately on arm so even
 ///     sub-period runs get counter tracks.
 ///
 /// Export must happen while no instrumented work is in flight (after
@@ -55,7 +54,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -135,13 +133,6 @@ public:
   /// sampled as the "pool.queue_depth" counter. No-op when disarmed.
   static void poolQueueAdd(int64_t Delta);
 
-  /// Registers a sampler counter source (e.g. DiffCache bytes). \p Name
-  /// must be a string literal. Sources are polled from the sampler
-  /// thread and must be thread-safe. Cleared by clearCounterSources(),
-  /// not by arm().
-  void registerCounterSource(const char *Name, std::function<double()> Fn);
-  void clearCounterSources();
-
   // -- Introspection (test hooks) and export -------------------------------
   /// Events currently retained across all rings.
   uint64_t eventCount() const;
@@ -176,7 +167,6 @@ private:
 
   mutable std::mutex Mutex;
   std::vector<std::unique_ptr<detail::EventRing>> Rings;
-  std::vector<std::pair<const char *, std::function<double()>>> Sources;
 
   std::thread Sampler;
   std::atomic<bool> SamplerStop{false};

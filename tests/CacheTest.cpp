@@ -23,7 +23,6 @@
 #include "TraceFileLayout.h"
 #include "ViewOracle.h"
 
-#include "analysis/Regression.h"
 #include "cache/DiffCache.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
@@ -456,42 +455,6 @@ TEST(DiffCache, ZeroBudgetKeepsOneEntryWithoutLoopingOrUnderflow) {
   DiffResult Plain = viewsDiff(A, B, ViewsDiffOptions());
   EXPECT_EQ(Plain.render(50, 12), Cached.render(50, 12));
   EXPECT_EQ(Zero.numEntries(), 1u);
-  Zero.clear();
-  EXPECT_EQ(Zero.bytes(), 0u);
-  EXPECT_EQ(Zero.numEntries(), 0u);
-}
-
-TEST(DiffCache, AnalyzeWithoutCacheLeavesGlobalUntouched) {
-  // `--no-view-cache` must bypass the accountant entirely: an uncached
-  // analysis run may not charge bytes to (or create entries in) the
-  // process-wide cache.
-  DiffCache::global().clear();
-  auto Strings = std::make_shared<StringInterner>();
-  Trace OrigOk = traceOf(ObjectsProgram, Strings);
-  Trace OrigRegr = traceOf(ObjectsProgram, Strings);
-  Trace NewOk = traceOf(ObjectsProgram, Strings);
-  Trace NewRegr = traceOf(ObjectsProgram, Strings);
-  RegressionInputs Inputs{&OrigOk, &OrigRegr, &NewOk, &NewRegr};
-  RegressionOptions Options;
-  Options.UseDiffCache = false;
-  Options.Views.UseViewIndex = false;
-  (void)analyzeRegression(Inputs, Options);
-  EXPECT_EQ(DiffCache::global().numEntries(), 0u);
-  EXPECT_EQ(DiffCache::global().bytes(), 0u);
-}
-
-TEST(DiffCache, ClearDropsEverything) {
-  Trace T = traceOf(ObjectsProgram);
-  DiffCache Cache;
-  (void)Cache.web(T);
-  EXPECT_EQ(Cache.numEntries(), 1u);
-  Cache.clear();
-  EXPECT_EQ(Cache.numEntries(), 0u);
-  EXPECT_EQ(Cache.bytes(), 0u);
-  // A post-clear request rebuilds (miss), proving no stale mapping.
-  TelemetryWindow W;
-  (void)Cache.web(T);
-  EXPECT_EQ(W.counter("web.cache.miss"), 1u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,12 +15,11 @@
 ///      element at every position.
 ///
 ///   2. nwayDiff is pure amortization: per-mutant reports are byte-identical
-///      to the pairwise viewsDiff and compare-op totals match exactly, with
-///      or without the cache route, at any jobs count.
+///      to the pairwise viewsDiff and compare-op totals match exactly, at
+///      any jobs count.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "cache/DiffCache.h"
 #include "diff/NWayDiff.h"
 #include "diff/ViewsDiff.h"
 #include "support/LaneScan.h"
@@ -254,24 +253,4 @@ TEST(NWayDiff, SharedBaselineLanesChangeNothingAtWebLevel) {
       viewsDiff(BaseWeb, MutWeb, X, ViewsDiffOptions(), nullptr, &Lanes);
   EXPECT_EQ(With.render(50, 12), Without.render(50, 12));
   EXPECT_EQ(With.Stats.CompareOps, Without.Stats.CompareOps);
-}
-
-TEST(NWayDiff, CachedRouteMatchesDirect) {
-  const MutantSet &Set = sharedMutantSet();
-  std::vector<const Trace *> Mutants = mutantPtrs(Set);
-
-  NWayResult Direct = nwayDiff(Set.Base, Mutants);
-  {
-    // Scoped cache: outside traces are keyed by address and must outlive
-    // it (they do — the set is static).
-    DiffCache Cache;
-    NWayResult Cold = cachedNWayDiff(Set.Base, Mutants,
-                                     ViewsDiffOptions(), Cache);
-    NWayResult Warm = cachedNWayDiff(Set.Base, Mutants,
-                                     ViewsDiffOptions(), Cache);
-    EXPECT_EQ(Cold.render(), Direct.render());
-    EXPECT_EQ(Warm.render(), Direct.render());
-    EXPECT_EQ(Cold.totalCompareOps(), Direct.totalCompareOps());
-    EXPECT_EQ(Warm.totalCompareOps(), Direct.totalCompareOps());
-  }
 }

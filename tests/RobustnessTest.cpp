@@ -953,7 +953,7 @@ TEST(Salvage, WrappingHeaderNeverReadsOutsideTheFile) {
 }
 
 //===----------------------------------------------------------------------===//
-// armFromSpec (the --fault-spec / RPRISM_FAULT_SPEC surface)
+// armFromSpec (the --fault-spec surface)
 //===----------------------------------------------------------------------===//
 
 TEST(FaultSpec, ValidSpecArmsExactlyLikeArmPlusConfigure) {

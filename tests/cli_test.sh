@@ -56,22 +56,32 @@ echo "$DIFF" | grep -q "Tax-1.new(11)" || fail "diff lost the new rate"
 
 # The report does not depend on how the view webs are built: from the
 # persisted view index or by scanning (--no-view-cache), sequentially or on
-# the pool, with or without --profile.
+# the pool, with or without --profile. The same holds for diff-nway.
 for CACHE in index --no-view-cache; do
   for JOBS in 1 4; do
+    FLAGS="--jobs $JOBS"
+    [ "$CACHE" = index ] || FLAGS="$FLAGS $CACHE"
     for PROFILE in plain --profile; do
-      FLAGS="--jobs $JOBS"
-      [ "$CACHE" = index ] || FLAGS="$FLAGS $CACHE"
-      [ "$PROFILE" = plain ] || FLAGS="$FLAGS $PROFILE"
-      "$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" $FLAGS \
-        > "$WORK/matrix.txt" 2>/dev/null || fail "diff-traces $FLAGS failed"
+      PFLAGS="$FLAGS"
+      [ "$PROFILE" = plain ] || PFLAGS="$FLAGS $PROFILE"
+      "$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" $PFLAGS \
+        > "$WORK/matrix.txt" 2>/dev/null || fail "diff-traces $PFLAGS failed"
       [ -f "$WORK/matrix_ref.txt" ] || cp "$WORK/matrix.txt" "$WORK/matrix_ref.txt"
       cmp -s "$WORK/matrix_ref.txt" "$WORK/matrix.txt" \
-        || fail "diff-traces $FLAGS changed the report"
+        || fail "diff-traces $PFLAGS changed the report"
     done
+    "$RPRISM" diff-nway "$WORK/old.rpt" "$WORK/new.rpt" "$WORK/old.rpt" \
+      $FLAGS > "$WORK/nway_matrix.txt" 2>/dev/null \
+      || fail "diff-nway $FLAGS failed"
+    [ -f "$WORK/nway_matrix_ref.txt" ] \
+      || cp "$WORK/nway_matrix.txt" "$WORK/nway_matrix_ref.txt"
+    cmp -s "$WORK/nway_matrix_ref.txt" "$WORK/nway_matrix.txt" \
+      || fail "diff-nway $FLAGS changed the report"
   done
 done
 grep -q "semantic diff:" "$WORK/matrix_ref.txt" || fail "matrix report empty"
+grep -q "variational diff:" "$WORK/nway_matrix_ref.txt" \
+  || fail "diff-nway matrix report empty"
 
 # --- diff-nway (1-vs-N variational diff) -------------------------------------
 cp "$WORK/old.rpt" "$WORK/twin.rpt"
@@ -95,7 +105,7 @@ grep -q "divergence clusters" "$WORK/nway.html" || fail "html nway not written"
 grep -q '"nway.mutants": 2' "$WORK/nway_metrics.json" \
   || fail "nway metrics missing mutant count"
 
-# --- fault injection control (--fault-spec / RPRISM_FAULT_SPEC) --------------
+# --- fault injection control (--fault-spec) ------------------------------------
 set +e
 "$RPRISM" trace-dump "$WORK/old.rpt" --fault-spec 'seed=7,file-open:1.0' \
   > /dev/null 2>"$WORK/fault.txt"
@@ -109,10 +119,6 @@ set +e
 [ $? -eq 2 ] || fail "malformed --fault-spec was not usage exit 2"
 set -e
 grep -q "fault-spec" "$WORK/badspec.txt" || fail "bad spec diagnostic missing"
-# Env form: same spec through RPRISM_FAULT_SPEC; a zero-probability spec
-# must be a no-op.
-RPRISM_FAULT_SPEC='seed=7,file-open:0.0' "$RPRISM" trace-dump "$WORK/old.rpt" \
-  > /dev/null 2>&1 || fail "no-op env fault spec broke trace-dump"
 
 # --- retired options ----------------------------------------------------------
 # Trace loads retry under one fixed policy: --retry-policy is a usage error.
@@ -120,7 +126,36 @@ set +e
 "$RPRISM" trace-dump "$WORK/old.rpt" --retry-policy 'attempts=5' \
   > /dev/null 2>&1
 [ $? -eq 2 ] || fail "--retry-policy was not usage exit 2"
+# --no-view-cache only names the persisted view index, which programs run
+# in memory do not have: diff and analyze refuse it.
+"$RPRISM" diff "$WORK/old.rp" "$WORK/new.rp" --int-input 100 \
+  --no-view-cache > /dev/null 2>&1
+[ $? -eq 2 ] || fail "diff --no-view-cache was not usage exit 2"
+"$RPRISM" analyze "$WORK/old.rp" "$WORK/new.rp" --regr-input u \
+  --int-input 100 --ok-input u --no-view-cache > /dev/null 2>&1
+[ $? -eq 2 ] || fail "analyze --no-view-cache was not usage exit 2"
 set -e
+
+# --- numeric flags ------------------------------------------------------------
+# --jobs takes a whole number from 0 to 256 and --int-input a 64-bit
+# integer; a malformed or out-of-range value is a usage error before any
+# work starts, never truncated or saturated. (The fixture pair is below the
+# parallel cutoff, so even an accepted --jobs value starts no workers.)
+set +e
+for JOBS in 4294967297 99999999999999999999 257 -1 4x ""; do
+  "$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" --jobs "$JOBS" \
+    > /dev/null 2>&1
+  [ $? -eq 2 ] || fail "--jobs '$JOBS' was not usage exit 2"
+done
+for N in abc 12abc 99999999999999999999 ""; do
+  "$RPRISM" run "$WORK/old.rp" --int-input "$N" > /dev/null 2>&1
+  [ $? -eq 2 ] || fail "--int-input '$N' was not usage exit 2"
+done
+set -e
+"$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" --jobs 256 \
+  > "$WORK/jobs_max.txt" 2>/dev/null || fail "--jobs 256 was refused"
+cmp -s "$WORK/matrix_ref.txt" "$WORK/jobs_max.txt" \
+  || fail "--jobs 256 changed the report"
 
 # --- a trace write that fails must say so ------------------------------------
 # The fixture's trace fits in the stdio buffer, so only the final flush
@@ -230,6 +265,9 @@ set -e
 #   value — one bit of the value column flipped, its checksum left as it
 #     was: the copy records the same checksums as old.rpt, and every load
 #     of it must fail (exit 3) whether or not old.rpt is loaded too.
+#   index — one byte of the view entries flipped, its checksum left as it
+#     was: every load drops the view index, says so, and builds the webs
+#     by scanning, so the report is that of old.rpt.
 # The limit is skipped where the binary cannot start under it (sanitizer
 # builds reserve more).
 cat > "$WORK/hostile_keys.py" <<'EOF'
@@ -289,6 +327,9 @@ def reseal(sid):
 if what == "value":
     _, off, length = sections[16]  # Value column: one bit flipped, unsealed.
     data[off + length // 2] ^= 1
+elif what == "index":
+    _, off, length = sections[23]  # View entries: one byte flipped, unsealed.
+    data[off + length // 2] ^= 0xFF
 elif what == "views":
     struct.pack_into("<I", data, 16, 0xF0000000)  # Header entry count.
     _, off, _ = sections[22]  # View meta: family 0 declares 0xE0000000.
@@ -317,6 +358,8 @@ python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badviews.rpt" views \
   || fail "could not build the hostile-view-count fixture"
 python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badvalue.rpt" value \
   || fail "could not build the damaged-copy fixture"
+python3 "$WORK/hostile_keys.py" "$WORK/old.rpt" "$WORK/badindex.rpt" index \
+  || fail "could not build the damaged-index fixture"
 VMEM=4000000
 ( ulimit -v "$VMEM" && "$RPRISM" --version ) > /dev/null 2>&1 || VMEM=""
 limited() {
@@ -350,6 +393,18 @@ grep -q "fails its checksum" "$WORK/badvalue_err.txt" \
 "$RPRISM" diff-nway "$WORK/old.rpt" "$WORK/badvalue.rpt" > /dev/null 2>&1
 [ $? -eq 3 ] || fail "damaged copy as a diff-nway mutant was not exit 3"
 set -e
+for CMD in diff-traces diff-nway; do
+  "$RPRISM" $CMD "$WORK/old.rpt" "$WORK/new.rpt" > "$WORK/intact_out.txt" \
+    2>/dev/null || fail "$CMD on the intact pair failed"
+  "$RPRISM" $CMD "$WORK/badindex.rpt" "$WORK/new.rpt" \
+    > "$WORK/badindex_out.txt" 2>"$WORK/badindex_err.txt" \
+    || fail "$CMD with a damaged view index failed"
+  grep -qF "[$WORK/badindex.rpt: damaged view index dropped]" \
+    "$WORK/badindex_err.txt" \
+    || fail "$CMD dropped the damaged view index without a note"
+  cmp -s "$WORK/intact_out.txt" "$WORK/badindex_out.txt" \
+    || fail "$CMD with a damaged view index changed the report"
+done
 
 # --- salvage ------------------------------------------------------------------
 # Truncate the trace until a strict read fails, then confirm --salvage

@@ -25,7 +25,7 @@
 #include "analysis/Impact.h"
 #include "analysis/Protocol.h"
 #include "analysis/Regression.h"
-#include "cache/DiffCache.h"
+#include "diff/NWayDiff.h"
 #include "robustness/FaultInjector.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
@@ -38,6 +38,7 @@
 #include "MetricsDiffMain.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -59,14 +60,13 @@ int usage() {
       "  rprism run <prog> [--input S]... [--int-input N]... [--trace F]\n"
       "  rprism trace-dump <trace-file> [--salvage]\n"
       "  rprism diff <old-prog> <new-prog> [--engine views|lcs]\n"
-      "              [--input S]... [--html F] [--jobs N] [--no-view-cache]\n"
+      "              [--input S]... [--html F] [--jobs N]\n"
       "  rprism diff-traces <left.rpt> <right.rpt> [--engine views|lcs]\n"
       "              [--html F] [--jobs N] [--no-view-cache] [--salvage]\n"
       "  rprism diff-nway <base.rpt> <mutant.rpt>... [--html F] [--jobs N]\n"
       "              [--no-view-cache] [--salvage]\n"
       "  rprism analyze <old-prog> <new-prog> --regr-input S...\n"
       "              --ok-input S... [--removal] [--html F] [--jobs N]\n"
-      "              [--no-view-cache]\n"
       "  rprism views <prog> [--input S]...\n"
       "  rprism protocols <good-prog> <subject-prog> [--input S]...\n"
       "  rprism metrics-diff <baseline.json> <current.json> [--tolerance\n"
@@ -79,7 +79,7 @@ int usage() {
       "  --trace-out F     write a per-thread timeline as Chrome\n"
       "                    trace-event JSON (open in Perfetto)\n"
       "\n"
-      "robustness (any subcommand; or RPRISM_FAULT_SPEC in the env):\n"
+      "robustness (any subcommand):\n"
       "  --fault-spec S    arm the fault injector, e.g.\n"
       "                    'seed=7,file-read:0.01,section-checksum:0@2'\n"
       "\n"
@@ -134,10 +134,10 @@ struct Args {
   /// sequential. Any value produces identical reports (see ViewsDiffOptions).
   unsigned Jobs = 0;
   bool Removal = false;
-  /// Escape hatch for the warm paths: skip persisted view indexes and the
-  /// in-process diff cache, rebuilding everything from the entries. The
-  /// report is identical either way; this exists for timing comparisons
-  /// and as a workaround should an index ever be suspect.
+  /// Trace files only (diff-traces, diff-nway): build the view webs by
+  /// scanning the entries instead of from each file's persisted view
+  /// index. The report is identical either way; this exists for timing
+  /// comparisons and as a workaround should an index ever be suspect.
   bool NoViewCache = false;
   /// Recover the valid prefix of a damaged trace instead of failing
   /// (readTrace salvage mode); what was dropped is reported on stderr.
@@ -150,6 +150,24 @@ struct Args {
   std::vector<std::string> SeenFlags;
   bool Bad = false;
 };
+
+/// Largest --jobs value accepted: far above any worker count the pipeline
+/// benefits from, and low enough that a typo cannot start thousands of
+/// threads.
+constexpr long long kMaxJobs = 256;
+
+/// Parses \p Value as a whole base-10 integer in [\p Min, \p Max]. Trailing
+/// characters, an empty token and values strtoll cannot represent are
+/// rejected rather than truncated or saturated.
+std::optional<long long> parseInteger(const char *Value, long long Min,
+                                      long long Max) {
+  char *End = nullptr;
+  errno = 0;
+  long long N = std::strtoll(Value, &End, 10);
+  if (End == Value || *End != '\0' || errno == ERANGE || N < Min || N > Max)
+    return std::nullopt;
+  return N;
+}
 
 Args parseArgs(int Argc, char **Argv, int Start) {
   Args A;
@@ -167,9 +185,16 @@ Args parseArgs(int Argc, char **Argv, int Start) {
       A.SeenFlags.push_back(Arg);
     if (Arg == "--input")
       A.Inputs.push_back(Next());
-    else if (Arg == "--int-input")
-      A.IntInputs.push_back(std::atoll(Next()));
-    else if (Arg == "--trace")
+    else if (Arg == "--int-input") {
+      std::optional<long long> N =
+          parseInteger(Next(), INT64_MIN, INT64_MAX);
+      if (N) {
+        A.IntInputs.push_back(*N);
+      } else {
+        std::fprintf(stderr, "error: --int-input needs a 64-bit integer\n");
+        A.Bad = true;
+      }
+    } else if (Arg == "--trace")
       A.TracePath = Next();
     else if (Arg == "--regr-input")
       A.RegrInputs.push_back(Next());
@@ -184,17 +209,16 @@ Args parseArgs(int Argc, char **Argv, int Start) {
     else if (Arg == "--html")
       A.HtmlPath = Next();
     else if (Arg == "--jobs") {
-      const char *Value = Next();
-      char *End = nullptr;
-      long long N = std::strtoll(Value, &End, 10);
-      if (N < 0 || End == Value || (End && *End)) {
-        std::fprintf(stderr, "error: --jobs needs a non-negative value\n");
-        A.Bad = true;
+      std::optional<long long> N = parseInteger(Next(), 0, kMaxJobs);
+      if (N) {
+        A.Jobs = static_cast<unsigned>(*N);
       } else {
-        A.Jobs = static_cast<unsigned>(N);
+        std::fprintf(stderr, "error: --jobs needs a whole number from 0 to "
+                             "%lld\n",
+                     kMaxJobs);
+        A.Bad = true;
       }
-    }
-    else if (Arg == "--engine") {
+    } else if (Arg == "--engine") {
       std::string Engine = Next();
       if (Engine == "lcs")
         A.Engine = DiffEngineKind::Lcs;
@@ -232,15 +256,14 @@ const std::vector<const char *> *allowedFlags(const std::string &Command) {
                                                 "--trace"};
   static const std::vector<const char *> TraceDump = {"--salvage"};
   static const std::vector<const char *> Diff = {
-      "--engine", "--input", "--int-input", "--html", "--jobs",
-      "--no-view-cache"};
+      "--engine", "--input", "--int-input", "--html", "--jobs"};
   static const std::vector<const char *> DiffTraces = {
       "--engine", "--html", "--jobs", "--no-view-cache", "--salvage"};
   static const std::vector<const char *> DiffNWay = {
       "--html", "--jobs", "--no-view-cache", "--salvage"};
   static const std::vector<const char *> Analyze = {
       "--engine",  "--regr-input", "--ok-input", "--int-input",
-      "--removal", "--html",       "--jobs",     "--no-view-cache"};
+      "--removal", "--html",       "--jobs"};
   static const std::vector<const char *> Views = {"--input", "--int-input"};
   static const std::vector<const char *> Protocols = {"--input",
                                                       "--int-input"};
@@ -347,17 +370,27 @@ void reportDegradations(const std::string &Path,
     std::fprintf(stderr, "[%s: damaged view index dropped]\n", Path.c_str());
 }
 
-int cmdTraceDump(const Args &A) {
-  if (A.Positional.size() != 1)
-    return usage();
+/// The one way the CLI reads a trace file: strict unless --salvage, with
+/// whatever the read dropped reported as soon as the file has loaded.
+Expected<Trace> loadTrace(const std::string &Path,
+                          std::shared_ptr<StringInterner> Strings,
+                          const Args &A) {
   TraceReadReport Report;
   ReadOptions Options;
   Options.Salvage = A.Salvage;
   Options.Report = &Report;
-  Expected<Trace> T = readTrace(A.Positional[0], nullptr, Options);
+  Expected<Trace> T = readTrace(Path, std::move(Strings), Options);
+  if (T)
+    reportDegradations(Path, Report);
+  return T;
+}
+
+int cmdTraceDump(const Args &A) {
+  if (A.Positional.size() != 1)
+    return usage();
+  Expected<Trace> T = loadTrace(A.Positional[0], nullptr, A);
   if (!T)
     return fail(T.error());
-  reportDegradations(A.Positional[0], Report);
   std::fputs(dumpTrace(*T).c_str(), stdout);
   return 0;
 }
@@ -366,14 +399,9 @@ int printDiff(const Trace &Left, const Trace &Right, const Args &A) {
   ViewsDiffOptions Options;
   Options.Jobs = A.Jobs;
   Options.UseViewIndex = !A.NoViewCache;
-  // Salvaged traces stay out of the process-wide cache: its entries are
-  // keyed by content digest and trace address, and a salvaged prefix must
-  // never be served where the intact bytes are expected.
-  DiffResult Result =
-      A.Engine == DiffEngineKind::Lcs ? lcsDiff(Left, Right)
-      : A.NoViewCache || A.Salvage
-          ? viewsDiff(Left, Right, Options)
-          : cachedViewsDiff(Left, Right, Options, DiffCache::global());
+  DiffResult Result = A.Engine == DiffEngineKind::Lcs
+                          ? lcsDiff(Left, Right)
+                          : viewsDiff(Left, Right, Options);
   if (Result.Stats.OutOfMemory) {
     std::fprintf(stderr, "error: LCS differencing ran out of memory; "
                          "retry with --engine views\n");
@@ -417,79 +445,36 @@ int cmdDiffTraces(const Args &A) {
   if (A.Positional.size() != 2)
     return usage();
   auto Strings = std::make_shared<StringInterner>();
-  if (A.NoViewCache || A.Salvage) {
-    ReadOptions Options;
-    Options.Salvage = A.Salvage;
-    TraceReadReport LeftReport;
-    Options.Report = &LeftReport;
-    Expected<Trace> Left = readTrace(A.Positional[0], Strings, Options);
-    if (!Left)
-      return fail(Left.error());
-    TraceReadReport RightReport;
-    Options.Report = &RightReport;
-    Expected<Trace> Right = readTrace(A.Positional[1], Strings, Options);
-    if (!Right)
-      return fail(Right.error());
-    reportDegradations(A.Positional[0], LeftReport);
-    reportDegradations(A.Positional[1], RightReport);
-    return printDiff(*Left, *Right, A);
-  }
-  // Loads through the cache, which holds the traces so repeat diffs in one
-  // process (library callers, future REPL) reuse their webs.
-  Err Error;
-  std::shared_ptr<const Trace> Left =
-      DiffCache::global().load(A.Positional[0], Strings, &Error);
+  Expected<Trace> Left = loadTrace(A.Positional[0], Strings, A);
   if (!Left)
-    return fail(Error);
-  std::shared_ptr<const Trace> Right =
-      DiffCache::global().load(A.Positional[1], Strings, &Error);
+    return fail(Left.error());
+  Expected<Trace> Right = loadTrace(A.Positional[1], Strings, A);
   if (!Right)
-    return fail(Error);
+    return fail(Right.error());
   return printDiff(*Left, *Right, A);
 }
 
 int cmdDiffNWay(const Args &A) {
   if (A.Positional.size() < 2)
     return usage();
+  // The baseline plus every mutant, all sharing one interner.
   auto Strings = std::make_shared<StringInterner>();
-
-  // Load the baseline plus every mutant, all sharing one interner. The
-  // cached path keeps the loaded traces (and the baseline's web) for
-  // repeat studies in one process; salvage and --no-view-cache read
-  // directly, as in diff-traces.
-  std::vector<std::shared_ptr<const Trace>> Owned;
-  std::vector<const Trace *> Traces;
+  std::vector<Trace> Traces;
+  Traces.reserve(A.Positional.size());
   for (const std::string &Path : A.Positional) {
-    if (A.NoViewCache || A.Salvage) {
-      ReadOptions Options;
-      Options.Salvage = A.Salvage;
-      TraceReadReport Report;
-      Options.Report = &Report;
-      Expected<Trace> T = readTrace(Path, Strings, Options);
-      if (!T)
-        return fail(T.error());
-      reportDegradations(Path, Report);
-      Owned.push_back(std::make_shared<const Trace>(T.take()));
-    } else {
-      Err Error;
-      std::shared_ptr<const Trace> T =
-          DiffCache::global().load(Path, Strings, &Error);
-      if (!T)
-        return fail(Error);
-      Owned.push_back(std::move(T));
-    }
-    Traces.push_back(Owned.back().get());
+    Expected<Trace> T = loadTrace(Path, Strings, A);
+    if (!T)
+      return fail(T.error());
+    Traces.push_back(T.take());
   }
 
   ViewsDiffOptions Options;
   Options.Jobs = A.Jobs;
   Options.UseViewIndex = !A.NoViewCache;
-  std::vector<const Trace *> Mutants(Traces.begin() + 1, Traces.end());
-  NWayResult Result =
-      A.NoViewCache || A.Salvage
-          ? nwayDiff(*Traces[0], Mutants, Options)
-          : cachedNWayDiff(*Traces[0], Mutants, Options,
-                           DiffCache::global());
+  std::vector<const Trace *> Mutants;
+  for (size_t I = 1; I != Traces.size(); ++I)
+    Mutants.push_back(&Traces[I]);
+  NWayResult Result = nwayDiff(Traces[0], Mutants, Options);
 
   TelemetrySpan ReportSpan("report");
   if (!A.HtmlPath.empty()) {
@@ -539,8 +524,6 @@ int cmdAnalyze(const Args &A) {
   RegressionOptions Options;
   Options.Engine = A.Engine;
   Options.Views.Jobs = A.Jobs;
-  Options.Views.UseViewIndex = !A.NoViewCache;
-  Options.UseDiffCache = !A.NoViewCache;
   Options.CodeRemoval = A.Removal;
   RegressionReport Report = analyzeRegression(Inputs, Options);
   TelemetrySpan ReportSpan("report");
@@ -649,20 +632,14 @@ int main(int Argc, char **Argv) {
   if (!validateFlags(Command, A))
     return usage();
 
-  // Fault injection: the flag wins over the environment (so a script can
-  // override a session-wide RPRISM_FAULT_SPEC per invocation). A bad spec
-  // is a usage error — never run half-armed.
-  std::string FaultSpec = A.FaultSpec;
-  if (FaultSpec.empty())
-    if (const char *Env = std::getenv("RPRISM_FAULT_SPEC"))
-      FaultSpec = Env;
-  if (!FaultSpec.empty()) {
+  // Fault injection. A bad spec is a usage error — never run half-armed.
+  if (!A.FaultSpec.empty()) {
     std::string SpecError;
-    if (!FaultInjector::get().armFromSpec(FaultSpec, &SpecError)) {
+    if (!FaultInjector::get().armFromSpec(A.FaultSpec, &SpecError)) {
       std::fprintf(stderr, "error: %s\n", SpecError.c_str());
       return 2;
     }
-    std::fprintf(stderr, "[fault injector armed: %s]\n", FaultSpec.c_str());
+    std::fprintf(stderr, "[fault injector armed: %s]\n", A.FaultSpec.c_str());
   }
 
   // Telemetry is recorded only when an export was requested; otherwise
@@ -673,15 +650,10 @@ int main(int Argc, char **Argv) {
     Telemetry::get().setEnabled(true);
   }
   // The timeline recorder is independent of aggregate telemetry:
-  // --trace-out works without --metrics-out. The DiffCache source gives
-  // the sampler a cache-footprint counter track.
+  // --trace-out works without --metrics-out.
   bool WantTrace = !A.TraceOut.empty();
-  if (WantTrace) {
-    TraceEventRecorder::get().registerCounterSource(
-        "diffcache.bytes",
-        [] { return static_cast<double>(DiffCache::global().bytes()); });
+  if (WantTrace)
     TraceEventRecorder::get().arm();
-  }
   uint64_t StartNanos = Telemetry::nowNanos();
 
   int Exit;
@@ -694,7 +666,6 @@ int main(int Argc, char **Argv) {
 
   if (WantTrace) {
     TraceEventRecorder::get().disarm();
-    TraceEventRecorder::get().clearCounterSources();
     if (!TraceEventRecorder::get().writeChromeTrace(A.TraceOut)) {
       std::fprintf(stderr, "error: cannot write '%s'\n", A.TraceOut.c_str());
       return Exit ? Exit : 4;
