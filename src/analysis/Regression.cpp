@@ -82,6 +82,7 @@ RegressionReport rprism::analyzeRegression(const RegressionInputs &Inputs,
   {
     TelemetrySpan S("diff-c");
     Report.C = runDiff(*Inputs.NewOk, *Inputs.NewRegr, Options, CachePtr);
+    Cache.reset(); // C is the last user: free the cached webs in its span.
   }
   TelemetrySpan CandidateSpan("candidate-set");
 

@@ -9,8 +9,6 @@
 
 #include <cassert>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 
 using namespace rprism;
@@ -47,19 +45,6 @@ struct ThreadExec {
   uint32_t Top = 0; ///< Slots in use; the operand stack top.
   bool Done = false;
 };
-
-/// True when RPRISM_NO_THREADED_DISPATCH is set to anything but "" or "0".
-/// Read per run so tests can compare the tiers in-process.
-bool threadedDispatchDisabled() {
-  const char *Env = std::getenv("RPRISM_NO_THREADED_DISPATCH");
-  return Env && *Env && std::strcmp(Env, "0") != 0;
-}
-
-#if defined(__GNUC__) || defined(__clang__)
-constexpr bool ThreadedDispatchSupported = true;
-#else
-constexpr bool ThreadedDispatchSupported = false;
-#endif
 
 class Vm {
 public:
@@ -158,8 +143,7 @@ private:
   void doNew(ThreadExec &T, const Instr &In);
   void doSuperCtor(ThreadExec &T, const Instr &In);
   void doRet(ThreadExec &T, const Instr &In);
-  uint64_t runSliceThreaded(ThreadExec &T, uint64_t Budget);
-  uint64_t runSliceSwitch(ThreadExec &T, uint64_t Budget);
+  uint64_t runSlice(ThreadExec &T, uint64_t Budget);
   void renderForPrint(const Value &V);
 
   const CompiledProgram &Prog;
@@ -617,27 +601,242 @@ void Vm::doRet(ThreadExec &T, const Instr &In) {
     T.Slots[T.Top++] = Ret; // RetBase < old Top, so capacity exists.
 }
 
-// The interpreter slice, compiled once per dispatch tier from the shared
-// opcode bodies in VmInterpLoop.inc. The threaded tier is the production
-// path; the switch tier is the portable determinism oracle (and the only
-// tier on compilers without computed goto).
-#if defined(__GNUC__) || defined(__clang__)
-#define RPRISM_VM_SLICE_FN runSliceThreaded
-#define RPRISM_VM_THREADED 1
-#include "runtime/VmInterpLoop.inc"
-#undef RPRISM_VM_THREADED
-#undef RPRISM_VM_SLICE_FN
-#else
-uint64_t Vm::runSliceThreaded(ThreadExec &T, uint64_t Budget) {
-  return runSliceSwitch(T, Budget);
-}
-#endif
+// The interpreter slice: runs \p Budget instructions on one thread (or
+// fewer on error / thread completion) and returns the count actually
+// executed. Each opcode body ends in one of three continuations:
+//
+//   RPRISM_NEXT()          the opcode cannot fail or change frames
+//   RPRISM_NEXT_CHECKED()  the opcode may have called fail()
+//   RPRISM_NEXT_SYNC()     the opcode may have pushed/popped frames (or
+//                          ended the thread); resynchronize F/Code/Ip
+//
+// Frame-changing bodies write the advanced Ip back before calling their
+// helper; everything else keeps Ip in a local.
+uint64_t Vm::runSlice(ThreadExec &T, uint64_t Budget) {
+  if (Budget == 0)
+    return 0;
+  uint64_t Left = Budget; // Decremented as each instruction begins.
+  Frame *F = &T.Frames.back();
+  const Instr *Code = Prog.Methods[F->Method].Code.data();
+  uint32_t Ip = F->Ip;
+  const Instr *In;
 
-#define RPRISM_VM_SLICE_FN runSliceSwitch
-#define RPRISM_VM_THREADED 0
-#include "runtime/VmInterpLoop.inc"
-#undef RPRISM_VM_THREADED
-#undef RPRISM_VM_SLICE_FN
+  // Token-threaded dispatch: one indirect branch per instruction, placed at
+  // the end of every opcode body so the branch predictor keys on the
+  // current opcode (a single shared switch branch is near-unpredictable).
+  // The table must match the Op enum order exactly.
+  static const void *const Labels[] = {
+      &&Lbl_PushInt,   &&Lbl_PushFloat,   &&Lbl_PushStr,  &&Lbl_PushBool,
+      &&Lbl_PushNull,  &&Lbl_PushUnit,    &&Lbl_LoadLocal, &&Lbl_StoreLocal,
+      &&Lbl_Dup,       &&Lbl_Pop,         &&Lbl_LoadThis, &&Lbl_GetField,
+      &&Lbl_SetField,  &&Lbl_Call,        &&Lbl_SuperCtor, &&Lbl_New,
+      &&Lbl_Ret,       &&Lbl_Jump,        &&Lbl_JumpIfFalse,
+      &&Lbl_JumpIfTrue, &&Lbl_Binary,     &&Lbl_Unary,    &&Lbl_Print,
+      &&Lbl_Spawn,     &&Lbl_Builtin,
+  };
+
+#define RPRISM_DISPATCH()                                                      \
+  do {                                                                         \
+    --Left;                                                                    \
+    In = &Code[Ip++];                                                          \
+    goto *Labels[static_cast<size_t>(In->Code)];                               \
+  } while (0)
+#define RPRISM_NEXT()                                                          \
+  do {                                                                         \
+    if (Left == 0)                                                             \
+      goto SliceDone;                                                          \
+    RPRISM_DISPATCH();                                                         \
+  } while (0)
+#define RPRISM_NEXT_CHECKED()                                                  \
+  do {                                                                         \
+    if (HasError)                                                              \
+      goto SliceDone;                                                          \
+    RPRISM_NEXT();                                                             \
+  } while (0)
+#define RPRISM_NEXT_SYNC()                                                     \
+  do {                                                                         \
+    if (HasError || T.Done)                                                    \
+      goto SliceDone;                                                          \
+    F = &T.Frames.back();                                                      \
+    Code = Prog.Methods[F->Method].Code.data();                                \
+    Ip = F->Ip;                                                                \
+    RPRISM_NEXT();                                                             \
+  } while (0)
+
+  RPRISM_DISPATCH();
+
+  Lbl_PushInt: {
+    pushVal(T, Value::ofInt(Prog.IntPool[In->A]));
+  }
+  RPRISM_NEXT();
+
+  Lbl_PushFloat: {
+    pushVal(T, Value::ofFloat(Prog.FloatPool[In->A]));
+  }
+  RPRISM_NEXT();
+
+  Lbl_PushStr: {
+    pushVal(T, Value::ofStr(litStrId(static_cast<uint32_t>(In->A))));
+  }
+  RPRISM_NEXT();
+
+  Lbl_PushBool: {
+    pushVal(T, Value::ofBool(In->A != 0));
+  }
+  RPRISM_NEXT();
+
+  Lbl_PushNull: {
+    pushVal(T, Value::null());
+  }
+  RPRISM_NEXT();
+
+  Lbl_PushUnit: {
+    pushVal(T, Value::unit());
+  }
+  RPRISM_NEXT();
+
+  Lbl_LoadLocal: {
+    pushVal(T, T.Slots[F->LocalBase + In->A]);
+  }
+  RPRISM_NEXT();
+
+  Lbl_StoreLocal: {
+    T.Slots[F->LocalBase + In->A] = T.Slots[--T.Top];
+  }
+  RPRISM_NEXT();
+
+  Lbl_Dup: {
+    pushVal(T, T.Slots[T.Top - 1]);
+  }
+  RPRISM_NEXT();
+
+  Lbl_Pop: {
+    --T.Top;
+  }
+  RPRISM_NEXT();
+
+  Lbl_LoadThis: {
+    pushVal(T, Value::ofObj(F->SelfLoc));
+  }
+  RPRISM_NEXT();
+
+  Lbl_GetField: {
+    Value ObjVal = T.Slots[T.Top - 1];
+    if (!ObjVal.isObj()) {
+      fail("field access on null");
+      RPRISM_NEXT_CHECKED();
+    }
+    const Value &FieldVal = Store.get(ObjVal.loc()).Fields[In->A];
+    // FIELD-ACC-E.
+    Recorder.recordGet(ctxOf(T), ObjVal.loc(),
+                       Symbol{static_cast<uint32_t>(In->B)}, FieldVal,
+                       In->Prov);
+    T.Slots[T.Top - 1] = FieldVal;
+  }
+  RPRISM_NEXT();
+
+  Lbl_SetField: {
+    Value NewVal = T.Slots[T.Top - 1];
+    Value ObjVal = T.Slots[T.Top - 2];
+    if (!ObjVal.isObj()) {
+      fail("field assignment on null");
+      RPRISM_NEXT_CHECKED();
+    }
+    Store.setField(ObjVal.loc(), static_cast<uint32_t>(In->A), NewVal);
+    // FIELD-ASS-E.
+    Recorder.recordSet(ctxOf(T), ObjVal.loc(),
+                       Symbol{static_cast<uint32_t>(In->B)}, NewVal,
+                       In->Prov);
+    --T.Top;
+    T.Slots[T.Top - 1] = NewVal;
+  }
+  RPRISM_NEXT();
+
+  Lbl_Call: {
+    F->Ip = Ip;
+    doCall(T, *In);
+  }
+  RPRISM_NEXT_SYNC();
+
+  Lbl_SuperCtor: {
+    F->Ip = Ip;
+    doSuperCtor(T, *In);
+  }
+  RPRISM_NEXT_SYNC();
+
+  Lbl_New: {
+    F->Ip = Ip;
+    doNew(T, *In);
+  }
+  RPRISM_NEXT_SYNC();
+
+  Lbl_Ret: {
+    doRet(T, *In);
+  }
+  RPRISM_NEXT_SYNC();
+
+  Lbl_Jump: {
+    Ip = static_cast<uint32_t>(In->A);
+  }
+  RPRISM_NEXT();
+
+  Lbl_JumpIfFalse: {
+    if (!T.Slots[--T.Top].truthy())
+      Ip = static_cast<uint32_t>(In->A);
+  }
+  RPRISM_NEXT();
+
+  Lbl_JumpIfTrue: {
+    if (T.Slots[--T.Top].truthy())
+      Ip = static_cast<uint32_t>(In->A);
+  }
+  RPRISM_NEXT();
+
+  Lbl_Binary: {
+    doBinary(T, static_cast<BinOp>(In->A));
+  }
+  RPRISM_NEXT_CHECKED();
+
+  Lbl_Unary: {
+    Value V = T.Slots[T.Top - 1];
+    if (static_cast<UnOp>(In->A) == UnOp::Not)
+      T.Slots[T.Top - 1] = Value::ofBool(!V.truthy());
+    else if (V.K == Value::Kind::Int)
+      T.Slots[T.Top - 1] = Value::ofInt(static_cast<int64_t>(
+          0 - static_cast<uint64_t>(V.I)));
+    else
+      T.Slots[T.Top - 1] = Value::ofFloat(-V.F);
+  }
+  RPRISM_NEXT();
+
+  Lbl_Print: {
+    renderForPrint(T.Slots[--T.Top]);
+  }
+  RPRISM_NEXT();
+
+  Lbl_Spawn: {
+    // Appends to Threads (a deque: T stays valid) and pushes onto the
+    // *child's* frame stack only, so no resync of F/Code/Ip is needed.
+    doSpawn(T, *In);
+  }
+  RPRISM_NEXT_CHECKED();
+
+  Lbl_Builtin: {
+    doBuiltin(T, static_cast<BuiltinKind>(In->A),
+              static_cast<uint32_t>(In->B));
+  }
+  RPRISM_NEXT_CHECKED();
+
+SliceDone:
+  if (!T.Done)
+    F->Ip = Ip;
+  return Budget - Left;
+}
+
+#undef RPRISM_DISPATCH
+#undef RPRISM_NEXT
+#undef RPRISM_NEXT_CHECKED
+#undef RPRISM_NEXT_SYNC
 
 RunResult Vm::run() {
   // Main thread (tid 0).
@@ -663,10 +862,6 @@ RunResult Vm::run() {
   pushFrame(Threads.front(), Prog.MainMethod, NoLoc, /*ArgsBase=*/0,
             /*RetBase=*/0, /*DiscardRet=*/true);
 
-  const bool UseThreaded =
-      ThreadedDispatchSupported && !threadedDispatchDisabled();
-  Telemetry::gaugeMax("vm.dispatch_tier", UseThreaded ? 1 : 0);
-
   bool StepLimit = false;
   while (!HasError && !StepLimit) {
     bool AnyAlive = false;
@@ -687,8 +882,7 @@ RunResult Vm::run() {
       }
       uint64_t Budget =
           std::min<uint64_t>(Options.Quantum, Options.MaxSteps - Steps);
-      Steps += UseThreaded ? runSliceThreaded(T, Budget)
-                           : runSliceSwitch(T, Budget);
+      Steps += runSlice(T, Budget);
       if (HasError)
         break;
     }

@@ -27,9 +27,9 @@
 /// 16-byte tagged scalars (strings live in a VM-private intern table and
 /// travel as 32-bit ids), frames share one contiguous per-thread slot
 /// array (arguments are passed by leaving them in place), and dispatch is
-/// token-threaded (computed goto) where the compiler supports it, with the
-/// plain-switch loop kept as the portable determinism oracle behind
-/// RPRISM_NO_THREADED_DISPATCH.
+/// token-threaded (computed goto, a GNU extension the build already needs
+/// for `__builtin_prefetch`). The golden digests in
+/// tests/golden/vm_trace_digests.txt pin the bytes it produces.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -28,9 +28,8 @@ struct FlatMetric {
 using FlatMap = std::map<std::string, FlatMetric>;
 
 /// Flattens one parsed rprism-metrics-v1 document into dotted metric
-/// names. Histograms come in two shapes: the current object form
-/// ({"total": N, "p50": ..., "buckets": [...]}) and the pre-quantile
-/// bucket-array form; the array form contributes only ".total" (summed).
+/// names. A histogram ({"total": N, "p50": ..., "buckets": [...]})
+/// contributes its total and quantiles.
 Expected<FlatMap> flatten(const JsonValue &Doc) {
   if (Doc.stringOr("schema", "") != "rprism-metrics-v1")
     return makeClassErr(ErrClass::Corrupt, "metrics.schema",
@@ -57,16 +56,9 @@ Expected<FlatMap> flatten(const JsonValue &Doc) {
       Hists && Hists->isObject())
     for (const auto &[Name, Hist] : Hists->object()) {
       const std::string Prefix = "histogram." + Name;
-      if (Hist.isObject()) {
-        for (const char *Field : {"total", "p50", "p95", "p99"})
-          if (const JsonValue *V = Hist.find(Field); V && V->isNumber())
-            Out[Prefix + "." + Field] = {V->number(), MetricClass::Counter};
-      } else if (Hist.isArray()) {
-        double Total = 0;
-        for (const JsonValue &Bucket : Hist.array())
-          Total += Bucket.numberOr("count", 0);
-        Out[Prefix + ".total"] = {Total, MetricClass::Counter};
-      }
+      for (const char *Field : {"total", "p50", "p95", "p99"})
+        if (const JsonValue *V = Hist.find(Field); V && V->isNumber())
+          Out[Prefix + "." + Field] = {V->number(), MetricClass::Counter};
     }
 
   return Out;

@@ -15,7 +15,7 @@
 ///
 ///   {
 ///     "schema":   "rprism-metrics-v1",
-///     "tool":     "rprism",            // or "bench_pipeline", ...
+///     "tool":     "rprism",            // or "bench_fig14", ...
 ///     "command":  "diff",              // subcommand / config label
 ///     "wall_ns":  123456789,           // caller-measured wall time
 ///     "spans": [                       // sorted by path

@@ -166,16 +166,17 @@ TEST(Telemetry, MergeAcrossThreadsIsDeterministic) {
 // Jobs invariance of the diff pipeline's metrics
 //===----------------------------------------------------------------------===//
 
-/// One instrumented viewsDiff run; returns the snapshot.
+/// One instrumented viewsDiff run; returns the snapshot and stores the
+/// result's own compare-op total in \p CompareOps.
 TelemetrySnapshot diffSnapshot(const Trace &Left, const Trace &Right,
-                               unsigned Jobs) {
+                               unsigned Jobs, uint64_t &CompareOps) {
   Telemetry::get().reset();
   ViewsDiffOptions Options;
   Options.Jobs = Jobs;
   // The traces here are small; disable the adaptive cutoff so each Jobs
   // value really runs through the parallel machinery it claims to test.
   Options.ParallelCutoffEntries = 0;
-  viewsDiff(Left, Right, Options);
+  CompareOps = viewsDiff(Left, Right, Options).Stats.CompareOps;
   return Telemetry::get().snapshot();
 }
 
@@ -195,14 +196,25 @@ TEST(Telemetry, DiffCountersAndSpanPathsAreJobsInvariant) {
   Trace R = runProgram(*Right, RunOpts).ExecTrace;
 
   TelemetryWindow Window;
-  TelemetrySnapshot Seq = diffSnapshot(L, R, 1);
-  TelemetrySnapshot Par = diffSnapshot(L, R, 4);
-  TelemetrySnapshot Par8 = diffSnapshot(L, R, 8);
+  uint64_t SeqOps = 0, ParOps = 0, Par8Ops = 0;
+  TelemetrySnapshot Seq = diffSnapshot(L, R, 1, SeqOps);
+  TelemetrySnapshot Par = diffSnapshot(L, R, 4, ParOps);
+  TelemetrySnapshot Par8 = diffSnapshot(L, R, 8, Par8Ops);
+
+  // The compare-op counter is the result's own total, and every run
+  // reports the worker count it used.
+  EXPECT_GT(SeqOps, 0u);
+  EXPECT_EQ(Seq.counter("diff.compare_ops"), SeqOps);
+  EXPECT_EQ(Par.counter("diff.compare_ops"), ParOps);
+  EXPECT_EQ(Par8.counter("diff.compare_ops"), Par8Ops);
+  for (const TelemetrySnapshot *Snap : {&Seq, &Par, &Par8}) {
+    ASSERT_TRUE(Snap->Gauges.count("diff.effective_jobs"));
+    EXPECT_GE(Snap->Gauges.at("diff.effective_jobs"), 1.0);
+  }
 
   // Counters and histogram buckets are deterministic by contract: any
   // --jobs value records identical values.
   ASSERT_FALSE(Seq.Counters.empty());
-  EXPECT_GT(Seq.counter("diff.compare_ops"), 0u);
   EXPECT_EQ(Seq.Counters, Par.Counters);
   EXPECT_EQ(Seq.Counters, Par8.Counters);
   for (const auto &[Name, Hist] : Seq.Histograms) {
@@ -267,27 +279,87 @@ TEST(Telemetry, TraceWriteAndLoadSpansNameTheirPhases) {
   EXPECT_EQ(Snap.findSpan("load")->Count, 2u);
 }
 
-TEST(Telemetry, RunAttributesTeardownToItsOwnSpan) {
-  // After the trace is written, `rprism run` still destroys the trace
-  // columns and the interner; that time is the `run/teardown` span, not
-  // unattributed root self time.
+TEST(Telemetry, IndexedFilesDiffFromTheirViewIndex) {
+  // Diffing two indexed trace files rebuilds both webs from the persisted
+  // view index and scans no entries; with the index turned off (`rprism
+  // diff-traces --no-view-cache`) both webs come from the scan.
+  GeneratorOptions Base;
+  Base.OuterIters = 20;
+  Base.NumThreads = 2;
+  GeneratorOptions Perturbed = Base;
+  Perturbed.Perturb = 1;
+  auto Strings = std::make_shared<StringInterner>();
+  auto LeftProg = compileSource(generateProgram(Base), Strings);
+  auto RightProg = compileSource(generateProgram(Perturbed), Strings);
+  ASSERT_TRUE(bool(LeftProg) && bool(RightProg));
+  std::string Stem = "/tmp/rprism_index_" + std::to_string(::getpid());
+  std::string LPath = Stem + "_L.rpt", RPath = Stem + "_R.rpt";
+  ASSERT_TRUE(writeTrace(runProgram(*LeftProg, RunOptions()).ExecTrace,
+                         LPath));
+  ASSERT_TRUE(writeTrace(runProgram(*RightProg, RunOptions()).ExecTrace,
+                         RPath));
+  auto Loaded = std::make_shared<StringInterner>();
+  Expected<Trace> L = readTrace(LPath, Loaded), R = readTrace(RPath, Loaded);
+  std::remove(LPath.c_str());
+  std::remove(RPath.c_str());
+  ASSERT_TRUE(bool(L) && bool(R));
+
+  for (bool UseIndex : {true, false}) {
+    SCOPED_TRACE(UseIndex ? "view index" : "scan");
+    TelemetryWindow Window;
+    ViewsDiffOptions Options;
+    Options.Jobs = 1;
+    Options.UseViewIndex = UseIndex;
+    (void)viewsDiff(*L, *R, Options);
+    TelemetrySnapshot Snap = Telemetry::get().snapshot();
+    auto Opened = [&Snap](const char *Name) {
+      for (const SpanStat &S : Snap.Spans)
+        if (S.name() == Name)
+          return true;
+      return false;
+    };
+    EXPECT_EQ(Snap.counter("web.from_index"), UseIndex ? 2u : 0u);
+    EXPECT_EQ(Opened("view-index"), UseIndex);
+    EXPECT_EQ(Opened("web-build"), !UseIndex);
+  }
+}
+
+TEST(Telemetry, EveryCommandAttributesTeardownToItsOwnSpan) {
+  // After the report (or the trace write), each subcommand still destroys
+  // its traces, webs, results and interner; that time is its `teardown`
+  // span, not unattributed root self time.
   std::string Base = "/tmp/rprism_teardown_" + std::to_string(::getpid());
   {
     std::ofstream Prog(Base + ".rp");
     Prog << "class A { Int x; A(Int x) { this.x = x; } }\n"
             "main { var a = new A(3); print(a.x); }\n";
   }
-  std::string Cmd = std::string(RPRISM_CLI) + " run " + Base + ".rp --trace " +
-                    Base + ".rpt --metrics-out " + Base + ".json >/dev/null "
-                    "2>&1";
-  ASSERT_EQ(std::system(Cmd.c_str()), 0) << Cmd;
-  std::ifstream In(Base + ".json");
-  std::string Json((std::istreambuf_iterator<char>(In)),
-                   std::istreambuf_iterator<char>());
-  EXPECT_NE(Json.find("{\"path\": \"run/teardown\", \"name\": \"teardown\", "
-                      "\"parent\": \"run\""),
-            std::string::npos)
-      << Json;
+  std::string Rp = Base + ".rp", Rpt = Base + ".rpt";
+  struct Command {
+    const char *Name;
+    std::string Args;
+  } Commands[] = {
+      {"run", Rp + " --trace " + Rpt},
+      {"diff", Rp + " " + Rp},
+      {"diff-traces", Rpt + " " + Rpt},
+      {"diff-nway", Rpt + " " + Rpt + " " + Rpt},
+      {"analyze", Rp + " " + Rp + " --regr-input u --ok-input u"},
+  };
+  for (const Command &C : Commands) {
+    SCOPED_TRACE(C.Name);
+    std::string Cmd = std::string(RPRISM_CLI) + " " + C.Name + " " + C.Args +
+                      " --metrics-out " + Base + ".json >/dev/null 2>&1";
+    ASSERT_EQ(std::system(Cmd.c_str()), 0) << Cmd;
+    std::ifstream In(Base + ".json");
+    std::string Json((std::istreambuf_iterator<char>(In)),
+                     std::istreambuf_iterator<char>());
+    std::string Name = C.Name;
+    EXPECT_NE(Json.find("{\"path\": \"" + Name +
+                        "/teardown\", \"name\": \"teardown\", "
+                        "\"parent\": \"" + Name + "\""),
+              std::string::npos)
+        << Json;
+  }
   for (const char *Ext : {".rp", ".rpt", ".json"})
     std::remove((Base + Ext).c_str());
 }

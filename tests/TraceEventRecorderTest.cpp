@@ -505,23 +505,6 @@ TEST(MetricsDiff, HistogramQuantilesAndTotalsGate) {
       EXPECT_EQ(D.Name, "histogram.seq.total");
 }
 
-TEST(MetricsDiff, LegacyArrayHistogramsStillCompare) {
-  std::string Legacy =
-      "{\"schema\": \"rprism-metrics-v1\", \"counters\": {}, \"gauges\": {},"
-      " \"histograms\": {\"seq\": [{\"le\": \"4\", \"count\": 3}, "
-      "{\"le\": \"16\", \"count\": 4}]}}";
-  Expected<MetricsDiffResult> R = diffMetricsJson(Legacy, Legacy, {});
-  ASSERT_TRUE(bool(R));
-  EXPECT_FALSE(R->regressed());
-  bool SawTotal = false;
-  for (const MetricDelta &D : R->Deltas)
-    if (D.Name == "histogram.seq.total") {
-      SawTotal = true;
-      EXPECT_EQ(D.Baseline, 7.0);
-    }
-  EXPECT_TRUE(SawTotal);
-}
-
 TEST(MetricsDiff, MissingMetricGatesOnlyWithFailOnMissing) {
   std::string Base =
       "{\"schema\": \"rprism-metrics-v1\", \"counters\": {\"a\": 1, "

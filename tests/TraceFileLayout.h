@@ -8,11 +8,10 @@
 /// \file
 /// Locates the parts of a written trace file straight from its bytes,
 /// independently of the reader under test: the header's fields and the
-/// section-table records. Corruption tests, the trace_fuzz harness and
-/// bench_pipeline use these to aim their cuts and flips at a named
-/// section, and resealHeader to keep the header checksum consistent after
-/// editing the header or the table, so the edit reaches the per-section
-/// checks.
+/// section-table records. Corruption tests and the trace_fuzz harness use
+/// these to aim their cuts and flips at a named section, and resealHeader
+/// to keep the header checksum consistent after editing the header or the
+/// table, so the edit reaches the per-section checks.
 ///
 /// Layout (little endian): a 32-byte header — magic, version, the header
 /// checksum (over bytes 16 through the end of the section table), entry

@@ -1025,6 +1025,26 @@ TEST(DictionaryEncoding, UnchangedObjectReadInALoopAddsOneRow) {
   }
 }
 
+TEST(DictionaryEncoding, GeneratedPairStaysWithin50To65BytesPerEntry) {
+  // 49 B/entry of columns plus the two representation tables and the
+  // argument ids: 56.4 B/entry on this version pair. The ceiling catches
+  // a storage regression, the floor a storageBytes() that stops counting.
+  GeneratorOptions Base;
+  Base.OuterIters = 50;
+  Base.NumThreads = 2;
+  GeneratorOptions Perturbed = Base;
+  Perturbed.Perturb = 1;
+  Perturbed.ReorderBlock = true;
+  auto Strings = std::make_shared<StringInterner>();
+  Trace L = traceOf(generateProgram(Base), Strings);
+  Trace R = traceOf(generateProgram(Perturbed), Strings);
+  double BytesPerEntry = static_cast<double>(L.storageBytes() +
+                                             R.storageBytes()) /
+                         static_cast<double>(L.size() + R.size());
+  EXPECT_GE(BytesPerEntry, 50.0);
+  EXPECT_LE(BytesPerEntry, 65.0);
+}
+
 TEST(EventEquals, ForkChildTidOutOfBoundsIsNotEqual) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = traceOf(R"(

@@ -8,15 +8,14 @@
 /// \file
 /// Golden-digest determinism tests for the trace *producer*. Every example
 /// workload in the repository (the corpus pairs, the Rhino bases, a
-/// multithreaded generated program) is compiled and run under both VM
-/// dispatch tiers (threaded and the RPRISM_NO_THREADED_DISPATCH switch
-/// oracle), its trace file written, and the resulting bytes digested with
-/// FNV-1a. The digests are pinned in tests/golden/vm_trace_digests.txt, so
-/// any change to the VM's value representation, dispatch, or emission path
-/// that perturbs even one byte of a produced trace (entry columns, argument
-/// pool, string table, fingerprints) fails here. A trace-format change
-/// moves only the file-bytes column; the fingerprint column, entry counts
-/// and compare-op totals must stay put.
+/// multithreaded generated program) is compiled and run, its trace file
+/// written, and the resulting bytes digested with FNV-1a. The digests are
+/// pinned in tests/golden/vm_trace_digests.txt, so any change to the VM's
+/// value representation, dispatch, or emission path that perturbs even one
+/// byte of a produced trace (entry columns, argument pool, string table,
+/// fingerprints) fails here. A trace-format change moves only the
+/// file-bytes column; the fingerprint column, entry counts and compare-op
+/// totals must stay put.
 ///
 /// The pinned digests also cover the fingerprint column (checked against
 /// a recompute from the columns) and the views-diff compare-op totals of
@@ -89,7 +88,7 @@ std::vector<Workload> goldenWorkloads() {
   return Out;
 }
 
-/// Digest results for one workload under one dispatch tier.
+/// Digest results for one workload.
 struct Digest {
   uint64_t TraceBytes = 0; ///< FNV-1a of the written trace file.
   uint64_t FpColumn = 0;   ///< FNV-1a of the fingerprint column.
@@ -221,80 +220,38 @@ Expected<GoldenData> parseGoldenFile(const std::string &Path) {
   return Data;
 }
 
-/// Scoped env-var override (the dispatch tier is resolved per VM run).
-class ScopedEnv {
-public:
-  ScopedEnv(const char *Name, const char *Value) : Name(Name) {
-    const char *Old = std::getenv(Name);
-    Had = Old != nullptr;
-    Saved = Had ? Old : "";
-    if (Value)
-      ::setenv(Name, Value, 1);
-    else
-      ::unsetenv(Name);
-  }
-  ~ScopedEnv() {
-    if (Had)
-      ::setenv(Name, Saved.c_str(), 1);
-    else
-      ::unsetenv(Name);
-  }
-
-private:
-  const char *Name;
-  std::string Saved;
-  bool Had = false;
-};
-
-void expectMatches(const GoldenData &Got, const GoldenData &Want,
-                   const char *TierName) {
-  ASSERT_EQ(Got.Traces.size(), Want.Traces.size()) << TierName;
+void expectMatches(const GoldenData &Got, const GoldenData &Want) {
+  ASSERT_EQ(Got.Traces.size(), Want.Traces.size());
   for (const auto &[Name, D] : Want.Traces) {
     auto It = Got.Traces.find(Name);
-    ASSERT_NE(It, Got.Traces.end()) << TierName << ": missing " << Name;
-    EXPECT_EQ(It->second.Entries, D.Entries) << TierName << ": " << Name;
+    ASSERT_NE(It, Got.Traces.end()) << "missing " << Name;
+    EXPECT_EQ(It->second.Entries, D.Entries) << Name;
     EXPECT_EQ(hex(It->second.TraceBytes), hex(D.TraceBytes))
-        << TierName << ": " << Name << " trace file bytes diverged";
+        << Name << " trace file bytes diverged";
     EXPECT_EQ(hex(It->second.FpColumn), hex(D.FpColumn))
-        << TierName << ": " << Name << " fingerprint column diverged";
+        << Name << " fingerprint column diverged";
   }
   for (const auto &[Name, Ops] : Want.DiffOps) {
     auto It = Got.DiffOps.find(Name);
-    ASSERT_NE(It, Got.DiffOps.end()) << TierName << ": missing " << Name;
-    EXPECT_EQ(It->second, Ops)
-        << TierName << ": " << Name << " compare-op total diverged";
+    ASSERT_NE(It, Got.DiffOps.end()) << "missing " << Name;
+    EXPECT_EQ(It->second, Ops) << Name << " compare-op total diverged";
   }
 }
 
-TEST(VmGolden, TraceBytesMatchGoldenUnderBothDispatchTiers) {
+TEST(VmGolden, TraceBytesMatchGolden) {
   const std::string GoldenPath = RPRISM_GOLDEN_FILE;
-
-  // Default tier (threaded dispatch where the compiler supports it).
-  GoldenData Default;
-  {
-    ScopedEnv Env("RPRISM_NO_THREADED_DISPATCH", nullptr);
-    Default = collect();
-  }
+  GoldenData Got = collect();
 
   if (std::getenv("RPRISM_UPDATE_GOLDEN")) {
     std::ofstream Out(GoldenPath);
     ASSERT_TRUE(Out) << "cannot write " << GoldenPath;
-    Out << render(Default);
+    Out << render(Got);
     GTEST_SKIP() << "golden file regenerated at " << GoldenPath;
   }
 
   Expected<GoldenData> Want = parseGoldenFile(GoldenPath);
   ASSERT_TRUE(static_cast<bool>(Want)) << Want.error().render();
-  expectMatches(Default, *Want, "default-tier");
-
-  // Forced switch tier: the portable determinism oracle must produce the
-  // same bytes as the threaded fast path.
-  GoldenData Switch;
-  {
-    ScopedEnv Env("RPRISM_NO_THREADED_DISPATCH", "1");
-    Switch = collect();
-  }
-  expectMatches(Switch, *Want, "switch-tier");
+  expectMatches(Got, *Want);
 }
 
 } // namespace

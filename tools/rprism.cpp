@@ -395,7 +395,11 @@ int cmdTraceDump(const Args &A) {
   return 0;
 }
 
-int printDiff(const Trace &Left, const Trace &Right, const Args &A) {
+/// Diffs two traces and prints the report, then opens \p Teardown so the
+/// frees that follow (the result here, the traces in the caller) are
+/// attributed to it.
+int printDiff(const Trace &Left, const Trace &Right, const Args &A,
+              std::optional<TelemetrySpan> &Teardown) {
   ViewsDiffOptions Options;
   Options.Jobs = A.Jobs;
   Options.UseViewIndex = !A.NoViewCache;
@@ -407,28 +411,32 @@ int printDiff(const Trace &Left, const Trace &Right, const Args &A) {
                          "retry with --engine views\n");
     return 1;
   }
-  TelemetrySpan ReportSpan("report");
-  if (!A.HtmlPath.empty()) {
-    if (!writeHtmlFile(renderHtmlDiff(Result), A.HtmlPath)) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
+  {
+    TelemetrySpan ReportSpan("report");
+    if (!A.HtmlPath.empty()) {
+      if (!writeHtmlFile(renderHtmlDiff(Result), A.HtmlPath)) {
+        std::fprintf(stderr, "error: cannot write '%s'\n",
+                     A.HtmlPath.c_str());
+        return 1;
+      }
+      std::fprintf(stderr, "[html report written to %s]\n",
                    A.HtmlPath.c_str());
-      return 1;
     }
-    std::fprintf(stderr, "[html report written to %s]\n",
-                 A.HtmlPath.c_str());
+    std::fputs(Result.render(50, 12).c_str(), stdout);
+    std::fprintf(stderr,
+                 "[%llu compare ops, %.3fs, %.1f MiB]\n",
+                 static_cast<unsigned long long>(Result.Stats.CompareOps),
+                 Result.Stats.Seconds,
+                 static_cast<double>(Result.Stats.PeakBytes) / (1 << 20));
   }
-  std::fputs(Result.render(50, 12).c_str(), stdout);
-  std::fprintf(stderr,
-               "[%llu compare ops, %.3fs, %.1f MiB]\n",
-               static_cast<unsigned long long>(Result.Stats.CompareOps),
-               Result.Stats.Seconds,
-               static_cast<double>(Result.Stats.PeakBytes) / (1 << 20));
+  Teardown.emplace("teardown");
   return 0;
 }
 
 int cmdDiff(const Args &A) {
   if (A.Positional.size() != 2)
     return usage();
+  std::optional<TelemetrySpan> Teardown; // Destroyed last; see cmdRun.
   auto Strings = std::make_shared<StringInterner>();
   auto Old = compileFile(A.Positional[0], Strings);
   auto New = compileFile(A.Positional[1], Strings);
@@ -438,12 +446,13 @@ int cmdDiff(const Args &A) {
   RunResult NewRun = runWith(*New, A, A.Inputs, "new");
   if (OldRun.Output != NewRun.Output)
     std::fprintf(stderr, "[outputs differ]\n");
-  return printDiff(OldRun.ExecTrace, NewRun.ExecTrace, A);
+  return printDiff(OldRun.ExecTrace, NewRun.ExecTrace, A, Teardown);
 }
 
 int cmdDiffTraces(const Args &A) {
   if (A.Positional.size() != 2)
     return usage();
+  std::optional<TelemetrySpan> Teardown; // Destroyed last; see cmdRun.
   auto Strings = std::make_shared<StringInterner>();
   Expected<Trace> Left = loadTrace(A.Positional[0], Strings, A);
   if (!Left)
@@ -451,12 +460,13 @@ int cmdDiffTraces(const Args &A) {
   Expected<Trace> Right = loadTrace(A.Positional[1], Strings, A);
   if (!Right)
     return fail(Right.error());
-  return printDiff(*Left, *Right, A);
+  return printDiff(*Left, *Right, A, Teardown);
 }
 
 int cmdDiffNWay(const Args &A) {
   if (A.Positional.size() < 2)
     return usage();
+  std::optional<TelemetrySpan> Teardown; // Destroyed last; see cmdRun.
   // The baseline plus every mutant, all sharing one interner.
   auto Strings = std::make_shared<StringInterner>();
   std::vector<Trace> Traces;
@@ -476,25 +486,28 @@ int cmdDiffNWay(const Args &A) {
     Mutants.push_back(&Traces[I]);
   NWayResult Result = nwayDiff(Traces[0], Mutants, Options);
 
-  TelemetrySpan ReportSpan("report");
-  if (!A.HtmlPath.empty()) {
-    HtmlReportOptions HtmlOptions;
-    HtmlOptions.Title = "RPrism variational diff";
-    if (!writeHtmlFile(renderHtmlNWay(Result, HtmlOptions), A.HtmlPath)) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
+  {
+    TelemetrySpan ReportSpan("report");
+    if (!A.HtmlPath.empty()) {
+      HtmlReportOptions HtmlOptions;
+      HtmlOptions.Title = "RPrism variational diff";
+      if (!writeHtmlFile(renderHtmlNWay(Result, HtmlOptions), A.HtmlPath)) {
+        std::fprintf(stderr, "error: cannot write '%s'\n",
+                     A.HtmlPath.c_str());
+        return 1;
+      }
+      std::fprintf(stderr, "[html report written to %s]\n",
                    A.HtmlPath.c_str());
-      return 1;
     }
-    std::fprintf(stderr, "[html report written to %s]\n",
-                 A.HtmlPath.c_str());
+    std::fputs(Result.render().c_str(), stdout);
+    std::fprintf(stderr,
+                 "[%llu compare ops across %zu mutants, %.3fs, "
+                 "%.1f KiB shared lanes]\n",
+                 static_cast<unsigned long long>(Result.totalCompareOps()),
+                 Result.Mutants.size(), Result.Seconds,
+                 static_cast<double>(Result.SharedLaneBytes) / 1024);
   }
-  std::fputs(Result.render().c_str(), stdout);
-  std::fprintf(stderr,
-               "[%llu compare ops across %zu mutants, %.3fs, "
-               "%.1f KiB shared lanes]\n",
-               static_cast<unsigned long long>(Result.totalCompareOps()),
-               Result.Mutants.size(), Result.Seconds,
-               static_cast<double>(Result.SharedLaneBytes) / 1024);
+  Teardown.emplace("teardown");
   return 0;
 }
 
@@ -502,6 +515,7 @@ int cmdAnalyze(const Args &A) {
   if (A.Positional.size() != 2 || A.RegrInputs.empty() ||
       A.OkInputs.empty())
     return usage();
+  std::optional<TelemetrySpan> Teardown; // Destroyed last; see cmdRun.
   auto Strings = std::make_shared<StringInterner>();
   auto Old = compileFile(A.Positional[0], Strings);
   auto New = compileFile(A.Positional[1], Strings);
@@ -526,19 +540,23 @@ int cmdAnalyze(const Args &A) {
   Options.Views.Jobs = A.Jobs;
   Options.CodeRemoval = A.Removal;
   RegressionReport Report = analyzeRegression(Inputs, Options);
-  TelemetrySpan ReportSpan("report");
-  if (!A.HtmlPath.empty()) {
-    HtmlReportOptions HtmlOptions;
-    HtmlOptions.Title = "RPrism regression analysis";
-    if (!writeHtmlFile(renderHtmlReport(Report, HtmlOptions), A.HtmlPath)) {
-      std::fprintf(stderr, "error: cannot write '%s'\n",
+  {
+    TelemetrySpan ReportSpan("report");
+    if (!A.HtmlPath.empty()) {
+      HtmlReportOptions HtmlOptions;
+      HtmlOptions.Title = "RPrism regression analysis";
+      if (!writeHtmlFile(renderHtmlReport(Report, HtmlOptions),
+                         A.HtmlPath)) {
+        std::fprintf(stderr, "error: cannot write '%s'\n",
+                     A.HtmlPath.c_str());
+        return 1;
+      }
+      std::fprintf(stderr, "[html report written to %s]\n",
                    A.HtmlPath.c_str());
-      return 1;
     }
-    std::fprintf(stderr, "[html report written to %s]\n",
-                 A.HtmlPath.c_str());
+    std::fputs(Report.render(20, 14).c_str(), stdout);
   }
-  std::fputs(Report.render(20, 14).c_str(), stdout);
+  Teardown.emplace("teardown");
   return 0;
 }
 
