@@ -8,7 +8,7 @@
 
 #include <optional>
 #include <sstream>
-#include <unordered_map>
+#include <vector>
 
 using namespace rprism;
 
@@ -37,17 +37,95 @@ uint64_t diffContentKey(const Trace &T, uint32_t Eid, bool NewSide) {
   return H;
 }
 
-/// Multiset of content keys of all differences in one diff result.
-std::unordered_map<uint64_t, uint32_t> diffKeyCounts(const DiffResult &D) {
-  std::unordered_map<uint64_t, uint32_t> Counts;
-  for (uint32_t Eid = 0; Eid != D.LeftSimilar.size(); ++Eid)
-    if (!D.LeftSimilar[Eid])
-      ++Counts[diffContentKey(*D.Left, Eid, /*NewSide=*/false)];
-  for (uint32_t Eid = 0; Eid != D.RightSimilar.size(); ++Eid)
-    if (!D.RightSimilar[Eid])
-      ++Counts[diffContentKey(*D.Right, Eid, /*NewSide=*/true)];
-  return Counts;
-}
+/// A multiset of content keys: one open-addressing table (power-of-two
+/// size, linear probing), sized once for the most keys it will hold so it
+/// never grows and stays at most half full. A key's slot stays claimed
+/// when its count is consumed to 0, so probe runs never break.
+class KeyCounts {
+public:
+  explicit KeyCounts(uint64_t MaxKeys) {
+    size_t Size = 16;
+    while (Size < 2 * MaxKeys)
+      Size *= 2;
+    Slots.resize(Size);
+  }
+
+  void add(uint64_t Key) {
+    Slot &S = probe(Key);
+    S.Key = Key;
+    S.Used = 1;
+    ++S.Count;
+  }
+
+  /// Removes one occurrence of \p Key; false when none is left.
+  bool consume(uint64_t Key) {
+    Slot &S = probe(Key);
+    if (S.Count == 0)
+      return false;
+    --S.Count;
+    return true;
+  }
+
+  /// Starts loading \p Key's home slot. The table is larger than the
+  /// cache and keys land at random, so a probe issued without this waits
+  /// for memory.
+  void prefetch(uint64_t Key) const {
+    __builtin_prefetch(&Slots[Key & (Slots.size() - 1)]);
+  }
+
+private:
+  struct Slot {
+    uint64_t Key = 0;
+    uint32_t Count = 0;
+    uint32_t Used = 0;
+  };
+
+  /// The slot holding \p Key, or the free slot where it would go. Keys
+  /// are hashMix outputs, so their low bits index the table directly.
+  Slot &probe(uint64_t Key) {
+    size_t Mask = Slots.size() - 1;
+    size_t I = Key & Mask;
+    while (Slots[I].Used && Slots[I].Key != Key)
+      I = (I + 1) & Mask;
+    return Slots[I];
+  }
+
+  std::vector<Slot> Slots;
+};
+
+/// How many keys ahead a table pass prefetches.
+constexpr size_t PrefetchAhead = 16;
+
+/// The differing entries of one side of a diff (those \p Similar marks
+/// false), in eid order, with their content keys. Computing every key
+/// before the table pass lets that pass prefetch ahead.
+struct SideDiffs {
+  std::vector<uint32_t> Eids;
+  std::vector<uint64_t> Keys;
+
+  SideDiffs(const Trace &T, const std::vector<bool> &Similar, bool NewSide) {
+    for (uint32_t Eid = 0; Eid != Similar.size(); ++Eid) {
+      if (Similar[Eid])
+        continue;
+      Eids.push_back(Eid);
+      Keys.push_back(diffContentKey(T, Eid, NewSide));
+    }
+  }
+
+  /// Prefetches, in \p Table, the slot of the key PrefetchAhead places
+  /// after key \p I; a pass calls this once per key.
+  void prefetchAhead(const KeyCounts &Table, size_t I) const {
+    if (I + PrefetchAhead < Keys.size())
+      Table.prefetch(Keys[I + PrefetchAhead]);
+  }
+
+  void addTo(KeyCounts &Table) const {
+    for (size_t I = 0; I != Keys.size(); ++I) {
+      prefetchAhead(Table, I);
+      Table.add(Keys[I]);
+    }
+  }
+};
 
 DiffResult runDiff(const Trace &Left, const Trace &Right,
                    const RegressionOptions &Options, DiffCache *Cache) {
@@ -109,14 +187,11 @@ RegressionReport rprism::analyzeRegression(const RegressionInputs &Inputs,
     return Report; // No candidate set computable.
 
   // ---- A - B: subtract expected differences by content key (multiset). --
-  std::unordered_map<uint64_t, uint32_t> Expected = diffKeyCounts(Report.B);
-  auto SurvivesB = [&Expected](uint64_t Key) {
-    auto It = Expected.find(Key);
-    if (It == Expected.end() || It->second == 0)
-      return true;
-    --It->second; // Consume one expected occurrence.
-    return false;
-  };
+  KeyCounts Expected(Report.sizeB);
+  SideDiffs(*Report.B.Left, Report.B.LeftSimilar, /*NewSide=*/false)
+      .addTo(Expected);
+  SideDiffs(*Report.B.Right, Report.B.RightSimilar, /*NewSide=*/true)
+      .addTo(Expected);
 
   // ---- ∩ C (or - C): C's differences on the new/regr run, as a content-
   // key multiset. A and C flag the same *semantic* difference but not
@@ -125,36 +200,32 @@ RegressionReport rprism::analyzeRegression(const RegressionInputs &Inputs,
   // an exact-entry-id fast path. Original-side differences cannot appear
   // in C.
   const bool Removal = Options.CodeRemoval;
-  std::unordered_map<uint64_t, uint32_t> RegrKeys;
-  for (uint32_t Eid = 0; Eid != Report.C.RightSimilar.size(); ++Eid)
-    if (!Report.C.RightSimilar[Eid])
-      ++RegrKeys[diffContentKey(*Report.C.Right, Eid, /*NewSide=*/true)];
+  KeyCounts RegrKeys(Report.sizeC);
+  SideDiffs(*Report.C.Right, Report.C.RightSimilar, /*NewSide=*/true)
+      .addTo(RegrKeys);
   auto InC = [&Report, &RegrKeys](uint32_t Eid, uint64_t Key) {
     if (Eid < Report.C.RightSimilar.size() && !Report.C.RightSimilar[Eid])
       return true; // Same entry of the shared new/regr run.
-    auto It = RegrKeys.find(Key);
-    if (It == RegrKeys.end() || It->second == 0)
-      return false;
-    --It->second; // Consume one matching C difference.
-    return true;
+    return RegrKeys.consume(Key); // Consumes one matching C difference.
   };
 
-  for (uint32_t Eid = 0; Eid != Report.DLeft.size(); ++Eid) {
-    if (Report.A.LeftSimilar[Eid])
-      continue;
-    uint64_t Key = diffContentKey(*Report.A.Left, Eid, /*NewSide=*/false);
-    if (!SurvivesB(Key))
-      continue;
+  // Each A difference consumes one expected occurrence (B) or survives,
+  // left side first, each side in eid order.
+  const SideDiffs Left(*Report.A.Left, Report.A.LeftSimilar, false);
+  for (size_t I = 0; I != Left.Keys.size(); ++I) {
+    Left.prefetchAhead(Expected, I);
     // Orig-side differences: dropped by ∩C, kept by -C.
-    Report.DLeft[Eid] = Removal;
+    if (!Expected.consume(Left.Keys[I]))
+      Report.DLeft[Left.Eids[I]] = Removal;
   }
-  for (uint32_t Eid = 0; Eid != Report.DRight.size(); ++Eid) {
-    if (Report.A.RightSimilar[Eid])
-      continue;
-    uint64_t Key = diffContentKey(*Report.A.Right, Eid, /*NewSide=*/true);
-    if (!SurvivesB(Key))
-      continue;
-    Report.DRight[Eid] = Removal ? !InC(Eid, Key) : InC(Eid, Key);
+  const SideDiffs Right(*Report.A.Right, Report.A.RightSimilar, true);
+  for (size_t I = 0; I != Right.Keys.size(); ++I) {
+    Right.prefetchAhead(Expected, I);
+    Right.prefetchAhead(RegrKeys, I);
+    uint32_t Eid = Right.Eids[I];
+    uint64_t Key = Right.Keys[I];
+    if (!Expected.consume(Key))
+      Report.DRight[Eid] = Removal ? !InC(Eid, Key) : InC(Eid, Key);
   }
 
   for (bool Flag : Report.DLeft)

@@ -3,9 +3,10 @@
 #include "runtime/TraceRecorder.h"
 
 #include "support/Hashing.h"
+#include "trace/ValueHash.h"
 
 #include <algorithm>
-#include <cstdio>
+#include <cassert>
 #include <cstring>
 
 using namespace rprism;
@@ -21,14 +22,21 @@ std::string_view truncated(const std::string &Text) {
   return View.size() > MaxPrintable ? View.substr(0, MaxPrintable) : View;
 }
 
-// Distinct seeds per value kind so e.g. Int 0 and Bool false don't collide.
-constexpr uint64_t SeedUnit = 0x11u;
-constexpr uint64_t SeedNull = 0x22u;
-constexpr uint64_t SeedInt = 0x33u;
-constexpr uint64_t SeedBool = 0x44u;
-constexpr uint64_t SeedFloat = 0x55u;
-constexpr uint64_t SeedStr = 0x66u;
-constexpr uint64_t SeedObj = 0x77u;
+/// The kind-seeded hash of a scalar value's row (trace/ValueHash.h).
+uint64_t scalarHash(const Value &V) {
+  switch (V.K) {
+  case Value::Kind::Unit: return SeedUnit;
+  case Value::Kind::Null: return SeedNull;
+  case Value::Kind::Int: return intValueHash(V.I);
+  case Value::Kind::Bool: return boolValueHash(V.I != 0);
+  case Value::Kind::Float: return floatValueHash(V.F);
+  case Value::Kind::Str:
+  case Value::Kind::Obj:
+    break;
+  }
+  assert(false && "not a scalar value");
+  return 0;
+}
 
 } // namespace
 
@@ -71,9 +79,6 @@ TraceRecorder::TraceRecorder(const CompiledProgram &ProgIn,
   Out.ArgIds.reserve(EntryHint / 2);
   EntryCap = EntryHint;
   ArgCap = EntryHint / 2;
-  // Bucket reservation only — interning order and symbol ids (and thus
-  // trace bytes) are unaffected.
-  Out.Strings->reserve(Out.Strings->size() + EntryHint / 8);
 }
 
 uint64_t TraceRecorder::structuralHash(uint32_t Loc, unsigned Depth) {
@@ -93,9 +98,11 @@ uint64_t TraceRecorder::structuralHash(uint32_t Loc, unsigned Depth) {
         H = hashMix(H, hashMix(SeedObj, FieldObj.CreationSeq));
       else
         H = hashMix(H, structuralHash(FieldLoc, Depth - 1));
+    } else if (Field.K == Value::Kind::Str) {
+      // Hashing the text is the costly part: reuse the memoized row's.
+      H = hashMix(H, Out.ValueReprs[valueRepr(Field)].Hash);
     } else {
-      uint32_t FieldRepr = valueRepr(Field);
-      H = hashMix(H, Out.ValueReprs[FieldRepr].Hash);
+      H = hashMix(H, scalarHash(Field));
     }
   }
   Visiting.pop_back();
@@ -150,46 +157,39 @@ uint32_t TraceRecorder::objRepr(uint32_t Loc) {
   return Memo.ReprId;
 }
 
+uint32_t TraceRecorder::addScalarRow(ReprKind Kind, const Value &V) {
+  ValueRepr Repr;
+  Repr.Kind = Kind;
+  Repr.Hash = scalarHash(V);
+  return Out.addValueRepr(Repr);
+}
+
+uint32_t TraceRecorder::memoScalarRow(uint32_t &Slot, ReprKind Kind,
+                                      const Value &V) {
+  if (Slot) {
+    ++MemoHits;
+    return Slot;
+  }
+  Slot = addScalarRow(Kind, V);
+  return Slot;
+}
+
 uint32_t TraceRecorder::valueRepr(const Value &V) {
   ValueRepr Repr;
   auto &Strings = *Out.Strings;
   switch (V.K) {
   case Value::Kind::Unit:
-    if (UnitMemo) {
-      ++MemoHits;
-      return UnitMemo;
-    }
-    Repr.Kind = ReprKind::Unit;
-    Repr.Hash = SeedUnit;
-    Repr.Text = Strings.intern("unit");
-    UnitMemo = Out.addValueRepr(Repr);
-    return UnitMemo;
+    return memoScalarRow(UnitMemo, ReprKind::Unit, V);
   case Value::Kind::Null:
-    if (NullMemo) {
-      ++MemoHits;
-      return NullMemo;
-    }
-    Repr.Kind = ReprKind::Null;
-    Repr.Hash = SeedNull;
-    Repr.Text = Strings.intern("null");
-    NullMemo = Out.addValueRepr(Repr);
-    return NullMemo;
+    return memoScalarRow(NullMemo, ReprKind::Null, V);
   case Value::Kind::Int: {
-    if (V.I >= SmallIntMin && V.I <= SmallIntMax) {
-      uint32_t &Slot = SmallIntMemo[static_cast<size_t>(V.I - SmallIntMin)];
-      if (Slot) {
-        ++MemoHits;
-        return Slot;
-      }
-      Repr.Kind = ReprKind::Int;
-      Repr.Hash = hashMix(SeedInt, static_cast<uint64_t>(V.I));
-      Repr.Text = Strings.intern(std::to_string(V.I));
-      Slot = Out.addValueRepr(Repr);
-      return Slot;
-    }
+    if (V.I >= SmallIntMin && V.I <= SmallIntMax)
+      return memoScalarRow(
+          SmallIntMemo[static_cast<size_t>(V.I - SmallIntMin)], ReprKind::Int,
+          V);
     // Direct-mapped probe for large ints (accumulators and counters leave
     // the small range immediately; each distinct value recurs across the
-    // get/set/return/structural-hash sites that touch it).
+    // get/set/return sites that touch it).
     static_assert(BigIntMemoSize == (size_t{1} << 13));
     size_t Idx =
         (static_cast<uint64_t>(V.I) * 0x9E3779B97F4A7C15ull) >> (64 - 13);
@@ -198,34 +198,15 @@ uint32_t TraceRecorder::valueRepr(const Value &V) {
       ++MemoHits;
       return Slot.Id;
     }
-    Repr.Kind = ReprKind::Int;
-    Repr.Hash = hashMix(SeedInt, static_cast<uint64_t>(V.I));
-    Repr.Text = Strings.intern(std::to_string(V.I));
     Slot.Key = V.I;
-    Slot.Id = Out.addValueRepr(Repr);
+    Slot.Id = addScalarRow(ReprKind::Int, V);
     return Slot.Id;
   }
-  case Value::Kind::Bool: {
-    uint32_t &Slot = V.I != 0 ? TrueMemo : FalseMemo;
-    if (Slot) {
-      ++MemoHits;
-      return Slot;
-    }
-    Repr.Kind = ReprKind::Bool;
-    Repr.Hash = hashMix(SeedBool, V.I != 0);
-    Repr.Text = Strings.intern(V.I != 0 ? "true" : "false");
-    Slot = Out.addValueRepr(Repr);
-    return Slot;
-  }
-  case Value::Kind::Float: {
+  case Value::Kind::Bool:
+    return memoScalarRow(V.I != 0 ? TrueMemo : FalseMemo, ReprKind::Bool, V);
+  case Value::Kind::Float:
     // Floats are rare in workloads; left unmemoized.
-    Repr.Kind = ReprKind::Float;
-    Repr.Hash = hashDouble(V.F, SeedFloat);
-    char Buf[48];
-    std::snprintf(Buf, sizeof(Buf), "%.6g", V.F);
-    Repr.Text = Strings.intern(Buf);
-    return Out.addValueRepr(Repr);
-  }
+    return addScalarRow(ReprKind::Float, V);
   case Value::Kind::Str: {
     uint32_t Id = V.strId();
     if (Id >= StrMemo.size())

@@ -14,10 +14,13 @@
 ///
 /// Recording is built for throughput: entries append straight into the
 /// trace's columnar builders (no intermediate TraceEntry), and the
-/// representation builders are memoized — small-int/bool/unit/null texts,
+/// representation builders are memoized — unit/null/bool/int rows,
 /// per-runtime-string-id value reprs, and per-(loc, store-version) object
 /// reprs — so the steady state is id lookups and column appends, not
-/// string formatting. Memo hits are by construction state-identical to
+/// string formatting. Scalar rows (unit, null, int, bool, float) carry no
+/// text: the renderer recovers it from the row's hash (trace/ValueHash.h),
+/// so the string table holds only names, string values and "Class-Seq"
+/// object renderings. Memo hits are by construction state-identical to
 /// recomputation (a valid memo implies the same computation ran before and
 /// already interned the same strings), so the string table is exactly what
 /// the unmemoized recorder produced.
@@ -27,6 +30,8 @@
 /// records a 4-byte id and only a new representation appends a table row.
 /// A recomputed object representation equal to its memoized row keeps
 /// that row; floats and evicted big ints append a row per computation.
+/// Structural hashes read a scalar field's hash directly and make no row
+/// for it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,6 +118,10 @@ private:
   /// take().
   void flushStage();
   uint64_t structuralHash(uint32_t Loc, unsigned Depth);
+  /// Appends the row of scalar \p V (kind \p Kind, no text).
+  uint32_t addScalarRow(ReprKind Kind, const Value &V);
+  /// The memoized row of scalar \p V in \p Slot, appended on a miss.
+  uint32_t memoScalarRow(uint32_t &Slot, ReprKind Kind, const Value &V);
   uint32_t pushArgs(const Value *Args, size_t NumArgs);
 
   /// Memoized representation of one heap object. ReprId is its ObjReprs
@@ -137,8 +146,7 @@ private:
 
   /// Direct-mapped cache slot for integers outside the small-int range
   /// (counters and accumulators blow past it quickly). Collisions evict;
-  /// recomputation re-interns the same text (the interner dedups) and
-  /// appends a duplicate row, so eviction never changes the string table.
+  /// recomputation appends a duplicate row.
   struct IntMemoEntry {
     int64_t Key = 0;
     uint32_t Id = 0; ///< ValueReprs row; 0 marks an empty slot.

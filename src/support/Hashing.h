@@ -26,18 +26,44 @@ namespace rprism {
 /// FNV-1a offset basis; the seed for all FNV-1a and combined hashes.
 inline constexpr uint64_t HashInit = 0xcbf29ce484222325ULL;
 
+/// The splitmix64 finalizer's multipliers and their inverses modulo 2^64.
+inline constexpr uint64_t MixMul1 = 0xbf58476d1ce4e5b9ULL;
+inline constexpr uint64_t MixMul2 = 0x94d049bb133111ebULL;
+inline constexpr uint64_t MixMul1Inv = 0x96de1b173f119089ULL;
+inline constexpr uint64_t MixMul2Inv = 0x319642b2d24d8ec3ULL;
+static_assert(MixMul1 * MixMul1Inv == 1 && MixMul2 * MixMul2Inv == 1);
+
+/// The offset hashMix adds to its value for a given seed.
+constexpr uint64_t hashMixOffset(uint64_t Seed) {
+  return 0x9e3779b97f4a7c15ULL + (Seed << 6) + (Seed >> 2);
+}
+
 /// Mixes a 64-bit value into a running hash using the splitmix64 finalizer.
 /// Stronger than plain FNV multiplication for already-wide inputs (other
 /// hashes, counters) where low-bit bias would cluster hash-table buckets.
+/// For a fixed seed it is a bijection on 64-bit values (hashUnmix).
 inline uint64_t hashMix(uint64_t Seed, uint64_t Value) {
-  uint64_t X = Seed ^ (Value + 0x9e3779b97f4a7c15ULL + (Seed << 6) +
-                       (Seed >> 2));
+  uint64_t X = Seed ^ (Value + hashMixOffset(Seed));
   X ^= X >> 30;
-  X *= 0xbf58476d1ce4e5b9ULL;
+  X *= MixMul1;
   X ^= X >> 27;
-  X *= 0x94d049bb133111ebULL;
+  X *= MixMul2;
   X ^= X >> 31;
   return X;
+}
+
+/// Inverts hashMix: hashUnmix(Seed, hashMix(Seed, V)) == V for every V.
+/// Each finalizer step is undone in reverse order: a multiply by the
+/// inverse multiplier, and an xor-shift by xoring in the shifts of its
+/// output until they run off the word.
+inline uint64_t hashUnmix(uint64_t Seed, uint64_t Mixed) {
+  uint64_t X = Mixed;
+  X ^= (X >> 31) ^ (X >> 62);
+  X *= MixMul2Inv;
+  X ^= (X >> 27) ^ (X >> 54);
+  X *= MixMul1Inv;
+  X ^= (X >> 30) ^ (X >> 60);
+  return (X ^ Seed) - hashMixOffset(Seed);
 }
 
 /// FNV-1a over a byte range starting from \p Seed.

@@ -20,7 +20,7 @@
 #include <deque>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 namespace rprism {
 
@@ -36,7 +36,14 @@ struct Symbol {
   bool empty() const { return Id == 0; }
 };
 
-/// Owns interned string storage and hands out Symbols.
+/// Owns interned string storage and hands out Symbols in first-sight
+/// order.
+///
+/// The index is one flat open-addressing table (power-of-two size, linear
+/// probing, at most half full). Each slot holds a symbol id and the low 32
+/// bits of its string's checksumBytes hash: a probe compares text only
+/// when those bits match, and growth re-slots entries from the stored bits
+/// without reading a string again.
 class StringInterner {
 public:
   StringInterner();
@@ -51,15 +58,22 @@ public:
   /// Number of distinct interned strings (including the empty string).
   size_t size() const { return Storage.size(); }
 
-  /// Pre-sizes the index for \p N distinct strings (bucket reservation
-  /// only; interning order and symbol ids are unaffected).
-  void reserve(size_t N) { Index.reserve(N); }
-
 private:
-  // Deque: stored strings never move, so the string_view keys in Index stay
-  // valid as the table grows.
+  struct Slot {
+    uint32_t Id = EmptySlot;
+    uint32_t Hash = 0;
+  };
+  static constexpr uint32_t EmptySlot = ~0u;
+
+  /// Inserts symbol \p Id, known absent, under hash bits \p Hash.
+  void place(uint32_t Id, uint32_t Hash);
+  /// Doubles the index and re-slots every symbol.
+  void grow();
+
+  // Deque: stored strings never move, so text() references stay valid as
+  // the table grows.
   std::deque<std::string> Storage;
-  std::unordered_map<std::string_view, uint32_t> Index;
+  std::vector<Slot> Slots;
 };
 
 } // namespace rprism

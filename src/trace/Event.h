@@ -110,12 +110,17 @@ enum class ReprKind : uint8_t {
 
 inline constexpr uint8_t MaxReprKind = static_cast<uint8_t>(ReprKind::Obj);
 
-/// A value representation: a kind, a version-stable hash, and an interned
-/// printable rendering (truncated to 128 characters, mirroring the paper's
-/// toString truncation). 16 bytes, written verbatim into trace files.
+/// A value representation: a kind, a version-stable hash, and, for Str and
+/// Obj rows, an interned printable rendering (truncated to 128 characters,
+/// mirroring the paper's toString truncation). A scalar row (Unit, Null,
+/// Int, Bool, Float) is described by its kind and its kind-seeded hash
+/// (trace/ValueHash.h) alone: its text is recovered from the hash, so its
+/// Text is symbol 0 and is ignored when set. Read a row's text through
+/// Trace::valueText or Trace::renderValue, never Text directly. 16 bytes,
+/// written verbatim into trace files.
 struct ValueRepr {
   uint64_t Hash = 0;
-  Symbol Text; ///< Printable rendering for reports.
+  Symbol Text; ///< Str/Obj rendering; symbol 0 (ignored) for scalars.
   ReprKind Kind = ReprKind::None;
   uint8_t Pad[3] = {0, 0, 0};
 

@@ -44,7 +44,7 @@ TraceQuery &TraceQuery::named(std::string_view Name) {
 TraceQuery &TraceQuery::withValue(std::string_view Text) {
   return filter([this, Text](const TraceEntry &Entry) {
     return Entry.Ev.Value.Kind != ReprKind::None &&
-           T->Strings->text(Entry.Ev.Value.Text) == Text;
+           T->valueText(Entry.Ev.Value) == Text;
   });
 }
 

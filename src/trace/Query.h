@@ -55,8 +55,8 @@ public:
   /// Keeps entries whose event name (field, method, or class) is \p Name.
   TraceQuery &named(std::string_view Name);
 
-  /// Keeps entries whose carried value renders to \p Text (field value or
-  /// return value).
+  /// Keeps entries whose carried value (field value or return value) has
+  /// the unquoted text \p Text (Trace::valueText).
   TraceQuery &withValue(std::string_view Text);
 
   /// Keeps entries in the eid range [\p Begin, \p End).

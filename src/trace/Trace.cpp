@@ -4,7 +4,10 @@
 
 #include "support/Hashing.h"
 #include "support/Telemetry.h"
+#include "trace/ValueHash.h"
 
+#include <cstdio>
+#include <cstring>
 #include <sstream>
 
 using namespace rprism;
@@ -102,20 +105,40 @@ std::string Trace::renderObj(const ObjRepr &Obj) const {
   return Strings->text(Obj.ClassName) + "-" + std::to_string(Obj.CreationSeq);
 }
 
-std::string Trace::renderValue(const ValueRepr &Value) const {
+std::string Trace::valueText(const ValueRepr &Value) const {
   switch (Value.Kind) {
-  case ReprKind::None: return "<none>";
+  case ReprKind::None: return {};
   case ReprKind::Unit: return "unit";
   case ReprKind::Null: return "null";
+  // Int, Bool and Float rows carry no text: their hash is hashMix of the
+  // kind's seed and the value's 64 bits, so invert it and print what the
+  // recorder once interned.
   case ReprKind::Int:
+    return std::to_string(
+        static_cast<int64_t>(hashUnmix(SeedInt, Value.Hash)));
   case ReprKind::Bool:
-  case ReprKind::Float:
+    return hashUnmix(SeedBool, Value.Hash) != 0 ? "true" : "false";
+  case ReprKind::Float: {
+    uint64_t Bits = hashUnmix(SeedFloat, Value.Hash);
+    double F;
+    std::memcpy(&F, &Bits, sizeof(F));
+    char Buf[48];
+    std::snprintf(Buf, sizeof(Buf), "%.6g", F);
+    return Buf;
+  }
+  case ReprKind::Str:
   case ReprKind::Obj:
     return Strings->text(Value.Text);
-  case ReprKind::Str:
-    return "'" + Strings->text(Value.Text) + "'";
   }
   return "?";
+}
+
+std::string Trace::renderValue(const ValueRepr &Value) const {
+  if (Value.Kind == ReprKind::None)
+    return "<none>";
+  if (Value.Kind == ReprKind::Str)
+    return "'" + Strings->text(Value.Text) + "'";
+  return valueText(Value);
 }
 
 std::string Trace::renderEntry(const TraceEntry &Entry) const {

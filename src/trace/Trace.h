@@ -377,7 +377,13 @@ struct Trace {
   /// Renders an object representation ("NUM-1" = first NUM instance).
   std::string renderObj(const ObjRepr &Obj) const;
 
-  /// Renders a value representation.
+  /// The unquoted printable text of a value representation ("32", "true",
+  /// "NUM-1", a string's characters); empty for None. Scalar rows' text is
+  /// recovered from their hash (trace/ValueHash.h).
+  std::string valueText(const ValueRepr &Value) const;
+
+  /// Renders a value representation: its text, a string in single quotes,
+  /// "<none>" for an absent value.
   std::string renderValue(const ValueRepr &Value) const;
 };
 

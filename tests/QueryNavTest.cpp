@@ -73,7 +73,7 @@ TEST(Query, FiltersCompose) {
                      .onClass("Util")
                      .named("lo");
   ASSERT_EQ(Q.count(), 1u);
-  EXPECT_EQ(T.Strings->text(Q.first()->Ev.Value.Text), "32");
+  EXPECT_EQ(T.renderValue(Q.first()->Ev.Value), "32");
 }
 
 TEST(Query, ByMethodAndThread) {

@@ -34,6 +34,7 @@
 #include "trace/Serialize.h"
 #include "diff/ViewsDiff.h"
 #include "trace/TraceError.h"
+#include "trace/ValueHash.h"
 #include "trace/ViewIndex.h"
 #include "views/Views.h"
 #include "workload/Generator.h"
@@ -410,8 +411,7 @@ Trace hostileKeyTrace(std::shared_ptr<StringInterner> Strings, uint32_t Tid,
     E.Ev.Target.Loc = I == 1 ? Loc : 0;
     E.Ev.Target.CreationSeq = I == 1 ? 2 : 1;
     E.Ev.Value.Kind = ReprKind::Int;
-    E.Ev.Value.Hash = I;
-    E.Ev.Value.Text = Strings->intern(std::to_string(I));
+    E.Ev.Value.Hash = intValueHash(I);
     T.append(E);
   }
   T.computeFingerprints();

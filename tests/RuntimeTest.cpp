@@ -347,16 +347,38 @@ TEST(Trace, FieldEventsCarryValuesAndTargets) {
       FoundSet = true;
       EXPECT_EQ(T.Strings->text(Entry.Ev.Name), "v");
       EXPECT_EQ(T.Strings->text(Entry.Ev.Target.ClassName), "Box");
-      EXPECT_EQ(T.Strings->text(Entry.Ev.Value.Text), "42");
+      EXPECT_EQ(T.renderValue(Entry.Ev.Value), "42");
       EXPECT_EQ(Entry.Ev.Value.Kind, ReprKind::Int);
     }
     if (Entry.Ev.Kind == EventKind::FieldGet && Method == "main") {
       FoundGet = true;
-      EXPECT_EQ(T.Strings->text(Entry.Ev.Value.Text), "42");
+      EXPECT_EQ(T.renderValue(Entry.Ev.Value), "42");
     }
   }
   EXPECT_TRUE(FoundSet);
   EXPECT_TRUE(FoundGet);
+}
+
+TEST(Trace, DistinctIntValuesAddNoStrings) {
+  // Scalar rows carry no text, so the string table holds names only:
+  // storing 0..99,999 into a field interns exactly what storing 0..9 does.
+  auto TableSize = [](int64_t Count) {
+    RunOptions Options;
+    Options.IntInputs = {Count};
+    RunResult Result = runSource(R"(
+      class Acc { Int v; }
+      main {
+        var a = new Acc();
+        var i = 0;
+        while (i < inputInt(0)) { a.v = i; i = i + 1; }
+      }
+    )",
+                                 Options);
+    EXPECT_TRUE(Result.Completed) << Result.Error;
+    EXPECT_GE(Result.ExecTrace.size(), static_cast<size_t>(Count));
+    return Result.ExecTrace.Strings->size();
+  };
+  EXPECT_EQ(TableSize(100000), TableSize(10));
 }
 
 TEST(Trace, CallEventsRecordedInCallersContext) {
@@ -374,8 +396,8 @@ TEST(Trace, CallEventsRecordedInCallersContext) {
       // METH-E: context is the caller (main), not the callee.
       EXPECT_EQ(T.Strings->text(Entry.Method), "main");
       ASSERT_EQ(Entry.Ev.numArgs(), 2u);
-      EXPECT_EQ(T.Strings->text(T.arg(Entry.Ev, 0).Text), "1");
-      EXPECT_EQ(T.Strings->text(T.arg(Entry.Ev, 1).Text), "2");
+      EXPECT_EQ(T.renderValue(T.arg(Entry.Ev, 0)), "1");
+      EXPECT_EQ(T.renderValue(T.arg(Entry.Ev, 1)), "2");
     }
   }
   EXPECT_TRUE(Found);
@@ -411,7 +433,7 @@ TEST(Trace, InitEventsPairWithCtorReturns) {
   EXPECT_EQ(Init.Ev.Kind, EventKind::Init);
   EXPECT_EQ(T.Strings->text(Init.Ev.Name), "P");
   ASSERT_EQ(Init.Ev.numArgs(), 1u);
-  EXPECT_EQ(T.Strings->text(T.arg(Init.Ev, 0).Text), "9");
+  EXPECT_EQ(T.renderValue(T.arg(Init.Ev, 0)), "9");
 
   EXPECT_EQ(T.kind(1), EventKind::FieldSet);
   // The set happens inside the ctor frame: context method is P.<init>.

@@ -47,6 +47,19 @@ TEST(Hashing, MixSpreadsSmallDeltas) {
   EXPECT_NE(A, B);
 }
 
+TEST(Hashing, UnmixInvertsMix) {
+  Rng R(20261018);
+  for (uint64_t Seed : {uint64_t{0}, uint64_t{0x33}, HashInit, ~uint64_t{0}}) {
+    for (uint64_t V : {uint64_t{0}, uint64_t{1}, ~uint64_t{0},
+                       uint64_t{1} << 63})
+      EXPECT_EQ(hashUnmix(Seed, hashMix(Seed, V)), V);
+    for (int I = 0; I != 10000; ++I) {
+      uint64_t V = R.next();
+      ASSERT_EQ(hashUnmix(Seed, hashMix(Seed, V)), V) << Seed << " " << V;
+    }
+  }
+}
+
 TEST(Hashing, CombineIsOrderSensitive) {
   EXPECT_NE(hashCombine(1, 2), hashCombine(2, 1));
   EXPECT_NE(hashCombine(1, 2, 3), hashCombine(1, 2));
@@ -141,16 +154,44 @@ TEST(StringInterner, InterningIsIdempotent) {
 }
 
 TEST(StringInterner, ManySymbolsStayStable) {
+  // 2,000 strings take the index from its first size through several
+  // doublings.
   StringInterner Interner;
   std::vector<Symbol> Symbols;
-  for (int I = 0; I != 2000; ++I)
+  std::vector<const std::string *> Texts;
+  for (int I = 0; I != 2000; ++I) {
     Symbols.push_back(Interner.intern("sym-" + std::to_string(I)));
-  // References handed out earlier stay valid and correct after growth.
-  for (int I = 0; I != 2000; ++I)
+    Texts.push_back(&Interner.text(Symbols.back()));
+    EXPECT_EQ(Symbols.back().Id, static_cast<uint32_t>(I + 1)); // First sight.
+  }
+  // References handed out earlier stay valid, in place and correct after
+  // growth.
+  for (int I = 0; I != 2000; ++I) {
+    EXPECT_EQ(&Interner.text(Symbols[I]), Texts[I]);
     EXPECT_EQ(Interner.text(Symbols[I]), "sym-" + std::to_string(I));
+  }
   // Re-interning yields identical ids.
   for (int I = 0; I != 2000; ++I)
     EXPECT_EQ(Interner.intern("sym-" + std::to_string(I)), Symbols[I]);
+}
+
+TEST(StringInterner, EmbeddedNulsAndSharedPrefixesStayDistinct) {
+  StringInterner Interner;
+  using namespace std::string_literals;
+  const std::vector<std::string> Keys = {
+      "a"s,     "a\0"s,   "a\0\0"s, "\0"s,    "\0\0"s, "a\0b"s,
+      "a\0c"s, "ab"s,     "abc"s,   "abcd"s, "abcdefgh"s,
+      "abcdefghi"s, std::string(40, 'x'), std::string(40, 'x') + "y"s,
+      std::string(40, 'x') + "\0"s};
+  std::vector<Symbol> Symbols;
+  for (const std::string &Key : Keys)
+    Symbols.push_back(Interner.intern(Key));
+  EXPECT_EQ(Interner.size(), Keys.size() + 1);
+  for (size_t I = 0; I != Keys.size(); ++I) {
+    EXPECT_EQ(Interner.text(Symbols[I]), Keys[I]);
+    EXPECT_EQ(Interner.intern(Keys[I]), Symbols[I]);
+  }
+  EXPECT_EQ(Interner.intern("").Id, 0u);
 }
 
 //===----------------------------------------------------------------------===//

@@ -381,8 +381,9 @@ TEST(Json, RejectsMalformedDocuments) {
   for (const char *Text : Bad) {
     Expected<JsonValue> Doc = parseJson(Text);
     EXPECT_FALSE(bool(Doc)) << "accepted: " << Text;
-    if (!Doc)
+    if (!Doc) {
       EXPECT_EQ(Doc.error().Class, ErrClass::Corrupt);
+    }
   }
 }
 
@@ -448,8 +449,9 @@ TEST(MetricsDiff, CounterGrowthRegressesAtZeroTolerance) {
   EXPECT_TRUE(R->regressed());
   ASSERT_EQ(R->RegressedCount, 1u);
   for (const MetricDelta &D : R->Deltas)
-    if (D.Regressed)
+    if (D.Regressed) {
       EXPECT_EQ(D.Name, "diff.compare_ops");
+    }
 }
 
 TEST(MetricsDiff, ToleranceBandAbsorbsSmallGrowth) {
@@ -501,8 +503,9 @@ TEST(MetricsDiff, HistogramQuantilesAndTotalsGate) {
   ASSERT_TRUE(bool(R));
   EXPECT_TRUE(R->regressed());
   for (const MetricDelta &D : R->Deltas)
-    if (D.Regressed)
+    if (D.Regressed) {
       EXPECT_EQ(D.Name, "histogram.seq.total");
+    }
 }
 
 TEST(MetricsDiff, MissingMetricGatesOnlyWithFailOnMissing) {

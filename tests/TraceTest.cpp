@@ -11,7 +11,9 @@
 #include "runtime/Compiler.h"
 #include "support/Telemetry.h"
 #include "runtime/Vm.h"
+#include "support/Rng.h"
 #include "trace/Serialize.h"
+#include "trace/ValueHash.h"
 #include "trace/ViewIndex.h"
 #include "workload/Corpus.h"
 #include "workload/Generator.h"
@@ -21,6 +23,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <unistd.h>
 
 using namespace rprism;
@@ -762,6 +765,104 @@ TEST(Render, StringValuesAreQuotedAndTruncated) {
   // cap); the 200-char literal must not appear whole.
   EXPECT_EQ(Dump.find(Long), std::string::npos);
   EXPECT_NE(Dump.find(std::string(128, 'x')), std::string::npos);
+}
+
+/// The text the recorder interned for a Float before scalar rows dropped
+/// their text.
+std::string printedFloat(double F) {
+  char Buf[48];
+  std::snprintf(Buf, sizeof(Buf), "%.6g", F);
+  return Buf;
+}
+
+TEST(Render, ScalarTextIsRecoveredFromTheRowHash) {
+  Trace T;
+  auto Render = [&T](ReprKind Kind, uint64_t Hash) {
+    ValueRepr Value;
+    Value.Kind = Kind;
+    Value.Hash = Hash;
+    return T.renderValue(Value);
+  };
+  const int64_t Min = std::numeric_limits<int64_t>::min();
+  const int64_t Max = std::numeric_limits<int64_t>::max();
+  for (int64_t I : {int64_t{0}, int64_t{1}, int64_t{-1}, int64_t{1025},
+                    int64_t{-1025}, Min, Max})
+    EXPECT_EQ(Render(ReprKind::Int, intValueHash(I)), std::to_string(I));
+  EXPECT_EQ(Render(ReprKind::Int, intValueHash(Min)), "-9223372036854775808");
+  Rng R(7);
+  for (int I = 0; I != 100000; ++I) {
+    int64_t V = static_cast<int64_t>(R.next());
+    ASSERT_EQ(Render(ReprKind::Int, intValueHash(V)), std::to_string(V));
+  }
+
+  EXPECT_EQ(Render(ReprKind::Bool, boolValueHash(true)), "true");
+  EXPECT_EQ(Render(ReprKind::Bool, boolValueHash(false)), "false");
+  EXPECT_EQ(Render(ReprKind::Unit, SeedUnit), "unit");
+  EXPECT_EQ(Render(ReprKind::Null, SeedNull), "null");
+
+  const double Inf = std::numeric_limits<double>::infinity();
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  for (double F : {0.0, -0.0, Inf, -Inf, NaN, -NaN, 4.9e-324, 1e308,
+                   3.14159265358979, -3.14159265358979})
+    EXPECT_EQ(Render(ReprKind::Float, floatValueHash(F)), printedFloat(F));
+  EXPECT_EQ(Render(ReprKind::Float, floatValueHash(-0.0)), "-0");
+  EXPECT_EQ(Render(ReprKind::Float, floatValueHash(4.9e-324)),
+            "4.94066e-324");
+  EXPECT_EQ(Render(ReprKind::Float, floatValueHash(3.14159265358979)),
+            "3.14159");
+}
+
+TEST(Render, ScalarTextSymbolsOfOlderFilesAreIgnored) {
+  // Recorders before render-on-demand interned every scalar's text and
+  // stored its symbol in the row. Such a file loads, and renders the same
+  // entries, whether its symbols keep their ids or are remapped.
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = traceOf(R"(
+    class Box {
+      Int i; Bool b; Float f;
+      Unit put(Int i, Bool b, Float f) {
+        this.i = i; this.b = b; this.f = f; return unit;
+      }
+    }
+    main {
+      var x = new Box();
+      x.put(-9223372036854775807 - 1, true, -0.0);
+      x.put(123456789012, false, 1.0 / 0.0);
+      x.put(-7, true, 3.14159265358979);
+    }
+  )",
+                    Strings);
+  std::vector<std::string> Rendered;
+  for (uint32_t Eid = 0; Eid != T.size(); ++Eid)
+    Rendered.push_back(T.renderEntry(Eid));
+  ValueRepr *Rows = T.ValueReprs.mutData();
+  size_t ScalarRows = 0;
+  for (size_t I = 1; I != T.ValueReprs.size(); ++I) {
+    ValueRepr &Row = Rows[I];
+    if (Row.Kind == ReprKind::Str || Row.Kind == ReprKind::Obj)
+      continue;
+    EXPECT_TRUE(Row.Text.empty()) << "a new scalar row carries text";
+    Row.Text = Strings->intern(T.renderValue(Row));
+    ++ScalarRows;
+  }
+  ASSERT_GT(ScalarRows, 8u);
+
+  std::string Path = tempPath("old_scalar_text");
+  ASSERT_TRUE(writeTrace(T, Path));
+  for (auto Into : {Strings, std::make_shared<StringInterner>()}) {
+    Expected<Trace> Loaded = readTrace(Path, Into);
+    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+    ASSERT_EQ(Loaded->size(), T.size());
+    for (uint32_t Eid = 0; Eid != T.size(); ++Eid)
+      EXPECT_EQ(Loaded->renderEntry(Eid), Rendered[Eid]);
+    for (const ValueRepr &Row : Loaded->ValueReprs) {
+      if (Row.Kind != ReprKind::None && Row.Kind != ReprKind::Str &&
+          Row.Kind != ReprKind::Obj) {
+        EXPECT_EQ(Loaded->Strings->text(Row.Text), Loaded->renderValue(Row));
+      }
+    }
+  }
+  std::remove(Path.c_str());
 }
 
 //===----------------------------------------------------------------------===//

@@ -38,6 +38,79 @@ OUT="$("$RPRISM" run "$WORK/old.rp" --int-input 100 --trace "$WORK/old.rpt" 2>/d
 "$RPRISM" trace-dump "$WORK/old.rpt" | grep -q -- "--> Tax-1.new(10)" \
   || fail "trace-dump missing the init entry"
 
+# Scalar values print from their row's hash: extreme and negative Ints,
+# Bools and Floats (negative zero, infinities, %.6g rounding) must dump
+# exactly as the recorder that interned their text printed them.
+cat > "$WORK/scalars.rp" <<'EOF'
+class Box {
+  Int i;
+  Bool b;
+  Float f;
+  Unit put(Int i, Bool b, Float f) {
+    this.i = i;
+    this.b = b;
+    this.f = f;
+    return unit;
+  }
+}
+main {
+  var x = new Box();
+  x.put(9223372036854775807, true, -0.0);
+  x.put(-9223372036854775807 - 1, false, 1.0 / 0.0);
+  x.put(-1025, true, -1.0 / 0.0);
+  x.put(123456789012, false, 3.14159265358979);
+  x.put(-7, true, 0.000001 / 1000000.0);
+  x.put(1025, false, -123456789.5);
+  x.put(0, true, 0.1);
+}
+EOF
+cat > "$WORK/scalars.expected" <<'EOF'
+trace 'run': 38 entries, 1 thread(s)
+  [0] --> Box-1.new()   [t0 in main]
+  [1] <-- Box-1.Box.<init>(..) ret=unit   [t0 in main]
+  [2] --> Box-1.Box.put(9223372036854775807, true, -0)   [t0 in main]
+  [3] set Box-1.i = 9223372036854775807   [t0 in Box.put]
+  [4] set Box-1.b = true   [t0 in Box.put]
+  [5] set Box-1.f = -0   [t0 in Box.put]
+  [6] <-- Box-1.Box.put(..) ret=unit   [t0 in main]
+  [7] --> Box-1.Box.put(-9223372036854775808, false, inf)   [t0 in main]
+  [8] set Box-1.i = -9223372036854775808   [t0 in Box.put]
+  [9] set Box-1.b = false   [t0 in Box.put]
+  [10] set Box-1.f = inf   [t0 in Box.put]
+  [11] <-- Box-1.Box.put(..) ret=unit   [t0 in main]
+  [12] --> Box-1.Box.put(-1025, true, -inf)   [t0 in main]
+  [13] set Box-1.i = -1025   [t0 in Box.put]
+  [14] set Box-1.b = true   [t0 in Box.put]
+  [15] set Box-1.f = -inf   [t0 in Box.put]
+  [16] <-- Box-1.Box.put(..) ret=unit   [t0 in main]
+  [17] --> Box-1.Box.put(123456789012, false, 3.14159)   [t0 in main]
+  [18] set Box-1.i = 123456789012   [t0 in Box.put]
+  [19] set Box-1.b = false   [t0 in Box.put]
+  [20] set Box-1.f = 3.14159   [t0 in Box.put]
+  [21] <-- Box-1.Box.put(..) ret=unit   [t0 in main]
+  [22] --> Box-1.Box.put(-7, true, 1e-12)   [t0 in main]
+  [23] set Box-1.i = -7   [t0 in Box.put]
+  [24] set Box-1.b = true   [t0 in Box.put]
+  [25] set Box-1.f = 1e-12   [t0 in Box.put]
+  [26] <-- Box-1.Box.put(..) ret=unit   [t0 in main]
+  [27] --> Box-1.Box.put(1025, false, -1.23457e+08)   [t0 in main]
+  [28] set Box-1.i = 1025   [t0 in Box.put]
+  [29] set Box-1.b = false   [t0 in Box.put]
+  [30] set Box-1.f = -1.23457e+08   [t0 in Box.put]
+  [31] <-- Box-1.Box.put(..) ret=unit   [t0 in main]
+  [32] --> Box-1.Box.put(0, true, 0.1)   [t0 in main]
+  [33] set Box-1.i = 0   [t0 in Box.put]
+  [34] set Box-1.b = true   [t0 in Box.put]
+  [35] set Box-1.f = 0.1   [t0 in Box.put]
+  [36] <-- Box-1.Box.put(..) ret=unit   [t0 in main]
+  [37] end thread-0   [t0 in main]
+EOF
+"$RPRISM" run "$WORK/scalars.rp" --trace "$WORK/scalars.rpt" > /dev/null 2>&1 \
+  || fail "run of the scalar program failed"
+"$RPRISM" trace-dump "$WORK/scalars.rpt" > "$WORK/scalars.txt" 2>/dev/null
+cmp -s "$WORK/scalars.expected" "$WORK/scalars.txt" \
+  || fail "trace-dump of scalar values changed"
+
 # --- diff (views engine) ----------------------------------------------------
 DIFF="$("$RPRISM" diff "$WORK/old.rp" "$WORK/new.rp" --int-input 100 2>/dev/null)"
 echo "$DIFF" | grep -q "semantic diff:" || fail "diff header missing"
