@@ -567,50 +567,56 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
   // Deterministic merge, in correlation (left-tid) order: the union of the
   // per-pair Pi sets is the final similarity set, sequences concatenate,
   // and per-pair compare counters sum to a jobs-independent total.
-  std::unordered_set<uint32_t> PairedLeft;
-  std::unordered_set<uint32_t> PairedRight;
   std::unordered_map<uint32_t, uint32_t> AnchorUnion;
   uint64_t TotalOps = 0;
   uint64_t TotalRunSkips = 0;
   uint64_t TotalSharedHits = 0;
-  for (size_t K = 0; K != Pairs.size(); ++K) {
-    PairedLeft.insert(Pairs[K].first);
-    PairedRight.insert(Pairs[K].second);
-    PairEvaluator &E = *Evals[K];
-    for (size_t I = 0; I != E.LeftSimilar.size(); ++I)
-      if (E.LeftSimilar[I])
-        Result.LeftSimilar[I] = true;
-    for (size_t I = 0; I != E.RightSimilar.size(); ++I)
-      if (E.RightSimilar[I])
-        Result.RightSimilar[I] = true;
-    for (const auto &[L, R] : E.Anchors)
-      AnchorUnion.emplace(L, R);
-    TotalOps += E.Ops.Count;
-    TotalRunSkips += E.RunSkips;
-    TotalSharedHits += E.SharedLaneHits;
-    for (DiffSequence &Seq : E.Sequences)
-      Result.Sequences.push_back(std::move(Seq));
-  }
+  {
+    TelemetrySpan UnionSpan("union");
+    std::unordered_set<uint32_t> PairedLeft;
+    std::unordered_set<uint32_t> PairedRight;
+    for (size_t K = 0; K != Pairs.size(); ++K) {
+      PairedLeft.insert(Pairs[K].first);
+      PairedRight.insert(Pairs[K].second);
+      PairEvaluator &E = *Evals[K];
+      for (size_t I = 0; I != E.LeftSimilar.size(); ++I)
+        if (E.LeftSimilar[I])
+          Result.LeftSimilar[I] = true;
+      for (size_t I = 0; I != E.RightSimilar.size(); ++I)
+        if (E.RightSimilar[I])
+          Result.RightSimilar[I] = true;
+      for (const auto &[L, R] : E.Anchors)
+        AnchorUnion.emplace(L, R);
+      TotalOps += E.Ops.Count;
+      TotalRunSkips += E.RunSkips;
+      TotalSharedHits += E.SharedLaneHits;
+      for (DiffSequence &Seq : E.Sequences)
+        Result.Sequences.push_back(std::move(Seq));
+    }
 
-  for (const View &V : Left.views())
-    if (V.Type == ViewType::Thread && !PairedLeft.count(V.Id))
-      emitWholeViewSequence(Result, V, /*IsLeft=*/true);
-  for (const View &V : Right.views())
-    if (V.Type == ViewType::Thread && !PairedRight.count(V.Id))
-      emitWholeViewSequence(Result, V, /*IsLeft=*/false);
+    for (const View &V : Left.views())
+      if (V.Type == ViewType::Thread && !PairedLeft.count(V.Id))
+        emitWholeViewSequence(Result, V, /*IsLeft=*/true);
+    for (const View &V : Right.views())
+      if (V.Type == ViewType::Thread && !PairedRight.count(V.Id))
+        emitWholeViewSequence(Result, V, /*IsLeft=*/false);
+  }
 
   // Anchors found late (or by another pair) can mark entries similar after
   // they were already emitted into a sequence; re-filter in place so
   // sequences contain only entries that are differences in the final,
   // merged Pi.
-  for (DiffSequence &Seq : Result.Sequences) {
-    std::erase_if(Seq.LeftEids,
-                  [&](uint32_t Eid) { return Result.LeftSimilar[Eid]; });
-    std::erase_if(Seq.RightEids,
-                  [&](uint32_t Eid) { return Result.RightSimilar[Eid]; });
+  {
+    TelemetrySpan RefilterSpan("refilter");
+    for (DiffSequence &Seq : Result.Sequences) {
+      std::erase_if(Seq.LeftEids,
+                    [&](uint32_t Eid) { return Result.LeftSimilar[Eid]; });
+      std::erase_if(Seq.RightEids,
+                    [&](uint32_t Eid) { return Result.RightSimilar[Eid]; });
+    }
+    std::erase_if(Result.Sequences,
+                  [](const DiffSequence &Seq) { return Seq.size() == 0; });
   }
-  std::erase_if(Result.Sequences,
-                [](const DiffSequence &Seq) { return Seq.size() == 0; });
 
   Result.Stats.CompareOps = TotalOps;
   Result.Stats.Seconds = Clock.seconds();
@@ -684,20 +690,18 @@ uint64_t BaselineLanes::bytes() const {
 
 unsigned rprism::effectiveDiffJobs(const ViewsDiffOptions &Options,
                                    size_t TotalEntries) {
-  unsigned Requested =
-      Options.Jobs ? Options.Jobs : ThreadPool::defaultConcurrency();
-  if (Requested <= 1 || Options.ParallelCutoffEntries == 0)
-    return Requested;
-  // One hardware thread: workers only add queue latency, so auto mode
-  // stays sequential. An explicit Jobs request is honored anyway — the
-  // caller asked for workers (e.g. to observe pool overlap in a
-  // timeline trace), and the result is identical either way.
-  if (ThreadPool::defaultConcurrency() <= 1 && Options.Jobs == 0)
+  // An explicit request is honored: the caller asked for workers (e.g. to
+  // observe pool overlap in a timeline trace), and the result is
+  // identical either way.
+  if (Options.Jobs != 0)
+    return Options.Jobs;
+  // Auto mode: on one hardware thread workers only add queue latency, and
+  // below the work threshold the pool round trips dominate the win.
+  constexpr size_t AutoParallelMinEntries = 32768;
+  unsigned Hardware = ThreadPool::defaultConcurrency();
+  if (Hardware <= 1 || TotalEntries < AutoParallelMinEntries)
     return 1;
-  // Below the work threshold the pool round-trips dominate the win.
-  if (TotalEntries < Options.ParallelCutoffEntries)
-    return 1;
-  return Requested;
+  return Hardware;
 }
 
 DiffResult rprism::viewsDiff(const Trace &Left, const Trace &Right,

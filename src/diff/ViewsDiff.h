@@ -46,21 +46,14 @@ struct ViewsDiffOptions {
   bool ExploreSecondaryViews = true; ///< Ablation: off = pure lock-step.
   bool RelaxedCorrelation = true;    ///< §5 refactoring tolerance.
   /// Worker threads for the pipeline (view-web builds, per-thread-pair
-  /// evaluation, pair fingerprinting). 0 = hardware_concurrency; 1 runs
-  /// the sequential path bit-for-bit. Every thread-pair evaluation is
-  /// isolated (own anchors, similarity marks, and compare counter) and the
-  /// per-pair results are merged in correlation order, so the DiffResult —
-  /// including total compare-op counts — is identical for every value.
+  /// evaluation, pair fingerprinting). 0 = auto: hardware_concurrency,
+  /// or the sequential path on small traces and single-core hosts (see
+  /// effectiveDiffJobs); 1 runs the sequential path bit-for-bit. Every
+  /// thread-pair evaluation is isolated (own anchors, similarity marks,
+  /// and compare counter) and the per-pair results are merged in
+  /// correlation order, so the DiffResult — including total compare-op
+  /// counts — is identical for every value.
   unsigned Jobs = 0;
-  /// Adaptive parallelism cutoff: when the two traces together hold fewer
-  /// entries than this, `Jobs > 1` silently takes the sequential path —
-  /// below the threshold the pool's queue overhead exceeds the win (the
-  /// result is identical either way, so only time changes). Auto mode
-  /// (`Jobs == 0`) also goes sequential when the host reports a single
-  /// hardware thread; an explicit Jobs request is honored there. 0
-  /// disables the adaptation (tests that exercise the parallel machinery
-  /// on tiny traces set 0).
-  size_t ParallelCutoffEntries = 32768;
   /// Reconstruct view webs from a trace's persisted ViewIndex when one is
   /// present (the warm path for indexed trace files). Off = always build by
   /// scanning the entries; the result is identical either way (`rprism
@@ -69,9 +62,12 @@ struct ViewsDiffOptions {
 };
 
 /// The worker count the pipeline will actually use for \p Options on traces
-/// totalling \p TotalEntries entries: Options.Jobs (0 = hardware
-/// concurrency) clamped to 1 by the adaptive cutoff above. Exposed so
-/// callers owning their pool (benchmarks) make the same choice.
+/// totalling \p TotalEntries entries. An explicit Options.Jobs is always
+/// honored. Auto mode (0) takes the hardware concurrency, but runs
+/// sequentially on a single-core host or below 32,768 entries, where the
+/// pool's queue round trips cost more than its workers win (the result is
+/// identical either way, so only time changes). Exposed so callers owning
+/// their pool (benchmarks) make the same choice.
 unsigned effectiveDiffJobs(const ViewsDiffOptions &Options,
                            size_t TotalEntries);
 

@@ -27,8 +27,6 @@ const char *rprism::faultSiteName(FaultSite Site) {
     return "section-checksum";
   case FaultSite::ViewIndexBorrow:
     return "view-index-borrow";
-  case FaultSite::CacheInsert:
-    return "cache-insert";
   case FaultSite::PoolDispatch:
     return "pool-dispatch";
   }

@@ -10,9 +10,8 @@
 /// pipeline's degradation ladder (see docs/ROBUSTNESS.md). Production code
 /// calls the static hooks at the points where the real world can fail —
 /// opening, reading, or mapping a trace file, verifying a section
-/// checksum, borrowing a persisted view index, inserting into the
-/// DiffCache, dispatching a pool task — and tests arm the injector to
-/// force those failures deterministically.
+/// checksum, borrowing a persisted view index, dispatching a pool task —
+/// and tests arm the injector to force those failures deterministically.
 ///
 /// The design mirrors Telemetry: one registry singleton, a relaxed-atomic
 /// armed flag, and static one-liner entry points that cost a single
@@ -46,13 +45,12 @@ enum class FaultSite : unsigned {
   FileMmap,        ///< mmap() fails; loader must fall back to the arena.
   SectionChecksum, ///< A section checksum verify reports a mismatch.
   ViewIndexBorrow, ///< Borrowing the persisted view index fails.
-  CacheInsert,     ///< A DiffCache insert fails (allocation-failure-like).
   PoolDispatch,    ///< ThreadPool task dispatch stalls (scheduling jitter).
 };
 
-inline constexpr unsigned NumFaultSites = 7;
+inline constexpr unsigned NumFaultSites = 6;
 
-/// Printable site name ("file-open", "cache-insert", ...).
+/// Printable site name ("file-open", "view-index-borrow", ...).
 const char *faultSiteName(FaultSite Site);
 
 /// The registry. All hooks are static and no-ops (one relaxed load) while
@@ -91,7 +89,7 @@ public:
   ///   <site>:<prob>@<N>   additionally fire exactly occurrence N
   ///
   /// Site names are faultSiteName()'s ("file-open", "file-read",
-  /// "file-mmap", "section-checksum", "view-index-borrow", "cache-insert",
+  /// "file-mmap", "section-checksum", "view-index-borrow",
   /// "pool-dispatch"). Example:
   ///   seed=7,file-read:0.01,section-checksum:0@2,stall=100
   /// On success the injector is armed exactly as arm()+configure() calls

@@ -135,8 +135,7 @@ static_assert(sizeof(ValueRepr) == 16 &&
 
 /// True if an event of \p Kind with target \p Target belongs to a
 /// target-object view (FE/ME/KE events with a real target do; fork/end
-/// never do). Shared by the view-web builder and the persisted view-index
-/// writer, which must partition entries identically.
+/// never do): the target-object rule of viewKey (trace/ViewIndex.h).
 inline bool eventHasTargetObject(EventKind Kind, const ObjRepr &Target) {
   switch (Kind) {
   case EventKind::FieldGet:

@@ -879,8 +879,10 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path,
   const ViewIndex *Idx = nullptr;
   ByteBuffer ViewMetaBuf;
   if (WithViewIndex) {
-    if (!T.ViewIdx.Present)
+    if (!T.ViewIdx.Present) {
+      TelemetrySpan IndexSpan("view-index");
       Computed = computeViewIndex(T);
+    }
     Idx = T.ViewIdx.Present ? &T.ViewIdx : &Computed;
     for (size_t F = 0; F != NumViewFamilies; ++F) {
       ViewMetaBuf.u32(static_cast<uint32_t>(Idx->Keys[F].size()));

@@ -216,6 +216,11 @@ struct ViewIndex {
   Column<uint32_t> Counts[NumViewFamilies];
   Column<uint32_t> Entries;
 
+  /// Keep-alive for a computed index's entry ids, which Entries borrows:
+  /// the family scans write them straight into an unzeroed buffer (see
+  /// computeViewIndex). Null when Entries owns its ids or borrows a file.
+  std::shared_ptr<const void> EntryBuffer;
+
   /// True when the index describes the owning trace's current entries.
   /// Any entry mutation (append) resets it; readers must treat a
   /// non-Present index as absent.
@@ -227,6 +232,7 @@ struct ViewIndex {
       Counts[F].clear();
     }
     Entries.clear();
+    EntryBuffer.reset();
     Present = false;
   }
 

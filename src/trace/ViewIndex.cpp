@@ -3,9 +3,10 @@
 #include "trace/ViewIndex.h"
 
 #include "support/Telemetry.h"
+#include "support/ThreadPool.h"
 
-#include <cassert>
-#include <optional>
+#include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -47,78 +48,160 @@ private:
   std::unordered_map<uint32_t, uint32_t> Sparse;
 };
 
-/// Partitions entries 0..N-1 by \p KeyOf(Eid): the entry's key in the
-/// family, or nothing when the entry joins none of its views.
-template <typename KeyFn>
-FamilyPartition partitionBy(size_t N, KeyFn KeyOf) {
-  FamilyPartition P;
-  ViewKeyMap Slots(N);
-  for (uint32_t Eid = 0; Eid != N; ++Eid) {
-    std::optional<uint32_t> Key = KeyOf(Eid);
-    if (!Key)
-      continue;
-    uint32_t &Slot = Slots.slot(*Key);
-    if (Slot == ~0u) {
-      Slot = static_cast<uint32_t>(P.Keys.size());
-      P.Keys.push_back(*Key);
-      P.Lists.emplace_back();
-    }
-    P.Lists[Slot].push_back(Eid);
+/// One family's scan state, kept from its count pass to its scatter pass.
+/// Aligned to a cache line, so the four families' scans, which run on
+/// different workers, never write to a line another one reads.
+struct alignas(64) FamilyScan {
+  explicit FamilyScan(size_t NumEntries) : Slots(NumEntries) {}
+
+  ViewKeyMap Slots;             ///< Key -> the view's index in Keys.
+  std::vector<uint32_t> Keys;   ///< In order of first appearance.
+  std::vector<uint32_t> Counts; ///< Entries per view.
+  uint64_t Total = 0;           ///< Entries in all of the family's views.
+};
+
+/// Calls \p Body with \p Family as a compile-time constant, so viewKey's
+/// family switch folds out of the scan loops.
+template <typename Fn> void withFamily(size_t Family, Fn Body) {
+  switch (Family) {
+  case 0:
+    return Body(std::integral_constant<size_t, 0>());
+  case 1:
+    return Body(std::integral_constant<size_t, 1>());
+  case 2:
+    return Body(std::integral_constant<size_t, 2>());
+  default:
+    return Body(std::integral_constant<size_t, 3>());
   }
-  return P;
+}
+
+/// The count pass: assigns each key its view, in order of first
+/// appearance, and counts the view's entries. Consecutive entries often
+/// share a key (a thread runs for a quantum, a method for its body), so a
+/// run of one key is looked up once and counted in a register.
+void countFamily(const Trace &T, size_t Family, FamilyScan &S) {
+  withFamily(Family, [&T, &S](auto F) {
+    bool InRun = false;
+    uint32_t RunKey = 0, RunSlot = 0, RunLength = 0;
+    for (uint32_t Eid = 0, N = static_cast<uint32_t>(T.size()); Eid != N;
+         ++Eid) {
+      std::optional<uint32_t> Key = viewKey(T, F, Eid);
+      if (!Key)
+        continue;
+      if (InRun && *Key == RunKey) {
+        ++RunLength;
+        continue;
+      }
+      if (InRun)
+        S.Counts[RunSlot] += RunLength;
+      uint32_t &Slot = S.Slots.slot(*Key);
+      if (Slot == ~0u) {
+        Slot = static_cast<uint32_t>(S.Keys.size());
+        S.Keys.push_back(*Key);
+        S.Counts.push_back(0);
+      }
+      InRun = true;
+      RunKey = *Key;
+      RunSlot = Slot;
+      RunLength = 1;
+    }
+    if (InRun)
+      S.Counts[RunSlot] += RunLength;
+  });
+  for (uint32_t Count : S.Counts)
+    S.Total += Count;
+}
+
+/// The scatter pass: writes each entry id at its view's next free position
+/// in \p Out, the family's stretch of the flat column. Views sit back to
+/// back in key order and entries arrive in eid order, so every list comes
+/// out ascending. A run of one key keeps its position in a register.
+void scatterFamily(const Trace &T, size_t Family, FamilyScan &S,
+                   uint32_t *Out) {
+  std::vector<uint32_t> Next(S.Counts.size());
+  uint32_t Offset = 0;
+  for (size_t V = 0; V != Next.size(); ++V) {
+    Next[V] = Offset;
+    Offset += S.Counts[V];
+  }
+  withFamily(Family, [&T, &S, &Next, Out](auto F) {
+    bool InRun = false;
+    uint32_t RunKey = 0, RunSlot = 0, Pos = 0;
+    for (uint32_t Eid = 0, N = static_cast<uint32_t>(T.size()); Eid != N;
+         ++Eid) {
+      std::optional<uint32_t> Key = viewKey(T, F, Eid);
+      if (!Key)
+        continue;
+      if (!InRun || *Key != RunKey) {
+        if (InRun)
+          Next[RunSlot] = Pos;
+        InRun = true;
+        RunKey = *Key;
+        RunSlot = S.Slots.slot(*Key);
+        Pos = Next[RunSlot];
+      }
+      Out[Pos++] = Eid;
+    }
+  });
 }
 
 } // namespace
 
-FamilyPartition rprism::partitionViewFamily(const Trace &T, size_t Family) {
-  assert(Family < NumViewFamilies && "no such view family");
-  size_t N = T.size();
-  switch (Family) {
-  case 0: // nu_TH: every entry belongs to its thread's view.
-    return partitionBy(N, [Tids = T.Tids.data()](uint32_t Eid) {
-      return std::optional<uint32_t>(Tids[Eid]);
-    });
-  case 1: // nu_CM: the (qualified) method on top of the call stack.
-    return partitionBy(N, [Methods = T.Methods.data()](uint32_t Eid) {
-      return std::optional<uint32_t>(Methods[Eid].Id);
-    });
-  case 2: // nu_TO: the event's target object, when it has one.
-    return partitionBy(N, [&T](uint32_t Eid) -> std::optional<uint32_t> {
-      const ObjRepr &Target = T.target(Eid);
-      if (!eventHasTargetObject(T.kind(Eid), Target))
-        return std::nullopt;
-      return Target.Loc;
-    });
-  default: // nu_AO: the receiver of the executing method, when there is one.
-    return partitionBy(N, [&T](uint32_t Eid) -> std::optional<uint32_t> {
-      const ObjRepr &Self = T.self(Eid);
-      if (Self.isNone())
-        return std::nullopt;
-      return Self.Loc;
-    });
-  }
+const char *rprism::viewFamilyName(size_t Family) {
+  static const char *const Names[NumViewFamilies] = {
+      "thread", "method", "target-object", "active-object"};
+  return Family < NumViewFamilies ? Names[Family] : "?";
 }
 
-ViewIndex rprism::computeViewIndex(const Trace &T) {
-  TelemetrySpan Span("view-index");
-  FamilyPartition Parts[NumViewFamilies];
-  size_t TotalEntries = 0;
-  for (size_t F = 0; F != NumViewFamilies; ++F) {
-    Parts[F] = partitionViewFamily(T, F);
-    for (const std::vector<uint32_t> &List : Parts[F].Lists)
-      TotalEntries += List.size();
-  }
+ViewIndex rprism::computeViewIndex(const Trace &T, ThreadPool *Pool) {
+  std::vector<FamilyScan> Scans;
+  Scans.reserve(NumViewFamilies);
+  for (size_t F = 0; F != NumViewFamilies; ++F)
+    Scans.emplace_back(T.size());
+
+  // Runs one pass of every family. The families share no state, so with
+  // workers they run concurrently.
+  const bool OnPool = Pool && Pool->numWorkers() > 1;
+  auto EachFamily = [Pool, OnPool](auto Pass) {
+    for (size_t F = 0; F != NumViewFamilies; ++F) {
+      auto Task = [&Pass, F] {
+        TelemetrySpan Span(viewFamilyName(F));
+        Pass(F);
+      };
+      if (OnPool)
+        Pool->submit(Task);
+      else
+        Task();
+    }
+    if (OnPool)
+      Pool->wait();
+  };
+
+  EachFamily([&T, &Scans](size_t F) { countFamily(T, F, Scans[F]); });
+
+  // Families lie back to back in the flat column, in family order. The
+  // buffer is not zero-filled first: its pages are first touched by the
+  // scatter passes, on the pool when there is one.
+  uint64_t Total = 0;
+  for (const FamilyScan &S : Scans)
+    Total += S.Total;
+  std::unique_ptr<uint32_t[]> Flat(new uint32_t[Total]);
+  uint32_t *Out[NumViewFamilies];
+  Out[0] = Flat.get();
+  for (size_t F = 1; F != NumViewFamilies; ++F)
+    Out[F] = Out[F - 1] + Scans[F - 1].Total;
+
+  EachFamily([&T, &Scans, &Out](size_t F) {
+    scatterFamily(T, F, Scans[F], Out[F]);
+  });
 
   ViewIndex Idx;
-  Idx.Entries.reserve(TotalEntries);
   for (size_t F = 0; F != NumViewFamilies; ++F) {
-    Idx.Keys[F].append(Parts[F].Keys.data(), Parts[F].Keys.size());
-    Idx.Counts[F].reserve(Parts[F].Lists.size());
-    for (const std::vector<uint32_t> &List : Parts[F].Lists) {
-      Idx.Counts[F].push_back(static_cast<uint32_t>(List.size()));
-      Idx.Entries.append(List.data(), List.size());
-    }
+    Idx.Keys[F] = Column<uint32_t>(std::move(Scans[F].Keys));
+    Idx.Counts[F] = Column<uint32_t>(std::move(Scans[F].Counts));
   }
+  Idx.Entries.borrow(Flat.get(), Total);
+  Idx.EntryBuffer = std::move(Flat);
   Idx.Present = true;
   return Idx;
 }

@@ -7,17 +7,13 @@
 ///
 /// \file
 /// The one place the four view-membership rules of Fig. 7 (nu_TH, nu_CM,
-/// nu_TO, nu_AO) are applied to a trace's entry columns. Each family is one
-/// scan, partitionViewFamily; the ViewWeb build runs the four scans (on a
-/// pool when it has one) and computeViewIndex flattens them into the
-/// ViewIndex the serializer persists. Lives in the trace layer (not views)
-/// so the serializer can emit index sections at save time without a
-/// layering inversion.
-///
-/// A web reconstructed from computeViewIndex(T) therefore holds the same
-/// views as ViewWeb(T) built by scanning — same family grouping, same
-/// first-appearance order, same ascending entry lists, same identities —
-/// by construction: both come from the same four scans.
+/// nu_TO, nu_AO) are applied to a trace's entry columns. viewKey is the
+/// rule; computeViewIndex applies it to every entry, one scan per family,
+/// and writes the flat ViewIndex (trace/Trace.h). That index is what the
+/// serializer persists and what every ViewWeb is assembled from — a
+/// scanned web from an index it computes, a warm web from the trace's own.
+/// Lives in the trace layer (not views) so the serializer can emit index
+/// sections at save time without a layering inversion.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,28 +22,52 @@
 
 #include "trace/Trace.h"
 
-#include <vector>
+#include <optional>
 
 namespace rprism {
 
-/// One view family's partition of a trace's entries: the keys of its views
-/// (tids, interned method-symbol ids or store locations) in order of first
-/// appearance, and each view's ascending entry-id list.
-struct FamilyPartition {
-  std::vector<uint32_t> Keys;
-  std::vector<std::vector<uint32_t>> Lists;
-};
+class ThreadPool;
 
-/// Scans the column(s) family \p Family keys on (0 = thread: tid;
-/// 1 = method: method symbol; 2 = target-object: target location, when
-/// eventHasTargetObject holds; 3 = active-object: self location, when self
-/// is not none) and returns its partition. A pure function of the columns,
-/// so the four families can be scanned concurrently.
-FamilyPartition partitionViewFamily(const Trace &T, size_t Family);
+/// Family \p Family's name — "thread", "method", "target-object" or
+/// "active-object" — which also names its scan spans.
+const char *viewFamilyName(size_t Family);
 
-/// The four family partitions of \p T flattened into a ViewIndex, in family
-/// order. The result is fully owned (no borrowing from T).
-ViewIndex computeViewIndex(const Trace &T);
+/// The key of entry \p Eid's view in family \p Family, or nothing when the
+/// entry joins no view of that family: 0 = thread, its tid; 1 = method,
+/// its qualified method's symbol id; 2 = target-object, its target's
+/// location when eventHasTargetObject holds; 3 = active-object, its
+/// receiver's location when self is not none.
+inline std::optional<uint32_t> viewKey(const Trace &T, size_t Family,
+                                       uint32_t Eid) {
+  switch (Family) {
+  case 0:
+    return T.tid(Eid);
+  case 1:
+    return T.method(Eid).Id;
+  case 2: {
+    const ObjRepr &Target = T.target(Eid);
+    if (!eventHasTargetObject(T.kind(Eid), Target))
+      return std::nullopt;
+    return Target.Loc;
+  }
+  default: {
+    const ObjRepr &Self = T.self(Eid);
+    if (Self.isNone())
+      return std::nullopt;
+    return Self.Loc;
+  }
+  }
+}
+
+/// Partitions \p T's entries into its views, family by family. Each family
+/// scan first counts its views — keys in order of first appearance, and
+/// entry counts — and, once every family's total is known, scatters the
+/// entry ids into its stretch of the one flat Entries column, so each
+/// view's list is ascending. With a \p Pool of more than one worker the
+/// four families scan concurrently; the index is identical either way.
+/// Each scan pass runs under a span named for its family. The result
+/// borrows nothing from T.
+ViewIndex computeViewIndex(const Trace &T, ThreadPool *Pool = nullptr);
 
 /// Structural sanity of \p Idx against a trace of \p NumEntries entries:
 /// per family, one count per key and no key twice; every per-view entry

@@ -21,10 +21,10 @@
 /// every other view it belongs to — the "web" of views.
 ///
 /// Which entries a view holds is decided in one place, the family scans of
-/// trace/ViewIndex.h. A web built by scanning runs those scans; a web
-/// reconstructed from a persisted ViewIndex reads their flattened output.
-/// Both assemble views through the same routine, so the two webs are
-/// identical by construction.
+/// trace/ViewIndex.h, and every web is assembled from their output, a flat
+/// ViewIndex: the trace's own (persisted in its file, or precomputed) or
+/// one the web computes and owns. A scanned web and a reconstructed one
+/// are therefore identical by construction.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,6 +33,7 @@
 
 #include "trace/Trace.h"
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -40,20 +41,18 @@
 namespace rprism {
 
 /// The four view types of §2.4. Each value is also its family's index in
-/// partitionViewFamily and in the persisted ViewIndex.
+/// viewKey and in the ViewIndex.
 enum class ViewType : uint8_t { Thread, Method, TargetObject, ActiveObject };
 
 const char *viewTypeName(ViewType Type);
 
 /// One view: its identity plus the (ascending) entry ids it contains.
-/// Entries is a Column so a web reconstructed from a trace's persisted
-/// ViewIndex borrows each view's list zero-copy out of the index's flat
-/// entry column (which itself may borrow the mapped trace file); webs
-/// built by scanning own their lists as before.
+/// Entries is a stretch of the flat entry column of the ViewIndex the web
+/// was assembled from (which itself may borrow the mapped trace file).
 struct View {
   ViewType Type = ViewType::Thread;
   uint32_t Id = 0; ///< Dense id within the owning ViewWeb.
-  Column<uint32_t> Entries; ///< Entry ids, ascending.
+  std::span<const uint32_t> Entries; ///< Entry ids, ascending.
 
   // Identity, depending on Type:
   uint32_t Tid = 0;       ///< Thread views.
@@ -74,20 +73,21 @@ class ThreadPool;
 /// The full web of views for one trace.
 class ViewWeb {
 public:
-  /// Builds every view of \p T. The trace must outlive the web. Each of
-  /// the four view families (thread, method, target-object, active-object)
-  /// is one partitionViewFamily scan, under a span named for the family;
-  /// with a \p Pool of more than one worker the four scans run
-  /// concurrently. View ids are dense and family-grouped (all thread views
+  /// Builds every view of \p T. The trace must outlive the web. When
+  /// \p UseIndex is set and the trace carries a current ViewIndex (loaded
+  /// from an indexed trace file or precomputed), views are assembled from
+  /// it in O(views), under a "view-index" span. Otherwise the web computes
+  /// and owns the index, under a "web-build" span: computeViewIndex scans
+  /// the four families (concurrently with a \p Pool of more than one
+  /// worker). View ids are dense and family-grouped (all thread views
   /// first, then method, target-object, active-object, each in order of
-  /// first appearance) — identical with and without a pool.
-  ///
-  /// When \p UseIndex is set and the trace carries a current ViewIndex
-  /// (loaded from an indexed trace file or precomputed), the entry scans are
-  /// skipped entirely: views are reconstructed from the index in O(views)
-  /// with entry lists borrowed zero-copy, producing the identical web.
+  /// first appearance) — the same web either way.
   explicit ViewWeb(const Trace &T, ThreadPool *Pool = nullptr,
                    bool UseIndex = true);
+
+  /// Views point into the index the web was assembled from.
+  ViewWeb(const ViewWeb &) = delete;
+  ViewWeb &operator=(const ViewWeb &) = delete;
 
   const Trace &trace() const { return *T; }
 
@@ -135,14 +135,10 @@ public:
 private:
   using KeyMap = std::unordered_map<uint32_t, uint32_t>;
 
-  /// Reconstructs every view from the trace's persisted ViewIndex:
-  /// O(views) work, entry lists borrowed from the index's flat column.
-  void buildFromIndex(const ViewIndex &Idx);
-
   /// Appends the next view of family \p Type, keyed \p Key, holding the
   /// non-empty ascending list \p Entries; object views take their
   /// representation endpoints from the first and last entry.
-  void addView(ViewType Type, uint32_t Key, Column<uint32_t> Entries);
+  void addView(ViewType Type, uint32_t Key, std::span<const uint32_t> Entries);
 
   const KeyMap &family(ViewType Type) const {
     return KeyToView[static_cast<size_t>(Type)];
@@ -153,6 +149,9 @@ private:
   }
 
   const Trace *T;
+  /// The computed index of a scanned web; empty when the web reads the
+  /// trace's own.
+  ViewIndex Owned;
   std::vector<View> Views;
   /// Per family (indexed by ViewType): tid / method symbol / location ->
   /// view id.

@@ -492,9 +492,6 @@ TEST(ViewsDiff, JobsCountDoesNotChangeResult) {
   for (unsigned Jobs : {2u, 4u, 0u}) {
     ViewsDiffOptions Options;
     Options.Jobs = Jobs;
-    // Small generated traces: keep the adaptive cutoff from silently
-    // collapsing every Jobs value back onto the sequential path.
-    Options.ParallelCutoffEntries = 0;
     DiffResult Parallel = viewsDiff(L, R, Options);
 
     EXPECT_EQ(Parallel.LeftSimilar, Ref.LeftSimilar) << "Jobs=" << Jobs;
@@ -609,7 +606,6 @@ TEST(ViewsDiff, DeterministicAcrossLoadPathsAndJobs) {
       SCOPED_TRACE(std::string(P.What) + " jobs=" + std::to_string(Jobs));
       ViewsDiffOptions Options;
       Options.Jobs = Jobs;
-      Options.ParallelCutoffEntries = 0;
       DiffResult Out = viewsDiff(*P.Lhs, *P.Rhs, Options);
       EXPECT_EQ(Out.render(50, 12), RefRender);
       EXPECT_EQ(Out.Stats.CompareOps, Ref.Stats.CompareOps);

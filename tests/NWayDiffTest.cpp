@@ -232,7 +232,6 @@ TEST(NWayDiff, DeterministicAcrossRepeatsAndJobs) {
   // change a byte (the jobs-determinism contract).
   ViewsDiffOptions Par;
   Par.Jobs = 3;
-  Par.ParallelCutoffEntries = 0;
   NWayResult Parallel = nwayDiff(Set.Base, Mutants, Par);
   EXPECT_EQ(Parallel.render(), First.render());
   EXPECT_EQ(Parallel.totalCompareOps(), First.totalCompareOps());

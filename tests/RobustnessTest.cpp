@@ -16,8 +16,8 @@
 ///      Corrupt error (core sections, header, table) or a dropped view
 ///      index (derived sections), never a crash.
 ///   3. The degradation ladder: transient I/O retries, view-index drop,
-///      cache-insert fallback, pool-dispatch stalls — each leaves results
-///      correct and increments its `robust.*` counter.
+///      pool-dispatch stalls — each leaves results correct, and the first
+///      two increment their `robust.*` counters.
 ///   4. Salvage mode recovers a byte-identical entry prefix from damaged
 ///      files, trusting each section's own checksum when the header is
 ///      damaged, and refuses when the side tables are gone.
@@ -26,7 +26,6 @@
 
 #include "TraceFileLayout.h"
 
-#include "cache/DiffCache.h"
 #include "robustness/FaultInjector.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
@@ -464,7 +463,7 @@ TEST(HostileKeys, HugeObjectLocationDiffsWithBoundedKeyMaps) {
 }
 
 //===----------------------------------------------------------------------===//
-// Degradation ladder: I/O retry, view-index drop, cache fallback, stalls
+// Degradation ladder: I/O retry, view-index drop, stalls
 //===----------------------------------------------------------------------===//
 
 TEST(DegradationLadder, TransientOpenFailureIsRetried) {
@@ -574,34 +573,6 @@ TEST(DegradationLadder, ViewIndexBorrowFaultDropsIndexOnly) {
   std::remove(Path.c_str());
 }
 
-TEST(DegradationLadder, CacheInsertFaultServesResultsUncached) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace Left = workloadTrace(Strings);
-  GeneratorOptions G;
-  G.NumClasses = 3;
-  G.OuterIters = 12;
-  G.NumThreads = 2;
-  G.Seed = 42;
-  G.Perturb = 1;
-  Trace Right = traceOf(generateProgram(G), Strings);
-  DiffResult Reference = viewsDiff(Left, Right, ViewsDiffOptions());
-
-  DiffCache Cache;
-  TelemetryWindow W;
-  {
-    ScopedFaultInjection Arm(13);
-    FaultInjector::get().configure(FaultSite::CacheInsert, 1.0);
-    DiffResult Result = cachedViewsDiff(Left, Right, ViewsDiffOptions(), Cache);
-    // Every insert was dropped: results identical, nothing retained.
-    EXPECT_EQ(Reference.render(50, 12), Result.render(50, 12));
-    EXPECT_EQ(Reference.Stats.CompareOps, Result.Stats.CompareOps);
-    EXPECT_EQ(Cache.numEntries(), 0u);
-    EXPECT_EQ(Cache.bytes(), 0u);
-  }
-  EXPECT_GE(W.counter("robust.cache_insert_dropped"), 3u)
-      << "two webs and one correlation should all have been dropped";
-}
-
 TEST(DegradationLadder, PoolDispatchStallsNeverChangeResults) {
   auto Strings = std::make_shared<StringInterner>();
   Trace Left = workloadTrace(Strings);
@@ -614,7 +585,6 @@ TEST(DegradationLadder, PoolDispatchStallsNeverChangeResults) {
   Trace Right = traceOf(generateProgram(G), Strings);
   ViewsDiffOptions Options;
   Options.Jobs = 4;
-  Options.ParallelCutoffEntries = 0; // Force the parallel machinery.
   DiffResult Reference = viewsDiff(Left, Right, Options);
   {
     ScopedFaultInjection Arm(17);
@@ -963,19 +933,20 @@ TEST(FaultSpec, ValidSpecArmsExactlyLikeArmPlusConfigure) {
   EXPECT_TRUE(FaultInjector::enabled());
   EXPECT_TRUE(FaultInjector::fire(FaultSite::FileOpen));
   // Unconfigured sites stay quiet.
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::CacheInsert));
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
   FI.disarm();
 }
 
 TEST(FaultSpec, OneShotClauseFiresExactlyThatOccurrence) {
   FaultInjector &FI = FaultInjector::get();
   std::string Error;
-  ASSERT_TRUE(FI.armFromSpec("seed=1,cache-insert:0@2", &Error)) << Error;
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::CacheInsert));
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::CacheInsert));
-  EXPECT_TRUE(FaultInjector::fire(FaultSite::CacheInsert));
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::CacheInsert));
-  EXPECT_EQ(FI.injected(FaultSite::CacheInsert), 1u);
+  ASSERT_TRUE(FI.armFromSpec("seed=1,view-index-borrow:0@2", &Error))
+      << Error;
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
+  EXPECT_TRUE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
+  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
+  EXPECT_EQ(FI.injected(FaultSite::ViewIndexBorrow), 1u);
   FI.disarm();
 }
 

@@ -173,9 +173,6 @@ TelemetrySnapshot diffSnapshot(const Trace &Left, const Trace &Right,
   Telemetry::get().reset();
   ViewsDiffOptions Options;
   Options.Jobs = Jobs;
-  // The traces here are small; disable the adaptive cutoff so each Jobs
-  // value really runs through the parallel machinery it claims to test.
-  Options.ParallelCutoffEntries = 0;
   CompareOps = viewsDiff(Left, Right, Options).Stats.CompareOps;
   return Telemetry::get().snapshot();
 }
@@ -236,6 +233,13 @@ TEST(Telemetry, DiffCountersAndSpanPathsAreJobsInvariant) {
   };
   EXPECT_EQ(Paths(Seq), Paths(Par));
   EXPECT_EQ(Paths(Seq), Paths(Par8));
+  // Among them: the family scans, and the merge's two phases — the union
+  // of the per-pair results and the refilter of the merged sequences.
+  for (const char *Path :
+       {"views-diff/web-build/thread", "views-diff/web-build/active-object",
+        "views-diff/evaluate/pair", "views-diff/merge",
+        "views-diff/merge/union", "views-diff/merge/refilter"})
+    EXPECT_TRUE(Paths(Seq).count(Path)) << Path;
 }
 
 //===----------------------------------------------------------------------===//

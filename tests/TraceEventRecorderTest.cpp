@@ -183,7 +183,6 @@ TEST(TraceEventRecorder, BeginEndNestingBalancesPerThread) {
     RecorderWindow Window(noSampler());
     ViewsDiffOptions Options;
     Options.Jobs = 4;
-    Options.ParallelCutoffEntries = 0;
     viewsDiff(Pair.Left, Pair.Right, Options);
   }
   std::string Text = TraceEventRecorder::get().renderChromeTrace();
@@ -218,7 +217,6 @@ TEST(TraceEventRecorder, StageEventSetIsJobsInvariant) {
     TraceEventRecorder::get().arm(noSampler());
     ViewsDiffOptions Options;
     Options.Jobs = Jobs;
-    Options.ParallelCutoffEntries = 0;
     viewsDiff(Pair.Left, Pair.Right, Options);
     TraceEventRecorder::get().disarm();
     std::string Text = TraceEventRecorder::get().renderChromeTrace();

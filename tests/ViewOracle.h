@@ -19,7 +19,9 @@
 /// active-object), views within a family in order of first appearance,
 /// entry lists ascending. expectWebMatchesOracle checks every view of a
 /// ViewWeb — type, dense id, key, entries and representation endpoints —
-/// against the reference computed from the web's own trace.
+/// against the reference computed from the web's own trace, and
+/// expectIndexMatchesOracle checks a ViewIndex's keys, counts and flat
+/// entry column.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -122,6 +124,32 @@ inline void expectWebMatchesOracle(const rprism::ViewWeb &Web,
     EXPECT_EQ(0, std::memcmp(&V.FirstRepr, &First, sizeof(ObjRepr)));
     EXPECT_EQ(0, std::memcmp(&V.LastRepr, &Last, sizeof(ObjRepr)));
   }
+}
+
+/// Checks \p Idx against the reference partition of \p T: per family, the
+/// keys and entry counts of its views in order, and the flat entry column
+/// listing every view's entries, family by family.
+inline void expectIndexMatchesOracle(const rprism::ViewIndex &Idx,
+                                     const rprism::Trace &T,
+                                     const std::string &What) {
+  using rprism::NumViewFamilies;
+  std::vector<uint32_t> Keys[NumViewFamilies], Counts[NumViewFamilies];
+  std::vector<uint32_t> Entries;
+  for (const RefView &R : referenceViews(T)) {
+    size_t F = static_cast<size_t>(R.Type);
+    Keys[F].push_back(R.Key);
+    Counts[F].push_back(static_cast<uint32_t>(R.Entries.size()));
+    Entries.insert(Entries.end(), R.Entries.begin(), R.Entries.end());
+  }
+  auto Vec = [](const rprism::Column<uint32_t> &C) {
+    return std::vector<uint32_t>(C.begin(), C.end());
+  };
+  ASSERT_TRUE(Idx.Present) << What;
+  for (size_t F = 0; F != NumViewFamilies; ++F) {
+    EXPECT_EQ(Vec(Idx.Keys[F]), Keys[F]) << What << ", family " << F;
+    EXPECT_EQ(Vec(Idx.Counts[F]), Counts[F]) << What << ", family " << F;
+  }
+  EXPECT_EQ(Vec(Idx.Entries), Entries) << What;
 }
 
 /// One randomized generated-workload configuration: classes, iterations,

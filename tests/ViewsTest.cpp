@@ -13,6 +13,7 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 #include "trace/Serialize.h"
+#include "trace/ValueHash.h"
 #include "trace/ViewIndex.h"
 #include "views/Views.h"
 #include "workload/Corpus.h"
@@ -20,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <random>
 #include <unistd.h>
 
@@ -222,12 +224,76 @@ TEST(ViewWeb, MultiThreadedTracesHaveOneViewPerThread) {
 // Reference oracle: every way of building a web yields the Fig. 7 views
 //===----------------------------------------------------------------------===//
 
-/// Checks the webs of \p T built five ways against the oracle: scanned
-/// with no pool, on a 4-worker pool and with telemetry on; reconstructed
-/// from computeViewIndex; and reconstructed from a written trace file
-/// reloaded into a fresh and into a busy interner.
+/// Checks that \p A and \p B hold the same bytes in every family's keys
+/// and counts and in the flat entry column.
+void expectIndexesIdentical(const ViewIndex &A, const ViewIndex &B,
+                            const std::string &What) {
+  auto Same = [](const Column<uint32_t> &X, const Column<uint32_t> &Y) {
+    return X.size() == Y.size() &&
+           (X.empty() || std::memcmp(X.data(), Y.data(), X.byteSize()) == 0);
+  };
+  for (size_t F = 0; F != NumViewFamilies; ++F) {
+    EXPECT_TRUE(Same(A.Keys[F], B.Keys[F])) << What << ", family " << F;
+    EXPECT_TRUE(Same(A.Counts[F], B.Counts[F])) << What << ", family " << F;
+  }
+  EXPECT_TRUE(Same(A.Entries, B.Entries)) << What;
+}
+
+/// A trace whose store locations lie far past the dense bound of the
+/// scans' key map (the entry count plus 1024), so its object views are
+/// keyed through the map's hash fallback: two threads set fields of
+/// objects at huge and small locations, from methods whose receivers sit
+/// at such locations too, each object seen again after others.
+Trace sparseLocationTrace() {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T;
+  T.Strings = Strings;
+  T.Name = "sparse-locations";
+  ThreadInfo Main;
+  Main.EntryMethod = Strings->intern("main");
+  ThreadInfo Worker;
+  Worker.Tid = 1;
+  Worker.EntryMethod = Strings->intern("A.run");
+  T.Threads = {Main, Worker};
+  const uint32_t Locs[] = {0xFFFFFFF0u, 7,  0x80000000u, 3,
+                           0x10000000u, 7,  0xFFFFFFF0u, 0x80000000u};
+  for (uint32_t I = 0; I != 48; ++I) {
+    TraceEntry E;
+    E.Tid = I % 3 == 2 ? 1 : 0;
+    E.Method = E.Tid ? Worker.EntryMethod : Main.EntryMethod;
+    if (E.Tid) {
+      E.Self.ClassName = Strings->intern("A");
+      E.Self.Loc = Locs[(I / 3) % 8];
+      E.Self.CreationSeq = (I / 3) % 8 + 1;
+    }
+    E.Ev.Kind = EventKind::FieldSet;
+    E.Ev.Name = Strings->intern("x");
+    E.Ev.Target.ClassName = Strings->intern("A");
+    E.Ev.Target.Loc = Locs[I % 8];
+    E.Ev.Target.CreationSeq = I % 8 + 1;
+    E.Ev.Value.Kind = ReprKind::Int;
+    E.Ev.Value.Hash = intValueHash(I);
+    T.append(E);
+  }
+  T.computeFingerprints();
+  return T;
+}
+
+/// Checks the index every scanned web is assembled from — computed with
+/// no pool and on a 4-worker pool — against the oracle and for byte
+/// identity; then the webs of \p T built five ways: scanned with no pool,
+/// on a 4-worker pool and with telemetry on; reconstructed from
+/// computeViewIndex; and reconstructed from a written trace file reloaded
+/// into a fresh and into a busy interner.
 void expectEveryBuildMatchesOracle(Trace T, const std::string &What) {
   ASSERT_GT(T.size(), 0u) << What;
+  ViewIndex Index = computeViewIndex(T);
+  vieworacle::expectIndexMatchesOracle(Index, T, What + ", index");
+  {
+    ThreadPool Pool(4);
+    expectIndexesIdentical(Index, computeViewIndex(T, &Pool),
+                           What + ", index on a 4-worker pool");
+  }
   {
     ViewWeb Web(T, nullptr, /*UseIndex=*/false);
     expectWebMatchesOracle(Web, What + ", no pool");
@@ -250,7 +316,7 @@ void expectEveryBuildMatchesOracle(Trace T, const std::string &What) {
   std::string Path = "/tmp/rprism_viewstest_" + std::to_string(::getpid()) +
                      "_" + std::to_string(FileCount++) + ".rpt";
   ASSERT_TRUE(writeTrace(T, Path)) << What;
-  T.ViewIdx = computeViewIndex(T);
+  T.ViewIdx = std::move(Index);
   {
     ViewWeb Web(T);
     expectWebMatchesOracle(Web, What + ", from computeViewIndex");
@@ -282,6 +348,20 @@ TEST(ViewOracle, EveryWebBuildMatchesOnGeneratedWorkloads) {
           traceOf(generateProgram(vieworacle::drawGeneratorOptions(Rng))),
           "seed " + std::to_string(Seed) + " round " + std::to_string(Round));
   }
+  // Three threads, so a thread family scan interleaves its views.
+  GeneratorOptions Threads;
+  Threads.NumClasses = 4;
+  Threads.OuterIters = 24;
+  Threads.NumThreads = 3;
+  Threads.Seed = 11;
+  Threads.Perturb = 1;
+  Trace ThreeThreads = traceOf(generateProgram(Threads));
+  ASSERT_EQ(ViewWeb(ThreeThreads).numThreadViews(), 3u);
+  expectEveryBuildMatchesOracle(std::move(ThreeThreads), "three threads");
+
+  Trace Sparse = sparseLocationTrace();
+  ASSERT_GT(Sparse.target(0).Loc, Sparse.size() + 1024);
+  expectEveryBuildMatchesOracle(std::move(Sparse), "sparse locations");
 }
 
 TEST(ViewOracle, EveryWebBuildMatchesOnCorpusPrograms) {

@@ -212,8 +212,8 @@ set -e
 # --- numeric flags ------------------------------------------------------------
 # --jobs takes a whole number from 0 to 256 and --int-input a 64-bit
 # integer; a malformed or out-of-range value is a usage error before any
-# work starts, never truncated or saturated. (The fixture pair is below the
-# parallel cutoff, so even an accepted --jobs value starts no workers.)
+# work starts, never truncated or saturated. (An accepted value is
+# honored: --jobs 256 starts 256 workers, even on the small fixture pair.)
 set +e
 for JOBS in 4294967297 99999999999999999999 257 -1 4x ""; do
   "$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/new.rpt" --jobs "$JOBS" \
