@@ -45,9 +45,24 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace rprism {
+
+/// std::allocator, except that value-less construction default-initializes,
+/// so a vector's resize() leaves new elements of a packed value type
+/// unwritten (see Column::resize).
+template <typename T> struct DefaultInitAllocator : std::allocator<T> {
+  using std::allocator<T>::allocator;
+  template <typename U> void construct(U *P) noexcept {
+    ::new (static_cast<void *>(P)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U *P, Args &&...A) noexcept {
+    ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
+  }
+};
 
 /// One column of the columnar trace: a contiguous array of a trivially
 /// copyable element type. Either *owning* (backed by its own vector) or
@@ -61,9 +76,6 @@ template <typename T> class Column {
 
 public:
   Column() = default;
-
-  /// An owning column that takes over \p V's storage (no copy).
-  explicit Column(std::vector<T> &&V) : Own(std::move(V)) { reset(); }
 
   // Copies deep-copy into owned storage (trace copies are rare: tests and
   // benchmarks); moves transfer the vector, whose data pointer is stable.
@@ -117,6 +129,8 @@ public:
     Len = Own.size();
   }
 
+  /// Resizes to \p N elements. New elements are left uninitialized: the
+  /// caller writes each one through mutData().
   void resize(size_t N) {
     detach();
     Own.resize(N);
@@ -175,7 +189,7 @@ private:
     Borrowed = false;
   }
 
-  std::vector<T> Own;
+  std::vector<T, DefaultInitAllocator<T>> Own;
   const T *Ptr = nullptr;
   size_t Len = 0;
   bool Borrowed = false;
@@ -216,11 +230,6 @@ struct ViewIndex {
   Column<uint32_t> Counts[NumViewFamilies];
   Column<uint32_t> Entries;
 
-  /// Keep-alive for a computed index's entry ids, which Entries borrows:
-  /// the family scans write them straight into an unzeroed buffer (see
-  /// computeViewIndex). Null when Entries owns its ids or borrows a file.
-  std::shared_ptr<const void> EntryBuffer;
-
   /// True when the index describes the owning trace's current entries.
   /// Any entry mutation (append) resets it; readers must treat a
   /// non-Present index as absent.
@@ -232,7 +241,6 @@ struct ViewIndex {
       Counts[F].clear();
     }
     Entries.clear();
-    EntryBuffer.reset();
     Present = false;
   }
 
@@ -241,13 +249,6 @@ struct ViewIndex {
     for (size_t F = 0; F != NumViewFamilies; ++F)
       Total += Keys[F].size();
     return Total;
-  }
-
-  uint64_t byteSize() const {
-    uint64_t Bytes = Entries.byteSize();
-    for (size_t F = 0; F != NumViewFamilies; ++F)
-      Bytes += Keys[F].byteSize() + Counts[F].byteSize();
-    return Bytes;
   }
 };
 

@@ -5,7 +5,6 @@
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
 
-#include <memory>
 #include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
@@ -49,9 +48,7 @@ private:
 };
 
 /// One family's scan state, kept from its count pass to its scatter pass.
-/// Aligned to a cache line, so the four families' scans, which run on
-/// different workers, never write to a line another one reads.
-struct alignas(64) FamilyScan {
+struct FamilyScan {
   explicit FamilyScan(size_t NumEntries) : Slots(NumEntries) {}
 
   ViewKeyMap Slots;             ///< Key -> the view's index in Keys.
@@ -76,37 +73,22 @@ template <typename Fn> void withFamily(size_t Family, Fn Body) {
 }
 
 /// The count pass: assigns each key its view, in order of first
-/// appearance, and counts the view's entries. Consecutive entries often
-/// share a key (a thread runs for a quantum, a method for its body), so a
-/// run of one key is looked up once and counted in a register.
+/// appearance, and counts the view's entries.
 void countFamily(const Trace &T, size_t Family, FamilyScan &S) {
   withFamily(Family, [&T, &S](auto F) {
-    bool InRun = false;
-    uint32_t RunKey = 0, RunSlot = 0, RunLength = 0;
     for (uint32_t Eid = 0, N = static_cast<uint32_t>(T.size()); Eid != N;
          ++Eid) {
       std::optional<uint32_t> Key = viewKey(T, F, Eid);
       if (!Key)
         continue;
-      if (InRun && *Key == RunKey) {
-        ++RunLength;
-        continue;
-      }
-      if (InRun)
-        S.Counts[RunSlot] += RunLength;
       uint32_t &Slot = S.Slots.slot(*Key);
       if (Slot == ~0u) {
         Slot = static_cast<uint32_t>(S.Keys.size());
         S.Keys.push_back(*Key);
         S.Counts.push_back(0);
       }
-      InRun = true;
-      RunKey = *Key;
-      RunSlot = Slot;
-      RunLength = 1;
+      ++S.Counts[Slot];
     }
-    if (InRun)
-      S.Counts[RunSlot] += RunLength;
   });
   for (uint32_t Count : S.Counts)
     S.Total += Count;
@@ -115,7 +97,7 @@ void countFamily(const Trace &T, size_t Family, FamilyScan &S) {
 /// The scatter pass: writes each entry id at its view's next free position
 /// in \p Out, the family's stretch of the flat column. Views sit back to
 /// back in key order and entries arrive in eid order, so every list comes
-/// out ascending. A run of one key keeps its position in a register.
+/// out ascending.
 void scatterFamily(const Trace &T, size_t Family, FamilyScan &S,
                    uint32_t *Out) {
   std::vector<uint32_t> Next(S.Counts.size());
@@ -125,22 +107,11 @@ void scatterFamily(const Trace &T, size_t Family, FamilyScan &S,
     Offset += S.Counts[V];
   }
   withFamily(Family, [&T, &S, &Next, Out](auto F) {
-    bool InRun = false;
-    uint32_t RunKey = 0, RunSlot = 0, Pos = 0;
     for (uint32_t Eid = 0, N = static_cast<uint32_t>(T.size()); Eid != N;
          ++Eid) {
       std::optional<uint32_t> Key = viewKey(T, F, Eid);
-      if (!Key)
-        continue;
-      if (!InRun || *Key != RunKey) {
-        if (InRun)
-          Next[RunSlot] = Pos;
-        InRun = true;
-        RunKey = *Key;
-        RunSlot = S.Slots.slot(*Key);
-        Pos = Next[RunSlot];
-      }
-      Out[Pos++] = Eid;
+      if (Key)
+        Out[Next[S.Slots.slot(*Key)]++] = Eid;
     }
   });
 }
@@ -180,14 +151,15 @@ ViewIndex rprism::computeViewIndex(const Trace &T, ThreadPool *Pool) {
   EachFamily([&T, &Scans](size_t F) { countFamily(T, F, Scans[F]); });
 
   // Families lie back to back in the flat column, in family order. The
-  // buffer is not zero-filled first: its pages are first touched by the
+  // column is not zero-filled first, so its pages are first touched by the
   // scatter passes, on the pool when there is one.
   uint64_t Total = 0;
   for (const FamilyScan &S : Scans)
     Total += S.Total;
-  std::unique_ptr<uint32_t[]> Flat(new uint32_t[Total]);
+  ViewIndex Idx;
+  Idx.Entries.resize(Total);
   uint32_t *Out[NumViewFamilies];
-  Out[0] = Flat.get();
+  Out[0] = Idx.Entries.mutData();
   for (size_t F = 1; F != NumViewFamilies; ++F)
     Out[F] = Out[F - 1] + Scans[F - 1].Total;
 
@@ -195,13 +167,10 @@ ViewIndex rprism::computeViewIndex(const Trace &T, ThreadPool *Pool) {
     scatterFamily(T, F, Scans[F], Out[F]);
   });
 
-  ViewIndex Idx;
   for (size_t F = 0; F != NumViewFamilies; ++F) {
-    Idx.Keys[F] = Column<uint32_t>(std::move(Scans[F].Keys));
-    Idx.Counts[F] = Column<uint32_t>(std::move(Scans[F].Counts));
+    Idx.Keys[F].append(Scans[F].Keys.data(), Scans[F].Keys.size());
+    Idx.Counts[F].append(Scans[F].Counts.data(), Scans[F].Counts.size());
   }
-  Idx.Entries.borrow(Flat.get(), Total);
-  Idx.EntryBuffer = std::move(Flat);
   Idx.Present = true;
   return Idx;
 }
