@@ -3,6 +3,7 @@
 #include "analysis/Regression.h"
 
 #include "cache/DiffCache.h"
+#include "support/Bitset.h"
 #include "support/Hashing.h"
 #include "support/Telemetry.h"
 
@@ -96,20 +97,19 @@ private:
 /// How many keys ahead a table pass prefetches.
 constexpr size_t PrefetchAhead = 16;
 
-/// The differing entries of one side of a diff (those \p Similar marks
-/// false), in eid order, with their content keys. Computing every key
-/// before the table pass lets that pass prefetch ahead.
+/// The differing entries of one side of a diff (the clear bits of
+/// \p Similar, found a word at a time), in eid order, with their content
+/// keys. Computing every key before the table pass lets that pass
+/// prefetch ahead.
 struct SideDiffs {
   std::vector<uint32_t> Eids;
   std::vector<uint64_t> Keys;
 
-  SideDiffs(const Trace &T, const std::vector<bool> &Similar, bool NewSide) {
-    for (uint32_t Eid = 0; Eid != Similar.size(); ++Eid) {
-      if (Similar[Eid])
-        continue;
-      Eids.push_back(Eid);
-      Keys.push_back(diffContentKey(T, Eid, NewSide));
-    }
+  SideDiffs(const Trace &T, const Bitset &Similar, bool NewSide) {
+    Similar.forEachClear([&](size_t Eid) {
+      Eids.push_back(static_cast<uint32_t>(Eid));
+      Keys.push_back(diffContentKey(T, static_cast<uint32_t>(Eid), NewSide));
+    });
   }
 
   /// Prefetches, in \p Table, the slot of the key PrefetchAhead places

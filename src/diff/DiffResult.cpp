@@ -3,47 +3,68 @@
 #include "diff/DiffResult.h"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
 
 using namespace rprism;
 
-std::string rprism::summarizeSequence(const Trace &Left, const Trace &Right,
-                                      const DiffSequence &Seq) {
-  // Dominant executing method across both sides.
-  std::map<uint32_t, unsigned> MethodCounts;
-  std::set<std::string> Objects;
-  auto Visit = [&](const Trace &T, const std::vector<uint32_t> &Eids) {
-    for (uint32_t Eid : Eids) {
-      ++MethodCounts[T.Methods[Eid].Id];
-      if (!T.target(Eid).isNone())
-        Objects.insert(T.renderObj(T.target(Eid)));
-    }
-  };
-  Visit(Left, Seq.LeftEids);
-  Visit(Right, Seq.RightEids);
-  if (MethodCounts.empty())
-    return "(empty sequence)";
+void SequenceSites::add(const Trace &T, const std::vector<uint32_t> &Eids) {
+  for (uint32_t Eid : Eids) {
+    ++MethodCounts[T.Methods[Eid].Id];
+    const ObjRepr &Target = T.target(Eid);
+    if (Target.isNone())
+      continue;
+    // Consecutive entries mostly touch one object: skip the repeats here.
+    uint64_t Key = uint64_t{Target.ClassName.Id} << 32 | Target.CreationSeq;
+    if (Targets.empty() || Targets.back().first != Key)
+      Targets.emplace_back(Key, &Target);
+  }
+}
 
+Symbol SequenceSites::dominantMethod() const {
   auto Dominant = std::max_element(
       MethodCounts.begin(), MethodCounts.end(),
       [](const auto &A, const auto &B) { return A.second < B.second; });
-  // Both traces share one interner, so either resolves the symbol.
-  std::ostringstream OS;
-  OS << "in " << Left.Strings->text(Symbol{Dominant->first}) << " (-"
-     << Seq.LeftEids.size() << "/+" << Seq.RightEids.size() << ")";
-  if (!Objects.empty()) {
-    OS << " touching";
-    size_t Shown = 0;
-    for (const std::string &Obj : Objects) {
-      if (Shown++ == 3) {
-        OS << " ...";
-        break;
-      }
-      OS << ' ' << Obj;
+  return Symbol{Dominant->first};
+}
+
+void SequenceSites::printObjects(std::ostream &OS, const Trace &T,
+                                 size_t Limit) {
+  std::sort(Targets.begin(), Targets.end(),
+            [](const auto &A, const auto &B) { return A.first < B.first; });
+  Targets.erase(std::unique(Targets.begin(), Targets.end(),
+                            [](const auto &A, const auto &B) {
+                              return A.first == B.first;
+                            }),
+                Targets.end());
+  std::set<std::string> Objects;
+  for (const auto &[Key, Target] : Targets)
+    Objects.insert(T.renderObj(*Target));
+  if (Objects.empty())
+    return;
+  OS << " touching";
+  size_t Shown = 0;
+  for (const std::string &Obj : Objects) {
+    if (Shown++ == Limit) {
+      OS << " ...";
+      break;
     }
+    OS << ' ' << Obj;
   }
+}
+
+std::string rprism::summarizeSequence(const Trace &Left, const Trace &Right,
+                                      const DiffSequence &Seq) {
+  SequenceSites Sites;
+  Sites.add(Left, Seq.LeftEids);
+  Sites.add(Right, Seq.RightEids);
+  if (Sites.empty())
+    return "(empty sequence)";
+  // Both traces share one interner, so Left resolves every symbol.
+  std::ostringstream OS;
+  OS << "in " << Left.Strings->text(Sites.dominantMethod()) << " (-"
+     << Seq.LeftEids.size() << "/+" << Seq.RightEids.size() << ")";
+  Sites.printObjects(OS, Left, 3);
   return OS.str();
 }
 

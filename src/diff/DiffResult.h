@@ -17,8 +17,11 @@
 #ifndef RPRISM_DIFF_DIFFRESULT_H
 #define RPRISM_DIFF_DIFFRESULT_H
 
+#include "support/Bitset.h"
 #include "trace/Trace.h"
 
+#include <map>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -51,24 +54,18 @@ struct DiffResult {
 
   /// Pi membership: LeftSimilar[eid] is true when the left entry was found
   /// similar to some right entry (and vice versa).
-  std::vector<bool> LeftSimilar;
-  std::vector<bool> RightSimilar;
+  Bitset LeftSimilar;
+  Bitset RightSimilar;
 
   std::vector<DiffSequence> Sequences;
   DiffStats Stats;
 
   /// Differences per side (entries not in Pi).
   uint64_t numLeftDiffs() const {
-    uint64_t N = 0;
-    for (bool Similar : LeftSimilar)
-      N += !Similar;
-    return N;
+    return LeftSimilar.size() - LeftSimilar.count();
   }
   uint64_t numRightDiffs() const {
-    uint64_t N = 0;
-    for (bool Similar : RightSimilar)
-      N += !Similar;
-    return N;
+    return RightSimilar.size() - RightSimilar.count();
   }
   uint64_t numDiffs() const { return numLeftDiffs() + numRightDiffs(); }
 
@@ -82,6 +79,32 @@ struct DiffResult {
 /// higher-level semantic difference", §5.1 — the label names it).
 std::string summarizeSequence(const Trace &Left, const Trace &Right,
                               const DiffSequence &Seq);
+
+/// What the entries of a difference sequence execute and touch, for the
+/// one-line labels: entries per executing method, and the target objects.
+/// An object's text is fixed by its (class symbol, creation seq) pair, so
+/// targets are kept as those integers and only the distinct ones are ever
+/// rendered.
+class SequenceSites {
+public:
+  /// Counts the entries \p Eids of \p T.
+  void add(const Trace &T, const std::vector<uint32_t> &Eids);
+
+  bool empty() const { return MethodCounts.empty(); }
+
+  /// The method executing the most entries (the lowest symbol on a tie).
+  Symbol dominantMethod() const;
+
+  /// Prints " touching" and the first \p Limit distinct targets in the
+  /// lexicographic order of their text (then " ..." if more remain), or
+  /// nothing when no entry has a target. \p T may be any trace sharing
+  /// the added traces' interner.
+  void printObjects(std::ostream &OS, const Trace &T, size_t Limit);
+
+private:
+  std::map<uint32_t, unsigned> MethodCounts;
+  std::vector<std::pair<uint64_t, const ObjRepr *>> Targets;
+};
 
 } // namespace rprism
 

@@ -216,8 +216,8 @@ DiffResult rprism::lcsDiff(const Trace &Left, const Trace &Right,
   DiffResult Result;
   Result.Left = &Left;
   Result.Right = &Right;
-  Result.LeftSimilar.assign(Left.size(), false);
-  Result.RightSimilar.assign(Right.size(), false);
+  Result.LeftSimilar.assign(Left.size());
+  Result.RightSimilar.assign(Right.size());
 
   std::vector<uint32_t> LeftIds = allEids(Left);
   std::vector<uint32_t> RightIds = allEids(Right);
@@ -243,8 +243,8 @@ DiffResult rprism::lcsDiff(const Trace &Left, const Trace &Right,
   }
 
   for (auto [L, R] : Lcs.Matches) {
-    Result.LeftSimilar[L] = true;
-    Result.RightSimilar[R] = true;
+    Result.LeftSimilar.set(L);
+    Result.RightSimilar.set(R);
   }
 
   // Difference sequences: the gaps between consecutive LCS matches.

@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <map>
 #include <optional>
-#include <set>
 #include <sstream>
 
 using namespace rprism;
@@ -26,48 +25,17 @@ namespace {
 /// interner-shared, so equal insertions still cluster.
 std::string siteLabel(const Trace &Base, const Trace &Mutant,
                       const DiffSequence &Seq) {
-  std::map<uint32_t, unsigned> MethodCounts;
-  std::set<std::string> Objects;
-  auto Visit = [&](const Trace &T, const std::vector<uint32_t> &Eids) {
-    for (uint32_t Eid : Eids) {
-      ++MethodCounts[T.Methods[Eid].Id];
-      if (!T.target(Eid).isNone())
-        Objects.insert(T.renderObj(T.target(Eid)));
-    }
-  };
+  SequenceSites Sites;
   if (!Seq.LeftEids.empty())
-    Visit(Base, Seq.LeftEids);
+    Sites.add(Base, Seq.LeftEids);
   else
-    Visit(Mutant, Seq.RightEids);
-  if (MethodCounts.empty())
+    Sites.add(Mutant, Seq.RightEids);
+  if (Sites.empty())
     return "(empty sequence)";
-  auto Dominant = std::max_element(
-      MethodCounts.begin(), MethodCounts.end(),
-      [](const auto &A, const auto &B) { return A.second < B.second; });
   std::ostringstream OS;
-  OS << "in " << Base.Strings->text(Symbol{Dominant->first});
-  if (!Objects.empty()) {
-    OS << " touching";
-    size_t Shown = 0;
-    for (const std::string &Obj : Objects) {
-      if (Shown++ == 2) {
-        OS << " ...";
-        break;
-      }
-      OS << ' ' << Obj;
-    }
-  }
+  OS << "in " << Base.Strings->text(Sites.dominantMethod());
+  Sites.printObjects(OS, Base, 2);
   return OS.str();
-}
-
-/// Gathers the fingerprint lane of one view (the same strided load the
-/// pair evaluator performs).
-std::vector<uint64_t> gatherLane(const Trace &T, const View &V) {
-  std::vector<uint64_t> Lane(V.Entries.size());
-  const uint64_t *Fps = T.Fps.data();
-  for (size_t I = 0; I != V.Entries.size(); ++I)
-    Lane[I] = Fps[V.Entries[I]];
-  return Lane;
 }
 
 /// Lane-level agreement scan of one mutant: checks every correlated
@@ -82,6 +50,7 @@ scanLanes(const ViewWeb &BaseWeb, const BaselineLanes &Lanes,
   size_t PairedBase = 0;
   size_t PairedMut = 0;
   bool AllEqual = true;
+  std::vector<uint64_t> MutStorage; // Gathered mutant lanes, one at a time.
   for (const auto &[L, R] : X.threadPairs()) {
     ++PairedBase;
     ++PairedMut;
@@ -91,24 +60,24 @@ scanLanes(const ViewWeb &BaseWeb, const BaselineLanes &Lanes,
       continue;
     }
     const View &RV = MutWeb.view(R);
-    std::vector<uint64_t> MutLane = gatherLane(MT, RV);
-    size_t Common = std::min(BaseLane->size(), MutLane.size());
+    const uint64_t *MutLane = threadLane(MT, RV, MutStorage);
+    size_t Common = std::min(BaseLane->size(), RV.size());
     // Run-boundary verify: one whole-lane equality scan answers the
     // common case (mutant thread untouched).
-    if (BaseLane->size() == MutLane.size() &&
-        lanesEqual(BaseLane->data(), MutLane.data(), Common))
+    if (BaseLane->size() == RV.size() &&
+        lanesEqual(BaseLane->data(), MutLane, Common))
       continue;
     AllEqual = false;
     if (First)
       continue; // Only the earliest pair's divergence is reported.
-    size_t K = laneMatchRun(BaseLane->data(), MutLane.data(), Common);
+    size_t K = laneMatchRun(BaseLane->data(), MutLane, Common);
     LaneDivergence D;
     D.Tid = BaseWeb.view(L).Tid;
     D.Position = K;
     // Length of the all-differing run at the divergence point — how far
     // the traces stay in contention before any re-sync candidate.
     D.RunLen = K < Common ? laneMismatchRun(BaseLane->data() + K,
-                                            MutLane.data() + K, Common - K)
+                                            MutLane + K, Common - K)
                           : 0;
     First = D;
   }

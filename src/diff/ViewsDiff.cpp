@@ -3,6 +3,7 @@
 #include "diff/ViewsDiff.h"
 
 #include "diff/Lcs.h"
+#include "support/Bitset.h"
 #include "support/LaneScan.h"
 #include "support/Telemetry.h"
 #include "support/ThreadPool.h"
@@ -18,6 +19,21 @@ using namespace rprism;
 
 namespace {
 
+/// True when thread view \p V holds every entry of \p T. Thread views
+/// partition their trace into strictly ascending lists, so such a view is
+/// the identity range: position i holds eid i.
+bool isIdentity(const View &V, const Trace &T) {
+  return V.Entries.size() == T.size();
+}
+
+/// Gathers the fingerprints of \p V's entries into \p Lane, in view order.
+void gatherLane(const Trace &T, const View &V, std::vector<uint64_t> &Lane) {
+  Lane.resize(V.Entries.size());
+  const uint64_t *Fps = T.Fps.data();
+  for (size_t I = 0; I != Lane.size(); ++I)
+    Lane[I] = Fps[V.Entries[I]];
+}
+
 /// Evaluates ONE correlated thread-view pair with fully isolated state:
 /// its own similarity marks, anchor map, explored-pair dedup set, compare
 /// counter, and difference sequences. Isolation is what makes thread-pair
@@ -32,15 +48,15 @@ public:
                 const BaselineLanes *SharedLeft = nullptr)
       : LeftWeb(Left), RightWeb(Right), X(X), Options(Options),
         SharedLeft(SharedLeft), LT(Left.trace()), RT(Right.trace()) {
-    LeftSimilar.assign(LT.size(), false);
-    RightSimilar.assign(RT.size(), false);
+    LeftSimilar.assign(LT.size());
+    RightSimilar.assign(RT.size());
   }
 
   void evalThreadPair(const View &LV, const View &RV);
 
   // -- Per-pair results, merged by viewsDiff() ----------------------------
-  std::vector<bool> LeftSimilar;  ///< This pair's Pi, left side.
-  std::vector<bool> RightSimilar; ///< This pair's Pi, right side.
+  Bitset LeftSimilar;  ///< This pair's Pi, left side.
+  Bitset RightSimilar; ///< This pair's Pi, right side.
   std::vector<DiffSequence> Sequences;
   std::unordered_map<uint32_t, uint32_t> Anchors; ///< left eid -> right eid.
   CompareCounter Ops;
@@ -65,8 +81,21 @@ private:
   /// The cursors advance past it immediately, so no anchor is stored —
   /// skipping the hash insert on the hot lock-step path.
   void markMatched(uint32_t LeftEid, uint32_t RightEid) {
-    LeftSimilar[LeftEid] = true;
-    RightSimilar[RightEid] = true;
+    LeftSimilar.set(LeftEid);
+    RightSimilar.set(RightEid);
+  }
+
+  /// Marks the entries at positions [Pos, Pos + K) of \p V similar: one
+  /// eid range when \p V is the identity range, one bit per entry
+  /// otherwise.
+  static void markRun(Bitset &Similar, const View &V, bool Identity,
+                      size_t Pos, size_t K) {
+    if (Identity) {
+      Similar.setRange(Pos, Pos + K);
+      return;
+    }
+    for (size_t S = 0; S != K; ++S)
+      Similar.set(V.Entries[Pos + S]);
   }
 
   bool anchoredPair(uint32_t LeftEid, uint32_t RightEid) const {
@@ -97,8 +126,10 @@ private:
   /// position i holds the fingerprint of the view's i-th entry. The
   /// lock-step loop compares lanes, not entries — matched runs touch 8
   /// bytes per step instead of the entry payload. When SharedLeft serves
-  /// the left view, LLane stays empty and LLaneData aliases the shared
-  /// storage instead — the contents are identical either way.
+  /// the left view, or a view is the identity range (whose lane is the
+  /// Fps column), the lane vector stays empty and the data pointer
+  /// aliases that storage instead — the contents are identical either
+  /// way.
   std::vector<uint64_t> LLane;
   std::vector<uint64_t> RLane;
   const uint64_t *LLaneData = nullptr;
@@ -349,9 +380,10 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
   size_t M = RV.Entries.size();
 
   // Gather this pair's fingerprint lanes: one pass of strided loads per
-  // side, after which the lock-step loop runs over two dense uint64_t
-  // arrays. Only possible when both traces are fingerprint-complete; the
-  // laneless fallback below compares entries directly.
+  // side (none for an identity view, whose lane is the Fps column), after
+  // which the lock-step loop runs over two dense uint64_t arrays. Only
+  // possible when both traces are fingerprint-complete; the laneless
+  // fallback below compares entries directly.
   bool UseLanes = LT.HasFingerprints && RT.HasFingerprints;
   if (UseLanes) {
     TelemetrySpan GatherSpan("lane.gather");
@@ -359,22 +391,17 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
         SharedLeft ? SharedLeft->lane(LV.Id) : nullptr;
     if (Shared && Shared->size() == N) {
       // 1-vs-N: the baseline's lane was gathered once up front; alias it
-      // instead of re-gathering. Same contents, so same results.
+      // instead of re-gathering. Same contents, so same results. Checked
+      // before the identity range so the shared lane serves every mutant.
       LLaneData = Shared->data();
       ++SharedLaneHits;
     } else {
-      LLane.resize(N);
-      const uint64_t *LFps = LT.Fps.data();
-      for (size_t I = 0; I != N; ++I)
-        LLane[I] = LFps[LV.Entries[I]];
-      LLaneData = LLane.data();
+      LLaneData = threadLane(LT, LV, LLane);
     }
-    RLane.resize(M);
-    const uint64_t *RFps = RT.Fps.data();
-    for (size_t J = 0; J != M; ++J)
-      RLane[J] = RFps[RV.Entries[J]];
-    RLaneData = RLane.data();
+    RLaneData = threadLane(RT, RV, RLane);
   }
+  const bool LIdentity = isIdentity(LV, LT);
+  const bool RIdentity = isIdentity(RV, RT);
 
   // Laneless path: a thread view's entries are strided across the columns,
   // so prefetch the =e-relevant column bytes a few steps ahead to overlap
@@ -402,10 +429,8 @@ void PairEvaluator::evalThreadPair(const View &LV, const View &RV) {
         Ops.Count += K;
         // One side at a time: each pass walks one sequential id array and
         // one bitset instead of alternating between four streams.
-        for (size_t S = 0; S != K; ++S)
-          LeftSimilar[LV.Entries[I + S]] = true;
-        for (size_t S = 0; S != K; ++S)
-          RightSimilar[RV.Entries[J + S]] = true;
+        markRun(LeftSimilar, LV, LIdentity, I, K);
+        markRun(RightSimilar, RV, RIdentity, J, K);
         I += K;
         J += K;
         if (I >= N || J >= M)
@@ -524,8 +549,8 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
   DiffResult Result;
   Result.Left = &LT;
   Result.Right = &RT;
-  Result.LeftSimilar.assign(LT.size(), false);
-  Result.RightSimilar.assign(RT.size(), false);
+  Result.LeftSimilar.assign(LT.size());
+  Result.RightSimilar.assign(RT.size());
 
   const std::vector<std::pair<uint32_t, uint32_t>> &Pairs = X.threadPairs();
 
@@ -565,8 +590,9 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
   TelemetrySpan MergeSpan("merge");
 
   // Deterministic merge, in correlation (left-tid) order: the union of the
-  // per-pair Pi sets is the final similarity set, sequences concatenate,
-  // and per-pair compare counters sum to a jobs-independent total.
+  // per-pair Pi sets (a word OR) is the final similarity set, sequences
+  // concatenate, and per-pair compare counters sum to a jobs-independent
+  // total.
   std::unordered_map<uint32_t, uint32_t> AnchorUnion;
   uint64_t TotalOps = 0;
   uint64_t TotalRunSkips = 0;
@@ -579,12 +605,8 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
       PairedLeft.insert(Pairs[K].first);
       PairedRight.insert(Pairs[K].second);
       PairEvaluator &E = *Evals[K];
-      for (size_t I = 0; I != E.LeftSimilar.size(); ++I)
-        if (E.LeftSimilar[I])
-          Result.LeftSimilar[I] = true;
-      for (size_t I = 0; I != E.RightSimilar.size(); ++I)
-        if (E.RightSimilar[I])
-          Result.RightSimilar[I] = true;
+      Result.LeftSimilar.orWith(E.LeftSimilar);
+      Result.RightSimilar.orWith(E.RightSimilar);
       for (const auto &[L, R] : E.Anchors)
         AnchorUnion.emplace(L, R);
       TotalOps += E.Ops.Count;
@@ -621,10 +643,13 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
   Result.Stats.CompareOps = TotalOps;
   Result.Stats.Seconds = Clock.seconds();
   // Views-based memory: the per-pair and merged similarity bitsets, the
-  // anchor map, the per-pair fingerprint lanes, and the view webs' entry
+  // anchor map, the gathered fingerprint lanes, and the view webs' entry
   // indices — all linear in the trace sizes. Counted as if every pair's
   // state coexists (the full-parallelism worst case) so the figure does
-  // not depend on the worker count.
+  // not depend on the worker count. An identity view's lane is the Fps
+  // column, so it is not counted; any other view's lane is, even when a
+  // shared baseline lane serves it, so the figure does not depend on
+  // SharedLeft either.
   uint64_t WebBytes = 0;
   for (const View &V : Left.views())
     WebBytes += V.Entries.size() * sizeof(uint32_t);
@@ -632,10 +657,14 @@ DiffResult rprism::viewsDiff(const ViewWeb &Left, const ViewWeb &Right,
     WebBytes += V.Entries.size() * sizeof(uint32_t);
   uint64_t LaneBytes = 0;
   if (LT.HasFingerprints && RT.HasFingerprints)
-    for (const auto &[L, R] : Pairs)
-      LaneBytes += (Left.view(L).Entries.size() +
-                    Right.view(R).Entries.size()) *
-                   sizeof(uint64_t);
+    for (const auto &[L, R] : Pairs) {
+      const View &LV = Left.view(L);
+      const View &RV = Right.view(R);
+      if (!isIdentity(LV, LT))
+        LaneBytes += LV.Entries.size() * sizeof(uint64_t);
+      if (!isIdentity(RV, RT))
+        LaneBytes += RV.Entries.size() * sizeof(uint64_t);
+    }
   Result.Stats.PeakBytes =
       WebBytes + LaneBytes +
       (LT.size() + RT.size()) / 8 * (1 + Pairs.size()) +
@@ -665,15 +694,9 @@ BaselineLanes::BaselineLanes(const ViewWeb &W) : Web(&W) {
   if (!T.HasFingerprints)
     return; // Every lane lookup stays null; evaluators gather as usual.
   TelemetrySpan GatherSpan("lane.gather");
-  const uint64_t *Fps = T.Fps.data();
-  for (const View &V : W.views()) {
-    if (V.Type != ViewType::Thread)
-      continue; // The lock-step core only scans thread-view lanes.
-    std::vector<uint64_t> &Lane = Lanes[V.Id];
-    Lane.resize(V.Entries.size());
-    for (size_t I = 0; I != V.Entries.size(); ++I)
-      Lane[I] = Fps[V.Entries[I]];
-  }
+  for (const View &V : W.views())
+    if (V.Type == ViewType::Thread) // The lock-step core scans only these.
+      gatherLane(T, V, Lanes[V.Id]);
 }
 
 const std::vector<uint64_t> *BaselineLanes::lane(uint32_t ViewId) const {
@@ -686,6 +709,14 @@ uint64_t BaselineLanes::bytes() const {
   for (const auto &[Id, Lane] : Lanes)
     Total += Lane.size() * sizeof(uint64_t);
   return Total;
+}
+
+const uint64_t *rprism::threadLane(const Trace &T, const View &V,
+                                   std::vector<uint64_t> &Storage) {
+  if (isIdentity(V, T))
+    return T.Fps.data();
+  gatherLane(T, V, Storage);
+  return Storage.data();
 }
 
 unsigned rprism::effectiveDiffJobs(const ViewsDiffOptions &Options,

@@ -71,6 +71,14 @@ struct ViewsDiffOptions {
 unsigned effectiveDiffJobs(const ViewsDiffOptions &Options,
                            size_t TotalEntries);
 
+/// The fingerprint lane of thread view \p V of \p T (which must carry
+/// fingerprints): position i holds the fingerprint of the view's i-th
+/// entry. A view that holds every entry of \p T is the identity range, so
+/// its lane is the Fps column itself and nothing is copied; any other
+/// view's lane is gathered into \p Storage.
+const uint64_t *threadLane(const Trace &T, const View &V,
+                           std::vector<uint64_t> &Storage);
+
 /// Per-thread-view fingerprint lanes of one web, gathered once up front.
 /// A pairwise diff gathers each side's lanes inside the pair evaluation;
 /// when one baseline is differenced against N mutants (the 1-vs-N

@@ -522,33 +522,48 @@ TEST(ViewsDiff, RunSkipMatchesEventEqualsOnGeneratedTraces) {
   // The fingerprint-lane run-skip is an optimization of the lock-step
   // scan, not a semantic change: with fingerprints stripped, evaluation
   // falls back to per-event =e, and the report, similarity sets, and
-  // compare-op totals must all be identical.
-  for (uint64_t Seed : {1ull, 7ull, 23ull}) {
-    GeneratorOptions Base;
-    Base.Seed = Seed;
-    Base.OuterIters = 30;
-    Base.NumThreads = 2;
-    Base.ReorderBlock = (Seed % 2) == 1;
-    GeneratorOptions Perturbed = Base;
-    Perturbed.Perturb = 1 + unsigned(Seed % 3);
-    auto Strings = std::make_shared<StringInterner>();
-    Trace L = traceOf(generateProgram(Base), Strings);
-    Trace R = traceOf(generateProgram(Perturbed), Strings);
-    ASSERT_TRUE(L.HasFingerprints);
-    ASSERT_TRUE(R.HasFingerprints);
+  // compare-op totals must all be identical. One thread makes each side's
+  // only thread view the identity range, evaluated on the Fps column
+  // itself; two threads gather both lanes.
+  for (unsigned NumThreads : {1u, 2u}) {
+    unsigned Differing = 0; // Seeds whose pair differs at all.
+    for (uint64_t Seed : {1ull, 7ull, 23ull}) {
+      GeneratorOptions Base;
+      Base.Seed = Seed;
+      Base.OuterIters = 30;
+      Base.NumThreads = NumThreads;
+      Base.ReorderBlock = (Seed % 2) == 1;
+      GeneratorOptions Perturbed = Base;
+      Perturbed.Perturb = 1 + unsigned(Seed % 3);
+      auto Strings = std::make_shared<StringInterner>();
+      Trace L = traceOf(generateProgram(Base), Strings);
+      Trace R = traceOf(generateProgram(Perturbed), Strings);
+      ASSERT_TRUE(L.HasFingerprints);
+      ASSERT_TRUE(R.HasFingerprints);
+      SCOPED_TRACE("threads " + std::to_string(NumThreads) + ", seed " +
+                   std::to_string(Seed));
+      {
+        ViewWeb LWeb(L), RWeb(R);
+        ASSERT_EQ(LWeb.numThreadViews(), NumThreads);
+        ASSERT_EQ(RWeb.numThreadViews(), NumThreads);
+        EXPECT_EQ(LWeb.view(0).size() == L.size(), NumThreads == 1);
+        EXPECT_EQ(RWeb.view(0).size() == R.size(), NumThreads == 1);
+      }
 
-    DiffResult Fast = viewsDiff(L, R);
+      DiffResult Fast = viewsDiff(L, R);
 
-    Trace LSlow = L, RSlow = R;
-    LSlow.HasFingerprints = false;
-    RSlow.HasFingerprints = false;
-    DiffResult Slow = viewsDiff(LSlow, RSlow);
+      Trace LSlow = L, RSlow = R;
+      LSlow.HasFingerprints = false;
+      RSlow.HasFingerprints = false;
+      DiffResult Slow = viewsDiff(LSlow, RSlow);
 
-    EXPECT_EQ(Fast.render(100, 16), Slow.render(100, 16)) << "seed " << Seed;
-    EXPECT_EQ(Fast.Stats.CompareOps, Slow.Stats.CompareOps)
-        << "seed " << Seed;
-    EXPECT_EQ(Fast.LeftSimilar, Slow.LeftSimilar) << "seed " << Seed;
-    EXPECT_EQ(Fast.RightSimilar, Slow.RightSimilar) << "seed " << Seed;
+      Differing += Slow.numDiffs() != 0;
+      EXPECT_EQ(Fast.render(100, 16), Slow.render(100, 16));
+      EXPECT_EQ(Fast.Stats.CompareOps, Slow.Stats.CompareOps);
+      EXPECT_EQ(Fast.LeftSimilar, Slow.LeftSimilar);
+      EXPECT_EQ(Fast.RightSimilar, Slow.RightSimilar);
+    }
+    EXPECT_GT(Differing, 0u) << "threads " << NumThreads;
   }
 }
 

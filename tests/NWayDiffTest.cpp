@@ -23,6 +23,7 @@
 #include "diff/NWayDiff.h"
 #include "diff/ViewsDiff.h"
 #include "support/LaneScan.h"
+#include "support/Telemetry.h"
 #include "workload/Corpus.h"
 #include "workload/Mutator.h"
 
@@ -252,4 +253,39 @@ TEST(NWayDiff, SharedBaselineLanesChangeNothingAtWebLevel) {
       viewsDiff(BaseWeb, MutWeb, X, ViewsDiffOptions(), nullptr, &Lanes);
   EXPECT_EQ(With.render(50, 12), Without.render(50, 12));
   EXPECT_EQ(With.Stats.CompareOps, Without.Stats.CompareOps);
+}
+
+TEST(NWayDiff, SharedLaneServesEveryMutantOfAOneThreadBaseline) {
+  // The Rhino baseline runs one thread, so its thread view is the identity
+  // range and could read its lane from the Fps column. The shared baseline
+  // lane still serves the left side of every mutant's pair, and the
+  // result does not change with it.
+  const MutantSet &Set = sharedMutantSet();
+  ASSERT_FALSE(Set.Mutants.empty());
+  std::vector<const Trace *> Mutants = mutantPtrs(Set);
+  ViewWeb BaseWeb(Set.Base);
+  ASSERT_EQ(BaseWeb.numThreadViews(), 1u);
+  ASSERT_EQ(BaseWeb.view(0).size(), Set.Base.size());
+
+  Telemetry::get().reset();
+  Telemetry::get().setEnabled(true);
+  nwayDiff(Set.Base, Mutants);
+  uint64_t Hits = Telemetry::get().snapshot().counter("lane.shared_hit");
+  Telemetry::get().setEnabled(false);
+  Telemetry::get().reset();
+  EXPECT_EQ(Hits, Mutants.size());
+
+  BaselineLanes Lanes(BaseWeb);
+  for (const Trace *Mut : Mutants) {
+    ViewWeb MutWeb(*Mut);
+    ViewCorrelation X(BaseWeb, MutWeb);
+    DiffResult Without = viewsDiff(BaseWeb, MutWeb, X);
+    DiffResult With =
+        viewsDiff(BaseWeb, MutWeb, X, ViewsDiffOptions(), nullptr, &Lanes);
+    EXPECT_EQ(With.render(50, 12), Without.render(50, 12));
+    EXPECT_EQ(With.Stats.CompareOps, Without.Stats.CompareOps);
+    EXPECT_EQ(With.Stats.PeakBytes, Without.Stats.PeakBytes);
+    EXPECT_EQ(With.LeftSimilar, Without.LeftSimilar);
+    EXPECT_EQ(With.RightSimilar, Without.RightSimilar);
+  }
 }

@@ -5,6 +5,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "support/Bitset.h"
 #include "support/Expected.h"
 #include "support/Hashing.h"
 #include "support/Histogram.h"
@@ -237,6 +238,109 @@ TEST(Rng, BernoulliRoughlyCalibrated) {
 }
 
 //===----------------------------------------------------------------------===//
+// Bitset
+//===----------------------------------------------------------------------===//
+
+/// Positions on either side of the word boundaries of a 200-bit set (not a
+/// multiple of 64), plus both ends.
+const size_t BitPositions[] = {0,   1,   62,  63,  64,  65,  127,
+                               128, 129, 191, 192, 193, 199, 200};
+
+/// Checks \p B bit by bit against \p Ref, and its count.
+void expectBits(const Bitset &B, const std::vector<bool> &Ref) {
+  ASSERT_EQ(B.size(), Ref.size());
+  size_t Set = 0;
+  for (size_t I = 0; I != Ref.size(); ++I) {
+    EXPECT_EQ(B[I], Ref[I]) << "bit " << I;
+    Set += Ref[I];
+  }
+  EXPECT_EQ(B.count(), Set);
+}
+
+TEST(Bitset, SetAndSetRangeAcrossWordBoundaries) {
+  for (size_t Begin : BitPositions) {
+    for (size_t End : BitPositions) {
+      if (End < Begin)
+        continue;
+      Bitset B;
+      B.assign(200);
+      B.setRange(Begin, End);
+      std::vector<bool> Ref(200, false);
+      for (size_t I = Begin; I != End; ++I)
+        Ref[I] = true;
+      SCOPED_TRACE("range [" + std::to_string(Begin) + ", " +
+                   std::to_string(End) + ")");
+      expectBits(B, Ref);
+    }
+  }
+
+  Bitset B;
+  B.assign(200);
+  std::vector<bool> Ref(200, false);
+  for (size_t I : {0, 63, 64, 127, 128, 199}) {
+    B.set(I);
+    Ref[I] = true;
+  }
+  expectBits(B, Ref);
+}
+
+TEST(Bitset, OrWithIsTheUnion) {
+  Rng R(3);
+  Bitset A, B;
+  A.assign(130);
+  B.assign(130);
+  std::vector<bool> Ref(130, false);
+  for (size_t I = 0; I != 130; ++I) {
+    bool InA = R.nextBool(0.3), InB = R.nextBool(0.3);
+    if (InA)
+      A.set(I);
+    if (InB)
+      B.set(I);
+    Ref[I] = InA || InB;
+  }
+  A.orWith(B);
+  expectBits(A, Ref);
+}
+
+TEST(Bitset, TailBitsStayZero) {
+  // A range up to size() and bit-by-bit sets give equal sets; neither
+  // touches the 58 tail bits of the last word, which count() and
+  // forEachClear() would otherwise see.
+  Bitset Ranged, Bits;
+  Ranged.assign(70);
+  Ranged.setRange(0, 70);
+  Bits.assign(70);
+  for (size_t I = 0; I != 70; ++I)
+    Bits.set(I);
+  EXPECT_EQ(Ranged.count(), 70u);
+  EXPECT_EQ(Ranged, Bits);
+  Ranged.forEachClear([](size_t I) { ADD_FAILURE() << "bit " << I; });
+
+  Bitset Shorter;
+  Shorter.assign(69);
+  Shorter.setRange(0, 69);
+  EXPECT_FALSE(Ranged == Shorter);
+  Bits.assign(70); // Clears every bit.
+  EXPECT_EQ(Bits.count(), 0u);
+  EXPECT_FALSE(Ranged == Bits);
+}
+
+TEST(Bitset, ForEachClearVisitsClearBitsInOrder) {
+  Bitset B;
+  B.assign(200);
+  B.setRange(3, 150);
+  B.set(198);
+  std::vector<size_t> Clear;
+  B.forEachClear([&](size_t I) { Clear.push_back(I); });
+  std::vector<size_t> Ref;
+  for (size_t I = 0; I != 200; ++I)
+    if (!B[I])
+      Ref.push_back(I);
+  EXPECT_EQ(Clear, Ref);
+  EXPECT_EQ(Clear.size(), 200 - B.count());
+}
+
+//===----------------------------------------------------------------------===//
 // MemoryAccountant
 //===----------------------------------------------------------------------===//
 
@@ -263,8 +367,15 @@ TEST(MemoryAccountant, CapTriggersExhaustion) {
 TEST(MemoryAccountant, ReleaseClampsAtZero) {
   MemoryAccountant Mem;
   Mem.charge(10);
+#ifdef NDEBUG
+  // Release builds clamp and count the drift.
   Mem.release(100);
   EXPECT_EQ(Mem.currentBytes(), 0u);
+  EXPECT_EQ(Mem.underflows(), 1u);
+#else
+  // Debug builds stop at the assert.
+  EXPECT_DEATH(Mem.release(100), "release underflow");
+#endif
 }
 
 TEST(MemoryAccountant, UncappedNeverExhausts) {
