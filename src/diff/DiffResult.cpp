@@ -12,12 +12,9 @@ void SequenceSites::add(const Trace &T, const std::vector<uint32_t> &Eids) {
   for (uint32_t Eid : Eids) {
     ++MethodCounts[T.Methods[Eid].Id];
     const ObjRepr &Target = T.target(Eid);
-    if (Target.isNone())
-      continue;
-    // Consecutive entries mostly touch one object: skip the repeats here.
-    uint64_t Key = uint64_t{Target.ClassName.Id} << 32 | Target.CreationSeq;
-    if (Targets.empty() || Targets.back().first != Key)
-      Targets.emplace_back(Key, &Target);
+    if (!Target.isNone())
+      Targets.try_emplace(
+          uint64_t{Target.ClassName.Id} << 32 | Target.CreationSeq, &Target);
   }
 }
 
@@ -29,14 +26,7 @@ Symbol SequenceSites::dominantMethod() const {
 }
 
 void SequenceSites::printObjects(std::ostream &OS, const Trace &T,
-                                 size_t Limit) {
-  std::sort(Targets.begin(), Targets.end(),
-            [](const auto &A, const auto &B) { return A.first < B.first; });
-  Targets.erase(std::unique(Targets.begin(), Targets.end(),
-                            [](const auto &A, const auto &B) {
-                              return A.first == B.first;
-                            }),
-                Targets.end());
+                                 size_t Limit) const {
   std::set<std::string> Objects;
   for (const auto &[Key, Target] : Targets)
     Objects.insert(T.renderObj(*Target));

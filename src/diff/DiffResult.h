@@ -23,6 +23,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 namespace rprism {
@@ -83,8 +84,8 @@ std::string summarizeSequence(const Trace &Left, const Trace &Right,
 /// What the entries of a difference sequence execute and touch, for the
 /// one-line labels: entries per executing method, and the target objects.
 /// An object's text is fixed by its (class symbol, creation seq) pair, so
-/// targets are kept as those integers and only the distinct ones are ever
-/// rendered.
+/// targets are kept once per pair, whatever order the entries touch them
+/// in, and only those distinct objects are ever rendered.
 class SequenceSites {
 public:
   /// Counts the entries \p Eids of \p T.
@@ -99,11 +100,11 @@ public:
   /// lexicographic order of their text (then " ..." if more remain), or
   /// nothing when no entry has a target. \p T may be any trace sharing
   /// the added traces' interner.
-  void printObjects(std::ostream &OS, const Trace &T, size_t Limit);
+  void printObjects(std::ostream &OS, const Trace &T, size_t Limit) const;
 
 private:
   std::map<uint32_t, unsigned> MethodCounts;
-  std::vector<std::pair<uint64_t, const ObjRepr *>> Targets;
+  std::unordered_map<uint64_t, const ObjRepr *> Targets;
 };
 
 } // namespace rprism

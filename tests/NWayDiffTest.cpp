@@ -167,8 +167,15 @@ TEST(NWayDiff, MatchesPairwiseOpsAndBytes) {
   ASSERT_FALSE(Set.Mutants.empty());
   std::vector<const Trace *> Mutants = mutantPtrs(Set);
 
+  Telemetry::get().reset();
+  Telemetry::get().setEnabled(true);
   NWayResult NWay = nwayDiff(Set.Base, Mutants);
+  uint64_t SharedHits = Telemetry::get().snapshot().counter("lane.shared_hit");
+  Telemetry::get().setEnabled(false);
+  Telemetry::get().reset();
   ASSERT_EQ(NWay.Mutants.size(), Mutants.size());
+  // The shared baseline lane serves every mutant's pair.
+  EXPECT_EQ(SharedHits, Mutants.size());
 
   uint64_t TotalOps = 0;
   for (size_t M = 0; M != Mutants.size(); ++M) {
@@ -239,44 +246,19 @@ TEST(NWayDiff, DeterministicAcrossRepeatsAndJobs) {
 }
 
 TEST(NWayDiff, SharedBaselineLanesChangeNothingAtWebLevel) {
-  const MutantSet &Set = sharedMutantSet();
-  ASSERT_FALSE(Set.Mutants.empty());
-  const Trace &Mut = Set.Mutants.front().ExecTrace;
-
-  ViewWeb BaseWeb(Set.Base), MutWeb(Mut);
-  ViewCorrelation X(BaseWeb, MutWeb);
-  BaselineLanes Lanes(BaseWeb);
-  EXPECT_GT(Lanes.bytes(), 0u);
-
-  DiffResult Without = viewsDiff(BaseWeb, MutWeb, X);
-  DiffResult With =
-      viewsDiff(BaseWeb, MutWeb, X, ViewsDiffOptions(), nullptr, &Lanes);
-  EXPECT_EQ(With.render(50, 12), Without.render(50, 12));
-  EXPECT_EQ(With.Stats.CompareOps, Without.Stats.CompareOps);
-}
-
-TEST(NWayDiff, SharedLaneServesEveryMutantOfAOneThreadBaseline) {
   // The Rhino baseline runs one thread, so its thread view is the identity
   // range and could read its lane from the Fps column. The shared baseline
-  // lane still serves the left side of every mutant's pair, and the
-  // result does not change with it.
+  // lane serves the left side of every mutant's pair instead, and no
+  // result changes with it.
   const MutantSet &Set = sharedMutantSet();
   ASSERT_FALSE(Set.Mutants.empty());
-  std::vector<const Trace *> Mutants = mutantPtrs(Set);
   ViewWeb BaseWeb(Set.Base);
   ASSERT_EQ(BaseWeb.numThreadViews(), 1u);
   ASSERT_EQ(BaseWeb.view(0).size(), Set.Base.size());
-
-  Telemetry::get().reset();
-  Telemetry::get().setEnabled(true);
-  nwayDiff(Set.Base, Mutants);
-  uint64_t Hits = Telemetry::get().snapshot().counter("lane.shared_hit");
-  Telemetry::get().setEnabled(false);
-  Telemetry::get().reset();
-  EXPECT_EQ(Hits, Mutants.size());
-
   BaselineLanes Lanes(BaseWeb);
-  for (const Trace *Mut : Mutants) {
+  EXPECT_GT(Lanes.bytes(), 0u);
+
+  for (const Trace *Mut : mutantPtrs(Set)) {
     ViewWeb MutWeb(*Mut);
     ViewCorrelation X(BaseWeb, MutWeb);
     DiffResult Without = viewsDiff(BaseWeb, MutWeb, X);
