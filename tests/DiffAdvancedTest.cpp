@@ -24,6 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+
 using namespace rprism;
 
 namespace {
@@ -312,6 +315,46 @@ TEST(SequenceSummary, NamesTheDominantMethodAndObjects) {
   EXPECT_NE(Summary.find("touching"), std::string::npos) << Summary;
   // And the full render embeds the summaries.
   EXPECT_NE(Result.render().find(Summary), std::string::npos);
+}
+
+TEST(SequenceSummary, ListsEachObjectOnceWhateverTheEntryOrder) {
+  // The label lists the first distinct targets in the order of their text,
+  // as a set of every entry's rendering would, for any order in which the
+  // entries touch them.
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = traceOf(R"(
+    class C { Int v; C(Int v) { this.v = v; }
+      Unit bump() { this.v = this.v + 1; return unit; } }
+    main {
+      var a = new C(1); var b = new C(2); var c = new C(3);
+      var d = new C(4); var e = new C(5);
+      var i = 0;
+      while (i < 3) {
+        e.bump(); c.bump(); a.bump(); d.bump(); b.bump(); i = i + 1;
+      }
+    }
+  )",
+                    Strings);
+  DiffSequence Seq;
+  std::set<std::string> Objects;
+  for (uint32_t Eid = 0; Eid != T.size(); ++Eid) {
+    Seq.LeftEids.push_back(Eid);
+    if (!T.target(Eid).isNone())
+      Objects.insert(T.renderObj(T.target(Eid)));
+  }
+  ASSERT_GT(Objects.size(), 3u);
+  std::string Expected = " touching";
+  auto It = Objects.begin();
+  for (int Shown = 0; Shown != 3; ++Shown)
+    Expected += ' ' + *It++;
+  Expected += " ...";
+
+  std::string Summary = summarizeSequence(T, T, Seq);
+  size_t Touching = Summary.find(" touching");
+  ASSERT_NE(Touching, std::string::npos) << Summary;
+  EXPECT_EQ(Summary.substr(Touching), Expected);
+  std::reverse(Seq.LeftEids.begin(), Seq.LeftEids.end());
+  EXPECT_EQ(summarizeSequence(T, T, Seq), Summary);
 }
 
 TEST(SequenceSummary, MaximalSequencesHaveNoAdjacentNeighbors) {
