@@ -10,6 +10,7 @@
 #include "trace/ViewIndex.h"
 
 #include <algorithm>
+#include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -332,21 +333,23 @@ Expected<FileBytes> openTraceFile(const std::string &Path) {
   return File;
 }
 
-/// A section as parsed from the table: pointer into the file bytes,
-/// recorded length, how many of its leading bytes are actually present,
-/// and whether the payload is fully present and checksum-clean.
+/// A section as parsed from the table: a pointer into the file bytes and
+/// the recorded payload length. Present only when the whole payload is in
+/// the file and matches its checksum; Damaged marks a derived section that
+/// was dropped.
 struct SectionIn {
   const uint8_t *Data = nullptr;
-  uint64_t Length = 0; ///< Recorded payload length.
-  uint64_t Avail = 0;  ///< Leading bytes of it present in the file.
+  uint64_t Length = 0;
+  bool Seen = false; ///< A record with this id was in the table.
   bool Present = false;
-  bool Intact = false; ///< Fully present and checksum-verified.
+  bool Damaged = false;
 };
 
-/// The two view-index sections are derived data (rebuildable from the
-/// columns), so damage to them degrades instead of failing the load.
-bool isViewSection(uint32_t Id) {
-  return Id == SecViewMeta || Id == SecViewEntries;
+/// The fingerprint lane and the two view-index sections are derived from
+/// the entry columns, so damage to one drops it instead of failing the
+/// read, and the read rebuilds what it held.
+bool isDerivedSection(uint32_t Id) {
+  return Id == SecFp || Id == SecViewMeta || Id == SecViewEntries;
 }
 
 /// The required entry-column sections and their element sizes (ChildTid's
@@ -378,28 +381,24 @@ FileHeader readHeader(const uint8_t *P) {
   return H;
 }
 
-/// The parsed section table. View-index damage is always degradable;
-/// damage to any other section is a strict error (the first is kept as
-/// Fault, a cut flagged as Cut) and, for salvage, leaves that section
-/// absent or not intact for the caller to weigh.
-struct SectionTable {
-  SectionIn S[MaxSectionId + 1] = {};
-  bool ViewDamaged = false;
-  bool Cut = false; ///< The end of the file cuts entry data or a side table.
-  std::optional<Err> Fault;
-};
+/// The sections of a file, indexed by id.
+using SectionTable = std::array<SectionIn, MaxSectionId + 1>;
 
 /// Parses the \p NumSections records after the header. Payloads must lie
-/// between the table and \p End; the bytes of them present are those
-/// before the end of the file.
-SectionTable parseSections(const std::string &Path, const FileBytes &File,
-                           uint32_t NumSections, uint64_t End) {
+/// between the table and the declared length \p End and match their
+/// checksums. The first damaged primary section fails the parse, and so
+/// does a file that ends inside a primary payload (trace.truncated); a
+/// damaged derived section is marked and left out.
+Expected<SectionTable> parseSections(const std::string &Path,
+                                     const FileBytes &File,
+                                     uint32_t NumSections, uint64_t End) {
   SectionTable Out;
-  auto Damage = [&Out](uint32_t Id, Err E) {
-    if (isViewSection(Id))
-      Out.ViewDamaged = true;
-    else if (!Out.Fault)
-      Out.Fault = std::move(E);
+  bool Cut = false; ///< The end of the file cuts entry data or a side table.
+  auto DropDerived = [&Out](uint32_t Id) {
+    if (!isDerivedSection(Id))
+      return false;
+    Out[Id].Seen = Out[Id].Damaged = true;
+    return true;
   };
   const uint64_t TableEnd =
       HeaderBytes + uint64_t{NumSections} * SectionRecordBytes;
@@ -413,40 +412,39 @@ SectionTable parseSections(const std::string &Path, const FileBytes &File,
     std::memcpy(&Checksum, Record + 24, 8);
     if (Offset % 8 != 0 || Offset < TableEnd || Offset > End ||
         Length > End - Offset) {
-      // The record itself is unusable: salvage treats the section as
-      // absent.
-      Damage(Id, TraceError::sectionBounds(Path, Id, Offset));
-      continue;
+      if (DropDerived(Id))
+        continue;
+      return TraceError::sectionBounds(Path, Id, Offset);
     }
     if (Id > MaxSectionId)
       continue; // Unknown section: forward compatibility.
-    if (Out.S[Id].Present) {
-      Damage(Id, TraceError::duplicateSection(Path, Id));
-      continue; // Salvage keeps the first record seen.
-    }
-    uint64_t Avail =
-        Offset < File.Size ? std::min(Length, File.Size - Offset) : 0;
-    bool Intact = Avail == Length;
-    const uint8_t *Data = File.Data + std::min<uint64_t>(Offset, File.Size);
-    if (Intact && (checksumBytes(Data, Length) != Checksum ||
-                   FaultInjector::fire(FaultSite::SectionChecksum))) {
-      // Checksum mismatch (real or injected): the damage can be anywhere
-      // in the payload, so unlike a cut no prefix is trustworthy.
-      Damage(Id, TraceError::sectionChecksum(Path, Id, Offset));
-      if (isViewSection(Id))
+    SectionIn &S = Out[Id];
+    if (S.Seen) {
+      if (DropDerived(Id))
         continue;
-      Intact = false;
-      Avail = 0;
-    } else if (!Intact) {
+      return TraceError::duplicateSection(Path, Id);
+    }
+    S.Seen = true;
+    const uint64_t Start = std::min<uint64_t>(Offset, File.Size);
+    if (Length > File.Size - Start) {
       // The file ends inside this payload.
-      if (isViewSection(Id)) {
-        Out.ViewDamaged = true;
-        continue;
-      }
-      Out.Cut = true;
+      Cut |= !DropDerived(Id);
+      continue;
     }
-    Out.S[Id] = SectionIn{Data, Length, Avail, true, Intact};
+    const uint8_t *Data = File.Data + Start;
+    if (checksumBytes(Data, Length) != Checksum ||
+        FaultInjector::fire(FaultSite::SectionChecksum)) {
+      // Checksum mismatch (real or injected).
+      if (DropDerived(Id))
+        continue;
+      return TraceError::sectionChecksum(Path, Id, Offset);
+    }
+    S.Data = Data;
+    S.Length = Length;
+    S.Present = true;
   }
+  if (Cut)
+    return TraceError::truncated(Path);
   return Out;
 }
 
@@ -481,10 +479,10 @@ template <typename E> bool isEmptyRow(const E &Row) {
 /// Parses the file's view index into \p Out: the small meta section
 /// copied out, the flat entry lists borrowed. Structural validity is
 /// checked by the caller.
-bool parseViewIndex(const SectionIn *S, uint64_t NumEntries,
+bool parseViewIndex(const SectionTable &S, uint64_t NumEntries,
                     size_t NumStrings, ViewIndex &Out) {
   const SectionIn &Meta = S[SecViewMeta], &Flat = S[SecViewEntries];
-  if (!Meta.Intact || !Flat.Intact || Flat.Length % sizeof(uint32_t) != 0)
+  if (!Meta.Present || !Flat.Present || Flat.Length % sizeof(uint32_t) != 0)
     return false;
   ByteCursor VC(Meta.Data, Meta.Length);
   for (size_t F = 0; F != NumViewFamilies; ++F) {
@@ -558,20 +556,16 @@ void remapSymbols(Trace &T, const std::vector<Symbol> &Map) {
 /// untrusted values (kinds, tids, symbol ids, representation rows and row
 /// ids, argument slices) so nothing downstream needs to distrust them,
 /// and *borrows* the columns, tables and view index zero-copy from the
-/// file bytes. When the file's strings intern to identical symbol ids —
-/// the common case for a fresh or same-session interner — the stored
-/// fingerprints are used as they are; otherwise the symbols are remapped
-/// and the fingerprints recomputed.
+/// file bytes. Damage to a primary section fails the read; a damaged
+/// derived section is dropped and rebuilt. When the file's strings intern
+/// to identical symbol ids — the common case for a fresh or same-session
+/// interner — the stored fingerprints are used as they are; otherwise the
+/// symbols are remapped and the fingerprints recomputed.
 Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
                                std::shared_ptr<StringInterner> Strings,
-                               const ReadOptions &Options) {
-  const bool Salvage = Options.Salvage;
+                               TraceReadReport *Report) {
   auto Corrupt = [&](const char *What) {
     return TraceError::corruptSection(Path, What);
-  };
-  // What salvage returns when damage leaves no entry usable.
-  auto NothingRecovered = [&] {
-    return TraceError::unsalvageable(Path, "no entries recovered");
   };
   if (File.Size < HeaderBytes)
     return TraceError::truncated(Path);
@@ -581,50 +575,39 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   std::optional<TelemetrySpan> Phase;
   Phase.emplace("checksum");
 
-  // The header and the section table it seals. A strict read needs both
-  // intact and the file exactly its declared length, except that a file
-  // cut inside its view index (or its final padding) loads without the
-  // index; a cut into the table, entry data or a side table is
-  // trace.truncated. With a damaged header, salvage trusts the file's own
-  // size and each section's own checksum instead.
+  // The header and the section table it seals must be intact, and the file
+  // no longer than its declared length. A file cut short still loads when
+  // the cut takes only derived sections or the final padding; a cut into
+  // the table, entry data or a side table is trace.truncated.
   const FileHeader H = readHeader(File.Data);
   const uint64_t TableEnd =
       HeaderBytes + uint64_t{H.NumSections} * SectionRecordBytes;
   if (H.NumSections == 0 || H.NumSections > MaxSections)
-    return Salvage ? TraceError::unsalvageable(Path, "no section table")
-                   : Corrupt("header");
-  if (File.Size < TableEnd)
-    return Salvage ? TraceError::unsalvageable(Path, "no section table")
-                   : TraceError::truncated(Path);
-  const bool HeaderOk =
-      H.Length >= TableEnd &&
-      checksumBytes(File.Data + HeaderSealedFrom,
-                    TableEnd - HeaderSealedFrom) == H.Checksum;
-  if (!Salvage && !HeaderOk)
     return Corrupt("header");
-  if (!Salvage && File.Size > H.Length)
-    return Corrupt("file-size");
-  const uint64_t End = HeaderOk ? H.Length : File.Size;
-  const bool FileCut = File.Size < End;
-
-  SectionTable Parsed = parseSections(Path, File, H.NumSections, End);
-  if (!Salvage && Parsed.Fault)
-    return *Parsed.Fault;
-  if (!Salvage && Parsed.Cut)
+  if (File.Size < TableEnd)
     return TraceError::truncated(Path);
-  const SectionIn *Sections = Parsed.S;
+  if (H.Length < TableEnd ||
+      checksumBytes(File.Data + HeaderSealedFrom,
+                    TableEnd - HeaderSealedFrom) != H.Checksum)
+    return Corrupt("header");
+  if (File.Size > H.Length)
+    return Corrupt("file-size");
 
-  // Every entry refers into the side tables, and no prefix of them is
-  // usable (they frame variable-length data), so damage to one leaves
-  // salvage nothing.
-  if (!Sections[SecStrings].Intact || !Sections[SecThreads].Intact ||
-      !Sections[SecObjRows].Intact || !Sections[SecValRows].Intact ||
-      !Sections[SecArgPool].Intact)
-    return Salvage ? NothingRecovered() : Corrupt("side-table");
+  Expected<SectionTable> Parsed =
+      parseSections(Path, File, H.NumSections, H.Length);
+  if (!Parsed)
+    return Parsed.error();
+  const SectionTable &Sections = *Parsed;
+
+  // Every entry refers into the side tables.
+  if (!Sections[SecStrings].Present || !Sections[SecThreads].Present ||
+      !Sections[SecObjRows].Present || !Sections[SecValRows].Present ||
+      !Sections[SecArgPool].Present)
+    return Corrupt("side-table");
 
   Trace T;
   T.Strings = std::move(Strings);
-  if (Sections[SecName].Intact)
+  if (Sections[SecName].Present)
     T.Name.assign(reinterpret_cast<const char *>(Sections[SecName].Data),
                   Sections[SecName].Length);
 
@@ -647,7 +630,7 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
       }
     }
     if (!Ok || !SC.atEnd())
-      return Salvage ? NothingRecovered() : Corrupt("string");
+      return Corrupt("string");
   }
 
   // Threads.
@@ -675,7 +658,7 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
         T.Threads.push_back(std::move(Thread));
     }
     if (!Ok || !TC.atEnd())
-      return Salvage ? NothingRecovered() : Corrupt("thread");
+      return Corrupt("thread");
   }
 
   Phase.emplace("validate");
@@ -696,7 +679,7 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
                           Row.Text.Id < Map.size() &&
                           (Id != 0 || isEmptyRow(Row));
                  }))
-    return Salvage ? NothingRecovered() : Corrupt("representation-table");
+    return Corrupt("representation-table");
   // Argument pool: value-row ids.
   const uint64_t NumObjRows = T.ObjReprs.size();
   const uint64_t NumValRows = T.ValueReprs.size();
@@ -704,19 +687,16 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
                  [NumValRows](uint32_t Id, uint64_t) {
                    return Id < NumValRows;
                  }))
-    return Salvage ? NothingRecovered() : Corrupt("argument-pool");
+    return Corrupt("argument-pool");
   const uint64_t PoolCount = T.ArgIds.size();
 
-  // Entry columns. A strict read demands every column present with
-  // exactly the declared entry count. Salvage keeps the longest prefix
-  // every column covers — a checksum-failed column covers nothing, one
-  // cut by the end of the file its whole elements — and that validates.
-  uint64_t N = H.NumEntries;
+  // Entry columns: every one present, with exactly the declared entry
+  // count.
+  const uint64_t N = H.NumEntries;
   for (const ColumnSize &Col : ColumnSizes) {
     const SectionIn &S = Sections[Col.Id];
-    if (!Salvage && (!S.Present || S.Length != N * Col.ElemSize))
+    if (!S.Present || S.Length != N * Col.ElemSize)
       return Corrupt("column");
-    N = std::min(N, S.Avail / Col.ElemSize);
   }
   auto Lane = [&Sections](uint32_t Id) {
     return reinterpret_cast<const uint32_t *>(Sections[Id].Data);
@@ -734,37 +714,19 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   const uint32_t *ArgsEnds = Lane(SecArgsEnd);
   const uint64_t NumThreads = T.Threads.size();
   for (uint64_t K = 0; K != N; ++K) {
-    const char *Bad = nullptr;
     if (Kinds[K] > MaxEventKind)
-      Bad = "kind";
-    else if (Tids[K] >= NumThreads)
-      Bad = "tid";
-    else if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
-      Bad = "symbol";
-    else if (SelfIds[K] >= NumObjRows || TargetIds[K] >= NumObjRows)
-      Bad = "object";
-    else if (ValueIds[K] >= NumValRows)
-      Bad = "value";
-    else if (ArgsBegins[K] > ArgsEnds[K] || ArgsEnds[K] > PoolCount)
-      Bad = "argument-slice";
-    if (!Bad)
-      continue;
-    if (!Salvage)
-      return Corrupt(Bad);
-    N = K; // Keep the prefix of entries that validate.
-    break;
+      return Corrupt("kind");
+    if (Tids[K] >= NumThreads)
+      return Corrupt("tid");
+    if (Methods[K].Id >= Map.size() || Names[K].Id >= Map.size())
+      return Corrupt("symbol");
+    if (SelfIds[K] >= NumObjRows || TargetIds[K] >= NumObjRows)
+      return Corrupt("object");
+    if (ValueIds[K] >= NumValRows)
+      return Corrupt("value");
+    if (ArgsBegins[K] > ArgsEnds[K] || ArgsEnds[K] > PoolCount)
+      return Corrupt("argument-slice");
   }
-  // Stored fingerprints are trusted only from an intact lane covering
-  // every declared entry; otherwise they are recomputed (a wrong one would
-  // corrupt =e instead of merely costing time).
-  const SectionIn &Fp = Sections[SecFp];
-  bool UseFps = Fp.Intact && Fp.Length == uint64_t{H.NumEntries} * 8;
-  bool FpsDamaged = Fp.Present && !UseFps;
-  if (FpsDamaged && !Salvage)
-    return Corrupt("fingerprint");
-  const uint64_t EntriesDropped = H.NumEntries - N;
-  if (N == 0 && H.NumEntries != 0)
-    return NothingRecovered();
 
   const size_t Count = static_cast<size_t>(N);
   takeColumn(T.Tids, Sections[SecTid], Count);
@@ -778,28 +740,31 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   takeColumn(T.ArgsEnds, Sections[SecArgsEnd], Count);
   takeColumn(T.ChildTids, Sections[SecChildTid], Count);
   takeColumn(T.Provs, Sections[SecProv], Count);
+
+  // The derived sections. Stored fingerprints are used only from an intact
+  // lane covering every entry; any other lane is dropped and recomputed
+  // below (a wrong fingerprint would corrupt =e instead of merely costing
+  // time).
+  const SectionIn &Fp = Sections[SecFp];
+  const bool UseFps = Fp.Present && Fp.Length == N * 8;
+  const bool FpsDropped = Fp.Damaged || (Fp.Present && !UseFps);
   if (UseFps)
     takeColumn(T.Fps, Fp, Count);
-
-  // The persisted index is derived data — rebuildable from the columns —
-  // so *any* damage to it (checksum, structure, one section without the
-  // other, an injected borrow failure) degrades to an index-less load: the
-  // view web is rebuilt from the entries, and the fallback is observable
-  // via `robust.view_index_dropped`. A file cut short keeps no index, and
-  // dropped entries leave it describing entries the trace lacks, so it is
-  // then not parsed at all.
-  bool FileHasViewIndex = Parsed.ViewDamaged ||
-                          Sections[SecViewMeta].Present ||
-                          Sections[SecViewEntries].Present;
-  if (FileHasViewIndex) {
-    bool Keep = !Parsed.ViewDamaged && !FileCut && EntriesDropped == 0 &&
+  // Any damage to the persisted index (checksum, structure, one section
+  // without the other, an injected borrow failure) drops it: the view web
+  // is rebuilt from the entries, and the drop is counted as
+  // `robust.view_index_dropped`.
+  const SectionIn &Meta = Sections[SecViewMeta];
+  const SectionIn &Flat = Sections[SecViewEntries];
+  if (Meta.Seen || Flat.Seen) {
+    bool Keep = !Meta.Damaged && !Flat.Damaged &&
                 parseViewIndex(Sections, N, Map.size(), T.ViewIdx) &&
                 !FaultInjector::fire(FaultSite::ViewIndexBorrow);
     if (!Keep || !viewIndexIsValid(T.ViewIdx, Count)) {
       T.ViewIdx.clear();
       Telemetry::counterAdd("robust.view_index_dropped");
-      if (Options.Report)
-        Options.Report->ViewIndexDropped = true;
+      if (Report)
+        Report->ViewIndexDropped = true;
     }
   }
   Phase.reset();
@@ -807,36 +772,25 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   // Borrowed columns point into the file bytes; Backing keeps them alive
   // for the life of the trace.
   T.Backing = File.Holder;
-  if (Identity) {
-    // Zero-copy: symbol ids in the file are valid in this interner, so
-    // borrowed columns (stored fingerprints included) are used in place.
-    if (T.Fps.size() == Count)
-      T.HasFingerprints = true;
-    else
-      T.computeFingerprints();
-  } else {
+  if (!Identity) {
     // The interner assigned different ids: remap the symbol-bearing
-    // columns and tables, then recompute fingerprints (they hash symbol
-    // ids). Counted so repeat-load pipelines can spot that sharing one
-    // interner across loads would make this free.
+    // columns and tables. Fingerprints hash symbol ids, so they are
+    // recomputed below.
     Phase.emplace("remap");
     remapSymbols(T, Map);
     Phase.reset();
+  }
+  // Counted so repeat-load pipelines can spot that sharing one interner
+  // across loads would make this free, and so a dropped lane shows.
+  if (!Identity || FpsDropped)
     Telemetry::counterAdd("load.fp_recompute", 1);
+  if (FpsDropped && Report)
+    Report->FingerprintsDropped = true;
+  // Zero-copy: with identical symbol ids a stored lane is used in place.
+  if (Identity && T.Fps.size() == Count)
+    T.HasFingerprints = true;
+  else
     T.computeFingerprints();
-  }
-
-  bool FrameDamaged = !HeaderOk || File.Size != H.Length;
-  if (Salvage && (FrameDamaged || EntriesDropped != 0 || FpsDamaged)) {
-    Telemetry::counterAdd("robust.salvage.used");
-    Telemetry::counterAdd("robust.salvage.recovered_entries", Count);
-    Telemetry::counterAdd("robust.salvage.dropped_entries", EntriesDropped);
-    if (Options.Report) {
-      Options.Report->Salvaged = true;
-      Options.Report->EntriesRecovered = Count;
-      Options.Report->EntriesDropped = EntriesDropped;
-    }
-  }
   return T;
 }
 
@@ -973,13 +927,8 @@ bool rprism::writeTrace(const Trace &T, const std::string &Path,
 }
 
 Expected<Trace> rprism::readTrace(const std::string &Path,
-                                  std::shared_ptr<StringInterner> Strings) {
-  return readTrace(Path, std::move(Strings), ReadOptions{});
-}
-
-Expected<Trace> rprism::readTrace(const std::string &Path,
                                   std::shared_ptr<StringInterner> Strings,
-                                  const ReadOptions &Options) {
+                                  TraceReadReport *Report) {
   TelemetrySpan Span("load");
   if (!Strings)
     Strings = std::make_shared<StringInterner>();
@@ -989,7 +938,7 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
   if (File->Mapped)
     Telemetry::counterAdd("load.mmap", 1);
   Expected<Trace> Result =
-      readTraceBytes(Path, *File, std::move(Strings), Options);
+      readTraceBytes(Path, *File, std::move(Strings), Report);
   if (Result)
     Telemetry::counterAdd("trace.entries_loaded", Result->size());
   return Result;

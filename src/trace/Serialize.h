@@ -26,8 +26,13 @@
 /// Readers mmap the file (falling back to an aligned arena read), verify
 /// the header and every section checksum, and validate the untrusted bytes
 /// (kinds, tids, symbol ids, representation rows and row ids, argument
-/// slices). The columns — fingerprints, argument pool, tables and view
-/// index included — are then *borrowed* zero-copy; when the file's strings
+/// slices). There is one rule for damage. The header, the section table,
+/// the entry columns and the side tables are primary: each must be intact
+/// and valid, or the read fails with a typed `Corrupt` error. The
+/// fingerprint lane and the view index are derived from the columns: one
+/// that is damaged is dropped and rebuilt, and the read succeeds. The
+/// columns — fingerprints, argument pool, tables and view index included —
+/// are then *borrowed* zero-copy; when the file's strings
 /// intern to identical symbol ids, the common case for a fresh or
 /// same-session interner, loading also skips re-fingerprinting entirely.
 /// When symbol ids differ, only the method and name columns and the two
@@ -61,46 +66,27 @@ namespace rprism {
 bool writeTrace(const Trace &T, const std::string &Path,
                 bool WithViewIndex = true);
 
-/// What actually happened during a read — filled in when ReadOptions
-/// carries a Report pointer. Degradations are also counted process-wide
-/// (`robust.view_index_dropped`, `robust.salvage.*`, `robust.io_retry`).
+/// What a read dropped. A read fails on any damage to the header, the
+/// section table, an entry column or a side table; the fingerprint lane
+/// and the view index are derived from the columns, so damage to one of
+/// them drops it instead, and the read rebuilds what it held. Each drop is
+/// also counted process-wide (`load.fp_recompute`,
+/// `robust.view_index_dropped`).
 struct TraceReadReport {
-  /// Salvage mode recovered a damaged file (entries dropped, fingerprints
-  /// recomputed, or a damaged header, or a file not of its declared
-  /// length).
-  bool Salvaged = false;
-  /// Entries in the returned trace (salvage mode only).
-  uint64_t EntriesRecovered = 0;
-  /// Entries the file declared but salvage could not recover.
-  uint64_t EntriesDropped = 0;
+  /// The stored fingerprint lane was damaged and dropped; the fingerprints
+  /// were recomputed from the columns.
+  bool FingerprintsDropped = false;
   /// The persisted view index was damaged and dropped; the trace loads
   /// without it and view webs rebuild from the columns.
   bool ViewIndexDropped = false;
 };
 
-/// Options for readTrace.
-struct ReadOptions {
-  /// Recover what a damaged file still holds instead of failing: the read
-  /// keeps the longest entry prefix that every entry column covers and
-  /// that validates; damage to a side table, or a prefix of no entries,
-  /// leaves nothing to recover. Off by default — strict reads reject
-  /// damage.
-  bool Salvage = false;
-  /// Optional out-param describing degradations taken.
-  TraceReadReport *Report = nullptr;
-};
-
-/// Reads a trace from \p Path, interning all strings into \p Strings.
-/// Errors carry an ErrClass and a stable `trace.*` code (see
-/// trace/TraceError.h); a damaged persisted view index alone is not an
-/// error — the index is dropped and the trace loads without it.
-Expected<Trace> readTrace(const std::string &Path,
-                          std::shared_ptr<StringInterner> Strings);
-
-/// As above, with salvage/reporting options.
+/// Reads a trace from \p Path, interning all strings into \p Strings, and
+/// fills \p Report, when given, with what the read dropped. Errors carry an
+/// ErrClass and a stable `trace.*` code (see trace/TraceError.h).
 Expected<Trace> readTrace(const std::string &Path,
                           std::shared_ptr<StringInterner> Strings,
-                          const ReadOptions &Options);
+                          TraceReadReport *Report = nullptr);
 
 /// Digest of a trace file's recorded content: the 32-byte header, whose
 /// checksum seals the section table and through it every payload's

@@ -10,6 +10,10 @@
 /// get a stable (class, code) pair instead of parsing message text. The
 /// codes are part of the tool's interface (docs/ROBUSTNESS.md documents
 /// them with the CLI exit-code mapping); messages are free to change.
+/// Every `Corrupt` error names damage to a primary part of the file: the
+/// header, the section table, an entry column or a side table. Damage to
+/// a derived section (the fingerprint lane, the view index) is no error;
+/// the reader drops the section and rebuilds it (trace/Serialize.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,13 +94,6 @@ inline Err duplicateSection(const std::string &Path, uint32_t SectionId) {
 inline Err corruptSection(const std::string &Path, const std::string &What) {
   return makeClassErr(ErrClass::Corrupt, "trace.section",
                       "'" + Path + "' has a corrupt " + What + " section");
-}
-
-/// Salvage was requested but even the recoverable prefix is unusable
-/// (damaged header/table or side tables).
-inline Err unsalvageable(const std::string &Path, const std::string &What) {
-  return makeClassErr(ErrClass::Corrupt, "trace.unsalvageable",
-                      "cannot salvage '" + Path + "': " + What);
 }
 
 } // namespace TraceError

@@ -259,13 +259,11 @@ TEST(ViewIndexSerialize, CorruptIndexPayloadDegradesToColumnRebuild) {
 
   TelemetryWindow W;
   TraceReadReport Report;
-  ReadOptions Options;
-  Options.Report = &Report;
-  Expected<Trace> Loaded = readTrace(Path, nullptr, Options);
+  Expected<Trace> Loaded = readTrace(Path, nullptr, &Report);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   EXPECT_FALSE(Loaded->ViewIdx.Present);
   EXPECT_TRUE(Report.ViewIndexDropped);
-  EXPECT_FALSE(Report.Salvaged);
+  EXPECT_FALSE(Report.FingerprintsDropped);
   EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
   // The web rebuilt from the columns matches a fresh build exactly.
   ViewWeb Fresh(T, nullptr, /*UseIndex=*/false);
@@ -293,9 +291,7 @@ TEST(ViewIndexSerialize, MetaWithoutEntriesDropsIndex) {
 
   TelemetryWindow W;
   TraceReadReport Report;
-  ReadOptions Options;
-  Options.Report = &Report;
-  Expected<Trace> Loaded = readTrace(Path, nullptr, Options);
+  Expected<Trace> Loaded = readTrace(Path, nullptr, &Report);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   EXPECT_FALSE(Loaded->ViewIdx.Present);
   EXPECT_TRUE(Report.ViewIndexDropped);
@@ -318,9 +314,7 @@ TEST(ViewIndexSerialize, TruncatedIndexedFiles) {
   for (long Cut : {IndexEnd - 1, IndexEnd - 9}) {
     ASSERT_TRUE(truncate(Path.c_str(), Cut) == 0);
     TraceReadReport Report;
-    ReadOptions Options;
-    Options.Report = &Report;
-    Expected<Trace> Loaded = readTrace(Path, nullptr, Options);
+    Expected<Trace> Loaded = readTrace(Path, nullptr, &Report);
     ASSERT_TRUE(bool(Loaded)) << "cut at " << Cut << ": "
                               << Loaded.error().render();
     EXPECT_FALSE(Loaded->ViewIdx.Present) << "cut at " << Cut;

@@ -12,15 +12,16 @@
 ///      disarmed.
 ///   2. Every section of a trace file, and its header and section table,
 ///      survives the corruption matrix — truncation, payload bit flips,
-///      checksum-record tampering, oversized lengths — with a typed
-///      Corrupt error (core sections, header, table) or a dropped view
-///      index (derived sections), never a crash.
+///      checksum-record tampering, oversized lengths — never with a crash:
+///      damage to a primary section, the header or the table is a typed
+///      Corrupt error, and damage to a derived section (the fingerprint
+///      lane, the view index) loads the undamaged trace.
 ///   3. The degradation ladder: transient I/O retries, view-index drop,
 ///      pool-dispatch stalls — each leaves results correct, and the first
 ///      two increment their `robust.*` counters.
-///   4. Salvage mode recovers a byte-identical entry prefix from damaged
-///      files, trusting each section's own checksum when the header is
-///      damaged, and refuses when the side tables are gone.
+///   4. Derived sections: a damaged fingerprint lane is recomputed and a
+///      damaged view index dropped, each reported and counted, and no
+///      hostile view count sizes an allocation.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -98,6 +99,16 @@ SectionRec findSection(const std::vector<SectionRec> &Table, uint32_t Id) {
   return It != Table.end() ? *It : SectionRec();
 }
 
+/// Asserts that \p Got holds \p Want's entries: the same renderings and
+/// the same fingerprints, entry for entry.
+void expectSameEntries(const Trace &Want, const Trace &Got) {
+  ASSERT_EQ(Got.size(), Want.size());
+  for (uint32_t I = 0; I != Want.size(); ++I) {
+    ASSERT_EQ(Got.renderEntry(I), Want.renderEntry(I)) << I;
+    ASSERT_EQ(Got.fp(I), Want.fp(I)) << I;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // FaultInjector
 //===----------------------------------------------------------------------===//
@@ -169,10 +180,20 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
   for (uint32_t Id : {12u, 15u, 16u, 26u, 27u, 28u})
     findSection(Table, Id);
 
+  // The undamaged trace as loaded, to hold every derived-section mutant
+  // to: the same entries, renderings and fingerprints.
+  Expected<Trace> Ref = readTrace(Base, nullptr);
+  ASSERT_TRUE(bool(Ref)) << Ref.error().render();
+
   std::string Mutant = tempPath("matrix_mut");
   enum Mutation { Truncate, FlipPayload, FlipChecksum, OversizeLength };
+  // The typed error each mutation gives a primary section.
+  const char *const PrimaryCode[] = {
+      "trace.truncated", "trace.section_checksum", "trace.section_checksum",
+      "trace.section_bounds"};
   for (const SectionRec &Sec : Table) {
-    bool IsView = Sec.Id == 22 || Sec.Id == 23; // view-meta / view-entries
+    // The fingerprint lane (21) and the view index (22, 23) are derived.
+    bool IsDerived = Sec.Id >= 21 && Sec.Id <= 23;
     for (Mutation M : {Truncate, FlipPayload, FlipChecksum, OversizeLength}) {
       if ((M == Truncate || M == FlipPayload) && Sec.Length == 0)
         continue; // Nothing to cut or flip.
@@ -202,25 +223,22 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
       SCOPED_TRACE("section " + std::to_string(Sec.Id) + " mutation " +
                    std::to_string(M));
       Expected<Trace> Loaded = readTrace(Mutant, nullptr);
-      if (IsView && M != Truncate) {
-        // Damage confined to the derived index: the load degrades.
-        ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-        EXPECT_FALSE(Loaded->ViewIdx.Present);
-        EXPECT_EQ(Loaded->size(), T.size());
-      } else if (IsView) {
-        // Truncating at a view-section payload may also cut the other
-        // view section; either way only derived data is lost.
-        ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-        EXPECT_FALSE(Loaded->ViewIdx.Present);
-        EXPECT_EQ(Loaded->size(), T.size());
-      } else {
-        // Core and side sections: a typed Corrupt error, never a crash
-        // and never a partially-valid trace.
+      if (!IsDerived) {
+        // A typed Corrupt error, never a crash and never a partial trace.
         ASSERT_FALSE(bool(Loaded));
         EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt)
             << Loaded.error().render();
-        EXPECT_FALSE(Loaded.error().Code.empty());
+        EXPECT_EQ(Loaded.error().Code, PrimaryCode[M])
+            << Loaded.error().render();
+        continue;
       }
+      // Damage confined to derived data: the read drops what is damaged
+      // and rebuilds it from the columns. The index survives only damage
+      // to the lane alone (the lane comes first, so a cut there takes the
+      // index too).
+      ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+      EXPECT_EQ(Loaded->ViewIdx.Present, Sec.Id == 21 && M != Truncate);
+      expectSameEntries(*Ref, *Loaded);
     }
   }
 
@@ -229,8 +247,9 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
   // the file, and a byte past the declared length is refused too.
   const SectionRec &First = Table.front();
   for (size_t Pos : {ChecksumAt, EntriesAt, SectionsAt, LengthAt,
-                     First.RecordPos, First.RecordPos + 8,
-                     First.RecordPos + 16, First.RecordPos + 24}) {
+                     First.RecordPos, First.RecordPos + 4,
+                     First.RecordPos + 8, First.RecordPos + 16,
+                     First.RecordPos + 24}) {
     for (bool Cut : {false, true}) {
       SCOPED_TRACE("byte " + std::to_string(Pos) + (Cut ? " cut" : " flip"));
       std::vector<uint8_t> Bytes = Good;
@@ -245,9 +264,10 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
           << Loaded.error().render();
       if (Cut) {
         EXPECT_EQ(Loaded.error().Code, "trace.truncated");
-      } else if (Pos != First.RecordPos + 24) {
-        // A flipped record checksum is caught by the header first, or —
-        // when it only flips the pad — by the section itself.
+      } else {
+        // Even a flipped entry count or record pad, which leaves every
+        // section intact, is refused: nothing about the file is trusted
+        // past a header that fails its checksum.
         EXPECT_EQ(Loaded.error().Code, "trace.section");
         EXPECT_NE(Loaded.error().render().find("header"), std::string::npos)
             << Loaded.error().render();
@@ -266,11 +286,34 @@ TEST(CorruptionMatrix, EverySectionEveryMutation) {
   std::remove(Mutant.c_str());
 }
 
+TEST(CorruptionMatrix, WrappingHeaderNeverReadsOutsideTheFile) {
+  // A 184-byte file: the real magic and version, then a header declaring
+  // a length of 2^64 - 8 and 0x07FFFFFF sections, whose table ends at
+  // 32 + 0x07FFFFFF * 32 = 2^32 bytes — a bound computed in 32 bits wraps
+  // to 0 and lets the table be read from outside the file.
+  Trace T = traceOf("class A { } main { var a = new A(); }");
+  std::string Path = tempPath("wrap");
+  ASSERT_TRUE(writeTrace(T, Path));
+  std::vector<uint8_t> Real = readAll(Path);
+  ASSERT_GE(Real.size(), 8u);
+  std::vector<uint8_t> Bytes(184, 0);
+  std::copy(Real.begin(), Real.begin() + 8, Bytes.begin());
+  storeLE<uint32_t>(Bytes.data() + SectionsAt, 0x07FFFFFFu);
+  storeLE<uint64_t>(Bytes.data() + LengthAt, ~uint64_t{0} - 7);
+  ASSERT_TRUE(writeAll(Path, Bytes));
+
+  Expected<uint64_t> Digest = traceFileDigest(Path);
+  EXPECT_TRUE(bool(Digest)) << Digest.error().render();
+  Expected<Trace> Loaded = readTrace(Path, nullptr);
+  ASSERT_FALSE(bool(Loaded));
+  EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt);
+  EXPECT_EQ(Loaded.error().Code, "trace.section");
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Untrusted ids: representation rows, argument ids, tids, view keys
 //===----------------------------------------------------------------------===//
-
-void expectByteIdenticalPrefix(const Trace &T, const Trace &S);
 
 /// Overwrites u32 element \p Index of section \p Id's payload and reseals
 /// the checksums, so only the reader's value checks can object.
@@ -283,7 +326,7 @@ void patchU32(std::vector<uint8_t> &Bytes, uint32_t Id, size_t Index,
   resealSection(Bytes, R);
 }
 
-TEST(RowIds, OutOfRangeIdIsCorruptWhenStrictAndEndsThePrefixInSalvage) {
+TEST(RowIds, OutOfRangeIdIsCorrupt) {
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Base = tempPath("ids_base"), Path = tempPath("ids_mut");
@@ -309,30 +352,18 @@ TEST(RowIds, OutOfRangeIdIsCorruptWhenStrictAndEndsThePrefixInSalvage) {
       std::vector<uint8_t> Bytes = Good;
       patchU32(Bytes, C.Id, K, Bad);
       ASSERT_TRUE(writeAll(Path, Bytes));
-      Expected<Trace> Strict = readTrace(Path, Strings);
-      ASSERT_FALSE(bool(Strict));
-      EXPECT_EQ(Strict.error().Code, "trace.section");
-
-      TraceReadReport Report;
-      ReadOptions Options;
-      Options.Salvage = true;
-      Options.Report = &Report;
-      Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-      ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-      ASSERT_EQ(Salvaged->size(), K);
-      EXPECT_EQ(Report.EntriesDropped, T.size() - K);
-      expectByteIdenticalPrefix(T, *Salvaged);
+      Expected<Trace> Loaded = readTrace(Path, Strings);
+      ASSERT_FALSE(bool(Loaded));
+      EXPECT_EQ(Loaded.error().Code, "trace.section");
     }
   }
   std::remove(Base.c_str());
   std::remove(Path.c_str());
 }
 
-TEST(RowIds, OutOfRangeArgumentIdIsUnsalvageable) {
-  // Argument ids travel in the argument pool, a side table: one out of
-  // range discredits the pool, which every entry's argument slice points
-  // into, so salvage has nothing to recover, like any other damaged side
-  // table.
+TEST(RowIds, OutOfRangeArgumentIdIsCorrupt) {
+  // Argument ids travel in the argument pool, a side table that every
+  // entry's argument slice points into: one out of range fails the read.
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("ids_args");
@@ -342,14 +373,11 @@ TEST(RowIds, OutOfRangeArgumentIdIsUnsalvageable) {
   patchU32(Bytes, 26, 0, static_cast<uint32_t>(T.ValueReprs.size()));
   ASSERT_TRUE(writeAll(Path, Bytes));
 
-  Expected<Trace> Strict = readTrace(Path, Strings);
-  ASSERT_FALSE(bool(Strict));
-  EXPECT_EQ(Strict.error().Code, "trace.section");
-  ReadOptions Options;
-  Options.Salvage = true;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_FALSE(bool(Salvaged));
-  EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
+  Expected<Trace> Loaded = readTrace(Path, Strings);
+  ASSERT_FALSE(bool(Loaded));
+  EXPECT_EQ(Loaded.error().Code, "trace.section");
+  EXPECT_NE(Loaded.error().render().find("argument-pool"), std::string::npos)
+      << Loaded.error().render();
   std::remove(Path.c_str());
 }
 
@@ -422,15 +450,12 @@ TEST(HostileKeys, TidNamingNoThreadIsCorrupt) {
   std::string Path = tempPath("hostile_tid");
   ASSERT_TRUE(writeTrace(hostileKeyTrace(Strings, 0xFFFFFFF0u, 0), Path,
                          /*WithViewIndex=*/false));
-  Expected<Trace> Strict = readTrace(Path, Strings);
-  ASSERT_FALSE(bool(Strict));
-  EXPECT_EQ(Strict.error().Code, "trace.section");
-  // Under salvage the bad tid ends the validating prefix.
-  ReadOptions Options;
-  Options.Salvage = true;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  EXPECT_EQ(Salvaged->size(), 1u);
+  Expected<Trace> Loaded = readTrace(Path, Strings);
+  ASSERT_FALSE(bool(Loaded));
+  EXPECT_EQ(Loaded.error().Code, "trace.section");
+  EXPECT_NE(Loaded.error().render().find("corrupt tid section"),
+            std::string::npos)
+      << Loaded.error().render();
   std::remove(Path.c_str());
 }
 
@@ -561,9 +586,7 @@ TEST(DegradationLadder, ViewIndexBorrowFaultDropsIndexOnly) {
     ScopedFaultInjection Arm(5);
     FaultInjector::get().configure(FaultSite::ViewIndexBorrow, 1.0);
     TraceReadReport Report;
-    ReadOptions Options;
-    Options.Report = &Report;
-    Expected<Trace> Loaded = readTrace(Path, Strings, Options);
+    Expected<Trace> Loaded = readTrace(Path, Strings, &Report);
     ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
     EXPECT_FALSE(Loaded->ViewIdx.Present);
     EXPECT_TRUE(Report.ViewIndexDropped);
@@ -597,328 +620,130 @@ TEST(DegradationLadder, PoolDispatchStallsNeverChangeResults) {
 }
 
 //===----------------------------------------------------------------------===//
-// Salvage
+// Derived sections: the fingerprint lane and the view index
 //===----------------------------------------------------------------------===//
 
-/// Asserts that every entry of \p S is a byte-identical prefix of \p T's
-/// (the --salvage acceptance criterion: recovered entries are the original
-/// bytes, not a reconstruction) — the plain columns, and the
-/// representations each entry names.
-void expectByteIdenticalPrefix(const Trace &T, const Trace &S) {
-  size_t N = S.size();
-  ASSERT_LE(N, T.size());
-  EXPECT_EQ(0, std::memcmp(T.Tids.data(), S.Tids.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.Methods.data(), S.Methods.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.Kinds.data(), S.Kinds.data(), N));
-  EXPECT_EQ(0, std::memcmp(T.Names.data(), S.Names.data(), N * 4));
-  for (uint32_t Eid = 0; Eid != N; ++Eid) {
-    EXPECT_EQ(0, std::memcmp(&T.self(Eid), &S.self(Eid), 24));
-    EXPECT_EQ(0, std::memcmp(&T.target(Eid), &S.target(Eid), 24));
-    EXPECT_EQ(0, std::memcmp(&T.value(Eid), &S.value(Eid), 16));
-  }
-  EXPECT_EQ(0, std::memcmp(T.ArgsBegins.data(), S.ArgsBegins.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.ArgsEnds.data(), S.ArgsEnds.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.ChildTids.data(), S.ChildTids.data(), N * 4));
-  EXPECT_EQ(0, std::memcmp(T.Provs.data(), S.Provs.data(), N * 4));
-}
-
-TEST(Salvage, TruncatedFileRecoversByteIdenticalPrefix) {
+TEST(DerivedSections, DamagedFingerprintLaneIsRecomputed) {
+  // A flipped lane byte, and a resealed lane one entry short: either way
+  // the stored fingerprints cannot be trusted, so the read drops the lane,
+  // recomputes it from the columns, reports the drop and counts the
+  // recompute. The view index is intact and kept.
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
-  ASSERT_GT(T.size(), 50u);
-  std::string Base = tempPath("salvage_base");
+  std::string Path = tempPath("fp_lane");
+  ASSERT_TRUE(writeTrace(T, Path));
+  std::vector<uint8_t> Good = readAll(Path);
+  SectionRec Fp = section(Good, 21);
+  ASSERT_EQ(Fp.Length, T.size() * 8);
+  for (bool Short : {false, true}) {
+    SCOPED_TRACE(Short ? "short lane" : "flipped byte");
+    std::vector<uint8_t> Bytes = Good;
+    if (Short) {
+      SectionRec Lane = Fp;
+      Lane.Length -= 8;
+      storeLE<uint64_t>(Bytes.data() + Lane.RecordPos + 16, Lane.Length);
+      resealSection(Bytes, Lane);
+    } else {
+      Bytes[static_cast<size_t>(Fp.Offset + Fp.Length / 2)] ^= 0x40;
+    }
+    ASSERT_TRUE(writeAll(Path, Bytes));
+
+    TelemetryWindow W;
+    TraceReadReport Report;
+    Expected<Trace> Loaded = readTrace(Path, nullptr, &Report);
+    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+    EXPECT_TRUE(Report.FingerprintsDropped);
+    EXPECT_FALSE(Report.ViewIndexDropped);
+    EXPECT_TRUE(Loaded->ViewIdx.Present);
+    EXPECT_FALSE(Loaded->Fps.borrowed());
+    EXPECT_EQ(W.counter("load.fp_recompute"), 1u);
+    EXPECT_EQ(W.counter("robust.view_index_dropped"), 0u);
+    expectSameEntries(T, *Loaded);
+  }
+  std::remove(Path.c_str());
+}
+
+TEST(DerivedSections, OnlyACutThroughDerivedSectionsLoads) {
+  auto Strings = std::make_shared<StringInterner>();
+  Trace T = workloadTrace(Strings);
+  std::string Base = tempPath("cut_base");
   ASSERT_TRUE(writeTrace(T, Base, /*WithViewIndex=*/true));
   std::vector<uint8_t> Good = readAll(Base);
 
-  // Cut points derived from the file's section table, not guessed
-  // fractions. In the columnar layout a truncation mid-column leaves every
-  // *later* column absent, so only cuts in the trailing sections — the
-  // last entry column (Prov, id 20) and the derived fingerprint lane
-  // (Fp, id 21) — can recover entries. An earlier cut is refused.
+  // Cut points from the file's section table. The derived sections — the
+  // fingerprint lane, then the view index — are the last payloads, so a
+  // cut inside one of them takes only derived data: every entry loads and
+  // the lost sections are rebuilt. A cut that takes only the final
+  // padding loses nothing. A cut into any primary payload is
+  // trace.truncated.
   std::vector<SectionRec> Table = sections(Good);
-  SectionRec Prov = findSection(Table, 20), Fp = findSection(Table, 21),
-             Value = findSection(Table, 16);
-
-  TelemetryWindow W;
+  SectionRec Value = findSection(Table, 16), Prov = findSection(Table, 20),
+             Fp = findSection(Table, 21), Entries = findSection(Table, 23);
+  const uint64_t EntriesEnd = Entries.Offset + Entries.Length;
+  ASSERT_LT(EntriesEnd, Good.size()) << "the file has no final padding";
   struct Cut {
     const char *What;
-    size_t Bytes;
-    bool Recoverable;
-    bool Shrinks; ///< Recovered prefix must be strictly shorter.
+    uint64_t Bytes;
+    bool Loads;
+    bool LaneDropped;
+    bool IndexDropped;
   } Cuts[] = {
-      // Mid-Prov: entries up to the cut survive, the rest drop.
-      {"mid-prov", size_t(Prov.Offset + Prov.Length / 2), true, true},
-      // Mid-fingerprints: all entries survive, fps are recomputed.
-      {"mid-fp", size_t(Fp.Offset + Fp.Length / 2), true, false},
-      // Mid-Value: ArgsBegin onward is gone entirely — refused.
-      {"mid-value", size_t(Value.Offset + Value.Length / 2), false, false},
+      {"mid-value", Value.Offset + Value.Length / 2, false, false, false},
+      {"mid-prov", Prov.Offset + Prov.Length / 2, false, false, false},
+      {"mid-fp", Fp.Offset + Fp.Length / 2, true, true, true},
+      {"view-entries tail", EntriesEnd - 4, true, false, true},
+      {"final padding", EntriesEnd, true, false, false},
   };
-  std::string CutPath = tempPath("salvage_cut");
+  std::string CutPath = tempPath("cut");
   for (const Cut &C : Cuts) {
-    std::vector<uint8_t> Bytes = Good;
-    Bytes.resize(C.Bytes);
-    ASSERT_TRUE(writeAll(CutPath, Bytes));
     SCOPED_TRACE(C.What);
+    std::vector<uint8_t> Bytes = Good;
+    Bytes.resize(static_cast<size_t>(C.Bytes));
+    ASSERT_TRUE(writeAll(CutPath, Bytes));
 
-    Expected<Trace> Strict = readTrace(CutPath, Strings);
-    ASSERT_FALSE(bool(Strict));
-    EXPECT_EQ(Strict.error().Code, "trace.truncated");
-
+    TelemetryWindow W;
     TraceReadReport Report;
-    ReadOptions Options;
-    Options.Salvage = true;
-    Options.Report = &Report;
-    Expected<Trace> Salvaged = readTrace(CutPath, Strings, Options);
-    if (!C.Recoverable) {
-      ASSERT_FALSE(bool(Salvaged));
-      EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
+    Expected<Trace> Loaded = readTrace(CutPath, Strings, &Report);
+    if (!C.Loads) {
+      ASSERT_FALSE(bool(Loaded));
+      EXPECT_EQ(Loaded.error().Code, "trace.truncated");
       continue;
     }
-    ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-    EXPECT_TRUE(Report.Salvaged);
-    EXPECT_EQ(Report.EntriesRecovered, Salvaged->size());
-    EXPECT_EQ(Report.EntriesRecovered + Report.EntriesDropped, T.size());
-    if (C.Shrinks) {
-      EXPECT_LT(Salvaged->size(), T.size());
-      EXPECT_GT(Salvaged->size(), 0u);
-    } else {
-      EXPECT_EQ(Salvaged->size(), T.size());
-    }
-    expectByteIdenticalPrefix(T, *Salvaged);
-    // The recovered prefix renders identically entry for entry.
-    for (uint32_t I = 0; I != Salvaged->size(); ++I)
-      ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
+    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+    EXPECT_EQ(Report.FingerprintsDropped, C.LaneDropped);
+    EXPECT_EQ(Report.ViewIndexDropped, C.IndexDropped);
+    EXPECT_EQ(Loaded->ViewIdx.Present, !C.IndexDropped);
+    EXPECT_EQ(W.counter("load.fp_recompute"), C.LaneDropped ? 1u : 0u);
+    EXPECT_EQ(W.counter("robust.view_index_dropped"),
+              C.IndexDropped ? 1u : 0u);
+    expectSameEntries(T, *Loaded);
   }
-  EXPECT_GE(W.counter("robust.salvage.used"), 2u);
-  EXPECT_GE(W.counter("robust.salvage.dropped_entries"), 1u);
   std::remove(Base.c_str());
   std::remove(CutPath.c_str());
 }
 
-TEST(Salvage, DamagedSideTableIsUnsalvageable) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("unsalvageable");
-  ASSERT_TRUE(writeTrace(T, Path));
-  std::vector<uint8_t> Good = readAll(Path);
-  std::vector<SectionRec> Table = sections(Good);
-
-  // Damage each side table: the strings, threads, argument pool, object
-  // rows or value rows. Every entry refers into them and no prefix of one
-  // is usable, so salvage must refuse rather than return garbage symbols.
-  for (uint32_t Id : {24u, 25u, 26u, 27u, 28u}) {
-    SCOPED_TRACE("side table " + std::to_string(Id));
-    std::vector<uint8_t> Bytes = Good;
-    SectionRec Side = findSection(Table, Id);
-    ASSERT_GT(Side.Length, 0u);
-    Bytes[static_cast<size_t>(Side.Offset + Side.Length / 2)] ^= 0x10;
-    ASSERT_TRUE(writeAll(Path, Bytes));
-
-    Expected<Trace> Strict = readTrace(Path, Strings);
-    ASSERT_FALSE(bool(Strict));
-    EXPECT_EQ(Strict.error().Class, ErrClass::Corrupt);
-    ReadOptions Options;
-    Options.Salvage = true;
-    Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-    ASSERT_FALSE(bool(Salvaged));
-    EXPECT_EQ(Salvaged.error().Class, ErrClass::Corrupt);
-    EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
-  }
-  std::remove(Path.c_str());
-}
-
-TEST(Salvage, IntactFilesReadIdenticallyWithSalvageOn) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("salvage_noop");
-  ASSERT_TRUE(writeTrace(T, Path));
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = true;
-  Options.Report = &Report;
-  Expected<Trace> Loaded = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  EXPECT_FALSE(Report.Salvaged) << "salvage must be a no-op on clean files";
-  EXPECT_FALSE(Report.ViewIndexDropped);
-  EXPECT_EQ(Loaded->size(), T.size());
-  EXPECT_TRUE(Loaded->ViewIdx.Present);
-  std::remove(Path.c_str());
-}
-
-/// The mid-column salvage floor: a section checksum covers the whole
-/// column, so one flipped byte anywhere in an entry column discredits all
-/// of it — no prefix is trustworthy, and with nothing else to recover
-/// salvage refuses rather than return an empty trace that looks
-/// legitimately empty.
-TEST(Salvage, ColumnFlipIsUnsalvageable) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  ASSERT_GT(T.size(), 50u);
-  std::string Path = tempPath("column_flip");
-  ASSERT_TRUE(writeTrace(T, Path));
-  std::vector<uint8_t> Bytes = readAll(Path);
-  SectionRec Value = findSection(sections(Bytes), 16);
-  ASSERT_GT(Value.Length, 0u);
-  Bytes[static_cast<size_t>(Value.Offset + Value.Length / 2)] ^= 0x40;
-  ASSERT_TRUE(writeAll(Path, Bytes));
-
-  Expected<Trace> Strict = readTrace(Path, Strings);
-  ASSERT_FALSE(bool(Strict));
-  EXPECT_EQ(Strict.error().Code, "trace.section_checksum");
-
-  ReadOptions Options;
-  Options.Salvage = true;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_FALSE(bool(Salvaged));
-  EXPECT_EQ(Salvaged.error().Code, "trace.unsalvageable");
-  std::remove(Path.c_str());
-}
-
-TEST(Salvage, DamagedHeaderTrustsEachSectionChecksum) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("header_damage");
-  ASSERT_TRUE(writeTrace(T, Path));
-  std::vector<uint8_t> Good = readAll(Path);
-
-  // A flipped header checksum, declared length or record pad, and bytes
-  // past the declared length: the frame is damaged but every section is
-  // intact, so salvage recovers everything and still reports the damage
-  // so callers know the file needs rewriting.
-  struct Damage {
-    const char *What;
-    size_t FlipAt; ///< 0: append bytes instead.
-    const char *Strict;
-  } Damages[] = {
-      {"checksum", ChecksumAt, "header"},
-      {"length", LengthAt, "header"},
-      {"record pad", HeaderBytes + 4, "header"},
-      {"appended bytes", 0, "file-size"},
-  };
-  for (const Damage &D : Damages) {
-    SCOPED_TRACE(D.What);
-    std::vector<uint8_t> Bytes = Good;
-    if (D.FlipAt)
-      Bytes[D.FlipAt] ^= 0x40;
-    else
-      Bytes.insert(Bytes.end(), 16, 0xab);
-    ASSERT_TRUE(writeAll(Path, Bytes));
-
-    Expected<Trace> Strict = readTrace(Path, Strings);
-    ASSERT_FALSE(bool(Strict));
-    EXPECT_EQ(Strict.error().Code, "trace.section");
-    EXPECT_NE(Strict.error().render().find(D.Strict), std::string::npos)
-        << Strict.error().render();
-
-    TraceReadReport Report;
-    ReadOptions Options;
-    Options.Salvage = true;
-    Options.Report = &Report;
-    Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-    ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-    EXPECT_TRUE(Report.Salvaged);
-    EXPECT_EQ(Report.EntriesDropped, 0u);
-    ASSERT_EQ(Salvaged->size(), T.size());
-    for (uint32_t I = 0; I != Salvaged->size(); ++I)
-      ASSERT_EQ(Salvaged->renderEntry(I), T.renderEntry(I)) << I;
-  }
-  std::remove(Path.c_str());
-}
-
-TEST(Salvage, CutInsideViewIndexLoadsStrictly) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("viewcut");
-  ASSERT_TRUE(writeTrace(T, Path));
-  std::vector<uint8_t> Bytes = readAll(Path);
-
-  // The cut takes the end of the view entries, but no entry data: a
-  // strict read loads every entry and drops the derived index.
-  SectionRec Entries = findSection(sections(Bytes), 23);
-  ASSERT_GT(Entries.Length, 4u);
-  Bytes.resize(static_cast<size_t>(Entries.Offset + Entries.Length - 4));
-  ASSERT_TRUE(writeAll(Path, Bytes));
-
-  TelemetryWindow W;
-  TraceReadReport Report;
-  ReadOptions Options;
-  Options.Report = &Report;
-  Expected<Trace> Loaded = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-  EXPECT_EQ(Loaded->size(), T.size());
-  EXPECT_FALSE(Loaded->ViewIdx.Present);
-  EXPECT_TRUE(Report.ViewIndexDropped);
-  EXPECT_FALSE(Report.Salvaged);
-  EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
-  for (uint32_t I = 0; I != Loaded->size(); ++I)
-    ASSERT_EQ(Loaded->renderEntry(I), T.renderEntry(I)) << I;
-  std::remove(Path.c_str());
-}
-
-TEST(Salvage, HostileViewCountIsNeverReserved) {
-  // The header declares 0xF0000000 entries, and the view meta 0xE0000000
-  // views in its first family, every checksum resealed. Salvage keeps the
-  // entries the columns hold, and the index, which no longer describes
-  // the kept entries, is dropped without being parsed — so its view count
-  // never sizes an allocation.
+TEST(DerivedSections, HostileViewCountIsNeverReserved) {
+  // The view meta declares 0xE0000000 views in its first family, its
+  // checksum and the header resealed, the entry count the real one. The
+  // strict read reaches the index's bounds and drops it without reserving
+  // the view count; every entry loads.
   auto Strings = std::make_shared<StringInterner>();
   Trace T = workloadTrace(Strings);
   std::string Path = tempPath("hostile_views");
   ASSERT_TRUE(writeTrace(T, Path));
   std::vector<uint8_t> Bytes = readAll(Path);
-  const uint32_t Declared = 0xF0000000u;
-  storeLE<uint32_t>(Bytes.data() + EntriesAt, Declared);
   patchU32(Bytes, 22, 0, 0xE0000000u);
   ASSERT_TRUE(writeAll(Path, Bytes));
 
-  Expected<Trace> Strict = readTrace(Path, Strings);
-  ASSERT_FALSE(bool(Strict));
-  EXPECT_EQ(Strict.error().Code, "trace.section");
-
   TelemetryWindow W;
   TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = true;
-  Options.Report = &Report;
-  Expected<Trace> Salvaged = readTrace(Path, Strings, Options);
-  ASSERT_TRUE(bool(Salvaged)) << Salvaged.error().render();
-  ASSERT_EQ(Salvaged->size(), T.size());
-  EXPECT_TRUE(Report.Salvaged);
+  Expected<Trace> Loaded = readTrace(Path, Strings, &Report);
+  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   EXPECT_TRUE(Report.ViewIndexDropped);
-  EXPECT_FALSE(Salvaged->ViewIdx.Present);
-  EXPECT_EQ(Report.EntriesDropped, Declared - T.size());
+  EXPECT_FALSE(Report.FingerprintsDropped);
+  EXPECT_FALSE(Loaded->ViewIdx.Present);
   EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
-  expectByteIdenticalPrefix(T, *Salvaged);
-  std::remove(Path.c_str());
-}
-
-TEST(Salvage, WrappingHeaderNeverReadsOutsideTheFile) {
-  // A 184-byte file: the real magic and version, then a header declaring
-  // a length of 2^64 - 8 and 0x07FFFFFF sections, whose table ends at
-  // 32 + 0x07FFFFFF * 32 = 2^32 bytes — a bound computed in 32 bits wraps
-  // to 0 and lets the table be read from outside the file.
-  Trace T = traceOf("class A { } main { var a = new A(); }");
-  std::string Path = tempPath("wrap");
-  ASSERT_TRUE(writeTrace(T, Path));
-  std::vector<uint8_t> Real = readAll(Path);
-  ASSERT_GE(Real.size(), 8u);
-  std::vector<uint8_t> Bytes(184, 0);
-  std::copy(Real.begin(), Real.begin() + 8, Bytes.begin());
-  storeLE<uint32_t>(Bytes.data() + SectionsAt, 0x07FFFFFFu);
-  storeLE<uint64_t>(Bytes.data() + LengthAt, ~uint64_t{0} - 7);
-  ASSERT_TRUE(writeAll(Path, Bytes));
-
-  Expected<uint64_t> Digest = traceFileDigest(Path);
-  EXPECT_TRUE(bool(Digest)) << Digest.error().render();
-  for (bool Salvage : {false, true}) {
-    ReadOptions Options;
-    Options.Salvage = Salvage;
-    Expected<Trace> Loaded = readTrace(Path, nullptr, Options);
-    ASSERT_FALSE(bool(Loaded)) << "salvage " << Salvage;
-    EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt);
-    EXPECT_EQ(Loaded.error().Code,
-              Salvage ? "trace.unsalvageable" : "trace.section");
-  }
+  expectSameEntries(T, *Loaded);
   std::remove(Path.c_str());
 }
 

@@ -402,9 +402,7 @@ TEST(Serialize, RejectsTruncatedFiles) {
   // only derived data, so the trace loads without the index.
   ASSERT_TRUE(truncate(Path.c_str(), Size - 1) == 0);
   TraceReadReport Report;
-  ReadOptions Options;
-  Options.Report = &Report;
-  Expected<Trace> Clipped = readTrace(Path, nullptr, Options);
+  Expected<Trace> Clipped = readTrace(Path, nullptr, &Report);
   ASSERT_TRUE(bool(Clipped)) << Clipped.error().render();
   EXPECT_EQ(Clipped->size(), T.size());
   EXPECT_FALSE(Clipped->ViewIdx.Present);
@@ -437,16 +435,15 @@ TEST(Serialize, RejectsCorruptSectionBytes) {
     main { var a = new A(5); print(a.x); }
   )");
   std::string Path = tempPath("badsec");
-  // Without the optional view-index sections the file's last payload is a
-  // core section, so the flip must be a hard error.
   ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/false));
 
-  // Flip the last byte of the fingerprint lane: the section checksum must
-  // catch it.
+  // Flip the last byte of the provenance column, the last primary column:
+  // the section checksum must catch it, and a damaged primary section is
+  // a hard error.
   std::vector<uint8_t> Bytes = readAll(Path);
-  SectionRec Fp = section(Bytes, 21);
-  ASSERT_GT(Fp.Length, 0u);
-  Bytes[static_cast<size_t>(Fp.Offset + Fp.Length - 1)] ^= 0xff;
+  SectionRec Prov = section(Bytes, 20);
+  ASSERT_GT(Prov.Length, 0u);
+  Bytes[static_cast<size_t>(Prov.Offset + Prov.Length - 1)] ^= 0xff;
   ASSERT_TRUE(writeAll(Path, Bytes));
 
   Expected<Trace> Loaded = readTrace(Path, nullptr);
@@ -473,9 +470,7 @@ TEST(Serialize, CorruptViewIndexByteDegradesNotFails) {
   ASSERT_TRUE(writeAll(Path, Bytes));
 
   TraceReadReport Report;
-  ReadOptions Options;
-  Options.Report = &Report;
-  Expected<Trace> Loaded = readTrace(Path, nullptr, Options);
+  Expected<Trace> Loaded = readTrace(Path, nullptr, &Report);
   ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
   EXPECT_FALSE(Loaded->ViewIdx.Present);
   EXPECT_TRUE(Report.ViewIndexDropped);

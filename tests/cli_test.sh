@@ -332,9 +332,9 @@ set -e
 #     (exit 3); a huge location is legal and must diff without sizing any
 #     table by it (the address-space limit turns a 16 GiB key-indexed
 #     vector into a failure).
-#   views — the header declares 0xF0000000 entries and the view meta
-#     0xE0000000 views: salvage keeps the real entries and drops the index
-#     without reserving its view count.
+#   views — the view meta declares 0xE0000000 views, the entry count the
+#     real one: the read keeps every entry and drops the index without
+#     reserving its view count.
 #   value — one bit of the value column flipped, its checksum left as it
 #     was: the copy records the same checksums as old.rpt, and every load
 #     of it must fail (exit 3) whether or not old.rpt is loaded too.
@@ -404,7 +404,6 @@ elif what == "index":
     _, off, length = sections[23]  # View entries: one byte flipped, unsealed.
     data[off + length // 2] ^= 0xFF
 elif what == "views":
-    struct.pack_into("<I", data, 16, 0xF0000000)  # Header entry count.
     _, off, _ = sections[22]  # View meta: family 0 declares 0xE0000000.
     struct.pack_into("<I", data, off, 0xE0000000)
     reseal(22)
@@ -451,11 +450,18 @@ for JOBS in 0 1; do
   grep -q "semantic diff: 0 differences" "$WORK/badloc_out.txt" \
     || fail "hostile location diff is not empty (--jobs $JOBS)"
 done
-limited "$RPRISM" trace-dump "$WORK/badviews.rpt" --salvage \
-  > /dev/null 2>"$WORK/badviews_err.txt"
-[ $? -eq 0 ] || fail "hostile view count did not salvage"
+limited "$RPRISM" trace-dump "$WORK/badviews.rpt" \
+  --metrics-out "$WORK/badviews_metrics.json" \
+  > "$WORK/badviews_dump.txt" 2>"$WORK/badviews_err.txt"
+[ $? -eq 0 ] || fail "hostile view count did not load"
 grep -q "damaged view index dropped" "$WORK/badviews_err.txt" \
   || fail "hostile view count did not drop the view index"
+python3 -c "import json,sys; sys.exit(json.load(open(sys.argv[1]))['counters'].get('robust.view_index_dropped') != 1)" \
+  "$WORK/badviews_metrics.json" \
+  || fail "hostile view count did not count robust.view_index_dropped once"
+"$RPRISM" trace-dump "$WORK/old.rpt" > "$WORK/old_dump.txt" 2>/dev/null
+cmp -s "$WORK/old_dump.txt" "$WORK/badviews_dump.txt" \
+  || fail "hostile view count did not load every entry of old.rpt"
 "$RPRISM" diff-traces "$WORK/old.rpt" "$WORK/badvalue.rpt" > /dev/null \
   2>"$WORK/badvalue_err.txt"
 [ $? -eq 3 ] || fail "damaged copy after its twin was not exit 3"
@@ -479,34 +485,55 @@ for CMD in diff-traces diff-nway; do
     || fail "$CMD with a damaged view index changed the report"
 done
 
-# --- salvage ------------------------------------------------------------------
-# Truncate the trace until a strict read fails, then confirm --salvage
-# recovers the prefix, reports the degradation, and counts it.
+# --- truncation and derived sections -----------------------------------------
+# Cut the trace from 95% down to 50% of its size. A cut that takes only
+# derived sections (the fingerprint lane, then the view index) loads, with
+# the lane recomputed, noted and counted; every other cut is
+# trace.truncated (exit 3).
 SIZE="$(wc -c < "$WORK/old.rpt")"
-SALVAGED=""
+REBUILT=""
+set +e
 for PCT in 95 90 85 80 75 70 65 60 55 50; do
-  CUT=$((SIZE * PCT / 100))
-  dd if="$WORK/old.rpt" of="$WORK/cut.rpt" bs=1 count="$CUT" 2>/dev/null
-  if "$RPRISM" trace-dump "$WORK/cut.rpt" > /dev/null 2>&1; then
-    continue  # cut only clipped derived sections; strict still fine
+  head -c $((SIZE * PCT / 100)) "$WORK/old.rpt" > "$WORK/cut.rpt"
+  "$RPRISM" trace-dump "$WORK/cut.rpt" --metrics-out "$WORK/cut_metrics.json" \
+    > /dev/null 2>"$WORK/cut_err.txt"
+  RC=$?
+  if [ $RC -ne 0 ]; then
+    [ $RC -eq 3 ] || fail "cut at $PCT% was not exit 3"
+    grep -qF "[trace.truncated]" "$WORK/cut_err.txt" \
+      || fail "cut at $PCT% was not trace.truncated"
+  elif grep -qF "[$WORK/cut.rpt: damaged fingerprint lane recomputed]" \
+         "$WORK/cut_err.txt"; then
+    python3 -c "import json,sys; sys.exit(json.load(open(sys.argv[1]))['counters'].get('load.fp_recompute', 0) < 1)" \
+      "$WORK/cut_metrics.json" \
+      || fail "cut at $PCT% rebuilt the lane without counting load.fp_recompute"
+    REBUILT=yes
   fi
-  if "$RPRISM" trace-dump "$WORK/cut.rpt" --salvage \
-       --metrics-out "$WORK/salvage_metrics.json" \
-       > /dev/null 2>"$WORK/salvage_err.txt"; then
-    grep -q "salvaged" "$WORK/salvage_err.txt" \
-      || fail "--salvage printed no degradation notice"
-    grep -q '"robust.salvage.used"' "$WORK/salvage_metrics.json" \
-      || fail "salvage metrics missing robust.salvage.used counter"
-    SALVAGED=yes
-    break
-  fi
-  # Deeper cuts can remove whole entry columns: refusal is exit 3.
-  set +e
-  "$RPRISM" trace-dump "$WORK/cut.rpt" --salvage > /dev/null 2>&1
-  [ $? -eq 3 ] || fail "unsalvageable cut was not exit 3"
-  set -e
 done
-[ -n "$SALVAGED" ] || fail "no truncation level exercised --salvage recovery"
+[ -n "$REBUILT" ] || fail "no cut loaded with the fingerprint lane rebuilt"
+# A damaged header is refused under every command, even a flipped entry
+# count that leaves every section intact.
+cp "$WORK/old.rpt" "$WORK/badcount.rpt"
+python3 -c "import sys; p=sys.argv[1]; b=bytearray(open(p,'rb').read()); b[16]^=0x40; open(p,'wb').write(b)" \
+  "$WORK/badcount.rpt"
+"$RPRISM" trace-dump "$WORK/badcount.rpt" > /dev/null 2>"$WORK/badcount_err.txt"
+[ $? -eq 3 ] || fail "trace-dump of a flipped entry count was not exit 3"
+grep -q "corrupt header section" "$WORK/badcount_err.txt" \
+  || fail "a flipped entry count did not report the header"
+for CMD in diff-traces diff-nway; do
+  "$RPRISM" $CMD "$WORK/old.rpt" "$WORK/badcount.rpt" > /dev/null 2>&1
+  [ $? -eq 3 ] || fail "$CMD with a flipped entry count was not exit 3"
+done
+# The retired prefix-recovery flag is unknown now: exit 2 on each
+# subcommand that took it.
+RETIRED=--salvage
+"$RPRISM" trace-dump "$WORK/old.rpt" $RETIRED > /dev/null 2>&1
+[ $? -eq 2 ] || fail "trace-dump $RETIRED was not exit 2"
+for CMD in diff-traces diff-nway; do
+  "$RPRISM" $CMD "$WORK/old.rpt" "$WORK/new.rpt" $RETIRED > /dev/null 2>&1
+  [ $? -eq 2 ] || fail "$CMD $RETIRED was not exit 2"
+done
+set -e
 
 # --- telemetry: --metrics-out + --profile ------------------------------------
 METRICS="$WORK/metrics.json"

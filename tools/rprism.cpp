@@ -58,13 +58,13 @@ int usage() {
       stderr,
       "usage:\n"
       "  rprism run <prog> [--input S]... [--int-input N]... [--trace F]\n"
-      "  rprism trace-dump <trace-file> [--salvage]\n"
+      "  rprism trace-dump <trace-file>\n"
       "  rprism diff <old-prog> <new-prog> [--engine views|lcs]\n"
       "              [--input S]... [--html F] [--jobs N]\n"
       "  rprism diff-traces <left.rpt> <right.rpt> [--engine views|lcs]\n"
-      "              [--html F] [--jobs N] [--no-view-cache] [--salvage]\n"
+      "              [--html F] [--jobs N] [--no-view-cache]\n"
       "  rprism diff-nway <base.rpt> <mutant.rpt>... [--html F] [--jobs N]\n"
-      "              [--no-view-cache] [--salvage]\n"
+      "              [--no-view-cache]\n"
       "  rprism analyze <old-prog> <new-prog> --regr-input S...\n"
       "              --ok-input S... [--removal] [--html F] [--jobs N]\n"
       "  rprism views <prog> [--input S]...\n"
@@ -139,9 +139,6 @@ struct Args {
   /// index. The report is identical either way; this exists for timing
   /// comparisons and as a workaround should an index ever be suspect.
   bool NoViewCache = false;
-  /// Recover the valid prefix of a damaged trace instead of failing
-  /// (readTrace salvage mode); what was dropped is reported on stderr.
-  bool Salvage = false;
   std::string MetricsOut;
   bool Profile = false;
   std::string TraceOut;
@@ -204,8 +201,6 @@ Args parseArgs(int Argc, char **Argv, int Start) {
       A.Removal = true;
     else if (Arg == "--no-view-cache")
       A.NoViewCache = true;
-    else if (Arg == "--salvage")
-      A.Salvage = true;
     else if (Arg == "--html")
       A.HtmlPath = Next();
     else if (Arg == "--jobs") {
@@ -254,13 +249,13 @@ Args parseArgs(int Argc, char **Argv, int Start) {
 const std::vector<const char *> *allowedFlags(const std::string &Command) {
   static const std::vector<const char *> Run = {"--input", "--int-input",
                                                 "--trace"};
-  static const std::vector<const char *> TraceDump = {"--salvage"};
+  static const std::vector<const char *> TraceDump = {};
   static const std::vector<const char *> Diff = {
       "--engine", "--input", "--int-input", "--html", "--jobs"};
   static const std::vector<const char *> DiffTraces = {
-      "--engine", "--html", "--jobs", "--no-view-cache", "--salvage"};
-  static const std::vector<const char *> DiffNWay = {
-      "--html", "--jobs", "--no-view-cache", "--salvage"};
+      "--engine", "--html", "--jobs", "--no-view-cache"};
+  static const std::vector<const char *> DiffNWay = {"--html", "--jobs",
+                                                     "--no-view-cache"};
   static const std::vector<const char *> Analyze = {
       "--engine",  "--regr-input", "--ok-input", "--int-input",
       "--removal", "--html",       "--jobs"};
@@ -356,39 +351,25 @@ int cmdRun(const Args &A) {
   return Exit;
 }
 
-/// Tells the user (on stderr, like the other bracketed notes) what a
-/// degraded read dropped, so salvage never silently passes off a prefix
-/// as the whole trace.
-void reportDegradations(const std::string &Path,
-                        const TraceReadReport &Report) {
-  if (Report.Salvaged)
-    std::fprintf(stderr, "[%s: salvaged %llu entries (%llu dropped)]\n",
-                 Path.c_str(),
-                 static_cast<unsigned long long>(Report.EntriesRecovered),
-                 static_cast<unsigned long long>(Report.EntriesDropped));
-  if (Report.ViewIndexDropped)
-    std::fprintf(stderr, "[%s: damaged view index dropped]\n", Path.c_str());
-}
-
-/// The one way the CLI reads a trace file: strict unless --salvage, with
-/// whatever the read dropped reported as soon as the file has loaded.
+/// The one way the CLI reads a trace file. A damaged derived section is
+/// dropped and rebuilt; each drop is noted on stderr, like the other
+/// bracketed notes, as soon as the file has loaded.
 Expected<Trace> loadTrace(const std::string &Path,
-                          std::shared_ptr<StringInterner> Strings,
-                          const Args &A) {
+                          std::shared_ptr<StringInterner> Strings) {
   TraceReadReport Report;
-  ReadOptions Options;
-  Options.Salvage = A.Salvage;
-  Options.Report = &Report;
-  Expected<Trace> T = readTrace(Path, std::move(Strings), Options);
-  if (T)
-    reportDegradations(Path, Report);
+  Expected<Trace> T = readTrace(Path, std::move(Strings), &Report);
+  if (T && Report.FingerprintsDropped)
+    std::fprintf(stderr, "[%s: damaged fingerprint lane recomputed]\n",
+                 Path.c_str());
+  if (T && Report.ViewIndexDropped)
+    std::fprintf(stderr, "[%s: damaged view index dropped]\n", Path.c_str());
   return T;
 }
 
 int cmdTraceDump(const Args &A) {
   if (A.Positional.size() != 1)
     return usage();
-  Expected<Trace> T = loadTrace(A.Positional[0], nullptr, A);
+  Expected<Trace> T = loadTrace(A.Positional[0], nullptr);
   if (!T)
     return fail(T.error());
   std::fputs(dumpTrace(*T).c_str(), stdout);
@@ -454,10 +435,10 @@ int cmdDiffTraces(const Args &A) {
     return usage();
   std::optional<TelemetrySpan> Teardown; // Destroyed last; see cmdRun.
   auto Strings = std::make_shared<StringInterner>();
-  Expected<Trace> Left = loadTrace(A.Positional[0], Strings, A);
+  Expected<Trace> Left = loadTrace(A.Positional[0], Strings);
   if (!Left)
     return fail(Left.error());
-  Expected<Trace> Right = loadTrace(A.Positional[1], Strings, A);
+  Expected<Trace> Right = loadTrace(A.Positional[1], Strings);
   if (!Right)
     return fail(Right.error());
   return printDiff(*Left, *Right, A, Teardown);
@@ -472,7 +453,7 @@ int cmdDiffNWay(const Args &A) {
   std::vector<Trace> Traces;
   Traces.reserve(A.Positional.size());
   for (const std::string &Path : A.Positional) {
-    Expected<Trace> T = loadTrace(Path, Strings, A);
+    Expected<Trace> T = loadTrace(Path, Strings);
     if (!T)
       return fail(T.error());
     Traces.push_back(T.take());
