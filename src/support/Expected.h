@@ -31,7 +31,7 @@ namespace rprism {
 enum class ErrClass : uint8_t {
   Other = 0, ///< Unclassified (compile errors, semantic failures, ...).
   Usage,     ///< The caller invoked an operation wrong.
-  Io,        ///< The environment failed (open/read/write); retryable.
+  Io,        ///< The environment failed (open/read/write).
   Corrupt,   ///< The input bytes are malformed; retrying cannot help.
   Resource,  ///< A resource limit was hit (allocation, budget).
 };

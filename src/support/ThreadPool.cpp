@@ -2,7 +2,6 @@
 
 #include "support/ThreadPool.h"
 
-#include "robustness/FaultInjector.h"
 #include "support/Telemetry.h"
 #include "support/TraceEventRecorder.h"
 
@@ -53,10 +52,6 @@ void ThreadPool::recordException(std::exception_ptr E) {
 }
 
 void ThreadPool::submit(std::function<void()> Task) {
-  // Injected scheduling jitter: delays dispatch but never drops or fails
-  // the task, so results must stay byte-identical under arbitrary stalls
-  // (the determinism contract the robustness tests pin down).
-  FaultInjector::maybeStall(FaultSite::PoolDispatch);
   if (Workers.empty()) {
     // Inline mode: preserve the sequential execution order exactly.
     try {

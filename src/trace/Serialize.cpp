@@ -2,8 +2,6 @@
 
 #include "trace/Serialize.h"
 
-#include "robustness/FaultInjector.h"
-#include "robustness/Retry.h"
 #include "support/Hashing.h"
 #include "support/Telemetry.h"
 #include "trace/TraceError.h"
@@ -19,13 +17,10 @@
 #include <unordered_set>
 #include <vector>
 
-#if defined(__unix__) || defined(__APPLE__)
-#define RPRISM_HAVE_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
 
 using namespace rprism;
 
@@ -219,106 +214,38 @@ struct SectionOut {
 
 // --- Reader ---------------------------------------------------------------
 
-/// The bytes of a trace file, either mmap'd or read into an arena.
-/// `Holder` keeps the bytes alive (and unmaps/frees on release).
+/// The bytes of a trace file, mapped read-only. `Holder` unmaps them when
+/// the last owner (the open file here, a loaded trace's Backing) lets go.
 struct FileBytes {
   std::shared_ptr<void> Holder;
   const uint8_t *Data = nullptr;
   size_t Size = 0;
-  bool Mapped = false;
 };
 
-/// How a load attempt ended. NotFound is terminal (retrying cannot create
-/// the file); Error covers everything transient-looking and is retried.
-enum class IoStatus { Ok, NotFound, Error };
-
-IoStatus loadFileBytesOnce(const std::string &Path, FileBytes &Out) {
-  if (FaultInjector::fire(FaultSite::FileOpen))
-    return IoStatus::Error; // Injected EIO on open.
-#if RPRISM_HAVE_MMAP
-  int Fd = ::open(Path.c_str(), O_RDONLY);
+/// Maps \p Path and checks the magic and version field every trace file
+/// starts with; only a current-version trace file gets past here. Only a
+/// regular file is mapped. The open does not block, so a FIFO without a
+/// writer is refused like a directory, a pipe or a device: trace.open.
+Expected<FileBytes> openTraceFile(const std::string &Path) {
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_NONBLOCK);
   if (Fd < 0)
-    return errno == ENOENT || errno == ENOTDIR ? IoStatus::NotFound
-                                               : IoStatus::Error;
+    return errno == ENOENT || errno == ENOTDIR ? TraceError::notFound(Path)
+                                               : TraceError::cannotOpen(Path);
+  FileBytes File;
   struct stat St;
-  if (::fstat(Fd, &St) != 0 || St.st_size < 0) {
-    ::close(Fd);
-    return IoStatus::Error;
-  }
-  size_t Size = static_cast<size_t>(St.st_size);
-  if (Size == 0) {
-    ::close(Fd);
-    Out = FileBytes{std::shared_ptr<void>(), nullptr, 0, false};
-    return IoStatus::Ok;
-  }
-  // An injected mmap failure exercises the arena fallback below.
-  if (!FaultInjector::fire(FaultSite::FileMmap)) {
+  bool Ok = ::fstat(Fd, &St) == 0 && S_ISREG(St.st_mode);
+  if (Ok && St.st_size > 0) {
+    const size_t Size = static_cast<size_t>(St.st_size);
     void *Map = ::mmap(nullptr, Size, PROT_READ, MAP_PRIVATE, Fd, 0);
-    if (Map != MAP_FAILED) {
-      ::close(Fd); // The mapping survives the descriptor.
-      Out.Holder = std::shared_ptr<void>(
-          Map, [Size](void *P) { ::munmap(P, Size); });
-      Out.Data = static_cast<const uint8_t *>(Map);
-      Out.Size = Size;
-      Out.Mapped = true;
-      return IoStatus::Ok;
+    Ok = Map != MAP_FAILED;
+    if (Ok) {
+      File.Holder.reset(Map, [Size](void *P) { ::munmap(P, Size); });
+      File.Data = static_cast<const uint8_t *>(Map);
+      File.Size = Size;
     }
   }
-  ::close(Fd);
-#endif
-  // Fallback: one read into an arena. operator new guarantees alignment
-  // for every fundamental type, which covers the 8-byte column elements.
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  if (!File)
-    return errno == ENOENT || errno == ENOTDIR ? IoStatus::NotFound
-                                               : IoStatus::Error;
-  std::fseek(File, 0, SEEK_END);
-  long EndPos = std::ftell(File);
-  if (EndPos < 0) {
-    std::fclose(File);
-    return IoStatus::Error;
-  }
-  size_t FileSize = static_cast<size_t>(EndPos);
-  std::fseek(File, 0, SEEK_SET);
-  std::shared_ptr<void> Arena(::operator new(FileSize ? FileSize : 1),
-                              [](void *P) { ::operator delete(P); });
-  size_t Got = FileSize ? std::fread(Arena.get(), 1, FileSize, File) : 0;
-  std::fclose(File);
-  if (Got != FileSize || FaultInjector::fire(FaultSite::FileRead))
-    return IoStatus::Error; // Real or injected short read.
-  // Injected in-flight bit flip: must be caught downstream by the section
-  // checksums, never crash.
-  FaultInjector::corruptByte(FaultSite::FileRead, Arena.get(), FileSize);
-  Out.Holder = std::move(Arena);
-  Out.Data = static_cast<const uint8_t *>(Out.Holder.get());
-  Out.Size = FileSize;
-  Out.Mapped = false;
-  return IoStatus::Ok;
-}
-
-/// Degradation-ladder rung: transient I/O failures get a bounded retry
-/// with backoff (robust.io_retry counts each retry) before surfacing,
-/// under the default RetryPolicy, on the mmap and arena-read paths alike.
-IoStatus loadFileBytes(const std::string &Path, FileBytes &Out) {
-  IoStatus Status = IoStatus::Error;
-  retryWithBackoff(
-      RetryPolicy{},
-      [&] {
-        Status = loadFileBytesOnce(Path, Out);
-        return Status != IoStatus::Error; // NotFound is terminal: no retry.
-      },
-      [](unsigned) { Telemetry::counterAdd("robust.io_retry"); });
-  return Status;
-}
-
-/// Loads \p Path and checks the magic and version field every trace file
-/// starts with; only a current-version trace file gets past here.
-Expected<FileBytes> openTraceFile(const std::string &Path) {
-  FileBytes File;
-  IoStatus Status = loadFileBytes(Path, File);
-  if (Status == IoStatus::NotFound)
-    return TraceError::notFound(Path);
-  if (Status == IoStatus::Error)
+  ::close(Fd); // The mapping survives the descriptor.
+  if (!Ok)
     return TraceError::cannotOpen(Path);
   uint32_t Magic = 0, Version = 0;
   if (File.Size >= 4)
@@ -432,9 +359,7 @@ Expected<SectionTable> parseSections(const std::string &Path,
       continue;
     }
     const uint8_t *Data = File.Data + Start;
-    if (checksumBytes(Data, Length) != Checksum ||
-        FaultInjector::fire(FaultSite::SectionChecksum)) {
-      // Checksum mismatch (real or injected).
+    if (checksumBytes(Data, Length) != Checksum) {
       if (DropDerived(Id))
         continue;
       return TraceError::sectionChecksum(Path, Id, Offset);
@@ -751,15 +676,13 @@ Expected<Trace> readTraceBytes(const std::string &Path, const FileBytes &File,
   if (UseFps)
     takeColumn(T.Fps, Fp, Count);
   // Any damage to the persisted index (checksum, structure, one section
-  // without the other, an injected borrow failure) drops it: the view web
-  // is rebuilt from the entries, and the drop is counted as
-  // `robust.view_index_dropped`.
+  // without the other) drops it: the view web is rebuilt from the entries,
+  // and the drop is counted as `robust.view_index_dropped`.
   const SectionIn &Meta = Sections[SecViewMeta];
   const SectionIn &Flat = Sections[SecViewEntries];
   if (Meta.Seen || Flat.Seen) {
     bool Keep = !Meta.Damaged && !Flat.Damaged &&
-                parseViewIndex(Sections, N, Map.size(), T.ViewIdx) &&
-                !FaultInjector::fire(FaultSite::ViewIndexBorrow);
+                parseViewIndex(Sections, N, Map.size(), T.ViewIdx);
     if (!Keep || !viewIndexIsValid(T.ViewIdx, Count)) {
       T.ViewIdx.clear();
       Telemetry::counterAdd("robust.view_index_dropped");
@@ -935,8 +858,6 @@ Expected<Trace> rprism::readTrace(const std::string &Path,
   Expected<FileBytes> File = openTraceFile(Path);
   if (!File)
     return File.error();
-  if (File->Mapped)
-    Telemetry::counterAdd("load.mmap", 1);
   Expected<Trace> Result =
       readTraceBytes(Path, *File, std::move(Strings), Report);
   if (Result)

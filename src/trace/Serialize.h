@@ -23,8 +23,8 @@
 /// and the view index. The representation columns hold row ids
 /// (trace/Trace.h), so each distinct representation is written once.
 ///
-/// Readers mmap the file (falling back to an aligned arena read), verify
-/// the header and every section checksum, and validate the untrusted bytes
+/// Readers mmap the file, which must be a regular file, verify the header
+/// and every section checksum, and validate the untrusted bytes
 /// (kinds, tids, symbol ids, representation rows and row ids, argument
 /// slices). There is one rule for damage. The header, the section table,
 /// the entry columns and the side tables are primary: each must be intact
@@ -83,7 +83,9 @@ struct TraceReadReport {
 
 /// Reads a trace from \p Path, interning all strings into \p Strings, and
 /// fills \p Report, when given, with what the read dropped. Errors carry an
-/// ErrClass and a stable `trace.*` code (see trace/TraceError.h).
+/// ErrClass and a stable `trace.*` code (see trace/TraceError.h); a path
+/// that is not a regular file, such as a directory, a FIFO or a pipe, is
+/// `trace.open`.
 Expected<Trace> readTrace(const std::string &Path,
                           std::shared_ptr<StringInterner> Strings,
                           TraceReadReport *Report = nullptr);

@@ -67,7 +67,7 @@ template <typename T> struct DefaultInitAllocator : std::allocator<T> {
 /// One column of the columnar trace: a contiguous array of a trivially
 /// copyable element type. Either *owning* (backed by its own vector) or
 /// *borrowed* (a pointer/length view into memory owned elsewhere — the
-/// mmap arena of a trace file, kept alive by Trace::Backing). Reads go
+/// mapped bytes of a trace file, kept alive by Trace::Backing). Reads go
 /// through (Ptr, Len) either way; any mutation of a borrowed column first
 /// detaches it (copies the bytes into owned storage).
 template <typename T> class Column {
@@ -282,9 +282,9 @@ struct Trace {
   Column<ValueRepr> ValueReprs; ///< Value representations; row 0 empty.
   std::vector<ThreadInfo> Threads;
 
-  /// Keep-alive for borrowed columns: the mmap'd (or arena-read) bytes of
-  /// a trace file loaded with symbol identity. Null for fully owned traces
-  /// (recorded or remapped).
+  /// Keep-alive for borrowed columns: the mmap'd bytes of a trace file
+  /// loaded with symbol identity. Null for fully owned traces (recorded or
+  /// remapped).
   std::shared_ptr<void> Backing;
 
   /// Persisted view partitioning, when loaded from a file carrying index

@@ -35,7 +35,8 @@ inline Err notFound(const std::string &Path) {
                       "no such trace file '" + Path + "'");
 }
 
-/// Opening or reading the file failed after retries.
+/// The path is not a regular file, or opening, checking or mapping it
+/// failed.
 inline Err cannotOpen(const std::string &Path) {
   return makeClassErr(ErrClass::Io, "trace.open",
                       "cannot open trace file '" + Path + "'");

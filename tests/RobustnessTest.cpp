@@ -1,4 +1,4 @@
-//===- tests/RobustnessTest.cpp - Fault injection and degradation tests ---===//
+//===- tests/RobustnessTest.cpp - Hostile trace files and derived sections ===//
 //
 // Part of the RPrism/C++ reproduction of "Semantics-Aware Trace Analysis"
 // (Hoffman, Eugster, Jagannathan; PLDI 2009).
@@ -8,17 +8,16 @@
 /// \file
 /// Pins the ingestion hardening contracts (docs/ROBUSTNESS.md):
 ///
-///   1. The fault injector is deterministic per seed and free when
-///      disarmed.
-///   2. Every section of a trace file, and its header and section table,
+///   1. Every section of a trace file, and its header and section table,
 ///      survives the corruption matrix — truncation, payload bit flips,
 ///      checksum-record tampering, oversized lengths — never with a crash:
 ///      damage to a primary section, the header or the table is a typed
 ///      Corrupt error, and damage to a derived section (the fingerprint
 ///      lane, the view index) loads the undamaged trace.
-///   3. The degradation ladder: transient I/O retries, view-index drop,
-///      pool-dispatch stalls — each leaves results correct, and the first
-///      two increment their `robust.*` counters.
+///   2. Untrusted ids and keys (representation rows, argument ids, tids,
+///      store locations) are range-checked or bounded.
+///   3. Only a regular file is read: a directory or a FIFO is a typed Io
+///      error, and a missing or empty file keeps its own code.
 ///   4. Derived sections: a damaged fingerprint lane is recomputed and a
 ///      damaged view index dropped, each reported and counted, and no
 ///      hostile view count sizes an allocation.
@@ -27,7 +26,6 @@
 
 #include "TraceFileLayout.h"
 
-#include "robustness/FaultInjector.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
 #include "support/Telemetry.h"
@@ -45,6 +43,9 @@
 #include <cstdio>
 #include <cstring>
 #include <vector>
+
+#include <sys/stat.h>
+#include <unistd.h>
 
 using namespace rprism;
 using namespace tracelayout;
@@ -107,58 +108,6 @@ void expectSameEntries(const Trace &Want, const Trace &Got) {
     ASSERT_EQ(Got.renderEntry(I), Want.renderEntry(I)) << I;
     ASSERT_EQ(Got.fp(I), Want.fp(I)) << I;
   }
-}
-
-//===----------------------------------------------------------------------===//
-// FaultInjector
-//===----------------------------------------------------------------------===//
-
-TEST(FaultInjector, DisarmedHooksAreInertAndCountNothing) {
-  FaultInjector &FI = FaultInjector::get();
-  ASSERT_FALSE(FaultInjector::enabled());
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::FileOpen));
-  uint8_t Byte = 0xab;
-  EXPECT_FALSE(FaultInjector::corruptByte(FaultSite::FileRead, &Byte, 1));
-  EXPECT_EQ(Byte, 0xab);
-  FaultInjector::maybeStall(FaultSite::PoolDispatch);
-  // Arming clears counts, and the disarmed calls above left none behind.
-  ScopedFaultInjection Arm(1);
-  for (unsigned S = 0; S != NumFaultSites; ++S)
-    EXPECT_EQ(FI.occurrences(static_cast<FaultSite>(S)), 0u)
-        << faultSiteName(static_cast<FaultSite>(S));
-}
-
-TEST(FaultInjector, SameSeedReplaysTheSameSchedule) {
-  auto Schedule = [](uint64_t Seed) {
-    ScopedFaultInjection Arm(Seed);
-    FaultInjector::get().configure(FaultSite::FileRead, 0.5);
-    std::vector<bool> Fired;
-    for (int I = 0; I != 64; ++I)
-      Fired.push_back(FaultInjector::fire(FaultSite::FileRead));
-    return Fired;
-  };
-  std::vector<bool> A = Schedule(123);
-  std::vector<bool> B = Schedule(123);
-  std::vector<bool> C = Schedule(456);
-  EXPECT_EQ(A, B) << "same seed must replay the same fault schedule";
-  EXPECT_NE(A, C) << "different seeds should differ (64 draws at p=0.5)";
-  // p=0.5 over 64 draws: both outcomes occur.
-  EXPECT_NE(std::count(A.begin(), A.end(), true), 0);
-  EXPECT_NE(std::count(A.begin(), A.end(), false), 0);
-}
-
-TEST(FaultInjector, OneShotFiresExactlyThatOccurrence) {
-  ScopedFaultInjection Arm(1);
-  FaultInjector &FI = FaultInjector::get();
-  FI.configure(FaultSite::FileOpen, 0.0, /*OneShotAt=*/2);
-  std::vector<bool> Fired;
-  for (int I = 0; I != 8; ++I)
-    Fired.push_back(FaultInjector::fire(FaultSite::FileOpen));
-  std::vector<bool> Expect = {false, false, true,  false,
-                              false, false, false, false};
-  EXPECT_EQ(Fired, Expect);
-  EXPECT_EQ(FI.occurrences(FaultSite::FileOpen), 8u);
-  EXPECT_EQ(FI.injected(FaultSite::FileOpen), 1u);
 }
 
 //===----------------------------------------------------------------------===//
@@ -488,135 +437,47 @@ TEST(HostileKeys, HugeObjectLocationDiffsWithBoundedKeyMaps) {
 }
 
 //===----------------------------------------------------------------------===//
-// Degradation ladder: I/O retry, view-index drop, stalls
+// Opening: only a regular file is read
 //===----------------------------------------------------------------------===//
 
-TEST(DegradationLadder, TransientOpenFailureIsRetried) {
-  Trace T = traceOf("class A { } main { var a = new A(); }");
-  std::string Path = tempPath("retry_open");
-  ASSERT_TRUE(writeTrace(T, Path));
-  TelemetryWindow W;
-  {
-    ScopedFaultInjection Arm(7);
-    // Fail exactly the first open; the bounded retry must recover.
-    FaultInjector::get().configure(FaultSite::FileOpen, 0.0, /*OneShotAt=*/0);
-    Expected<Trace> Loaded = readTrace(Path, nullptr);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    EXPECT_EQ(Loaded->size(), T.size());
+TEST(TraceOpen, OnlyARegularFileIsRead) {
+  // A directory and a FIFO without a writer are refused with trace.open,
+  // by the read and by the digest alike: neither blocks, and no size taken
+  // from them sizes an allocation.
+  std::string Dir = tempPath("dir");
+  std::string Fifo = tempPath("fifo");
+  std::string Empty = tempPath("empty");
+  ::rmdir(Dir.c_str());
+  std::remove(Fifo.c_str());
+  ASSERT_EQ(::mkdir(Dir.c_str(), 0700), 0);
+  ASSERT_EQ(::mkfifo(Fifo.c_str(), 0600), 0);
+  ASSERT_TRUE(writeAll(Empty, {}));
+  struct Case {
+    std::string Path;
+    ErrClass Class;
+    const char *Code;
+  };
+  const Case Cases[] = {
+      {Dir, ErrClass::Io, "trace.open"},
+      {Fifo, ErrClass::Io, "trace.open"},
+      {tempPath("missing"), ErrClass::Io, "trace.not_found"},
+      {Empty + "/t.rpt", ErrClass::Io, "trace.not_found"},
+      {Empty, ErrClass::Corrupt, "trace.magic"},
+  };
+  for (const Case &C : Cases) {
+    SCOPED_TRACE(C.Path);
+    Expected<Trace> Loaded = readTrace(C.Path, nullptr);
+    ASSERT_FALSE(bool(Loaded));
+    EXPECT_EQ(Loaded.error().Class, C.Class);
+    EXPECT_EQ(Loaded.error().Code, C.Code);
+    Expected<uint64_t> Digest = traceFileDigest(C.Path);
+    ASSERT_FALSE(bool(Digest));
+    EXPECT_EQ(Digest.error().Class, C.Class);
+    EXPECT_EQ(Digest.error().Code, C.Code);
   }
-  EXPECT_GE(W.counter("robust.io_retry"), 1u);
-  std::remove(Path.c_str());
-}
-
-TEST(DegradationLadder, PersistentOpenFailureIsTypedIoError) {
-  Trace T = traceOf("class A { } main { var a = new A(); }");
-  std::string Path = tempPath("eio");
-  ASSERT_TRUE(writeTrace(T, Path));
-  ScopedFaultInjection Arm(7);
-  FaultInjector::get().configure(FaultSite::FileOpen, 1.0);
-  Expected<Trace> Loaded = readTrace(Path, nullptr);
-  ASSERT_FALSE(bool(Loaded));
-  EXPECT_EQ(Loaded.error().Class, ErrClass::Io);
-  EXPECT_EQ(Loaded.error().Code, "trace.open");
-  std::remove(Path.c_str());
-}
-
-TEST(DegradationLadder, MmapFailureFallsBackToArenaAndShortReadRetries) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("arena");
-  ASSERT_TRUE(writeTrace(T, Path));
-  TelemetryWindow W;
-  {
-    ScopedFaultInjection Arm(11);
-    // Every mmap fails -> arena path; the first arena read comes up short
-    // -> one retry succeeds.
-    FaultInjector::get().configure(FaultSite::FileMmap, 1.0);
-    FaultInjector::get().configure(FaultSite::FileRead, 0.0, /*OneShotAt=*/0);
-    Expected<Trace> Loaded = readTrace(Path, Strings);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    ASSERT_EQ(Loaded->size(), T.size());
-    for (uint32_t I = 0; I != Loaded->size(); ++I)
-      ASSERT_EQ(Loaded->renderEntry(I), T.renderEntry(I)) << I;
-  }
-  EXPECT_GE(W.counter("robust.io_retry"), 1u);
-  EXPECT_EQ(W.counter("load.mmap"), 0u) << "mmap should have been denied";
-  std::remove(Path.c_str());
-}
-
-TEST(DegradationLadder, InFlightBitFlipIsCaughtByChecksums) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("bitflip");
-  ASSERT_TRUE(writeTrace(T, Path));
-  // The arena-read path corrupts one seeded bit after the read (occurrence
-  // 1 of the FileRead site is the corruptByte call). Nearly every byte of
-  // a trace file is covered by a section checksum or validated header/table
-  // field, so across seeds the flip must be either *detected* (typed
-  // Corrupt error) or provably harmless (the loaded trace is identical) —
-  // never a crash, never silent data damage.
-  unsigned Detected = 0;
-  for (uint64_t Seed = 1; Seed <= 8; ++Seed) {
-    ScopedFaultInjection Arm(Seed);
-    FaultInjector::get().configure(FaultSite::FileMmap, 1.0);
-    FaultInjector::get().configure(FaultSite::FileRead, 0.0, /*OneShotAt=*/1);
-    Expected<Trace> Loaded = readTrace(Path, Strings);
-    if (!Loaded) {
-      EXPECT_EQ(Loaded.error().Class, ErrClass::Corrupt)
-          << "seed " << Seed << ": " << Loaded.error().render();
-      ++Detected;
-      continue;
-    }
-    ASSERT_EQ(Loaded->size(), T.size()) << "seed " << Seed;
-    for (uint32_t I = 0; I != Loaded->size(); ++I)
-      ASSERT_EQ(Loaded->renderEntry(I), T.renderEntry(I))
-          << "seed " << Seed << " entry " << I;
-  }
-  EXPECT_GE(Detected, 1u) << "no seed's flip landed in checksummed bytes";
-  std::remove(Path.c_str());
-}
-
-TEST(DegradationLadder, ViewIndexBorrowFaultDropsIndexOnly) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace T = workloadTrace(Strings);
-  std::string Path = tempPath("borrowfault");
-  ASSERT_TRUE(writeTrace(T, Path, /*WithViewIndex=*/true));
-  TelemetryWindow W;
-  {
-    ScopedFaultInjection Arm(5);
-    FaultInjector::get().configure(FaultSite::ViewIndexBorrow, 1.0);
-    TraceReadReport Report;
-    Expected<Trace> Loaded = readTrace(Path, Strings, &Report);
-    ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
-    EXPECT_FALSE(Loaded->ViewIdx.Present);
-    EXPECT_TRUE(Report.ViewIndexDropped);
-    EXPECT_EQ(Loaded->size(), T.size());
-  }
-  EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
-  std::remove(Path.c_str());
-}
-
-TEST(DegradationLadder, PoolDispatchStallsNeverChangeResults) {
-  auto Strings = std::make_shared<StringInterner>();
-  Trace Left = workloadTrace(Strings);
-  GeneratorOptions G;
-  G.NumClasses = 3;
-  G.OuterIters = 12;
-  G.NumThreads = 2;
-  G.Seed = 42;
-  G.Perturb = 2;
-  Trace Right = traceOf(generateProgram(G), Strings);
-  ViewsDiffOptions Options;
-  Options.Jobs = 4;
-  DiffResult Reference = viewsDiff(Left, Right, Options);
-  {
-    ScopedFaultInjection Arm(17);
-    FaultInjector::get().configure(FaultSite::PoolDispatch, 1.0);
-    FaultInjector::get().setStallMicros(100);
-    DiffResult Stalled = viewsDiff(Left, Right, Options);
-    EXPECT_EQ(Reference.render(50, 12), Stalled.render(50, 12));
-    EXPECT_EQ(Reference.Stats.CompareOps, Stalled.Stats.CompareOps);
-  }
+  ::rmdir(Dir.c_str());
+  std::remove(Fifo.c_str());
+  std::remove(Empty.c_str());
 }
 
 //===----------------------------------------------------------------------===//
@@ -745,83 +606,6 @@ TEST(DerivedSections, HostileViewCountIsNeverReserved) {
   EXPECT_EQ(W.counter("robust.view_index_dropped"), 1u);
   expectSameEntries(T, *Loaded);
   std::remove(Path.c_str());
-}
-
-//===----------------------------------------------------------------------===//
-// armFromSpec (the --fault-spec surface)
-//===----------------------------------------------------------------------===//
-
-TEST(FaultSpec, ValidSpecArmsExactlyLikeArmPlusConfigure) {
-  FaultInjector &FI = FaultInjector::get();
-  std::string Error;
-  ASSERT_TRUE(FI.armFromSpec("seed=7,file-open:1.0", &Error)) << Error;
-  EXPECT_TRUE(FaultInjector::enabled());
-  EXPECT_TRUE(FaultInjector::fire(FaultSite::FileOpen));
-  // Unconfigured sites stay quiet.
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
-  FI.disarm();
-}
-
-TEST(FaultSpec, OneShotClauseFiresExactlyThatOccurrence) {
-  FaultInjector &FI = FaultInjector::get();
-  std::string Error;
-  ASSERT_TRUE(FI.armFromSpec("seed=1,view-index-borrow:0@2", &Error))
-      << Error;
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
-  EXPECT_TRUE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::ViewIndexBorrow));
-  EXPECT_EQ(FI.injected(FaultSite::ViewIndexBorrow), 1u);
-  FI.disarm();
-}
-
-TEST(FaultSpec, SameSpecSeedReplaysTheSameSchedule) {
-  FaultInjector &FI = FaultInjector::get();
-  auto Schedule = [&] {
-    std::vector<bool> Fires;
-    for (unsigned I = 0; I != 64; ++I)
-      Fires.push_back(FaultInjector::fire(FaultSite::FileRead));
-    return Fires;
-  };
-  ASSERT_TRUE(FI.armFromSpec("seed=42,file-read:0.3"));
-  std::vector<bool> First = Schedule();
-  ASSERT_TRUE(FI.armFromSpec("seed=42,file-read:0.3"));
-  EXPECT_EQ(Schedule(), First);
-  FI.disarm();
-}
-
-TEST(FaultSpec, MalformedSpecsNeverArm) {
-  FaultInjector &FI = FaultInjector::get();
-  FI.disarm();
-  const char *Bad[] = {
-      "bogus",                    // not a clause at all
-      "nope:0.5",                 // unknown site
-      "file-open:2.0",            // probability out of range
-      "file-open:x",              // probability not a number
-      "seed=z",                   // bad seed
-      "stall=z",                  // bad stall
-      "file-open:0.5@y",          // bad occurrence index
-      "seed=3,file-open:0.5,junk" // valid prefix, malformed tail
-  };
-  for (const char *Spec : Bad) {
-    std::string Error;
-    EXPECT_FALSE(FI.armFromSpec(Spec, &Error)) << Spec;
-    EXPECT_FALSE(Error.empty()) << Spec;
-    EXPECT_FALSE(FaultInjector::enabled())
-        << "malformed spec '" << Spec << "' must not leave the injector armed";
-  }
-}
-
-TEST(FaultSpec, EmptyAndWhitespaceFreeClausesAreTolerated) {
-  // Empty spec and stray commas arm with defaults (seed 0, nothing
-  // configured) — a no-op injector, not an error.
-  FaultInjector &FI = FaultInjector::get();
-  ASSERT_TRUE(FI.armFromSpec(""));
-  EXPECT_TRUE(FaultInjector::enabled());
-  EXPECT_FALSE(FaultInjector::fire(FaultSite::FileOpen));
-  ASSERT_TRUE(FI.armFromSpec("seed=5,,file-mmap:1.0"));
-  EXPECT_TRUE(FaultInjector::fire(FaultSite::FileMmap));
-  FI.disarm();
 }
 
 } // namespace

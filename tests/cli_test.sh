@@ -178,27 +178,14 @@ grep -q "divergence clusters" "$WORK/nway.html" || fail "html nway not written"
 grep -q '"nway.mutants": 2' "$WORK/nway_metrics.json" \
   || fail "nway metrics missing mutant count"
 
-# --- fault injection control (--fault-spec) ------------------------------------
-set +e
-"$RPRISM" trace-dump "$WORK/old.rpt" --fault-spec 'seed=7,file-open:1.0' \
-  > /dev/null 2>"$WORK/fault.txt"
-[ $? -ne 0 ] || fail "certain file-open fault did not fail trace-dump"
-set -e
-grep -q "fault injector armed" "$WORK/fault.txt" \
-  || fail "--fault-spec arming not reported"
-set +e
-"$RPRISM" trace-dump "$WORK/old.rpt" --fault-spec 'bogus' \
-  > /dev/null 2>"$WORK/badspec.txt"
-[ $? -eq 2 ] || fail "malformed --fault-spec was not usage exit 2"
-set -e
-grep -q "fault-spec" "$WORK/badspec.txt" || fail "bad spec diagnostic missing"
-
 # --- retired options ----------------------------------------------------------
-# Trace loads retry under one fixed policy: --retry-policy is a usage error.
+# Trace loads are not retried and no fault injector is built in: each flag
+# that configured one is a usage error.
 set +e
-"$RPRISM" trace-dump "$WORK/old.rpt" --retry-policy 'attempts=5' \
-  > /dev/null 2>&1
-[ $? -eq 2 ] || fail "--retry-policy was not usage exit 2"
+for RETIRED in --retry-policy --fault-spec; do
+  "$RPRISM" trace-dump "$WORK/old.rpt" $RETIRED 'seed=7' > /dev/null 2>&1
+  [ $? -eq 2 ] || fail "$RETIRED was not usage exit 2"
+done
 # --no-view-cache only names the persisted view index, which programs run
 # in memory do not have: diff and analyze refuse it.
 "$RPRISM" diff "$WORK/old.rp" "$WORK/new.rp" --int-input 100 \
@@ -284,6 +271,39 @@ grep -q "usage:" "$WORK/err.txt" || fail "unknown subcommand printed no usage"
 # Exit 4: I/O error (trace file that does not exist).
 "$RPRISM" trace-dump "$WORK/no_such.rpt" > /dev/null 2>&1
 [ $? -eq 4 ] || fail "missing trace file was not exit 4"
+# Exit 4 too: only a regular file is a trace file. A directory, a FIFO (the
+# open does not wait for a writer), a pipe and a device are each refused
+# with trace.open, under every command that reads trace files.
+mkdir "$WORK/adir"
+mkfifo "$WORK/fifo.rpt"
+for BAD in "$WORK/adir" "$WORK/fifo.rpt" /dev/null; do
+  for ARGS in "trace-dump $BAD" "diff-traces $BAD $WORK/old.rpt" \
+              "diff-nway $WORK/old.rpt $BAD"; do
+    timeout 20 "$RPRISM" $ARGS > /dev/null 2>"$WORK/open_err.txt"
+    [ $? -eq 4 ] || fail "$ARGS was not exit 4"
+    grep -qF "[trace.open]" "$WORK/open_err.txt" \
+      || fail "$ARGS did not report trace.open"
+  done
+done
+cat "$WORK/old.rpt" | "$RPRISM" trace-dump /dev/stdin \
+  > /dev/null 2>"$WORK/open_err.txt"
+[ $? -eq 4 ] || fail "a piped trace was not exit 4"
+grep -qF "[trace.open]" "$WORK/open_err.txt" \
+  || fail "a piped trace did not report trace.open"
+# Standard input redirected from a trace file is that regular file.
+"$RPRISM" trace-dump /dev/stdin < "$WORK/old.rpt" > "$WORK/stdin_dump.txt"
+[ $? -eq 0 ] || fail "trace-dump /dev/stdin < trace was not exit 0"
+"$RPRISM" trace-dump "$WORK/old.rpt" | cmp -s - "$WORK/stdin_dump.txt" \
+  || fail "trace-dump /dev/stdin < trace differs from the file's dump"
+# A directory as a program file is file.open (exit 4); a piped program runs.
+"$RPRISM" run "$WORK/adir" > /dev/null 2>"$WORK/open_err.txt"
+[ $? -eq 4 ] || fail "run of a directory was not exit 4"
+grep -qF "[file.open]" "$WORK/open_err.txt" \
+  || fail "run of a directory did not report file.open"
+OUT="$(cat "$WORK/old.rp" | "$RPRISM" run /dev/stdin --int-input 100 \
+       2>/dev/null)"
+[ "$OUT" = "110
+55" ] || fail "run of a piped program printed: $OUT"
 # Exit 3: corrupt input. Flip a byte in the checksum field of the first
 # section record (the header is 32 bytes, and the checksum lives at record
 # offset 24).
@@ -638,6 +658,10 @@ grep -q "REGRESSED" "$WORK/md_err.txt" || fail "metrics-diff verdict missing"
 # Error taxonomy: missing file 4, garbage JSON 3, bad usage 2.
 "$RPRISM" metrics-diff "$WORK/absent.json" "$METRICS" > /dev/null 2>&1
 [ $? -eq 4 ] || fail "metrics-diff missing file was not exit 4"
+"$RPRISM" metrics-diff "$WORK/adir" "$METRICS" > /dev/null 2>"$WORK/md_err.txt"
+[ $? -eq 4 ] || fail "metrics-diff of a directory was not exit 4"
+grep -qF "[file.open]" "$WORK/md_err.txt" \
+  || fail "metrics-diff of a directory did not report file.open"
 echo "not json" > "$WORK/garbage.json"
 "$RPRISM" metrics-diff "$WORK/garbage.json" "$METRICS" > /dev/null 2>&1
 [ $? -eq 3 ] || fail "metrics-diff garbage JSON was not exit 3"

@@ -14,15 +14,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "MetricsDiffMain.h"
+#include "Cli.h"
 
-#include "support/Expected.h"
 #include "support/MetricsDiff.h"
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
-#include <sstream>
 
 using namespace rprism;
 
@@ -51,29 +48,6 @@ int usage() {
       "exit codes: 0 within tolerance, 5 regression, 2 usage error,\n"
       "            3 corrupt/mismatched metrics JSON, 4 I/O error\n");
   return 2;
-}
-
-int exitCodeFor(const Err &E) {
-  switch (E.Class) {
-  case ErrClass::Usage:
-    return 2;
-  case ErrClass::Corrupt:
-    return 3;
-  case ErrClass::Io:
-    return 4;
-  default:
-    return 1;
-  }
-}
-
-Expected<std::string> readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return makeClassErr(ErrClass::Io, "file.open",
-                        "cannot open '" + Path + "'");
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
 }
 
 /// Parses "PCT" as a double; false on garbage.

@@ -22,30 +22,25 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/HtmlReport.h"
-#include "analysis/Impact.h"
 #include "analysis/Protocol.h"
 #include "analysis/Regression.h"
 #include "diff/NWayDiff.h"
-#include "robustness/FaultInjector.h"
 #include "runtime/Compiler.h"
 #include "runtime/Vm.h"
 #include "support/MetricsSink.h"
 #include "support/Telemetry.h"
 #include "support/TraceEventRecorder.h"
 #include "trace/Serialize.h"
-#include "workload/Corpus.h"
 
-#include "MetricsDiffMain.h"
+#include "Cli.h"
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <optional>
-#include <sstream>
 
 using namespace rprism;
 
@@ -79,45 +74,15 @@ int usage() {
       "  --trace-out F     write a per-thread timeline as Chrome\n"
       "                    trace-event JSON (open in Perfetto)\n"
       "\n"
-      "robustness (any subcommand):\n"
-      "  --fault-spec S    arm the fault injector, e.g.\n"
-      "                    'seed=7,file-read:0.01,section-checksum:0@2'\n"
-      "\n"
       "exit codes: 0 success, 1 failure, 2 usage error,\n"
       "            3 corrupt input, 4 I/O error, 5 perf regression\n",
       kMetricsSchema);
   return 2;
 }
 
-/// Maps an error's class onto the exit-code contract printed by usage():
-/// scripts can tell a corrupt trace (retry won't help; 3) from a transient
-/// I/O failure (retry might; 4) without parsing stderr.
-int exitCodeFor(const Err &E) {
-  switch (E.Class) {
-  case ErrClass::Usage:
-    return 2;
-  case ErrClass::Corrupt:
-    return 3;
-  case ErrClass::Io:
-    return 4;
-  default:
-    return 1;
-  }
-}
-
 int fail(const Err &E) {
   std::fprintf(stderr, "error: %s\n", E.render().c_str());
   return exitCodeFor(E);
-}
-
-Expected<std::string> readFile(const std::string &Path) {
-  std::ifstream In(Path, std::ios::binary);
-  if (!In)
-    return makeClassErr(ErrClass::Io, "file.open",
-                        "cannot open '" + Path + "'");
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  return SS.str();
 }
 
 /// Shared flag state across subcommands.
@@ -142,7 +107,6 @@ struct Args {
   std::string MetricsOut;
   bool Profile = false;
   std::string TraceOut;
-  std::string FaultSpec;
   /// Every --flag that appeared, for per-subcommand validation.
   std::vector<std::string> SeenFlags;
   bool Bad = false;
@@ -230,8 +194,6 @@ Args parseArgs(int Argc, char **Argv, int Start) {
       A.Profile = true;
     } else if (Arg == "--trace-out") {
       A.TraceOut = Next();
-    } else if (Arg == "--fault-spec") {
-      A.FaultSpec = Next();
     } else if (Arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "error: unknown flag '%s'\n", Arg.c_str());
       A.Bad = true;
@@ -288,7 +250,7 @@ bool validateFlags(const std::string &Command, const Args &A) {
   bool Ok = true;
   for (const std::string &Flag : A.SeenFlags) {
     if (Flag == "--metrics-out" || Flag == "--profile" ||
-        Flag == "--trace-out" || Flag == "--fault-spec")
+        Flag == "--trace-out")
       continue;
     if (std::none_of(Allowed->begin(), Allowed->end(),
                      [&Flag](const char *F) { return Flag == F; })) {
@@ -604,6 +566,41 @@ int dispatch(const std::string &Command, const Args &A) {
 
 } // namespace
 
+/// Scripts can tell a corrupt input (3) from a file that could not be
+/// opened or read (4) without parsing stderr.
+int rprism::exitCodeFor(const Err &E) {
+  switch (E.Class) {
+  case ErrClass::Usage:
+    return 2;
+  case ErrClass::Corrupt:
+    return 3;
+  case ErrClass::Io:
+    return 4;
+  default:
+    return 1;
+  }
+}
+
+/// Reads with stdio so a read error shows: a stream opened on a directory
+/// opens, then fails its first read, which an ifstream would take for an
+/// empty file.
+Expected<std::string> rprism::readFile(const std::string &Path) {
+  std::string Text;
+  std::FILE *File = std::fopen(Path.c_str(), "rb");
+  bool Ok = File != nullptr;
+  if (Ok) {
+    char Buffer[1 << 16];
+    while (size_t Got = std::fread(Buffer, 1, sizeof Buffer, File))
+      Text.append(Buffer, Got);
+    Ok = !std::ferror(File);
+    std::fclose(File);
+  }
+  if (!Ok)
+    return makeClassErr(ErrClass::Io, "file.open",
+                        "cannot open '" + Path + "'");
+  return Text;
+}
+
 int main(int Argc, char **Argv) {
   if (Argc < 2)
     return usage();
@@ -630,16 +627,6 @@ int main(int Argc, char **Argv) {
   }
   if (!validateFlags(Command, A))
     return usage();
-
-  // Fault injection. A bad spec is a usage error — never run half-armed.
-  if (!A.FaultSpec.empty()) {
-    std::string SpecError;
-    if (!FaultInjector::get().armFromSpec(A.FaultSpec, &SpecError)) {
-      std::fprintf(stderr, "error: %s\n", SpecError.c_str());
-      return 2;
-    }
-    std::fprintf(stderr, "[fault injector armed: %s]\n", A.FaultSpec.c_str());
-  }
 
   // Telemetry is recorded only when an export was requested; otherwise
   // every instrumentation point stays a single relaxed load.
