@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 namespace rprism {
@@ -40,7 +39,7 @@ enum class Op : uint8_t {
   LoadThis,
   GetField,    ///< A: field slot; B: field-name Symbol id. [obj] -> [value]
   SetField,    ///< A: slot; B: name. [obj, value] -> [value]
-  Call,        ///< A: method-name Symbol id; B: argc. [recv, args...] -> [ret]
+  Call,        ///< A: method slot; B: argc. [recv, args...] -> [ret]
   SuperCtor,   ///< A: argc. [args...] -> []; runs the superclass ctor.
   New,         ///< A: class id; B: argc. [args...] -> [obj]
   Ret,         ///< Returns TOS from the current frame.
@@ -50,7 +49,7 @@ enum class Op : uint8_t {
   Binary,      ///< A: BinOp. [lhs, rhs] -> [result]
   Unary,       ///< A: UnOp. [v] -> [result]
   Print,       ///< Pops and appends to program output.
-  Spawn,       ///< A: method-name Symbol id; B: argc. [recv, args...] -> []
+  Spawn,       ///< A: method slot; B: argc. [recv, args...] -> []
   Builtin,     ///< A: BuiltinKind; B: argc. [args...] -> [ret]
 };
 
@@ -80,15 +79,19 @@ struct CompiledMethod {
 /// Default kinds for field initialization before the constructor runs.
 enum class FieldDefaultKind : uint8_t { Null, Int, Bool, Float, Str, Unit };
 
+/// A Dispatch entry for a method name the class does not define.
+inline constexpr uint32_t NoMethod = ~0u;
+
 /// Runtime class metadata.
 struct RtClass {
   Symbol Name;
   uint32_t SuperId = ~0u;
   std::vector<Symbol> FieldNames; ///< Full layout, inherited first.
   std::vector<FieldDefaultKind> FieldDefaults;
-  /// Dispatch: method-name Symbol id -> compiled method index. Flattened
-  /// with overrides applied, so lookup is a single map probe.
-  std::unordered_map<uint32_t, uint32_t> Dispatch;
+  /// Dispatch: method slot (see CompiledProgram::MethodSlotNames) ->
+  /// compiled method index, or NoMethod. One entry per slot, flattened
+  /// with overrides applied, so a call is one load.
+  std::vector<uint32_t> Dispatch;
   /// Constructor to run for `new` (own or nearest inherited zero-arg);
   /// -1 when the chain has no explicit constructor.
   int32_t CtorMethod = -1;
@@ -102,6 +105,9 @@ struct CompiledProgram {
   std::shared_ptr<StringInterner> Strings;
   std::vector<RtClass> Classes;
   std::vector<CompiledMethod> Methods;
+  /// The method name of each dispatch slot: every name that a class
+  /// defines or a call or spawn names gets one dense slot.
+  std::vector<Symbol> MethodSlotNames;
   uint32_t MainMethod = 0;
   std::vector<int64_t> IntPool;
   std::vector<double> FloatPool;

@@ -6,6 +6,7 @@
 
 #include <cassert>
 #include <sstream>
+#include <unordered_map>
 
 using namespace rprism;
 
@@ -70,6 +71,17 @@ public:
 private:
   Symbol intern(const std::string &Str) { return Out.Strings->intern(Str); }
 
+  /// The dispatch slot of method name \p Name, assigned densely on first
+  /// use.
+  uint32_t methodSlot(const std::string &Name) {
+    Symbol Sym = intern(Name);
+    auto [It, Inserted] = SlotOf.try_emplace(
+        Sym.Id, static_cast<uint32_t>(Out.MethodSlotNames.size()));
+    if (Inserted)
+      Out.MethodSlotNames.push_back(Sym);
+    return It->second;
+  }
+
   int32_t intConst(int64_t Value) {
     for (size_t I = 0; I != Out.IntPool.size(); ++I)
       if (Out.IntPool[I] == Value)
@@ -107,6 +119,7 @@ private:
 
   const CheckedProgram &Checked;
   CompiledProgram Out;
+  std::unordered_map<uint32_t, uint32_t> SlotOf; ///< Name symbol -> slot.
   std::vector<Instr> *Body = nullptr;
   const ClassInfo *CurClass = nullptr;
 };
@@ -184,7 +197,7 @@ void Compiler::compileExpr(const Expr &E) {
     compileExpr(*Call.Receiver);
     for (const ExprPtr &Arg : Call.Args)
       compileExpr(*Arg);
-    emit(Op::Call, static_cast<int32_t>(intern(Call.MethodName).Id),
+    emit(Op::Call, static_cast<int32_t>(methodSlot(Call.MethodName)),
          static_cast<int32_t>(Call.Args.size()), E.Id);
     return;
   }
@@ -303,8 +316,7 @@ void Compiler::compileStmt(const Stmt &S) {
     compileExpr(*Spawn.Call->Receiver);
     for (const ExprPtr &Arg : Spawn.Call->Args)
       compileExpr(*Arg);
-    emit(Op::Spawn,
-         static_cast<int32_t>(intern(Spawn.Call->MethodName).Id),
+    emit(Op::Spawn, static_cast<int32_t>(methodSlot(Spawn.Call->MethodName)),
          static_cast<int32_t>(Spawn.Call->Args.size()), S.Id);
     return;
   }
@@ -420,8 +432,8 @@ Expected<CompiledProgram> Compiler::run() {
     }
   }
 
-  // Third pass: dispatch tables. For inherited methods, chase the declaring
-  // class's compiled index.
+  // Third pass: dispatch tables, indexed by method slot. For inherited
+  // methods, chase the declaring class's compiled index.
   for (const ClassInfo &Info : Checked.Classes) {
     RtClass &Class = Out.Classes[Info.Id];
     for (size_t I = 0; I != Info.Methods.size(); ++I) {
@@ -447,8 +459,10 @@ Expected<CompiledProgram> Compiler::run() {
         }
         continue;
       }
-      Class.Dispatch[intern(Method.Name).Id] =
-          static_cast<uint32_t>(Compiled);
+      uint32_t Slot = methodSlot(Method.Name);
+      if (Class.Dispatch.size() <= Slot)
+        Class.Dispatch.resize(Slot + 1, NoMethod);
+      Class.Dispatch[Slot] = static_cast<uint32_t>(Compiled);
     }
   }
 
@@ -470,6 +484,10 @@ Expected<CompiledProgram> Compiler::run() {
   }
 
   compileMainMethod(*Checked.Ast.Main);
+  // Every table covers every slot, including those of names that only a
+  // call site uses, so a call indexes without a bounds check.
+  for (RtClass &Class : Out.Classes)
+    Class.Dispatch.resize(Out.MethodSlotNames.size(), NoMethod);
   return std::move(Out);
 }
 

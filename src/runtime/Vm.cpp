@@ -443,19 +443,19 @@ void Vm::doCall(ThreadExec &T, const Instr &In) {
   }
   const HeapObj &Obj = Store.get(Recv.loc());
   const RtClass &Class = Prog.Classes[Obj.ClassId];
-  auto It = Class.Dispatch.find(static_cast<uint32_t>(In.A));
-  if (It == Class.Dispatch.end()) {
-    fail("no method '" + Prog.Strings->text(Symbol{uint32_t(In.A)}) +
+  uint32_t Target = Class.Dispatch[static_cast<uint32_t>(In.A)];
+  if (Target == NoMethod) {
+    fail("no method '" + Prog.Strings->text(Prog.MethodSlotNames[In.A]) +
          "' on class '" + Prog.Strings->text(Class.Name) + "'");
     return;
   }
-  const CompiledMethod &Callee = Prog.Methods[It->second];
+  const CompiledMethod &Callee = Prog.Methods[Target];
   // METH-E: record in the caller's context, then enter the callee. The
   // arguments stay in place and become the callee's locals; the receiver
   // slot below them receives the return value.
   Recorder.recordCall(ctxOf(T), Recv.loc(), Callee.QualName,
                       T.Slots.data() + ArgsBase, Argc, In.Prov);
-  pushFrame(T, It->second, Recv.loc(), ArgsBase, /*RetBase=*/ArgsBase - 1,
+  pushFrame(T, Target, Recv.loc(), ArgsBase, /*RetBase=*/ArgsBase - 1,
             /*DiscardRet=*/false);
 }
 
@@ -469,13 +469,13 @@ void Vm::doSpawn(ThreadExec &T, const Instr &In) {
   }
   const HeapObj &Obj = Store.get(Recv.loc());
   const RtClass &Class = Prog.Classes[Obj.ClassId];
-  auto It = Class.Dispatch.find(static_cast<uint32_t>(In.A));
-  if (It == Class.Dispatch.end()) {
+  uint32_t Target = Class.Dispatch[static_cast<uint32_t>(In.A)];
+  if (Target == NoMethod) {
     fail("no method to spawn on class '" + Prog.Strings->text(Class.Name) +
          "'");
     return;
   }
-  const CompiledMethod &Callee = Prog.Methods[It->second];
+  const CompiledMethod &Callee = Prog.Methods[Target];
 
   uint32_t ChildTid = static_cast<uint32_t>(Threads.size());
 
@@ -505,7 +505,7 @@ void Vm::doSpawn(ThreadExec &T, const Instr &In) {
   T.Top = ArgsBase - 1; // Consume receiver + arguments.
   Threads.push_back(std::move(Child));
   // Note: Threads is a deque, so &T stays valid across push_back.
-  pushFrame(Threads.back(), It->second, Recv.loc(), /*ArgsBase=*/0,
+  pushFrame(Threads.back(), Target, Recv.loc(), /*ArgsBase=*/0,
             /*RetBase=*/0, /*DiscardRet=*/true);
 }
 

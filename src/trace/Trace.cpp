@@ -9,8 +9,72 @@
 #include <cstdio>
 #include <cstring>
 #include <sstream>
+#include <string_view>
+
+#include <sys/mman.h>
+#include <sys/prctl.h>
 
 using namespace rprism;
+
+namespace {
+
+constexpr size_t HugePage = detail::HugeColumnBytes;
+
+size_t wholeHugePages(size_t Bytes) {
+  return (Bytes + HugePage - 1) & ~(HugePage - 1);
+}
+
+bool probeHugePages() {
+  if (prctl(PR_GET_THP_DISABLE, 0, 0, 0, 0) == 1)
+    return false;
+  // The active mode is the bracketed word: "always [madvise] never".
+  std::FILE *File =
+      std::fopen("/sys/kernel/mm/transparent_hugepage/enabled", "r");
+  if (!File)
+    return false;
+  char Buffer[128];
+  size_t Got = std::fread(Buffer, 1, sizeof Buffer, File);
+  std::fclose(File);
+  std::string_view Modes(Buffer, Got);
+  return Modes.find('[') != std::string_view::npos &&
+         Modes.find("[never]") == std::string_view::npos;
+}
+
+} // namespace
+
+bool detail::hugeColumnsAvailable() {
+  static const bool Available = probeHugePages();
+  return Available;
+}
+
+void *detail::allocateColumn(size_t Bytes) {
+  if (Bytes < HugeColumnBytes || !hugeColumnsAvailable())
+    return ::operator new(Bytes);
+  // Map one huge page more than needed, then trim both ends so the column
+  // starts on a 2 MiB boundary: only whole aligned 2 MiB ranges can be
+  // backed by huge pages.
+  size_t Len = wholeHugePages(Bytes);
+  void *Raw = mmap(nullptr, Len + HugePage, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (Raw == MAP_FAILED)
+    throw std::bad_alloc();
+  auto *Start = static_cast<char *>(Raw);
+  auto Skip = static_cast<size_t>(
+      -reinterpret_cast<uintptr_t>(Start) & (HugePage - 1));
+  if (Skip)
+    munmap(Start, Skip);
+  munmap(Start + Skip + Len, HugePage - Skip);
+  // Advisory: where it fails the mapping keeps 4 KiB pages.
+  madvise(Start + Skip, Len, MADV_HUGEPAGE);
+  return Start + Skip;
+}
+
+void detail::releaseColumn(void *P, size_t Bytes) noexcept {
+  if (Bytes < HugeColumnBytes || !hugeColumnsAvailable())
+    ::operator delete(P);
+  else
+    munmap(P, wholeHugePages(Bytes));
+}
 
 const char *rprism::eventKindName(EventKind Kind) {
   switch (Kind) {
@@ -255,7 +319,7 @@ uint64_t fingerprintEntry(const Trace &T, uint32_t Eid, ObjFpFn ObjFp,
 /// entries: most rows are shared by many entries, and the per-entry
 /// lookups then touch 8 bytes a row instead of the row itself.
 struct RowFingerprints {
-  std::vector<uint64_t> Obj, Value;
+  std::vector<uint64_t, ColumnAllocator<uint64_t>> Obj, Value;
 
   explicit RowFingerprints(const Trace &T)
       : Obj(T.ObjReprs.size()), Value(T.ValueReprs.size()) {

@@ -42,7 +42,9 @@
 #include "trace/Event.h"
 
 #include <cassert>
+#include <cstdint>
 #include <memory>
+#include <new>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -50,11 +52,49 @@
 
 namespace rprism {
 
-/// std::allocator, except that value-less construction default-initializes,
-/// so a vector's resize() leaves new elements of a packed value type
-/// unwritten (see Column::resize).
-template <typename T> struct DefaultInitAllocator : std::allocator<T> {
+namespace detail {
+/// Owned column storage of at least this many bytes (one huge page) gets
+/// its own mapping; see ColumnAllocator.
+inline constexpr size_t HugeColumnBytes = size_t(2) << 20;
+
+/// True when this process can get transparent huge pages: the system THP
+/// mode is not `never` and PR_GET_THP_DISABLE is clear. Read once, at the
+/// first call.
+bool hugeColumnsAvailable();
+
+/// Storage for \p Bytes of column data, and its release. Large requests on
+/// a process with huge pages are mappings, everything else is heap memory.
+void *allocateColumn(size_t Bytes);
+void releaseColumn(void *P, size_t Bytes) noexcept;
+} // namespace detail
+
+/// The allocator behind every Column's owned storage.
+///
+/// A request of detail::HugeColumnBytes or more is its own anonymous
+/// mapping, 2 MiB-aligned, whole huge pages long and advised
+/// MADV_HUGEPAGE, and is unmapped on release. Filling such a column takes
+/// one page fault per 2 MiB instead of one per 4 KiB, and a released
+/// column returns its memory to the system instead of to the malloc heap.
+/// Smaller requests, and every request on a process that cannot get huge
+/// pages, use the heap.
+///
+/// Value-less construction default-initializes, so a vector's resize()
+/// leaves new elements of a packed value type unwritten (see
+/// Column::resize).
+template <typename T> struct ColumnAllocator : std::allocator<T> {
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "column storage has operator new's alignment");
   using std::allocator<T>::allocator;
+
+  T *allocate(size_t N) {
+    if (N > SIZE_MAX / sizeof(T))
+      throw std::bad_array_new_length();
+    return static_cast<T *>(detail::allocateColumn(N * sizeof(T)));
+  }
+  void deallocate(T *P, size_t N) noexcept {
+    detail::releaseColumn(P, N * sizeof(T));
+  }
+
   template <typename U> void construct(U *P) noexcept {
     ::new (static_cast<void *>(P)) U;
   }
@@ -189,7 +229,7 @@ private:
     Borrowed = false;
   }
 
-  std::vector<T, DefaultInitAllocator<T>> Own;
+  std::vector<T, ColumnAllocator<T>> Own;
   const T *Ptr = nullptr;
   size_t Len = 0;
   bool Borrowed = false;

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 using namespace rprism;
 
 namespace {
@@ -55,30 +57,66 @@ TEST(Compiler, DispatchTablesResolveOverrides) {
   auto Prog = compileOk(R"(
     class A { Int m() { return 1; } Int n() { return 2; } }
     class B extends A { Int m() { return 3; } }
-    main { }
+    class C { Int k() { return 4; } }
+    main { var b = new B(); print(b.m()); }
   )");
   ASSERT_TRUE(bool(Prog));
   // Find the class ids.
-  uint32_t AId = ~0u, BId = ~0u;
+  uint32_t AId = ~0u, BId = ~0u, CId = ~0u;
   for (uint32_t I = 0; I != Prog->Classes.size(); ++I) {
     const std::string &Name = Prog->Strings->text(Prog->Classes[I].Name);
     if (Name == "A")
       AId = I;
     if (Name == "B")
       BId = I;
+    if (Name == "C")
+      CId = I;
   }
   ASSERT_NE(AId, ~0u);
   ASSERT_NE(BId, ~0u);
-  uint32_t MSym = Prog->Strings->intern("m").Id;
-  uint32_t NSym = Prog->Strings->intern("n").Id;
+  ASSERT_NE(CId, ~0u);
 
-  // B.m overrides A.m; B.n inherits A.n.
-  uint32_t AM = Prog->Classes[AId].Dispatch.at(MSym);
-  uint32_t BM = Prog->Classes[BId].Dispatch.at(MSym);
-  EXPECT_NE(AM, BM);
-  EXPECT_EQ(Prog->Classes[AId].Dispatch.at(NSym),
-            Prog->Classes[BId].Dispatch.at(NSym));
-  EXPECT_EQ(Prog->Strings->text(Prog->Methods[BM].QualName), "B.m");
+  // One dense slot per method name, and one table entry per slot in every
+  // class.
+  const std::vector<Symbol> &Slots = Prog->MethodSlotNames;
+  ASSERT_EQ(Slots.size(), 3u);
+  auto SlotOf = [&](const char *Name) {
+    Symbol Sym = Prog->Strings->intern(Name);
+    return static_cast<size_t>(std::find(Slots.begin(), Slots.end(), Sym) -
+                               Slots.begin());
+  };
+  size_t M = SlotOf("m"), N = SlotOf("n"), K = SlotOf("k");
+  ASSERT_LT(M, Slots.size());
+  ASSERT_LT(N, Slots.size());
+  ASSERT_LT(K, Slots.size());
+  for (const RtClass &Class : Prog->Classes)
+    EXPECT_EQ(Class.Dispatch.size(), Slots.size());
+  auto Qual = [&](uint32_t Method) {
+    return Prog->Strings->text(Prog->Methods[Method].QualName);
+  };
+
+  // B.m overrides A.m; B.n inherits A.n; a class without a method has an
+  // empty entry at its slot.
+  const RtClass &A = Prog->Classes[AId], &B = Prog->Classes[BId],
+                &C = Prog->Classes[CId];
+  ASSERT_NE(A.Dispatch[M], NoMethod);
+  ASSERT_NE(B.Dispatch[M], NoMethod);
+  ASSERT_NE(B.Dispatch[N], NoMethod);
+  EXPECT_EQ(Qual(A.Dispatch[M]), "A.m");
+  EXPECT_EQ(Qual(B.Dispatch[M]), "B.m");
+  EXPECT_EQ(A.Dispatch[N], B.Dispatch[N]);
+  EXPECT_EQ(Qual(B.Dispatch[N]), "A.n");
+  EXPECT_EQ(A.Dispatch[K], NoMethod);
+  EXPECT_EQ(C.Dispatch[M], NoMethod);
+  EXPECT_EQ(Qual(C.Dispatch[K]), "C.k");
+
+  // A call carries its method's slot.
+  const CompiledMethod *Main = findMethod(*Prog, "main");
+  ASSERT_TRUE(Main != nullptr);
+  auto Call = std::find_if(Main->Code.begin(), Main->Code.end(),
+                           [](const Instr &In) { return In.Code == Op::Call; });
+  ASSERT_NE(Call, Main->Code.end());
+  EXPECT_EQ(static_cast<size_t>(Call->A), M);
 }
 
 TEST(Compiler, CtorlessClassInheritsCtorSlot) {

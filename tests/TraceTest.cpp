@@ -207,6 +207,116 @@ TEST(Columnar, EntryMaterializationScattersAndGathers) {
   }
 }
 
+/// Lines of /proc/self/maps, one per mapping of this process (0 where the
+/// file is missing).
+size_t mappingCount() {
+  std::FILE *Maps = std::fopen("/proc/self/maps", "r");
+  if (!Maps)
+    return 0;
+  size_t Lines = 0;
+  for (int C; (C = std::fgetc(Maps)) != EOF;)
+    Lines += C == '\n';
+  std::fclose(Maps);
+  return Lines;
+}
+
+TEST(Columnar, HugeColumnKeepsItsBytesAndReleasesItsMapping) {
+  // Past one huge page from its first allocation, so every buffer this
+  // column and its copies own is a mapping where huge pages are available.
+  const size_t N = detail::HugeColumnBytes / sizeof(uint64_t) + 1000;
+  auto Value = [](size_t I) { return I * 0x9E3779B97F4A7C15ull; };
+  auto Holds = [&](const Column<uint64_t> &C, size_t Len) {
+    if (C.size() != Len || C.borrowed())
+      return false;
+    for (size_t I = 0; I != Len; ++I)
+      if (C[I] != Value(I))
+        return false;
+    return true;
+  };
+  size_t Before = 0;
+  for (int Warm = 0; Warm != 2; ++Warm)
+    Before = mappingCount();
+  {
+    Column<uint64_t> C;
+    C.resize(N);
+    uint64_t *Data = C.mutData();
+    for (size_t I = 0; I != N; ++I)
+      Data[I] = Value(I);
+    if (detail::hugeColumnsAvailable()) {
+      EXPECT_EQ(reinterpret_cast<uintptr_t>(C.data()) %
+                    detail::HugeColumnBytes,
+                0u)
+          << "a huge column starts on a huge-page boundary";
+    }
+    // Growth past the capacity copies into a larger buffer.
+    for (size_t I = N; I != 2 * N; ++I)
+      C.push_back(Value(I));
+    EXPECT_TRUE(Holds(C, 2 * N));
+
+    Column<uint64_t> Copy(C);
+    EXPECT_NE(Copy.data(), C.data());
+    EXPECT_TRUE(Holds(Copy, 2 * N));
+    Column<uint64_t> Moved(std::move(Copy));
+    EXPECT_TRUE(Holds(Moved, 2 * N));
+    EXPECT_TRUE(Copy.empty());
+    Column<uint64_t> Assigned;
+    Assigned = Moved;
+    EXPECT_TRUE(Holds(Assigned, 2 * N));
+
+    // A borrowed view detaches into storage of its own.
+    Column<uint64_t> Borrowed;
+    Borrowed.borrow(C.data(), C.size());
+    EXPECT_TRUE(Borrowed.borrowed());
+    Borrowed.detach();
+    EXPECT_NE(Borrowed.data(), C.data());
+    EXPECT_TRUE(Holds(Borrowed, 2 * N));
+
+    // clear empties the column; refilled, it holds the new bytes.
+    C.clear();
+    EXPECT_TRUE(C.empty());
+    for (size_t I = 0; I != N; ++I)
+      C.push_back(Value(I));
+    EXPECT_TRUE(Holds(C, N));
+  }
+  if (detail::hugeColumnsAvailable()) {
+    EXPECT_EQ(mappingCount(), Before) << "a released column kept its mapping";
+  }
+}
+
+TEST(Columnar, RecordedTraceOnHugeColumnsRoundTrips) {
+  // ~600K entries: every 4- and 8-byte entry column and the view index
+  // pass 2 MiB, so recording, fingerprinting, writing and rewriting all run
+  // on huge columns.
+  GeneratorOptions Options;
+  Options.OuterIters = 21500;
+  Trace T = traceOf(generateProgram(Options));
+  ASSERT_GT(T.Tids.byteSize(), detail::HugeColumnBytes);
+  ASSERT_GT(T.Fps.byteSize(), detail::HugeColumnBytes);
+
+  // The recorder's fingerprints are a recomputation's, and a deep copy
+  // writes the same file.
+  Trace Copy = T;
+  Copy.computeFingerprints();
+  EXPECT_TRUE(std::equal(T.Fps.begin(), T.Fps.end(), Copy.Fps.begin(),
+                         Copy.Fps.end()));
+
+  std::string Direct = tempPath("huge_direct");
+  std::string Copied = tempPath("huge_copied");
+  std::string Rewritten = tempPath("huge_rewritten");
+  ASSERT_TRUE(writeTrace(T, Direct));
+  ASSERT_TRUE(writeTrace(Copy, Copied));
+  Expected<Trace> Loaded = readTrace(Direct, nullptr);
+  ASSERT_TRUE(bool(Loaded)) << Loaded.error().render();
+  ASSERT_TRUE(writeTrace(*Loaded, Rewritten));
+  std::vector<uint8_t> Want = readAll(Direct);
+  ASSERT_FALSE(Want.empty());
+  EXPECT_TRUE(Want == readAll(Copied)) << "a copy writes other bytes";
+  EXPECT_TRUE(Want == readAll(Rewritten)) << "bytes diverge after a reload";
+  std::remove(Direct.c_str());
+  std::remove(Copied.c_str());
+  std::remove(Rewritten.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Serialization
 //===----------------------------------------------------------------------===//

@@ -304,6 +304,37 @@ OUT="$(cat "$WORK/old.rp" | "$RPRISM" run /dev/stdin --int-input 100 \
        2>/dev/null)"
 [ "$OUT" = "110
 55" ] || fail "run of a piped program printed: $OUT"
+# A FIFO with no writer, as a program or a metrics file, is file.open
+# (exit 4) at once, as it is trace.open for the trace reader.
+mkfifo "$WORK/fifo.rp"
+timeout 20 "$RPRISM" run "$WORK/fifo.rp" > /dev/null 2>"$WORK/open_err.txt"
+[ $? -eq 4 ] || fail "run of a FIFO with no writer was not exit 4"
+grep -qF "[file.open]" "$WORK/open_err.txt" \
+  || fail "run of a FIFO with no writer did not report file.open"
+timeout 20 "$RPRISM" metrics-diff "$WORK/fifo.rp" "$WORK/fifo.rp" \
+  > /dev/null 2>"$WORK/open_err.txt"
+[ $? -eq 4 ] || fail "metrics-diff of a FIFO with no writer was not exit 4"
+grep -qF "[file.open]" "$WORK/open_err.txt" \
+  || fail "metrics-diff of a FIFO with no writer did not report file.open"
+# A FIFO with a writer reads like a file, even when the writer has not
+# written yet: this one holds the FIFO open and writes 2 s later.
+( exec 3<>"$WORK/fifo.rp"; : > "$WORK/fifo_ready"; sleep 2
+  cat "$WORK/old.rp" >&3 ) &
+WRITER=$!
+TRIES=0
+while [ ! -e "$WORK/fifo_ready" ] && [ $TRIES -lt 200 ]; do
+  sleep 0.05
+  TRIES=$((TRIES + 1))
+done
+OUT="$(timeout 20 "$RPRISM" run "$WORK/fifo.rp" --int-input 100 2>/dev/null)"
+[ "$OUT" = "110
+55" ] || fail "run of a FIFO with a writer printed: $OUT"
+wait $WRITER
+# So does a process substitution (a pipe named /dev/fd/N).
+OUT="$(timeout 20 bash -c '"$1" run <(cat "$2") --int-input 100' sh \
+       "$RPRISM" "$WORK/old.rp" 2>/dev/null)"
+[ "$OUT" = "110
+55" ] || fail "run <(cat prog) printed: $OUT"
 # Exit 3: corrupt input. Flip a byte in the checksum field of the first
 # section record (the header is 32 bytes, and the checksum lives at record
 # offset 24).
@@ -580,6 +611,16 @@ JSON_OPS="$(python3 -c "import json,sys; print(json.load(open(sys.argv[1]))['cou
   || fail "run --metrics-out failed"
 python3 -m json.tool "$WORK/run_metrics.json" > /dev/null \
   || fail "run metrics JSON does not parse"
+# Every subcommand reports the process's minor faults and peak RSS. Their
+# values depend on the kernel, so only their presence is checked.
+for F in "$METRICS" "$WORK/run_metrics.json"; do
+  python3 -c "import json,sys; g=json.load(open(sys.argv[1]))['gauges']; \
+assert g['proc.minor_faults'] > 0 and g['proc.peak_rss_bytes'] > 0" "$F" \
+    || fail "$F lacks the proc.* gauges"
+done
+for GAUGE in proc.minor_faults proc.peak_rss_bytes; do
+  grep -q "$GAUGE" "$WORK/prof.txt" || fail "--profile table lacks $GAUGE"
+done
 # Exported for CI artifact collection when requested.
 if [ -n "${RPRISM_METRICS_DIR:-}" ]; then
   mkdir -p "$RPRISM_METRICS_DIR"

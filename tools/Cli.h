@@ -25,8 +25,9 @@ int metricsDiffMain(const std::vector<std::string> &Args);
 int exitCodeFor(const Err &E);
 
 /// Reads a whole program or metrics file. A path that cannot be opened or
-/// read to its end, such as a directory, is `file.open` (ErrClass::Io);
-/// a pipe reads like a file.
+/// read to its end, such as a directory or a FIFO that has no writer, is
+/// `file.open` (ErrClass::Io); a pipe, or a FIFO with a writer, reads like
+/// a file.
 Expected<std::string> readFile(const std::string &Path);
 
 } // namespace rprism

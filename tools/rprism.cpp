@@ -42,6 +42,11 @@
 #include <memory>
 #include <optional>
 
+#include <fcntl.h>
+#include <sys/resource.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 using namespace rprism;
 
 namespace {
@@ -564,6 +569,28 @@ int dispatch(const std::string &Command, const Args &A) {
   return usage();
 }
 
+/// Records the process's minor page faults so far (getrusage) and its
+/// resident high-water mark (VmHWM) as the proc.* gauges. Both depend on
+/// the kernel and the host, so no check gates them.
+void recordProcessGauges() {
+  struct rusage Usage{};
+  if (getrusage(RUSAGE_SELF, &Usage) == 0)
+    Telemetry::gaugeMax("proc.minor_faults",
+                        static_cast<double>(Usage.ru_minflt));
+  std::FILE *Status = std::fopen("/proc/self/status", "r");
+  if (!Status)
+    return;
+  char Line[256];
+  unsigned long long Kib = 0;
+  while (std::fgets(Line, sizeof Line, Status))
+    if (std::sscanf(Line, "VmHWM: %llu kB", &Kib) == 1) {
+      Telemetry::gaugeMax("proc.peak_rss_bytes",
+                          static_cast<double>(Kib) * 1024);
+      break;
+    }
+  std::fclose(Status);
+}
+
 } // namespace
 
 /// Scripts can tell a corrupt input (3) from a file that could not be
@@ -581,20 +608,42 @@ int rprism::exitCodeFor(const Err &E) {
   }
 }
 
-/// Reads with stdio so a read error shows: a stream opened on a directory
-/// opens, then fails its first read, which an ifstream would take for an
-/// empty file.
+/// Opens without blocking, so a FIFO that has no writer fails at once (as
+/// the trace reader's open does) instead of waiting for one, then reads
+/// blocking to the end. A FIFO's first read tells the cases apart: with
+/// no writer and no data it is end-of-file, with a writer that has not
+/// written yet it would block.
 Expected<std::string> rprism::readFile(const std::string &Path) {
+  int Fd = ::open(Path.c_str(), O_RDONLY | O_NONBLOCK | O_CLOEXEC);
+  bool Ok = Fd >= 0;
   std::string Text;
-  std::FILE *File = std::fopen(Path.c_str(), "rb");
-  bool Ok = File != nullptr;
-  if (Ok) {
-    char Buffer[1 << 16];
-    while (size_t Got = std::fread(Buffer, 1, sizeof Buffer, File))
-      Text.append(Buffer, Got);
-    Ok = !std::ferror(File);
-    std::fclose(File);
+  char Buffer[1 << 16];
+  auto ReadSome = [&] {
+    ssize_t Got;
+    do
+      Got = ::read(Fd, Buffer, sizeof Buffer);
+    while (Got < 0 && errno == EINTR);
+    if (Got > 0)
+      Text.append(Buffer, static_cast<size_t>(Got));
+    return Got;
+  };
+  struct stat St{};
+  if (Ok && ::fstat(Fd, &St) == 0 && S_ISFIFO(St.st_mode)) {
+    ssize_t Got = ReadSome();
+    Ok = Got > 0 || (Got < 0 && errno == EAGAIN);
   }
+  if (Ok) {
+    int Flags = ::fcntl(Fd, F_GETFL);
+    Ok = Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags & ~O_NONBLOCK) == 0;
+  }
+  while (Ok) {
+    ssize_t Got = ReadSome();
+    if (Got == 0)
+      break;
+    Ok = Got > 0;
+  }
+  if (Fd >= 0)
+    ::close(Fd);
   if (!Ok)
     return makeClassErr(ErrClass::Io, "file.open",
                         "cannot open '" + Path + "'");
@@ -660,6 +709,7 @@ int main(int Argc, char **Argv) {
   }
 
   if (WantTelemetry) {
+    recordProcessGauges();
     Telemetry::get().setEnabled(false);
     MetricsRunInfo Info;
     Info.Command = Command;
